@@ -320,8 +320,8 @@ class HeraldDSE:
 
         The whole round draws from one cross product — the workload's deduped
         shapes times the distinct sub-accelerator configurations its designs
-        contain — so the backend's cost model estimates it in one vectorised
-        pass up front and every candidate's scheduling turns into pure memo
+        contain — so the backend's cost model estimates it in one pass up
+        front and every candidate's scheduling turns into pure memo
         lookups.  For a pool backend the warmed memo then ships to the
         workers once with the pool initializer instead of trickling back
         entry-by-entry from each task.  A persistent cache (if any) is warmed

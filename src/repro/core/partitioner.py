@@ -318,8 +318,8 @@ class PartitionSearch:
         # Warmed through :meth:`CostModel.prewarm`, not batch_layer_costs:
         # candidates reuse sub-accelerator *names* ("hda-0", ...) across
         # different configurations, and the batch table is name-keyed within
-        # one design.  prewarm keys purely by hardware, and batch-estimates
-        # each configuration's missing shapes in one vectorised pass.
+        # one design.  prewarm keys purely by hardware, and estimates each
+        # configuration's missing shapes in one pass.
         self.cost_model.prewarm(workload.unique_shape_layers(),
                                 list(distinct.values()))
         return len(distinct)

@@ -420,49 +420,25 @@ class Schedule:
         SchedulingError
             If any constraint is violated.
         """
-        cls = type(self)
-        if (cls._validate_no_overlap is Schedule._validate_no_overlap
-                and cls._validate_dependences is Schedule._validate_dependences
-                and cls._validate_completeness
-                is Schedule._validate_completeness):
-            # One grouping pass over the entries feeds the overlap, dependence,
-            # and completeness checks, instead of each check re-scanning the
-            # full entry list.  Subclasses overriding a check (the benchmark's
-            # seed emulation) keep the historical per-check scans below.
-            by_acc: Dict[str, List[ScheduledLayer]] = defaultdict(list)
-            by_instance: Dict[str, List[ScheduledLayer]] = defaultdict(list)
-            for entry in self.entries:
-                by_acc[entry.sub_accelerator].append(entry)
-                by_instance[entry.instance_id].append(entry)
-            self._check_no_overlap(by_acc)
-            self._check_dependences(by_instance)
-            if self.instance_release_cycles:
-                self._validate_release_times()
-            if expected_layers is not None:
-                self._check_completeness(expected_layers, by_instance)
-            return
-        self._validate_no_overlap()
-        self._validate_dependences()
+        # One grouping pass over the entries feeds the overlap, dependence,
+        # and completeness checks, instead of each check re-scanning the full
+        # entry list.
+        by_acc: Dict[str, List[ScheduledLayer]] = defaultdict(list)
+        by_instance: Dict[str, List[ScheduledLayer]] = defaultdict(list)
+        for entry in self.entries:
+            by_acc[entry.sub_accelerator].append(entry)
+            by_instance[entry.instance_id].append(entry)
+        self._check_no_overlap(by_acc)
+        self._check_dependences(by_instance)
         if self.instance_release_cycles:
             self._validate_release_times()
         if expected_layers is not None:
-            self._validate_completeness(expected_layers)
-
-    def _validate_no_overlap(self) -> None:
-        for name in self.sub_accelerator_names:
-            timeline = self.entries_for(name)
-            for previous, current in zip(timeline, timeline[1:]):
-                if current.start_cycle < previous.finish_cycle - 1e-6:
-                    raise SchedulingError(
-                        f"sub-accelerator {name!r}: {current.instance_id}/"
-                        f"{current.layer.name} starts at {current.start_cycle:.0f} before "
-                        f"{previous.instance_id}/{previous.layer.name} finishes at "
-                        f"{previous.finish_cycle:.0f}"
-                    )
+            self._check_completeness(expected_layers, by_instance)
 
     def _check_no_overlap(self, by_acc: Dict[str, List[ScheduledLayer]]
                           ) -> None:
-        """:meth:`_validate_no_overlap` over pre-grouped per-accelerator rows."""
+        """No two layers overlap on one sub-accelerator (rows grouped per
+        sub-accelerator)."""
         by_start = operator.attrgetter("start_cycle", "finish_cycle")
         for name in self.sub_accelerator_names:
             timeline = by_acc.get(name)
@@ -480,17 +456,10 @@ class Schedule:
                     )
                 previous = current
 
-    def _validate_dependences(self) -> None:
-        # One grouping pass over the entries instead of a per-instance scan:
-        # validation is O(entries + instances), not O(entries * instances).
-        by_instance: Dict[str, List[ScheduledLayer]] = defaultdict(list)
-        for entry in self.entries:
-            by_instance[entry.instance_id].append(entry)
-        self._check_dependences(by_instance)
-
     def _check_dependences(self, by_instance: Dict[str, List[ScheduledLayer]]
                            ) -> None:
-        """:meth:`_validate_dependences` over pre-grouped per-instance chains."""
+        """Each layer runs once and after its producers (rows grouped per
+        instance)."""
         by_layer_index = operator.attrgetter("layer_index")
         for instance_id, chain in by_instance.items():
             chain.sort(key=by_layer_index)
@@ -579,27 +548,10 @@ class Schedule:
                     f"at {release:.0f}"
                 )
 
-    def _validate_completeness(self, expected_layers: Dict[str, int]) -> None:
-        scheduled: Dict[str, int] = {}
-        for entry in self.entries:
-            scheduled[entry.instance_id] = scheduled.get(entry.instance_id, 0) + 1
-        for instance_id, expected in expected_layers.items():
-            actual = scheduled.get(instance_id, 0)
-            if actual != expected:
-                raise SchedulingError(
-                    f"instance {instance_id!r}: expected {expected} scheduled layers, "
-                    f"found {actual}"
-                )
-        unexpected = set(scheduled) - set(expected_layers)
-        if unexpected:
-            raise SchedulingError(
-                f"schedule contains unknown instances: {sorted(unexpected)!r}"
-            )
-
     def _check_completeness(self, expected_layers: Dict[str, int],
                             by_instance: Dict[str, List[ScheduledLayer]]
                             ) -> None:
-        """:meth:`_validate_completeness` over pre-grouped per-instance chains."""
+        """Every expected instance is fully scheduled, and nothing else."""
         for instance_id, expected in expected_layers.items():
             chain = by_instance.get(instance_id)
             actual = len(chain) if chain is not None else 0

@@ -43,18 +43,14 @@ heap complexity argument is unchanged (data readiness still only grows).
 from __future__ import annotations
 
 import heapq
+import math
 import operator
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import (Dict, FrozenSet, List, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from repro.exceptions import SchedulingError
 from repro.maestro.cost import CostModel, LayerCost, metric_value
 from repro.maestro.hardware import SubAcceleratorConfig
-from repro.models.graph import (
-    derive_last_consumers,
-    derive_retirements,
-    derive_sorted_predecessors,
-)
 from repro.models.layer import Layer
 from repro.core.schedule import Schedule, ScheduledLayer
 from repro.units import BYTES_PER_ELEMENT
@@ -75,6 +71,10 @@ _METRIC_CACHED_ATTR = {"edp": "_edp", "latency": "_latency_s",
 
 #: Preference-row sort key: (metric value, sub-accelerator name).
 _RANK_ORDER = operator.itemgetter(0, 1)
+
+#: Timeline candidate of a sub-accelerator with no ready layer; it sorts
+#: after every real ``(start, slot)`` candidate.
+_NO_CANDIDATE = (math.inf, math.inf)
 
 
 def checked_release_cycles(release_cycles: Optional[Mapping[str, float]],
@@ -103,105 +103,67 @@ def checked_release_cycles(release_cycles: Optional[Mapping[str, float]],
     return releases
 
 
-class _Assignment:
-    """One layer-to-sub-accelerator assignment produced by the initial step.
+class _VisitOrder(NamedTuple):
+    """Design-independent per-slot arrays of one scheduling run.
 
-    ``predecessors`` holds the layer indices this layer waits on (its true
-    producers), so the timeline builders check readiness without re-deriving
-    the dependence structure per iteration.  ``unmet_producers`` and
-    ``data_ready_cycle`` are list-schedule scratch state (producers not yet
-    finished, and the latest finish cycle among those that have), reset per
-    timeline construction.
-
-    A plain ``__slots__`` class rather than a dataclass: one instance is built
-    per layer execution per design candidate, which makes construction cost a
-    measurable slice of a DSE sweep.
+    Slot ``i`` is the ``i``-th layer placed in the Fig. 8 visiting order.
     """
 
-    __slots__ = ("order_index", "instance_id", "layer_index", "layer",
-                 "sub_accelerator", "cost", "latency_cycles", "predecessors",
-                 "unmet_producers", "data_ready_cycle")
-
-    def __init__(self, order_index: int, instance_id: str, layer_index: int,
-                 layer: Layer, sub_accelerator: str, cost: LayerCost,
-                 latency_cycles: Optional[float] = None,
-                 predecessors: Tuple[int, ...] = ()) -> None:
-        self.order_index = order_index
-        self.instance_id = instance_id
-        self.layer_index = layer_index
-        self.layer = layer
-        self.sub_accelerator = sub_accelerator
-        self.cost = cost
-        self.latency_cycles = (cost.latency_cycles if latency_cycles is None
-                               else latency_cycles)
-        self.predecessors = predecessors
-        self.unmet_producers = 0
-        self.data_ready_cycle = 0.0
-
-
-@dataclass
-class _InstanceState:
-    """Mutable scheduling state of one model instance.
-
-    ``predecessors`` / ``successors`` are the instance's per-layer dependence
-    index sets (aligned with ``layers``); the initial assignment walks
-    ``layers`` in dependence order, so indices below ``next_index`` are exactly
-    the already-scheduled layers.  ``sorted_predecessors`` (ascending tuples),
-    ``last_consumer`` (position of each layer's final consumer, -1 when none)
-    and ``retiring`` (the inverse map: which tensors retire at each commit)
-    are derived once — from the model graph's memos when the scheduler builds
-    the state, or in ``__post_init__`` as a fallback.
-    """
-
-    instance: ModelInstance
     layers: List[Layer]
-    predecessors: Tuple[FrozenSet[int], ...]
-    successors: Tuple[FrozenSet[int], ...]
-    sorted_predecessors: Optional[Tuple[Tuple[int, ...], ...]] = None
-    last_consumer: Optional[Tuple[int, ...]] = None
-    retiring: Optional[Tuple[Tuple[int, ...], ...]] = None
-    #: Whether :meth:`advance` maintains ``live_outputs``.  The scheduler
-    #: disables it when no memory limit is configured — the live set is then
-    #: never read — which keeps the commit loop free of dead bookkeeping.
-    track_liveness: bool = True
-    next_index: int = 0
-    #: Produced tensors still awaiting a consumer: layer index -> bytes.
-    #: Maintained incrementally by :meth:`advance` so the memory check stays
-    #: proportional to the (small) live set, not the scheduled prefix.
-    live_outputs: Dict[int, int] = field(default_factory=dict)
+    instance_ids: List[str]
+    #: Position of each slot's layer in its instance's dependence order.
+    layer_indices: List[int]
+    #: Distinct layer shapes, in first-visit order.
+    shapes: List[Tuple]
+    #: Index into ``shapes`` per slot.
+    slot_shapes: List[int]
+    #: Number of producers per slot.
+    unmet0: List[int]
+    #: Slots consuming each slot's output, ascending.
+    consumer_slots: List[List[int]]
+    #: DRAM-spill fallbacks taken by the memory check.
+    violations: int
 
-    def __post_init__(self) -> None:
-        if self.sorted_predecessors is None:
-            self.sorted_predecessors = derive_sorted_predecessors(self.predecessors)
-        if self.last_consumer is None:
-            self.last_consumer = derive_last_consumers(self.successors)
-        if self.retiring is None:
-            self.retiring = derive_retirements(self.last_consumer)
 
-    @property
-    def exhausted(self) -> bool:
-        return self.next_index >= len(self.layers)
+class _InstanceState:
+    """Global-buffer liveness of one model instance under a memory limit.
 
-    @property
-    def head(self) -> Layer:
-        return self.layers[self.next_index]
+    Serves the memory check of Fig. 8 while the visiting order is built:
+    layers are placed in dependence order, so indices below ``next_index``
+    are exactly the already-placed layers.  ``last_consumer`` (position of
+    each layer's final consumer, -1 when none) and ``retiring`` (the inverse
+    map: which tensors retire at each placement) come from the model graph's
+    memos.
+    """
+
+    __slots__ = ("layers", "successors", "last_consumer", "retiring",
+                 "next_index", "live_outputs")
+
+    def __init__(self, instance: ModelInstance) -> None:
+        self.layers: List[Layer] = instance.layers_in_dependence_order()
+        self.successors: Tuple[FrozenSet[int], ...] = instance.successor_indices()
+        self.last_consumer = instance.model.last_consumer_indices()
+        self.retiring = instance.model.retirement_indices()
+        self.next_index = 0
+        #: Produced tensors still awaiting a consumer: layer index -> bytes.
+        #: Maintained incrementally by :meth:`advance` so the memory check
+        #: stays proportional to the (small) live set, not the placed prefix.
+        self.live_outputs: Dict[int, int] = {}
 
     def advance(self) -> None:
-        """Commit the head layer: step ``next_index`` and update liveness.
+        """Place the head layer: step ``next_index`` and update liveness.
 
-        A tensor stays live until its *last* consumer has been scheduled — on a
-        chain that is only the most recent output, but a skip-connection tensor
-        remains live across the whole branch it skips.
+        A tensor stays live until its *last* consumer has been placed — on a
+        chain that is only the most recent output, but a skip-connection
+        tensor remains live across the whole branch it skips.
         """
         committed = self.next_index
         self.next_index += 1
-        if not self.track_liveness:
-            return
-        # Tensors whose final consumer was the committed layer retire now.
+        # Tensors whose final consumer was the placed layer retire now.
         for index in self.retiring[committed]:
             self.live_outputs.pop(index, None)
-        # The committed layer's own output goes live while consumers remain
-        # (its last consumer, if any, is always at a later position).
+        # The placed layer's own output goes live while consumers remain (its
+        # last consumer, if any, is always at a later position).
         if self.last_consumer[committed] >= self.next_index:
             self.live_outputs[committed] = (
                 self.layers[committed].output_elements * BYTES_PER_ELEMENT)
@@ -299,28 +261,15 @@ class HeraldScheduler:
             raise SchedulingError("cannot schedule onto an empty sub-accelerator list")
         instances = workload.instances()
         releases = checked_release_cycles(release_cycles, instances)
-        dependences = workload.instance_dependences()
-        cls = type(self)
-        if (self.memory_limit_bytes is None and self.enable_post_processing
-                and cls._initial_assignment is HeraldScheduler._initial_assignment
-                and cls._list_schedule is HeraldScheduler._list_schedule
-                and cls._choose_sub_accelerator
-                is HeraldScheduler._choose_sub_accelerator):
-            # Fused fast path (the DSE-sweep regime): both passes run over the
-            # precomputed design-independent visiting order, making decision
-            # for decision the same choices as the two-pass path below.
-            # Subclasses that override either pass (the hot-path benchmark's
-            # seed emulation does) keep the general path.
-            schedule = self._schedule_fast(workload, sub_accelerators, releases)
-        elif self.enable_post_processing:
-            assignments = self._initial_assignment(workload, sub_accelerators)
-            schedule = self._list_schedule(assignments, sub_accelerators,
-                                           release_cycles=releases)
-        else:
-            assignments = self._initial_assignment(workload, sub_accelerators)
-            schedule = self._replay_initial_order(assignments, sub_accelerators,
-                                                  release_cycles=releases)
-        schedule.instance_predecessors = dependences
+        order = self._static_visit_order(workload)
+        self.last_memory_violations = order.violations
+        rankings = self._shape_rankings(workload, sub_accelerators)
+        slot_acc, slot_cost, slot_latency = self._assign(
+            order, [rankings[shape] for shape in order.shapes],
+            len(sub_accelerators))
+        schedule = self._timeline(order, slot_acc, slot_cost, slot_latency,
+                                  sub_accelerators, releases)
+        schedule.instance_predecessors = workload.instance_dependences()
         if releases:
             schedule.instance_release_cycles = releases
         expected = {instance.instance_id: instance.num_layers for instance in instances}
@@ -328,32 +277,31 @@ class HeraldScheduler:
         return schedule
 
     # ------------------------------------------------------------------
-    # Fused fast path (no memory limit): both passes over a precomputed,
-    # design-independent visiting order
+    # Visiting order (Fig. 8's instance walk and memory check)
     # ------------------------------------------------------------------
-    def _static_visit_order(self, workload: WorkloadSpec) -> Tuple:
+    def _static_visit_order(self, workload: WorkloadSpec) -> _VisitOrder:
         """The design-independent structure of one workload's scheduling run.
 
-        With no memory limit, the visiting order (which instance's which layer
-        receives which ``order_index``) is a pure function of the workload and
-        the ordering policy — the defer/rescan machinery never fires and the
-        rotation over live instances is data-independent.  Likewise the
-        consumer lists and unmet-producer counts only encode the instance
-        DAGs.  Both are therefore computed once per (workload, ordering) and
-        memoised on the spec alongside its instance expansion, instead of
-        being rebuilt object-by-object for each of the thousands of candidate
-        designs of a sweep.
+        The visiting order (which instance's which layer receives which
+        ``order_index``) never depends on the design: the ordering policy
+        rotates over live instances, and Fig. 8's memory check reads only the
+        liveness of already-placed tensors and each layer's size — never the
+        chosen sub-accelerator or the load fronts.  So the order, including
+        memory deferrals and the DRAM-spill violation count, is a pure
+        function of (workload, ordering, memory limit).  The consumer lists
+        and unmet-producer counts only encode the instance DAGs.  All of it
+        is computed once per key and memoised on the spec alongside its
+        instance expansion, instead of being rebuilt for each of the
+        thousands of candidate designs of a sweep.
 
-        Returns parallel per-slot lists ``(layers, instance_ids,
-        layer_indices, shape_keys, unmet0, consumer_slots)`` where slot ==
-        ``order_index`` and ``consumer_slots[p]`` lists the slots consuming
-        slot ``p``'s output, in ascending (assignment) order.
+        Slot == ``order_index`` throughout the returned :class:`_VisitOrder`.
         """
         snapshot = tuple(workload.entries)
+        key = (self.ordering, self.memory_limit_bytes)
         memo = workload._static_order_memo
         if memo is None:
             memo = workload._static_order_memo = {}
-        cached = memo.get(self.ordering)
+        cached = memo.get(key)
         if cached is not None and cached[0] == snapshot:
             return cached[1]
 
@@ -362,35 +310,51 @@ class HeraldScheduler:
                          instance.layers_in_dependence_order(),
                          instance.predecessor_indices())
                         for instance in instances]
+        limited = self.memory_limit_bytes is not None
+        states = [_InstanceState(instance) for instance in instances] \
+            if limited else None
         breadth = self.ordering == "breadth"
+        # The visit queue holds live (non-exhausted) instances only; under
+        # breadth-first ordering a visited instance rotates to the back, under
+        # depth-first it stays in place until fully placed.
         visit_queue = [index for index, (_, layers, _) in enumerate(per_instance)
                        if layers]
         next_index = [0] * len(per_instance)
         order: List[Tuple[int, int]] = []
         slot_of: Dict[Tuple[int, int], int] = {}
+        violations = 0
         while visit_queue:
-            inst = visit_queue[0]
-            layers = per_instance[inst][1]
-            total = len(layers)
-            position = next_index[inst]
-            while True:
-                slot_of[(inst, position)] = len(order)
-                order.append((inst, position))
-                position += 1
-                if breadth or position >= total:
-                    break
-            next_index[inst] = position
-            if position >= total:
-                visit_queue.pop(0)
-            else:
-                visit_queue.append(visit_queue.pop(0))
+            position = 0
+            if limited:
+                # Visit the first instance whose head layer fits the global
+                # buffer; deferred instances keep their queue position.  When
+                # none fits, DRAM-spill fallback: place the queue head anyway
+                # and count the violation.
+                for position, inst in enumerate(visit_queue):
+                    if self._memory_allows(states, inst):
+                        break
+                else:
+                    position = 0
+                    violations += 1
+                states[visit_queue[position]].advance()
+            inst = visit_queue[position]
+            layer_position = next_index[inst]
+            slot_of[(inst, layer_position)] = len(order)
+            order.append((inst, layer_position))
+            next_index[inst] = layer_position + 1
+            if layer_position + 1 >= len(per_instance[inst][1]):
+                visit_queue.pop(position)
+            elif breadth:
+                visit_queue.append(visit_queue.pop(position))
 
         n = len(order)
         slot_layers = [per_instance[inst][1][position]
                        for inst, position in order]
         instance_ids = [per_instance[inst][0] for inst, _ in order]
         layer_indices = [position for _, position in order]
-        shape_keys = [layer.shape_key for layer in slot_layers]
+        shape_index: Dict[Tuple, int] = {}
+        slot_shapes = [shape_index.setdefault(layer.shape_key, len(shape_index))
+                       for layer in slot_layers]
         unmet0 = [len(per_instance[inst][2][position])
                   for inst, position in order]
         consumer_slots: List[List[int]] = [[] for _ in range(n)]
@@ -398,202 +362,184 @@ class HeraldScheduler:
             for producer in per_instance[inst][2][position]:
                 consumer_slots[slot_of[(inst, producer)]].append(slot)
 
-        payload = (slot_layers, instance_ids, layer_indices, shape_keys,
-                   unmet0, consumer_slots)
-        memo[self.ordering] = (snapshot, payload)
+        payload = _VisitOrder(slot_layers, instance_ids, layer_indices,
+                              list(shape_index), slot_shapes, unmet0,
+                              consumer_slots, violations)
+        memo[key] = (snapshot, payload)
         return payload
 
-    def _schedule_fast(self, workload: WorkloadSpec,
-                       sub_accelerators: Sequence[SubAcceleratorConfig],
-                       release_cycles: Optional[Mapping[str, float]] = None
-                       ) -> Schedule:
-        """Initial assignment + list schedule fused over slot index arrays.
+    def _memory_allows(self, states: Sequence[_InstanceState],
+                       current_index: int) -> bool:
+        """Check the global-buffer occupancy condition of Fig. 8.
 
-        Runs the exact decision sequence of :meth:`_initial_assignment`
-        followed by :meth:`_list_schedule` (the equivalence tests and golden
-        gates pin this bit-for-bit), but over the static per-slot arrays of
-        :meth:`_static_visit_order`: the per-design work is reduced to the
-        design-dependent choices themselves — sub-accelerator picks, load
-        fronts, and the event-driven timeline — with no per-layer record
-        objects and no per-design consumer-dict rebuild.
+        Live bytes follow last-consumer semantics: a produced tensor occupies
+        the buffer until every layer consuming it has been placed, so skip
+        tensors are charged across the whole branch they bypass.  The current
+        instance's tensors that its head layer consumes are excluded from the
+        live set — their bytes are already counted in ``required`` as the
+        layer's input.
         """
-        (slot_layers, instance_ids, layer_indices, shape_keys, unmet0,
-         consumer_slots) = self._static_visit_order(workload)
-        # Preference rows carry the dense sub-accelerator index in their
-        # trailing column, so the passes below never touch accelerator names.
-        rankings = self._shape_rankings(workload, sub_accelerators)
-        names = [acc.name for acc in sub_accelerators]
-        n_accs = len(names)
+        current = states[current_index]
+        live = sum(state.live_bytes() for state in states if state is not current)
+        live += current.live_bytes(exclude_consumers_of=current.next_index)
+        layer = current.layers[current.next_index]
+        required = (layer.input_elements + layer.output_elements) * BYTES_PER_ELEMENT
+        return live + required <= self.memory_limit_bytes
 
-        # --- Pass 1: per-slot sub-accelerator choice (Fig. 8) -------------
-        # One loop variant per design arity, selected once: the row count
-        # equals the (fixed) sub-accelerator count, so the historical
-        # per-layer dispatch reduces to this single branch.  Note
-        # ``busy[aidx] = finish`` is the historical ``busy[aidx] += latency``
-        # with the already-computed sum reused.
-        n = len(slot_layers)
-        busy = [0.0] * n_accs
+    # ------------------------------------------------------------------
+    # Step 1: load-balanced sub-accelerator choice (Fig. 8)
+    # ------------------------------------------------------------------
+    def _assign(self, order: _VisitOrder,
+                rows: List[List[Tuple[float, str, LayerCost, float, int]]],
+                n_accs: int) -> Tuple[List[int], List[LayerCost], List[float]]:
+        """Pick each slot's sub-accelerator: preference plus load balance.
+
+        Walks the sub-accelerators in the layer shape's preference order and
+        accepts the first whose projected completion time (its accumulated
+        load plus this layer's latency there) stays within
+        ``load_balance_factor`` of the best achievable completion time.  When
+        the preferred sub-accelerator is far ahead of the others this
+        redirects the layer to the next-preferred one, trading a locally
+        optimal assignment for global load balance — the "try the second,
+        third, ... best-fit accelerator" step of the paper.  Returns the
+        per-slot dense sub-accelerator index, cost, and latency.  ``rows``
+        holds the preference rows of ``order.shapes``.
+        """
+        n = len(order.slot_shapes)
         slot_acc = [0] * n
-        slot_cost: List[Optional[LayerCost]] = [None] * n
+        slot_cost: List[LayerCost] = [None] * n  # type: ignore[list-item]
         slot_latency = [0.0] * n
         lb = self.load_balance_factor
-        self.last_memory_violations = 0
-        if lb is None or n_accs == 1:
-            # No balancing condition: every layer goes to its preferred
-            # sub-accelerator and the load fronts are never consulted.
-            for slot, shape in enumerate(shape_keys):
-                _, _, cost, latency, aidx = rankings[shape][0]
-                slot_acc[slot] = aidx
-                slot_cost[slot] = cost
-                slot_latency[slot] = latency
-        elif n_accs == 2:
-            for slot, shape in enumerate(shape_keys):
-                ranked = rankings[shape]
-                _, _, cost0, latency0, aidx0 = ranked[0]
-                _, _, cost1, latency1, aidx1 = ranked[1]
-                finish0 = busy[aidx0] + latency0
-                finish1 = busy[aidx1] + latency1
-                bound = lb * (finish0 if finish0 < finish1 else finish1)
-                if finish0 <= bound or finish1 > bound:
-                    slot_acc[slot] = aidx0
-                    slot_cost[slot] = cost0
-                    slot_latency[slot] = latency0
-                    busy[aidx0] = finish0
-                else:
-                    slot_acc[slot] = aidx1
-                    slot_cost[slot] = cost1
-                    slot_latency[slot] = latency1
-                    busy[aidx1] = finish1
-        elif n_accs == 3:
-            for slot, shape in enumerate(shape_keys):
-                ranked = rankings[shape]
-                _, _, cost0, latency0, aidx0 = ranked[0]
-                _, _, cost1, latency1, aidx1 = ranked[1]
-                _, _, cost2, latency2, aidx2 = ranked[2]
-                finish0 = busy[aidx0] + latency0
-                finish1 = busy[aidx1] + latency1
-                finish2 = busy[aidx2] + latency2
-                best_finish = finish0
-                if finish1 < best_finish:
-                    best_finish = finish1
-                if finish2 < best_finish:
-                    best_finish = finish2
-                bound = lb * best_finish
-                if finish1 <= bound < finish0:
-                    slot_acc[slot] = aidx1
-                    slot_cost[slot] = cost1
-                    slot_latency[slot] = latency1
-                    busy[aidx1] = finish1
-                elif finish2 <= bound < finish0:
-                    slot_acc[slot] = aidx2
-                    slot_cost[slot] = cost2
-                    slot_latency[slot] = latency2
-                    busy[aidx2] = finish2
-                else:
-                    slot_acc[slot] = aidx0
-                    slot_cost[slot] = cost0
-                    slot_latency[slot] = latency0
-                    busy[aidx0] = finish0
-        else:
-            # Generic preference-order walk (mirrors
-            # :meth:`_choose_sub_accelerator`).
-            for slot, shape in enumerate(shape_keys):
-                ranked = rankings[shape]
-                finishes = [busy[row[4]] + row[3] for row in ranked]
-                bound = lb * min(finishes)
-                _, _, cost, latency, aidx = ranked[0]
-                chosen = finishes[0]
-                for finish, row in zip(finishes, ranked):
-                    if finish <= bound:
-                        _, _, cost, latency, aidx = row
-                        chosen = finish
-                        break
-                slot_acc[slot] = aidx
-                slot_cost[slot] = cost
-                slot_latency[slot] = latency
-                busy[aidx] = chosen
+        busy = [0.0] * n_accs
+        inf = math.inf
+        for slot, ranked in enumerate(map(rows.__getitem__,
+                                          order.slot_shapes)):
+            # Without the balancing condition every layer goes to its
+            # preferred sub-accelerator.
+            bound = inf
+            if lb is not None:
+                best = inf
+                for row in ranked:
+                    finish = busy[row[4]] + row[3]
+                    if finish < best:
+                        best = finish
+                bound = lb * best
+            # The argmin always meets the bound (lb >= 1), so the walk stops.
+            for row in ranked:
+                finish = busy[row[4]] + row[3]
+                if finish <= bound:
+                    break
+            _, _, slot_cost[slot], slot_latency[slot], aidx = row
+            slot_acc[slot] = aidx
+            busy[aidx] = finish
+        return slot_acc, slot_cost, slot_latency
 
-        # --- Pass 2: idle-eliminating list schedule (Fig. 9) --------------
+    # ------------------------------------------------------------------
+    # Step 2: timeline construction (Fig. 9)
+    # ------------------------------------------------------------------
+    def _timeline(self, order: _VisitOrder, slot_acc: List[int],
+                  slot_cost: List[LayerCost], slot_latency: List[float],
+                  sub_accelerators: Sequence[SubAcceleratorConfig],
+                  release_cycles: Optional[Mapping[str, float]]) -> Schedule:
+        """Build the timeline of the assigned slots.
+
+        With post-processing (Fig. 9) the layer-to-sub-accelerator assignment
+        is kept, but whenever a sub-accelerator becomes free it starts the
+        earliest *ready* layer assigned to it, which removes the idle gaps a
+        strict initial order would create.  A layer is ready once every one
+        of its true producers has been scheduled, and it starts no earlier
+        than the latest producer finish and its instance's release — so
+        independent branches of one instance may run concurrently on
+        different sub-accelerators.  Without post-processing the visiting
+        order is replayed as is.
+
+        The event-driven implementation is O(n·A + n log n) for n layer
+        executions on A sub-accelerators.  Every committed layer is the
+        global argmin of ``(start, slot)`` over all ready layers, where
+        ``start = max(sub-accelerator available, data ready)``.  Per
+        sub-accelerator, a **future heap** keyed ``(data_ready, slot)`` holds
+        ready layers whose data arrives after the sub-accelerator frees up,
+        and a **now heap** keyed ``slot`` holds those already waiting on the
+        array; entries migrate future -> now as the availability front passes
+        them, at most once each.  The heads of the two heaps give each
+        sub-accelerator's candidate, and each commit takes the minimum over
+        the A cached candidates, re-evaluating only the sub-accelerators the
+        commit touched (the committing array, plus any array that received a
+        newly-ready consumer).  Release times only seed data readiness, which
+        producers can only raise, so the keys never decrease and a ``None`` /
+        all-zero map is bit-for-bit the batch behaviour.
+        """
+        slot_layers = order.layers
+        instance_ids = order.instance_ids
+        layer_indices = order.layer_indices
+        consumer_slots = order.consumer_slots
         schedule = self._empty_schedule(sub_accelerators)
-        unmet = unmet0[:]
+        names = [acc.name for acc in sub_accelerators]
+        n_accs = len(names)
+        n = len(slot_layers)
         if release_cycles:
             released_at = release_cycles.get
             data_ready = [released_at(instance_id, 0.0)
                           for instance_id in instance_ids]
         else:
             data_ready = [0.0] * n
+        avail = [0.0] * n_accs
+        entries_append = schedule.entries.append
+
+        if not self.enable_post_processing:
+            # Every producer precedes its consumers in the visiting order, so
+            # by the time a slot is replayed its data readiness is final.
+            for slot in range(n):
+                aidx = slot_acc[slot]
+                start = avail[aidx]
+                if data_ready[slot] > start:
+                    start = data_ready[slot]
+                finish = start + slot_latency[slot]
+                entries_append(ScheduledLayer(
+                    slot_layers[slot], instance_ids[slot], layer_indices[slot],
+                    names[aidx], start, finish, slot_cost[slot]))
+                avail[aidx] = finish
+                for consumer in consumer_slots[slot]:
+                    if finish > data_ready[consumer]:
+                        data_ready[consumer] = finish
+            return schedule
+
+        unmet = order.unmet0[:]
         future: List[List[Tuple[float, int]]] = [[] for _ in range(n_accs)]
         now: List[List[int]] = [[] for _ in range(n_accs)]
-        avail = [0.0] * n_accs
-        candidates: List[Optional[Tuple[float, int]]] = [None] * n_accs
-
         heappush = heapq.heappush
         heappop = heapq.heappop
-
         for slot, blockers in enumerate(unmet):
             if blockers == 0:
-                aidx = slot_acc[slot]
-                ready = data_ready[slot]
-                if ready <= 0.0:
-                    heappush(now[aidx], slot)
+                if data_ready[slot] <= 0.0:
+                    heappush(now[slot_acc[slot]], slot)
                 else:
-                    heappush(future[aidx], (ready, slot))
-        for idx in range(n_accs):
-            acc_now = now[idx]
-            acc_future = future[idx]
-            best: Optional[Tuple[float, int]] = None
-            if acc_now:
-                best = (0.0, acc_now[0])
-            if acc_future:
-                key = acc_future[0]
-                if best is None or key < best:
-                    best = key
-            candidates[idx] = best
+                    heappush(future[slot_acc[slot]], (data_ready[slot], slot))
+        # Each sub-accelerator's best ``(start, slot)`` candidate; slots are
+        # unique, so keys never tie across sub-accelerators and the owner of
+        # the global minimum is read back from ``slot_acc``.
+        candidates = [(0.0, acc_now[0]) if acc_now
+                      else acc_future[0] if acc_future else _NO_CANDIDATE
+                      for acc_now, acc_future in zip(now, future)]
 
-        entries_append = schedule.entries.append
-        indices = range(n_accs)
-        two = n_accs == 2
-        three = n_accs == 3
-        remaining = n
-        while remaining:
-            # Earliest candidate wins, ties to the lower index — the generic
-            # scan, unrolled for the dominant two/three-sub-accelerator
-            # design arities.
-            if two:
-                best = candidates[0]
-                best_idx = 0
-                key = candidates[1]
-                if key is not None and (best is None or key < best):
+        for _ in range(n):
+            best = _NO_CANDIDATE
+            for key in candidates:
+                if key < best:
                     best = key
-                    best_idx = 1
-            elif three:
-                best = candidates[0]
-                best_idx = 0
-                key = candidates[1]
-                if key is not None and (best is None or key < best):
-                    best = key
-                    best_idx = 1
-                key = candidates[2]
-                if key is not None and (best is None or key < best):
-                    best = key
-                    best_idx = 2
-            else:
-                best = None
-                best_idx = -1
-                for idx in indices:
-                    key = candidates[idx]
-                    if key is not None and (best is None or key < best):
-                        best = key
-                        best_idx = idx
-            if best is None:
+            if best is _NO_CANDIDATE:
                 raise SchedulingError(
                     "post-processing dead-lock: no ready layer found; this indicates a bug"
                 )
-            start = best[0]
+            start, slot = best
+            best_idx = slot_acc[slot]
+            # The winner sits at the top of whichever heap carries its start
+            # time: ``now`` when it waits on the array, ``future`` when it
+            # waits on data.
             if start <= avail[best_idx]:
-                slot = heappop(now[best_idx])
+                heappop(now[best_idx])
             else:
-                _, slot = heappop(future[best_idx])
+                heappop(future[best_idx])
             finish = start + slot_latency[slot]
             entries_append(ScheduledLayer(
                 slot_layers[slot], instance_ids[slot], layer_indices[slot],
@@ -614,177 +560,20 @@ class HeraldScheduler:
                     if cidx not in touched:
                         touched.append(cidx)
             for idx in touched:
+                # Migrate newly-startable layers future -> now; every layer
+                # left in ``future`` then starts strictly after ``avail``.
                 avail_idx = avail[idx]
                 acc_future = future[idx]
                 acc_now = now[idx]
                 while acc_future and acc_future[0][0] <= avail_idx:
                     heappush(acc_now, heappop(acc_future)[1])
                 if acc_now:
-                    key = (avail_idx, acc_now[0])
-                    if acc_future:
-                        head = acc_future[0]
-                        if head[0] < avail_idx:
-                            key = head
+                    candidates[idx] = (avail_idx, acc_now[0])
                 elif acc_future:
-                    key = acc_future[0]
+                    candidates[idx] = acc_future[0]
                 else:
-                    key = None
-                candidates[idx] = key
-            remaining -= 1
+                    candidates[idx] = _NO_CANDIDATE
         return schedule
-
-    # ------------------------------------------------------------------
-    # Step 1: initial assignment (Fig. 8)
-    # ------------------------------------------------------------------
-    def _initial_assignment(self, workload: WorkloadSpec,
-                            sub_accelerators: Sequence[SubAcceleratorConfig]
-                            ) -> List[_Assignment]:
-        track_liveness = self.memory_limit_bytes is not None
-        states = [
-            _InstanceState(instance=instance,
-                           layers=instance.layers_in_dependence_order(),
-                           predecessors=instance.predecessor_indices(),
-                           successors=instance.successor_indices(),
-                           sorted_predecessors=instance.model.sorted_predecessor_indices(),
-                           last_consumer=instance.model.last_consumer_indices(),
-                           retiring=instance.model.retirement_indices(),
-                           track_liveness=track_liveness)
-            for instance in workload.instances()
-        ]
-        rankings = self._shape_rankings(workload, sub_accelerators)
-        busy_cycles: Dict[str, float] = {acc.name: 0.0 for acc in sub_accelerators}
-        assignments: List[_Assignment] = []
-        self.last_memory_violations = 0
-
-        # The visit queue holds live (non-exhausted) instances only: an
-        # exhausted instance is a guaranteed no-op in the scan below, so it is
-        # dropped on exhaustion instead of being re-scanned per commit.  The
-        # relative order of the live instances — and hence every visiting
-        # decision — is unchanged.
-        visit_queue = [index for index, state in enumerate(states)
-                       if not state.exhausted]
-        remaining = sum(len(state.layers) - state.next_index for state in states)
-
-        def commit(state: _InstanceState, position: int) -> None:
-            layer = state.head
-            acc_name, cost, latency = self._choose_sub_accelerator(
-                rankings[layer.shape_key], sub_accelerators, busy_cycles)
-            assignments.append(_Assignment(
-                len(assignments), state.instance.instance_id, state.next_index,
-                layer, acc_name, cost, latency,
-                state.sorted_predecessors[state.next_index],
-            ))
-            busy_cycles[acc_name] += latency
-            state.advance()
-            self._rotate(visit_queue, position,
-                         state.next_index >= len(state.layers))
-
-        memory_limited = self.memory_limit_bytes is not None
-        if not memory_limited:
-            # Fast path — the DSE-sweep regime.  With no memory limit the scan
-            # in the general loop below always commits the queue head, so the
-            # defer/rescan machinery reduces to a rotation over live
-            # instances.  The body inlines ``commit`` (and the common
-            # :meth:`_choose_sub_accelerator` branches) but makes
-            # decision-for-decision the same choices.
-            breadth = self.ordering == "breadth"
-            lb = self.load_balance_factor
-            balanced = lb is not None and len(sub_accelerators) > 1
-            append = assignments.append
-            order_index = 0
-            while visit_queue:
-                state = states[visit_queue[0]]
-                layers = state.layers
-                total = len(layers)
-                next_index = state.next_index
-                instance_id = state.instance.instance_id
-                sorted_preds = state.sorted_predecessors
-                # Depth ordering keeps visiting this instance until it is
-                # exhausted; breadth rotates after every commit.
-                while True:
-                    layer = layers[next_index]
-                    ranked = rankings[layer.shape_key]
-                    if not balanced:
-                        _, acc_name, cost, latency, _ = ranked[0]
-                    elif len(ranked) == 2:
-                        _, name0, cost0, latency0, _ = ranked[0]
-                        _, name1, cost1, latency1, _ = ranked[1]
-                        finish0 = busy_cycles[name0] + latency0
-                        finish1 = busy_cycles[name1] + latency1
-                        bound = lb * (finish0 if finish0 < finish1 else finish1)
-                        if finish0 <= bound:
-                            acc_name, cost, latency = name0, cost0, latency0
-                        elif finish1 <= bound:
-                            acc_name, cost, latency = name1, cost1, latency1
-                        else:
-                            acc_name, cost, latency = name0, cost0, latency0
-                    elif len(ranked) == 3:
-                        # Three-way HDAs are the largest designs in the paper's
-                        # sweep; the unrolled walk mirrors the generic
-                        # preference-order loop decision for decision.
-                        _, name0, cost0, latency0, _ = ranked[0]
-                        _, name1, cost1, latency1, _ = ranked[1]
-                        _, name2, cost2, latency2, _ = ranked[2]
-                        finish0 = busy_cycles[name0] + latency0
-                        finish1 = busy_cycles[name1] + latency1
-                        finish2 = busy_cycles[name2] + latency2
-                        best_finish = finish0
-                        if finish1 < best_finish:
-                            best_finish = finish1
-                        if finish2 < best_finish:
-                            best_finish = finish2
-                        bound = lb * best_finish
-                        if finish0 <= bound:
-                            acc_name, cost, latency = name0, cost0, latency0
-                        elif finish1 <= bound:
-                            acc_name, cost, latency = name1, cost1, latency1
-                        elif finish2 <= bound:
-                            acc_name, cost, latency = name2, cost2, latency2
-                        else:
-                            acc_name, cost, latency = name0, cost0, latency0
-                    else:
-                        acc_name, cost, latency = self._choose_sub_accelerator(
-                            ranked, sub_accelerators, busy_cycles)
-                    append(_Assignment(order_index, instance_id, next_index,
-                                       layer, acc_name, cost, latency,
-                                       sorted_preds[next_index]))
-                    order_index += 1
-                    busy_cycles[acc_name] += latency
-                    next_index += 1
-                    if breadth or next_index >= total:
-                        break
-                state.next_index = next_index
-                if next_index >= total:
-                    visit_queue.pop(0)
-                else:
-                    visit_queue.append(visit_queue.pop(0))
-            return assignments
-
-        while remaining:
-            progressed = False
-            deferred_position: Optional[int] = None
-            for position, state_index in enumerate(visit_queue):
-                state = states[state_index]
-                if memory_limited and not self._memory_allows(states, state,
-                                                              state.head):
-                    # Defer this instance: another ready instance may fit in the
-                    # remaining global-buffer budget (Fig. 8's memory check).
-                    if deferred_position is None:
-                        deferred_position = position
-                    continue
-                commit(state, position)
-                progressed = True
-                break
-            if not progressed:
-                if deferred_position is None:
-                    raise SchedulingError(
-                        "scheduler made no progress; this indicates a bug")
-                # No ready instance fits: DRAM-spill fallback — schedule the
-                # first deferred head anyway and record the violation.
-                self.last_memory_violations += 1
-                commit(states[visit_queue[deferred_position]], deferred_position)
-            remaining -= 1
-        return assignments
 
     def _shape_rankings(self, workload: WorkloadSpec,
                         sub_accelerators: Sequence[SubAcceleratorConfig]
@@ -792,16 +581,13 @@ class HeraldScheduler:
                                                     float, int]]]:
         """Per-shape sub-accelerator preference rankings, built once per design.
 
-        The historical code re-queried the cost model and re-sorted the
-        sub-accelerator list inside :meth:`_choose_sub_accelerator` for every
-        committed layer; since the ranking depends only on the layer *shape*
-        and the (fixed) design, it is precomputed here over the workload's
-        deduped shape set — one batched cost query and one sort per unique
-        shape, shared by all its layer executions.  Rows are
-        ``(metric value, name, cost, latency, sub-accelerator index)`` in
-        preference order: the named columns drive
-        :meth:`_choose_sub_accelerator`, the trailing dense index serves
-        :meth:`_schedule_fast`'s array passes.  Metric values and latencies
+        The ranking depends only on the layer *shape* and the (fixed) design,
+        so it is precomputed over the workload's deduped shape set — one
+        batched cost query and one sort per unique shape, shared by all its
+        layer executions.  Rows are ``(metric value, name, cost, latency,
+        sub-accelerator index)`` in preference order (ties broken by name);
+        the trailing dense index addresses the slot arrays of :meth:`_assign`
+        and :meth:`_timeline`.  Metric values and latencies
         read the cost's cached scalars (filled from identical expressions in
         ``LayerCost.__post_init__``), so the rows are bitwise equal to the
         historical per-call extraction.  Rows are further memoised across
@@ -836,388 +622,6 @@ class HeraldScheduler:
             ranked.sort(key=_RANK_ORDER)
             rankings[shape] = ranked
         return rankings
-
-    def _choose_sub_accelerator(self,
-                                ranked: List[Tuple[float, str, LayerCost, float]],
-                                sub_accelerators: Sequence[SubAcceleratorConfig],
-                                busy_cycles: Dict[str, float]
-                                ) -> Tuple[str, LayerCost, float]:
-        """Pick the sub-accelerator for a layer (preference plus load balance).
-
-        ``ranked`` is the layer shape's precomputed preference row from
-        :meth:`_shape_rankings` — ``(metric value, name, cost, latency)``
-        tuples in preference order.  Returns the chosen name, cost, and
-        latency (precomputed so callers avoid a property chain per layer).
-        """
-        if self.load_balance_factor is None or len(sub_accelerators) == 1:
-            _, name, cost, latency, _ = ranked[0]
-            return name, cost, latency
-
-        if len(ranked) == 2:
-            # The two-sub-accelerator HDA is the common case; the allocation-
-            # free unrolled walk below is decision-identical to the generic
-            # loop that follows.
-            _, name0, cost0, latency0, _ = ranked[0]
-            _, name1, cost1, latency1, _ = ranked[1]
-            finish0 = busy_cycles[name0] + latency0
-            finish1 = busy_cycles[name1] + latency1
-            bound = self.load_balance_factor * (
-                finish0 if finish0 < finish1 else finish1)
-            if finish0 <= bound:
-                return name0, cost0, latency0
-            if finish1 <= bound:
-                return name1, cost1, latency1
-            return name0, cost0, latency0
-
-        # Load-balancing feedback (Fig. 8): walk the sub-accelerators in
-        # preference order and accept the first whose projected completion time
-        # (its accumulated load plus this layer's latency there) stays within
-        # ``load_balance_factor`` of the best achievable completion time.  When
-        # the preferred sub-accelerator is far ahead of the others this
-        # redirects the layer to the next-preferred one, trading a locally
-        # optimal assignment for global load balance, exactly the "try the
-        # second, third, ... best-fit accelerator" step of the paper.
-        finishes: List[float] = []
-        best_finish: Optional[float] = None
-        for _, name, _, latency in ranked:
-            finish = busy_cycles[name] + latency
-            finishes.append(finish)
-            if best_finish is None or finish < best_finish:
-                best_finish = finish
-        bound = self.load_balance_factor * best_finish
-        for finish, (_, name, cost, latency) in zip(finishes, ranked):
-            if finish <= bound:
-                return name, cost, latency
-        # Unreachable in practice (the argmin always satisfies the bound), but
-        # keep a deterministic fallback.
-        _, name, cost, latency, _ = ranked[0]
-        return name, cost, latency
-
-    def _memory_allows(self, states: Sequence[_InstanceState], current: _InstanceState,
-                       layer: Layer) -> bool:
-        """Check the global-buffer occupancy condition of Fig. 8.
-
-        Live bytes follow last-consumer semantics: a produced tensor occupies
-        the buffer until every layer consuming it has been scheduled, so skip
-        tensors are charged across the whole branch they bypass.  The current
-        instance's tensors that ``layer`` consumes are excluded from the live
-        set — their bytes are already counted in ``required`` as the layer's
-        input.
-        """
-        if self.memory_limit_bytes is None:
-            return True
-        live = sum(state.live_bytes() for state in states if state is not current)
-        live += current.live_bytes(exclude_consumers_of=current.next_index)
-        required = (layer.input_elements + layer.output_elements) * BYTES_PER_ELEMENT
-        return live + required <= self.memory_limit_bytes
-
-    def _rotate(self, visit_queue: List[int], position: int, exhausted: bool) -> None:
-        """Advance the visiting order according to the configured ordering.
-
-        Exhausted instances leave the queue (they can never be visited again);
-        under breadth-first ordering a live instance rotates to the back, under
-        depth-first it stays in place until fully scheduled.
-        """
-        if exhausted:
-            visit_queue.pop(position)
-        elif self.ordering == "breadth":
-            visit_queue.append(visit_queue.pop(position))
-
-    # ------------------------------------------------------------------
-    # Step 2: timeline construction
-    # ------------------------------------------------------------------
-    def _list_schedule(self, assignments: Sequence[_Assignment],
-                       sub_accelerators: Sequence[SubAcceleratorConfig],
-                       release_cycles: Optional[Mapping[str, float]] = None
-                       ) -> Schedule:
-        """Idle-time-eliminating list schedule (the Fig. 9 post-processing).
-
-        The layer-to-sub-accelerator assignment is kept, but whenever a
-        sub-accelerator becomes free it starts the earliest *ready* layer
-        assigned to it, which removes the idle gaps a strict initial order
-        would create.  A layer is ready once every one of its true producers
-        has been scheduled, and it starts no earlier than the
-        latest producer finish — so independent branches of one instance may
-        run concurrently on different sub-accelerators.
-
-        Event-driven implementation, O(n·A + n log n) for n layer executions
-        on A sub-accelerators (A <= 3 for every design the paper evaluates).
-        Every committed layer is the global argmin of ``(start, order_index)``
-        over all ready layers, where ``start = max(sub-accelerator available,
-        data ready)`` — exactly the layer the quadratic full-rescan reference
-        implementation (:meth:`_list_schedule_reference`) picks, since
-        ``order_index`` is globally unique.  Per sub-accelerator, a **future
-        heap** keyed ``(data_ready, order_index)`` holds ready layers whose
-        data arrives after the sub-accelerator frees up, and a **now heap**
-        keyed ``order_index`` holds those already waiting on the array;
-        entries migrate future -> now as the availability front passes them,
-        at most once each.  The heads of the two heaps give each
-        sub-accelerator's best candidate, and each commit takes the minimum
-        over the A cached candidates directly, re-evaluating only the
-        sub-accelerators the commit touched (the committing array, plus any
-        array that received a newly-ready consumer — untouched candidates
-        stay valid because their heaps and availability are unchanged).  An
-        earlier revision routed the same candidates through a global event
-        heap with stale-entry discards; the heap bookkeeping cost more than
-        the quadratic rescan it replaced at small n (speedup 0.94 at n=50),
-        while the direct scan beats the reference at every size.
-
-        ``release_cycles`` (online serving mode) seeds each layer's
-        ``data_ready_cycle`` with its instance's release instead of ``0`` —
-        the only change the streaming path makes.  Producers can only raise
-        data readiness above the seed, so the never-decreasing-keys invariant
-        (and hence the per-accelerator argmin proof) carries over unchanged,
-        and a ``None`` / all-zero map is bit-for-bit the batch behaviour.
-        """
-        schedule = self._empty_schedule(sub_accelerators)
-        #: Consumers of each produced tensor, keyed (instance id, layer index);
-        #: finishing a layer decrements its consumers' unmet-producer counts.
-        consumers: Dict[Tuple[str, int], List[_Assignment]] = {}
-        # Sub-accelerators are addressed by dense index below; the loop body
-        # runs once per layer execution per candidate design, so the heaps,
-        # availability fronts, and cached candidates live in parallel lists
-        # and the refresh/enqueue helpers are inlined at their (two) use
-        # sites rather than paying a function call per commit.
-        names = [acc.name for acc in sub_accelerators]
-        n_accs = len(names)
-        acc_index = {name: idx for idx, name in enumerate(names)}
-        future: List[List[Tuple[float, int, _Assignment]]] = \
-            [[] for _ in range(n_accs)]
-        now: List[List[Tuple[int, _Assignment]]] = [[] for _ in range(n_accs)]
-        avail = [0.0] * n_accs
-        candidates: List[Optional[Tuple[float, int]]] = [None] * n_accs
-
-        released_at = release_cycles.get if release_cycles else None
-        for assignment in assignments:
-            assignment.unmet_producers = len(assignment.predecessors)
-            assignment.data_ready_cycle = (
-                released_at(assignment.instance_id, 0.0) if released_at else 0.0)
-            for producer in assignment.predecessors:
-                consumers.setdefault((assignment.instance_id, producer),
-                                     []).append(assignment)
-
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-
-        for assignment in assignments:
-            if assignment.unmet_producers == 0:
-                idx = acc_index[assignment.sub_accelerator]
-                data_ready = assignment.data_ready_cycle
-                # Every availability front is still 0.0, so ``data_ready <=
-                # avail[idx]`` reduces to ``data_ready <= 0.0`` and no
-                # future -> now drain is needed before the initial refresh.
-                if data_ready <= 0.0:
-                    heappush(now[idx], (assignment.order_index, assignment))
-                else:
-                    heappush(future[idx],
-                             (data_ready, assignment.order_index, assignment))
-        for idx in range(n_accs):
-            acc_now = now[idx]
-            acc_future = future[idx]
-            best: Optional[Tuple[float, int]] = None
-            if acc_now:
-                best = (0.0, acc_now[0][0])
-            if acc_future:
-                key = (acc_future[0][0], acc_future[0][1])
-                if best is None or key < best:
-                    best = key
-            candidates[idx] = best
-
-        entries_append = schedule.entries.append
-        consumers_get = consumers.get
-        indices = range(n_accs)
-        remaining = len(assignments)
-        while remaining:
-            best = None
-            best_idx = -1
-            for idx in indices:
-                key = candidates[idx]
-                if key is not None and (best is None or key < best):
-                    best = key
-                    best_idx = idx
-            if best is None:
-                raise SchedulingError(
-                    "post-processing dead-lock: no ready layer found; this indicates a bug"
-                )
-            start = best[0]
-            # The winning assignment sits at the top of whichever heap carries
-            # its start time: ``now`` when it waits on the array, ``future``
-            # when it waits on data (the refresh below drained dr <= avail).
-            if start <= avail[best_idx]:
-                _, assignment = heappop(now[best_idx])
-            else:
-                _, _, assignment = heappop(future[best_idx])
-            finish = start + assignment.latency_cycles
-            # Entries are appended directly: every record is valid by
-            # construction (known sub-accelerator, finish >= start), and
-            # Schedule._sync_caches rebuilds the timeline memos lazily on the
-            # first accounting access.
-            entries_append(ScheduledLayer(
-                assignment.layer, assignment.instance_id,
-                assignment.layer_index, names[best_idx], start, finish,
-                assignment.cost))
-            avail[best_idx] = finish
-            # ``touched`` is a tiny list (bounded by the sub-accelerator
-            # count) with explicit membership checks — cheaper than a set at
-            # this size, and it runs once per committed layer.
-            touched = [best_idx]
-            consumer_list = consumers_get(
-                (assignment.instance_id, assignment.layer_index))
-            if consumer_list is not None:
-                for consumer in consumer_list:
-                    consumer.unmet_producers -= 1
-                    if finish > consumer.data_ready_cycle:
-                        consumer.data_ready_cycle = finish
-                    if consumer.unmet_producers == 0:
-                        cidx = acc_index[consumer.sub_accelerator]
-                        data_ready = consumer.data_ready_cycle
-                        if data_ready <= avail[cidx]:
-                            heappush(now[cidx],
-                                     (consumer.order_index, consumer))
-                        else:
-                            heappush(future[cidx],
-                                     (data_ready, consumer.order_index,
-                                      consumer))
-                        if cidx not in touched:
-                            touched.append(cidx)
-            for idx in touched:
-                # Refresh the cached best ``(start, order_index)`` candidate:
-                # migrate newly-startable layers future -> now, then take the
-                # better of the two heap heads.
-                avail_idx = avail[idx]
-                acc_future = future[idx]
-                acc_now = now[idx]
-                while acc_future and acc_future[0][0] <= avail_idx:
-                    _, order_index, moved = heappop(acc_future)
-                    heappush(acc_now, (order_index, moved))
-                if acc_now:
-                    key = (avail_idx, acc_now[0][0])
-                    if acc_future:
-                        head = acc_future[0]
-                        if head[0] < avail_idx:
-                            key = (head[0], head[1])
-                elif acc_future:
-                    head = acc_future[0]
-                    key = (head[0], head[1])
-                else:
-                    key = None
-                candidates[idx] = key
-            remaining -= 1
-        return schedule
-
-    def _list_schedule_reference(self, assignments: Sequence[_Assignment],
-                                 sub_accelerators: Sequence[SubAcceleratorConfig],
-                                 release_cycles: Optional[Mapping[str, float]] = None
-                                 ) -> Schedule:
-        """The historical O(n^2) full-rescan list schedule, kept verbatim.
-
-        Retained as the executable specification of the Fig. 9 post-processing:
-        the equivalence tests and the hot-path benchmark run it against
-        :meth:`_list_schedule` to prove the heap implementation is bit-for-bit
-        identical (and to measure the speedup).  ``release_cycles`` seeds the
-        per-layer data readiness exactly as in :meth:`_list_schedule`, so the
-        equivalence contract extends to the online serving mode.  Production
-        code never calls it.
-        """
-        schedule = self._empty_schedule(sub_accelerators)
-        pending: Dict[str, List[_Assignment]] = {acc.name: [] for acc in sub_accelerators}
-        consumers: Dict[Tuple[str, int], List[_Assignment]] = {}
-        released_at = release_cycles.get if release_cycles else None
-        for assignment in assignments:
-            pending[assignment.sub_accelerator].append(assignment)
-            assignment.unmet_producers = len(assignment.predecessors)
-            assignment.data_ready_cycle = (
-                released_at(assignment.instance_id, 0.0) if released_at else 0.0)
-            for producer in assignment.predecessors:
-                consumers.setdefault((assignment.instance_id, producer),
-                                     []).append(assignment)
-        for queue in pending.values():
-            queue.sort(key=lambda a: a.order_index)
-
-        acc_avail: Dict[str, float] = {acc.name: 0.0 for acc in sub_accelerators}
-
-        remaining = len(assignments)
-        while remaining:
-            best_key: Optional[Tuple[float, int]] = None
-            best_choice: Optional[Tuple[str, _Assignment]] = None
-            for acc_name, queue in pending.items():
-                avail = acc_avail[acc_name]
-                for assignment in queue:
-                    if assignment.unmet_producers:
-                        continue
-                    data_ready = assignment.data_ready_cycle
-                    start = avail if avail >= data_ready else data_ready
-                    key = (start, assignment.order_index)
-                    if best_key is None or key < best_key:
-                        best_key = key
-                        best_choice = (acc_name, assignment)
-            if best_choice is None:
-                raise SchedulingError(
-                    "post-processing dead-lock: no ready layer found; this indicates a bug"
-                )
-            acc_name, assignment = best_choice
-            start = best_key[0]
-            finish = start + assignment.cost.latency_cycles
-            schedule.add(ScheduledLayer(
-                layer=assignment.layer,
-                instance_id=assignment.instance_id,
-                layer_index=assignment.layer_index,
-                sub_accelerator=acc_name,
-                start_cycle=start,
-                finish_cycle=finish,
-                cost=assignment.cost,
-            ))
-            acc_avail[acc_name] = finish
-            for consumer in consumers.get(
-                    (assignment.instance_id, assignment.layer_index), ()):
-                consumer.unmet_producers -= 1
-                if finish > consumer.data_ready_cycle:
-                    consumer.data_ready_cycle = finish
-            pending[acc_name].remove(assignment)
-            remaining -= 1
-        return schedule
-
-    def _replay_initial_order(self, assignments: Sequence[_Assignment],
-                              sub_accelerators: Sequence[SubAcceleratorConfig],
-                              release_cycles: Optional[Mapping[str, float]] = None
-                              ) -> Schedule:
-        """Build the timeline strictly in initial-assignment order (no gap filling).
-
-        Start times still honour the true dependence DAG: a layer starts at the
-        later of its sub-accelerator becoming free, its instance's release time
-        (online mode; zero without ``release_cycles``), and its slowest
-        producer finishing (not simply the instance's previously issued layer).
-        """
-        schedule = self._empty_schedule(sub_accelerators)
-        acc_avail: Dict[str, float] = {acc.name: 0.0 for acc in sub_accelerators}
-        finish_times: Dict[str, Dict[int, float]] = {
-            assignment.instance_id: {} for assignment in assignments
-        }
-        released_at = release_cycles.get if release_cycles else None
-        for assignment in sorted(assignments, key=lambda a: a.order_index):
-            done = finish_times[assignment.instance_id]
-            start = acc_avail[assignment.sub_accelerator]
-            if released_at:
-                release = released_at(assignment.instance_id, 0.0)
-                if release > start:
-                    start = release
-            for producer in assignment.predecessors:
-                producer_finish = done[producer]
-                if producer_finish > start:
-                    start = producer_finish
-            finish = start + assignment.cost.latency_cycles
-            schedule.entries.append(ScheduledLayer(
-                layer=assignment.layer,
-                instance_id=assignment.instance_id,
-                layer_index=assignment.layer_index,
-                sub_accelerator=assignment.sub_accelerator,
-                start_cycle=start,
-                finish_cycle=finish,
-                cost=assignment.cost,
-            ))
-            acc_avail[assignment.sub_accelerator] = finish
-            done[assignment.layer_index] = finish
-        return schedule
 
     def _empty_schedule(self, sub_accelerators: Sequence[SubAcceleratorConfig]) -> Schedule:
         return Schedule(

@@ -142,7 +142,7 @@ def _finish(spec: ExperimentSpec, metrics: Dict[str, float],
 # schedule
 # ---------------------------------------------------------------------------
 def _run_schedule(spec: ExperimentSpec) -> ExperimentOutcome:
-    cost_model = CostModel(vectorized=spec.exec_settings.vectorized)
+    cost_model = CostModel()
     scheduler = HeraldScheduler(cost_model, metric=spec.metric)
     design = _resolve_design(spec.design, spec.workload, spec.chip,
                              cost_model, scheduler)
@@ -161,7 +161,7 @@ def _run_schedule(spec: ExperimentSpec) -> ExperimentOutcome:
 # ---------------------------------------------------------------------------
 def _run_dse(spec: ExperimentSpec,
              checkpoint: Optional[SweepCheckpoint] = None) -> ExperimentOutcome:
-    cost_model = CostModel(vectorized=spec.exec_settings.vectorized)
+    cost_model = CostModel()
     scheduler = HeraldScheduler(cost_model)
     cache = (PersistentCostCache(spec.exec_settings.cache_file)
              if spec.exec_settings.cache_file else None)
@@ -240,7 +240,7 @@ def _serving_metrics(summary: Dict[str, object],
 
 
 def _run_serve(spec: ExperimentSpec) -> ExperimentOutcome:
-    cost_model = CostModel(vectorized=spec.exec_settings.vectorized)
+    cost_model = CostModel()
     scheduler = HeraldScheduler(cost_model, metric=spec.metric)
     design = _resolve_design(spec.design, spec.workload, spec.chip,
                              cost_model, scheduler)
@@ -296,7 +296,7 @@ def _run_serve(spec: ExperimentSpec) -> ExperimentOutcome:
 def _run_fleet(spec: ExperimentSpec,
                checkpoint: Optional[SweepCheckpoint] = None
                ) -> ExperimentOutcome:
-    cost_model = CostModel(vectorized=spec.exec_settings.vectorized)
+    cost_model = CostModel()
     scheduler = HeraldScheduler(cost_model, metric=spec.metric)
     design = _resolve_design(spec.design, spec.workload, spec.chip,
                              cost_model, scheduler)

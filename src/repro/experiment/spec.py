@@ -76,7 +76,7 @@ _TRAFFIC_KEYS = ("kind",) + tuple(_SHAPE_DEFAULTS)
 _SUSTAINED_KEYS = ("enabled", "lo", "hi", "probes", "tolerance")
 _MIN_CHIPS_KEYS = ("enabled", "max_chips")
 _EXEC_KEYS = ("jobs", "cache_file", "max_retries", "task_timeout_s",
-              "partial_ok", "vectorized")
+              "partial_ok")
 
 
 @dataclass(frozen=True)
@@ -125,11 +125,6 @@ class ExecSettings:
     :class:`~repro.exec.RetryPolicy` for the backend when either is set;
     ``partial_ok`` lets a sweep rank whatever completed and report the
     casualties instead of aborting on the first exhausted task.
-    ``vectorized`` threads straight into
-    :class:`~repro.maestro.CostModel` — ``None`` (auto) vectorises batch
-    estimation when numpy is available, ``True``/``False`` force one path;
-    both paths are bitwise-identical, so this is a performance knob and
-    never changes a report.
     """
 
     jobs: int = 1
@@ -137,7 +132,6 @@ class ExecSettings:
     max_retries: Optional[int] = None
     task_timeout_s: Optional[float] = None
     partial_ok: bool = False
-    vectorized: Optional[bool] = None
 
     def retry_policy(self) -> Optional["RetryPolicy"]:
         """The retry policy these settings imply, or None for legacy
@@ -311,13 +305,9 @@ def _exec_settings(mapping: Dict[str, object], path: str,
                                        minimum=0.0, exclusive=True)
     partial_ok = expect_bool(mapping.get("partial_ok", False),
                              spec_path(path, "partial_ok"))
-    vectorized = mapping.get("vectorized")
-    if vectorized is not None:
-        vectorized = expect_bool(vectorized, spec_path(path, "vectorized"))
     return ExecSettings(jobs=jobs, cache_file=cache_file,
                         max_retries=max_retries,
-                        task_timeout_s=task_timeout_s, partial_ok=partial_ok,
-                        vectorized=vectorized)
+                        task_timeout_s=task_timeout_s, partial_ok=partial_ok)
 
 
 def _validate_fleet(mapping: Dict[str, object], path: str,

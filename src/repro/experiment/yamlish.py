@@ -7,11 +7,11 @@ lists (``- item``), inline ``[a, b]`` lists and ``{k: v}`` mappings, comments,
 and JSON-compatible scalars (ints, floats, booleans, ``null``, quoted and
 bare strings) — with precise line-numbered errors for everything outside it.
 
-When PyYAML happens to be installed, :func:`load_config` transparently
-prefers it (full YAML, anchors and all); the in-tree parser is the fallback
-that keeps ``herald run`` working on a bare Python install.  JSON files are
-always loaded with :mod:`json`.  Both paths produce plain dicts/lists/
-scalars, so downstream ``from_spec`` validation is identical.
+:func:`load_config` always parses ``.yaml`` / ``.yml`` files with this
+parser, whether or not PyYAML is installed, so a spec means the same thing
+on every machine; JSON files are loaded with :mod:`json`.  Both produce
+plain dicts/lists/scalars, so downstream ``from_spec`` validation is
+identical.
 """
 
 from __future__ import annotations
@@ -20,11 +20,6 @@ import json
 from typing import List, Optional, Tuple
 
 from repro.exceptions import SpecError
-
-try:  # pragma: no cover - exercised only where PyYAML is installed
-    import yaml as _pyyaml
-except ImportError:  # pragma: no cover
-    _pyyaml = None
 
 
 class YamlishError(SpecError):
@@ -280,9 +275,4 @@ def load_config(path: str) -> object:
             return json.loads(text)
         except json.JSONDecodeError as error:
             raise SpecError(f"{path}: malformed JSON ({error})") from None
-    if _pyyaml is not None:  # pragma: no cover - depends on environment
-        try:
-            return _pyyaml.safe_load(text) or {}
-        except _pyyaml.YAMLError as error:
-            raise SpecError(f"{path}: malformed YAML ({error})") from None
     return parse_yamlish(text)

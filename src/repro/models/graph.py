@@ -196,19 +196,6 @@ class ModelGraph:
         """
         return self._index_sets("successor_indices", self._successors)
 
-    def sorted_predecessor_indices(self) -> Tuple[Tuple[int, ...], ...]:
-        """:meth:`predecessor_indices` as ascending tuples, memoised.
-
-        The scheduler attaches each layer's producer positions to its
-        assignment record once per design candidate; memoising the sorted form
-        here means the per-candidate cost is a lookup, not ``n`` sorts.
-        """
-        cached = self._derived.get("sorted_predecessor_indices")
-        if cached is None:
-            cached = derive_sorted_predecessors(self.predecessor_indices())
-            self._derived["sorted_predecessor_indices"] = cached
-        return cached
-
     def last_consumer_indices(self) -> Tuple[int, ...]:
         """Per-layer position of the last consumer (-1 for terminal layers).
 
@@ -218,7 +205,8 @@ class ModelGraph:
         """
         cached = self._derived.get("last_consumer_indices")
         if cached is None:
-            cached = derive_last_consumers(self.successor_indices())
+            cached = tuple(max(consumers) if consumers else -1
+                           for consumers in self.successor_indices())
             self._derived["last_consumer_indices"] = cached
         return cached
 
@@ -232,7 +220,11 @@ class ModelGraph:
         """
         cached = self._derived.get("retirement_indices")
         if cached is None:
-            cached = derive_retirements(self.last_consumer_indices())
+            retiring: List[List[int]] = [[] for _ in range(len(self))]
+            for producer, consumer in enumerate(self.last_consumer_indices()):
+                if consumer >= 0:
+                    retiring[consumer].append(producer)
+            cached = tuple(tuple(indices) for indices in retiring)
             self._derived["retirement_indices"] = cached
         return cached
 
@@ -302,34 +294,3 @@ class ModelGraph:
             if producer in wanted and consumer in wanted:
                 graph.add_edge(producer, consumer)
         return graph
-
-
-# ---------------------------------------------------------------------------
-# Dependence-structure derivations (single source of truth)
-# ---------------------------------------------------------------------------
-# The scheduler's fallback path (states constructed directly, e.g. by tests)
-# derives the same structures from raw index sets; both it and the memoised
-# ModelGraph accessors above call these helpers so the semantics can never
-# diverge.
-
-def derive_sorted_predecessors(predecessors: Sequence[FrozenSet[int]]
-                               ) -> Tuple[Tuple[int, ...], ...]:
-    """Per-layer producer positions as ascending tuples."""
-    return tuple(tuple(sorted(producers)) for producers in predecessors)
-
-
-def derive_last_consumers(successors: Sequence[FrozenSet[int]]
-                          ) -> Tuple[int, ...]:
-    """Per-layer position of the last consumer (-1 for terminal layers)."""
-    return tuple(max(consumers) if consumers else -1
-                 for consumers in successors)
-
-
-def derive_retirements(last_consumers: Sequence[int]
-                       ) -> Tuple[Tuple[int, ...], ...]:
-    """Inverse of :func:`derive_last_consumers`: tensors retiring per layer."""
-    retiring: List[List[int]] = [[] for _ in last_consumers]
-    for producer, consumer in enumerate(last_consumers):
-        if consumer >= 0:
-            retiring[consumer].append(producer)
-    return tuple(tuple(indices) for indices in retiring)

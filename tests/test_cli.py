@@ -1,5 +1,9 @@
 """Tests for the ``herald`` command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import main
@@ -61,6 +65,22 @@ class TestDse:
         serial_best = [line for line in serial_output.splitlines() if "best" in line]
         parallel_best = [line for line in parallel_output.splitlines() if "best" in line]
         assert serial_best == parallel_best
+
+    def test_dse_imports_no_third_party_package(self):
+        """The package is stdlib-only: a full ``herald dse`` run in a fresh
+        interpreter never imports numpy."""
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        script = ("import sys\n"
+                  "from repro.cli import main\n"
+                  "assert main(['dse', '--workload', 'arvr-a', '--chip', "
+                  "'edge', '--pe-steps', '4', '--bw-steps', '1']) == 0\n"
+                  "print('numpy loaded:', 'numpy' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=src)
+        result = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.splitlines()[-1] == "numpy loaded: False"
+
 
 class TestServe:
     def test_serve_reports_sla_metrics(self, capsys):

@@ -200,6 +200,10 @@ _ERROR_CASES = [
      "fleet.policy: expected one of ['earliest-completion', "
      "'least-outstanding', 'passthrough', 'round-robin', 'sticky'] "
      "(got 'random')"),
+    # The cost model has a single (pure-Python) estimator: no knob picks one.
+    ({"kind": "dse", "exec": {"vectorized": True}},
+     "exec.vectorized: unknown key (allowed: ['cache_file', 'jobs', "
+     "'max_retries', 'partial_ok', 'task_timeout_s'])"),
 ]
 
 

@@ -9,8 +9,8 @@ Three contracts are pinned here:
    ``python tests/golden_scheduler.py --write``) cover every (metric x
    ordering x load-balance x memory-limit x post-processing) configuration on
    chain / diamond / UNet-skip / 4-instance mixed workloads, plus a full DSE
-   ranking; a hypothesis-driven random-DAG sweep checks the heap scheduler
-   against the retained quadratic reference implementation.
+   ranking; a hypothesis-driven random-DAG sweep checks the public scheduler
+   against the executable specification in ``tests/reference_scheduler.py``.
 
 2. **No memo aliasing.**  ``Layer.shape_key`` equality must imply identical
    ``LayerCost`` on every dataflow style, and layers that differ only in
@@ -29,16 +29,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import golden_scheduler
+import reference_scheduler
 from repro.accel.builders import enumerate_fdas, make_fda
 from repro.core.partitioner import PartitionSearch
 from repro.core.scheduler import HeraldScheduler
 from repro.dataflow.mapping import (build_mapping, clear_mapping_cache,
                                     mapping_cache_info)
-from repro.dataflow.styles import ALL_STYLES, NVDLA, SHIDIANNAO
+from repro.dataflow.styles import ALL_STYLES, EYERISS, NVDLA, SHIDIANNAO
 from repro.exec import (EvaluationTask, PersistentCostCache,
                         ProcessPoolBackend, SerialBackend)
 from repro.exec.cache import CACHE_FORMAT_VERSION
-from repro.maestro import batch as batch_module
 from repro.maestro.cost import CostModel, clear_all_memos
 from repro.maestro.hardware import SubAcceleratorConfig
 from repro.maestro.reuse import (analyse_layer_reuse, clear_reuse_cache,
@@ -339,11 +339,24 @@ def _timeline_tuples(schedule):
              e.finish_cycle) for e in schedule.entries]
 
 
-_dag_configs = st.tuples(
-    st.sampled_from(["edp", "latency", "energy"]),
-    st.sampled_from(["breadth", "depth"]),
-    st.sampled_from([None, 1.25, 2.0]),
-)
+#: Up to four sub-accelerators of distinct dataflows and sizes; examples take
+#: a prefix, so every design arity from a monolithic array to a 4-way HDA runs.
+_REFERENCE_ACCS = (_sub(NVDLA, name="a0"), _sub(SHIDIANNAO, pes=64, name="a1"),
+                   _sub(EYERISS, name="a2"), _sub(NVDLA, pes=64, name="a3"))
+
+#: One shared cost model: costs are pure, so sharing only saves time.
+_REFERENCE_MODEL = CostModel()
+
+
+def _assert_matches_reference(workload, accs, cost_model, release_cycles=None,
+                              **config):
+    scheduler = HeraldScheduler(cost_model, **config)
+    schedule = scheduler.schedule(workload, accs, release_cycles=release_cycles)
+    reference, violations = reference_scheduler.reference_schedule(
+        workload, accs, cost_model, release_cycles=release_cycles, **config)
+    assert reference_scheduler.timeline(schedule) == \
+        reference_scheduler.timeline(reference)
+    assert scheduler.last_memory_violations == violations
 
 
 class TestHeapSchedulerMatchesReference:
@@ -352,11 +365,21 @@ class TestHeapSchedulerMatchesReference:
         edge_seed=st.integers(min_value=0, max_value=2**31),
         dims=st.lists(st.sampled_from([4, 8, 16, 64, 256]),
                       min_size=12, max_size=12),
-        config=_dag_configs,
+        batches=st.integers(min_value=1, max_value=3),
+        releases=st.lists(st.sampled_from([0.0, 1e3, 1e5]),
+                          min_size=3, max_size=3) | st.none(),
+        metric=st.sampled_from(["edp", "latency", "energy"]),
+        ordering=st.sampled_from(["breadth", "depth"]),
+        lb=st.sampled_from([None, 1.25, 2.0]),
+        memory_limit=st.sampled_from([None, 0, 512, 2048]),
+        post=st.booleans(),
+        n_accs=st.integers(min_value=1, max_value=4),
     )
-    @settings(max_examples=60, deadline=None)
-    def test_random_dags(self, n, edge_seed, dims, config):
-        """Heap and reference list schedules agree on arbitrary DAG shapes."""
+    @settings(max_examples=120, deadline=None)
+    def test_random_dags(self, n, edge_seed, dims, batches, releases, metric,
+                         ordering, lb, memory_limit, post, n_accs):
+        """The scheduler equals the reference on random DAGs x release traces
+        x memory limits x post-processing x 1-4 sub-accelerators."""
         import random as random_module
 
         rng = random_module.Random(edge_seed)
@@ -367,17 +390,17 @@ class TestHeapSchedulerMatchesReference:
             for j in range(i + 2, n):
                 if rng.random() < 0.3:
                     graph.add_edge(f"l{i}", f"l{j}")
-        workload = WorkloadSpec.from_models("dag-wl", [graph], batches=2)
-
-        metric, ordering, lb = config
-        scheduler = HeraldScheduler(CostModel(), metric=metric,
-                                    ordering=ordering,
-                                    load_balance_factor=lb)
-        accs = [_sub(NVDLA, name="a0"), _sub(SHIDIANNAO, pes=64, name="a1")]
-        assignments = scheduler._initial_assignment(workload, accs)
-        heap_schedule = scheduler._list_schedule(assignments, accs)
-        reference = scheduler._list_schedule_reference(assignments, accs)
-        assert _timeline_tuples(heap_schedule) == _timeline_tuples(reference)
+        workload = WorkloadSpec.from_models("dag-wl", [graph], batches=batches)
+        release_cycles = None
+        if releases is not None:
+            release_cycles = {instance.instance_id: release
+                              for instance, release
+                              in zip(workload.instances(), releases)}
+        _assert_matches_reference(
+            workload, _REFERENCE_ACCS[:n_accs], _REFERENCE_MODEL,
+            release_cycles=release_cycles, metric=metric, ordering=ordering,
+            load_balance_factor=lb, memory_limit_bytes=memory_limit,
+            enable_post_processing=post)
 
     def test_rankings_memo_respects_metric_mutation(self, cost_model):
         """Reassigning scheduler.metric must not serve stale rankings."""
@@ -392,17 +415,18 @@ class TestHeapSchedulerMatchesReference:
         assert _timeline_tuples(remetered) == _timeline_tuples(fresh)
 
     def test_golden_workloads(self, cost_model):
-        """Direct heap-vs-reference comparison on the golden topologies."""
+        """Scheduler vs reference on the golden topologies, every ordering,
+        memory limit, and post-processing setting."""
         workloads = golden_scheduler.build_workloads()
         accs = golden_scheduler.build_sub_accelerators()
-        for workload in workloads.values():
+        for name, workload in workloads.items():
             for ordering in ("breadth", "depth"):
-                scheduler = HeraldScheduler(cost_model, ordering=ordering)
-                assignments = scheduler._initial_assignment(workload, accs)
-                heap_schedule = scheduler._list_schedule(assignments, accs)
-                reference = scheduler._list_schedule_reference(assignments, accs)
-                assert _timeline_tuples(heap_schedule) == \
-                    _timeline_tuples(reference)
+                for memory_limit in golden_scheduler.MEMORY_LIMITS[name]:
+                    for post in (True, False):
+                        _assert_matches_reference(
+                            workload, accs, cost_model, ordering=ordering,
+                            memory_limit_bytes=memory_limit,
+                            enable_post_processing=post)
 
 
 # ---------------------------------------------------------------------------
@@ -452,102 +476,17 @@ class TestShapeKeyedMemoBugfix:
         assert reuse_cache_size() == 1
 
     def test_clear_all_memos_covers_every_process_global_memo(self):
-        model = CostModel(vectorized=True)
+        model = CostModel()
         layer = conv2d("seed", **self._SHAPE)
         build_mapping(layer, NVDLA, 128)
         analyse_layer_reuse(layer, NVDLA, 128, mib(1))
         model.layer_cost(layer, _sub())
-        if batch_module.numpy_available():
-            model.batch_layer_costs([layer], [_sub(SHIDIANNAO, name="v0")])
-            assert len(batch_module._rows_memo) > 0
         assert mapping_cache_info().currsize > 0
         assert reuse_cache_size() > 0
         clear_all_memos(model)
         assert mapping_cache_info() == (0, 0, mapping_cache_info().maxsize, 0)
         assert reuse_cache_size() == 0
-        assert len(batch_module._rows_memo) == 0
         assert model.cache_size() == 0
-
-
-# ---------------------------------------------------------------------------
-# Vectorised cost core (numpy array programs vs the scalar estimator)
-# ---------------------------------------------------------------------------
-
-def _bitwise_fields(cost):
-    """reprs of every numeric field — bitwise float comparison, not ==."""
-    return tuple(repr(value) for value in _cost_fields(cost))
-
-
-class TestVectorisedCostCore:
-    @given(
-        layers=st.lists(_small_layers, min_size=1, max_size=10),
-        pes=st.sampled_from([64, 128]),
-        buffer_kib=st.sampled_from([256, 1024]),
-        style_index=st.integers(min_value=0, max_value=len(ALL_STYLES)),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_vectorised_table_is_bitwise_equal_to_scalar(self, layers, pes,
-                                                         buffer_kib,
-                                                         style_index):
-        """Random layers x styles x hardware: both paths agree float for float.
-
-        ``style_index == len(ALL_STYLES)`` draws the reconfigurable (RDA)
-        configuration, whose per-style EDP argmin must also match the scalar
-        first-on-tie semantics exactly.
-        """
-        if not batch_module.numpy_available():
-            pytest.skip("numpy unavailable: only the scalar path exists")
-        style = (None if style_index == len(ALL_STYLES)
-                 else ALL_STYLES[style_index])
-        acc = SubAcceleratorConfig(name="acc", dataflow=style, num_pes=pes,
-                                   bandwidth_bytes_per_s=gbps(4),
-                                   buffer_bytes=buffer_kib * 1024)
-        scalar = CostModel(vectorized=False)
-        vector = CostModel(vectorized=True)
-        scalar_table = scalar.batch_layer_costs(layers, [acc])
-        vector_table = vector.batch_layer_costs(layers, [acc])
-        assert sorted(scalar_table) == sorted(vector_table)
-        for entry, scalar_cost in scalar_table.items():
-            assert _bitwise_fields(vector_table[entry]) == \
-                _bitwise_fields(scalar_cost)
-        assert (scalar.hits, scalar.misses) == (vector.hits, vector.misses)
-
-    def test_forced_scalar_fallback_without_numpy(self):
-        """REPRO_DISABLE_NUMPY pins the scalar path, results unchanged."""
-        layers = [conv2d(f"c{i}", k=8 * (i + 1), c=4, y=16, x=16, r=3, s=3)
-                  for i in range(9)]
-        accs = [_sub(NVDLA, name="a0"), _sub(style=None, name="rda")]
-        reference = CostModel(vectorized=False).batch_layer_costs(layers, accs)
-        with pytest.MonkeyPatch.context() as patcher:
-            patcher.setenv("REPRO_DISABLE_NUMPY", "1")
-            batch_module.reset_numpy_probe()
-            try:
-                assert not batch_module.numpy_available()
-                forced = CostModel(vectorized=True)
-                table = forced.batch_layer_costs(layers, accs)
-            finally:
-                patcher.undo()
-                batch_module.reset_numpy_probe()
-        assert sorted(table) == sorted(reference)
-        for entry, cost in table.items():
-            assert _bitwise_fields(cost) == _bitwise_fields(reference[entry])
-
-    def test_golden_timelines_with_vectorised_model(self, monkeypatch,
-                                                    golden_timelines):
-        """The full 192-scenario golden corpus, re-run with vectorized=True."""
-        if not batch_module.numpy_available():
-            pytest.skip("numpy unavailable: only the scalar path exists")
-        monkeypatch.setattr(golden_scheduler, "CostModel",
-                            lambda: CostModel(vectorized=True))
-        assert golden_scheduler.generate_timelines() == golden_timelines
-
-    def test_dse_ranking_with_vectorised_model(self, monkeypatch):
-        if not batch_module.numpy_available():
-            pytest.skip("numpy unavailable: only the scalar path exists")
-        golden = golden_scheduler.load_golden(golden_scheduler.DSE_FILE)
-        monkeypatch.setattr(golden_scheduler, "CostModel",
-                            lambda: CostModel(vectorized=True))
-        assert golden_scheduler.run_dse() == golden
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,14 @@
 
 import pytest
 
+import reference_scheduler
 from repro.core.greedy import GreedyScheduler
 from repro.core.scheduler import HeraldScheduler
+from repro.dataflow.styles import EYERISS, NVDLA, SHIDIANNAO
 from repro.exceptions import SchedulingError
-from repro.units import mib
+from repro.maestro.hardware import SubAcceleratorConfig
+from repro.units import gbps, mib
+from repro.workloads.suites import arvr_a
 
 
 class TestHeraldSchedulerConfiguration:
@@ -113,6 +117,37 @@ class TestHeraldSchedulerBehaviour:
             workload, tiny_sub_accelerators)
         counts = schedule.layer_counts()
         assert counts["acc0-nvdla"] == len(channel_heavy_model)
+
+
+class TestFourWayDesign:
+    """A 4-sub-accelerator HDA with a memory limit, without post-processing,
+    and with both: the preference walk must handle any design arity."""
+
+    @pytest.fixture(scope="class")
+    def four_way(self):
+        return tuple(
+            SubAcceleratorConfig(name=f"acc{index}-{style.name}",
+                                 dataflow=style, num_pes=256,
+                                 bandwidth_bytes_per_s=gbps(4),
+                                 buffer_bytes=mib(1))
+            for index, style in enumerate((NVDLA, SHIDIANNAO, EYERISS, NVDLA)))
+
+    @pytest.mark.parametrize("memory_limit, post", [
+        (mib(8), True), (None, False), (mib(8), False)])
+    def test_schedule_equals_reference(self, cost_model, four_way,
+                                       memory_limit, post):
+        workload = arvr_a()
+        scheduler = HeraldScheduler(cost_model, memory_limit_bytes=memory_limit,
+                                    enable_post_processing=post)
+        schedule = scheduler.schedule(workload, four_way)
+        reference, violations = reference_scheduler.reference_schedule(
+            workload, four_way, cost_model, memory_limit_bytes=memory_limit,
+            enable_post_processing=post)
+        assert len(schedule) == workload.total_layers
+        assert reference_scheduler.timeline(schedule) == \
+            reference_scheduler.timeline(reference)
+        assert scheduler.last_memory_violations == violations
+        assert all(count > 0 for count in schedule.layer_counts().values())
 
 
 class TestGreedyScheduler:

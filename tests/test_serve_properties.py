@@ -11,8 +11,9 @@ the online scheduler produces must satisfy the serving invariants:
   scheduler still terminates, schedules every layer exactly once, and only
   reports violations through the counted DRAM-spill fallback;
 * **degenerate equivalence** — an all-zero release trace is bit-for-bit the
-  batch schedule, and the heap-based event-driven implementation matches the
-  retained quadratic reference under arbitrary release traces.
+  batch schedule, and the event-driven scheduler matches the quadratic
+  reference of ``tests/reference_scheduler.py`` under arbitrary release
+  traces.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import random as random_module
 
 from hypothesis import given, settings, strategies as st
 
+import reference_scheduler
 from repro.core.scheduler import HeraldScheduler
 from repro.dataflow.styles import NVDLA, SHIDIANNAO
 from repro.maestro.cost import CostModel
@@ -130,12 +132,12 @@ class TestOnlineInvariants:
         scheduler = HeraldScheduler(_COST_MODEL, metric=metric,
                                     ordering=ordering, load_balance_factor=lb)
         accs = _subs()
-        assignments = scheduler._initial_assignment(workload, accs)
-        heap = scheduler._list_schedule(assignments, accs,
-                                        release_cycles=releases)
-        reference = scheduler._list_schedule_reference(assignments, accs,
-                                                       release_cycles=releases)
-        assert _timeline(heap) == _timeline(reference)
+        schedule = scheduler.schedule(workload, accs, release_cycles=releases)
+        reference, _ = reference_scheduler.reference_schedule(
+            workload, accs, _COST_MODEL, metric=metric, ordering=ordering,
+            load_balance_factor=lb, release_cycles=releases)
+        assert reference_scheduler.timeline(schedule) == \
+            reference_scheduler.timeline(reference)
 
     @given(**_workload_params)
     @settings(max_examples=25, deadline=None)
