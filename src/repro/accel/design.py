@@ -37,6 +37,12 @@ class AcceleratorDesign:
     def __post_init__(self) -> None:
         if not self.sub_accelerators:
             raise HardwareConfigError(f"design {self.name!r} has no sub-accelerators")
+        names = [sub.name for sub in self.sub_accelerators]
+        if len(set(names)) != len(names):
+            duplicates = sorted({name for name in names if names.count(name) > 1})
+            raise HardwareConfigError(
+                f"design {self.name!r}: sub-accelerator names must be distinct; "
+                f"duplicated: {duplicates!r}")
         total_pes = sum(sub.num_pes for sub in self.sub_accelerators)
         if total_pes != self.chip.num_pes:
             raise PartitionError(

@@ -121,18 +121,24 @@ class DSEResult:
         return sorted({point.category for point in self.points})
 
     def summary_rows(self) -> List[Dict[str, object]]:
-        """Best design per category as report-friendly rows."""
-        rows: List[Dict[str, object]] = []
-        for category in self.categories():
-            best = self.best(category)
-            rows.append({
-                "category": category,
-                "design": best.design.name,
-                "latency_s": best.latency_s,
-                "energy_mj": best.energy_mj,
-                "edp_js": best.edp,
-            })
-        return rows
+        """Best design per category as report-friendly rows.
+
+        One pass over the points ranks every category by EDP off each
+        schedule's cached totals; ties keep the earliest point, as
+        :meth:`best` does.
+        """
+        best: Dict[str, DesignSpacePoint] = {}
+        for point in self.points:
+            incumbent = best.get(point.category)
+            if incumbent is None or point.edp < incumbent.edp:
+                best[point.category] = point
+        return [{
+            "category": category,
+            "design": point.design.name,
+            "latency_s": point.latency_s,
+            "energy_mj": point.energy_mj,
+            "edp_js": point.edp,
+        } for category, point in sorted(best.items())]
 
     def failure_rows(self) -> List[Dict[str, object]]:
         """Terminal task failures as report-friendly rows (empty when clean)."""

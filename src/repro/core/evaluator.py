@@ -174,8 +174,8 @@ def evaluate_design(design: AcceleratorDesign, workload: WorkloadSpec,
     else:
         schedule = active_scheduler.schedule(
             spec, design.sub_accelerators,
-            release_cycles=streaming.release_cycles(clock))
-        schedule.instance_deadline_cycles = streaming.deadline_cycles(clock)
+            release_cycles=streaming.release_cycles(clock),
+            deadline_cycles=streaming.deadline_cycles(clock))
     elapsed = time.perf_counter() - start
     return EvaluationResult(
         design=design,

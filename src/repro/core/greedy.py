@@ -39,25 +39,22 @@ class GreedyScheduler:
 
     def schedule(self, workload: WorkloadSpec,
                  sub_accelerators: Sequence[SubAcceleratorConfig],
-                 release_cycles: Optional[Mapping[str, float]] = None) -> Schedule:
+                 release_cycles: Optional[Mapping[str, float]] = None,
+                 deadline_cycles: Optional[Mapping[str, float]] = None
+                 ) -> Schedule:
         """Schedule ``workload`` greedily onto ``sub_accelerators``.
 
-        ``release_cycles`` (instance id -> arrival cycle) matches the online
-        serving mode of :class:`~repro.core.scheduler.HeraldScheduler`: an
-        instance's first layer starts no earlier than its release.  The
-        baseline walks instances depth-first regardless, so releases only
-        delay starts.
+        ``release_cycles`` (instance id -> arrival cycle) and
+        ``deadline_cycles`` match the online serving mode of
+        :class:`~repro.core.scheduler.HeraldScheduler`: an instance's first
+        layer starts no earlier than its release.  The baseline walks
+        instances depth-first regardless, so releases only delay starts.
         """
         if not sub_accelerators:
             raise SchedulingError("cannot schedule onto an empty sub-accelerator list")
         releases = checked_release_cycles(release_cycles, workload.instances())
         released_at = releases.get if releases else None
-        schedule = Schedule(
-            sub_accelerator_names=tuple(acc.name for acc in sub_accelerators),
-            clock_hz=sub_accelerators[0].clock_hz,
-            idle_energy_pj_per_cycle_per_pe=self.cost_model.energy_table.leakage_per_cycle_per_pe,
-            pes_per_sub_accelerator={acc.name: acc.num_pes for acc in sub_accelerators},
-        )
+        entries = []
         acc_available: Dict[str, float] = {acc.name: 0.0 for acc in sub_accelerators}
 
         for instance in workload.instances():
@@ -76,7 +73,7 @@ class GreedyScheduler:
                         best_cost = cost
                 start = max(acc_available[best_acc], previous_finish)
                 finish = start + best_cost.latency_cycles
-                schedule.add(ScheduledLayer(
+                entries.append(ScheduledLayer(
                     layer=layer,
                     instance_id=instance.instance_id,
                     layer_index=layer_index,
@@ -88,8 +85,13 @@ class GreedyScheduler:
                 acc_available[best_acc] = finish
                 previous_finish = finish
 
-        if releases:
-            schedule.instance_release_cycles = releases
+        schedule = Schedule.from_entries(
+            [acc.name for acc in sub_accelerators], entries,
+            clock_hz=sub_accelerators[0].clock_hz,
+            idle_energy_pj_per_cycle_per_pe=self.cost_model.energy_table.leakage_per_cycle_per_pe,
+            pes_per_sub_accelerator={acc.name: acc.num_pes for acc in sub_accelerators},
+            instance_release_cycles=releases,
+            instance_deadline_cycles=deadline_cycles)
         expected = {instance.instance_id: instance.num_layers
                     for instance in workload.instances()}
         schedule.validate(expected_layers=expected)

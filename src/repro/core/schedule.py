@@ -7,9 +7,19 @@ per-sub-accelerator utilisation, idle time) as well as validation of the two
 hard constraints from Sec. III-A — layer dependence and no overlapping
 execution on one sub-accelerator.
 
+A :class:`Schedule` is built once and is then immutable.  It stores one slot
+per layer execution as parallel arrays (layer, instance, layer index,
+sub-accelerator index, start, finish, cost) plus the order in which the slots
+were committed, and it carries the totals every ranking reads — makespan,
+dynamic energy and per-sub-accelerator busy cycles — accumulated in commit
+order by whoever filled the arrays.  :attr:`Schedule.entries` is a read-only
+view that builds :class:`ScheduledLayer` records only when it is iterated or
+indexed, so a design-space sweep ranking thousands of candidates never
+materialises one.
+
 Dependence validation is DAG-aware: when a schedule carries the true
 per-instance predecessor index sets (:attr:`Schedule.instance_predecessors`,
-attached by the scheduler), a layer only has to start after its *actual*
+supplied by the scheduler), a layer only has to start after its *actual*
 producers finish, so independent branches of one model may legally overlap on
 different sub-accelerators.  Without that information the historical linear
 chain (layer ``i`` waits on layer ``i-1``) is validated as the degenerate
@@ -19,10 +29,11 @@ case.
 from __future__ import annotations
 
 import math
-import operator
-from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+import pickle
+from collections.abc import Sequence as SequenceABC
+from itertools import islice
+from typing import (Dict, FrozenSet, Iterable, Iterator, List, Mapping,
+                    Optional, Sequence, Tuple)
 
 from repro.exceptions import SchedulingError
 from repro.maestro.cost import LayerCost
@@ -39,10 +50,10 @@ LOAD_IMBALANCE_UNUSED_SENTINEL = -1.0
 class ScheduledLayer:
     """One layer execution placed on one sub-accelerator.
 
-    A ``__slots__`` value class rather than a dataclass: a DSE sweep builds
-    one instance per layer execution per candidate design, making
-    construction cost part of the scheduling hot path.  Instances compare by
-    value and are immutable by convention.
+    A ``__slots__`` value class: schedules store their executions as arrays
+    and build these records on demand (see :attr:`Schedule.entries`), and
+    hand-built schedules pass them to :meth:`Schedule.from_entries`.
+    Instances compare by value and are immutable by convention.
 
     Attributes
     ----------
@@ -95,13 +106,6 @@ class ScheduledLayer:
                 f"start_cycle={self.start_cycle!r}, "
                 f"finish_cycle={self.finish_cycle!r}, cost={self.cost!r})")
 
-    def __getstate__(self) -> Tuple:
-        return self._astuple()
-
-    def __setstate__(self, state: Tuple) -> None:
-        (self.layer, self.instance_id, self.layer_index, self.sub_accelerator,
-         self.start_cycle, self.finish_cycle, self.cost) = state
-
     @property
     def duration_cycles(self) -> float:
         """Execution duration in cycles."""
@@ -120,102 +124,242 @@ class ScheduledLayer:
         )
 
 
-@dataclass
+class _EntriesView(SequenceABC):
+    """Read-only view of a schedule's execution records, in commit order.
+
+    ``len()`` is O(1); a :class:`ScheduledLayer` is built for each element
+    only when the view is iterated or indexed.
+    """
+
+    __slots__ = ("_schedule",)
+
+    def __init__(self, schedule: "Schedule") -> None:
+        self._schedule = schedule
+
+    def __len__(self) -> int:
+        return len(self._schedule._commit)
+
+    def __getitem__(self, index):
+        schedule = self._schedule
+        if isinstance(index, slice):
+            return [schedule._entry(slot) for slot in schedule._commit[index]]
+        return schedule._entry(schedule._commit[index])
+
+    def __iter__(self) -> Iterator[ScheduledLayer]:
+        return map(self._schedule._entry, self._schedule._commit)
+
+
 class Schedule:
     """A complete layer-execution schedule for one workload on one design.
+
+    Built once, then immutable: assigning to any attribute raises.  Herald's
+    scheduler constructs it directly from its slot arrays; hand-built
+    schedules go through :meth:`from_entries`, which fills the same arrays.
+
+    The arrays are tuples (or a ``range`` for an identity commit order).
+    Slot ``i`` is one layer execution: ``layers[i]`` of ``instance_ids[i]``
+    (position ``layer_indices[i]`` in that instance's dependence order) runs
+    on ``sub_accelerator_names[slot_acc[i]]`` from ``starts[i]`` to
+    ``finishes[i]`` at ``costs[i]``.  ``commit_order`` lists the slots in the
+    order they were committed; :attr:`entries` follows it.  The constructor
+    trusts the totals it is given: ``makespan_cycles`` is the largest finish,
+    ``dynamic_energy_pj`` the sum of the slot energies and ``busy_cycles`` (one
+    value per sub-accelerator) the sums of ``finish - start``, each summed in
+    commit order.
 
     ``instance_predecessors`` optionally maps an instance id to its per-layer
     predecessor index sets (element ``i`` holds the layer indices layer ``i``
     consumes).  Instances present in the map are validated against their true
     dependence DAG; instances absent from it fall back to the linear-chain
-    check.
+    check.  ``instance_release_cycles`` holds online-serving frame releases
+    (instances absent from the map are released at cycle zero); validation
+    then also checks that no layer starts before its instance's release.
+    ``instance_deadline_cycles`` holds optional absolute per-instance
+    deadlines (release + SLA bound), consumed by :meth:`frame_summary`.
     """
 
-    sub_accelerator_names: Tuple[str, ...]
-    entries: List[ScheduledLayer] = field(default_factory=list)
-    clock_hz: float = 1.0e9
-    idle_energy_pj_per_cycle_per_pe: float = 0.0
-    pes_per_sub_accelerator: Dict[str, int] = field(default_factory=dict)
-    instance_predecessors: Dict[str, Tuple[FrozenSet[int], ...]] = \
-        field(default_factory=dict)
-    #: Online serving mode: per-instance frame release cycles (instances
-    #: absent from the map released at cycle zero).  Attached by the scheduler
-    #: when scheduling against an arrival trace; validation then additionally
-    #: checks that no layer starts before its instance's release.
-    instance_release_cycles: Dict[str, float] = field(default_factory=dict)
-    #: Optional absolute per-instance deadline cycles (release + SLA bound),
-    #: attached by the serving simulator; consumed by :meth:`frame_summary`.
-    instance_deadline_cycles: Dict[str, float] = field(default_factory=dict)
-    #: Per-sub-accelerator timeline/busy-time memo; rebuilt whenever the entry
-    #: count changes (see :meth:`_sync_caches`).
-    _timeline_cache: Dict[str, List[ScheduledLayer]] = \
-        field(default_factory=dict, init=False, repr=False, compare=False)
-    _busy_cache: Dict[str, float] = \
-        field(default_factory=dict, init=False, repr=False, compare=False)
-    _cache_entry_count: int = field(default=-1, init=False, repr=False, compare=False)
+    # The pickled state follows this order.  Costs and layers go first: they
+    # carry the objects referenced most often, so their pickle memo indices
+    # stay small (one-byte back-references).
+    __slots__ = ("_costs", "_layers", "_instance_ids", "_layer_indices",
+                 "_acc", "_starts", "_finishes", "_commit", "_busy",
+                 "makespan_cycles", "dynamic_energy_pj",
+                 "sub_accelerator_names", "clock_hz",
+                 "idle_energy_pj_per_cycle_per_pe", "pes_per_sub_accelerator",
+                 "instance_release_cycles", "instance_deadline_cycles",
+                 "instance_predecessors")
 
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-    def add(self, entry: ScheduledLayer) -> None:
-        """Append an execution record."""
-        if entry.sub_accelerator not in self.sub_accelerator_names:
+    def __init__(self, sub_accelerator_names: Sequence[str],
+                 layers: Tuple[Layer, ...], instance_ids: Tuple[str, ...],
+                 layer_indices: Tuple[int, ...], slot_acc: Tuple[int, ...],
+                 starts: Tuple[float, ...], finishes: Tuple[float, ...],
+                 costs: Tuple[LayerCost, ...], commit_order: Sequence[int],
+                 makespan_cycles: float, dynamic_energy_pj: float,
+                 busy_cycles: Sequence[float], *,
+                 clock_hz: float = 1.0e9,
+                 idle_energy_pj_per_cycle_per_pe: float = 0.0,
+                 pes_per_sub_accelerator: Optional[Mapping[str, int]] = None,
+                 instance_predecessors: Optional[
+                     Mapping[str, Tuple[FrozenSet[int], ...]]] = None,
+                 instance_release_cycles: Optional[Mapping[str, float]] = None,
+                 instance_deadline_cycles: Optional[Mapping[str, float]] = None
+                 ) -> None:
+        names = tuple(sub_accelerator_names)
+        if len(set(names)) != len(names):
+            duplicates = sorted({name for name in names if names.count(name) > 1})
             raise SchedulingError(
-                f"schedule entry references unknown sub-accelerator "
-                f"{entry.sub_accelerator!r}"
-            )
-        if entry.finish_cycle < entry.start_cycle:
-            raise SchedulingError(
-                f"schedule entry for {entry.layer.name!r} finishes before it starts"
-            )
-        # Sync first: a direct ``entries`` mutation since the last access must
-        # not be masked by the entry-count update below.
-        self._sync_caches()
-        self.entries.append(entry)
-        self._timeline_cache.pop(entry.sub_accelerator, None)
-        self._busy_cache.pop(entry.sub_accelerator, None)
-        self._cache_entry_count = len(self.entries)
+                f"sub-accelerator names must be distinct; duplicated: "
+                f"{duplicates!r}")
+        self.__setstate__((
+            costs, layers, instance_ids, layer_indices, slot_acc, starts,
+            finishes, commit_order, tuple(busy_cycles), makespan_cycles,
+            dynamic_energy_pj, names, clock_hz, idle_energy_pj_per_cycle_per_pe,
+            dict(pes_per_sub_accelerator or {}),
+            dict(instance_release_cycles or {}),
+            dict(instance_deadline_cycles or {}),
+            dict(instance_predecessors or {})))
 
-    def extend(self, entries: Iterable[ScheduledLayer]) -> None:
-        """Append several execution records."""
+    @classmethod
+    def from_entries(cls, sub_accelerator_names: Sequence[str],
+                     entries: Iterable[ScheduledLayer] = (),
+                     **metadata) -> "Schedule":
+        """Build a schedule from execution records, committed in the given order.
+
+        The construction path of every hand-built schedule (baseline
+        schedulers, reference implementations, tests).  Each record must name
+        a known sub-accelerator and must not finish before it starts.
+        ``metadata`` takes the constructor's keyword arguments (clock,
+        leakage, PE counts, predecessors, releases, deadlines).
+        """
+        names = tuple(sub_accelerator_names)
+        acc_index = {name: aidx for aidx, name in enumerate(names)}
+        entries = list(entries)
+        slot_acc: List[int] = []
+        busy = [0.0] * len(names)
+        energy = 0.0
         for entry in entries:
-            self.add(entry)
+            aidx = acc_index.get(entry.sub_accelerator)
+            if aidx is None:
+                raise SchedulingError(
+                    f"schedule entry references unknown sub-accelerator "
+                    f"{entry.sub_accelerator!r}")
+            if entry.finish_cycle < entry.start_cycle:
+                raise SchedulingError(
+                    f"schedule entry for {entry.layer.name!r} finishes before "
+                    f"it starts")
+            slot_acc.append(aidx)
+            busy[aidx] += entry.finish_cycle - entry.start_cycle
+            energy += entry.cost.energy_pj
+        finishes = tuple(entry.finish_cycle for entry in entries)
+        return cls(
+            names, tuple(entry.layer for entry in entries),
+            tuple(entry.instance_id for entry in entries),
+            tuple(entry.layer_index for entry in entries), tuple(slot_acc),
+            tuple(entry.start_cycle for entry in entries), finishes,
+            tuple(entry.cost for entry in entries), range(len(entries)),
+            max(finishes) if finishes else 0.0, energy, busy, **metadata)
 
     # ------------------------------------------------------------------
-    # Accounting
+    # Immutability, pickling, equality
+    # ------------------------------------------------------------------
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"Schedule is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"Schedule is immutable; cannot delete {name!r}")
+
+    def __getstate__(self) -> Tuple:
+        return tuple(getattr(self, name) for name in Schedule.__slots__)
+
+    def __setstate__(self, state: Tuple) -> None:
+        if not isinstance(state, tuple) or len(state) != len(Schedule.__slots__):
+            raise pickle.UnpicklingError(
+                "incompatible Schedule pickle layout (written by another "
+                "version)")
+        for name, value in zip(Schedule.__slots__, state):
+            object.__setattr__(self, name, value)
+
+    def _metadata(self) -> Tuple:
+        return (self.sub_accelerator_names, self.clock_hz,
+                self.idle_energy_pj_per_cycle_per_pe,
+                self.pes_per_sub_accelerator, self.instance_predecessors,
+                self.instance_release_cycles, self.instance_deadline_cycles)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Schedule):
+            return NotImplemented
+        return (self._metadata() == other._metadata()
+                and list(self.entries) == list(other.entries))
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return (f"Schedule({len(self)} layer executions on "
+                f"{self.sub_accelerator_names!r}, makespan "
+                f"{self.makespan_cycles!r} cycles)")
+
+    # ------------------------------------------------------------------
+    # Execution records
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._commit)
 
     @property
-    def makespan_cycles(self) -> float:
-        """Completion time of the last layer, in cycles."""
-        if not self.entries:
-            return 0.0
-        return max(entry.finish_cycle for entry in self.entries)
+    def entries(self) -> Sequence[ScheduledLayer]:
+        """Read-only execution records in commit order, built on access."""
+        return _EntriesView(self)
 
+    def _entry(self, slot: int) -> ScheduledLayer:
+        return ScheduledLayer(
+            self._layers[slot], self._instance_ids[slot],
+            self._layer_indices[slot],
+            self.sub_accelerator_names[self._acc[slot]], self._starts[slot],
+            self._finishes[slot], self._costs[slot])
+
+    def _sort_by_window(self, slots: List[int]) -> None:
+        """Sort slots in place by ``(start, finish)``; full ties keep their
+        order (two stable passes)."""
+        slots.sort(key=self._finishes.__getitem__)
+        slots.sort(key=self._starts.__getitem__)
+
+    def entries_for(self, sub_accelerator: str) -> List[ScheduledLayer]:
+        """Execution records of one sub-accelerator, ordered by start time."""
+        if sub_accelerator not in self.sub_accelerator_names:
+            return []
+        aidx = self.sub_accelerator_names.index(sub_accelerator)
+        acc = self._acc
+        slots = [slot for slot in self._commit if acc[slot] == aidx]
+        self._sort_by_window(slots)
+        return [self._entry(slot) for slot in slots]
+
+    def entries_for_instance(self, instance_id: str) -> List[ScheduledLayer]:
+        """Execution records of one model instance, ordered by layer index."""
+        instance_ids = self._instance_ids
+        slots = [slot for slot in self._commit
+                 if instance_ids[slot] == instance_id]
+        slots.sort(key=self._layer_indices.__getitem__)
+        return [self._entry(slot) for slot in slots]
+
+    # ------------------------------------------------------------------
+    # Accounting (O(sub-accelerators) off the cached totals)
+    # ------------------------------------------------------------------
     @property
     def makespan_seconds(self) -> float:
         """Completion time of the last layer, in seconds (the paper's latency)."""
         return cycles_to_seconds(self.makespan_cycles, self.clock_hz)
 
     @property
-    def dynamic_energy_pj(self) -> float:
-        """Sum of per-layer energies."""
-        return sum(entry.energy_pj for entry in self.entries)
-
-    @property
     def idle_energy_pj(self) -> float:
         """Static energy of idle PEs across the whole makespan (dark silicon)."""
-        if self.idle_energy_pj_per_cycle_per_pe <= 0.0 or not self.entries:
+        leakage = self.idle_energy_pj_per_cycle_per_pe
+        if leakage <= 0.0 or not self._commit:
             return 0.0
         total = 0.0
         makespan = self.makespan_cycles
-        for name in self.sub_accelerator_names:
-            pes = self.pes_per_sub_accelerator.get(name, 0)
-            busy = self.busy_cycles(name)
+        pes = self.pes_per_sub_accelerator
+        for name, busy in zip(self.sub_accelerator_names, self._busy):
             idle = max(0.0, makespan - busy)
-            total += idle * pes * self.idle_energy_pj_per_cycle_per_pe
+            total += idle * pes.get(name, 0) * leakage
         return total
 
     @property
@@ -233,49 +377,11 @@ class Schedule:
         """Energy-delay product in joule-seconds."""
         return (self.total_energy_pj * 1e-12) * self.makespan_seconds
 
-    def _sync_caches(self) -> None:
-        """Drop memoised timelines when ``entries`` changed behind our back.
-
-        :meth:`add` invalidates precisely; this length check additionally
-        catches append/remove-style direct ``entries`` mutation.  A same-length
-        in-place replacement is not detectable this way — construct through
-        :meth:`add`/:meth:`extend` (or rebuild the schedule) when editing
-        records.
-        """
-        if self._cache_entry_count != len(self.entries):
-            self._timeline_cache.clear()
-            self._busy_cache.clear()
-            self._cache_entry_count = len(self.entries)
-
-    def entries_for(self, sub_accelerator: str) -> List[ScheduledLayer]:
-        """Execution records of one sub-accelerator, ordered by start time."""
-        self._sync_caches()
-        timeline = self._timeline_cache.get(sub_accelerator)
-        if timeline is None:
-            timeline = sorted(
-                (entry for entry in self.entries
-                 if entry.sub_accelerator == sub_accelerator),
-                key=lambda entry: (entry.start_cycle, entry.finish_cycle),
-            )
-            self._timeline_cache[sub_accelerator] = timeline
-        return list(timeline)
-
-    def entries_for_instance(self, instance_id: str) -> List[ScheduledLayer]:
-        """Execution records of one model instance, ordered by layer index."""
-        return sorted(
-            (entry for entry in self.entries if entry.instance_id == instance_id),
-            key=lambda entry: entry.layer_index,
-        )
-
     def busy_cycles(self, sub_accelerator: str) -> float:
         """Total cycles the sub-accelerator spends executing layers."""
-        self._sync_caches()
-        busy = self._busy_cache.get(sub_accelerator)
-        if busy is None:
-            busy = sum(entry.duration_cycles for entry in self.entries
-                       if entry.sub_accelerator == sub_accelerator)
-            self._busy_cache[sub_accelerator] = busy
-        return busy
+        if sub_accelerator not in self.sub_accelerator_names:
+            return 0.0
+        return self._busy[self.sub_accelerator_names.index(sub_accelerator)]
 
     def idle_cycles(self, sub_accelerator: str) -> float:
         """Cycles the sub-accelerator is idle before the schedule completes."""
@@ -299,8 +405,7 @@ class Schedule:
         # Imported lazily for the same reason as in :meth:`frame_summary`.
         from repro.analysis.metrics import imbalance
 
-        return imbalance(self.busy_cycles(name)
-                         for name in self.sub_accelerator_names)
+        return imbalance(self._busy)
 
     def load_imbalance_finite(self) -> float:
         """:meth:`load_imbalance`, with infinity mapped to the finite sentinel.
@@ -308,10 +413,18 @@ class Schedule:
         Report/benchmark dumps use this so their dictionaries stay strict-JSON
         serializable (``json.dumps(..., allow_nan=False)``).
         """
-        imbalance = self.load_imbalance() if self.entries else 1.0
+        imbalance = self.load_imbalance() if self._commit else 1.0
         if math.isinf(imbalance):
             return LOAD_IMBALANCE_UNUSED_SENTINEL
         return imbalance
+
+    def layer_counts(self) -> Dict[str, int]:
+        """Number of layers executed per sub-accelerator."""
+        counts = [0] * len(self.sub_accelerator_names)
+        acc = self._acc
+        for slot in self._commit:
+            counts[acc[slot]] += 1
+        return dict(zip(self.sub_accelerator_names, counts))
 
     # ------------------------------------------------------------------
     # Per-frame (serving) accounting
@@ -319,17 +432,21 @@ class Schedule:
     def frame_records(self) -> Dict[str, Dict[str, float]]:
         """Per-instance frame accounting: release, finish, and latency cycles.
 
-        One record per scheduled instance.  The release is the instance's
-        :attr:`instance_release_cycles` entry (zero when absent — the batch
-        case), the finish is its last layer's finish cycle, and the latency is
-        their difference: the time a frame spends in the system, the quantity
-        serving SLAs are written against.
+        One record per scheduled instance, in order of first commit.  The
+        release is the instance's :attr:`instance_release_cycles` entry (zero
+        when absent — the batch case), the finish is its last layer's finish
+        cycle, and the latency is their difference: the time a frame spends
+        in the system, the quantity serving SLAs are written against.
         """
         finishes: Dict[str, float] = {}
-        for entry in self.entries:
-            previous = finishes.get(entry.instance_id)
-            if previous is None or entry.finish_cycle > previous:
-                finishes[entry.instance_id] = entry.finish_cycle
+        instance_ids = self._instance_ids
+        finish_of = self._finishes
+        for slot in self._commit:
+            instance_id = instance_ids[slot]
+            finish = finish_of[slot]
+            previous = finishes.get(instance_id)
+            if previous is None or finish > previous:
+                finishes[instance_id] = finish
         releases = self.instance_release_cycles
         return {
             instance_id: {
@@ -392,13 +509,6 @@ class Schedule:
             "missed_frames": float(round(miss_rate * len(with_deadline))),
         }
 
-    def layer_counts(self) -> Dict[str, int]:
-        """Number of layers executed per sub-accelerator."""
-        counts = {name: 0 for name in self.sub_accelerator_names}
-        for entry in self.entries:
-            counts[entry.sub_accelerator] += 1
-        return counts
-
     # ------------------------------------------------------------------
     # Validation
     # ------------------------------------------------------------------
@@ -410,6 +520,7 @@ class Schedule:
           dependence DAG for instances with an :attr:`instance_predecessors`
           entry, and against the linear chain (layer ``i`` waits on layer
           ``i-1``) as the degenerate case otherwise;
+        * no instance schedules one layer index twice;
         * no layer starts before its instance's frame release, for instances
           with an :attr:`instance_release_cycles` entry (online serving mode);
         * if ``expected_layers`` (instance id -> layer count) is supplied, every
@@ -420,147 +531,160 @@ class Schedule:
         SchedulingError
             If any constraint is violated.
         """
-        # One grouping pass over the entries feeds the overlap, dependence,
-        # and completeness checks, instead of each check re-scanning the full
-        # entry list.
-        by_acc: Dict[str, List[ScheduledLayer]] = defaultdict(list)
-        by_instance: Dict[str, List[ScheduledLayer]] = defaultdict(list)
-        for entry in self.entries:
-            by_acc[entry.sub_accelerator].append(entry)
-            by_instance[entry.instance_id].append(entry)
+        # One grouping pass over the slots, in commit order, feeds the
+        # overlap, dependence, and completeness checks.
+        acc = self._acc
+        instance_ids = self._instance_ids
+        by_acc: List[List[int]] = [[] for _ in self.sub_accelerator_names]
+        chains: Dict[str, List[int]] = {}
+        for slot in self._commit:
+            by_acc[acc[slot]].append(slot)
+            chain = chains.get(instance_ids[slot])
+            if chain is None:
+                chains[instance_ids[slot]] = [slot]
+            else:
+                chain.append(slot)
         self._check_no_overlap(by_acc)
-        self._check_dependences(by_instance)
+        self._check_dependences(chains)
         if self.instance_release_cycles:
-            self._validate_release_times()
+            self._check_release_times()
         if expected_layers is not None:
-            self._check_completeness(expected_layers, by_instance)
+            self._check_completeness(expected_layers, chains)
 
-    def _check_no_overlap(self, by_acc: Dict[str, List[ScheduledLayer]]
-                          ) -> None:
-        """No two layers overlap on one sub-accelerator (rows grouped per
+    def _label(self, slot: int) -> str:
+        return f"{self._instance_ids[slot]}/{self._layers[slot].name}"
+
+    def _check_no_overlap(self, by_acc: List[List[int]]) -> None:
+        """No two layers overlap on one sub-accelerator (slots grouped per
         sub-accelerator)."""
-        by_start = operator.attrgetter("start_cycle", "finish_cycle")
-        for name in self.sub_accelerator_names:
-            timeline = by_acc.get(name)
-            if not timeline:
-                continue
-            timeline.sort(key=by_start)
-            previous = timeline[0]
-            for current in timeline[1:]:
-                if current.start_cycle < previous.finish_cycle - 1e-6:
+        starts = self._starts
+        finishes = self._finishes
+        for name, timeline in zip(self.sub_accelerator_names, by_acc):
+            # A timeline whose starts rise at every commit (as the
+            # scheduler's do) is already in (start, finish) order; any other
+            # is sorted first.
+            for previous, current in zip(timeline, islice(timeline, 1, None)):
+                if starts[current] <= starts[previous]:
+                    self._sort_by_window(timeline)
+                    break
+            for previous, current in zip(timeline, islice(timeline, 1, None)):
+                if starts[current] < finishes[previous] - 1e-6:
                     raise SchedulingError(
-                        f"sub-accelerator {name!r}: {current.instance_id}/"
-                        f"{current.layer.name} starts at {current.start_cycle:.0f} before "
-                        f"{previous.instance_id}/{previous.layer.name} finishes at "
-                        f"{previous.finish_cycle:.0f}"
+                        f"sub-accelerator {name!r}: {self._label(current)} "
+                        f"starts at {starts[current]:.0f} before "
+                        f"{self._label(previous)} finishes at "
+                        f"{finishes[previous]:.0f}"
                     )
-                previous = current
 
-    def _check_dependences(self, by_instance: Dict[str, List[ScheduledLayer]]
-                           ) -> None:
-        """Each layer runs once and after its producers (rows grouped per
+    def _check_dependences(self, chains: Dict[str, List[int]]) -> None:
+        """Each layer runs once and after its producers (slots grouped per
         instance)."""
-        by_layer_index = operator.attrgetter("layer_index")
-        for instance_id, chain in by_instance.items():
-            chain.sort(key=by_layer_index)
-            indices = [entry.layer_index for entry in chain]
+        index_of = self._layer_indices.__getitem__
+        for instance_id, chain in chains.items():
+            chain.sort(key=index_of)
+            indices = list(map(index_of, chain))
             if len(set(indices)) != len(indices):
                 raise SchedulingError(
                     f"instance {instance_id!r}: a layer index is scheduled more than once"
                 )
             predecessors = self.instance_predecessors.get(instance_id)
             if predecessors is not None:
-                self._validate_dag_dependences(instance_id, chain, predecessors)
+                self._check_dag_dependences(instance_id, chain, indices,
+                                            predecessors)
             else:
-                self._validate_chain_dependences(instance_id, chain)
+                self._check_chain_dependences(instance_id, chain, indices)
 
-    def _validate_dag_dependences(self, instance_id: str,
-                                  chain: Sequence[ScheduledLayer],
-                                  predecessors: Sequence[FrozenSet[int]]) -> None:
+    def _producer_error(self, instance_id: str, slot: int,
+                        producer: int) -> SchedulingError:
+        return SchedulingError(
+            f"instance {instance_id!r}: layer {self._layers[slot].name!r} "
+            f"starts at {self._starts[slot]:.0f} before its producer "
+            f"{self._layers[producer].name!r} finishes at "
+            f"{self._finishes[producer]:.0f}")
+
+    def _check_dag_dependences(self, instance_id: str, chain: List[int],
+                               indices: List[int],
+                               predecessors: Sequence[FrozenSet[int]]) -> None:
         """Every layer starts only after each of its true producers finishes."""
+        starts = self._starts
+        finishes = self._finishes
         # ``chain`` arrives sorted by layer index with duplicates rejected, so
         # when it is exactly the full 0..n-1 range (the fully-scheduled common
         # case) position == layer index and producers resolve by list
         # indexing, skipping the by-index dict entirely.
         if (len(chain) == len(predecessors) and chain
-                and chain[0].layer_index == 0
-                and chain[-1].layer_index == len(chain) - 1):
-            for entry in chain:
-                start_cycle = entry.start_cycle
-                for producer_index in predecessors[entry.layer_index]:
+                and indices[0] == 0 and indices[-1] == len(chain) - 1):
+            for slot, producers in zip(chain, predecessors):
+                start = starts[slot]
+                for producer_index in producers:
                     producer = chain[producer_index]
-                    if start_cycle < producer.finish_cycle - 1e-6:
-                        raise SchedulingError(
-                            f"instance {instance_id!r}: layer "
-                            f"{entry.layer.name!r} starts at "
-                            f"{entry.start_cycle:.0f} before its producer "
-                            f"{producer.layer.name!r} finishes at "
-                            f"{producer.finish_cycle:.0f}"
-                        )
+                    if start < finishes[producer] - 1e-6:
+                        raise self._producer_error(instance_id, slot, producer)
             return
-        by_index = {entry.layer_index: entry for entry in chain}
-        for entry in chain:
-            if not 0 <= entry.layer_index < len(predecessors):
+        by_index = dict(zip(indices, chain))
+        for slot, layer_index in zip(chain, indices):
+            if not 0 <= layer_index < len(predecessors):
                 raise SchedulingError(
-                    f"instance {instance_id!r}: layer index {entry.layer_index} is "
+                    f"instance {instance_id!r}: layer index {layer_index} is "
                     f"outside the instance's {len(predecessors)} layers"
                 )
-            for producer_index in predecessors[entry.layer_index]:
+            for producer_index in predecessors[layer_index]:
                 producer = by_index.get(producer_index)
                 if producer is None:
                     raise SchedulingError(
-                        f"instance {instance_id!r}: layer {entry.layer.name!r} is "
-                        f"scheduled but its producer (layer index {producer_index}) "
-                        f"is not"
+                        f"instance {instance_id!r}: layer "
+                        f"{self._layers[slot].name!r} is scheduled but its "
+                        f"producer (layer index {producer_index}) is not"
                     )
-                if entry.start_cycle < producer.finish_cycle - 1e-6:
-                    raise SchedulingError(
-                        f"instance {instance_id!r}: layer {entry.layer.name!r} starts "
-                        f"at {entry.start_cycle:.0f} before its producer "
-                        f"{producer.layer.name!r} finishes at "
-                        f"{producer.finish_cycle:.0f}"
-                    )
+                if starts[slot] < finishes[producer] - 1e-6:
+                    raise self._producer_error(instance_id, slot, producer)
 
-    def _validate_chain_dependences(self, instance_id: str,
-                                    chain: Sequence[ScheduledLayer]) -> None:
+    def _check_chain_dependences(self, instance_id: str, chain: List[int],
+                                 indices: List[int]) -> None:
         """Degenerate case: no dependence info, require the linear chain."""
-        for previous, current in zip(chain, chain[1:]):
-            if current.layer_index != previous.layer_index + 1:
+        starts = self._starts
+        finishes = self._finishes
+        for position in range(1, len(chain)):
+            previous, current = chain[position - 1], chain[position]
+            if indices[position] != indices[position - 1] + 1:
                 raise SchedulingError(
                     f"instance {instance_id!r}: layer indices are not contiguous "
-                    f"({previous.layer_index} followed by {current.layer_index})"
+                    f"({indices[position - 1]} followed by {indices[position]})"
                 )
-            if current.start_cycle < previous.finish_cycle - 1e-6:
+            if starts[current] < finishes[previous] - 1e-6:
                 raise SchedulingError(
-                    f"instance {instance_id!r}: layer {current.layer.name!r} starts "
-                    f"before its predecessor {previous.layer.name!r} finishes"
+                    f"instance {instance_id!r}: layer "
+                    f"{self._layers[current].name!r} starts before its "
+                    f"predecessor {self._layers[previous].name!r} finishes"
                 )
 
-    def _validate_release_times(self) -> None:
+    def _check_release_times(self) -> None:
         """Online mode: no layer runs before its instance's frame has arrived."""
         releases = self.instance_release_cycles
-        for entry in self.entries:
-            release = releases.get(entry.instance_id)
-            if release is not None and entry.start_cycle < release - 1e-6:
+        instance_ids = self._instance_ids
+        starts = self._starts
+        for slot in self._commit:
+            release = releases.get(instance_ids[slot])
+            if release is not None and starts[slot] < release - 1e-6:
                 raise SchedulingError(
-                    f"instance {entry.instance_id!r}: layer {entry.layer.name!r} "
-                    f"starts at {entry.start_cycle:.0f} before the frame's release "
-                    f"at {release:.0f}"
+                    f"instance {instance_ids[slot]!r}: layer "
+                    f"{self._layers[slot].name!r} starts at "
+                    f"{starts[slot]:.0f} before the frame's release at "
+                    f"{release:.0f}"
                 )
 
     def _check_completeness(self, expected_layers: Dict[str, int],
-                            by_instance: Dict[str, List[ScheduledLayer]]
-                            ) -> None:
+                            chains: Dict[str, List[int]]) -> None:
         """Every expected instance is fully scheduled, and nothing else."""
         for instance_id, expected in expected_layers.items():
-            chain = by_instance.get(instance_id)
+            chain = chains.get(instance_id)
             actual = len(chain) if chain is not None else 0
             if actual != expected:
                 raise SchedulingError(
                     f"instance {instance_id!r}: expected {expected} scheduled layers, "
                     f"found {actual}"
                 )
-        unexpected = set(by_instance) - set(expected_layers)
+        unexpected = set(chains) - set(expected_layers)
         if unexpected:
             raise SchedulingError(
                 f"schedule contains unknown instances: {sorted(unexpected)!r}"
@@ -581,26 +705,27 @@ class Schedule:
             "latency_s": self.makespan_seconds,
             "energy_mj": self.total_energy_mj,
             "edp_js": self.edp,
-            "num_layers": float(len(self.entries)),
+            "num_layers": float(len(self._commit)),
             "load_imbalance": self.load_imbalance_finite(),
         }
 
     def describe(self, max_entries: int = 20) -> str:
         """Human-readable dump of the first ``max_entries`` execution records."""
         lines = [
-            f"Schedule: {len(self.entries)} layer executions on "
+            f"Schedule: {len(self)} layer executions on "
             f"{len(self.sub_accelerator_names)} sub-accelerator(s)",
             f"  latency {self.makespan_seconds * 1e3:.3f} ms, "
             f"energy {self.total_energy_mj:.2f} mJ, EDP {self.edp:.4g} J*s",
         ]
+        counts = self.layer_counts()
         for name in self.sub_accelerator_names:
             lines.append(
-                f"  {name}: {self.layer_counts()[name]} layers, "
+                f"  {name}: {counts[name]} layers, "
                 f"utilisation {self.utilisation(name):.1%}"
             )
-        ordered = sorted(self.entries, key=lambda entry: entry.start_cycle)
-        for entry in ordered[:max_entries]:
-            lines.append("  " + entry.describe())
+        ordered = sorted(self._commit, key=self._starts.__getitem__)
+        for slot in ordered[:max_entries]:
+            lines.append("  " + self._entry(slot).describe())
         if len(ordered) > max_entries:
             lines.append(f"  ... {len(ordered) - max_entries} more entries")
         return "\n".join(lines)

@@ -52,7 +52,7 @@ from repro.exceptions import SchedulingError
 from repro.maestro.cost import CostModel, LayerCost, metric_value
 from repro.maestro.hardware import SubAcceleratorConfig
 from repro.models.layer import Layer
-from repro.core.schedule import Schedule, ScheduledLayer
+from repro.core.schedule import Schedule
 from repro.units import BYTES_PER_ELEMENT
 from repro.workloads.spec import ModelInstance, WorkloadSpec
 
@@ -109,10 +109,10 @@ class _VisitOrder(NamedTuple):
     Slot ``i`` is the ``i``-th layer placed in the Fig. 8 visiting order.
     """
 
-    layers: List[Layer]
-    instance_ids: List[str]
+    layers: Tuple[Layer, ...]
+    instance_ids: Tuple[str, ...]
     #: Position of each slot's layer in its instance's dependence order.
-    layer_indices: List[int]
+    layer_indices: Tuple[int, ...]
     #: Distinct layer shapes, in first-visit order.
     shapes: List[Tuple]
     #: Index into ``shapes`` per slot.
@@ -246,7 +246,9 @@ class HeraldScheduler:
     # ------------------------------------------------------------------
     def schedule(self, workload: WorkloadSpec,
                  sub_accelerators: Sequence[SubAcceleratorConfig],
-                 release_cycles: Optional[Mapping[str, float]] = None) -> Schedule:
+                 release_cycles: Optional[Mapping[str, float]] = None,
+                 deadline_cycles: Optional[Mapping[str, float]] = None
+                 ) -> Schedule:
         """Produce a validated schedule of ``workload`` on ``sub_accelerators``.
 
         ``release_cycles`` optionally maps instance ids to the cycle at which
@@ -255,7 +257,9 @@ class HeraldScheduler:
         are released at cycle zero, so an empty / all-zero map reproduces the
         batch schedule bit-for-bit.  The layer-to-sub-accelerator assignment
         is release-agnostic (it fixes *where* layers run, matching the batch
-        decisions); releases constrain *when* they run.
+        decisions); releases constrain *when* they run.  ``deadline_cycles``
+        (instance id -> absolute deadline cycle) only rides along on the
+        schedule for its frame accounting.
         """
         if not sub_accelerators:
             raise SchedulingError("cannot schedule onto an empty sub-accelerator list")
@@ -268,10 +272,9 @@ class HeraldScheduler:
             order, [rankings[shape] for shape in order.shapes],
             len(sub_accelerators))
         schedule = self._timeline(order, slot_acc, slot_cost, slot_latency,
-                                  sub_accelerators, releases)
-        schedule.instance_predecessors = workload.instance_dependences()
-        if releases:
-            schedule.instance_release_cycles = releases
+                                  sub_accelerators, releases,
+                                  workload.instance_dependences(),
+                                  deadline_cycles)
         expected = {instance.instance_id: instance.num_layers for instance in instances}
         schedule.validate(expected_layers=expected)
         return schedule
@@ -348,10 +351,11 @@ class HeraldScheduler:
                 visit_queue.append(visit_queue.pop(position))
 
         n = len(order)
-        slot_layers = [per_instance[inst][1][position]
-                       for inst, position in order]
-        instance_ids = [per_instance[inst][0] for inst, _ in order]
-        layer_indices = [position for _, position in order]
+        # Tuples: schedules share these three arrays.
+        slot_layers = tuple(per_instance[inst][1][position]
+                            for inst, position in order)
+        instance_ids = tuple(per_instance[inst][0] for inst, _ in order)
+        layer_indices = tuple(position for _, position in order)
         shape_index: Dict[Tuple, int] = {}
         slot_shapes = [shape_index.setdefault(layer.shape_key, len(shape_index))
                        for layer in slot_layers]
@@ -440,8 +444,10 @@ class HeraldScheduler:
     def _timeline(self, order: _VisitOrder, slot_acc: List[int],
                   slot_cost: List[LayerCost], slot_latency: List[float],
                   sub_accelerators: Sequence[SubAcceleratorConfig],
-                  release_cycles: Optional[Mapping[str, float]]) -> Schedule:
-        """Build the timeline of the assigned slots.
+                  release_cycles: Optional[Mapping[str, float]],
+                  predecessors: Mapping[str, Tuple[FrozenSet[int], ...]],
+                  deadline_cycles: Optional[Mapping[str, float]]) -> Schedule:
+        """Build the timeline of the assigned slots as an immutable schedule.
 
         With post-processing (Fig. 9) the layer-to-sub-accelerator assignment
         is kept, but whenever a sub-accelerator becomes free it starts the
@@ -468,23 +474,27 @@ class HeraldScheduler:
         newly-ready consumer).  Release times only seed data readiness, which
         producers can only raise, so the keys never decrease and a ``None`` /
         all-zero map is bit-for-bit the batch behaviour.
+
+        Each commit records its slot's start and finish and adds its energy
+        and busy time to the running totals, in commit order, so the
+        schedule's accounting never re-walks the slots.  Commits on one
+        sub-accelerator never go back in time, so the makespan is the latest
+        availability front.
         """
-        slot_layers = order.layers
-        instance_ids = order.instance_ids
-        layer_indices = order.layer_indices
         consumer_slots = order.consumer_slots
-        schedule = self._empty_schedule(sub_accelerators)
-        names = [acc.name for acc in sub_accelerators]
-        n_accs = len(names)
-        n = len(slot_layers)
+        n_accs = len(sub_accelerators)
+        n = len(slot_acc)
         if release_cycles:
             released_at = release_cycles.get
             data_ready = [released_at(instance_id, 0.0)
-                          for instance_id in instance_ids]
+                          for instance_id in order.instance_ids]
         else:
             data_ready = [0.0] * n
         avail = [0.0] * n_accs
-        entries_append = schedule.entries.append
+        busy = [0.0] * n_accs
+        energy = 0.0
+        starts = [0.0] * n
+        finishes = [0.0] * n
 
         if not self.enable_post_processing:
             # Every producer precedes its consumers in the visiting order, so
@@ -495,85 +505,106 @@ class HeraldScheduler:
                 if data_ready[slot] > start:
                     start = data_ready[slot]
                 finish = start + slot_latency[slot]
-                entries_append(ScheduledLayer(
-                    slot_layers[slot], instance_ids[slot], layer_indices[slot],
-                    names[aidx], start, finish, slot_cost[slot]))
+                starts[slot] = start
+                finishes[slot] = finish
+                busy[aidx] += finish - start
+                energy += slot_cost[slot]._energy_pj
                 avail[aidx] = finish
                 for consumer in consumer_slots[slot]:
                     if finish > data_ready[consumer]:
                         data_ready[consumer] = finish
-            return schedule
-
-        unmet = order.unmet0[:]
-        future: List[List[Tuple[float, int]]] = [[] for _ in range(n_accs)]
-        now: List[List[int]] = [[] for _ in range(n_accs)]
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-        for slot, blockers in enumerate(unmet):
-            if blockers == 0:
-                if data_ready[slot] <= 0.0:
-                    heappush(now[slot_acc[slot]], slot)
-                else:
-                    heappush(future[slot_acc[slot]], (data_ready[slot], slot))
-        # Each sub-accelerator's best ``(start, slot)`` candidate; slots are
-        # unique, so keys never tie across sub-accelerators and the owner of
-        # the global minimum is read back from ``slot_acc``.
-        candidates = [(0.0, acc_now[0]) if acc_now
-                      else acc_future[0] if acc_future else _NO_CANDIDATE
-                      for acc_now, acc_future in zip(now, future)]
-
-        for _ in range(n):
-            best = _NO_CANDIDATE
-            for key in candidates:
-                if key < best:
-                    best = key
-            if best is _NO_CANDIDATE:
-                raise SchedulingError(
-                    "post-processing dead-lock: no ready layer found; this indicates a bug"
-                )
-            start, slot = best
-            best_idx = slot_acc[slot]
-            # The winner sits at the top of whichever heap carries its start
-            # time: ``now`` when it waits on the array, ``future`` when it
-            # waits on data.
-            if start <= avail[best_idx]:
-                heappop(now[best_idx])
-            else:
-                heappop(future[best_idx])
-            finish = start + slot_latency[slot]
-            entries_append(ScheduledLayer(
-                slot_layers[slot], instance_ids[slot], layer_indices[slot],
-                names[best_idx], start, finish, slot_cost[slot]))
-            avail[best_idx] = finish
-            touched = [best_idx]
-            for consumer in consumer_slots[slot]:
-                unmet[consumer] -= 1
-                if finish > data_ready[consumer]:
-                    data_ready[consumer] = finish
-                if unmet[consumer] == 0:
-                    cidx = slot_acc[consumer]
-                    ready = data_ready[consumer]
-                    if ready <= avail[cidx]:
-                        heappush(now[cidx], consumer)
+            commit: Sequence[int] = range(n)
+        else:
+            commit = []
+            commit_append = commit.append
+            unmet = order.unmet0[:]
+            future: List[List[Tuple[float, int]]] = [[] for _ in range(n_accs)]
+            now: List[List[int]] = [[] for _ in range(n_accs)]
+            heappush = heapq.heappush
+            heappop = heapq.heappop
+            for slot, blockers in enumerate(unmet):
+                if blockers == 0:
+                    if data_ready[slot] <= 0.0:
+                        heappush(now[slot_acc[slot]], slot)
                     else:
-                        heappush(future[cidx], (ready, consumer))
-                    if cidx not in touched:
-                        touched.append(cidx)
-            for idx in touched:
-                # Migrate newly-startable layers future -> now; every layer
-                # left in ``future`` then starts strictly after ``avail``.
-                avail_idx = avail[idx]
-                acc_future = future[idx]
-                acc_now = now[idx]
-                while acc_future and acc_future[0][0] <= avail_idx:
-                    heappush(acc_now, heappop(acc_future)[1])
-                if acc_now:
-                    candidates[idx] = (avail_idx, acc_now[0])
-                elif acc_future:
-                    candidates[idx] = acc_future[0]
+                        heappush(future[slot_acc[slot]], (data_ready[slot], slot))
+            # Each sub-accelerator's best ``(start, slot)`` candidate; slots
+            # are unique, so keys never tie across sub-accelerators and the
+            # owner of the global minimum is read back from ``slot_acc``.
+            candidates = [(0.0, acc_now[0]) if acc_now
+                          else acc_future[0] if acc_future else _NO_CANDIDATE
+                          for acc_now, acc_future in zip(now, future)]
+
+            for _ in range(n):
+                best = _NO_CANDIDATE
+                for key in candidates:
+                    if key < best:
+                        best = key
+                if best is _NO_CANDIDATE:
+                    raise SchedulingError(
+                        "post-processing dead-lock: no ready layer found; "
+                        "this indicates a bug"
+                    )
+                start, slot = best
+                best_idx = slot_acc[slot]
+                # The winner sits at the top of whichever heap carries its
+                # start time: ``now`` when it waits on the array, ``future``
+                # when it waits on data.
+                if start <= avail[best_idx]:
+                    heappop(now[best_idx])
                 else:
-                    candidates[idx] = _NO_CANDIDATE
-        return schedule
+                    heappop(future[best_idx])
+                finish = start + slot_latency[slot]
+                starts[slot] = start
+                finishes[slot] = finish
+                commit_append(slot)
+                busy[best_idx] += finish - start
+                energy += slot_cost[slot]._energy_pj
+                avail[best_idx] = finish
+                touched = [best_idx]
+                for consumer in consumer_slots[slot]:
+                    unmet[consumer] -= 1
+                    if finish > data_ready[consumer]:
+                        data_ready[consumer] = finish
+                    if unmet[consumer] == 0:
+                        cidx = slot_acc[consumer]
+                        ready = data_ready[consumer]
+                        if ready <= avail[cidx]:
+                            heappush(now[cidx], consumer)
+                        else:
+                            heappush(future[cidx], (ready, consumer))
+                        if cidx not in touched:
+                            touched.append(cidx)
+                for idx in touched:
+                    # Migrate newly-startable layers future -> now; every
+                    # layer left in ``future`` then starts strictly after
+                    # ``avail``.
+                    avail_idx = avail[idx]
+                    acc_future = future[idx]
+                    acc_now = now[idx]
+                    while acc_future and acc_future[0][0] <= avail_idx:
+                        heappush(acc_now, heappop(acc_future)[1])
+                    if acc_now:
+                        candidates[idx] = (avail_idx, acc_now[0])
+                    elif acc_future:
+                        candidates[idx] = acc_future[0]
+                    else:
+                        candidates[idx] = _NO_CANDIDATE
+            commit = tuple(commit)
+
+        return Schedule(
+            [acc.name for acc in sub_accelerators], order.layers,
+            order.instance_ids, order.layer_indices, tuple(slot_acc),
+            tuple(starts), tuple(finishes), tuple(slot_cost), commit,
+            max(avail), energy, busy,
+            clock_hz=sub_accelerators[0].clock_hz,
+            idle_energy_pj_per_cycle_per_pe=(
+                self.cost_model.energy_table.leakage_per_cycle_per_pe),
+            pes_per_sub_accelerator={acc.name: acc.num_pes
+                                     for acc in sub_accelerators},
+            instance_predecessors=predecessors,
+            instance_release_cycles=release_cycles,
+            instance_deadline_cycles=deadline_cycles)
 
     def _shape_rankings(self, workload: WorkloadSpec,
                         sub_accelerators: Sequence[SubAcceleratorConfig]
@@ -622,11 +653,3 @@ class HeraldScheduler:
             ranked.sort(key=_RANK_ORDER)
             rankings[shape] = ranked
         return rankings
-
-    def _empty_schedule(self, sub_accelerators: Sequence[SubAcceleratorConfig]) -> Schedule:
-        return Schedule(
-            sub_accelerator_names=tuple(acc.name for acc in sub_accelerators),
-            clock_hz=sub_accelerators[0].clock_hz,
-            idle_energy_pj_per_cycle_per_pe=self.cost_model.energy_table.leakage_per_cycle_per_pe,
-            pes_per_sub_accelerator={acc.name: acc.num_pes for acc in sub_accelerators},
-        )

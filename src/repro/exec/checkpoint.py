@@ -43,7 +43,7 @@ from repro.core.evaluator import EvaluationResult
 from repro.exceptions import CheckpointError
 
 #: Format version written to (and required from) checkpoint files.
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
 #: Scope used when the caller does not namespace its tasks.
 DEFAULT_SCOPE = "sweep"

@@ -194,8 +194,8 @@ class ServingSimulator:
         clock = sub_accelerators[0].clock_hz
         schedule = self.scheduler.schedule(
             spec, sub_accelerators,
-            release_cycles=streaming.release_cycles(clock))
-        schedule.instance_deadline_cycles = streaming.deadline_cycles(clock)
+            release_cycles=streaming.release_cycles(clock),
+            deadline_cycles=streaming.deadline_cycles(clock))
         report = build_serving_report(streaming, schedule, clock,
                                       self.drop_deadline_factor)
         return ServingResult(report=report, schedule=schedule)

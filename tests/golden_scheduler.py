@@ -200,9 +200,8 @@ def run_scenario(key: str, workloads: Dict[str, WorkloadSpec],
                           for instance in workload.instances()}
     schedule = scheduler.schedule(workload, build_sub_accelerators(),
                                   release_cycles=release_cycles)
-    # The release map participates in validation but must not leak into the
-    # serialized record (the batch golden has no such attribute).
-    schedule.instance_release_cycles = {}
+    # The release map participates in validation only; the record below
+    # serializes nothing that reads it, so it matches the batch golden.
     entries = [
         [entry.instance_id, entry.layer_index, entry.layer.name,
          entry.sub_accelerator, repr(entry.start_cycle), repr(entry.finish_cycle),
@@ -323,8 +322,8 @@ def run_streaming_scenario(key: str, cost_model: CostModel) -> Dict[str, object]
     clock = accs[0].clock_hz
     release_cycles = streaming.release_cycles(clock)
     schedule = scheduler.schedule(streaming.to_workload_spec(), accs,
-                                  release_cycles=release_cycles)
-    schedule.instance_deadline_cycles = streaming.deadline_cycles(clock)
+                                  release_cycles=release_cycles,
+                                  deadline_cycles=streaming.deadline_cycles(clock))
     entries = [
         [entry.instance_id, entry.layer_index, entry.layer.name,
          entry.sub_accelerator, repr(entry.start_cycle), repr(entry.finish_cycle),

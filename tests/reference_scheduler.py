@@ -173,10 +173,11 @@ def initial_assignment(workload: WorkloadSpec,
     return assignments, violations
 
 
-def _empty_schedule(sub_accelerators: Sequence[SubAcceleratorConfig],
-                    cost_model: CostModel) -> Schedule:
-    return Schedule(
-        sub_accelerator_names=tuple(acc.name for acc in sub_accelerators),
+def _build_schedule(sub_accelerators: Sequence[SubAcceleratorConfig],
+                    cost_model: CostModel, entries: Sequence[ScheduledLayer]
+                    ) -> Schedule:
+    return Schedule.from_entries(
+        [acc.name for acc in sub_accelerators], entries,
         clock_hz=sub_accelerators[0].clock_hz,
         idle_energy_pj_per_cycle_per_pe=(
             cost_model.energy_table.leakage_per_cycle_per_pe),
@@ -195,13 +196,14 @@ def _entry(assignment: Assignment, start: float, finish: float
 
 
 def list_schedule_reference(assignments: Sequence[Assignment],
-                            schedule: Schedule,
+                            names: Sequence[str],
                             release_cycles: Optional[Mapping[str, float]] = None
-                            ) -> Schedule:
+                            ) -> List[ScheduledLayer]:
     """Fig. 9 as an O(n^2) full rescan: the global argmin of
     ``(start, order_index)`` over all ready layers runs next."""
     release = release_cycles or {}
-    pending = {name: [] for name in schedule.sub_accelerator_names}
+    entries: List[ScheduledLayer] = []
+    pending = {name: [] for name in names}
     consumers: Dict[Tuple[str, int], List[Assignment]] = {}
     for assignment in assignments:
         pending[assignment.sub_accelerator].append(assignment)
@@ -210,7 +212,7 @@ def list_schedule_reference(assignments: Sequence[Assignment],
         for producer in assignment.predecessors:
             consumers.setdefault((assignment.instance_id, producer),
                                  []).append(assignment)
-    acc_avail = {name: 0.0 for name in schedule.sub_accelerator_names}
+    acc_avail = {name: 0.0 for name in names}
     for _ in range(len(assignments)):
         best_key: Optional[Tuple[float, int]] = None
         best: Optional[Assignment] = None
@@ -225,22 +227,24 @@ def list_schedule_reference(assignments: Sequence[Assignment],
         assert best is not None, "reference dead-lock: no ready layer"
         start = best_key[0]
         finish = start + best.cost.latency_cycles
-        schedule.add(_entry(best, start, finish))
+        entries.append(_entry(best, start, finish))
         acc_avail[best.sub_accelerator] = finish
         for consumer in consumers.get((best.instance_id, best.layer_index), ()):
             consumer.unmet_producers -= 1
             consumer.data_ready_cycle = max(consumer.data_ready_cycle, finish)
         pending[best.sub_accelerator].remove(best)
-    return schedule
+    return entries
 
 
-def replay_initial_order(assignments: Sequence[Assignment], schedule: Schedule,
+def replay_initial_order(assignments: Sequence[Assignment],
+                         names: Sequence[str],
                          release_cycles: Optional[Mapping[str, float]] = None
-                         ) -> Schedule:
+                         ) -> List[ScheduledLayer]:
     """Post-processing off: the initial order, honouring only the DAG, the
     sub-accelerator's availability, and the frame release."""
     release = release_cycles or {}
-    acc_avail = {name: 0.0 for name in schedule.sub_accelerator_names}
+    entries: List[ScheduledLayer] = []
+    acc_avail = {name: 0.0 for name in names}
     finish_times: Dict[Tuple[str, int], float] = {}
     for assignment in assignments:
         start = max([acc_avail[assignment.sub_accelerator],
@@ -248,10 +252,10 @@ def replay_initial_order(assignments: Sequence[Assignment], schedule: Schedule,
                     + [finish_times[(assignment.instance_id, producer)]
                        for producer in assignment.predecessors])
         finish = start + assignment.cost.latency_cycles
-        schedule.add(_entry(assignment, start, finish))
+        entries.append(_entry(assignment, start, finish))
         acc_avail[assignment.sub_accelerator] = finish
         finish_times[(assignment.instance_id, assignment.layer_index)] = finish
-    return schedule
+    return entries
 
 
 def reference_schedule(workload: WorkloadSpec,
@@ -267,12 +271,11 @@ def reference_schedule(workload: WorkloadSpec,
     assignments, violations = initial_assignment(
         workload, sub_accelerators, cost_model, metric, ordering,
         load_balance_factor, memory_limit_bytes)
-    schedule = _empty_schedule(sub_accelerators, cost_model)
-    if enable_post_processing:
-        list_schedule_reference(assignments, schedule, release_cycles)
-    else:
-        replay_initial_order(assignments, schedule, release_cycles)
-    return schedule, violations
+    names = [acc.name for acc in sub_accelerators]
+    timeline_of = (list_schedule_reference if enable_post_processing
+                   else replay_initial_order)
+    entries = timeline_of(assignments, names, release_cycles)
+    return _build_schedule(sub_accelerators, cost_model, entries), violations
 
 
 def timeline(schedule: Schedule) -> List[Tuple]:

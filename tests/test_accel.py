@@ -153,6 +153,13 @@ class TestDesignValidation:
         with pytest.raises(PartitionError):
             AcceleratorDesign("bad", AcceleratorKind.FDA, wrong_chip, (sub,))
 
+    def test_duplicate_sub_accelerator_names_rejected(self):
+        import dataclasses
+        first, second = make_hda(EDGE, [NVDLA, SHIDIANNAO]).sub_accelerators
+        twin = dataclasses.replace(second, name=first.name)
+        with pytest.raises(HardwareConfigError, match="distinct"):
+            AcceleratorDesign("twins", AcceleratorKind.HDA, EDGE, (first, twin))
+
     def test_lookup_sub_accelerator_by_name(self):
         design = make_hda(EDGE, [NVDLA, SHIDIANNAO])
         name = design.sub_accelerators[0].name

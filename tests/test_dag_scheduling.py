@@ -153,14 +153,15 @@ def _diamond_predecessors():
 
 
 class TestDagValidation:
-    def _dag_schedule(self, merge_start=300.0):
-        schedule = Schedule(sub_accelerator_names=("a0", "a1"), clock_hz=1e9,
-                            instance_predecessors=_diamond_predecessors())
-        schedule.add(_entry("stem", 0, "a0", 0, 100))
-        schedule.add(_entry("b1", 1, "a0", 100, 300))
-        schedule.add(_entry("b2", 2, "a1", 100, 250))
-        schedule.add(_entry("merge", 3, "a1", merge_start, merge_start + 50))
-        return schedule
+    def _dag_schedule(self, merge_start=300.0,
+                      predecessors=_diamond_predecessors()):
+        return Schedule.from_entries(
+            ("a0", "a1"),
+            [_entry("stem", 0, "a0", 0, 100),
+             _entry("b1", 1, "a0", 100, 300),
+             _entry("b2", 2, "a1", 100, 250),
+             _entry("merge", 3, "a1", merge_start, merge_start + 50)],
+            clock_hz=1e9, instance_predecessors=predecessors)
 
     def test_branch_parallel_schedule_accepted(self):
         # Layer index 2 starts before index 1 finishes — illegal for a chain,
@@ -168,8 +169,7 @@ class TestDagValidation:
         self._dag_schedule().validate(expected_layers={"d#0": 4})
 
     def test_same_schedule_rejected_under_chain_semantics(self):
-        schedule = self._dag_schedule()
-        schedule.instance_predecessors = {}
+        schedule = self._dag_schedule(predecessors=None)
         with pytest.raises(SchedulingError):
             schedule.validate()
 
@@ -179,25 +179,25 @@ class TestDagValidation:
             self._dag_schedule(merge_start=260.0).validate()
 
     def test_missing_producer_rejected(self):
-        schedule = Schedule(sub_accelerator_names=("a0", "a1"), clock_hz=1e9,
-                            instance_predecessors=_diamond_predecessors())
-        schedule.add(_entry("stem", 0, "a0", 0, 100))
-        schedule.add(_entry("merge", 3, "a1", 500, 550))
+        schedule = Schedule.from_entries(
+            ("a0", "a1"),
+            [_entry("stem", 0, "a0", 0, 100), _entry("merge", 3, "a1", 500, 550)],
+            clock_hz=1e9, instance_predecessors=_diamond_predecessors())
         with pytest.raises(SchedulingError):
             schedule.validate()
 
     def test_duplicate_layer_index_still_rejected(self):
-        schedule = Schedule(sub_accelerator_names=("a0", "a1"), clock_hz=1e9,
-                            instance_predecessors=_diamond_predecessors())
-        schedule.add(_entry("stem", 0, "a0", 0, 100))
-        schedule.add(_entry("stem2", 0, "a1", 0, 100))
+        schedule = Schedule.from_entries(
+            ("a0", "a1"),
+            [_entry("stem", 0, "a0", 0, 100), _entry("stem2", 0, "a1", 0, 100)],
+            clock_hz=1e9, instance_predecessors=_diamond_predecessors())
         with pytest.raises(SchedulingError):
             schedule.validate()
 
     def test_out_of_range_layer_index_rejected(self):
-        schedule = Schedule(sub_accelerator_names=("a0", "a1"), clock_hz=1e9,
-                            instance_predecessors=_diamond_predecessors())
-        schedule.add(_entry("ghost", 7, "a0", 0, 100))
+        schedule = Schedule.from_entries(
+            ("a0", "a1"), [_entry("ghost", 7, "a0", 0, 100)],
+            clock_hz=1e9, instance_predecessors=_diamond_predecessors())
         with pytest.raises(SchedulingError):
             schedule.validate()
 

@@ -1,6 +1,6 @@
 """Tests for the evaluation hot-path overhaul.
 
-Three contracts are pinned here:
+Four contracts are pinned here:
 
 1. **Bit-for-bit equivalence.**  The shape-keyed cost memo, the heap-based
    event-driven list scheduler, and the incremental partition search must not
@@ -18,6 +18,10 @@ Three contracts are pinned here:
 
 3. **Cache migration.**  Old full-``Layer``-keyed persistent cache files are
    discarded transparently (never mixed, never fatal).
+
+4. **Accounting from the model.**  A schedule's cached totals equal the sums
+   over its entries bit for bit, total energy is per-layer energy plus idle
+   energy, and the makespan respects the critical-path and work lower bounds.
 """
 
 from __future__ import annotations
@@ -359,48 +363,52 @@ def _assert_matches_reference(workload, accs, cost_model, release_cycles=None,
     assert scheduler.last_memory_violations == violations
 
 
+@st.composite
+def _dag_scenarios(draw):
+    """A random DAG workload, release trace, scheduler configuration and
+    design of 1-4 sub-accelerators: ``(workload, accs, releases, config)``."""
+    import random as random_module
+
+    n = draw(st.integers(min_value=3, max_value=12))
+    rng = random_module.Random(draw(st.integers(min_value=0, max_value=2**31)))
+    dims = draw(st.lists(st.sampled_from([4, 8, 16, 64, 256]),
+                         min_size=12, max_size=12))
+    batches = draw(st.integers(min_value=1, max_value=3))
+    releases = draw(st.lists(st.sampled_from([0.0, 1e3, 1e5]),
+                             min_size=3, max_size=3) | st.none())
+    config = {
+        "metric": draw(st.sampled_from(["edp", "latency", "energy"])),
+        "ordering": draw(st.sampled_from(["breadth", "depth"])),
+        "load_balance_factor": draw(st.sampled_from([None, 1.25, 2.0])),
+        "memory_limit_bytes": draw(st.sampled_from([None, 0, 512, 2048])),
+        "enable_post_processing": draw(st.booleans()),
+    }
+    n_accs = draw(st.integers(min_value=1, max_value=4))
+    layers = [fc(f"l{i}", k=dims[i], c=dims[(i * 7 + 3) % 12])
+              for i in range(n)]
+    graph = ModelGraph.from_layers("dag", layers)
+    for i in range(n):
+        for j in range(i + 2, n):
+            if rng.random() < 0.3:
+                graph.add_edge(f"l{i}", f"l{j}")
+    workload = WorkloadSpec.from_models("dag-wl", [graph], batches=batches)
+    release_cycles = None
+    if releases is not None:
+        release_cycles = {instance.instance_id: release
+                          for instance, release
+                          in zip(workload.instances(), releases)}
+    return workload, _REFERENCE_ACCS[:n_accs], release_cycles, config
+
+
 class TestHeapSchedulerMatchesReference:
-    @given(
-        n=st.integers(min_value=3, max_value=12),
-        edge_seed=st.integers(min_value=0, max_value=2**31),
-        dims=st.lists(st.sampled_from([4, 8, 16, 64, 256]),
-                      min_size=12, max_size=12),
-        batches=st.integers(min_value=1, max_value=3),
-        releases=st.lists(st.sampled_from([0.0, 1e3, 1e5]),
-                          min_size=3, max_size=3) | st.none(),
-        metric=st.sampled_from(["edp", "latency", "energy"]),
-        ordering=st.sampled_from(["breadth", "depth"]),
-        lb=st.sampled_from([None, 1.25, 2.0]),
-        memory_limit=st.sampled_from([None, 0, 512, 2048]),
-        post=st.booleans(),
-        n_accs=st.integers(min_value=1, max_value=4),
-    )
+    @given(case=_dag_scenarios())
     @settings(max_examples=120, deadline=None)
-    def test_random_dags(self, n, edge_seed, dims, batches, releases, metric,
-                         ordering, lb, memory_limit, post, n_accs):
+    def test_random_dags(self, case):
         """The scheduler equals the reference on random DAGs x release traces
         x memory limits x post-processing x 1-4 sub-accelerators."""
-        import random as random_module
-
-        rng = random_module.Random(edge_seed)
-        layers = [fc(f"l{i}", k=dims[i], c=dims[(i * 7 + 3) % 12])
-                  for i in range(n)]
-        graph = ModelGraph.from_layers("dag", layers)
-        for i in range(n):
-            for j in range(i + 2, n):
-                if rng.random() < 0.3:
-                    graph.add_edge(f"l{i}", f"l{j}")
-        workload = WorkloadSpec.from_models("dag-wl", [graph], batches=batches)
-        release_cycles = None
-        if releases is not None:
-            release_cycles = {instance.instance_id: release
-                              for instance, release
-                              in zip(workload.instances(), releases)}
-        _assert_matches_reference(
-            workload, _REFERENCE_ACCS[:n_accs], _REFERENCE_MODEL,
-            release_cycles=release_cycles, metric=metric, ordering=ordering,
-            load_balance_factor=lb, memory_limit_bytes=memory_limit,
-            enable_post_processing=post)
+        workload, accs, release_cycles, config = case
+        _assert_matches_reference(workload, accs, _REFERENCE_MODEL,
+                                  release_cycles=release_cycles, **config)
 
     def test_rankings_memo_respects_metric_mutation(self, cost_model):
         """Reassigning scheduler.metric must not serve stale rankings."""
@@ -427,6 +435,64 @@ class TestHeapSchedulerMatchesReference:
                             workload, accs, cost_model, ordering=ordering,
                             memory_limit_bytes=memory_limit,
                             enable_post_processing=post)
+
+
+class TestScheduleAccountingProperties:
+    """Accounting properties the paper's model implies, over the same random
+    DAG x release x memory-limit x post-processing x 1-4 sub-accelerator
+    scenarios as the reference comparison."""
+
+    @given(case=_dag_scenarios())
+    @settings(max_examples=120, deadline=None)
+    def test_accounting_identities_and_lower_bound(self, case):
+        workload, accs, release_cycles, config = case
+        model = _REFERENCE_MODEL
+        schedule = HeraldScheduler(model, **config).schedule(
+            workload, accs, release_cycles=release_cycles)
+        by_name = {acc.name: acc for acc in accs}
+        entries = list(schedule.entries)
+        assert len(entries) == len(schedule) == workload.total_layers
+
+        # The cached totals are bitwise the sums over the materialised
+        # entries, in commit order.
+        makespan = max((entry.finish_cycle for entry in entries), default=0.0)
+        dynamic = 0.0
+        busy = dict.fromkeys(schedule.sub_accelerator_names, 0.0)
+        for entry in entries:
+            assert entry.cost == model.layer_cost(
+                entry.layer, by_name[entry.sub_accelerator])
+            dynamic += entry.cost.energy_pj
+            busy[entry.sub_accelerator] += entry.finish_cycle - entry.start_cycle
+        assert schedule.makespan_cycles.hex() == makespan.hex()
+        assert schedule.dynamic_energy_pj.hex() == dynamic.hex()
+        for name, cycles in busy.items():
+            assert schedule.busy_cycles(name).hex() == cycles.hex()
+
+        # Total energy = sum of per-layer LayerCost energy + idle energy.
+        leakage = model.energy_table.leakage_per_cycle_per_pe
+        idle = 0.0
+        for name, cycles in busy.items():
+            idle += max(0.0, makespan - cycles) * by_name[name].num_pes * leakage
+        assert schedule.total_energy_pj == dynamic + idle
+
+        # Makespan >= max(release-aware critical path with every layer on
+        # its fastest sub-accelerator, best-case work / sub-accelerators).
+        releases = release_cycles or {}
+        critical_path = 0.0
+        work = 0.0
+        for instance in workload.instances():
+            predecessors = instance.predecessor_indices()
+            earliest_finish = []
+            for index, layer in enumerate(instance.layers_in_dependence_order()):
+                fastest = min(model.layer_cost(layer, acc).latency_cycles
+                              for acc in accs)
+                work += fastest
+                ready = max([releases.get(instance.instance_id, 0.0)]
+                            + [earliest_finish[p] for p in predecessors[index]])
+                earliest_finish.append(ready + fastest)
+            critical_path = max(critical_path, max(earliest_finish))
+        assert schedule.makespan_cycles >= critical_path
+        assert schedule.makespan_cycles >= (work / len(accs)) * (1 - 1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -189,10 +189,22 @@ class TestResumeTransparency:
             SweepCheckpoint(path, sweep_key_from({"pe_steps": 8}), resume=True)
 
     def test_wrong_version_refuses_to_resume(self, tmp_path):
+        # Version 1 pickled schedules as ScheduledLayer entry lists.
         path = tmp_path / "sweep.ckpt"
-        path.write_bytes(pickle.dumps(
-            {"version": 999, "sweep_key": "k", "completed": {}}))
-        with pytest.raises(CheckpointError, match="version"):
+        for version in (1, 999):
+            path.write_bytes(pickle.dumps(
+                {"version": version, "sweep_key": "k", "completed": {}}))
+            with pytest.raises(CheckpointError, match="version"):
+                SweepCheckpoint(str(path), "k", resume=True)
+
+    def test_version_1_records_are_never_unpickled(self, tmp_path):
+        """A v1 journal is refused on its header, before any record frame
+        (whose old Schedule layout no longer loads) is read."""
+        path = tmp_path / "sweep.ckpt"
+        unloadable = b"\x80\x04crepro.core.schedule\nNoSuchClass\n."
+        path.write_bytes(pickle.dumps({"version": 1, "sweep_key": "k"})
+                         + unloadable)
+        with pytest.raises(CheckpointError, match="unsupported version 1"):
             SweepCheckpoint(str(path), "k", resume=True)
 
     def test_corrupted_checkpoint_is_an_error_not_a_wrong_report(self, tmp_path):

@@ -1,6 +1,7 @@
 """Tests for the schedule data structures, accounting, and validation."""
 
 import json
+import pickle
 
 import pytest
 
@@ -30,48 +31,97 @@ def _entry(name, instance, index, acc, start, finish):
                           cost=_make_cost(layer))
 
 
-def _empty_schedule():
-    return Schedule(sub_accelerator_names=("a0", "a1"), clock_hz=1e9,
-                    pes_per_sub_accelerator={"a0": 64, "a1": 64})
+def _schedule(*entries, **metadata):
+    return Schedule.from_entries(("a0", "a1"), entries, clock_hz=1e9,
+                                 pes_per_sub_accelerator={"a0": 64, "a1": 64},
+                                 **metadata)
 
 
 class TestConstruction:
     def test_add_and_length(self):
-        schedule = _empty_schedule()
-        schedule.add(_entry("l0", "m#0", 0, "a0", 0, 100))
+        schedule = _schedule(_entry("l0", "m#0", 0, "a0", 0, 100))
         assert len(schedule) == 1
+        assert len(schedule.entries) == 1
 
     def test_unknown_sub_accelerator_rejected(self):
-        schedule = _empty_schedule()
         with pytest.raises(SchedulingError):
-            schedule.add(_entry("l0", "m#0", 0, "zzz", 0, 100))
+            _schedule(_entry("l0", "m#0", 0, "zzz", 0, 100))
 
     def test_negative_duration_rejected(self):
-        schedule = _empty_schedule()
         with pytest.raises(SchedulingError):
-            schedule.add(_entry("l0", "m#0", 0, "a0", 100, 50))
+            _schedule(_entry("l0", "m#0", 0, "a0", 100, 50))
 
     def test_extend(self):
-        schedule = _empty_schedule()
-        schedule.extend([_entry("l0", "m#0", 0, "a0", 0, 100),
-                         _entry("l1", "m#0", 1, "a1", 100, 150)])
+        entries = [_entry("l0", "m#0", 0, "a0", 0, 100),
+                   _entry("l1", "m#0", 1, "a1", 100, 150)]
+        schedule = _schedule(*entries)
         assert len(schedule) == 2
+        assert list(schedule.entries) == entries
+
+    def test_duplicate_sub_accelerator_names_rejected(self):
+        with pytest.raises(SchedulingError, match="distinct"):
+            Schedule.from_entries(("a0", "a0"),
+                                  [_entry("l0", "m#0", 0, "a0", 0, 100)])
+
+    def test_entries_view_is_read_only_and_indexable(self):
+        entries = [_entry("l0", "m#0", 0, "a0", 0, 100),
+                   _entry("l1", "m#0", 1, "a1", 100, 150),
+                   _entry("l2", "m#0", 2, "a0", 150, 170)]
+        view = _schedule(*entries).entries
+        assert view[1] == entries[1]
+        assert view[-1] == entries[-1]
+        assert view[1:] == entries[1:]
+        assert not hasattr(view, "append")
+        with pytest.raises(TypeError):
+            view[0] = entries[0]
+
+
+class TestImmutability:
+    def test_assigning_any_attribute_raises(self):
+        schedule = _schedule(_entry("l0", "m#0", 0, "a0", 0, 100))
+        for name in ("sub_accelerator_names", "clock_hz",
+                     "idle_energy_pj_per_cycle_per_pe",
+                     "pes_per_sub_accelerator", "instance_predecessors",
+                     "instance_release_cycles", "instance_deadline_cycles",
+                     "makespan_cycles", "dynamic_energy_pj", "entries",
+                     "brand_new_attribute"):
+            with pytest.raises(AttributeError):
+                setattr(schedule, name, None)
+        with pytest.raises(AttributeError):
+            del schedule.clock_hz
+
+    def test_no_mutation_api(self):
+        assert not hasattr(Schedule, "add")
+        assert not hasattr(Schedule, "extend")
+
+    def test_pickle_round_trip_is_equal(self):
+        schedule = _schedule(_entry("l0", "m#0", 0, "a0", 0, 100),
+                             _entry("l1", "m#0", 1, "a1", 100, 250),
+                             instance_release_cycles={"m#0": 0.0})
+        clone = pickle.loads(pickle.dumps(schedule))
+        assert clone == schedule
+        assert clone.makespan_cycles == schedule.makespan_cycles
+        assert clone.busy_cycles("a1") == schedule.busy_cycles("a1")
+
+    def test_foreign_pickle_state_is_refused(self):
+        schedule = _schedule(_entry("l0", "m#0", 0, "a0", 0, 100))
+        clone = Schedule.__new__(Schedule)
+        with pytest.raises(pickle.UnpicklingError):
+            clone.__setstate__({"entries": list(schedule.entries)})
 
 
 class TestAccounting:
-    def _populated(self):
-        schedule = _empty_schedule()
-        schedule.add(_entry("l0", "m#0", 0, "a0", 0, 100))
-        schedule.add(_entry("l1", "m#0", 1, "a1", 100, 250))
-        schedule.add(_entry("l0", "n#0", 0, "a1", 250, 300))
-        return schedule
+    def _populated(self, **metadata):
+        return _schedule(_entry("l0", "m#0", 0, "a0", 0, 100),
+                         _entry("l1", "m#0", 1, "a1", 100, 250),
+                         _entry("l0", "n#0", 0, "a1", 250, 300), **metadata)
 
     def test_makespan(self):
         assert self._populated().makespan_cycles == 300
         assert self._populated().makespan_seconds == pytest.approx(300e-9)
 
     def test_empty_makespan_zero(self):
-        assert _empty_schedule().makespan_cycles == 0.0
+        assert _schedule().makespan_cycles == 0.0
 
     def test_busy_and_idle_cycles(self):
         schedule = self._populated()
@@ -99,8 +149,7 @@ class TestAccounting:
         assert self._populated().idle_energy_pj == 0.0
 
     def test_idle_energy_with_leakage(self):
-        schedule = self._populated()
-        schedule.idle_energy_pj_per_cycle_per_pe = 0.01
+        schedule = self._populated(idle_energy_pj_per_cycle_per_pe=0.01)
         assert schedule.idle_energy_pj > 0.0
 
     def test_edp_product(self):
@@ -112,6 +161,14 @@ class TestAccounting:
         chain = self._populated().entries_for_instance("m#0")
         assert [entry.layer_index for entry in chain] == [0, 1]
 
+    def test_entries_for_orders_by_start_then_finish(self):
+        schedule = _schedule(_entry("late", "m#0", 0, "a0", 50, 80),
+                             _entry("long", "n#0", 0, "a0", 10, 40),
+                             _entry("short", "o#0", 0, "a0", 10, 10))
+        assert [e.layer.name for e in schedule.entries_for("a0")] == \
+            ["short", "long", "late"]
+        assert schedule.entries_for("a1") == []
+
     def test_summary_keys(self):
         assert set(self._populated().summary()) == {
             "latency_s", "energy_mj", "edp_js", "num_layers", "load_imbalance"}
@@ -122,41 +179,12 @@ class TestAccounting:
     def test_unused_sub_accelerator_summary_is_strict_json(self):
         # One sub-accelerator never runs a layer: load_imbalance() is inf, but
         # summary() must stay finite so strict-JSON dumps don't blow up.
-        schedule = _empty_schedule()
-        schedule.add(_entry("l0", "m#0", 0, "a0", 0, 100))
+        schedule = _schedule(_entry("l0", "m#0", 0, "a0", 0, 100))
         assert schedule.load_imbalance() == float("inf")
         summary = schedule.summary()
         assert summary["load_imbalance"] == LOAD_IMBALANCE_UNUSED_SENTINEL
         parsed = json.loads(json.dumps(summary, allow_nan=False))
         assert parsed["load_imbalance"] == LOAD_IMBALANCE_UNUSED_SENTINEL
-
-    def test_timeline_cache_invalidated_by_add(self):
-        schedule = self._populated()
-        assert schedule.busy_cycles("a1") == 200
-        assert [e.layer.name for e in schedule.entries_for("a1")] == ["l1", "l0"]
-        schedule.add(_entry("l1", "n#0", 1, "a1", 300, 360))
-        assert schedule.busy_cycles("a1") == 260
-        assert len(schedule.entries_for("a1")) == 3
-        # The untouched sub-accelerator's figures stay correct too.
-        assert schedule.busy_cycles("a0") == 100
-
-    def test_timeline_cache_survives_direct_entries_mutation(self):
-        schedule = self._populated()
-        assert schedule.busy_cycles("a0") == 100
-        # Appending to .entries directly (bypassing add) must not serve stale
-        # accounting.
-        schedule.entries.append(_entry("x", "m#0", 2, "a0", 300, 450))
-        assert schedule.busy_cycles("a0") == 250
-
-    def test_add_after_direct_mutation_does_not_mask_invalidation(self):
-        schedule = self._populated()
-        assert schedule.busy_cycles("a0") == 100
-        # Direct append on a0, then add() on a1: the a0 figures must still be
-        # refreshed even though add() only invalidates a1 itself.
-        schedule.entries.append(_entry("x", "m#0", 2, "a0", 300, 450))
-        schedule.add(_entry("y", "n#0", 1, "a1", 300, 360))
-        assert schedule.busy_cycles("a0") == 250
-        assert schedule.busy_cycles("a1") == 260
 
     def test_entries_for_returns_independent_list(self):
         schedule = self._populated()
@@ -167,53 +195,79 @@ class TestAccounting:
 
 class TestValidation:
     def test_valid_schedule_passes(self):
-        schedule = _empty_schedule()
-        schedule.add(_entry("l0", "m#0", 0, "a0", 0, 100))
-        schedule.add(_entry("l1", "m#0", 1, "a0", 100, 200))
-        schedule.validate(expected_layers={"m#0": 2})
+        _schedule(_entry("l0", "m#0", 0, "a0", 0, 100),
+                  _entry("l1", "m#0", 1, "a0", 100, 200)
+                  ).validate(expected_layers={"m#0": 2})
 
     def test_overlap_on_same_sub_accelerator_rejected(self):
-        schedule = _empty_schedule()
-        schedule.add(_entry("l0", "m#0", 0, "a0", 0, 100))
-        schedule.add(_entry("l0", "n#0", 0, "a0", 50, 150))
+        schedule = _schedule(_entry("l0", "m#0", 0, "a0", 0, 100),
+                             _entry("l0", "n#0", 0, "a0", 50, 150))
         with pytest.raises(SchedulingError):
             schedule.validate()
 
     def test_dependence_violation_rejected(self):
-        schedule = _empty_schedule()
-        schedule.add(_entry("l0", "m#0", 0, "a0", 0, 100))
-        schedule.add(_entry("l1", "m#0", 1, "a1", 50, 150))
+        schedule = _schedule(_entry("l0", "m#0", 0, "a0", 0, 100),
+                             _entry("l1", "m#0", 1, "a1", 50, 150))
         with pytest.raises(SchedulingError):
             schedule.validate()
 
     def test_duplicate_layer_index_rejected(self):
-        schedule = _empty_schedule()
-        schedule.add(_entry("l0", "m#0", 0, "a0", 0, 100))
-        schedule.add(_entry("l0b", "m#0", 0, "a1", 100, 200))
+        schedule = _schedule(_entry("l0", "m#0", 0, "a0", 0, 100),
+                             _entry("l0b", "m#0", 0, "a1", 100, 200))
         with pytest.raises(SchedulingError):
             schedule.validate()
 
     def test_non_contiguous_indices_rejected(self):
-        schedule = _empty_schedule()
-        schedule.add(_entry("l0", "m#0", 0, "a0", 0, 100))
-        schedule.add(_entry("l2", "m#0", 2, "a0", 100, 200))
+        schedule = _schedule(_entry("l0", "m#0", 0, "a0", 0, 100),
+                             _entry("l2", "m#0", 2, "a0", 100, 200))
         with pytest.raises(SchedulingError):
             schedule.validate()
 
     def test_missing_layers_detected(self):
-        schedule = _empty_schedule()
-        schedule.add(_entry("l0", "m#0", 0, "a0", 0, 100))
+        schedule = _schedule(_entry("l0", "m#0", 0, "a0", 0, 100))
         with pytest.raises(SchedulingError):
             schedule.validate(expected_layers={"m#0": 2})
 
     def test_unknown_instance_detected(self):
-        schedule = _empty_schedule()
-        schedule.add(_entry("l0", "ghost#0", 0, "a0", 0, 100))
+        schedule = _schedule(_entry("l0", "ghost#0", 0, "a0", 0, 100))
         with pytest.raises(SchedulingError):
             schedule.validate(expected_layers={"m#0": 1})
 
     def test_parallel_execution_on_different_sub_accelerators_allowed(self):
-        schedule = _empty_schedule()
-        schedule.add(_entry("l0", "m#0", 0, "a0", 0, 100))
-        schedule.add(_entry("l0", "n#0", 0, "a1", 0, 80))
-        schedule.validate(expected_layers={"m#0": 1, "n#0": 1})
+        _schedule(_entry("l0", "m#0", 0, "a0", 0, 100),
+                  _entry("l0", "n#0", 0, "a1", 0, 80)
+                  ).validate(expected_layers={"m#0": 1, "n#0": 1})
+
+    def test_overlap_checked_in_start_order_not_commit_order(self):
+        # Committed late-first; sorted by start the two windows just touch.
+        _schedule(_entry("l1", "n#0", 0, "a0", 100, 200),
+                  _entry("l0", "m#0", 0, "a0", 0, 100)).validate()
+        with pytest.raises(SchedulingError, match="before m#0/l0 finishes"):
+            _schedule(_entry("l1", "n#0", 0, "a0", 99, 200),
+                      _entry("l0", "m#0", 0, "a0", 0, 100)).validate()
+
+    def test_zero_length_layer_sharing_a_start_is_not_an_overlap(self):
+        # Ordered by (start, finish) the empty window comes first and the
+        # two touch; compared in commit order they would seem to overlap.
+        _schedule(_entry("long", "m#0", 0, "a0", 100, 200),
+                  _entry("empty", "n#0", 0, "a0", 100, 100)).validate()
+
+
+class TestCompactPickle:
+    def test_scheduled_result_pickles_arrays_not_entries(self, cost_model,
+                                                         small_workload,
+                                                         tiny_chip):
+        from repro.accel.builders import make_hda
+        from repro.core.evaluator import evaluate_design
+        from repro.dataflow.styles import SHIDIANNAO
+
+        result = evaluate_design(make_hda(tiny_chip, [NVDLA, SHIDIANNAO]),
+                                 small_workload, cost_model=cost_model)
+        payload = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
+        assert b"ScheduledLayer" not in payload
+        clone = pickle.loads(payload)
+        assert clone == result
+        assert clone.edp == result.edp
+        clone.schedule.validate(expected_layers={
+            instance.instance_id: instance.num_layers
+            for instance in small_workload.instances()})

@@ -150,6 +150,23 @@ class TestFourWayDesign:
         assert all(count > 0 for count in schedule.layer_counts().values())
 
 
+class TestDuplicateSubAcceleratorNames:
+    """Two arrays sharing a name would share one row of the per-name cost
+    table; both schedulers reject them when building the schedule, with a
+    typed error instead of a misleading overlap failure."""
+
+    @pytest.mark.parametrize("scheduler_class", [HeraldScheduler,
+                                                 GreedyScheduler])
+    def test_rejected_by_both_schedulers(self, cost_model, scheduler_class):
+        import dataclasses
+        from repro.accel.builders import chip_from_spec, make_hda
+        first, second = make_hda(chip_from_spec("edge"),
+                                 [NVDLA, SHIDIANNAO]).sub_accelerators
+        twin = dataclasses.replace(second, name=first.name)
+        with pytest.raises(SchedulingError, match="distinct"):
+            scheduler_class(cost_model).schedule(arvr_a(), [first, twin])
+
+
 class TestGreedyScheduler:
     def test_invalid_metric_rejected(self, cost_model):
         with pytest.raises(SchedulingError):

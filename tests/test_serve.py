@@ -249,16 +249,17 @@ class TestOnlineScheduling:
                     _timeline(scheduler.schedule(workload, accs))
 
     def test_validation_catches_release_violation(self, accs):
-        schedule = Schedule(sub_accelerator_names=(accs[0].name,))
         layer = fc("f", k=4, c=4)
         cost = CostModel().layer_cost(layer, accs[0])
-        schedule.instance_predecessors = {"m#0": (frozenset(),)}
-        schedule.instance_release_cycles = {"m#0": 500.0}
         from repro.core.schedule import ScheduledLayer
-        schedule.entries.append(ScheduledLayer(
-            layer=layer, instance_id="m#0", layer_index=0,
-            sub_accelerator=accs[0].name, start_cycle=100.0,
-            finish_cycle=100.0 + cost.latency_cycles, cost=cost))
+        schedule = Schedule.from_entries(
+            (accs[0].name,),
+            [ScheduledLayer(
+                layer=layer, instance_id="m#0", layer_index=0,
+                sub_accelerator=accs[0].name, start_cycle=100.0,
+                finish_cycle=100.0 + cost.latency_cycles, cost=cost)],
+            instance_predecessors={"m#0": (frozenset(),)},
+            instance_release_cycles={"m#0": 500.0})
         with pytest.raises(SchedulingError, match="release"):
             schedule.validate()
 
@@ -289,7 +290,7 @@ class TestOnlineScheduling:
             assert entry.start_cycle >= releases[entry.instance_id] - 1e-6
 
     def test_frame_summary_of_empty_schedule_is_zeroed(self):
-        schedule = Schedule(sub_accelerator_names=("a",))
+        schedule = Schedule.from_entries(("a",))
         summary = schedule.frame_summary()
         assert summary["frames"] == 0.0
         assert summary["deadline_miss_rate"] == 0.0
