@@ -127,7 +127,8 @@ def _add_resilience_flags(parser: argparse.ArgumentParser) -> None:
                         metavar="N",
                         help="re-run a crashed / hung / transiently failing "
                              "task up to N times before recording a failure "
-                             "(default: fail fast on the first error)")
+                             "(default: no retries; a task failure ends "
+                             "the run with exit 3 after its round)")
     parser.add_argument("--task-timeout",
                         type=_float_at_least(0.0, exclusive=True),
                         default=None, metavar="SECONDS",

@@ -298,9 +298,7 @@ def _mapping_memo_key(layer: Layer, style: DataflowStyle, num_pes: int) -> Tuple
     budget.  Keying on the full frozen ``Layer`` — whose ``__eq__``/``__hash__``
     include the identity fields ``name``/``model_name`` — fragmented same-shape
     layers across blocks, batches, and models into separate entries and pinned
-    every distinct ``Layer`` object in a process-global cache.  The hot-path
-    benchmark patches this function to the historical full-``Layer`` key when
-    emulating the legacy estimator.
+    every distinct ``Layer`` object in a process-global cache.
     """
     return (layer.shape_key, style, num_pes)
 
@@ -350,16 +348,10 @@ def mapping_cache_info() -> MappingCacheInfo:
 
 
 def clear_mapping_cache() -> None:
-    """Drop all memoised mappings (used by tests to measure cold behaviour).
-
-    Tolerates the module globals being swapped for un-memoised variants (the
-    hot-path benchmark does this to emulate the historical estimator).
-    """
+    """Drop all memoised mappings (used by tests to measure cold behaviour)."""
     global _mapping_memo_hits, _mapping_memo_misses
     _mapping_memo.clear()
     _mapping_memo_hits = 0
     _mapping_memo_misses = 0
     for func in (_candidate_factors, _divisors, _search_factors_cached):
-        cache_clear = getattr(func, "cache_clear", None)
-        if cache_clear is not None:
-            cache_clear()
+        func.cache_clear()

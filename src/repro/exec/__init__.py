@@ -6,8 +6,11 @@ evaluations.  This package turns each evaluation into a declarative, picklable
 :class:`ExecutionBackend`:
 
 * :class:`SerialBackend` — in-process, one shared cost model (the default);
-* :class:`ProcessPoolBackend` — chunked ``multiprocessing`` fan-out with
+* :class:`ProcessPoolBackend` — chunked process-pool fan-out with
   cost-model warmth shipped to and recovered from the workers.
+
+Each backend has one dispatch loop, ``run_resilient``; ``run`` is that loop
+with every task required to complete.
 
 :class:`PersistentCostCache` spills the cost model's per-(layer, dataflow,
 hardware) memo to a JSON file so repeated sweeps across process lifetimes

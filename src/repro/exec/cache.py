@@ -26,11 +26,10 @@ journal over the main file (tolerating a torn final line) and the next
 Since format version 3 the cache key is shape-based: the layer component of
 the key is :attr:`~repro.models.layer.Layer.shape_key` (no ``name`` /
 ``model_name``), derived on load from the representative layer embedded in the
-stored :class:`~repro.maestro.cost.LayerCost`.  Files written by older
-versions used full-``Layer`` keys; they are detected by their version header
-and transparently discarded (a one-time cold start, reported through
-:attr:`PersistentCostCache.discarded_version`) instead of failing or silently
-mixing the two key schemes.
+stored :class:`~repro.maestro.cost.LayerCost`.  A file carrying any other
+version header (older versions used full-``Layer`` keys) is treated like any
+other unreadable file: a counted cold start, rewritten in the current format
+on the next save, so the two key schemes never mix.
 """
 
 from __future__ import annotations
@@ -46,12 +45,8 @@ from repro.maestro.cost import CostModel, LayerCost
 from repro.models.layer import Layer, LayerType
 
 #: Format version written to (and required from) cache files.  Version 3
-#: switched the key scheme from full ``Layer`` identity to ``Layer.shape_key``;
-#: older versions are recognised and discarded on load (never mixed).
+#: switched the key scheme from full ``Layer`` identity to ``Layer.shape_key``.
 CACHE_FORMAT_VERSION = 3
-
-#: Versions this build recognises as legacy formats to migrate away from.
-_LEGACY_CACHE_VERSIONS = (1, 2)
 
 
 def model_fingerprint(cost_model: CostModel) -> str:
@@ -180,10 +175,6 @@ class PersistentCostCache:
         self.fallback_count = 0
         #: Entries recovered from the append-only journal on the last load.
         self.journal_replayed = 0
-        #: Version of a recognised legacy cache file that was discarded on
-        #: load (``None`` when the file was current or absent).  A discarded
-        #: legacy file is a planned one-time cold start, not corruption.
-        self.discarded_version: Optional[int] = None
         self._entries: Dict[Tuple, LayerCost] = {}
         self._fingerprint: Optional[str] = None
         self._dirty = False
@@ -205,17 +196,13 @@ class PersistentCostCache:
         Any failure — missing file, bad JSON, wrong version, malformed
         entries — falls back to an empty cache rather than raising, so a
         corrupted cache file degrades to a cold start (counted in
-        :attr:`fallback_count`).  A file written by a recognised *older*
-        format (full-``Layer`` keys, versions 1-2) is not corruption: it is
-        discarded transparently (the key schemes must never mix) and
-        :attr:`discarded_version` records the migration.  Entries surviving
-        only in the append-only journal of a killed run are replayed on top.
+        :attr:`fallback_count`).  Entries surviving only in the append-only
+        journal of a killed run are replayed on top.
         """
         self._entries = {}
         self._fingerprint = None
         self._dirty = False
         self.corrupted = False
-        self.discarded_version = None
         self.journal_replayed = 0
         self._journal_buffer = []
         if os.path.exists(self.path):
@@ -223,21 +210,15 @@ class PersistentCostCache:
                 with open(self.path, "r") as handle:
                     payload = json.load(handle)
                 version = payload.get("version")
-                if version in _LEGACY_CACHE_VERSIONS:
-                    # Old key scheme: start cold and let the next save rewrite
-                    # the file in the current format.
-                    self.discarded_version = version
-                    self._dirty = True
-                elif version != CACHE_FORMAT_VERSION:
+                if version != CACHE_FORMAT_VERSION:
                     raise ValueError(f"unsupported cache version {version!r}")
-                else:
-                    fingerprint = payload["fingerprint"]
-                    entries = {}
-                    for raw in payload["entries"]:
-                        key, cost = _entry_from_json(raw)
-                        entries[key] = cost
-                    self._fingerprint = fingerprint
-                    self._entries = entries
+                fingerprint = payload["fingerprint"]
+                entries = {}
+                for raw in payload["entries"]:
+                    key, cost = _entry_from_json(raw)
+                    entries[key] = cost
+                self._fingerprint = fingerprint
+                self._entries = entries
             # ReproError covers semantically invalid entries (e.g. a
             # hand-edited layer with k=0, rejected by Layer.__post_init__):
             # corruption of any kind degrades to a cold start, never to a
@@ -247,8 +228,7 @@ class PersistentCostCache:
                 self._fingerprint = None
                 self.corrupted = True
                 self.fallback_count += 1
-        if self.discarded_version is None:
-            self._replay_journal()
+        self._replay_journal()
         return len(self._entries)
 
     def _replay_journal(self) -> None:
@@ -443,9 +423,6 @@ class PersistentCostCache:
         if self.corrupted:
             state = ("corrupted, starting cold "
                      f"(fallback #{self.fallback_count})")
-        elif self.discarded_version is not None:
-            state = (f"discarded legacy v{self.discarded_version} file, "
-                     "starting cold")
         else:
             state = f"{len(self)} entries"
         if self.journal_replayed:

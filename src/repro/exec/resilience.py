@@ -59,10 +59,12 @@ class RetryPolicy:
         Extra attempts after the first (``0`` = fail on the first fault; the
         total attempt budget is ``max_retries + 1``).
     task_timeout_s:
-        Execution-time budget per attempt.  In the process pool this is the
-        stall watchdog: when no in-flight task completes for this long, every
-        in-flight task is charged a ``"timeout"`` attempt and the hung
-        workers are killed and replaced.  ``None`` disables the watchdog.
+        Execution-time budget per attempt.  In the process pool this drives
+        the stall watchdog: tasks travel in chunks, and when no in-flight
+        chunk completes within ``task_timeout_s`` times the length of the
+        longest in-flight chunk, every in-flight task is charged a
+        ``"timeout"`` attempt and the hung workers are killed and replaced.
+        ``None`` disables the watchdog.
     backoff_base_s:
         Deterministic exponential backoff: attempt ``k`` (1-based retry)
         waits ``backoff_base_s * 2**(k - 1)`` seconds before re-dispatch.

@@ -124,7 +124,7 @@ class ExecSettings:
     ``max_retries`` / ``task_timeout_s`` build a
     :class:`~repro.exec.RetryPolicy` for the backend when either is set;
     ``partial_ok`` lets a sweep rank whatever completed and report the
-    casualties instead of aborting on the first exhausted task.
+    casualties instead of aborting once a round leaves a task failed.
     """
 
     jobs: int = 1
@@ -134,8 +134,8 @@ class ExecSettings:
     partial_ok: bool = False
 
     def retry_policy(self) -> Optional["RetryPolicy"]:
-        """The retry policy these settings imply, or None for legacy
-        fail-fast execution."""
+        """The retry policy these settings imply, or None for no retries
+        (a failing task then ends the run once its round is over)."""
         if self.max_retries is None and self.task_timeout_s is None:
             return None
         from repro.exec import RetryPolicy

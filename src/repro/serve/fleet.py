@@ -448,10 +448,10 @@ class FleetSimulator:
             if workload is not None
         ]
         failed_ids: frozenset = frozenset()
-        resilient = getattr(self.backend, "run_resilient", None)
-        if resilient is not None and (partial_ok or checkpoint is not None):
-            outcome = resilient(tasks, partial_ok=partial_ok,
-                                checkpoint=checkpoint, scope=scope)
+        if partial_ok or checkpoint is not None:
+            outcome = self.backend.run_resilient(
+                tasks, partial_ok=partial_ok, checkpoint=checkpoint,
+                scope=scope)
             evaluations = dict(outcome.results)
             failed_ids = frozenset(outcome.failed_task_ids)
         else:

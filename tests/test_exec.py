@@ -100,8 +100,12 @@ class TestProcessPoolBackend:
     def test_rejects_bad_parameters(self):
         with pytest.raises(SearchError):
             ProcessPoolBackend(jobs=0)
-        with pytest.raises(SearchError):
-            ProcessPoolBackend(jobs=2, chunk_size=0)
+
+    @pytest.mark.parametrize("knob", ["chunk_size", "start_method",
+                                      "shared_table"])
+    def test_removed_knobs_are_unknown_arguments(self, knob):
+        with pytest.raises(TypeError, match=knob):
+            ProcessPoolBackend(jobs=2, **{knob: None})
 
     def test_matches_serial_backend_on_small_dse(self, small_workload, tiny_chip):
         serial_space = _make_dse(SerialBackend()).explore(

@@ -251,14 +251,16 @@ class TestCacheMigration:
             }],
         }
 
-    def test_legacy_file_is_discarded_not_corrupted(self, tmp_path):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_legacy_file_is_a_counted_cold_start(self, tmp_path, version):
         path = tmp_path / "cache.json"
-        path.write_text(json.dumps(self._legacy_v2_payload()))
+        payload = dict(self._legacy_v2_payload(), version=version)
+        path.write_text(json.dumps(payload))
         cache = PersistentCostCache(str(path))
         assert len(cache) == 0
-        assert not cache.corrupted
-        assert cache.discarded_version == 2
-        assert "legacy v2" in cache.describe()
+        assert cache.corrupted
+        assert cache.fallback_count == 1
+        assert "corrupted, starting cold" in cache.describe()
 
     def test_legacy_file_is_rewritten_in_current_format(self, tmp_path,
                                                         tiny_chip,
@@ -272,7 +274,7 @@ class TestCacheMigration:
         assert payload["version"] == CACHE_FORMAT_VERSION
         assert payload["entries"], "migrated file must carry fresh entries"
         reloaded = PersistentCostCache(str(path))
-        assert reloaded.discarded_version is None
+        assert not reloaded.corrupted
         assert len(reloaded) > 0
 
     def test_future_version_is_corrupted_not_discarded(self, tmp_path):
@@ -280,7 +282,7 @@ class TestCacheMigration:
         path.write_text(json.dumps({"version": 999, "entries": []}))
         cache = PersistentCostCache(str(path))
         assert cache.corrupted
-        assert cache.discarded_version is None
+        assert cache.fallback_count == 1
 
     def test_entries_are_shape_shared_across_models(self, tmp_path):
         """The on-disk cache stores one entry per shape, not per layer name."""
@@ -582,35 +584,5 @@ class TestSharedPoolTable:
         results = backend.run(tasks)
         assert backend.last_new_cache_entries == 0
         assert model.cache_size() == size_before
-        serial = SerialBackend().run(tasks)
-        assert _result_summaries(results) == _result_summaries(serial)
-
-    def test_forced_shared_table_skips_merge_back_on_cold_model(
-            self, tiny_chip, small_workload):
-        """shared_table=True never ships worker entries, results unchanged."""
-        tasks = self._tasks(tiny_chip, small_workload)
-        model = CostModel()
-        backend = ProcessPoolBackend(jobs=2, cost_model=model,
-                                     shared_table=True)
-        results = backend.run(tasks)
-        assert model.cache_size() == 0
-        assert backend.last_new_cache_entries == 0
-        serial = SerialBackend().run(tasks)
-        assert _result_summaries(results) == _result_summaries(serial)
-
-    def test_forced_merge_back_on_prewarmed_model(self, tiny_chip,
-                                                  small_workload):
-        """shared_table=False pins the historical merge-back protocol."""
-        tasks = self._tasks(tiny_chip, small_workload)
-        model = CostModel()
-        for task in tasks:
-            model.prewarm(small_workload.unique_shape_layers(),
-                          task.design.sub_accelerators)
-        backend = ProcessPoolBackend(jobs=2, cost_model=model,
-                                     shared_table=False)
-        results = backend.run(tasks)
-        # Workers recompute nothing (the shipped table covers every query),
-        # so even the merge-back protocol returns zero new entries.
-        assert backend.last_new_cache_entries == 0
         serial = SerialBackend().run(tasks)
         assert _result_summaries(results) == _result_summaries(serial)

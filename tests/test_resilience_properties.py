@@ -363,6 +363,84 @@ class TestFailureClassification:
 
 
 # ---------------------------------------------------------------------------
+# Exact units: genuine library errors (not chaos) inside pool chunks
+# ---------------------------------------------------------------------------
+class _UnknownReleaseWorkload:
+    """A streaming-shaped workload whose trace names an instance its spec
+    lacks, so the scheduler rejects it with a ``SchedulingError``."""
+
+    def __init__(self, spec):
+        self.spec = spec
+        self.name = spec.name
+
+    def to_workload_spec(self):
+        return self.spec
+
+    def release_cycles(self, clock_hz):
+        return {"no-such-instance#0": 0.0}
+
+    def deadline_cycles(self, clock_hz):
+        return {}
+
+
+class _BrokenWorkload(_UnknownReleaseWorkload):
+    """A workload whose expansion raises a programming error."""
+
+    def to_workload_spec(self):
+        raise TypeError("broken workload")
+
+
+def _with_rejected_task(task_bag, workload_cls=_UnknownReleaseWorkload):
+    """The bag with a failing task inserted at index 2 (id ``len(bag)``).
+
+    Six tasks on two jobs are cut into chunks of two, so the failing task
+    shares its chunk with ``task_bag[2]``.
+    """
+    template = task_bag[2]
+    rejected = EvaluationTask(len(task_bag), template.design,
+                              workload_cls(template.workload),
+                              category=template.category)
+    return list(task_bag[:2]) + [rejected] + list(task_bag[2:])
+
+
+def _backend(name, retry_policy=None):
+    if name == "serial":
+        return SerialBackend(cost_model=CostModel(), retry_policy=retry_policy)
+    return ProcessPoolBackend(jobs=2, cost_model=CostModel(),
+                              retry_policy=retry_policy)
+
+
+class TestLibraryErrors:
+    def test_library_error_costs_only_its_own_task_in_a_chunk(
+            self, task_bag, baseline):
+        tasks = _with_rejected_task(task_bag)
+        serial = _backend("serial").run_resilient(tasks, partial_ok=True)
+        pool = _backend("pool").run_resilient(tasks, partial_ok=True)
+        assert _metrics(pool.ordered_results(task_bag)) == baseline
+        assert _metrics(serial.ordered_results(task_bag)) == baseline
+        assert pool.failed_task_ids == (len(task_bag),)
+        assert [f.summary() for f in pool.failures] == \
+            [f.summary() for f in serial.failures]
+        failure = pool.failures[0]
+        assert failure.kind == "error"
+        assert failure.attempts == 1
+        assert "no-such-instance#0" in failure.message
+
+    @pytest.mark.parametrize("name", ["serial", "pool"])
+    def test_library_error_without_policy_raises_task_execution_error(
+            self, task_bag, name):
+        with pytest.raises(TaskExecutionError) as excinfo:
+            _backend(name).run(_with_rejected_task(task_bag))
+        assert [f.task_id for f in excinfo.value.failures] == [len(task_bag)]
+
+    @pytest.mark.parametrize("name", ["serial", "pool"])
+    def test_programming_error_in_a_task_propagates_raw(self, task_bag, name):
+        backend = _backend(name, RetryPolicy(max_retries=2))
+        with pytest.raises(TypeError, match="broken workload"):
+            backend.run(_with_rejected_task(task_bag, _BrokenWorkload))
+
+
+# ---------------------------------------------------------------------------
 # Real process-pool recovery (integration: crashes, hangs, broken pools)
 # ---------------------------------------------------------------------------
 class TestRealPoolRecovery:
