@@ -315,11 +315,10 @@ class PartitionSearch:
         for design in designs:
             for acc in design.sub_accelerators:
                 distinct.setdefault(self.cost_model.hardware_key(acc), acc)
-        # Warmed through :meth:`CostModel.prewarm`, not batch_layer_costs:
-        # candidates reuse sub-accelerator *names* ("hda-0", ...) across
-        # different configurations, and the batch table is name-keyed within
-        # one design.  prewarm keys purely by hardware, and estimates each
-        # configuration's missing shapes in one pass.
+        # :meth:`CostModel.prewarm` keys purely by hardware, never by the
+        # sub-accelerator *names* candidates reuse across configurations
+        # ("hda-0", ...), and estimates each configuration's missing shapes
+        # in one pass; the scheduler's cost columns are keyed the same way.
         self.cost_model.prewarm(workload.unique_shape_layers(),
                                 list(distinct.values()))
         return len(distinct)

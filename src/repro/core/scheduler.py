@@ -224,18 +224,17 @@ class HeraldScheduler:
         self.memory_limit_bytes = memory_limit_bytes
         self.enable_post_processing = enable_post_processing
         self.last_memory_violations = 0
-        #: Per-design ranking memo: sub-accelerator-set key -> {shape: row}.
-        #: Grows lazily (one inner dict per distinct design configuration, one
-        #: row per shape), so re-scheduling on a known design is pure lookups.
-        self._rankings_memo: Dict[Tuple, Dict[Tuple, List[Tuple[float, str,
-                                                                LayerCost,
-                                                                float, int]]]] = {}
+        #: Cost columns: ``(metric,) + hardware key`` -> {shape: (metric
+        #: value, cost, latency cycles)}.  Designs sharing a sub-accelerator
+        #: configuration share its column, whatever they name it.
+        self._columns: Dict[Tuple, Dict[Tuple, Tuple[float, LayerCost,
+                                                     float]]] = {}
 
     def __getstate__(self) -> Dict[str, object]:
         # Schedulers ship to pool workers alongside their cost model; the
-        # rankings memo is cheap to rebuild there and would bloat the pickle.
+        # cost columns are cheap to rebuild there and would bloat the pickle.
         state = dict(self.__dict__)
-        state["_rankings_memo"] = {}
+        state["_columns"] = {}
         return state
 
     def __setstate__(self, state: Dict[str, object]) -> None:
@@ -267,9 +266,9 @@ class HeraldScheduler:
         releases = checked_release_cycles(release_cycles, instances)
         order = self._static_visit_order(workload)
         self.last_memory_violations = order.violations
-        rankings = self._shape_rankings(workload, sub_accelerators)
         slot_acc, slot_cost, slot_latency = self._assign(
-            order, [rankings[shape] for shape in order.shapes],
+            order, self._preference_rows(workload, order.shapes,
+                                         sub_accelerators),
             len(sub_accelerators))
         schedule = self._timeline(order, slot_acc, slot_cost, slot_latency,
                                   sub_accelerators, releases,
@@ -606,50 +605,60 @@ class HeraldScheduler:
             instance_release_cycles=release_cycles,
             instance_deadline_cycles=deadline_cycles)
 
-    def _shape_rankings(self, workload: WorkloadSpec,
-                        sub_accelerators: Sequence[SubAcceleratorConfig]
-                        ) -> Dict[Tuple, List[Tuple[float, str, LayerCost,
-                                                    float, int]]]:
-        """Per-shape sub-accelerator preference rankings, built once per design.
+    def _preference_rows(self, workload: WorkloadSpec, shapes: List[Tuple],
+                         sub_accelerators: Sequence[SubAcceleratorConfig]
+                         ) -> List[List[Tuple[float, str, LayerCost, float,
+                                              int]]]:
+        """Sub-accelerator preference row of each of ``shapes`` (Fig. 8).
 
-        The ranking depends only on the layer *shape* and the (fixed) design,
-        so it is precomputed over the workload's deduped shape set — one
-        batched cost query and one sort per unique shape, shared by all its
-        layer executions.  Rows are ``(metric value, name, cost, latency,
-        sub-accelerator index)`` in preference order (ties broken by name);
-        the trailing dense index addresses the slot arrays of :meth:`_assign`
-        and :meth:`_timeline`.  Metric values and latencies
-        read the cost's cached scalars (filled from identical expressions in
+        A row is ``(metric value, name, cost, latency, sub-accelerator
+        index)`` per sub-accelerator in preference order (ties broken by
+        name); the trailing dense index addresses the slot arrays of
+        :meth:`_assign` and :meth:`_timeline`.  Rows are zipped from one cost
+        column per sub-accelerator: a column depends only on the metric and
+        the configuration's hardware key, so the partition candidates of a
+        sweep, which re-create the same arrays under different splits and
+        names, share columns and query the cost model once per (shape,
+        configuration).  Metric values and latencies read the cost's cached
+        scalars (filled from identical expressions in
         ``LayerCost.__post_init__``), so the rows are bitwise equal to the
-        historical per-call extraction.  Rows are further memoised across
-        :meth:`schedule` calls keyed by the design's named hardware
-        configuration, so repeated scheduling (partition refinement, workload
-        studies on one design) skips even the per-shape lookups.
+        per-call extraction.
         """
-        hardware_key = self.cost_model.hardware_key
-        design_key = (self.metric,) + tuple((acc.name,) + hardware_key(acc)
-                                            for acc in sub_accelerators)
-        rankings = self._rankings_memo.setdefault(design_key, {})
-        representatives = [layer for layer in workload.unique_shape_layers()
-                           if layer.shape_key not in rankings]
-        if not representatives:
-            return rankings
-        table = self.cost_model.batch_layer_costs(representatives,
-                                                  sub_accelerators)
+        columns = [self._column(workload, shapes, acc)
+                   for acc in sub_accelerators]
         names = [acc.name for acc in sub_accelerators]
+        indices = range(len(names))
+        rows = []
+        for cells in zip(*columns):
+            row = [(metric, name, cost, latency, idx)
+                   for (metric, cost, latency), name, idx
+                   in zip(cells, names, indices)]
+            row.sort(key=_RANK_ORDER)
+            rows.append(row)
+        return rows
+
+    def _column(self, workload: WorkloadSpec, shapes: List[Tuple],
+                sub_accelerator: SubAcceleratorConfig
+                ) -> List[Tuple[float, LayerCost, float]]:
+        """``(metric value, cost, latency)`` of each of ``shapes`` on one
+        configuration, filled from the workload's shape representatives the
+        first time the column meets them."""
+        column = self._columns.setdefault(
+            (self.metric,) + self.cost_model.hardware_key(sub_accelerator), {})
+        try:
+            return list(map(column.__getitem__, shapes))
+        except KeyError:
+            pass
         attr = _METRIC_CACHED_ATTR.get(self.metric)
         if attr is not None:
             metric_of = operator.attrgetter(attr)
         else:
             metric = self.metric
             metric_of = lambda cost: metric_value(cost, metric)  # noqa: E731
-        for layer in representatives:
-            shape = layer.shape_key
-            ranked = []
-            for idx, name in enumerate(names):
-                cost = table[(shape, name)]
-                ranked.append((metric_of(cost), name, cost,
-                               cost._latency_cycles, idx))
-            ranked.sort(key=_RANK_ORDER)
-            rankings[shape] = ranked
-        return rankings
+        missing = [layer for layer in workload.unique_shape_layers()
+                   if layer.shape_key not in column]
+        for layer, cost in zip(missing, self.cost_model.layer_costs(
+                missing, sub_accelerator)):
+            column[layer.shape_key] = (metric_of(cost), cost,
+                                       cost._latency_cycles)
+        return list(map(column.__getitem__, shapes))

@@ -14,14 +14,15 @@ times.  The memo key is :attr:`~repro.models.layer.Layer.shape_key` — every
 loop dimension plus ``stride``/``upscale``/operator type, but no identity
 fields — so the repeated blocks inside one model, the batch copies of one
 instance, and equal shapes across different models all share a single entry;
-:meth:`CostModel.batch_layer_costs` exploits this by deduping a whole layer
-list before estimating anything.
+:meth:`CostModel.prewarm` exploits this by deduping a whole layer list before
+estimating anything, and :meth:`CostModel.layer_costs` serves a list of
+distinct shapes on one configuration with the hardware key computed once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import HardwareConfigError
 from repro.units import cycles_to_seconds, picojoules_to_millijoules
@@ -251,12 +252,7 @@ class CostModel:
         if cached is not None:
             self.hits += 1
             return cached
-        self.misses += 1
-        cost = self._compute_cost(layer, sub_accelerator)
-        self._cache[key] = cost
-        if self.new_entry_hook is not None:
-            self.new_entry_hook(key, cost)
-        return cost
+        return self._install_computed(key, layer, sub_accelerator)
 
     def _compute_cost(self, layer: Layer,
                       sub_accelerator: SubAcceleratorConfig) -> LayerCost:
@@ -287,94 +283,63 @@ class CostModel:
             scored.append((style, cost))
         return min(scored, key=lambda pair: metric_value(pair[1], metric))
 
-    def batch_layer_costs(self, layers: Sequence[Layer],
-                          sub_accelerators: Sequence[SubAcceleratorConfig]
-                          ) -> Dict[Tuple[Tuple, str], LayerCost]:
-        """Cost table for ``layers`` x ``sub_accelerators``, deduped by shape.
+    def layer_costs(self, layers: Iterable[Layer],
+                    sub_accelerator: SubAcceleratorConfig) -> List[LayerCost]:
+        """:meth:`layer_cost` of each of ``layers`` on one configuration.
 
-        The batch entry point of the hot path: duplicate shapes are collapsed
-        *before* any estimation, so a 53-layer MobileNetV2 with repeated
-        inverted-residual blocks pays for its ~20 unique shapes only.  Returns
-        ``{(shape_key, sub_accelerator.name): LayerCost}``; the table covers
-        every input layer because equal shapes map to the same entry.
+        The batch form for per-configuration cost columns: the hardware key
+        is computed once, not per layer.  Counters and ``new_entry_hook``
+        firings are exactly those of the per-layer calls, in order.
         """
-        table: Dict[Tuple[Tuple, str], LayerCost] = {}
+        hw_key = self.hardware_key(sub_accelerator)
         cache = self._cache
-        for acc in sub_accelerators:
-            acc_name = acc.name
-            hw_key = self.hardware_key(acc)
-            missing: List[Tuple[Tuple, Layer]] = []
-            pending: List[Tuple[Tuple[Tuple, str], Tuple]] = []
-            for layer in layers:
-                shape = layer.shape_key
-                entry = (shape, acc_name)
-                if entry in table:
-                    continue
-                # Inline fast path of :meth:`layer_cost` with the hardware key
-                # hoisted out of the layer loop; misses are collected and
-                # estimated together per sub-accelerator.
-                key = (shape,) + hw_key
-                cached = cache.get(key)
-                if cached is not None:
-                    self.hits += 1
-                    table[entry] = cached
-                else:
-                    table[entry] = None  # type: ignore[assignment] # dedupe marker
-                    missing.append((key, layer))
-                    pending.append((entry, key))
-            if missing:
-                self._install_computed(missing, acc)
-                for entry, key in pending:
-                    table[entry] = cache[key]
-        return table
+        costs = []
+        for layer in layers:
+            key = (layer.shape_key,) + hw_key
+            cost = cache.get(key)
+            if cost is None:
+                cost = self._install_computed(key, layer, sub_accelerator)
+            else:
+                self.hits += 1
+            costs.append(cost)
+        return costs
 
     def prewarm(self, layers: Sequence[Layer],
                 sub_accelerators: Sequence[SubAcceleratorConfig]) -> int:
         """Populate the memo for ``layers`` x ``sub_accelerators`` up front.
 
-        Unlike :meth:`batch_layer_costs` this keys nothing by sub-accelerator
-        *name*, so candidate configurations that reuse a name (partition
-        candidates all call their RDA ``"hda-0"``) are each estimated; two
-        configurations sharing a :meth:`hardware_key` still share entries.
-        Warm pairs count as hits, exactly as the historical per-pair
+        Layers are deduped by shape before anything is estimated, so a
+        53-layer MobileNetV2 with repeated inverted-residual blocks pays for
+        its ~20 unique shapes only.  Nothing is keyed by sub-accelerator
+        *name*: candidate configurations that reuse a name (partition
+        candidates all call their RDA ``"hda-0"``) are each estimated, and two
+        configurations sharing a :meth:`hardware_key` share entries.  Warm
+        pairs count as hits, exactly as the historical per-pair
         :meth:`layer_cost` prewarm loop did.  Returns the number of entries
         actually computed (the cold-evaluation count callers credit to their
         backend totals).
         """
-        computed = 0
+        unique: Dict[Tuple, Layer] = {}
+        for layer in layers:
+            unique.setdefault(layer.shape_key, layer)
+        misses = self.misses
         for acc in sub_accelerators:
-            hw_key = self.hardware_key(acc)
-            seen = set()
-            missing: List[Tuple[Tuple, Layer]] = []
-            for layer in layers:
-                key = (layer.shape_key,) + hw_key
-                if key in seen:
-                    continue
-                seen.add(key)
-                if key in self._cache:
-                    self.hits += 1
-                else:
-                    missing.append((key, layer))
-            if missing:
-                self._install_computed(missing, acc)
-                computed += len(missing)
-        return computed
+            self.layer_costs(unique.values(), acc)
+        return self.misses - misses
 
-    def _install_computed(self, missing: Sequence[Tuple[Tuple, Layer]],
-                          sub_accelerator: SubAcceleratorConfig) -> None:
-        """Estimate and memoise ``missing`` (key, layer) pairs on one config.
+    def _install_computed(self, key: Tuple, layer: Layer,
+                          sub_accelerator: SubAcceleratorConfig) -> LayerCost:
+        """Estimate, count and memoise the cost of one missing ``key``.
 
-        Counter and hook semantics match :meth:`layer_cost`'s miss path: one
-        counted miss and one ``new_entry_hook`` firing per computed cost, in
-        discovery order.
+        The miss path of :meth:`layer_cost` and :meth:`layer_costs`: one
+        counted miss and one ``new_entry_hook`` firing per computed cost.
         """
-        hook = self.new_entry_hook
-        for key, layer in missing:
-            cost = self._compute_cost(layer, sub_accelerator)
-            self.misses += 1
-            self._cache[key] = cost
-            if hook is not None:
-                hook(key, cost)
+        self.misses += 1
+        cost = self._compute_cost(layer, sub_accelerator)
+        self._cache[key] = cost
+        if self.new_entry_hook is not None:
+            self.new_entry_hook(key, cost)
+        return cost
 
     def cache_size(self) -> int:
         """Number of memoised (layer, hardware) cost entries."""

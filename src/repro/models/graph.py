@@ -68,16 +68,13 @@ class ModelGraph:
                 )
         if producer == consumer:
             raise GraphError(f"model {self.name!r}: self-edge on {producer!r}")
-        self._successors[producer].add(consumer)
-        self._predecessors[consumer].add(producer)
-        self._derived.clear()
-        if self._has_cycle():
-            self._successors[producer].discard(consumer)
-            self._predecessors[consumer].discard(producer)
-            self._derived.clear()
+        if self._reaches(consumer, producer):
             raise GraphError(
                 f"model {self.name!r}: edge ({producer!r} -> {consumer!r}) creates a cycle"
             )
+        self._successors[producer].add(consumer)
+        self._predecessors[consumer].add(producer)
+        self._derived.clear()
 
     def chain(self) -> None:
         """Link layers in insertion order (layer i depends on layer i-1)."""
@@ -228,11 +225,23 @@ class ModelGraph:
             self._derived["retirement_indices"] = cached
         return cached
 
-    def _has_cycle(self) -> bool:
-        try:
-            self.dependence_order()
-        except GraphError:
-            return True
+    def _reaches(self, source: str, target: str) -> bool:
+        """Whether ``target`` is reachable from ``source`` over the edges.
+
+        The graph is acyclic before every :meth:`add_edge`, so the new edge
+        closes a cycle exactly when its producer is reachable from its
+        consumer.  The search visits only the consumer's descendants: none
+        while a model is wired front to back, as :meth:`chain` does.
+        """
+        stack = [source]
+        seen = {source}
+        while stack:
+            for successor in self._successors[stack.pop()]:
+                if successor == target:
+                    return True
+                if successor not in seen:
+                    seen.add(successor)
+                    stack.append(successor)
         return False
 
     @property

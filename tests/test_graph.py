@@ -5,6 +5,7 @@ import pytest
 from repro.exceptions import GraphError
 from repro.models.graph import ModelGraph
 from repro.models.layer import conv2d, fc, pwconv
+from repro.models.zoo import available_models, build_model
 
 
 def _three_layer_graph() -> ModelGraph:
@@ -68,6 +69,35 @@ class TestEdges:
         with pytest.raises(GraphError):
             graph.add_edge("c", "a")
         assert len(graph.dependence_order()) == 3
+
+    def test_cycle_closing_edge_leaves_edges_and_order_unchanged(self):
+        graph = ModelGraph.from_layers(
+            "deep", [fc(name, k=4, c=4) for name in "abcdef"])
+        graph.add_edge("b", "e")
+        edges = graph.edges()
+        order = [layer.name for layer in graph.dependence_order()]
+        # Both close a cycle only through a multi-hop path (f <- ... <- c).
+        for producer, consumer in (("f", "c"), ("d", "a")):
+            with pytest.raises(GraphError, match=(
+                    rf"edge \('{producer}' -> '{consumer}'\) creates a cycle")):
+                graph.add_edge(producer, consumer)
+            assert graph.edges() == edges
+            assert [layer.name for layer in graph.dependence_order()] == order
+        graph.add_edge("a", "f")  # a forward edge is still accepted
+        assert ("a", "f") in graph.edges()
+
+    def test_zoo_graphs_rebuild_identically_from_their_edges(self):
+        """Replaying each zoo model's edges newest-first, so every insertion
+        runs the reachability search over an already-wired tail, gives back
+        the same edges and dependence order."""
+        for name in available_models():
+            model = build_model(name)
+            rebuilt = ModelGraph.from_layers(name, model.layers,
+                                             sequential=False)
+            for producer, consumer in reversed(model.edges()):
+                rebuilt.add_edge(producer, consumer)
+            assert rebuilt.edges() == model.edges()
+            assert rebuilt.dependence_order() == model.dependence_order()
 
     def test_predecessors_and_successors(self):
         graph = _three_layer_graph()

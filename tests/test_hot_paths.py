@@ -43,6 +43,7 @@ from repro.dataflow.styles import ALL_STYLES, EYERISS, NVDLA, SHIDIANNAO
 from repro.exec import (EvaluationTask, PersistentCostCache,
                         ProcessPoolBackend, SerialBackend)
 from repro.exec.cache import CACHE_FORMAT_VERSION
+from repro.exceptions import HardwareConfigError, SchedulingError
 from repro.maestro.cost import CostModel, clear_all_memos
 from repro.maestro.hardware import SubAcceleratorConfig
 from repro.maestro.reuse import (analyse_layer_reuse, clear_reuse_cache,
@@ -169,20 +170,25 @@ class TestShapeKey:
         assert wider.shape_key != layer.shape_key
 
 
-class TestBatchLayerCosts:
+class TestShapeDedupedCosts:
     def test_dedupes_by_shape_before_estimating(self):
         model = CostModel()
         accs = [_sub(NVDLA, name="a0"), _sub(SHIDIANNAO, name="a1")]
         layers = [conv2d(f"l{i}", k=8, c=4, y=16, x=16, r=3, s=3)
                   for i in range(10)]
         layers.append(fc("head", k=10, c=64))
-        table = model.batch_layer_costs(layers, accs)
+        assert model.prewarm(layers, accs) == 2 * 2
         assert model.misses == 2 * 2  # 2 unique shapes x 2 sub-accelerators
-        assert len(table) == 4
-        for layer in layers:
-            for acc in accs:
-                assert table[(layer.shape_key, acc.name)] is \
-                    model.layer_cost(layer, acc)
+        assert model.hits == 0
+        graph = ModelGraph.from_layers("rep", layers)
+        workload = WorkloadSpec.from_models("w", [graph], batches=3)
+        schedule = HeraldScheduler(model).schedule(workload, accs)
+        # One column query per (shape, sub-accelerator), all warm.
+        assert (model.hits, model.misses) == (2 * 2, 2 * 2)
+        by_name = {acc.name: acc for acc in accs}
+        for entry in schedule.entries:
+            assert entry.cost is model.layer_cost(
+                entry.layer, by_name[entry.sub_accelerator])
 
     def test_prewarmed_partition_search_evaluates_without_cold_queries(
             self, tiny_chip, small_workload):
@@ -199,6 +205,62 @@ class TestBatchLayerCosts:
             search._evaluate(tiny_chip, styles, small_workload, pes, bws)
         assert model.misses == misses_before, \
             "candidate evaluation after prewarm must be pure memo lookups"
+
+
+class TestCostColumns:
+    """Fig. 8 preference rows are zipped from one cost column per
+    (metric, hardware key), shared by every design using that array."""
+
+    def test_columns_are_shared_across_partition_candidates(
+            self, tiny_chip, small_workload):
+        model = CostModel()
+        scheduler = HeraldScheduler(model)
+        search = PartitionSearch(cost_model=model, scheduler=scheduler,
+                                 pe_steps=4, bw_steps=2)
+        # A two-way split fixes the whole design by its first array, so the
+        # sharing comes from a common NVDLA across style combinations and
+        # from three-way splits that keep one array while moving the others.
+        rounds = []
+        for styles in ([NVDLA, SHIDIANNAO], [NVDLA, EYERISS],
+                       [NVDLA, SHIDIANNAO, EYERISS]):
+            candidates = search.candidate_partitions(tiny_chip, len(styles))
+            search.prewarm(tiny_chip, styles, small_workload, candidates)
+            rounds.extend((styles, pes, bws) for pes, bws in candidates)
+        model.reset_stats()
+        hardware_keys = set()
+        placements = 0
+        for styles, pes, bws in rounds:
+            design = search._build_design(tiny_chip, styles, pes, bws)
+            hardware_keys.update(model.hardware_key(acc)
+                                 for acc in design.sub_accelerators)
+            placements += len(design.sub_accelerators)
+            search._evaluate(tiny_chip, styles, small_workload, pes, bws)
+        assert len(hardware_keys) < placements, \
+            "the candidates must share hardware for this test to bite"
+        assert model.misses == 0
+        assert model.hits == len(hardware_keys) * small_workload.unique_shapes
+        assert len(scheduler._columns) == len(hardware_keys)
+
+    def test_pickled_scheduler_carries_no_columns(self, cost_model):
+        workloads = golden_scheduler.build_workloads()
+        accs = golden_scheduler.build_sub_accelerators()
+        scheduler = HeraldScheduler(cost_model)
+        before = scheduler.schedule(workloads["chain"], accs)
+        assert scheduler._columns
+        clone = pickle.loads(pickle.dumps(scheduler))
+        assert clone._columns == {}
+        assert scheduler._columns, "pickling must not clear the original"
+        assert _timeline_tuples(clone.schedule(workloads["chain"], accs)) \
+            == _timeline_tuples(before)
+
+    def test_duplicate_names_end_in_a_typed_error(self, cost_model):
+        """Equal (metric, name) sort keys must never fall through to
+        comparing LayerCost objects."""
+        workloads = golden_scheduler.build_workloads()
+        twin = _sub(NVDLA, name="twin")
+        for accs in ([twin, twin], [twin, _sub(SHIDIANNAO, name="twin")]):
+            with pytest.raises((HardwareConfigError, SchedulingError)):
+                HeraldScheduler(cost_model).schedule(workloads["chain"], accs)
 
 
 class TestWorkloadShapeDedup:
@@ -412,8 +474,8 @@ class TestHeapSchedulerMatchesReference:
         _assert_matches_reference(workload, accs, _REFERENCE_MODEL,
                                   release_cycles=release_cycles, **config)
 
-    def test_rankings_memo_respects_metric_mutation(self, cost_model):
-        """Reassigning scheduler.metric must not serve stale rankings."""
+    def test_cost_columns_respect_metric_mutation(self, cost_model):
+        """Reassigning scheduler.metric must not serve stale columns."""
         workloads = golden_scheduler.build_workloads()
         accs = golden_scheduler.build_sub_accelerators()
         mutated = HeraldScheduler(cost_model, metric="edp")

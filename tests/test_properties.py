@@ -6,6 +6,8 @@ from repro.analysis.pareto import dominates, pareto_front
 from repro.core.partitioner import compositions
 from repro.dataflow.mapping import build_mapping
 from repro.dataflow.styles import ALL_STYLES
+from repro.maestro.cost import CostModel
+from repro.maestro.hardware import SubAcceleratorConfig
 from repro.maestro.reuse import analyse_reuse
 from repro.models.layer import conv2d, dwconv, fc
 from repro.units import mib
@@ -124,6 +126,41 @@ def test_larger_buffer_never_increases_traffic(layer, style, pes):
     large = analyse_reuse(mapping, mib(128))
     assert large.noc_tile_elements <= small.noc_tile_elements
     assert large.dram_accesses <= small.dram_accesses
+
+
+# ---------------------------------------------------------------------------
+# Cost-model invariants
+# ---------------------------------------------------------------------------
+
+#: Energy terms and array-only fields of a LayerCost: none may read a
+#: bandwidth, so hardware keys differing only in NoC/DRAM bandwidth could
+#: share them.
+_BANDWIDTH_FREE_FIELDS = ("energy_compute_pj", "energy_rf_pj",
+                          "energy_local_pj", "energy_noc_pj",
+                          "energy_sram_pj", "energy_dram_pj",
+                          "energy_overhead_pj", "compute_cycles",
+                          "utilisation")
+
+bandwidth_pairs = st.lists(st.floats(min_value=1e8, max_value=1e11),
+                           min_size=2, max_size=2).map(sorted)
+
+
+@given(layer=any_layer, style=styles, pes=pe_counts,
+       buffer_mib=st.sampled_from([0.25, 1, 4, 64]),
+       noc=bandwidth_pairs, dram=bandwidth_pairs)
+@settings(max_examples=120, deadline=None)
+def test_bandwidth_changes_only_latency(layer, style, pes, buffer_mib, noc,
+                                        dram):
+    costs = [CostModel().layer_cost(layer, SubAcceleratorConfig(
+                 name="sub", dataflow=style, num_pes=pes,
+                 bandwidth_bytes_per_s=noc_bw, buffer_bytes=mib(buffer_mib),
+                 dram_bandwidth_bytes_per_s=dram_bw))
+             for noc_bw, dram_bw in zip(noc, dram)]
+    slow, fast = costs
+    for field in _BANDWIDTH_FREE_FIELDS:
+        assert getattr(slow, field).hex() == getattr(fast, field).hex(), field
+    assert slow.energy_pj.hex() == fast.energy_pj.hex()
+    assert fast.latency_cycles <= slow.latency_cycles
 
 
 # ---------------------------------------------------------------------------
