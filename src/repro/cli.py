@@ -181,7 +181,8 @@ def _build_parser() -> argparse.ArgumentParser:
     dse.add_argument("--bw-steps", type=_int_at_least(1), default=4,
                      help="granularity of the bandwidth partition search (>= 1)")
     dse.add_argument("--jobs", type=_int_at_least(1), default=1,
-                     help="worker processes for design evaluation (1 = in-process)")
+                     help="up to N worker processes; in-process when the "
+                          "sweep is too small to pay for them")
     dse.add_argument("--cache-file", default=None, metavar="PATH",
                      help="JSON file the cost-model cache is loaded from / saved to, "
                           "so repeated sweeps start warm")

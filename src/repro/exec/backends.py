@@ -53,7 +53,9 @@ from __future__ import annotations
 
 import collections
 import concurrent.futures
+import io
 import os
+import pickle
 import time
 from concurrent.futures.process import BrokenProcessPool
 from typing import Deque, Dict, List, Optional, Protocol, Sequence, Tuple
@@ -382,36 +384,81 @@ _WORKER_STATE: Dict[str, object] = {}
 #: One unit of pool work: the ``(task, attempt number)`` pairs of a chunk.
 _Chunk = List[Tuple[EvaluationTask, int]]
 
+#: Layer placements (first-round tasks x layer executions) a pool worker
+#: must get before ``--jobs`` pays for it: the 2-core break-even curve of
+#: ``benchmarks/bench_parallel_dse.py``, recorded in docs/ARCHITECTURE.md.
+POOL_PLACEMENTS_PER_WORKER = 100_000
+
+
+def pool_workers(jobs: int, placements: int) -> int:
+    """Workers (at most ``jobs``, at least 1) a sweep of ``placements``
+    layer placements pays for; 1 means it runs in-process."""
+    return max(1, min(jobs, placements // max(POOL_PLACEMENTS_PER_WORKER, 1)))
+
+
+def _snapshot_entry(index: int) -> LayerCost:
+    """Stand-in a worker pickles a snapshot entry as; the parent's
+    :class:`_SnapshotUnpickler` resolves it to the entry."""
+    raise pickle.UnpicklingError(f"snapshot entry {index} needs the snapshot")
+
+
+class _SnapshotPickler(pickle.Pickler):
+    """Worker side: pickles the worker's snapshot entries as
+    :func:`_snapshot_entry` calls.  ``reducer_override`` only sees objects
+    of non-builtin types, where a ``persistent_id`` would see every float."""
+
+    def reducer_override(self, obj: object) -> object:
+        index: Dict[int, int] = _WORKER_STATE["entry_index"]  # type: ignore
+        position = index.get(id(obj))
+        return (NotImplemented if position is None
+                else (_snapshot_entry, (position,)))
+
+
+class _SnapshotUnpickler(pickle.Unpickler):
+    """Resolves :func:`_snapshot_entry` calls to entries of ``snapshot``."""
+
+    def __init__(self, payload: bytes,
+                 snapshot: Tuple[LayerCost, ...]) -> None:
+        super().__init__(io.BytesIO(payload))
+        self._snapshot = snapshot
+
+    def find_class(self, module: str, name: str) -> object:
+        if (module, name) == (__name__, _snapshot_entry.__name__):
+            return self._snapshot.__getitem__
+        return super().find_class(module, name)
+
 
 def _init_worker(cost_model: CostModel, scheduler: HeraldScheduler,
-                 chaos: Optional[ChaosSpec], shared: bool) -> None:
+                 chaos: Optional[ChaosSpec],
+                 snapshot: Optional[Tuple[LayerCost, ...]]) -> None:
     """Pool initializer: adopt the shipped (warm) cost model and scheduler.
 
-    ``cost_model`` and ``scheduler`` are pickled together, so the scheduler's
-    cost-model reference survives the trip and both name the same object here.
-    ``chaos`` is installed only for real-fault chaos.  With ``shared`` the
-    parent guarantees the shipped memo already covers every pair the tasks
-    will read, so the worker neither tracks what was sent nor ships entries
-    back — the table is read-mostly and travels exactly once, with the
-    initializer.
+    The arguments arrive together (inherited under fork, pickled as one
+    under spawn), so the scheduler's cost-model reference survives the trip
+    and the ``snapshot`` entries are this model's memo entries.  ``chaos``
+    is installed only for real-fault chaos.  A ``snapshot`` means the parent
+    memo already covers every pair the tasks will read: the worker neither
+    tracks what was sent nor ships entries back (:class:`_SnapshotPickler`).
     """
     _WORKER_STATE["model"] = cost_model
     _WORKER_STATE["scheduler"] = scheduler
     _WORKER_STATE["chaos"] = chaos
     _WORKER_STATE["sent_keys"] = (
-        None if shared else {key for key, _ in cost_model.cache_items()})
+        None if snapshot is not None
+        else {key for key, _ in cost_model.cache_items()})
+    # Ids are safe keys: the snapshot keeps every entry alive.
+    _WORKER_STATE["entry_index"] = {
+        id(cost): index for index, cost in enumerate(snapshot or ())}
 
 
-def _run_chunk(chunk: _Chunk
-               ) -> Tuple[List[Tuple[Optional[EvaluationResult],
-                                     Optional[str], str]],
-                          List[Tuple[Tuple, LayerCost]], int, int]:
+def _run_chunk(chunk: _Chunk) -> bytes:
     """Worker body: run one attempt of every task in ``chunk``.
 
-    Returns one ``(result, kind, message)`` outcome per task in chunk order
-    (see :func:`_attempt`; a library error costs only its own task), the
-    memo entries computed here that the parent has not seen yet, and the
-    chunk's cost-model hit/miss counts.
+    Returns, pickled by :class:`_SnapshotPickler`, one ``(result, kind,
+    message)`` outcome per task in chunk order (see :func:`_attempt`; a
+    library error costs only its own task), the memo entries computed here
+    that the parent has not seen yet, and the chunk's cost-model hit/miss
+    counts.
 
     With a real-fault chaos spec installed, the worker misbehaves for real:
     ``os._exit`` leaves the parent a broken pool to rebuild, and an
@@ -440,8 +487,11 @@ def _run_chunk(chunk: _Chunk
         new_entries = [(key, cost) for key, cost in model.cache_items()
                        if key not in sent_keys]
         sent_keys.update(key for key, _ in new_entries)
-    return (outcomes, new_entries, model.hits - hits_before,
-            model.misses - misses_before)
+    buffer = io.BytesIO()
+    _SnapshotPickler(buffer, pickle.HIGHEST_PROTOCOL).dump((
+        outcomes, new_entries, model.hits - hits_before,
+        model.misses - misses_before))
+    return buffer.getvalue()
 
 
 class ProcessPoolBackend(_ResilientMixin):
@@ -457,7 +507,8 @@ class ProcessPoolBackend(_ResilientMixin):
     parent model, so a subsequent run — serial or parallel — starts warm.
     When the parent memo already covers everything a run reads (a prewarmed
     sweep), the table is instead treated as shared and read-mostly: it ships
-    once with the pool initializer and the merge-back is skipped entirely.
+    once with the pool initializer, the merge-back is skipped entirely, and
+    the results come back referencing the parent's memo entries, not copies.
 
     A dead worker breaks the pool; the backend rebuilds it and charges a
     ``crash`` attempt to the tasks of every in-flight chunk (under
@@ -570,8 +621,10 @@ class ProcessPoolBackend(_ResilientMixin):
         chaos = self.chaos
         simulated = chaos is not None and not chaos.real_faults
         real = chaos is not None and chaos.real_faults
+        snapshot = (tuple(cost for _, cost in self.cost_model.cache_items())
+                    if self._table_is_shared(tasks) else None)
         initargs = (self.cost_model, self.scheduler, chaos if real else None,
-                    self._table_is_shared(tasks))
+                    snapshot)
 
         def make_executor() -> concurrent.futures.ProcessPoolExecutor:
             return concurrent.futures.ProcessPoolExecutor(
@@ -606,8 +659,9 @@ class ProcessPoolBackend(_ResilientMixin):
                 if chunk:
                     in_flight[executor.submit(_run_chunk, chunk)] = chunk
 
-        def record(chunk: _Chunk, payload) -> None:
-            outcomes, new_entries, hits, misses = payload
+        def record(chunk: _Chunk, payload: bytes) -> None:
+            outcomes, new_entries, hits, misses = _SnapshotUnpickler(
+                payload, snapshot or ()).load()
             for key, cost in new_entries:
                 if self.cost_model.install_cached(key, cost):
                     self.last_new_cache_entries += 1

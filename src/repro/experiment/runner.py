@@ -36,6 +36,7 @@ from repro.exec import (
     ProcessPoolBackend,
     SerialBackend,
     SweepCheckpoint,
+    backends,
     sweep_key_from,
 )
 from repro.experiment.report import build_report
@@ -166,18 +167,30 @@ def _run_dse(spec: ExperimentSpec,
     cache = (PersistentCostCache(spec.exec_settings.cache_file)
              if spec.exec_settings.cache_file else None)
     policy = spec.exec_settings.retry_policy()
-    if spec.exec_settings.jobs > 1:
-        backend = ProcessPoolBackend(jobs=spec.exec_settings.jobs,
-                                     cost_model=cost_model,
+    search = search_from_spec(spec.search, cost_model=cost_model,
+                              scheduler=scheduler)
+    dse = HeraldDSE(cost_model=cost_model, scheduler=scheduler,
+                    partition_search=search)
+    jobs = workers = spec.exec_settings.jobs
+    declined = ""
+    if jobs > 1:
+        # A pool pays only for a sweep big enough to amortise its start-up.
+        placements = spec.workload.total_layers * sum(
+            1 for _ in dse.enumerate_tasks(spec.workload, spec.chip))
+        workers = backends.pool_workers(jobs, placements)
+        if workers < jobs:
+            verdict = "declined" if workers == 1 else f"capped at {workers}"
+            declined = (f" (--jobs {jobs} {verdict}: {placements} layer "
+                        f"placements, a pool worker needs "
+                        f"{backends.POOL_PLACEMENTS_PER_WORKER})")
+    if workers > 1:
+        backend = ProcessPoolBackend(jobs=workers, cost_model=cost_model,
                                      scheduler=scheduler, cache=cache,
                                      retry_policy=policy)
     else:
         backend = SerialBackend(cost_model=cost_model, scheduler=scheduler,
                                 cache=cache, retry_policy=policy)
-    search = search_from_spec(spec.search, cost_model=cost_model,
-                              scheduler=scheduler)
-    dse = HeraldDSE(cost_model=cost_model, scheduler=scheduler,
-                    partition_search=search, backend=backend)
+    dse.backend = backend
     try:
         space = dse.explore(spec.workload, spec.chip,
                             partial_ok=spec.exec_settings.partial_ok,
@@ -186,7 +199,7 @@ def _run_dse(spec: ExperimentSpec,
         print(f"error: {error}", file=sys.stderr)
         return ExperimentOutcome(exit_code=3)
     print(space.describe())
-    print(f"execution backend: {backend.describe()}")
+    print(f"execution backend: {backend.describe()}{declined}")
     print(f"cost model: {backend.total_cold_evaluations} cold evaluations, "
           f"{backend.total_cache_hits} cache hits")
     if checkpoint is not None:
@@ -221,6 +234,7 @@ def _run_dse(spec: ExperimentSpec,
         "executed_tasks": float(space.executed_tasks),
         "resumed_tasks": float(space.resumed_tasks),
         "retried_attempts": float(space.retried_attempts),
+        "workers": float(workers),
     }
     return _finish(spec, metrics, details, timing)
 

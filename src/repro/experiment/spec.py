@@ -29,6 +29,7 @@ from typing import Dict, List, Optional, Union
 from repro.accel.builders import chip_from_spec, design_from_spec
 from repro.accel.design import AcceleratorDesign
 from repro.core.partitioner import search_from_spec
+from repro.dataflow import ALL_STYLES
 from repro.exceptions import SpecError
 from repro.maestro.hardware import ChipConfig
 from repro.serve.faults import FaultSpec, faults_from_spec
@@ -370,8 +371,18 @@ def experiment_from_spec(spec: object,
         search = expect_mapping(mapping.get("search", {}),
                                 spec_path(path, "search"))
         # Validate eagerly (and discard): the runner rebuilds against the
-        # run's shared cost model.
-        search_from_spec(search, path=spec_path(path, "search"))
+        # run's shared cost model.  The search splits the chip's PEs into
+        # equal steps, at least one per style of the widest HDA.
+        pe_steps = search_from_spec(search, spec_path(path, "search")).pe_steps
+        pes, parts = chip.num_pes, len(ALL_STYLES)
+        step = max(1, pes // pe_steps)
+        if pes % step or pes // step < parts:
+            valid = [str(n) for n in range(parts, pes + 1) if pes % n == 0]
+            raise SpecError(
+                f"{spec_path(path, 'search')}.pe_steps: {pe_steps} does not "
+                f"divide the {pes} PEs of chip {chip.name!r} into equal "
+                f"steps, at least one per sub-accelerator of a {parts}-way "
+                f"HDA; valid step counts: {', '.join(valid)}")
     else:
         _forbid(mapping, kind, path, "search")
 

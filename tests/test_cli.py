@@ -1,5 +1,6 @@
 """Tests for the ``herald`` command-line interface."""
 
+import json
 import os
 import subprocess
 import sys
@@ -7,6 +8,8 @@ import sys
 import pytest
 
 from repro.cli import main
+from repro.exec import backends
+from repro.experiment import load_report
 
 
 class TestDescribe:
@@ -54,9 +57,15 @@ class TestDse:
         warm_best = [line for line in warm_output.splitlines() if "best" in line]
         assert cold_best == warm_best
 
-    def test_dse_parallel_jobs_match_serial(self, tmp_path, capsys):
-        base = ["dse", "--workload", "arvr-a", "--chip", "edge",
-                "--pe-steps", "4", "--bw-steps", "1"]
+    _SMOKE = ["dse", "--workload", "arvr-a", "--chip", "edge",
+              "--pe-steps", "4", "--bw-steps", "1"]
+
+    def test_dse_parallel_jobs_match_serial(self, tmp_path, capsys,
+                                            monkeypatch):
+        # The smoke cell is far below the pool break-even; a zero break-even
+        # keeps this test on real workers.
+        monkeypatch.setattr(backends, "POOL_PLACEMENTS_PER_WORKER", 0)
+        base = self._SMOKE
         assert main(base + ["--jobs", "1"]) == 0
         serial_output = capsys.readouterr().out
         assert main(base + ["--jobs", "2"]) == 0
@@ -65,6 +74,56 @@ class TestDse:
         serial_best = [line for line in serial_output.splitlines() if "best" in line]
         parallel_best = [line for line in parallel_output.splitlines() if "best" in line]
         assert serial_best == parallel_best
+
+    def test_dse_jobs_declined_below_pool_break_even(self, tmp_path, capsys):
+        serial_report = str(tmp_path / "serial.json")
+        pool_report = str(tmp_path / "pool.json")
+        assert main(self._SMOKE + ["--report", serial_report]) == 0
+        serial_output = capsys.readouterr().out
+        assert main(self._SMOKE + ["--jobs", "2", "--report",
+                                   pool_report]) == 0
+        declined_output = capsys.readouterr().out
+        assert ("execution backend: serial (in-process) (--jobs 2 declined: "
+                "7828 layer placements, a pool worker needs "
+                f"{backends.POOL_PLACEMENTS_PER_WORKER})") in declined_output
+        assert ([line for line in serial_output.splitlines() if "best" in line]
+                == [line for line in declined_output.splitlines()
+                    if "best" in line])
+        declined, serial = load_report(pool_report), load_report(serial_report)
+        assert declined["timing"]["workers"] == serial["timing"]["workers"] == 1
+        for section in ("metrics", "details"):
+            assert declined[section] == serial[section]
+
+    def test_dse_jobs_capped_by_sweep_size(self, capsys, monkeypatch):
+        monkeypatch.setattr(backends, "POOL_PLACEMENTS_PER_WORKER", 7828 // 2)
+        assert main(self._SMOKE + ["--jobs", "3"]) == 0
+        assert ("execution backend: process pool (2 jobs) (--jobs 3 capped at "
+                "2: 7828 layer placements, a pool worker needs 3914)"
+                in capsys.readouterr().out)
+
+    @pytest.mark.parametrize("chip, pe_steps, valid", [
+        ("edge", "3", "4, 8, 16, 32, 64, 128, 256, 512, 1024"),
+        ("edge", "2", "4, 8, 16, 32, 64, 128, 256, 512, 1024"),
+        ("cloud", "24", "4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, "
+                        "8192, 16384"),
+    ])
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_dse_pe_steps_must_divide_the_chip(self, chip, pe_steps, valid,
+                                               jobs, capsys):
+        assert main(["dse", "--chip", chip, "--pe-steps", pe_steps,
+                     "--jobs", jobs]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: search.pe_steps: {pe_steps} does not "
+                              f"divide the ")
+        assert err.rstrip().endswith(f"valid step counts: {valid}")
+
+    def test_spec_pe_steps_must_divide_the_chip(self, tmp_path, capsys):
+        spec_file = tmp_path / "dse.json"
+        spec_file.write_text(json.dumps({"kind": "dse", "chip": "edge",
+                                         "search": {"pe_steps": 3}}))
+        assert main(["run", str(spec_file)]) == 2
+        assert ("error: search.pe_steps: 3 does not divide the 1024 PEs of "
+                "chip 'edge'" in capsys.readouterr().err)
 
     def test_dse_imports_no_third_party_package(self):
         """The package is stdlib-only: a full ``herald dse`` run in a fresh

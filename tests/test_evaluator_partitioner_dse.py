@@ -3,6 +3,7 @@
 import pytest
 
 from repro.accel.builders import make_fda, make_hda, make_rda, make_smfda
+from repro.accel.classes import accelerator_class
 from repro.core.dse import HeraldDSE
 from repro.core.evaluator import evaluate_design, evaluate_designs
 from repro.core.greedy import GreedyScheduler
@@ -69,6 +70,13 @@ class TestCompositions:
     def test_too_many_parts_rejected(self):
         with pytest.raises(SearchError):
             compositions(4, 5, 1)
+
+    def test_search_keeps_raising_search_error_on_uneven_pe_steps(self):
+        # Spec validation turns this into a SpecError; library callers of
+        # the partition search still get the typed SearchError.
+        search = PartitionSearch(pe_steps=3)
+        with pytest.raises(SearchError, match="multiple of step 341"):
+            search.candidate_partitions(accelerator_class("edge"), 2)
 
 
 class TestPartitionSearch:

@@ -131,9 +131,11 @@ class TestProcessPoolBackend:
         tasks = [EvaluationTask(i, design, small_workload)
                  for i, design in enumerate(enumerate_fdas(tiny_chip))]
         assert model.cache_size() == 0
-        backend.run(tasks)
+        results = backend.run(tasks)
         assert model.cache_size() > 0
         assert backend.last_new_cache_entries == model.cache_size()
+        assert ([result.schedule for result in results]
+                == [result.schedule for result in SerialBackend().run(tasks)])
 
     def test_empty_task_list(self):
         assert ProcessPoolBackend(jobs=2).run([]) == []

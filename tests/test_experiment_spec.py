@@ -204,6 +204,12 @@ _ERROR_CASES = [
     ({"kind": "dse", "exec": {"vectorized": True}},
      "exec.vectorized: unknown key (allowed: ['cache_file', 'jobs', "
      "'max_retries', 'partial_ok', 'task_timeout_s'])"),
+    # A PE step the chip's PEs do not divide into is a spec error, not a
+    # SearchError traceback from the partition enumeration.
+    ({"kind": "dse", "chip": "mobile", "search": {"pe_steps": 3}},
+     "search.pe_steps: 3 does not divide the 4096 PEs of chip 'mobile' into "
+     "equal steps, at least one per sub-accelerator of a 3-way HDA; valid "
+     "step counts: 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096"),
 ]
 
 

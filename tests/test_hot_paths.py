@@ -41,7 +41,8 @@ from repro.dataflow.mapping import (build_mapping, clear_mapping_cache,
                                     mapping_cache_info)
 from repro.dataflow.styles import ALL_STYLES, EYERISS, NVDLA, SHIDIANNAO
 from repro.exec import (EvaluationTask, PersistentCostCache,
-                        ProcessPoolBackend, SerialBackend)
+                        ProcessPoolBackend, SerialBackend, backends)
+from repro.exec.backends import pool_workers
 from repro.exec.cache import CACHE_FORMAT_VERSION
 from repro.exceptions import HardwareConfigError, SchedulingError
 from repro.maestro.cost import CostModel, clear_all_memos
@@ -648,3 +649,41 @@ class TestSharedPoolTable:
         assert model.cache_size() == size_before
         serial = SerialBackend().run(tasks)
         assert _result_summaries(results) == _result_summaries(serial)
+
+    def test_pool_results_reference_the_parent_table(self, tiny_chip,
+                                                     small_workload):
+        """A shared-table pool returns the parent's own memo entries, not
+        copies, and the schedules equal their serial twins."""
+        tasks = self._tasks(tiny_chip, small_workload)
+        model = CostModel()
+        for task in tasks:
+            model.prewarm(small_workload.unique_shape_layers(),
+                          task.design.sub_accelerators)
+        memo = {id(cost) for _, cost in model.cache_items()}
+        results = ProcessPoolBackend(jobs=2, cost_model=model).run(tasks)
+        serial = SerialBackend().run(tasks)
+        for ours, theirs in zip(results, serial):
+            assert all(id(entry.cost) in memo
+                       for entry in ours.schedule.entries)
+            assert ours.schedule == theirs.schedule
+
+
+class TestPoolWorkers:
+    """``--jobs N`` gets one worker per POOL_PLACEMENTS_PER_WORKER layer
+    placements, at most N; a sweep that gets one runs in-process."""
+
+    def test_worker_count(self):
+        per_worker = backends.POOL_PLACEMENTS_PER_WORKER
+        assert pool_workers(1, 100 * per_worker) == 1
+        assert pool_workers(2, 0) == 1
+        assert pool_workers(2, per_worker - 1) == 1
+        assert pool_workers(2, per_worker) == 1
+        assert pool_workers(2, 2 * per_worker - 1) == 1
+        assert pool_workers(2, 2 * per_worker) == 2
+        assert pool_workers(4, 3 * per_worker) == 3
+        assert pool_workers(4, 100 * per_worker) == 4
+
+    def test_zero_break_even_pools_any_real_sweep(self, monkeypatch):
+        monkeypatch.setattr(backends, "POOL_PLACEMENTS_PER_WORKER", 0)
+        assert pool_workers(2, 1) == 1
+        assert pool_workers(2, 7828) == 2
