@@ -235,15 +235,6 @@ class SweepCheckpoint:
         """The stored result for one task, or ``None``."""
         return self._completed.get(self._record_key(scope, task_id))
 
-    def completed_in(self, scope: str) -> Dict[int, EvaluationResult]:
-        """All stored results of one scope, keyed by task id."""
-        prefix = f"{scope}:"
-        out: Dict[int, EvaluationResult] = {}
-        for key, result in self._completed.items():
-            if key.startswith(prefix):
-                out[int(key[len(prefix):])] = result
-        return out
-
     def __len__(self) -> int:
         return len(self._completed)
 

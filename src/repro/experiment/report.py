@@ -13,15 +13,12 @@ by default; throughput-like names are higher-is-better), so "regression"
 means *worse*, not *different*: a p99 that shrinks or a sustained-FPS factor
 that grows never fails the gate.  ``herald run --baseline`` exits non-zero
 on any regression beyond tolerance, which is the CI report-diff job.
-
-:func:`report_from_bench` adapts the hot-path benchmark baseline
-(``BENCH_hotpaths.json``) into the same report format so one diff tool
-covers both correctness metrics and performance counters.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import platform
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -176,6 +173,14 @@ def load_report(path: str) -> Dict[str, object]:
                         f"(schema: {report.get('schema')!r})"
                         if isinstance(report, dict)
                         else f"{path}: not a {REPORT_SCHEMA} report")
+    metrics = report.get("metrics")
+    if not isinstance(metrics, dict):
+        raise SpecError(f"{path}: 'metrics' is not a name -> number mapping")
+    for name, value in metrics.items():
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not math.isfinite(value)):
+            raise SpecError(f"{path}: metric {name!r} is not a finite "
+                            f"number ({value!r})")
     return report
 
 
@@ -200,39 +205,3 @@ def compare_reports(current: Dict[str, object], baseline: Dict[str, object],
     return ComparisonResult(deltas=deltas, missing=missing, added=added,
                             tolerance=tolerance)
 
-
-def report_from_bench(bench: Dict[str, object],
-                      name: str = "hot-paths") -> Dict[str, object]:
-    """Adapt a ``BENCH_hotpaths.json`` baseline into the report format.
-
-    Numeric leaves flatten into dotted metric names
-    (``cost_model.cold_speedup``); list-valued series flatten with their
-    index.  The result diffs with :func:`compare_reports` like any
-    experiment report.
-    """
-    metrics: Dict[str, float] = {}
-
-    def flatten(prefix: str, value: object) -> None:
-        if isinstance(value, bool):
-            return
-        if isinstance(value, (int, float)):
-            metrics[prefix] = float(value)
-        elif isinstance(value, dict):
-            for key in sorted(value):
-                flatten(f"{prefix}.{key}" if prefix else str(key),
-                        value[key])
-        elif isinstance(value, list):
-            for index, item in enumerate(value):
-                flatten(f"{prefix}[{index}]", item)
-
-    for key in sorted(bench):
-        if key in ("version", "mode", "python"):
-            continue
-        flatten(str(key), bench[key])
-    return build_report(
-        kind="bench", name=name,
-        config={"source": "bench_hot_paths", "mode": bench.get("mode"),
-                "version": bench.get("version")},
-        metrics=metrics,
-        details={"python": bench.get("python")},
-    )

@@ -15,7 +15,7 @@ re-implements that methodology in Python:
 from repro.maestro.hardware import SubAcceleratorConfig, ChipConfig
 from repro.maestro.energy import EnergyTable, DEFAULT_ENERGY_TABLE
 from repro.maestro.reuse import ReuseAnalysis, analyse_reuse
-from repro.maestro.cost import CostModel, LayerCost, clear_all_memos
+from repro.maestro.cost import CostModel, LayerCost
 
 __all__ = [
     "SubAcceleratorConfig",
@@ -26,5 +26,4 @@ __all__ = [
     "analyse_reuse",
     "CostModel",
     "LayerCost",
-    "clear_all_memos",
 ]

@@ -429,23 +429,6 @@ class CostModel:
         return (layer.shape_key,) + self.hardware_key(sub_accelerator)
 
 
-def clear_all_memos(cost_model: Optional[CostModel] = None) -> None:
-    """Drop every process-global estimator memo, and optionally a model's.
-
-    ``clear_reuse_cache()`` alone leaves the mapper memos warm, so "cold"
-    measurements taken after it were partially warm.  This clears the mapping
-    memo (plus its divisor/candidate lrus) and the reuse memo in one call;
-    pass a ``cost_model`` to drop its per-(shape, hardware) cost cache too.
-    """
-    from repro.dataflow.mapping import clear_mapping_cache
-    from repro.maestro.reuse import clear_reuse_cache
-
-    clear_mapping_cache()
-    clear_reuse_cache()
-    if cost_model is not None:
-        cost_model.clear_cache()
-
-
 def metric_value(cost: LayerCost, metric: str) -> float:
     """Extract an optimisation metric from a :class:`LayerCost`.
 

@@ -27,7 +27,6 @@ from repro.experiment import (
     compare_reports,
     load_report,
     metric_direction,
-    report_from_bench,
     write_report,
 )
 
@@ -206,20 +205,6 @@ class TestReports:
         assert result.added == ["c"]
         assert not result.ok  # a vanished baseline metric fails the gate
 
-    def test_report_from_bench_flattens_numeric_leaves(self):
-        bench = {
-            "version": 3, "mode": "quick", "python": "3.x",
-            "cost_model": {"cold_speedup": 2.0, "ok": True},
-            "series": {"values": [1.0, 2.5]},
-        }
-        report = report_from_bench(bench)
-        assert report["kind"] == "bench"
-        assert report["metrics"] == {
-            "cost_model.cold_speedup": 2.0,
-            "series.values[0]": 1.0,
-            "series.values[1]": 2.5,
-        }
-
 
 class TestRunCommand:
     def test_baseline_regression_exit_code(self, tmp_path, capsys):
@@ -283,26 +268,36 @@ class TestReportDiffCommand:
         assert main(["report-diff", path, baseline_path]) == 1
         assert "REGRESSED" in capsys.readouterr().out
 
-    def test_bench_mode_diffs_hot_path_baselines(self, tmp_path, capsys):
-        bench = {"version": 3, "mode": "quick", "python": "3.x",
-                 "cost_model": {"cold_eval_s": 1.0}}
-        current_path = tmp_path / "bench_current.json"
-        current_path.write_text(json.dumps(bench), encoding="utf-8")
-        slower = dict(bench, cost_model={"cold_eval_s": 2.0})
-        slower_path = tmp_path / "bench_slower.json"
-        slower_path.write_text(json.dumps(slower), encoding="utf-8")
-
-        assert main(["report-diff", str(current_path), str(current_path),
-                     "--bench"]) == 0
-        capsys.readouterr()
-        assert main(["report-diff", str(slower_path), str(current_path),
-                     "--bench"]) == 1
-        assert "cost_model.cold_eval_s" in capsys.readouterr().out
-
     def test_missing_report_is_exit_2(self, tmp_path, capsys):
         assert main(["report-diff", str(tmp_path / "a.json"),
                      str(tmp_path / "b.json")]) == 2
         assert "cannot read report" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("metrics, named", [
+        ([1], "'metrics'"), ("abc", "'metrics'"), ({"a": "x"}, "'a'"),
+        ({"a": None}, "'a'"), ({"a": float("nan")}, "'a'"),
+        ({"a": float("inf")}, "'a'"), ({"a": True}, "'a'"),
+    ], ids=["list", "string", "text-value", "null", "nan", "inf", "bool"])
+    def test_non_numeric_metrics_are_exit_2(self, tmp_path, capsys,
+                                            metrics, named):
+        """A schema-stamped report whose metrics are not a name -> finite
+        number mapping is an input error, never a crash or a silent pass."""
+        good = tmp_path / "good.json"
+        assert main(["schedule", "--design", "rda", "--report",
+                     str(good)]) == 0
+        report = json.loads(good.read_text(encoding="utf-8"))
+        report["metrics"] = metrics
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(report), encoding="utf-8")
+        spec_file = _write_spec(tmp_path, {"kind": "schedule",
+                                           "design": "rda"})
+        for argv in (["report-diff", str(bad), str(good)],
+                     ["report-diff", str(good), str(bad)],
+                     ["run", spec_file, "--baseline", str(bad)]):
+            capsys.readouterr()
+            assert main(argv) == 2
+            error = capsys.readouterr().err
+            assert str(bad) in error and named in error
 
 
 class TestDescribeRegistries:

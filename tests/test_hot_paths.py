@@ -35,6 +35,7 @@ from hypothesis import given, settings, strategies as st
 import golden_scheduler
 import reference_scheduler
 from repro.accel.builders import enumerate_fdas, make_fda
+from repro.accel.classes import ACCELERATOR_CLASSES
 from repro.core.partitioner import PartitionSearch
 from repro.core.scheduler import HeraldScheduler
 from repro.dataflow.mapping import (build_mapping, clear_mapping_cache,
@@ -45,7 +46,7 @@ from repro.exec import (EvaluationTask, PersistentCostCache,
 from repro.exec.backends import pool_workers
 from repro.exec.cache import CACHE_FORMAT_VERSION
 from repro.exceptions import HardwareConfigError, SchedulingError
-from repro.maestro.cost import CostModel, clear_all_memos
+from repro.maestro.cost import CostModel
 from repro.maestro.hardware import SubAcceleratorConfig
 from repro.maestro.reuse import (analyse_layer_reuse, clear_reuse_cache,
                                  reuse_cache_size)
@@ -53,6 +54,7 @@ from repro.models.graph import ModelGraph
 from repro.models.layer import Layer, LayerType, conv2d, fc, pwconv, upconv
 from repro.units import gbps, mib
 from repro.workloads.spec import WorkloadSpec
+from repro.workloads.suites import arvr_a
 
 
 def _sub(style=NVDLA, pes=128, name="sub0"):
@@ -606,18 +608,27 @@ class TestShapeKeyedMemoBugfix:
         assert second is first
         assert reuse_cache_size() == 1
 
-    def test_clear_all_memos_covers_every_process_global_memo(self):
+    def test_arvr_a_cold_pass_hit_counts_on_the_edge_split(self):
+        """One cold pass of AR/VR-A over a two-way edge split (NVDLA +
+        Shi-diannao, half the PEs and NoC bandwidth each, full buffer)
+        computes each (shape, array) pair once: 156 of 824 queries miss.
+        The counts depend only on the memo key, so an identity field that
+        leaks back into it shows up here as extra misses."""
+        chip = ACCELERATOR_CLASSES["edge"]
+        accs = tuple(
+            SubAcceleratorConfig(
+                name=f"acc{index}", dataflow=style,
+                num_pes=chip.num_pes // 2,
+                bandwidth_bytes_per_s=chip.noc_bandwidth_bytes_per_s / 2,
+                buffer_bytes=chip.global_buffer_bytes,
+                clock_hz=chip.clock_hz)
+            for index, style in enumerate((NVDLA, SHIDIANNAO)))
         model = CostModel()
-        layer = conv2d("seed", **self._SHAPE)
-        build_mapping(layer, NVDLA, 128)
-        analyse_layer_reuse(layer, NVDLA, 128, mib(1))
-        model.layer_cost(layer, _sub())
-        assert mapping_cache_info().currsize > 0
-        assert reuse_cache_size() > 0
-        clear_all_memos(model)
-        assert mapping_cache_info() == (0, 0, mapping_cache_info().maxsize, 0)
-        assert reuse_cache_size() == 0
-        assert model.cache_size() == 0
+        for layer in arvr_a().all_layers():
+            for acc in accs:
+                model.layer_cost(layer, acc)
+        assert (model.hits, model.misses, model.cache_size()) \
+            == (668, 156, 156)
 
 
 # ---------------------------------------------------------------------------
