@@ -25,8 +25,8 @@ per-model FPS targets, Table II):
 * :mod:`repro.serve.faults` — declarative chip death / slowdown injection
   (:class:`FaultSpec`) consumed by the closed loop;
 * :mod:`repro.serve.online` — the closed-loop event engine behind
-  :meth:`FleetSimulator.simulate_online`: feedback dispatch on observed
-  queues, re-dispatch from dead chips, work stealing, and the
+  :meth:`FleetSimulator.simulate_online`: dispatch on observed queues,
+  re-dispatch from dead chips, work stealing, and the
   :class:`AutoscalePolicy` per-interval controller.
 """
 

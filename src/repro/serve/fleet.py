@@ -47,7 +47,6 @@ from repro.serve.router import (
     DispatchPolicy,
     FrameCostEstimator,
     Router,
-    _build_chip_workloads,
 )
 from repro.serve.simulator import (
     DEFAULT_DROP_DEADLINE_FACTOR,
@@ -374,6 +373,8 @@ class FleetSimulator:
     parallel worker processes — results are identical, only wall-clock
     differs).  The router's load estimates and the chips' schedules share one
     cost model, so estimation warms exactly the memo scheduling consumes.
+    Frames later than ``DEFAULT_DROP_DEADLINE_FACTOR`` deadlines count as
+    late drops, as in the single-chip simulator's default.
 
     Parameters
     ----------
@@ -385,18 +386,11 @@ class FleetSimulator:
         :func:`~repro.core.evaluator.evaluate_designs`).
     backend:
         Execution backend the per-chip evaluations run on.
-    drop_deadline_factor:
-        Late-drop threshold forwarded to the per-chip SLA accounting.
     """
 
     def __init__(self, cost_model: Optional[CostModel] = None,
                  scheduler: Optional[HeraldScheduler] = None,
-                 backend: Optional[ExecutionBackend] = None,
-                 drop_deadline_factor: float = DEFAULT_DROP_DEADLINE_FACTOR
-                 ) -> None:
-        if drop_deadline_factor < 1.0:
-            raise ValueError(
-                f"drop_deadline_factor must be >= 1 (got {drop_deadline_factor})")
+                 backend: Optional[ExecutionBackend] = None) -> None:
         if backend is not None:
             if cost_model is not None or scheduler is not None:
                 raise ValueError(
@@ -408,7 +402,6 @@ class FleetSimulator:
             scheduler = scheduler or HeraldScheduler(cost_model)
             self.backend = SerialBackend(cost_model=cost_model,
                                          scheduler=scheduler)
-        self.drop_deadline_factor = drop_deadline_factor
         self.estimator = FrameCostEstimator(self.backend.cost_model)
 
     def simulate(self, streaming: StreamingWorkload, fleet: Fleet,
@@ -426,20 +419,6 @@ class FleetSimulator:
         """
         router = Router(policy, estimator=self.estimator)
         plan = router.dispatch(streaming, fleet.chips)
-        return self._simulate_plan(streaming, fleet, plan,
-                                   partial_ok=partial_ok,
-                                   checkpoint=checkpoint, scope=scope)
-
-    def _simulate_plan(self, streaming: StreamingWorkload, fleet: Fleet,
-                       plan: DispatchPlan, partial_ok: bool = False,
-                       checkpoint: Optional["SweepCheckpoint"] = None,
-                       scope: str = "fleet") -> FleetResult:
-        """Simulate an already-routed dispatch plan chip by chip.
-
-        Shared by the a-priori path and the reduced (feedback-disabled)
-        online regime, so both produce layer-accurate per-chip schedules
-        through identical code.
-        """
         tasks = [
             EvaluationTask(task_id=index, design=chip, workload=workload,
                            category="fleet-chip")
@@ -447,16 +426,10 @@ class FleetSimulator:
             in enumerate(zip(fleet.chips, plan.chip_workloads))
             if workload is not None
         ]
-        failed_ids: frozenset = frozenset()
-        if partial_ok or checkpoint is not None:
-            outcome = self.backend.run_resilient(
-                tasks, partial_ok=partial_ok, checkpoint=checkpoint,
-                scope=scope)
-            evaluations = dict(outcome.results)
-            failed_ids = frozenset(outcome.failed_task_ids)
-        else:
-            evaluations = {task.task_id: result for task, result
-                           in zip(tasks, self.backend.run(tasks))}
+        outcome = self.backend.run_resilient(
+            tasks, partial_ok=partial_ok, checkpoint=checkpoint, scope=scope)
+        evaluations = dict(outcome.results)
+        failed_ids = frozenset(outcome.failed_task_ids)
 
         chip_results: List[ChipServingResult] = []
         failed_chips: List[str] = []
@@ -478,7 +451,7 @@ class FleetSimulator:
             schedule = evaluations[index].schedule
             records = schedule.frame_records()
             report = build_serving_report(workload, schedule, clock,
-                                          self.drop_deadline_factor,
+                                          DEFAULT_DROP_DEADLINE_FACTOR,
                                           records=records)
             latencies, missed = _frame_accounting(
                 workload, records, clock, plan.frame_maps[index])
@@ -493,72 +466,37 @@ class FleetSimulator:
 
     def simulate_online(self, streaming: StreamingWorkload, fleet: Fleet,
                         policy: Union[str, DispatchPolicy] = "round-robin",
-                        *, feedback: bool = True,
-                        faults: Optional["FaultSpec"] = None,  # noqa: F821
+                        *, faults: Optional["FaultSpec"] = None,  # noqa: F821
                         autoscale: Optional["AutoscalePolicy"] = None,  # noqa: F821
                         work_stealing: bool = True) -> "OnlineFleetResult":  # noqa: F821
         """Serve the workload through the closed-loop event engine.
 
-        Two regimes:
-
-        * ``feedback=False`` — the reduced regime: the event loop dispatches
-          at arrival instants against the *estimate* ledger (no faults, no
-          autoscaling, no stealing allowed), compiles the loop's decisions
-          into an ordinary dispatch plan, and simulates it layer-accurately
-          through :meth:`_simulate_plan`.  The result must be bit-for-bit
-          identical to :meth:`simulate` under the same policy — the
-          equivalence the golden corpus pins.
-        * ``feedback=True`` — the closed loop proper: chips are simulated
-          as frame-serial queue servers with *measured* service times,
-          dispatch reacts to observed queues and completions, dead chips'
-          frames are re-dispatched, idle chips steal from backlogged ones
-          (``work_stealing``), and an optional
-          :class:`~repro.serve.online.AutoscalePolicy` resizes the active
-          fleet per interval.
+        Chips are simulated as frame-serial queue servers with *measured*
+        service times, dispatch reacts to observed queues and completions,
+        dead chips' frames are re-dispatched, idle chips steal from
+        backlogged ones (``work_stealing``), and an optional
+        :class:`~repro.serve.online.AutoscalePolicy` resizes the active
+        fleet per interval.
         """
         from repro.serve.online import (
             OnlineEngine,
-            OnlineFleetResult,
             OnlineStats,
             build_online_result,
-            estimate_dispatch,
             measured_service_tables,
         )
         from repro.serve.router import arrival_order, policy_by_name
 
         policy_obj = (policy_by_name(policy) if isinstance(policy, str)
                       else policy)
-        frames = arrival_order(streaming)
-        if not feedback:
-            if (faults is not None and faults) or autoscale is not None:
-                raise WorkloadError(
-                    "fault injection and autoscaling react to observed "
-                    "state; they require feedback=True")
-            tables = self.estimator.service_table(streaming, fleet.chips)
-            assignments = estimate_dispatch(policy_obj, frames, tables)
-            workloads, frame_maps = _build_chip_workloads(
-                streaming, assignments, fleet.num_chips)
-            plan = DispatchPlan(policy=policy_obj.name,
-                                assignments=assignments,
-                                chip_workloads=workloads,
-                                frame_maps=frame_maps)
-            plan_result = self._simulate_plan(streaming, fleet, plan)
-            stats = OnlineStats(feedback=False, work_stealing=False,
-                                redispatched_frames=0, stolen_frames=0)
-            return OnlineFleetResult(report=plan_result.report,
-                                     assignments=dict(assignments),
-                                     frames=(), stats=stats,
-                                     plan_result=plan_result)
-
         tables = measured_service_tables(streaming, fleet.chips,
                                          self.backend, self.estimator)
-        engine = OnlineEngine(policy=policy_obj, frames=frames,
+        engine = OnlineEngine(policy=policy_obj,
+                              frames=arrival_order(streaming),
                               service_tables=tables, faults=faults,
                               autoscale=autoscale,
                               work_stealing=work_stealing)
         outcome = engine.run()
         stats = OnlineStats(
-            feedback=True,
             work_stealing=work_stealing,
             redispatched_frames=outcome.redispatched_frames,
             stolen_frames=outcome.stolen_frames,
@@ -567,7 +505,7 @@ class FleetSimulator:
         )
         return build_online_result(streaming, fleet, policy_obj.name,
                                    outcome, stats,
-                                   self.drop_deadline_factor)
+                                   DEFAULT_DROP_DEADLINE_FACTOR)
 
     # ------------------------------------------------------------------
     # Aggregation

@@ -14,21 +14,15 @@ The engine deliberately reuses the router's policy objects unchanged: every
 ``begin``/``choose`` procedure over an abstract fleet view, so the *same
 policy code* runs a-priori (against the
 :class:`~repro.serve.router.EstimateView` estimate ledger) and closed-loop
-(against the :class:`ObservedView` backed by simulated chip queues).  Two
-consequences keep the subsystem honest:
+(against the :class:`ObservedView` backed by simulated chip queues).
+Every generated frame is either completed on exactly one chip or explicitly
+recorded in ``lost_frame_ids`` (possible only when *no* chip is alive at a
+dispatch instant); the hypothesis harness pins this conservation and
+liveness across random fleets, traffic processes and faults.
 
-* **Equivalence** — with feedback disabled, :func:`estimate_dispatch` runs
-  the event loop (heap-ordered arrivals) against the estimate view and must
-  reproduce :meth:`DispatchPolicy.assign` bit-for-bit; the golden fleet
-  corpus pins this for every policy on all 40 scenarios.
-* **Conservation/liveness** — every generated frame is either completed on
-  exactly one chip or explicitly recorded in ``lost_frame_ids`` (possible
-  only when *no* chip is alive at a dispatch instant); the hypothesis
-  harness pins both across random fleets, traffic processes and faults.
-
-In feedback mode each chip is modelled as a frame-serial queue server whose
-per-frame service time is **measured**, not estimated: the makespan of
-scheduling one frame alone on that chip with the real
+Each chip is modelled as a frame-serial queue server whose per-frame service
+time is **measured**, not estimated: the makespan of scheduling one frame
+alone on that chip with the real
 :class:`~repro.core.scheduler.HeraldScheduler` (deduplicated across
 identically-configured chips, computed through the execution backend so a
 process pool probes chips in parallel).  Slowdown windows scale the server's
@@ -47,13 +41,8 @@ from repro.analysis.metrics import percentile
 from repro.exceptions import SearchError, SpecError, WorkloadError
 from repro.exec.tasks import EvaluationTask
 from repro.serve.faults import FaultSpec
-from repro.serve.fleet import ChipStats, Fleet, FleetReport, FleetResult
-from repro.serve.router import (
-    DispatchPolicy,
-    EstimateView,
-    FrameCostEstimator,
-    FrameRef,
-)
+from repro.serve.fleet import ChipStats, Fleet, FleetReport
+from repro.serve.router import DispatchPolicy, FrameCostEstimator, FrameRef
 from repro.serve.trace import FrameTrace
 from repro.serve.workload import StreamingWorkload
 from repro.validation import (
@@ -69,6 +58,12 @@ from repro.validation import (
 # before slowdown transitions, transitions before arrivals (an arriving
 # frame sees the chip's new speed), and autoscaling observes last.
 _COMPLETION, _DEATH, _SLOWDOWN, _ARRIVAL, _AUTOSCALE = range(5)
+
+# The controller re-arms every interval until the backlog drains, so a tiny
+# interval (say 1e-300 s) would tick for longer than any run can wait.
+# 1,000,000 keeps every run that finishes today unchanged -- the largest
+# golden records 159 intervals -- and turns the rest into a typed error.
+_MAX_AUTOSCALE_INTERVALS = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +226,6 @@ class OnlineStats:
     it; the a-priori report summary is unchanged.
     """
 
-    feedback: bool
     work_stealing: bool
     redispatched_frames: int
     stolen_frames: int
@@ -241,7 +235,9 @@ class OnlineStats:
     def summary(self) -> Dict[str, object]:
         """The stats as a strict-JSON-serializable dictionary."""
         return {
-            "feedback": float(self.feedback),
+            # Always 1.0 since the loop has one regime; kept so the versioned
+            # report format and every golden stay byte-identical.
+            "feedback": 1.0,
             "work_stealing": float(self.work_stealing),
             "redispatched_frames": float(self.redispatched_frames),
             "stolen_frames": float(self.stolen_frames),
@@ -254,52 +250,12 @@ class OnlineStats:
 
 @dataclass(frozen=True)
 class OnlineFleetResult:
-    """Outcome of one closed-loop fleet simulation.
-
-    ``plan_result`` is populated only in the reduced (feedback-disabled)
-    regime, where the loop's dispatch decisions are compiled into an
-    ordinary dispatch plan and simulated layer-accurately — the object the
-    online-vs-a-priori equivalence pins compare bit-for-bit.
-    """
+    """Outcome of one closed-loop fleet simulation."""
 
     report: FleetReport
     assignments: Dict[Tuple[str, int], int]
     frames: Tuple[OnlineFrameRecord, ...]
     stats: OnlineStats
-    plan_result: Optional[FleetResult] = None
-
-
-# ---------------------------------------------------------------------------
-# Reduced regime: the event loop against the estimate view
-# ---------------------------------------------------------------------------
-def estimate_dispatch(policy: DispatchPolicy, frames: Sequence[FrameRef],
-                      service_tables: Sequence[Dict[str, float]]
-                      ) -> Dict[Tuple[str, int], int]:
-    """Heap-ordered arrival loop driving a policy on the estimate view.
-
-    The feedback-disabled online mode: frames arrive as timed events, the
-    policy chooses against the same :class:`EstimateView` the a-priori
-    driver uses, and the heap's tie-break (arrival-order sequence number)
-    matches :func:`~repro.serve.router.arrival_order` — so the resulting
-    assignment must equal :meth:`DispatchPolicy.assign` exactly, which the
-    golden corpus pins.
-    """
-    if not service_tables:
-        raise SearchError(
-            "cannot dispatch onto an empty fleet: no chips to route to "
-            "(the fleet has zero chips, or every chip is dead)")
-    heap = [(frame.release_s, _ARRIVAL, sequence, frame)
-            for sequence, frame in enumerate(frames)]
-    heapq.heapify(heap)
-    view = EstimateView(service_tables)
-    policy.begin(frames, service_tables)
-    assignments: Dict[Tuple[str, int], int] = {}
-    while heap:
-        now_s, _, _, frame = heapq.heappop(heap)
-        chip = policy.choose(frame, now_s, view)
-        view.commit(frame, chip)
-        assignments[(frame.model_name, frame.frame_index)] = chip
-    return assignments
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +315,7 @@ def measured_service_tables(streaming: StreamingWorkload,
 
 
 # ---------------------------------------------------------------------------
-# The feedback engine
+# The event engine
 # ---------------------------------------------------------------------------
 class _InFlight:
     """The frame a chip is currently serving, with lazy progress tracking."""
@@ -485,6 +441,13 @@ class OnlineEngine:
             raise SearchError(
                 "cannot dispatch onto an empty fleet: no chips to route to "
                 "(the fleet has zero chips, or every chip is dead)")
+        # The controller ticks at least until the last arrival, and k
+        # accumulated ticks reach at most k * interval_s (times 1 + k * 2**-53
+        # for rounding), so a late enough arrival is over the cap up front.
+        if autoscale is not None and self.frames and (
+                max(frame.release_s for frame in self.frames)
+                > _MAX_AUTOSCALE_INTERVALS * autoscale.interval_s * 1.000001):
+            raise self._too_many_intervals()
         self.active_count = (len(self.chips) if autoscale is None
                              else min(autoscale.min_chips, len(self.chips)))
         self._heap: List[Tuple[float, int, int, object]] = []
@@ -626,8 +589,16 @@ class OnlineEngine:
         else:
             state.factor = new_factor
 
+    def _too_many_intervals(self) -> WorkloadError:
+        return WorkloadError(
+            f"autoscale interval_s {self.autoscale.interval_s:g} is too "
+            f"small: the controller would record more than "
+            f"{_MAX_AUTOSCALE_INTERVALS:,} intervals; use a longer interval")
+
     def _on_autoscale(self, now_s: float, index: int) -> None:
         assert self.autoscale is not None
+        if index > _MAX_AUTOSCALE_INTERVALS:
+            raise self._too_many_intervals()
         pending = self._pending_frames()
         before = self.active_count
         self.active_count = self.autoscale.desired_chips(

@@ -20,7 +20,7 @@ the same policy object drives both dispatch regimes:
   exactly like a real front-end routing on load predictions;
 * **closed-loop** (:mod:`repro.serve.online`): the event loop feeds the
   policy an observed view backed by simulated chip queues, completions and
-  faults — same decisions, measured state.
+  faults — same policy code, measured state.
 
 Four policies ship, plus the degenerate passthrough:
 
@@ -138,9 +138,7 @@ class EstimateView:
 
     Here every chip is permanently alive and ``available_at[c]`` is the
     estimated instant chip ``c``'s dispatched-but-unfinished work drains,
-    advanced by the *estimated* service time on every commit — exactly the
-    arithmetic the original one-shot policies used, so routing decisions are
-    bit-for-bit unchanged by the incremental refactor.
+    advanced by the *estimated* service time on every commit.
     """
 
     def __init__(self, service_tables: Sequence[Dict[str, float]]) -> None:

@@ -277,6 +277,11 @@ class TestFleetOnline:
         err = capsys.readouterr().err
         assert "error: cannot dispatch onto an empty fleet" in err
 
+    def test_tiny_autoscale_interval_is_a_clean_error(self, capsys):
+        assert main(self._BASE + ["--online", "--autoscale", "1e-300"]) == 2
+        err = capsys.readouterr().err
+        assert "error: autoscale interval_s 1e-303 is too small" in err
+
     def test_fault_naming_a_missing_chip_is_a_clean_error(self, capsys):
         assert main(self._BASE + ["--online", "--fault", "die:7@0.01"]) == 2
         assert "only 2 chips" in capsys.readouterr().err

@@ -241,6 +241,14 @@ class TestRunCommand:
         assert main(["run", spec_file]) == 2
         assert "frames: unknown key" in capsys.readouterr().err
 
+    def test_tiny_autoscale_interval_is_exit_2(self, tmp_path, capsys):
+        spec_file = _write_spec(tmp_path, {
+            "kind": "closed-loop", "design": "fda-nvdla",
+            "streaming": {"frames": 1}, "fleet": {"chips": 2},
+            "autoscale": {"interval_ms": 1e-300}})
+        assert main(["run", spec_file]) == 2
+        assert "1,000,000 intervals" in capsys.readouterr().err
+
     def test_yaml_experiment_end_to_end(self, tmp_path, capsys):
         path = tmp_path / "exp.yaml"
         path.write_text("kind: schedule\ndesign: rda\nworkload: mlperf\n",

@@ -49,7 +49,9 @@ from repro.serve import (
     min_chips_for_sla,
     policy_by_name,
 )
-from repro.serve.router import arrival_order
+from repro.serve import online
+from repro.serve.online import OnlineEngine
+from repro.serve.router import FrameRef, arrival_order
 
 
 def _timeline(schedule):
@@ -364,10 +366,6 @@ class TestFleetSimulator:
         with pytest.raises(ValueError, match="backend"):
             FleetSimulator(cost_model=model, backend=backend)
 
-    def test_drop_deadline_factor_validated(self):
-        with pytest.raises(ValueError, match=">= 1"):
-            FleetSimulator(drop_deadline_factor=0.5)
-
     def test_empty_chips_get_empty_reports(self, fleet_cost_model):
         streaming = _mini_streaming()
         fleet = Fleet.homogeneous(golden_scheduler.build_fleet_chip(), 4)
@@ -391,6 +389,7 @@ class TestFleetSimulator:
                                                        policy="sticky")
         text = json.dumps(result.report.summary(), allow_nan=False)
         assert "mini-fleet" in text
+        assert "online" not in result.report.summary()
 
     def test_pooled_latency_keys_cover_every_frame(self, fleet_cost_model):
         streaming = _mini_streaming()
@@ -456,58 +455,41 @@ class TestMinChipsForSla:
 
 
 # ---------------------------------------------------------------------------
-# Closed loop: online ↔ a-priori equivalence, online goldens, fault semantics
+# Closed loop: arrival order, online goldens, fault semantics
 # ---------------------------------------------------------------------------
-class TestOnlineEquivalence:
-    """The reduced regime (feedback off) must BE the a-priori dispatcher.
+def _in_phase_streaming():
+    workloads = golden_scheduler.build_workloads()
+    return StreamingWorkload("in-phase", streams=[
+        StreamSpec("chainnet", fps=5000.0, frames=3),
+        StreamSpec("diamond", fps=5000.0, frames=3),
+    ], models={"chainnet": workloads["chain"].model_graph("chainnet"),
+               "diamond": workloads["diamond"].model_graph("diamond")})
 
-    ``simulate_online(feedback=False)`` routes every frame through the event
-    loop against the estimate ledger, then simulates the compiled plan
-    layer-accurately.  Serializing that result with the golden serializer
-    must reproduce every record of the checked-in 40-scenario a-priori
-    corpus byte for byte — same assignments, same per-chip timeline digests,
-    same aggregated report.
+
+@pytest.mark.parametrize("workload, tag, policy", [
+    (config["workload"], config["fleet"], config["policy"])
+    for config in map(golden_scheduler.parse_fleet_key,
+                      golden_scheduler.fleet_scenario_keys())
+    if config["policy"] in ("round-robin", "passthrough")
+] + [("in-phase", tag, "round-robin") for tag in ("2homo", "4homo")])
+def test_engine_dispatches_in_arrival_order(workload, tag, policy,
+                                            fleet_cost_model):
+    """The engine dispatches frames in global arrival order.
+
+    Round-robin and passthrough ignore the fleet view, so without faults or
+    stealing the closed loop must route every frame exactly as the a-priori
+    plan does.  The jittered golden streams never release two frames at one
+    instant; the in-phase streams release theirs pairwise together, so they
+    pin the heap's tie-break (stream position, then frame index).
     """
-
-    def test_reduced_regime_matches_every_fleet_golden(self, golden_fleet,
-                                                       fleet_cost_model):
-        simulator = _simulator(fleet_cost_model)
-        for key in golden_scheduler.fleet_scenario_keys():
-            config = golden_scheduler.parse_fleet_key(key)
-            streaming = golden_scheduler.build_fleet_streaming_workload(
-                config["workload"])
-            fleet = golden_scheduler.build_fleet(config["fleet"])
-            online = simulator.simulate_online(
-                streaming, fleet, policy=config["policy"], feedback=False)
-            assert online.plan_result is not None, key
-            assert not online.stats.feedback
-            record = golden_scheduler.serialize_fleet_result(
-                config["workload"], online.plan_result)
-            assert record == golden_fleet[key], key
-
-    def test_reduced_regime_report_has_no_online_section(self,
-                                                         fleet_cost_model):
-        streaming = golden_scheduler.build_fleet_streaming_workload("duo")
-        fleet = golden_scheduler.build_fleet("2homo")
-        online = _simulator(fleet_cost_model).simulate_online(
-            streaming, fleet, policy="least-outstanding", feedback=False)
-        assert "online" not in online.report.summary()
-
-    def test_feedback_disabled_rejects_faults(self, fleet_cost_model):
-        streaming = golden_scheduler.build_fleet_streaming_workload("duo")
-        fleet = golden_scheduler.build_fleet("2homo")
-        with pytest.raises(WorkloadError, match="feedback=True"):
-            _simulator(fleet_cost_model).simulate_online(
-                streaming, fleet, feedback=False,
-                faults=FaultSpec(failures=(ChipFailure(0, 1e-3),)))
-
-    def test_feedback_disabled_rejects_autoscale(self, fleet_cost_model):
-        streaming = golden_scheduler.build_fleet_streaming_workload("duo")
-        fleet = golden_scheduler.build_fleet("2homo")
-        with pytest.raises(WorkloadError, match="feedback=True"):
-            _simulator(fleet_cost_model).simulate_online(
-                streaming, fleet, feedback=False,
-                autoscale=AutoscalePolicy(interval_s=1e-3))
+    streaming = (_in_phase_streaming() if workload == "in-phase" else
+                 golden_scheduler.build_fleet_streaming_workload(workload))
+    fleet = golden_scheduler.build_fleet(tag)
+    simulator = _simulator(fleet_cost_model)
+    online = simulator.simulate_online(streaming, fleet, policy=policy,
+                                       work_stealing=False)
+    planned = simulator.simulate(streaming, fleet, policy=policy)
+    assert online.assignments == planned.plan.assignments
 
 
 class TestOnlineGolden:
@@ -591,6 +573,39 @@ class TestOnlineSemantics:
             assert later.index == earlier.index + 1
         for interval in intervals:
             assert 1 <= interval.active_after <= 4
+
+    def test_tiny_autoscale_interval_raises_before_running(self,
+                                                           fleet_cost_model):
+        # The last arrival alone needs far more ticks than the cap.
+        with pytest.raises(WorkloadError, match="1,000,000 intervals"):
+            self._online(fleet_cost_model,
+                         autoscale=AutoscalePolicy(interval_s=1e-300))
+
+    def test_autoscale_tick_cap_ends_a_backlog_drain(self, monkeypatch):
+        # Every frame arrives at t=0, so only the in-loop cap can stop the
+        # controller from ticking 1e-300 s at a time through the backlog.
+        monkeypatch.setattr(online, "_MAX_AUTOSCALE_INTERVALS", 1000)
+        frames = [FrameRef(0, "m", index, 0.0) for index in range(4)]
+        engine = OnlineEngine(policy_by_name("round-robin"), frames,
+                              [{"m": 1e-3}, {"m": 1e-3}],
+                              autoscale=AutoscalePolicy(interval_s=1e-300))
+        with pytest.raises(WorkloadError, match="1,000 intervals"):
+            engine.run()
+        assert len(engine.outcome.intervals) == 1000
+
+    def test_autoscale_tick_cap_keeps_runs_under_it(self, fleet_cost_model,
+                                                    monkeypatch):
+        policy = AutoscalePolicy(interval_s=0.0004, min_chips=1, max_chips=2)
+        intervals = self._online(fleet_cost_model,
+                                 autoscale=policy).stats.intervals
+        monkeypatch.setattr(online, "_MAX_AUTOSCALE_INTERVALS",
+                            len(intervals))
+        assert self._online(fleet_cost_model,
+                            autoscale=policy).stats.intervals == intervals
+        monkeypatch.setattr(online, "_MAX_AUTOSCALE_INTERVALS",
+                            len(intervals) - 1)
+        with pytest.raises(WorkloadError, match="intervals"):
+            self._online(fleet_cost_model, autoscale=policy)
 
     def test_router_dispatch_on_empty_fleet_raises(self, fleet_cost_model):
         streaming = _mini_streaming()
