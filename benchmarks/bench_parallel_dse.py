@@ -71,7 +71,8 @@ def _sweep(arm, workload_name, pe_steps, bw_steps):
     workload = workload_by_name(workload_name)
     tasks = list(dse.enumerate_tasks(workload, ACCELERATOR_CLASSES[CHIP]))
     start = time.perf_counter()
-    dse._prewarm_round(tasks, workload)
+    model.prewarm(workload.unique_shape_layers(),
+                  [acc for task in tasks for acc in task.design.sub_accelerators])
     warmed = time.perf_counter()
     results = backend.run(tasks)
     done = time.perf_counter()

@@ -25,7 +25,6 @@ from repro.accel.builders import enumerate_fdas, make_hda, make_rda
 from repro.accel.classes import ACCELERATOR_CLASSES
 from repro.dataflow.styles import NVDLA, SHIDIANNAO
 from repro.exec import (
-    ChaosBackend,
     ChaosSpec,
     EvaluationTask,
     ProcessPoolBackend,
@@ -69,18 +68,18 @@ def main(argv=None) -> int:
                      hang_sleep_s=20.0)
     runs = [
         ("serial+simulated-chaos",
-         ChaosBackend(SerialBackend(cost_model=CostModel(),
-                                    retry_policy=RetryPolicy(max_retries=2)),
-                      simulated)),
+         SerialBackend(cost_model=CostModel(),
+                       retry_policy=RetryPolicy(max_retries=2),
+                       chaos=simulated)),
         ("pool+simulated-chaos",
-         ChaosBackend(ProcessPoolBackend(jobs=2, cost_model=CostModel(),
-                                         retry_policy=RetryPolicy(max_retries=2)),
-                      simulated)),
+         ProcessPoolBackend(jobs=2, cost_model=CostModel(),
+                            retry_policy=RetryPolicy(max_retries=2),
+                            chaos=simulated)),
         ("pool+real-faults",
-         ChaosBackend(ProcessPoolBackend(
+         ProcessPoolBackend(
              jobs=2, cost_model=CostModel(),
-             retry_policy=RetryPolicy(max_retries=1, task_timeout_s=2.0)),
-             real)),
+             retry_policy=RetryPolicy(max_retries=1, task_timeout_s=2.0),
+             chaos=real)),
     ]
 
     failed = False
@@ -100,7 +99,7 @@ def main(argv=None) -> int:
     # Degraded mode: doomed tasks are casualties, survivors bit-identical.
     doomed = frozenset({tasks[0].task_id, tasks[-1].task_id})
     spec = ChaosSpec(seed=args.seed, doomed_task_ids=doomed)
-    backend = ChaosBackend(SerialBackend(cost_model=CostModel()), spec)
+    backend = SerialBackend(cost_model=CostModel(), chaos=spec)
     outcome = backend.run_resilient(tasks, partial_ok=True)
     survivors = _metrics([r for _, r in outcome.completed(tasks)])
     expected = [row for task, row in zip(tasks, baseline)

@@ -262,22 +262,17 @@ class HeraldDSE:
         recorded as they arrive and a resumed run re-executes only the
         missing tasks, producing the identical design space.
 
-        The whole sweep shares one deduped per-shape cost table: every task
-        references this one ``workload`` object, whose
-        :meth:`~repro.workloads.spec.WorkloadSpec.unique_shape_layers` memo is
-        primed here, so each candidate's scheduler resolves costs per unique
-        *shape* (one memo entry per shape x sub-accelerator configuration)
-        instead of re-querying the memo layer-by-layer per candidate.
+        Every task references this one ``workload`` object, so the backend
+        prewarms one deduped per-shape cost table for each round (one memo
+        entry per shape x sub-accelerator configuration).
         """
         start = time.perf_counter()
         result = DSEResult(workload_name=workload.name, chip_name=chip.name)
-        workload.unique_shape_layers()
 
         combos = self._hda_combos(hda_combinations, include_three_way)
         tasks = list(self.enumerate_tasks(
             workload, chip, include_rda=include_rda, include_smfda=include_smfda,
             hda_combinations=combos))
-        self._prewarm_round(tasks, workload)
         completed = self._run_round(tasks, result, partial_ok, checkpoint,
                                     scope="dse")
 
@@ -316,37 +311,6 @@ class HeraldDSE:
         result.retried_attempts += outcome.retried_attempts
         return outcome.completed(tasks)
 
-    def _prewarm_round(self, tasks: Sequence["EvaluationTask"],
-                       workload: WorkloadSpec) -> None:
-        """Batch-estimate every distinct configuration a round references.
-
-        The whole round draws from one cross product — the workload's deduped
-        shapes times the distinct sub-accelerator configurations its designs
-        contain — so the backend's cost model estimates it in one pass up
-        front and every candidate's scheduling turns into pure memo
-        lookups.  For a pool backend the warmed memo then ships to the
-        workers once with the pool initializer instead of trickling back
-        entry-by-entry from each task.  A persistent cache (if any) is warmed
-        in first so it still serves before anything is computed, and the
-        computed count is credited to the backend's cold-evaluation total —
-        the round computes exactly the entries the lazy path would have, so
-        reported totals are unchanged.
-        """
-        model = getattr(self.backend, "cost_model", None)
-        if model is None or not hasattr(model, "prewarm"):
-            return
-        warm_from_cache = getattr(self.backend, "_warm_from_cache", None)
-        if warm_from_cache is not None:
-            warm_from_cache()
-        distinct: Dict[Tuple, object] = {}
-        for task in tasks:
-            for acc in task.design.sub_accelerators:
-                distinct.setdefault(model.hardware_key(acc), acc)
-        computed = model.prewarm(workload.unique_shape_layers(),
-                                 list(distinct.values()))
-        if hasattr(self.backend, "total_cold_evaluations"):
-            self.backend.total_cold_evaluations += computed
-
     def _refine_hdas(self, result: DSEResult, workload: WorkloadSpec,
                      chip: ChipConfig, hda_points: Dict[str, List[PartitionPoint]],
                      combos: Sequence[Tuple[DataflowStyle, ...]],
@@ -366,7 +330,6 @@ class HeraldDSE:
                     task_id, design, workload, category="hda", group=group,
                     pe_partition=tuple(pes), bw_partition_gbps=tuple(bws)))
                 task_id += 1
-        self._prewarm_round(refine_tasks, workload)
         completed = self._run_round(refine_tasks, result, partial_ok,
                                     checkpoint, scope="dse-refine")
         for task, evaluation in completed:

@@ -26,7 +26,7 @@ from repro.accel.builders import make_hda, make_smfda
 from repro.accel.design import AcceleratorDesign
 from repro.dataflow.styles import DataflowStyle
 from repro.maestro.cost import CostModel
-from repro.maestro.hardware import ChipConfig, SubAcceleratorConfig
+from repro.maestro.hardware import ChipConfig
 from repro.core.evaluator import EvaluationResult, evaluate_design, sla_rank_key
 from repro.core.scheduler import HeraldScheduler
 from repro.validation import (
@@ -195,13 +195,17 @@ class PartitionSearch:
         """Build, prewarm, and evaluate one round of candidate partitions.
 
         Each candidate's design is constructed exactly once and shared by the
-        prewarm pass and the evaluation; both the coarse round and the binary
-        refinement round go through here, so every evaluation is pure memo
-        lookups.
+        prewarm pass and the evaluation.  The candidates re-create the same
+        arrays under different splits, so the round's costs are the
+        workload's deduped shapes times its distinct configurations; both the
+        coarse round and the binary refinement round estimate them up front,
+        so every evaluation is pure memo lookups.
         """
         designs = [self._build_design(chip, styles, pes, bws)
                    for pes, bws in candidates]
-        self._prewarm_designs(designs, workload)
+        self.cost_model.prewarm(
+            workload.unique_shape_layers(),
+            [acc for design in designs for acc in design.sub_accelerators])
         return [
             PartitionPoint(
                 pe_partition=tuple(pes),
@@ -278,51 +282,6 @@ class PartitionSearch:
         all styles coincide)."""
         return self._build_design(chip, styles, pe_partition, bw_partition_gbps)
 
-    def prewarm(self, chip: ChipConfig, styles: Sequence[DataflowStyle],
-                workload: WorkloadSpec,
-                candidates: Sequence[Tuple[Tuple[int, ...], Tuple[float, ...]]]
-                ) -> int:
-        """Populate the shared per-shape cost table for a candidate set.
-
-        Convenience wrapper over :meth:`_prewarm_designs` for callers holding
-        raw ``(pe_partition, bw_partition)`` candidates.  Returns the number
-        of distinct sub-accelerator configurations warmed.
-        """
-        return self._prewarm_designs(
-            [self._build_design(chip, styles, pes, bws)
-             for pes, bws in candidates],
-            workload)
-
-    def _prewarm_designs(self, designs: Sequence[AcceleratorDesign],
-                         workload: WorkloadSpec) -> int:
-        """Batch-estimate the deduped shape x distinct-configuration product.
-
-        All partition candidates of one dataflow combination draw from the
-        same two pools: the workload's deduped shape set and the distinct
-        sub-accelerator configurations the partitions produce (candidates
-        re-create the same (PEs, bandwidth) arrays under different splits).
-        Estimating the cross product once up front means every candidate's
-        scheduling pass is pure memo lookups instead of interleaved cold
-        estimation, which is what makes per-candidate evaluation time flat
-        across a round; :meth:`search` routes both the coarse and the binary
-        refinement round through this.
-
-        Returns the number of distinct sub-accelerator configurations warmed.
-        Results are unchanged by construction: the memo serves the exact
-        values the lazy path would have computed.
-        """
-        distinct: Dict[Tuple, SubAcceleratorConfig] = {}
-        for design in designs:
-            for acc in design.sub_accelerators:
-                distinct.setdefault(self.cost_model.hardware_key(acc), acc)
-        # :meth:`CostModel.prewarm` keys purely by hardware, never by the
-        # sub-accelerator *names* candidates reuse across configurations
-        # ("hda-0", ...), and estimates each configuration's missing shapes
-        # in one pass; the scheduler's cost columns are keyed the same way.
-        self.cost_model.prewarm(workload.unique_shape_layers(),
-                                list(distinct.values()))
-        return len(distinct)
-
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
@@ -357,18 +316,6 @@ class PartitionSearch:
             bw_options = [tuple(total_bw_gbps / parts for _ in range(parts))]
 
         return [(pes, bws) for pes in pe_options for bws in bw_options]
-
-    def _evaluate(self, chip: ChipConfig, styles: Sequence[DataflowStyle],
-                  workload: WorkloadSpec, pe_partition: Tuple[int, ...],
-                  bw_partition_gbps: Tuple[float, ...]) -> PartitionPoint:
-        design = self._build_design(chip, styles, pe_partition, bw_partition_gbps)
-        result = evaluate_design(design, workload, cost_model=self.cost_model,
-                                 scheduler=self.scheduler)
-        return PartitionPoint(
-            pe_partition=tuple(pe_partition),
-            bw_partition_gbps=tuple(bw_partition_gbps),
-            result=result,
-        )
 
     def _build_design(self, chip: ChipConfig, styles: Sequence[DataflowStyle],
                       pe_partition: Sequence[int],

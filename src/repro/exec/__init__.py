@@ -6,11 +6,12 @@ evaluations.  This package turns each evaluation into a declarative, picklable
 :class:`ExecutionBackend`:
 
 * :class:`SerialBackend` — in-process, one shared cost model (the default);
-* :class:`ProcessPoolBackend` — chunked process-pool fan-out with
-  cost-model warmth shipped to and recovered from the workers.
+* :class:`ProcessPoolBackend` — chunked process-pool fan-out sharing the
+  parent's prewarmed cost table with the workers.
 
-Each backend has one dispatch loop, ``run_resilient``; ``run`` is that loop
-with every task required to complete.
+Each backend has one dispatch loop, ``run_resilient``, which prewarms the
+cost model with every cost the tasks read before dispatching them; ``run``
+is that loop with every task required to complete.
 
 :class:`PersistentCostCache` spills the cost model's per-(layer, dataflow,
 hardware) memo to a JSON file so repeated sweeps across process lifetimes
@@ -19,15 +20,15 @@ start warm.
 The resilience layer makes long sweeps survive their environment:
 :class:`RetryPolicy` gives both backends bounded retries, per-task timeout
 classification, and dead-worker recovery (terminal losses surface as
-structured :class:`TaskFailure` records); :class:`ChaosSpec` /
-:class:`ChaosBackend` inject deterministic seeded faults to test those paths
-bit-for-bit; :class:`SweepCheckpoint` persists completed results atomically
+structured :class:`TaskFailure` records); a :class:`ChaosSpec`, passed to a
+backend as ``chaos=``, injects deterministic seeded faults to test those
+paths bit-for-bit; :class:`SweepCheckpoint` persists completed results atomically
 so a killed sweep resumes exactly where it died.
 """
 
 from repro.exec.tasks import EvaluationTask, run_evaluation_task
 from repro.exec.cache import PersistentCostCache
-from repro.exec.chaos import ChaosBackend, ChaosSpec
+from repro.exec.chaos import ChaosSpec
 from repro.exec.checkpoint import (
     DEFAULT_SCOPE,
     SweepCheckpoint,
@@ -48,7 +49,6 @@ __all__ = [
     "ExecutionBackend",
     "SerialBackend",
     "ProcessPoolBackend",
-    "ChaosBackend",
     "ChaosSpec",
     "SweepCheckpoint",
     "sweep_key_from",

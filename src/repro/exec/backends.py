@@ -8,10 +8,15 @@ Two implementations ship with the library:
 * :class:`SerialBackend` — evaluate in-process against one shared cost model.
   This is the default everywhere and is bit-for-bit the historical behaviour.
 * :class:`ProcessPoolBackend` — fan the tasks out across worker processes.
-  Each worker holds its own cost model, warm-started from the parent's
-  memo; newly computed memo entries flow back with the results and are merged
-  into the parent (and the persistent cache, when one is attached), so warmth
-  is never lost to process boundaries.
+  Each worker starts from a copy of the parent's memo, which already covers
+  every cost the tasks read, so nothing is computed in — or shipped back
+  from — the workers.
+
+Before dispatch, :meth:`run_resilient` prewarms the shared cost model with
+every (shape, hardware) cost the remaining tasks read: each workload's
+deduped shapes times the sub-accelerators of that workload's designs.  The
+cold evaluations this computes, and the hits of the dispatch itself, are
+counted once, by the base class both backends share.
 
 Because every evaluation is a pure function of ``(design, workload)``, the two
 backends produce identical design metrics; only wall-clock-derived fields
@@ -38,15 +43,15 @@ completed results are recorded as they arrive (resumable after a SIGKILL)
 and previously recorded tasks are served from the checkpoint without
 re-execution.
 
-A :class:`~repro.exec.chaos.ChaosSpec` (installed by
-:class:`~repro.exec.chaos.ChaosBackend`) injects deterministic faults into
-these paths.  Simulated faults are decided at dispatch and raised in the
-parent — identical machinery for both backends, which is what makes
-chaos + retries reproduce the undisturbed serial results bit-for-bit.  With
-``real_faults=True`` the pool's workers misbehave for real (``os._exit``,
-over-budget sleeps), exercising the broken-pool rebuild and stall-watchdog
-recovery instead; the parent replays the same fault schedule to attribute
-the wreckage, charging attempts only to the tasks chaos actually targeted.
+A :class:`~repro.exec.chaos.ChaosSpec` (a backend's ``chaos=`` argument)
+injects deterministic faults into these paths.  Simulated faults are decided
+at dispatch and raised in the parent — identical machinery for both
+backends, which is what makes chaos + retries reproduce the undisturbed
+serial results bit-for-bit.  With ``real_faults=True`` the pool's workers
+misbehave for real (``os._exit``, over-budget sleeps), exercising the
+broken-pool rebuild and stall-watchdog recovery instead; the parent replays
+the same fault schedule to attribute the wreckage, charging attempts only to
+the tasks chaos actually targeted.
 """
 
 from __future__ import annotations
@@ -197,16 +202,73 @@ def _book_fault(policy: RetryPolicy, outcome: ExecutionOutcome,
     return True
 
 
-class _CacheMixin:
-    """Shared persistent-cache plumbing for backends."""
+class _Backend:
+    """The state, counters and resilient dispatch loop both backends share.
 
-    cache: Optional[PersistentCostCache]
-    cost_model: CostModel
-    _cache_warmed: bool
+    Subclasses provide ``_execute_remaining(tasks, policy, outcome,
+    failures, checkpoint, scope)`` — the backend's one dispatch loop, which
+    adds its cost-model hits and misses to ``last_cache_hits`` /
+    ``last_cold_evaluations`` — and the ``_label`` :meth:`describe` opens
+    with.
+
+    Parameters
+    ----------
+    cost_model:
+        Shared cost model; its memo carries across all tasks of all runs.
+    scheduler:
+        Scheduler used for every task; defaults to Herald's scheduler on the
+        shared cost model.
+    cache:
+        Optional persistent cost cache.  It is loaded into the cost model
+        before the first run and re-saved (with any new entries) after every
+        run.
+    retry_policy:
+        Optional fault-tolerance budget (``None``: no retries, so a failing
+        task ends the run in :class:`~repro.exceptions.TaskExecutionError`).
+    chaos:
+        Optional :class:`~repro.exec.chaos.ChaosSpec` fault schedule every
+        attempt consults (``None``: an undisturbed run).
+    """
 
     #: Last cache-save failure, if any.  Results must never be lost to a
     #: cache-persistence problem, so save errors are recorded, not raised.
     cache_save_error: Optional[OSError] = None
+
+    def __init__(self, cost_model: Optional[CostModel] = None,
+                 scheduler: Optional[HeraldScheduler] = None,
+                 cache: Optional[PersistentCostCache] = None,
+                 retry_policy: Optional[RetryPolicy] = None,
+                 chaos: Optional[ChaosSpec] = None) -> None:
+        self.cost_model = cost_model or CostModel()
+        self.scheduler = scheduler or HeraldScheduler(self.cost_model)
+        self.cache = cache
+        self.retry_policy = retry_policy
+        self.chaos = chaos
+        self._cache_warmed = False
+        self.last_cold_evaluations = 0
+        self.last_cache_hits = 0
+        self.total_cold_evaluations = 0
+        self.total_cache_hits = 0
+
+    def run(self, tasks: Sequence[EvaluationTask]) -> List[EvaluationResult]:
+        """Execute ``tasks`` and return results in submission order.
+
+        Raises :class:`~repro.exceptions.TaskExecutionError` if any task
+        fails after its retries.
+        """
+        return self.run_resilient(tasks).ordered_results(tasks)
+
+    def _label(self) -> str:
+        raise NotImplementedError
+
+    def describe(self) -> str:
+        """One-line description: where tasks run, retries, chaos."""
+        parts = [self._label()]
+        if self.retry_policy is not None:
+            parts.append(self.retry_policy.describe())
+        if self.chaos is not None:
+            parts.append(self.chaos.describe())
+        return ", ".join(parts)
 
     def _warm_from_cache(self) -> None:
         if self.cache is not None and not self._cache_warmed:
@@ -224,17 +286,28 @@ class _CacheMixin:
             except OSError as error:
                 self.cache_save_error = error
 
+    def _prewarm(self, tasks: Sequence[EvaluationTask]) -> None:
+        """Estimate every cost ``tasks`` read, one workload at a time.
 
-class _ResilientMixin(_CacheMixin):
-    """The retry/chaos/checkpoint state machine shared by both backends.
-
-    Subclasses provide ``_execute_remaining(tasks, policy, outcome,
-    failures, checkpoint, scope)`` — the backend's one dispatch loop — and
-    inherit the resume filtering, failure raising, and cleanup contract.
-    """
-
-    retry_policy: Optional[RetryPolicy]
-    chaos: Optional[ChaosSpec]
+        A task reads each shape of its workload on each sub-accelerator of
+        its design, so the memo gets the deduped shapes times those
+        sub-accelerators up front (:meth:`CostModel.prewarm` dedupes by
+        hardware key) and every scheduling pass after it is pure lookups.
+        A workload whose prewarm raises a library error is skipped: the
+        error surfaces again in its tasks' own attempts, where it is booked
+        against those tasks alone.
+        """
+        by_workload: Dict[int, Tuple[object, List]] = {}
+        for task in tasks:
+            _, sub_accelerators = by_workload.setdefault(
+                id(task.workload), (task.workload, []))
+            sub_accelerators.extend(task.design.sub_accelerators)
+        for workload, sub_accelerators in by_workload.values():
+            try:
+                self.last_cold_evaluations += self.cost_model.prewarm(
+                    workload.unique_shape_layers(), sub_accelerators)
+            except ReproError:
+                pass
 
     def _effective_policy(self) -> RetryPolicy:
         if self.retry_policy is not None:
@@ -252,8 +325,9 @@ class _ResilientMixin(_CacheMixin):
         """Execute ``tasks`` under the retry policy; return the full outcome.
 
         Tasks already recorded in ``checkpoint`` (under ``scope``) are served
-        from it without re-execution; every newly completed task is recorded
-        back.  Terminal failures raise
+        from it without re-execution; the rest are prewarmed, then
+        dispatched, and every newly completed task is recorded back.
+        Terminal failures raise
         :class:`~repro.exceptions.TaskExecutionError` unless ``partial_ok``,
         in which case they are returned as structured records alongside the
         surviving results.  Completed results are spilled to the persistent
@@ -274,10 +348,15 @@ class _ResilientMixin(_CacheMixin):
             else:
                 remaining.append(task)
         failures: List[TaskFailure] = []
+        self.last_cold_evaluations = 0
+        self.last_cache_hits = 0
         try:
+            self._prewarm(remaining)
             self._execute_remaining(remaining, policy, outcome, failures,
                                     checkpoint, scope)
         finally:
+            self.total_cold_evaluations += self.last_cold_evaluations
+            self.total_cache_hits += self.last_cache_hits
             # Preserve completed work even on KeyboardInterrupt / errors: the
             # memo entries go to the persistent cache, the results to the
             # checkpoint, so an interrupted sweep resumes where it died.
@@ -297,46 +376,21 @@ class _ResilientMixin(_CacheMixin):
         raise NotImplementedError
 
 
-class SerialBackend(_ResilientMixin):
+class SerialBackend(_Backend):
     """Evaluate every task in-process, sharing one cost model and scheduler.
 
-    Parameters
-    ----------
-    cost_model:
-        Shared cost model; its memo carries across all tasks of all runs.
-    scheduler:
-        Scheduler used for every task; defaults to Herald's scheduler on the
-        shared cost model.
-    cache:
-        Optional persistent cost cache.  It is loaded into the cost model
-        before the first run and re-saved (with any new entries) after every
-        run.
-    retry_policy:
-        Optional fault-tolerance budget (``None``: no retries, so a failing
-        task ends the run in :class:`~repro.exceptions.TaskExecutionError`).
-        Serially there is no process to kill, so ``task_timeout_s`` only
-        classifies chaos-injected hangs; crashes and library errors are
-        retried exactly like the pool retries them.
+    Takes the :class:`_Backend` parameters.  Serially there is no process to
+    kill, so a retry policy's ``task_timeout_s`` only classifies
+    chaos-injected hangs; crashes and library errors are retried exactly
+    like the pool retries them.
     """
 
-    def __init__(self, cost_model: Optional[CostModel] = None,
-                 scheduler: Optional[HeraldScheduler] = None,
-                 cache: Optional[PersistentCostCache] = None,
-                 retry_policy: Optional[RetryPolicy] = None) -> None:
-        self.cost_model = cost_model or CostModel()
-        self.scheduler = scheduler or HeraldScheduler(self.cost_model)
-        self.cache = cache
-        self.retry_policy = retry_policy
-        self.chaos: Optional[ChaosSpec] = None
-        self._cache_warmed = False
-        self.last_cold_evaluations = 0
-        self.last_cache_hits = 0
-        self.total_cold_evaluations = 0
-        self.total_cache_hits = 0
+    #: Named on each backend class, not only inherited, so a per-class
+    #: wrapper (``perfbench/tracer.py``) times each backend's runs.
+    run = _Backend.run
 
-    def run(self, tasks: Sequence[EvaluationTask]) -> List[EvaluationResult]:
-        """Execute ``tasks`` one after another on the shared cost model."""
-        return self.run_resilient(tasks).ordered_results(tasks)
+    def _label(self) -> str:
+        return "serial (in-process)"
 
     def _execute_remaining(self, tasks: Sequence[EvaluationTask],
                            policy: RetryPolicy, outcome: ExecutionOutcome,
@@ -360,18 +414,8 @@ class SerialBackend(_ResilientMixin):
                                        attempt, kind, message):
                         break
         finally:
-            self.last_cold_evaluations = self.cost_model.misses - misses_before
-            self.last_cache_hits = self.cost_model.hits - hits_before
-            self.total_cold_evaluations += self.last_cold_evaluations
-            self.total_cache_hits += self.last_cache_hits
-
-    def describe(self) -> str:
-        parts = ["serial (in-process)"]
-        if self.retry_policy is not None:
-            parts.append(self.retry_policy.describe())
-        if self.chaos is not None:
-            parts.append(self.chaos.describe())
-        return ", ".join(parts)
+            self.last_cold_evaluations += self.cost_model.misses - misses_before
+            self.last_cache_hits += self.cost_model.hits - hits_before
 
 
 # ---------------------------------------------------------------------------
@@ -428,27 +472,32 @@ class _SnapshotUnpickler(pickle.Unpickler):
         return super().find_class(module, name)
 
 
+def _snapshot(cost_model: CostModel) -> Tuple[LayerCost, ...]:
+    """The memo entries of ``cost_model`` in memo order.
+
+    Parent and workers each take it from their own copy of one model, so
+    position ``i`` names the same entry on both sides of the pool.
+    """
+    return tuple(cost for _, cost in cost_model.cache_items())
+
+
 def _init_worker(cost_model: CostModel, scheduler: HeraldScheduler,
-                 chaos: Optional[ChaosSpec],
-                 snapshot: Optional[Tuple[LayerCost, ...]]) -> None:
-    """Pool initializer: adopt the shipped (warm) cost model and scheduler.
+                 chaos: Optional[ChaosSpec]) -> None:
+    """Pool initializer: adopt the shipped (prewarmed) cost model and
+    scheduler.
 
     The arguments arrive together (inherited under fork, pickled as one
-    under spawn), so the scheduler's cost-model reference survives the trip
-    and the ``snapshot`` entries are this model's memo entries.  ``chaos``
-    is installed only for real-fault chaos.  A ``snapshot`` means the parent
-    memo already covers every pair the tasks will read: the worker neither
-    tracks what was sent nor ships entries back (:class:`_SnapshotPickler`).
+    under spawn), so the scheduler's cost-model reference survives the trip.
+    ``chaos`` is installed only for real-fault chaos.  The memo already
+    covers every cost the tasks read, so results go back referencing its
+    entries (:class:`_SnapshotPickler`) and no entry is ever shipped back.
     """
     _WORKER_STATE["model"] = cost_model
     _WORKER_STATE["scheduler"] = scheduler
     _WORKER_STATE["chaos"] = chaos
-    _WORKER_STATE["sent_keys"] = (
-        None if snapshot is not None
-        else {key for key, _ in cost_model.cache_items()})
-    # Ids are safe keys: the snapshot keeps every entry alive.
+    # Ids are safe keys: the model's memo keeps every entry alive.
     _WORKER_STATE["entry_index"] = {
-        id(cost): index for index, cost in enumerate(snapshot or ())}
+        id(cost): index for index, cost in enumerate(_snapshot(cost_model))}
 
 
 def _run_chunk(chunk: _Chunk) -> bytes:
@@ -456,9 +505,8 @@ def _run_chunk(chunk: _Chunk) -> bytes:
 
     Returns, pickled by :class:`_SnapshotPickler`, one ``(result, kind,
     message)`` outcome per task in chunk order (see :func:`_attempt`; a
-    library error costs only its own task), the memo entries computed here
-    that the parent has not seen yet, and the chunk's cost-model hit/miss
-    counts.
+    library error costs only its own task) and the chunk's cost-model
+    hit/miss counts.
 
     With a real-fault chaos spec installed, the worker misbehaves for real:
     ``os._exit`` leaves the parent a broken pool to rebuild, and an
@@ -480,35 +528,24 @@ def _run_chunk(chunk: _Chunk) -> bytes:
         elif fault == "hang":
             time.sleep(chaos.hang_sleep_s)
         outcomes.append(_attempt(task, attempt, model, scheduler, chaos))
-    sent_keys = _WORKER_STATE["sent_keys"]
-    if sent_keys is None:
-        new_entries: List[Tuple[Tuple, LayerCost]] = []
-    else:
-        new_entries = [(key, cost) for key, cost in model.cache_items()
-                       if key not in sent_keys]
-        sent_keys.update(key for key, _ in new_entries)
     buffer = io.BytesIO()
     _SnapshotPickler(buffer, pickle.HIGHEST_PROTOCOL).dump((
-        outcomes, new_entries, model.hits - hits_before,
-        model.misses - misses_before))
+        outcomes, model.hits - hits_before, model.misses - misses_before))
     return buffer.getvalue()
 
 
-class ProcessPoolBackend(_ResilientMixin):
+class ProcessPoolBackend(_Backend):
     """Evaluate tasks on a pool of worker processes.
 
     Tasks are split into contiguous chunks (``ceil(len(queue) / (2 *
     jobs))`` tasks each) and submitted to a ``concurrent.futures`` process
     pool with at most ``2 * jobs`` chunks in flight.  Each worker runs its
     chunk task by task and reports one outcome per task, so a library error
-    costs only its own task.  Every worker starts from a copy of the
-    parent's (possibly cache-warmed) cost model; new memo entries computed
-    in the workers are shipped back with each chunk and merged into the
-    parent model, so a subsequent run — serial or parallel — starts warm.
-    When the parent memo already covers everything a run reads (a prewarmed
-    sweep), the table is instead treated as shared and read-mostly: it ships
-    once with the pool initializer, the merge-back is skipped entirely, and
-    the results come back referencing the parent's memo entries, not copies.
+    costs only its own task.  The parent's cost model, prewarmed by
+    :meth:`run_resilient` with every cost the tasks read, ships once with
+    the pool initializer and stays read-mostly: workers compute nothing new,
+    and their results come back referencing the parent's memo entries, not
+    copies.
 
     A dead worker breaks the pool; the backend rebuilds it and charges a
     ``crash`` attempt to the tasks of every in-flight chunk (under
@@ -529,68 +566,27 @@ class ProcessPoolBackend(_ResilientMixin):
     ----------
     jobs:
         Number of worker processes (>= 1).
-    cost_model / scheduler:
-        Parent-side cost model and scheduler configuration.  The scheduler is
-        shipped to the workers so custom metrics/orderings are honoured.
-    cache:
-        Optional persistent cost cache, loaded before the first run and
-        re-saved after every run (including worker-computed entries).
-    retry_policy:
-        Optional fault-tolerance budget (``None``: no retries, so a failing
-        task ends the run in :class:`~repro.exceptions.TaskExecutionError`).
+
+    The other parameters are :class:`_Backend`'s; the scheduler is shipped
+    to the workers so custom metrics/orderings are honoured.
     """
 
     def __init__(self, jobs: int = 2, cost_model: Optional[CostModel] = None,
                  scheduler: Optional[HeraldScheduler] = None,
                  cache: Optional[PersistentCostCache] = None,
-                 retry_policy: Optional[RetryPolicy] = None) -> None:
+                 retry_policy: Optional[RetryPolicy] = None,
+                 chaos: Optional[ChaosSpec] = None) -> None:
         if jobs < 1:
             raise SearchError(f"jobs must be >= 1 (got {jobs})")
+        super().__init__(cost_model, scheduler, cache, retry_policy, chaos)
         self.jobs = jobs
-        self.cost_model = cost_model or CostModel()
-        self.scheduler = scheduler or HeraldScheduler(self.cost_model)
-        self.cache = cache
-        self.retry_policy = retry_policy
-        self.chaos: Optional[ChaosSpec] = None
-        self._cache_warmed = False
-        self.last_cold_evaluations = 0
-        self.last_cache_hits = 0
-        self.last_new_cache_entries = 0
-        self.total_cold_evaluations = 0
-        self.total_cache_hits = 0
         #: Executor rebuilds forced by dead or hung workers (diagnostics).
         self.pool_rebuilds = 0
 
-    def run(self, tasks: Sequence[EvaluationTask]) -> List[EvaluationResult]:
-        """Execute ``tasks`` across the worker pool, preserving order."""
-        return self.run_resilient(tasks).ordered_results(tasks)
+    run = _Backend.run  # see SerialBackend.run
 
-    def _table_is_shared(self, tasks: Sequence[EvaluationTask]) -> bool:
-        """Whether this run's memo travels to the workers read-mostly.
-
-        The table is shared exactly when the parent memo already covers
-        every (shape, hardware) pair the submitted tasks can read — the
-        state a prewarmed sweep is in.  The check is conservative: a
-        workload that cannot enumerate its unique shapes keeps the
-        merge-back path.
-        """
-        model = self.cost_model
-        cache_has = model._cache.__contains__
-        seen_configs = set()
-        for task in tasks:
-            unique_shapes = getattr(task.workload, "unique_shape_layers", None)
-            if unique_shapes is None:
-                return False
-            for acc in task.design.sub_accelerators:
-                hw_key = model.hardware_key(acc)
-                probe = (id(task.workload),) + hw_key
-                if probe in seen_configs:
-                    continue
-                seen_configs.add(probe)
-                for layer in unique_shapes():
-                    if not cache_has((layer.shape_key,) + hw_key):
-                        return False
-        return True
+    def _label(self) -> str:
+        return f"process pool ({self.jobs} jobs)"
 
     @staticmethod
     def _kill_executor(executor: concurrent.futures.ProcessPoolExecutor
@@ -609,9 +605,6 @@ class ProcessPoolBackend(_ResilientMixin):
                            failures: List[TaskFailure],
                            checkpoint: Optional[SweepCheckpoint],
                            scope: str) -> None:
-        self.last_cold_evaluations = 0
-        self.last_cache_hits = 0
-        self.last_new_cache_entries = 0
         if not tasks:
             return
         attempts: Dict[int, int] = {task.task_id: 0 for task in tasks}
@@ -621,10 +614,8 @@ class ProcessPoolBackend(_ResilientMixin):
         chaos = self.chaos
         simulated = chaos is not None and not chaos.real_faults
         real = chaos is not None and chaos.real_faults
-        snapshot = (tuple(cost for _, cost in self.cost_model.cache_items())
-                    if self._table_is_shared(tasks) else None)
-        initargs = (self.cost_model, self.scheduler, chaos if real else None,
-                    snapshot)
+        snapshot = _snapshot(self.cost_model)
+        initargs = (self.cost_model, self.scheduler, chaos if real else None)
 
         def make_executor() -> concurrent.futures.ProcessPoolExecutor:
             return concurrent.futures.ProcessPoolExecutor(
@@ -660,14 +651,8 @@ class ProcessPoolBackend(_ResilientMixin):
                     in_flight[executor.submit(_run_chunk, chunk)] = chunk
 
         def record(chunk: _Chunk, payload: bytes) -> None:
-            outcomes, new_entries, hits, misses = _SnapshotUnpickler(
-                payload, snapshot or ()).load()
-            for key, cost in new_entries:
-                if self.cost_model.install_cached(key, cost):
-                    self.last_new_cache_entries += 1
-            if (new_entries and self.cache is not None
-                    and self.cache.journal_every):
-                self.cache.absorb(new_entries)
+            outcomes, hits, misses = _SnapshotUnpickler(
+                payload, snapshot).load()
             self.last_cache_hits += hits
             self.last_cold_evaluations += misses
             for (task, _), (result, kind, message) in zip(chunk, outcomes):
@@ -736,13 +721,3 @@ class ProcessPoolBackend(_ResilientMixin):
                     executor = make_executor()
         finally:
             self._kill_executor(executor)
-            self.total_cold_evaluations += self.last_cold_evaluations
-            self.total_cache_hits += self.last_cache_hits
-
-    def describe(self) -> str:
-        parts = [f"process pool ({self.jobs} jobs)"]
-        if self.retry_policy is not None:
-            parts.append(self.retry_policy.describe())
-        if self.chaos is not None:
-            parts.append(self.chaos.describe())
-        return ", ".join(parts)

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import tempfile
 from typing import Dict, List, Optional, Tuple
@@ -103,9 +104,27 @@ def _cost_to_json(cost: LayerCost) -> Dict[str, object]:
     }
 
 
+#: Numeric cost fields that must be strictly positive; every other numeric
+#: field must be finite and non-negative.
+_POSITIVE_COST_FIELDS = ("num_pes", "clock_hz")
+
+
 def _cost_from_json(payload: Dict[str, object]) -> LayerCost:
+    """Rebuild a stored cost, rejecting values no estimate produces.
+
+    A NaN, infinite or negative count, a bool, or a non-positive PE count or
+    clock is a malformed entry (``ValueError``): served as it is, it would
+    silently derail every schedule that reads it.
+    """
     fields = dict(payload)
     fields["layer"] = _layer_from_json(fields["layer"])
+    for name, value in fields.items():
+        if name in ("layer", "dataflow_name"):
+            continue
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not math.isfinite(value) or value < 0
+                or (value == 0 and name in _POSITIVE_COST_FIELDS)):
+            raise ValueError(f"malformed cost field {name}={value!r}")
     return LayerCost(**fields)
 
 
@@ -209,6 +228,8 @@ class PersistentCostCache:
             try:
                 with open(self.path, "r") as handle:
                     payload = json.load(handle)
+                if not isinstance(payload, dict):
+                    raise ValueError("cache file is not a JSON object")
                 version = payload.get("version")
                 if version != CACHE_FORMAT_VERSION:
                     raise ValueError(f"unsupported cache version {version!r}")
@@ -352,19 +373,6 @@ class PersistentCostCache:
             self._dirty = True
         return new
 
-    def absorb(self, entries: List[Tuple[Tuple, LayerCost]]) -> int:
-        """Merge raw ``(key, cost)`` pairs (e.g. from worker processes)."""
-        new = 0
-        for key, cost in entries:
-            if key not in self._entries:
-                self._entries[key] = cost
-                new += 1
-                if self.journal_every:
-                    self._journal(key, cost)
-        if new:
-            self._dirty = True
-        return new
-
     # ------------------------------------------------------------------
     # Append-only journal
     # ------------------------------------------------------------------
@@ -372,8 +380,8 @@ class PersistentCostCache:
         """Journal every entry ``cost_model`` computes from now on.
 
         Installs the model's ``new_entry_hook`` (no-op when ``journal_every``
-        is 0).  The hook is deliberately not shipped to pool workers — the
-        parent journals worker entries when it absorbs them.
+        is 0).  The hook is deliberately not shipped to pool workers, which
+        read the parent's prewarmed memo and compute nothing of their own.
         """
         if self.journal_every:
             cost_model.new_entry_hook = self._journal

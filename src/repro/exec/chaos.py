@@ -17,9 +17,10 @@ crashes, hangs, and transient errors into any backend and still assert
   on *every* attempt — which is how the ``partial_ok`` degraded-mode paths
   are pinned.
 
-:class:`ChaosBackend` is the user-facing wrapper: it installs a spec on any
-backend and delegates everything else, so chaos composes with caches,
-checkpoints, and both execution strategies.
+A backend takes the spec as its ``chaos=`` argument; its retry loop
+consults it on every attempt, so chaos composes with caches, checkpoints,
+and both execution strategies, and a backend built without one runs
+undisturbed.
 
 By default faults are *simulated* at the dispatch layer (the backend raises
 :class:`~repro.exceptions.WorkerCrash` / :class:`~repro.exceptions.WorkerHang`
@@ -35,11 +36,9 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import FrozenSet, List, Optional, Sequence
+from typing import FrozenSet, List, Optional
 
-from repro.core.evaluator import EvaluationResult
 from repro.exceptions import SearchError
-from repro.exec.tasks import EvaluationTask
 
 #: Fault kinds a chaos decision can produce, in threshold order.
 CHAOS_KINDS = ("crash", "hang", "error")
@@ -150,47 +149,3 @@ class ChaosSpec:
         return (f"chaos seed={self.seed} crash={self.crash_rate:g} "
                 f"hang={self.hang_rate:g} error={self.error_rate:g} "
                 f"maxfaults={self.max_faults_per_task}{doomed} ({mode})")
-
-
-class ChaosBackend:
-    """Wrap any execution backend with a deterministic fault schedule.
-
-    The wrapper installs its :class:`ChaosSpec` on the inner backend (whose
-    retry loop consults it on every attempt) and delegates everything else,
-    so the wrapped backend keeps its cache, checkpoint, and counter
-    behaviour.  Removing the wrapper — or using a spec with all-zero rates —
-    restores the undisturbed run exactly.
-    """
-
-    def __init__(self, inner, spec: ChaosSpec) -> None:
-        self.inner = inner
-        self.spec = spec
-        inner.chaos = spec
-
-    @property
-    def cost_model(self):
-        return self.inner.cost_model
-
-    @property
-    def cache(self):
-        return self.inner.cache
-
-    @property
-    def scheduler(self):
-        return self.inner.scheduler
-
-    def run(self, tasks: Sequence[EvaluationTask]) -> List[EvaluationResult]:
-        return self.inner.run(tasks)
-
-    def run_resilient(self, tasks: Sequence[EvaluationTask], **kwargs):
-        return self.inner.run_resilient(tasks, **kwargs)
-
-    def describe(self) -> str:
-        # The inner backend already reports the chaos spec (we attached it
-        # via ``inner.chaos``), so delegating avoids repeating it.
-        return self.inner.describe()
-
-    def __getattr__(self, name: str):
-        # Counters and backend-specific knobs pass straight through so the
-        # wrapper is observationally the inner backend.
-        return getattr(self.inner, name)

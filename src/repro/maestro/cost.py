@@ -310,20 +310,23 @@ class CostModel:
 
         Layers are deduped by shape before anything is estimated, so a
         53-layer MobileNetV2 with repeated inverted-residual blocks pays for
-        its ~20 unique shapes only.  Nothing is keyed by sub-accelerator
-        *name*: candidate configurations that reuse a name (partition
-        candidates all call their RDA ``"hda-0"``) are each estimated, and two
-        configurations sharing a :meth:`hardware_key` share entries.  Warm
-        pairs count as hits, exactly as the historical per-pair
-        :meth:`layer_cost` prewarm loop did.  Returns the number of entries
-        actually computed (the cold-evaluation count callers credit to their
-        backend totals).
+        its ~20 unique shapes only.  Sub-accelerators are deduped by
+        :meth:`hardware_key`, never by *name*: candidate configurations that
+        reuse a name (partition candidates all call their RDA ``"hda-0"``)
+        are each estimated, and the many candidates that re-create one array
+        are estimated once.  Warm pairs count as hits, exactly as the
+        per-pair :meth:`layer_cost` calls would.  Returns the number of
+        entries actually computed (the cold-evaluation count callers credit
+        to their backend totals).
         """
         unique: Dict[Tuple, Layer] = {}
         for layer in layers:
             unique.setdefault(layer.shape_key, layer)
-        misses = self.misses
+        distinct: Dict[Tuple, SubAcceleratorConfig] = {}
         for acc in sub_accelerators:
+            distinct.setdefault(self.hardware_key(acc), acc)
+        misses = self.misses
+        for acc in distinct.values():
             self.layer_costs(unique.values(), acc)
         return self.misses - misses
 

@@ -23,6 +23,8 @@ from repro.exec import (
     run_evaluation_task,
 )
 from repro.maestro.cost import CostModel
+from repro.serve.fleet import Fleet, FleetSimulator
+from repro.serve.workload import StreamingWorkload, StreamSpec
 
 
 def _make_dse(backend=None, cost_model=None):
@@ -32,6 +34,38 @@ def _make_dse(backend=None, cost_model=None):
                              pe_steps=2, bw_steps=1)
     return HeraldDSE(cost_model=model, scheduler=scheduler,
                      partition_search=search, backend=backend)
+
+
+def _dse_bag_schedules(backend, workload, chip):
+    tasks = list(_make_dse().enumerate_tasks(workload, chip,
+                                             include_three_way=False))
+    return [result.schedule for result in backend.run(tasks)]
+
+
+def _fleet_schedules(backend, workload, chip):
+    result = FleetSimulator(backend=backend).simulate(
+        _streaming(workload), Fleet.homogeneous(make_fda(chip, NVDLA), 3),
+        policy="least-outstanding")
+    return [chip_result.schedule for chip_result in result.chip_results]
+
+
+def _online_fleet_report(backend, workload, chip):
+    result = FleetSimulator(backend=backend).simulate_online(
+        _streaming(workload), Fleet.homogeneous(make_fda(chip, NVDLA), 3),
+        policy="least-outstanding")
+    return result.report.summary()
+
+
+def _streaming(workload):
+    return StreamingWorkload("mix", streams=[
+        StreamSpec(name, fps=200.0, frames=2) for name in workload.model_names
+    ], models={name: workload.model_graph(name)
+               for name in workload.model_names})
+
+
+#: Task bags a pool must run without computing a cost in its workers.
+_POOL_SCENARIOS = {"dse": _dse_bag_schedules, "fleet": _fleet_schedules,
+                   "online-fleet": _online_fleet_report}
 
 
 class TestEvaluationTask:
@@ -124,18 +158,31 @@ class TestProcessPoolBackend:
             assert (pool_space.best(category).design.name
                     == serial_space.best(category).design.name)
 
-    def test_worker_cache_entries_flow_back_to_parent(self, small_workload,
-                                                      tiny_chip):
-        model = CostModel()
-        backend = ProcessPoolBackend(jobs=2, cost_model=model)
-        tasks = [EvaluationTask(i, design, small_workload)
-                 for i, design in enumerate(enumerate_fdas(tiny_chip))]
-        assert model.cache_size() == 0
-        results = backend.run(tasks)
-        assert model.cache_size() > 0
-        assert backend.last_new_cache_entries == model.cache_size()
-        assert ([result.schedule for result in results]
-                == [result.schedule for result in SerialBackend().run(tasks)])
+    @pytest.mark.parametrize("scenario", ["dse", "fleet", "online-fleet"])
+    def test_pool_run_keeps_every_computed_entry_in_the_parent(
+            self, scenario, small_workload, tiny_chip):
+        """The backend prewarms what it runs, so a pool run from an empty
+        cost model computes nothing in its workers: its cold count and memo
+        equal the serial run's, as do its results."""
+        runs = {}
+        for cls, kwargs in ((SerialBackend, {}),
+                            (ProcessPoolBackend, {"jobs": 2})):
+            model = CostModel()
+            backend = cls(cost_model=model, **kwargs)
+            outputs = _POOL_SCENARIOS[scenario](backend, small_workload,
+                                                tiny_chip)
+            runs[cls] = (outputs, backend, model)
+        serial_outputs, serial, serial_model = runs[SerialBackend]
+        pool_outputs, pool, model = runs[ProcessPoolBackend]
+        assert pool_outputs == serial_outputs
+        assert pool.total_cold_evaluations == serial.total_cold_evaluations
+        assert model.cache_size() == serial_model.cache_size() > 0
+        if scenario == "fleet":
+            # The a-priori router estimates every chip on the shared model
+            # before dispatch, which leaves the backend nothing to compute.
+            assert pool.last_cold_evaluations == 0
+        else:
+            assert pool.last_cold_evaluations == model.cache_size()
 
     def test_empty_task_list(self):
         assert ProcessPoolBackend(jobs=2).run([]) == []
@@ -210,6 +257,54 @@ class TestPersistentCostCache:
         path.write_text(json.dumps({"version": 999, "entries": []}))
         cache = PersistentCostCache(str(path))
         assert cache.corrupted
+
+    @pytest.mark.parametrize("payload", ["[]", "3", "null", '"x"'])
+    def test_non_object_json_falls_back_to_cold_start(self, tmp_path, payload):
+        path = tmp_path / "cache.json"
+        path.write_text(payload)
+        cache = PersistentCostCache(str(path))
+        assert cache.corrupted
+        assert cache.fallback_count == 1
+        assert len(cache) == 0
+
+    @pytest.mark.parametrize("field, value", [
+        ("compute_cycles", float("nan")),
+        ("noc_cycles", float("inf")),
+        ("energy_dram_pj", -1.0),
+        ("utilisation", True),
+        ("num_pes", 0),
+        ("clock_hz", 0.0),
+    ])
+    def test_unphysical_cost_fields_fall_back_to_cold_start(
+            self, tmp_path, tiny_chip, small_workload, field, value):
+        path = str(tmp_path / "cache.json")
+        tasks = [EvaluationTask(i, design, small_workload)
+                 for i, design in enumerate(enumerate_fdas(tiny_chip))]
+        SerialBackend(cache=PersistentCostCache(path)).run(tasks)
+        payload = json.loads(open(path).read())
+        for entry in payload["entries"]:
+            entry["cost"][field] = value
+        with open(path, "w") as handle:
+            json.dump(payload, handle)
+        cache = PersistentCostCache(path)
+        assert cache.corrupted
+        assert cache.fallback_count == 1
+        assert len(cache) == 0
+        backend = SerialBackend(cache=cache)
+        assert ([r.schedule for r in backend.run(tasks)]
+                == [r.schedule for r in SerialBackend().run(tasks)])
+        assert backend.last_cold_evaluations == backend.cost_model.cache_size()
+
+    def test_every_entry_a_sweep_writes_passes_the_load_check(
+            self, tmp_path, tiny_chip, small_workload):
+        path = str(tmp_path / "cache.json")
+        cache = PersistentCostCache(path)
+        backend = SerialBackend(cache=cache)
+        _make_dse(backend, backend.cost_model).explore(
+            small_workload, tiny_chip, include_three_way=False)
+        reloaded = PersistentCostCache(path)
+        assert not reloaded.corrupted
+        assert len(reloaded) == backend.cost_model.cache_size() > 0
 
     def test_semantically_invalid_entry_is_treated_as_corrupted(
             self, tmp_path, tiny_chip, small_workload):

@@ -36,6 +36,7 @@ import golden_scheduler
 import reference_scheduler
 from repro.accel.builders import enumerate_fdas, make_fda
 from repro.accel.classes import ACCELERATOR_CLASSES
+from repro.core.evaluator import evaluate_design
 from repro.core.partitioner import PartitionSearch
 from repro.core.scheduler import HeraldScheduler
 from repro.dataflow.mapping import (build_mapping, clear_mapping_cache,
@@ -193,6 +194,13 @@ class TestShapeDedupedCosts:
             assert entry.cost is model.layer_cost(
                 entry.layer, by_name[entry.sub_accelerator])
 
+    def test_prewarm_dedupes_sub_accelerators_by_hardware_key(self):
+        model = CostModel()
+        twins = [_sub(NVDLA, name="a0"), _sub(NVDLA, name="a1")]
+        layers = [conv2d("c", k=8, c=4, y=16, x=16, r=3, s=3)]
+        assert model.prewarm(layers, twins + [_sub(SHIDIANNAO)]) == 2
+        assert (model.hits, model.misses) == (0, 2)
+
     def test_prewarmed_partition_search_evaluates_without_cold_queries(
             self, tiny_chip, small_workload):
         model = CostModel()
@@ -200,14 +208,39 @@ class TestShapeDedupedCosts:
         search = PartitionSearch(cost_model=model, scheduler=scheduler,
                                  pe_steps=4, bw_steps=2)
         styles = [NVDLA, SHIDIANNAO]
-        candidates = search.candidate_partitions(tiny_chip, len(styles))
-        warmed = search.prewarm(tiny_chip, styles, small_workload, candidates)
+        designs = [search.build_design(tiny_chip, styles, pes, bws)
+                   for pes, bws in search.candidate_partitions(
+                       tiny_chip, len(styles))]
+        warmed = model.prewarm(
+            small_workload.unique_shape_layers(),
+            [acc for design in designs for acc in design.sub_accelerators])
         assert warmed > 0
         misses_before = model.misses
-        for pes, bws in candidates:
-            search._evaluate(tiny_chip, styles, small_workload, pes, bws)
+        for design in designs:
+            evaluate_design(design, small_workload, cost_model=model,
+                            scheduler=scheduler)
         assert model.misses == misses_before, \
             "candidate evaluation after prewarm must be pure memo lookups"
+
+    def test_search_misses_only_in_its_prewarm(self, tiny_chip,
+                                               small_workload):
+        """Each round prewarms the deduped shapes x distinct arrays, so a
+        binary search computes each (shape, array) pair once, up front, and
+        the scheduler's cost-column fill then finds it warm."""
+        model = CostModel()
+        search = PartitionSearch(cost_model=model,
+                                 scheduler=HeraldScheduler(model),
+                                 pe_steps=4, bw_steps=2, strategy="binary")
+        points = search.search(tiny_chip, [NVDLA, SHIDIANNAO], small_workload)
+        hardware_keys = {
+            model.hardware_key(acc)
+            for point in points
+            for acc in search.build_design(
+                tiny_chip, [NVDLA, SHIDIANNAO], point.pe_partition,
+                point.bw_partition_gbps).sub_accelerators}
+        pairs = len(hardware_keys) * small_workload.unique_shapes
+        assert (model.misses, model.hits, model.cache_size()) \
+            == (pairs, pairs, pairs)
 
 
 class TestCostColumns:
@@ -223,21 +256,24 @@ class TestCostColumns:
         # A two-way split fixes the whole design by its first array, so the
         # sharing comes from a common NVDLA across style combinations and
         # from three-way splits that keep one array while moving the others.
-        rounds = []
+        designs = []
         for styles in ([NVDLA, SHIDIANNAO], [NVDLA, EYERISS],
                        [NVDLA, SHIDIANNAO, EYERISS]):
-            candidates = search.candidate_partitions(tiny_chip, len(styles))
-            search.prewarm(tiny_chip, styles, small_workload, candidates)
-            rounds.extend((styles, pes, bws) for pes, bws in candidates)
+            designs.extend(search.build_design(tiny_chip, styles, pes, bws)
+                           for pes, bws in search.candidate_partitions(
+                               tiny_chip, len(styles)))
+        model.prewarm(small_workload.unique_shape_layers(),
+                      [acc for design in designs
+                       for acc in design.sub_accelerators])
         model.reset_stats()
         hardware_keys = set()
         placements = 0
-        for styles, pes, bws in rounds:
-            design = search._build_design(tiny_chip, styles, pes, bws)
+        for design in designs:
             hardware_keys.update(model.hardware_key(acc)
                                  for acc in design.sub_accelerators)
             placements += len(design.sub_accelerators)
-            search._evaluate(tiny_chip, styles, small_workload, pes, bws)
+            evaluate_design(design, small_workload, cost_model=model,
+                            scheduler=scheduler)
         assert len(hardware_keys) < placements, \
             "the candidates must share hardware for this test to bite"
         assert model.misses == 0
@@ -635,43 +671,16 @@ class TestShapeKeyedMemoBugfix:
 # Shared read-mostly pool cost table
 # ---------------------------------------------------------------------------
 
-def _result_summaries(results):
-    return [(r.design.name, repr(r.latency_s), repr(r.energy_mj), repr(r.edp))
-            for r in results]
-
-
 class TestSharedPoolTable:
-    def _tasks(self, tiny_chip, small_workload):
-        return [EvaluationTask(i, design, small_workload)
-                for i, design in enumerate(enumerate_fdas(tiny_chip))]
-
-    def test_prewarmed_pool_ships_zero_entries_back(self, tiny_chip,
-                                                    small_workload):
-        """A prewarmed parent table is shared: no per-task merge-back."""
-        tasks = self._tasks(tiny_chip, small_workload)
-        model = CostModel()
-        for task in tasks:
-            model.prewarm(small_workload.unique_shape_layers(),
-                          task.design.sub_accelerators)
-        size_before = model.cache_size()
-        backend = ProcessPoolBackend(jobs=2, cost_model=model)
-        results = backend.run(tasks)
-        assert backend.last_new_cache_entries == 0
-        assert model.cache_size() == size_before
-        serial = SerialBackend().run(tasks)
-        assert _result_summaries(results) == _result_summaries(serial)
-
     def test_pool_results_reference_the_parent_table(self, tiny_chip,
                                                      small_workload):
-        """A shared-table pool returns the parent's own memo entries, not
-        copies, and the schedules equal their serial twins."""
-        tasks = self._tasks(tiny_chip, small_workload)
+        """The pool prewarms its parent table and returns the parent's own
+        memo entries, not copies; the schedules equal their serial twins."""
+        tasks = [EvaluationTask(i, design, small_workload)
+                 for i, design in enumerate(enumerate_fdas(tiny_chip))]
         model = CostModel()
-        for task in tasks:
-            model.prewarm(small_workload.unique_shape_layers(),
-                          task.design.sub_accelerators)
-        memo = {id(cost) for _, cost in model.cache_items()}
         results = ProcessPoolBackend(jobs=2, cost_model=model).run(tasks)
+        memo = {id(cost) for _, cost in model.cache_items()}
         serial = SerialBackend().run(tasks)
         for ours, theirs in zip(results, serial):
             assert all(id(entry.cost) in memo

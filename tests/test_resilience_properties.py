@@ -40,9 +40,9 @@ from repro.exceptions import (
     TransientEvaluationError,
     WorkerCrash,
     WorkerHang,
+    WorkloadError,
 )
 from repro.exec import (
-    ChaosBackend,
     ChaosSpec,
     EvaluationTask,
     PersistentCostCache,
@@ -97,9 +97,9 @@ class TestChaosTransparency:
                                            crash, hang, error, max_faults):
         spec = ChaosSpec(seed=seed, crash_rate=crash, hang_rate=hang,
                          error_rate=error, max_faults_per_task=max_faults)
-        inner = SerialBackend(cost_model=_COST_MODEL,
-                              retry_policy=RetryPolicy(max_retries=max_faults))
-        chaotic = ChaosBackend(inner, spec)
+        chaotic = SerialBackend(cost_model=_COST_MODEL,
+                                retry_policy=RetryPolicy(max_retries=max_faults),
+                                chaos=spec)
         assert _metrics(chaotic.run(task_bag)) == baseline
 
     @settings(max_examples=25, deadline=None)
@@ -117,14 +117,13 @@ class TestChaosTransparency:
     def test_pool_simulated_chaos_matches_baseline(self, task_bag, baseline):
         spec = ChaosSpec(seed=7, crash_rate=0.35, hang_rate=0.2,
                          error_rate=0.2, max_faults_per_task=2)
-        inner = ProcessPoolBackend(jobs=2, cost_model=CostModel(),
-                                   retry_policy=RetryPolicy(max_retries=2))
-        chaotic = ChaosBackend(inner, spec)
+        chaotic = ProcessPoolBackend(jobs=2, cost_model=CostModel(),
+                                     retry_policy=RetryPolicy(max_retries=2),
+                                     chaos=spec)
         assert _metrics(chaotic.run(task_bag)) == baseline
 
     def test_zero_rate_chaos_changes_nothing(self, task_bag, baseline):
-        chaotic = ChaosBackend(SerialBackend(cost_model=_COST_MODEL),
-                               ChaosSpec(seed=3))
+        chaotic = SerialBackend(cost_model=_COST_MODEL, chaos=ChaosSpec(seed=3))
         outcome = chaotic.run_resilient(task_bag)
         assert _metrics(outcome.ordered_results(task_bag)) == baseline
         assert outcome.retried_attempts == 0
@@ -250,9 +249,9 @@ class TestPartialRankings:
                                                     doomed):
         doomed = {i for i in doomed if i < len(task_bag)}
         spec = ChaosSpec(seed=1, doomed_task_ids=frozenset(doomed))
-        backend = ChaosBackend(
-            SerialBackend(cost_model=_COST_MODEL,
-                          retry_policy=RetryPolicy(max_retries=1)), spec)
+        backend = SerialBackend(cost_model=_COST_MODEL,
+                                retry_policy=RetryPolicy(max_retries=1),
+                                chaos=spec)
         outcome = backend.run_resilient(task_bag, partial_ok=True)
 
         assert set(outcome.failed_task_ids) == doomed
@@ -272,7 +271,7 @@ class TestPartialRankings:
     def test_all_tasks_doomed_yields_empty_results(self, task_bag):
         spec = ChaosSpec(seed=5, doomed_task_ids=frozenset(
             task.task_id for task in task_bag))
-        backend = ChaosBackend(SerialBackend(cost_model=_COST_MODEL), spec)
+        backend = SerialBackend(cost_model=_COST_MODEL, chaos=spec)
         outcome = backend.run_resilient(task_bag, partial_ok=True)
         assert outcome.results == {}
         assert len(outcome.failures) == len(task_bag)
@@ -284,9 +283,9 @@ class TestPartialRankings:
 class TestRetryExhaustion:
     def test_doomed_task_exhausts_exact_attempt_budget(self, task_bag):
         spec = ChaosSpec(seed=2, doomed_task_ids=frozenset({1}))
-        backend = ChaosBackend(
-            SerialBackend(cost_model=_COST_MODEL,
-                          retry_policy=RetryPolicy(max_retries=2)), spec)
+        backend = SerialBackend(cost_model=_COST_MODEL,
+                                retry_policy=RetryPolicy(max_retries=2),
+                                chaos=spec)
         with pytest.raises(TaskExecutionError) as excinfo:
             backend.run(task_bag)
         failures = excinfo.value.failures
@@ -300,16 +299,16 @@ class TestRetryExhaustion:
 
     def test_partial_ok_returns_instead_of_raising(self, task_bag):
         spec = ChaosSpec(seed=2, doomed_task_ids=frozenset({1}))
-        backend = ChaosBackend(
-            SerialBackend(cost_model=_COST_MODEL,
-                          retry_policy=RetryPolicy(max_retries=0)), spec)
+        backend = SerialBackend(cost_model=_COST_MODEL,
+                                retry_policy=RetryPolicy(max_retries=0),
+                                chaos=spec)
         outcome = backend.run_resilient(task_bag, partial_ok=True)
         assert outcome.failed_task_ids == (1,)
         assert outcome.failures[0].attempts == 1
 
     def test_failure_summary_is_json_serializable(self, task_bag):
         spec = ChaosSpec(seed=2, doomed_task_ids=frozenset({0}))
-        backend = ChaosBackend(SerialBackend(cost_model=_COST_MODEL), spec)
+        backend = SerialBackend(cost_model=_COST_MODEL, chaos=spec)
         outcome = backend.run_resilient(task_bag[:1], partial_ok=True)
         row = outcome.failures[0].summary()
         assert json.loads(json.dumps(row)) == row
@@ -339,7 +338,7 @@ class TestFailureClassification:
     def test_chaos_hang_is_recorded_as_timeout(self, task_bag):
         # The simulated hang must classify like the real stall watchdog.
         spec = ChaosSpec(seed=0, hang_rate=1.0, doomed_task_ids=frozenset({0}))
-        backend = ChaosBackend(SerialBackend(cost_model=_COST_MODEL), spec)
+        backend = SerialBackend(cost_model=_COST_MODEL, chaos=spec)
         outcome = backend.run_resilient(task_bag[:1], partial_ok=True)
         assert outcome.failures[0].kind == "timeout"
         assert "chaos-injected hang" in outcome.failures[0].message
@@ -347,7 +346,7 @@ class TestFailureClassification:
     def test_chaos_crash_is_recorded_as_crash(self, task_bag):
         spec = ChaosSpec(seed=0, crash_rate=1.0,
                          doomed_task_ids=frozenset({0}))
-        backend = ChaosBackend(SerialBackend(cost_model=_COST_MODEL), spec)
+        backend = SerialBackend(cost_model=_COST_MODEL, chaos=spec)
         outcome = backend.run_resilient(task_bag[:1], partial_ok=True)
         assert outcome.failures[0].kind == "crash"
 
@@ -376,6 +375,9 @@ class _UnknownReleaseWorkload:
     def to_workload_spec(self):
         return self.spec
 
+    def unique_shape_layers(self):
+        return self.spec.unique_shape_layers()
+
     def release_cycles(self, clock_hz):
         return {"no-such-instance#0": 0.0}
 
@@ -388,6 +390,16 @@ class _BrokenWorkload(_UnknownReleaseWorkload):
 
     def to_workload_spec(self):
         raise TypeError("broken workload")
+
+
+class _UnexpandableWorkload(_UnknownReleaseWorkload):
+    """A workload whose expansion raises a library error, which the
+    backend's prewarm meets before the task's own attempt does."""
+
+    def to_workload_spec(self):
+        raise WorkloadError("unexpandable workload")
+
+    unique_shape_layers = to_workload_spec
 
 
 def _with_rejected_task(task_bag, workload_cls=_UnknownReleaseWorkload):
@@ -434,6 +446,16 @@ class TestLibraryErrors:
         assert [f.task_id for f in excinfo.value.failures] == [len(task_bag)]
 
     @pytest.mark.parametrize("name", ["serial", "pool"])
+    def test_prewarm_library_error_costs_only_its_own_task(
+            self, task_bag, baseline, name):
+        tasks = _with_rejected_task(task_bag, _UnexpandableWorkload)
+        outcome = _backend(name).run_resilient(tasks, partial_ok=True)
+        assert _metrics(outcome.ordered_results(task_bag)) == baseline
+        assert [(f.task_id, f.kind, f.attempts) for f in outcome.failures] \
+            == [(len(task_bag), "error", 1)]
+        assert "unexpandable workload" in outcome.failures[0].message
+
+    @pytest.mark.parametrize("name", ["serial", "pool"])
     def test_programming_error_in_a_task_propagates_raw(self, task_bag, name):
         backend = _backend(name, RetryPolicy(max_retries=2))
         with pytest.raises(TypeError, match="broken workload"):
@@ -451,32 +473,31 @@ class TestRealPoolRecovery:
         # The schedule must actually contain a crash for the test to bite.
         assert any(spec.fault_for(task.task_id, 0) == "crash"
                    for task in task_bag)
-        inner = ProcessPoolBackend(jobs=2, cost_model=CostModel(),
-                                   retry_policy=RetryPolicy(max_retries=1))
-        chaotic = ChaosBackend(inner, spec)
-        assert _metrics(chaotic.run(task_bag)) == baseline
-        assert inner.pool_rebuilds >= 1
+        pool = ProcessPoolBackend(jobs=2, cost_model=CostModel(),
+                                  retry_policy=RetryPolicy(max_retries=1),
+                                  chaos=spec)
+        assert _metrics(pool.run(task_bag)) == baseline
+        assert pool.pool_rebuilds >= 1
 
     def test_stall_watchdog_recovers_real_hang(self, task_bag, baseline):
         spec = ChaosSpec(seed=4, hang_rate=0.45, max_faults_per_task=1,
                          real_faults=True, hang_sleep_s=20.0)
         assert any(spec.fault_for(task.task_id, 0) == "hang"
                    for task in task_bag)
-        inner = ProcessPoolBackend(
+        pool = ProcessPoolBackend(
             jobs=2, cost_model=CostModel(),
-            retry_policy=RetryPolicy(max_retries=1, task_timeout_s=1.0))
-        chaotic = ChaosBackend(inner, spec)
-        assert _metrics(chaotic.run(task_bag)) == baseline
-        assert inner.pool_rebuilds >= 1
+            retry_policy=RetryPolicy(max_retries=1, task_timeout_s=1.0),
+            chaos=spec)
+        assert _metrics(pool.run(task_bag)) == baseline
+        assert pool.pool_rebuilds >= 1
 
     def test_pool_failure_records_match_serial_records(self, task_bag):
         # Terminal failures must be identical no matter which backend lost
         # the task (same kind, same attempts, same message).
         spec = ChaosSpec(seed=2, doomed_task_ids=frozenset({0, 3}))
-        serial = ChaosBackend(SerialBackend(cost_model=_COST_MODEL), spec)
+        serial = SerialBackend(cost_model=_COST_MODEL, chaos=spec)
         serial_out = serial.run_resilient(task_bag, partial_ok=True)
-        pool = ChaosBackend(ProcessPoolBackend(jobs=2, cost_model=CostModel()),
-                            spec)
+        pool = ProcessPoolBackend(jobs=2, cost_model=CostModel(), chaos=spec)
         pool_out = pool.run_resilient(task_bag, partial_ok=True)
         assert sorted(f.summary().items() for f in pool_out.failures) == \
             sorted(f.summary().items() for f in serial_out.failures)
@@ -582,7 +603,7 @@ class TestUpperLayers:
 
     def test_partial_dse_reports_failures(self, small_workload, tiny_chip):
         spec = ChaosSpec(seed=6, doomed_task_ids=frozenset({0}))
-        backend = ChaosBackend(SerialBackend(cost_model=CostModel()), spec)
+        backend = SerialBackend(cost_model=CostModel(), chaos=spec)
         space = self._dse(backend).explore(small_workload, tiny_chip,
                                            include_three_way=False,
                                            partial_ok=True)
@@ -625,7 +646,7 @@ class TestUpperLayers:
             "mini", streams=[StreamSpec(model_name, fps=100.0, frames=2)],
             models={model_name: small_workload.model_graph(model_name)})
         spec = ChaosSpec(seed=0, doomed_task_ids=frozenset({1}))
-        backend = ChaosBackend(SerialBackend(cost_model=CostModel()), spec)
+        backend = SerialBackend(cost_model=CostModel(), chaos=spec)
         simulator = FleetSimulator(backend=backend)
         result = simulator.simulate(streaming, fleet, partial_ok=True)
         assert len(result.report.failed_chips) == 1
