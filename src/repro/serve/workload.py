@@ -21,7 +21,7 @@ stays the single-stream period.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.exceptions import SpecError, WorkloadError
 from repro.models.graph import ModelGraph
@@ -82,11 +82,14 @@ class StreamingWorkload:
     name: str
     streams: List[StreamSpec] = field(default_factory=list)
     models: Dict[str, ModelGraph] = field(default_factory=dict)
-    #: Expansion memo (excluded from pickles like WorkloadSpec's memos, so
-    #: evaluation tasks shipping streaming workloads to pool workers stay
-    #: small; the expansion is cheap to rebuild there).
-    _spec_memo: Optional[WorkloadSpec] = field(default=None, init=False,
-                                               repr=False, compare=False)
+    #: Expansion memo keyed by a snapshot of the frame set (each stream's
+    #: ``(model_name, frames)``), like WorkloadSpec's memos are keyed by its
+    #: ``entries``: mutated streams never get a stale expansion, and rate
+    #: scaling, which keeps the frame set, shares one.  Excluded from
+    #: pickles, so evaluation tasks shipping streaming workloads to pool
+    #: workers stay small; the expansion is cheap to rebuild there.
+    _spec_memo: Optional[Tuple[Tuple[Tuple[str, int], ...], WorkloadSpec]] = \
+        field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.streams:
@@ -115,15 +118,16 @@ class StreamingWorkload:
         Frame ``i`` of stream ``m`` is instance ``"m#i"`` — the id scheme
         :meth:`WorkloadSpec.instances` produces natively, so release and
         deadline maps line up with the expanded instances by construction.
+        Memoised against the frame set, which :meth:`scaled` copies share:
+        their spec keeps the root workload's ``name``.
         """
-        if self._spec_memo is None:
-            self._spec_memo = WorkloadSpec(
-                name=self.name,
-                entries=[(stream.model_name, stream.frames)
-                         for stream in self.streams],
-                models=dict(self.models),
-            )
-        return self._spec_memo
+        snapshot = tuple((stream.model_name, stream.frames)
+                         for stream in self.streams)
+        if self._spec_memo is None or self._spec_memo[0] != snapshot:
+            self._spec_memo = (snapshot, WorkloadSpec(
+                name=self.name, entries=list(snapshot),
+                models=dict(self.models)))
+        return self._spec_memo[1]
 
     def release_times_s(self) -> Dict[str, float]:
         """Release time of every frame instance, in seconds, keyed by instance id."""
@@ -159,12 +163,20 @@ class StreamingWorkload:
                 for instance_id, deadline in self.deadlines_s().items()}
 
     def scaled(self, factor: float, name: Optional[str] = None) -> "StreamingWorkload":
-        """Every stream at ``factor`` times its rate (the sustained-FPS knob)."""
-        return StreamingWorkload(
+        """Every stream at ``factor`` times its rate (the sustained-FPS knob).
+
+        Scaling moves only release times and deadlines, so the copy shares
+        this workload's expansion: every sustained-FPS probe reuses one set
+        of model graphs, instances and scheduler visit order.
+        """
+        copy = StreamingWorkload(
             name=name or f"{self.name}-x{factor:g}",
             streams=[stream.scaled(factor) for stream in self.streams],
             models=dict(self.models),
         )
+        self.to_workload_spec()
+        copy._spec_memo = self._spec_memo
+        return copy
 
     # ------------------------------------------------------------------
     # WorkloadSpec-compatible surface (what the DSE / partition search touch

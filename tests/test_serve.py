@@ -44,6 +44,7 @@ from repro.serve import (
     ServingSimulator,
     StreamSpec,
     StreamingWorkload,
+    SustainedFpsResult,
     streaming_suite,
     sustained_fps,
 )
@@ -188,6 +189,35 @@ class TestStreamingWorkload:
             assert releases[instance_id] == pytest.approx(release_s * clock)
         for instance_id, deadline_s in streaming.deadlines_s().items():
             assert deadlines[instance_id] == pytest.approx(deadline_s * clock)
+
+    def _mutated_suite(self, resnet_frames):
+        """arvr-a whose resnet50 stream changes frame count after expansion."""
+        streaming = streaming_suite("arvr-a", frames=2)
+        streaming.to_workload_spec()
+        streaming.streams[0] = StreamSpec(
+            "resnet50", fps=streaming.streams[0].fps, frames=resnet_frames)
+        return streaming
+
+    def test_fewer_frames_after_expansion_are_not_served_stale(
+            self, cost_model):
+        """Dropping a frame after the first expansion must drop its
+        instance: the schedule and the report count the same 19 frames."""
+        streaming = self._mutated_suite(resnet_frames=3)
+        result = ServingSimulator(HeraldScheduler(cost_model)).simulate(
+            streaming, golden_scheduler.build_sub_accelerators())
+        assert streaming.total_frames == 19
+        assert len(result.schedule.frame_records()) == 19
+        assert result.report.total_frames == 19
+
+    def test_more_frames_after_expansion_are_scheduled(self, cost_model):
+        """Adding frames after the first expansion must schedule them, not
+        reject their releases as unknown instances."""
+        streaming = self._mutated_suite(resnet_frames=5)
+        result = ServingSimulator(HeraldScheduler(cost_model)).simulate(
+            streaming, golden_scheduler.build_sub_accelerators())
+        assert "resnet50#4" in result.schedule.frame_records()
+        assert len(result.schedule.frame_records()) == 21
+        assert result.report.total_frames == 21
 
     def test_streaming_suite_uses_fps_targets_and_folds_batches(self):
         streaming = streaming_suite("arvr-a", frames=2)
@@ -438,6 +468,54 @@ class TestSustainedFps:
             report = simulator.simulate(streaming.scaled(coarse.factor),
                                         accs).report
             assert report.meets_sla
+
+    def test_every_probe_equals_a_run_on_a_fresh_workload(self, cost_model,
+                                                          accs):
+        """Probes share the root workload's expansion; each one's report and
+        timeline must equal a simulation of an independently built workload
+        (fresh graphs, expansion, visit order and cost model)."""
+        probes = []
+
+        class Recording(ServingSimulator):
+            def simulate(self, streaming, sub_accelerators):
+                result = super().simulate(streaming, sub_accelerators)
+                probes.append((streaming, result))
+                return result
+
+        sustained_fps(Recording(HeraldScheduler(cost_model)),
+                      _mini_streaming(jitter_s=0.0002), accs)
+        assert len(probes) == 12
+        reference = ServingSimulator(HeraldScheduler(CostModel()))
+        for probe, result in probes:
+            neta, netb = _mini_models()
+            fresh = StreamingWorkload(probe.name, streams=list(probe.streams),
+                                      models={"neta": neta, "netb": netb})
+            expected = reference.simulate(fresh, accs)
+            assert result.report == expected.report
+            assert _timeline(result.schedule) == _timeline(expected.schedule)
+
+    def test_bisection_builds_one_visit_order(self, cost_model, accs,
+                                              monkeypatch):
+        """Rate scaling keeps the frame set, so all 12 probes share one
+        expansion and hit the scheduler's memoised Fig. 8 visit order; the
+        result is the one each probe building its own order gave."""
+        from repro.core import scheduler as scheduler_module
+
+        built = []
+        original = scheduler_module._VisitOrder
+
+        def counting(*fields):
+            built.append(fields)
+            return original(*fields)
+
+        monkeypatch.setattr(scheduler_module, "_VisitOrder", counting)
+        result = sustained_fps(ServingSimulator(HeraldScheduler(cost_model)),
+                               _mini_streaming(jitter_s=0.0002), accs)
+        assert result == SustainedFpsResult(
+            factor=5.00146484375,
+            fps_per_stream={"neta": 10002.9296875, "netb": 20005.859375},
+            evaluations=12)
+        assert len(built) == 1
 
     def test_already_sustained_skips_the_bisection(self, cost_model, accs):
         """Edge: feasible at the upper bracket — exactly two probes run."""

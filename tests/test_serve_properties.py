@@ -13,7 +13,9 @@ the online scheduler produces must satisfy the serving invariants:
 * **degenerate equivalence** — an all-zero release trace is bit-for-bit the
   batch schedule, and the event-driven scheduler matches the quadratic
   reference of ``tests/reference_scheduler.py`` under arbitrary release
-  traces.
+  traces;
+* **rate scaling keeps the frame set** — a scaled stream keeps its model and
+  frame count, so a scaled streaming workload shares its parent's expansion.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from repro.maestro.cost import CostModel
 from repro.maestro.hardware import SubAcceleratorConfig
 from repro.models.graph import ModelGraph
 from repro.models.layer import fc
+from repro.serve import FrameTrace, StreamSpec, StreamingWorkload
 from repro.units import gbps, mib
 from repro.workloads.spec import WorkloadSpec
 
@@ -174,3 +177,51 @@ class TestOnlineInvariants:
                                       release_cycles=releases)
         assert len(schedule.entries) == workload.total_layers
         assert scheduler.last_memory_violations >= 0
+
+
+_factors = st.floats(min_value=1e-3, max_value=1e3)
+_times = st.floats(min_value=0.0, max_value=10.0)
+_positive = st.floats(min_value=1e-3, max_value=1e3)
+
+
+@st.composite
+def _streams(draw, model_name):
+    if draw(st.booleans()):
+        return StreamSpec(
+            model_name, fps=draw(_positive),
+            frames=draw(st.integers(min_value=1, max_value=50)),
+            phase_s=draw(_times), jitter_s=draw(_times),
+            seed=draw(st.integers(min_value=0, max_value=2**31)),
+            deadline_s=draw(st.none() | _positive))
+    return FrameTrace(
+        model_name,
+        releases_s=tuple(draw(st.lists(_times, min_size=1, max_size=50))),
+        deadline_s=draw(_positive), fps=draw(_positive))
+
+
+@st.composite
+def _streaming_workloads(draw):
+    names = draw(st.lists(st.sampled_from(["resnet50", "unet", "gnmt",
+                                           "mobilenet_v2", "custom"]),
+                          min_size=1, max_size=4, unique=True))
+    return StreamingWorkload("w", streams=[draw(_streams(name))
+                                           for name in names])
+
+
+class TestRateScalingSharesTheExpansion:
+    @given(stream=_streams("m"), factor=_factors)
+    @settings(max_examples=100, deadline=None)
+    def test_scaled_stream_keeps_model_and_frames(self, stream, factor):
+        scaled = stream.scaled(factor)
+        assert scaled.model_name == stream.model_name
+        assert scaled.frames == stream.frames
+
+    @given(workload=_streaming_workloads(),
+           factors=st.lists(_factors, min_size=1, max_size=3))
+    @settings(max_examples=100, deadline=None)
+    def test_scaled_workload_reuses_the_parent_spec(self, workload, factors):
+        scaled = [workload.scaled(factor) for factor in factors]
+        spec = workload.to_workload_spec()
+        for copy, factor in zip(scaled, factors):
+            assert copy.to_workload_spec() is spec
+            assert copy.scaled(factor).to_workload_spec() is spec
