@@ -35,6 +35,7 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.metrics import percentile
@@ -250,12 +251,34 @@ class OnlineStats:
 
 @dataclass(frozen=True)
 class OnlineFleetResult:
-    """Outcome of one closed-loop fleet simulation."""
+    """Outcome of one closed-loop fleet simulation.
+
+    ``outcome`` is the engine's bookkeeping, indexed by arrival position;
+    the per-frame ``frames`` records and the ``assignments`` map (each
+    dispatched frame's last chip) are built from it on first read.
+    """
 
     report: FleetReport
-    assignments: Dict[Tuple[str, int], int]
-    frames: Tuple[OnlineFrameRecord, ...]
     stats: OnlineStats
+    outcome: OnlineOutcome = field(repr=False)
+
+    @cached_property
+    def frames(self) -> Tuple[OnlineFrameRecord, ...]:
+        outcome = self.outcome
+        return tuple(OnlineFrameRecord(
+            frame_id=_frame_id(frame), model_name=frame.model_name,
+            release_s=frame.release_s,
+            chip_history=tuple(outcome.chip_history[position] or ()),
+            start_s=outcome.start_s[position],
+            finish_s=outcome.finish_s[position])
+            for position, frame in enumerate(outcome.frames))
+
+    @cached_property
+    def assignments(self) -> Dict[Tuple[str, int], int]:
+        return {(frame.model_name, frame.frame_index): history[-1]
+                for frame, history in zip(self.outcome.frames,
+                                          self.outcome.chip_history)
+                if history}
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +345,9 @@ class _InFlight:
 
     __slots__ = ("frame", "remaining_s", "last_update_s", "serving_since_s")
 
-    def __init__(self, frame: FrameRef, remaining_s: float,
+    def __init__(self, frame: int, remaining_s: float,
                  now_s: float) -> None:
-        self.frame = frame
+        self.frame = frame  # arrival position
         self.remaining_s = remaining_s  # unit-speed seconds of work left
         self.last_update_s = now_s
         self.serving_since_s = now_s
@@ -338,7 +361,7 @@ class _ChipState:
     def __init__(self) -> None:
         self.alive = True
         self.factor = 1.0  # wall seconds per unit-speed second (>= 1)
-        self.queue: Deque[FrameRef] = deque()
+        self.queue: Deque[int] = deque()  # arrival positions
         self.current: Optional[_InFlight] = None
         self.busy_s = 0.0
         self.generation = 0  # bumped to invalidate scheduled completions
@@ -387,13 +410,15 @@ class ObservedView:
 
 @dataclass
 class OnlineOutcome:
-    """Raw engine bookkeeping, turned into a report by the caller."""
+    """Raw engine bookkeeping, turned into a report by the caller.
+
+    Per-frame lists are indexed by arrival position; ``None`` means unset.
+    """
 
     frames: List[FrameRef]
-    start_s: Dict[str, float] = field(default_factory=dict)
-    finish_s: Dict[str, float] = field(default_factory=dict)
-    completed_on: Dict[str, int] = field(default_factory=dict)
-    chip_history: Dict[str, List[int]] = field(default_factory=dict)
+    start_s: List[Optional[float]]
+    finish_s: List[Optional[float]]
+    chip_history: List[Optional[List[int]]]
     lost_frame_ids: List[str] = field(default_factory=list)
     busy_s: List[float] = field(default_factory=list)
     redispatched_frames: int = 0
@@ -453,7 +478,8 @@ class OnlineEngine:
         self._heap: List[Tuple[float, int, int, object]] = []
         self._sequence = 0
         self._arrivals_pending = len(self.frames)
-        self.outcome = OnlineOutcome(frames=self.frames)
+        unset = [None] * len(self.frames)  # start_s, finish_s, chip_history
+        self.outcome = OnlineOutcome(self.frames, unset, unset[:], unset[:])
 
     # -- event plumbing -------------------------------------------------
     def _push(self, time_s: float, priority: int, payload: object) -> None:
@@ -476,6 +502,8 @@ class OnlineEngine:
                 if self.chips[chip].alive]
 
     def chip_outstanding_s(self, chip_index: int, now_s: float) -> float:
+        # Left to right, remaining*f + s1*f + s2*f + ...: the goldens pin this
+        # order, which sum() (compensated since 3.12) would not keep.
         state = self.chips[chip_index]
         total = 0.0
         if state.current is not None:
@@ -483,40 +511,42 @@ class OnlineEngine:
             remaining = max(0.0,
                             state.current.remaining_s - elapsed / state.factor)
             total += remaining * state.factor
-        for frame in state.queue:
-            total += (self.service_tables[chip_index][frame.model_name]
-                      * state.factor)
+        table, frames = self.service_tables[chip_index], self.frames
+        for position in state.queue:
+            total += table[frames[position].model_name] * state.factor
         return total
 
     def _pending_frames(self) -> int:
         return sum(state.pending_frames() for state in self.chips)
 
     # -- serving --------------------------------------------------------
-    def _dispatch(self, frame: FrameRef, now_s: float) -> None:
+    def _dispatch(self, position: int, now_s: float) -> None:
         candidates = self.dispatchable_chips()
-        frame_id = _frame_id(frame)
+        frame = self.frames[position]
         if not candidates:
-            self.outcome.lost_frame_ids.append(frame_id)
+            self.outcome.lost_frame_ids.append(_frame_id(frame))
             return
         chip = self.policy.choose(frame, now_s, self.view)
         if chip not in candidates:
             raise WorkloadError(
-                f"policy {self.policy.name!r} routed frame {frame_id} to "
-                f"chip {chip}, which is not dispatchable")
-        self.outcome.chip_history.setdefault(frame_id, []).append(chip)
-        self.chips[chip].queue.append(frame)
+                f"policy {self.policy.name!r} routed frame {_frame_id(frame)} "
+                f"to chip {chip}, which is not dispatchable")
+        history = self.outcome.chip_history
+        history[position] = (history[position] or []) + [chip]
+        self.chips[chip].queue.append(position)
         self._maybe_start(chip, now_s)
 
     def _maybe_start(self, chip_index: int, now_s: float) -> None:
         state = self.chips[chip_index]
         if state.current is not None or not state.queue:
             return
-        frame = state.queue.popleft()
+        position = state.queue.popleft()
         state.factor = self.faults.speed_factor(chip_index, now_s)
-        work = self.service_tables[chip_index][frame.model_name]
-        state.current = _InFlight(frame, remaining_s=work, now_s=now_s)
+        work = self.service_tables[chip_index][
+            self.frames[position].model_name]
+        state.current = _InFlight(position, remaining_s=work, now_s=now_s)
         state.generation += 1
-        self.outcome.start_s[_frame_id(frame)] = now_s
+        self.outcome.start_s[position] = now_s
         self._push(now_s + work * state.factor, _COMPLETION,
                    (chip_index, state.generation))
 
@@ -530,10 +560,10 @@ class OnlineEngine:
         victim_index = min(candidates,
                            key=lambda chip: (-len(self.chips[chip].queue),
                                              chip))
-        frame = self.chips[victim_index].queue.pop()
+        position = self.chips[victim_index].queue.pop()
         self.outcome.stolen_frames += 1
-        self.outcome.chip_history[_frame_id(frame)].append(thief_index)
-        self.chips[thief_index].queue.append(frame)
+        self.outcome.chip_history[position].append(thief_index)
+        self.chips[thief_index].queue.append(position)
         self._maybe_start(thief_index, now_s)
 
     # -- event handlers -------------------------------------------------
@@ -543,12 +573,9 @@ class OnlineEngine:
         if (not state.alive or state.current is None
                 or generation != state.generation):
             return  # superseded by a death or a slowdown reschedule
-        frame = state.current.frame
-        frame_id = _frame_id(frame)
         state.busy_s += now_s - state.current.serving_since_s
+        self.outcome.finish_s[state.current.frame] = now_s
         state.current = None
-        self.outcome.finish_s[frame_id] = now_s
-        self.outcome.completed_on[frame_id] = chip_index
         self._maybe_start(chip_index, now_s)
         if state.current is None and self.work_stealing:
             self._steal(chip_index, now_s)
@@ -559,18 +586,20 @@ class OnlineEngine:
             return
         state.alive = False
         state.generation += 1  # invalidate any scheduled completion
-        orphans: List[FrameRef] = []
+        orphans: List[int] = []
         if state.current is not None:
             state.busy_s += now_s - state.current.serving_since_s  # wasted
             orphans.append(state.current.frame)
             state.current = None
         orphans.extend(state.queue)
         state.queue.clear()
-        orphans.sort(key=lambda frame: (frame.release_s, frame.stream_index,
-                                        frame.frame_index))
-        for frame in orphans:
+        orphans.sort(key=lambda position: (
+            self.frames[position].release_s,
+            self.frames[position].stream_index,
+            self.frames[position].frame_index))
+        for position in orphans:
             self.outcome.redispatched_frames += 1
-            self._dispatch(frame, now_s)
+            self._dispatch(position, now_s)
 
     def _on_slowdown(self, now_s: float, chip_index: int) -> None:
         state = self.chips[chip_index]
@@ -619,8 +648,8 @@ class OnlineEngine:
     def run(self) -> OnlineOutcome:
         """Play the whole event script to quiescence."""
         self.policy.begin(self.frames, self.service_tables)
-        for sequence_frame in self.frames:
-            self._push(sequence_frame.release_s, _ARRIVAL, sequence_frame)
+        for position, frame in enumerate(self.frames):
+            self._push(frame.release_s, _ARRIVAL, position)
         for failure in self.faults.failures:
             self._push(failure.at_s, _DEATH, failure.chip_index)
         for chip_index in range(len(self.chips)):
@@ -667,21 +696,22 @@ def build_online_result(streaming: StreamingWorkload, fleet: Fleet,
     """
     deadline_by_stream = {index: stream.effective_deadline_s
                           for index, stream in enumerate(streaming.streams)}
-    horizon_s = max(outcome.finish_s.values(), default=0.0)
+    horizon_s = max((finish for finish in outcome.finish_s
+                     if finish is not None), default=0.0)
 
     latencies: Dict[str, float] = {}
     missed: List[str] = []
     per_chip_latencies: List[List[float]] = [[] for _ in fleet.chips]
     per_chip = [dict(frames=0, missed=0, backlogged=0, dropped=0)
                 for _ in fleet.chips]
-    for frame in outcome.frames:
-        frame_id = _frame_id(frame)
-        finish = outcome.finish_s.get(frame_id)
+    for position, frame in enumerate(outcome.frames):
+        finish = outcome.finish_s[position]
         if finish is None:
             continue
+        frame_id = _frame_id(frame)
         latency = finish - frame.release_s
         latencies[frame_id] = latency
-        chip_index = outcome.completed_on[frame_id]
+        chip_index = outcome.chip_history[position][-1]
         bound = deadline_by_stream[frame.stream_index]
         counters = per_chip[chip_index]
         counters["frames"] += 1
@@ -691,7 +721,7 @@ def build_online_result(streaming: StreamingWorkload, fleet: Fleet,
             counters["missed"] += 1
         if latency > drop_deadline_factor * bound:
             counters["dropped"] += 1
-        if outcome.start_s[frame_id] > frame.release_s:
+        if outcome.start_s[position] > frame.release_s:
             counters["backlogged"] += 1
 
     chip_stats = []
@@ -720,22 +750,4 @@ def build_online_result(streaming: StreamingWorkload, fleet: Fleet,
         horizon_s=horizon_s,
         online=stats,
     )
-    records = tuple(
-        OnlineFrameRecord(
-            frame_id=_frame_id(frame),
-            model_name=frame.model_name,
-            release_s=frame.release_s,
-            chip_history=tuple(
-                outcome.chip_history.get(_frame_id(frame), ())),
-            start_s=outcome.start_s.get(_frame_id(frame)),
-            finish_s=outcome.finish_s.get(_frame_id(frame)),
-        )
-        for frame in outcome.frames)
-    assignments = {
-        (frame.model_name, frame.frame_index): history[-1]
-        for frame in outcome.frames
-        for history in (outcome.chip_history.get(_frame_id(frame), []),)
-        if history
-    }
-    return OnlineFleetResult(report=report, assignments=assignments,
-                             frames=records, stats=stats)
+    return OnlineFleetResult(report=report, stats=stats, outcome=outcome)

@@ -25,6 +25,7 @@ Four contracts are pinned here:
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -613,3 +614,74 @@ class TestOnlineSemantics:
                         estimator=FrameCostEstimator(fleet_cost_model))
         with pytest.raises(SearchError, match="empty fleet"):
             router.dispatch(streaming, ())
+
+
+class TestOnlineBookkeeping:
+    """Outcomes are kept by arrival position; per-frame records on demand."""
+
+    @pytest.mark.parametrize("factor", [1.0, 2.0])
+    def test_outstanding_work_adds_left_to_right(self, factor):
+        # remaining*f + s*f + s*f rounds each step back to remaining*f; a
+        # compensated sum() (Python 3.12+) or a queue total kept apart and
+        # added last would both land one ulp higher.
+        tiny = 2.0 ** -53
+        frames = [FrameRef(0, "m", index, 0.0) for index in range(3)]
+        engine = OnlineEngine(policy_by_name("round-robin"), frames,
+                              [{"m": tiny}])
+        state = engine.chips[0]
+        state.factor = factor
+        state.current = online._InFlight(0, remaining_s=1.0, now_s=0.0)
+        state.queue.extend([1, 2])
+        expected = 1.0 * factor
+        expected += tiny * factor
+        expected += tiny * factor
+        assert expected != math.fsum([1.0 * factor, tiny * factor,
+                                      tiny * factor])
+        assert engine.chip_outstanding_s(0, 0.0).hex() == expected.hex()
+
+    def test_frame_records_are_built_on_first_read(self, fleet_cost_model,
+                                                   monkeypatch):
+        built = []
+        record = online.OnlineFrameRecord
+
+        def counting_record(**fields):
+            built.append(fields["frame_id"])
+            return record(**fields)
+
+        monkeypatch.setattr(online, "OnlineFrameRecord", counting_record)
+        streaming = golden_scheduler.build_fleet_streaming_workload("duo")
+        result = _simulator(fleet_cost_model).simulate_online(
+            streaming, golden_scheduler.build_fleet("2homo"),
+            policy="round-robin",
+            faults=FaultSpec(failures=(ChipFailure(0, 0.0008),)))
+        result.report.summary()
+        assert built == []
+        frames = result.frames
+        assert len(built) == len(frames) == len(arrival_order(streaming))
+        assert result.frames is frames
+        assert result.assignments is result.assignments
+        assert len(built) == len(frames)
+
+    def test_death_orphans_reach_the_survivor_in_arrival_order(self):
+        # Chip 0 dies first and chip 1 takes a0 behind its own a2; when
+        # chip 1 dies its orphans must still reach chip 2 as a0, b0, a2.
+        frames = sorted((FrameRef(stream, model, index, 0.1 * index)
+                         for stream, model in enumerate("ab")
+                         for index in range(3)),
+                        key=lambda frame: (frame.release_s,
+                                           frame.stream_index,
+                                           frame.frame_index))
+        engine = OnlineEngine(
+            policy_by_name("round-robin"), frames,
+            [{"a": 1.0, "b": 1.0}] * 3,
+            faults=FaultSpec(failures=(ChipFailure(0, 0.5),
+                                       ChipFailure(1, 0.6))))
+        outcome = engine.run()
+        orphans = [position for position, history
+                   in enumerate(outcome.chip_history)
+                   if history[-2:] == [1, 2]]
+        names = [f"{frames[position].model_name}{frames[position].frame_index}"
+                 for position in sorted(orphans,
+                                        key=outcome.start_s.__getitem__)]
+        assert names == ["a0", "b0", "a2"]
+        assert outcome.chip_history[0] == [0, 1, 2]
