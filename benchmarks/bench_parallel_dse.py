@@ -12,7 +12,7 @@ ways:
 
 Each arm runs in its own fresh Python process, in alternating pairs (serial
 first in even pairs, pool first in odd ones), so neither arm inherits the
-other's process-global mapping and reuse memos or a warmer host.  The
+other's process-global mapping memo or a warmer host.  The
 prewarm of the shared cost table is timed separately from the round that
 runs the tasks (``run``); only ``run`` differs between the arms.  The
 bag size is given in layer placements: tasks x the workload's layer

@@ -41,6 +41,7 @@ immediately with a clear message instead of deep inside the search.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Callable, Dict, Optional, Sequence
 
@@ -91,7 +92,7 @@ def _int_at_least(minimum: int) -> Callable[[str], int]:
 
 
 def _float_at_least(minimum: float, exclusive: bool = False) -> Callable[[str], float]:
-    """Parser type: a float ``>= minimum`` (``>`` when ``exclusive``)."""
+    """Parser type: a finite float ``>= minimum`` (``>`` when ``exclusive``)."""
 
     def parse(text: str) -> float:
         try:
@@ -99,6 +100,9 @@ def _float_at_least(minimum: float, exclusive: bool = False) -> Callable[[str], 
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"expected a number, got {text!r}") from None
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(
+                f"must be a finite number (got {value})")
         if value < minimum or (exclusive and value == minimum):
             bound = f"> {minimum}" if exclusive else f">= {minimum}"
             raise argparse.ArgumentTypeError(f"must be {bound} (got {value})")

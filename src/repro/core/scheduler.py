@@ -62,13 +62,6 @@ ORDERINGS = ("breadth", "depth")
 #: Metrics a user may optimise layer assignment for.
 METRICS = ("edp", "latency", "energy")
 
-#: Metric name -> the :class:`LayerCost` attribute caching its value.  The
-#: cached slots hold exactly what :func:`metric_value` computes (they are
-#: filled from the same expressions in ``LayerCost.__post_init__``), so
-#: ranking through them is bitwise identical to the per-call extraction.
-_METRIC_CACHED_ATTR = {"edp": "_edp", "latency": "_latency_s",
-                       "energy": "_energy_pj"}
-
 #: Preference-row sort key: (metric value, sub-accelerator name).
 _RANK_ORDER = operator.itemgetter(0, 1)
 
@@ -507,7 +500,7 @@ class HeraldScheduler:
                 starts[slot] = start
                 finishes[slot] = finish
                 busy[aidx] += finish - start
-                energy += slot_cost[slot]._energy_pj
+                energy += slot_cost[slot].energy_pj
                 avail[aidx] = finish
                 for consumer in consumer_slots[slot]:
                     if finish > data_ready[consumer]:
@@ -558,7 +551,7 @@ class HeraldScheduler:
                 finishes[slot] = finish
                 commit_append(slot)
                 busy[best_idx] += finish - start
-                energy += slot_cost[slot]._energy_pj
+                energy += slot_cost[slot].energy_pj
                 avail[best_idx] = finish
                 touched = [best_idx]
                 for consumer in consumer_slots[slot]:
@@ -619,10 +612,8 @@ class HeraldScheduler:
         the configuration's hardware key, so the partition candidates of a
         sweep, which re-create the same arrays under different splits and
         names, share columns and query the cost model once per (shape,
-        configuration).  Metric values and latencies read the cost's cached
-        scalars (filled from identical expressions in
-        ``LayerCost.__post_init__``), so the rows are bitwise equal to the
-        per-call extraction.
+        configuration).  Metric values and latencies are the cost's roll-up
+        fields, computed once when the ``LayerCost`` was built.
         """
         columns = [self._column(workload, shapes, acc)
                    for acc in sub_accelerators]
@@ -649,16 +640,11 @@ class HeraldScheduler:
             return list(map(column.__getitem__, shapes))
         except KeyError:
             pass
-        attr = _METRIC_CACHED_ATTR.get(self.metric)
-        if attr is not None:
-            metric_of = operator.attrgetter(attr)
-        else:
-            metric = self.metric
-            metric_of = lambda cost: metric_value(cost, metric)  # noqa: E731
+        metric = self.metric
         missing = [layer for layer in workload.unique_shape_layers()
                    if layer.shape_key not in column]
         for layer, cost in zip(missing, self.cost_model.layer_costs(
                 missing, sub_accelerator)):
-            column[layer.shape_key] = (metric_of(cost), cost,
-                                       cost._latency_cycles)
+            column[layer.shape_key] = (metric_value(cost, metric), cost,
+                                       cost.latency_cycles)
         return list(map(column.__getitem__, shapes))

@@ -57,12 +57,10 @@ the tasks chaos actually targeted.
 from __future__ import annotations
 
 import collections
-import concurrent.futures
 import io
 import os
 import pickle
 import time
-from concurrent.futures.process import BrokenProcessPool
 from typing import Deque, Dict, List, Optional, Protocol, Sequence, Tuple
 
 from repro.exceptions import ReproError, SearchError, TaskExecutionError
@@ -607,6 +605,10 @@ class ProcessPoolBackend(_Backend):
                            scope: str) -> None:
         if not tasks:
             return
+        # The pool machinery loads multiprocessing; a serial run never does.
+        import concurrent.futures
+        from concurrent.futures.process import BrokenProcessPool
+
         attempts: Dict[int, int] = {task.task_id: 0 for task in tasks}
         queue: Deque[EvaluationTask] = collections.deque(tasks)
         in_flight: Dict[concurrent.futures.Future, _Chunk] = {}

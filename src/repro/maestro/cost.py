@@ -17,12 +17,20 @@ instance, and equal shapes across different models all share a single entry;
 :meth:`CostModel.prewarm` exploits this by deduping a whole layer list before
 estimating anything, and :meth:`CostModel.layer_costs` serves a list of
 distinct shapes on one configuration with the hardware key computed once.
+
+A cold entry is cheap because of two more choices.  Each model keeps one
+*activity record* per (shape, dataflow, PEs, buffer, reconfigurable): the
+compute steps, NoC/DRAM bytes, overhead cycles, energy terms and utilisation,
+none of which the bandwidth split or the clock touches, so every split of one
+array shares it and costs two divisions.  And :class:`LayerCost` is a tuple
+record whose roll-ups (latency, energy, seconds, EDP) are fields computed
+once when it is built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from repro.exceptions import HardwareConfigError
 from repro.units import cycles_to_seconds, picojoules_to_millijoules
@@ -30,7 +38,7 @@ from repro.dataflow.mapping import Mapping, build_mapping
 from repro.dataflow.styles import ALL_STYLES, DataflowStyle
 from repro.maestro.energy import DEFAULT_ENERGY_TABLE, EnergyTable
 from repro.maestro.hardware import SubAcceleratorConfig
-from repro.maestro.reuse import ReuseAnalysis, analyse_layer_reuse
+from repro.maestro.reuse import ReuseAnalysis, analyse_reuse
 from repro.models.layer import Layer
 
 #: Fixed pipeline fill / drain and control overhead charged to every layer, in
@@ -47,13 +55,8 @@ RDA_RECONFIGURATION_CYCLES = 2048
 RDA_INTERCONNECT_OVERHEAD = 1.6
 
 
-@dataclass(frozen=True)
-class LayerCost:
-    """Latency and energy of one layer on one sub-accelerator.
-
-    All latencies are in cycles and seconds; energies are in picojoules with a
-    millijoule convenience accessor matching the units the paper plots.
-    """
+class _LayerCostFields(NamedTuple):
+    """Field layout of :class:`LayerCost`: its 16 inputs, then its roll-ups."""
 
     layer: Layer
     dataflow_name: str
@@ -71,42 +74,66 @@ class LayerCost:
     energy_overhead_pj: float
     utilisation: float
     clock_hz: float
+    #: Roofline latency: the binding resource plus fixed overhead.
+    latency_cycles: float
+    #: Total energy in picojoules.
+    energy_pj: float
+    #: Latency in seconds.
+    latency_s: float
+    #: Energy-delay product in joule-seconds.
+    edp: float
 
-    def __post_init__(self) -> None:
-        # The scheduler reads latency/energy once per scheduling decision —
-        # orders of magnitude more often than costs are built — so the two
-        # roll-ups are precomputed (the dataclass is frozen, hence the
-        # explicit object.__setattr__, mirroring the generated __init__).
-        object.__setattr__(
-            self, "_latency_cycles",
-            max(self.compute_cycles, self.noc_cycles, self.dram_cycles)
-            + self.overhead_cycles)
-        object.__setattr__(
-            self, "_energy_pj",
-            self.energy_compute_pj + self.energy_rf_pj + self.energy_local_pj
-            + self.energy_noc_pj + self.energy_sram_pj + self.energy_dram_pj
-            + self.energy_overhead_pj)
-        # Derived scalars read by every ranking/accounting pass; the
-        # expressions are the ones the properties used to evaluate per access,
-        # so the cached values are bitwise identical.
-        object.__setattr__(
-            self, "_latency_s",
-            cycles_to_seconds(self._latency_cycles, self.clock_hz))
-        object.__setattr__(
-            self, "_edp", (self._energy_pj * 1e-12) * self._latency_s)
 
-    # ------------------------------------------------------------------
-    # Latency
-    # ------------------------------------------------------------------
-    @property
-    def latency_cycles(self) -> float:
-        """Roofline latency: the binding resource plus fixed overhead."""
-        return self._latency_cycles
+class LayerCost(_LayerCostFields):
+    """Latency and energy of one layer on one sub-accelerator.
 
-    @property
-    def latency_s(self) -> float:
-        """Latency in seconds."""
-        return self._latency_s
+    All latencies are in cycles and seconds; energies are in picojoules with a
+    millijoule convenience accessor matching the units the paper plots.
+
+    An immutable tuple record built from its 16 input fields; the four
+    roll-ups (``latency_cycles``, ``energy_pj``, ``latency_s``, ``edp``) are
+    computed once here and stored as fields, because the scheduler reads
+    them far more often than costs are built.  A cost equals only an equal
+    ``LayerCost`` (never a plain tuple) and is not orderable.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, layer: Layer, dataflow_name: str, num_pes: int,
+                compute_cycles: float, noc_cycles: float, dram_cycles: float,
+                overhead_cycles: float, energy_compute_pj: float,
+                energy_rf_pj: float, energy_local_pj: float,
+                energy_noc_pj: float, energy_sram_pj: float,
+                energy_dram_pj: float, energy_overhead_pj: float,
+                utilisation: float, clock_hz: float) -> "LayerCost":
+        latency_cycles = (max(compute_cycles, noc_cycles, dram_cycles)
+                          + overhead_cycles)
+        energy_pj = (energy_compute_pj + energy_rf_pj + energy_local_pj
+                     + energy_noc_pj + energy_sram_pj + energy_dram_pj
+                     + energy_overhead_pj)
+        latency_s = cycles_to_seconds(latency_cycles, clock_hz)
+        return tuple.__new__(cls, (
+            layer, dataflow_name, num_pes, compute_cycles, noc_cycles,
+            dram_cycles, overhead_cycles, energy_compute_pj, energy_rf_pj,
+            energy_local_pj, energy_noc_pj, energy_sram_pj, energy_dram_pj,
+            energy_overhead_pj, utilisation, clock_hz, latency_cycles,
+            energy_pj, latency_s, (energy_pj * 1e-12) * latency_s))
+
+    def __getnewargs__(self) -> Tuple:
+        return self[:16]
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, LayerCost) and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+    def _unorderable(self, other: object) -> bool:
+        raise TypeError("LayerCost instances are not orderable")
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unorderable
 
     @property
     def bound_by(self) -> str:
@@ -118,23 +145,10 @@ class LayerCost:
         }
         return max(bounds, key=bounds.get)
 
-    # ------------------------------------------------------------------
-    # Energy
-    # ------------------------------------------------------------------
-    @property
-    def energy_pj(self) -> float:
-        """Total energy in picojoules."""
-        return self._energy_pj
-
     @property
     def energy_mj(self) -> float:
         """Total energy in millijoules (the unit used in the paper's figures)."""
         return picojoules_to_millijoules(self.energy_pj)
-
-    @property
-    def edp(self) -> float:
-        """Energy-delay product in joule-seconds."""
-        return self._edp
 
     def energy_breakdown(self) -> Dict[str, float]:
         """Per-component energy in picojoules."""
@@ -157,19 +171,21 @@ class LayerCost:
         )
 
 
-def _estimate(layer: Layer, style: DataflowStyle, num_pes: int,
-              bandwidth_bytes_per_cycle: float, dram_bytes_per_cycle: float,
-              buffer_bytes: int, clock_hz: float, energy_table: EnergyTable,
-              reconfigurable: bool) -> LayerCost:
-    """Estimate one layer on one concrete array configuration."""
+def _activity(layer: Layer, style: DataflowStyle, num_pes: int,
+              buffer_bytes: int, energy_table: EnergyTable,
+              reconfigurable: bool) -> Tuple:
+    """The activity record of one layer shape on one array: every part of
+    its cost that the NoC/DRAM bandwidth split and the clock do not touch.
+
+    ``(compute cycles, NoC bytes, DRAM bytes, overhead cycles, then the
+    compute, rf, local, noc, sram, dram and overhead energies, utilisation)``
+    — the fields :meth:`CostModel._estimate_on` turns into a :class:`LayerCost`
+    with two divisions.
+    """
     mapping: Mapping = build_mapping(layer, style, num_pes)
-    reuse: ReuseAnalysis = analyse_layer_reuse(layer, style, num_pes, buffer_bytes)
+    reuse: ReuseAnalysis = analyse_reuse(mapping, buffer_bytes)
 
-    compute_cycles = float(mapping.compute_steps)
-    noc_cycles = reuse.noc_tile_bytes / bandwidth_bytes_per_cycle
-    dram_cycles = reuse.dram_bytes / dram_bytes_per_cycle
     overhead_cycles = float(LAYER_OVERHEAD_CYCLES)
-
     table = energy_table
     energy_overhead = 0.0
     if reconfigurable:
@@ -178,30 +194,19 @@ def _estimate(layer: Layer, style: DataflowStyle, num_pes: int,
         energy_overhead = (energy_table.reconfiguration
                            + layer.macs * energy_table.rda_distribution_per_mac)
 
-    energy_compute = layer.macs * table.mac
-    energy_rf = reuse.rf_accesses * table.rf_access
-    energy_local = reuse.local_fills * table.local_buffer_access
-    energy_noc = reuse.noc_tile_elements * table.noc_hop
-    energy_sram = reuse.noc_tile_elements * table.sram_access
-    energy_dram = reuse.dram_accesses * table.dram_access
-
-    return LayerCost(
-        layer=layer,
-        dataflow_name=style.name,
-        num_pes=num_pes,
-        compute_cycles=compute_cycles,
-        noc_cycles=noc_cycles,
-        dram_cycles=dram_cycles,
-        overhead_cycles=overhead_cycles,
-        energy_compute_pj=energy_compute,
-        energy_rf_pj=energy_rf,
-        energy_local_pj=energy_local,
-        energy_noc_pj=energy_noc,
-        energy_sram_pj=energy_sram,
-        energy_dram_pj=energy_dram,
-        energy_overhead_pj=energy_overhead,
-        utilisation=mapping.utilisation,
-        clock_hz=clock_hz,
+    return (
+        float(mapping.compute_steps),
+        reuse.noc_tile_bytes,
+        reuse.dram_bytes,
+        overhead_cycles,
+        layer.macs * table.mac,
+        reuse.rf_accesses * table.rf_access,
+        reuse.local_fills * table.local_buffer_access,
+        reuse.noc_tile_elements * table.noc_hop,
+        reuse.noc_tile_elements * table.sram_access,
+        reuse.dram_accesses * table.dram_access,
+        energy_overhead,
+        mapping.utilisation,
     )
 
 
@@ -222,6 +227,10 @@ class CostModel:
         self.energy_table = energy_table
         self.rda_styles: Tuple[DataflowStyle, ...] = tuple(rda_styles)
         self._cache: Dict[Tuple, LayerCost] = {}
+        #: Activity records (:func:`_activity`) per ``(shape_key, style,
+        #: PEs, buffer, reconfigurable)``, shared by every bandwidth split
+        #: and clock of one array.
+        self._activities: Dict[Tuple, Tuple] = {}
         self.hits = 0
         self.misses = 0
         #: Optional ``(key, cost)`` callback fired when a *computed* entry is
@@ -374,13 +383,17 @@ class CostModel:
         # The new-entry hook is parent-process state (it appends to the
         # persistent cache's journal file); shipping it into pool workers
         # would journal every entry twice from processes that share the file.
+        # The activity records only speed up cold estimates; a worker
+        # rebuilds any it needs instead of receiving them.
         state = dict(self.__dict__)
         state["new_entry_hook"] = None
+        state["_activities"] = {}
         return state
 
     def clear_cache(self) -> None:
         """Drop all memoised results."""
         self._cache.clear()
+        self._activities.clear()
 
     # ------------------------------------------------------------------
     # Internals
@@ -388,22 +401,34 @@ class CostModel:
     def _estimate_on(self, layer: Layer, style: Optional[DataflowStyle],
                      sub_accelerator: SubAcceleratorConfig,
                      reconfigurable: bool) -> LayerCost:
+        """Estimate one layer on one concrete array configuration.
+
+        One probe of the activity memo; a bandwidth split then costs the
+        two roofline divisions and the record.
+        """
         if style is None:
             raise HardwareConfigError(
                 f"sub-accelerator {sub_accelerator.name!r} has no dataflow and no "
                 "style was supplied"
             )
-        return _estimate(
-            layer=layer,
-            style=style,
-            num_pes=sub_accelerator.num_pes,
-            bandwidth_bytes_per_cycle=sub_accelerator.bandwidth_bytes_per_cycle,
-            dram_bytes_per_cycle=sub_accelerator.dram_bandwidth_bytes_per_cycle,
-            buffer_bytes=sub_accelerator.buffer_bytes,
-            clock_hz=sub_accelerator.clock_hz,
-            energy_table=self.energy_table,
-            reconfigurable=reconfigurable,
-        )
+        num_pes = sub_accelerator.num_pes
+        key = (layer.shape_key, style, num_pes, sub_accelerator.buffer_bytes,
+               reconfigurable)
+        activity = self._activities.get(key)
+        if activity is None:
+            activity = self._activities[key] = _activity(
+                layer, style, num_pes, sub_accelerator.buffer_bytes,
+                self.energy_table, reconfigurable)
+        (compute_cycles, noc_bytes, dram_bytes, overhead_cycles,
+         energy_compute, energy_rf, energy_local, energy_noc, energy_sram,
+         energy_dram, energy_overhead, utilisation) = activity
+        return LayerCost(
+            layer, style.name, num_pes, compute_cycles,
+            noc_bytes / sub_accelerator.bandwidth_bytes_per_cycle,
+            dram_bytes / sub_accelerator.dram_bandwidth_bytes_per_cycle,
+            overhead_cycles, energy_compute, energy_rf, energy_local,
+            energy_noc, energy_sram, energy_dram, energy_overhead,
+            utilisation, sub_accelerator.clock_hz)
 
     def hardware_key(self, sub_accelerator: SubAcceleratorConfig) -> Tuple:
         """The cost-relevant identity of a sub-accelerator configuration.

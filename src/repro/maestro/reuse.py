@@ -27,11 +27,9 @@ global-NoC tile traffic also bounds latency through the partitioned bandwidth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
 
 from repro.units import BYTES_PER_ELEMENT
-from repro.dataflow.mapping import Mapping, build_mapping
-from repro.dataflow.styles import DataflowStyle
+from repro.dataflow.mapping import Mapping
 from repro.models.layer import Layer
 
 #: Upper bound on tile-refetch factors; accelerators tile loops to bound refetch.
@@ -96,46 +94,6 @@ def _refetch_factor(layer: Layer, buffer_bytes: int) -> int:
 def _fits(elements: int, buffer_bytes: int) -> bool:
     """Whether a tensor of ``elements`` fits in the sub-accelerator's buffer share."""
     return elements * BYTES_PER_ELEMENT <= buffer_bytes
-
-
-#: Entry cap of the reuse memo (matches the historical ``lru_cache`` bound).
-_REUSE_MEMO_MAX = 200_000
-
-_reuse_memo: Dict[Tuple, ReuseAnalysis] = {}
-
-
-def analyse_layer_reuse(layer: Layer, style: DataflowStyle, num_pes: int,
-                        buffer_bytes: int) -> ReuseAnalysis:
-    """Memoised :func:`analyse_reuse` keyed by what it actually depends on.
-
-    A partition sweep re-estimates the same (layer shape, style, PE count,
-    buffer) under several NoC bandwidth splits; bandwidth only scales the
-    resulting cycle counts, so the access-count analysis itself is shared.
-    The memo key is :attr:`~repro.models.layer.Layer.shape_key` — not the
-    full frozen ``Layer``, whose equality includes the identity fields
-    ``name``/``model_name`` — so same-shape layers across blocks, batches,
-    and models share a single entry instead of fragmenting the cache and
-    pinning every distinct ``Layer`` object.  The mapping comes from the
-    (also memoised) mapper.
-    """
-    key = (layer.shape_key, style, num_pes, buffer_bytes)
-    cached = _reuse_memo.get(key)
-    if cached is not None:
-        return cached
-    analysis = analyse_reuse(build_mapping(layer, style, num_pes), buffer_bytes)
-    if len(_reuse_memo) < _REUSE_MEMO_MAX:
-        _reuse_memo[key] = analysis
-    return analysis
-
-
-def reuse_cache_size() -> int:
-    """Number of memoised reuse analyses (tests pin per-shape growth)."""
-    return len(_reuse_memo)
-
-
-def clear_reuse_cache() -> None:
-    """Drop memoised reuse analyses (tests use this to measure cold runs)."""
-    _reuse_memo.clear()
 
 
 def analyse_reuse(mapping: Mapping, buffer_bytes: int) -> ReuseAnalysis:

@@ -16,6 +16,7 @@ so any layer may use it without creating an import cycle with
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.exceptions import SpecError
@@ -105,14 +106,22 @@ def expect_pos_int(value: object, path: str) -> int:
 def expect_number(value: object, path: str,
                   minimum: Optional[float] = None,
                   exclusive: bool = False) -> float:
-    """``value`` must be an int or float (bools rejected), optionally bounded.
+    """``value`` must be a finite int or float (bools rejected), optionally
+    bounded.
 
     ``exclusive`` makes the bound strict (``> minimum`` instead of ``>=``).
+    NaN fails every comparison, so it and the infinities are rejected before
+    the bound is checked.
     """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SpecError(
             f"{path}: expected a number (got {_describe_value(value)})")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise SpecError(f"{path}: expected a finite number (got {value})")
     if minimum is not None:
         if exclusive and value <= minimum:
             raise SpecError(

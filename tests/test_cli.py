@@ -9,7 +9,7 @@ import pytest
 
 from repro.cli import main
 from repro.exec import backends
-from repro.experiment import load_report
+from repro.experiment import load_report, write_report
 
 
 class TestDescribe:
@@ -127,18 +127,87 @@ class TestDse:
 
     def test_dse_imports_no_third_party_package(self):
         """The package is stdlib-only: a full ``herald dse`` run in a fresh
-        interpreter never imports numpy."""
+        interpreter never imports numpy.  A serial run builds no pool, so it
+        never imports the process-pool machinery either."""
         src = os.path.join(os.path.dirname(os.path.dirname(
             os.path.abspath(__file__))), "src")
         script = ("import sys\n"
                   "from repro.cli import main\n"
                   "assert main(['dse', '--workload', 'arvr-a', '--chip', "
                   "'edge', '--pe-steps', '4', '--bw-steps', '1']) == 0\n"
-                  "print('numpy loaded:', 'numpy' in sys.modules)\n")
+                  "print('loaded:', sorted(name for name in ('numpy', "
+                  "'multiprocessing', 'concurrent.futures.process') "
+                  "if name in sys.modules))\n")
         env = dict(os.environ, PYTHONPATH=src)
         result = subprocess.run([sys.executable, "-c", script], env=env,
                                 capture_output=True, text=True, check=True)
-        assert result.stdout.splitlines()[-1] == "numpy loaded: False"
+        assert result.stdout.splitlines()[-1] == "loaded: []"
+
+
+class TestNonFiniteNumbers:
+    """NaN fails every comparison, so a bound check alone lets it (and the
+    infinities) through; every numeric input rejects them explicitly."""
+
+    @staticmethod
+    def _exit_code(argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        return excinfo.value.code
+
+    @staticmethod
+    def _regressed_pair(tmp_path):
+        current = str(tmp_path / "current.json")
+        assert main(["schedule", "--design", "rda", "--report", current]) == 0
+        baseline = load_report(current)
+        for name in baseline["metrics"]:
+            baseline["metrics"][name] *= 0.5
+        baseline_path = str(tmp_path / "baseline.json")
+        write_report(baseline, baseline_path)
+        return current, baseline_path
+
+    def test_report_diff_nan_tolerance_is_exit_2(self, tmp_path, capsys):
+        current, baseline = self._regressed_pair(tmp_path)
+        assert main(["report-diff", current, baseline]) == 1
+        capsys.readouterr()
+        assert self._exit_code(["report-diff", current, baseline,
+                                "--tolerance", "nan"]) == 2
+        assert ("--tolerance: must be a finite number (got nan)"
+                in capsys.readouterr().err)
+
+    def test_run_baseline_nan_tolerance_is_exit_2(self, tmp_path, capsys):
+        _, baseline = self._regressed_pair(tmp_path)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"kind": "schedule", "design": "rda"}),
+                        encoding="utf-8")
+        capsys.readouterr()
+        assert self._exit_code(["run", str(spec), "--baseline", baseline,
+                                "--tolerance", "nan"]) == 2
+        assert ("--tolerance: must be a finite number (got nan)"
+                in capsys.readouterr().err)
+
+    def test_serve_nan_fps_scale_is_exit_2(self, capsys):
+        assert self._exit_code(["serve", "--design", "fda-nvdla", "--frames",
+                                "1", "--fps-scale", "nan",
+                                "--skip-sustained"]) == 2
+        assert ("--fps-scale: must be a finite number (got nan)"
+                in capsys.readouterr().err)
+
+    def test_infinite_jitter_is_exit_2(self, capsys):
+        assert self._exit_code(["serve", "--design", "fda-nvdla", "--frames",
+                                "1", "--jitter-ms", "inf",
+                                "--skip-sustained"]) == 2
+        assert ("--jitter-ms: must be a finite number (got inf)"
+                in capsys.readouterr().err)
+
+    def test_spec_nan_fps_scale_is_exit_2(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "kind": "serve", "design": "fda-nvdla",
+            "streaming": {"frames": 1, "fps_scale": float("nan")}}),
+            encoding="utf-8")
+        assert main(["run", str(spec)]) == 2
+        assert ("streaming.fps_scale: expected a finite number (got nan)"
+                in capsys.readouterr().err)
 
 
 class TestServe:

@@ -210,6 +210,15 @@ _ERROR_CASES = [
      "search.pe_steps: 3 does not divide the 4096 PEs of chip 'mobile' into "
      "equal steps, at least one per sub-accelerator of a 3-way HDA; valid "
      "step counts: 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096"),
+    # NaN passes every bound check and an infinity passes a lower bound, so
+    # non-finite numbers are rejected first; an int too large for a float
+    # counts as infinite instead of raising OverflowError.
+    ({"kind": "serve", "streaming": {"fps_scale": float("nan")}},
+     "streaming.fps_scale: expected a finite number (got nan)"),
+    ({"kind": "serve", "streaming": {"jitter_ms": float("inf")}},
+     "streaming.jitter_ms: expected a finite number (got inf)"),
+    ({"kind": "serve", "streaming": {"fps_scale": 10 ** 400}},
+     "streaming.fps_scale: expected a finite number (got inf)"),
 ]
 
 

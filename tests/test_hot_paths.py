@@ -49,8 +49,6 @@ from repro.exec.cache import CACHE_FORMAT_VERSION
 from repro.exceptions import HardwareConfigError, SchedulingError
 from repro.maestro.cost import CostModel
 from repro.maestro.hardware import SubAcceleratorConfig
-from repro.maestro.reuse import (analyse_layer_reuse, clear_reuse_cache,
-                                 reuse_cache_size)
 from repro.models.graph import ModelGraph
 from repro.models.layer import Layer, LayerType, conv2d, fc, pwconv, upconv
 from repro.units import gbps, mib
@@ -635,14 +633,33 @@ class TestShapeKeyedMemoBugfix:
         assert mapping_cache_info().currsize == 1
         assert mapping_cache_info().misses == 1
 
-    def test_renamed_layer_hits_same_reuse_entry(self):
-        clear_reuse_cache()
-        layer = conv2d("block1", model_name="net-a", **self._SHAPE)
-        first = analyse_layer_reuse(layer, NVDLA, 128, mib(1))
-        second = analyse_layer_reuse(
-            layer.renamed("block9", model_name="net-b"), NVDLA, 128, mib(1))
-        assert second is first
-        assert reuse_cache_size() == 1
+    def test_bandwidth_splits_share_one_activity_record_per_shape(
+            self, monkeypatch):
+        """K bandwidth splits of one (style, PEs, buffer) array run one reuse
+        analysis per shape — renamed clones included — and still compute
+        K x shapes cost entries."""
+        from repro.maestro import cost as cost_module
+        analyse = cost_module.analyse_reuse
+        analysed = []
+
+        def counting(mapping, buffer_bytes):
+            analysed.append(mapping.layer.shape_key)
+            return analyse(mapping, buffer_bytes)
+
+        monkeypatch.setattr(cost_module, "analyse_reuse", counting)
+        shapes = [conv2d("a", **self._SHAPE), fc("b", k=64, c=32),
+                  conv2d("c", k=16, c=8, y=8, x=8, r=1, s=1)]
+        layers = shapes + [layer.renamed(f"{layer.name}-copy", model_name="m")
+                           for layer in shapes]
+        splits = [SubAcceleratorConfig(
+            name=f"split{index}", dataflow=NVDLA, num_pes=128,
+            bandwidth_bytes_per_s=gbps(bandwidth),
+            dram_bandwidth_bytes_per_s=gbps(bandwidth / 2),
+            buffer_bytes=mib(1)) for index, bandwidth in enumerate((1, 2, 4, 8))]
+        model = CostModel()
+        assert model.prewarm(layers, splits) == len(splits) * len(shapes)
+        assert sorted(analysed) == sorted(layer.shape_key for layer in shapes)
+        assert model.misses == len(splits) * len(shapes)
 
     def test_arvr_a_cold_pass_hit_counts_on_the_edge_split(self):
         """One cold pass of AR/VR-A over a two-way edge split (NVDLA +
@@ -675,16 +692,19 @@ class TestSharedPoolTable:
     def test_pool_results_reference_the_parent_table(self, tiny_chip,
                                                      small_workload):
         """The pool prewarms its parent table and returns the parent's own
-        memo entries, not copies; the schedules equal their serial twins."""
+        memo entries, not copies: every ``LayerCost`` (a tuple record, so
+        this pins the snapshot pickler for a tuple subclass) *is* a parent
+        entry.  The schedules equal their serial twins."""
         tasks = [EvaluationTask(i, design, small_workload)
                  for i, design in enumerate(enumerate_fdas(tiny_chip))]
         model = CostModel()
         results = ProcessPoolBackend(jobs=2, cost_model=model).run(tasks)
-        memo = {id(cost) for _, cost in model.cache_items()}
+        memo = {id(cost): cost for _, cost in model.cache_items()}
         serial = SerialBackend().run(tasks)
         for ours, theirs in zip(results, serial):
-            assert all(id(entry.cost) in memo
-                       for entry in ours.schedule.entries)
+            costs = [entry.cost for entry in ours.schedule.entries]
+            assert costs
+            assert all(memo.get(id(cost)) is cost for cost in costs)
             assert ours.schedule == theirs.schedule
 
 
