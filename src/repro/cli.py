@@ -343,13 +343,13 @@ def _execute(mapping: Dict[str, object], report_path: Optional[str] = None,
     try:
         outcome = run_experiment(spec, checkpoint_path=checkpoint_path,
                                  resume=resume)
+        if outcome.exit_code != 0 or outcome.report is None:
+            return outcome.exit_code
+        if report_path is not None:
+            write_report(outcome.report, report_path)
     except (SpecError, CheckpointError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    if outcome.exit_code != 0 or outcome.report is None:
-        return outcome.exit_code
-    if report_path is not None:
-        write_report(outcome.report, report_path)
     if baseline_path is not None:
         try:
             baseline = load_report(baseline_path)

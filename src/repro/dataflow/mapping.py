@@ -259,6 +259,15 @@ def _search_factors_uncached(dims: Sequence[Tuple[str, int, int]], budget: int
     return best_factors, best_active
 
 
+def saturating_pes(layer: Layer, style: DataflowStyle) -> int:
+    """The product of the extents the factor search can unroll: from this
+    budget up its factors, steps and active PEs stop changing (Fig. 5)."""
+    pes = 1
+    for name, size in style.spatial_dims_for_layer(layer):
+        pes *= max(1, min(size, style.unroll_cap(name) or size))
+    return pes
+
+
 def _build_mapping_uncached(layer: Layer, style: DataflowStyle, num_pes: int) -> Mapping:
     dims = [
         (name, size, style.unroll_cap(name) or num_pes)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import platform
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -124,7 +125,11 @@ def build_report(kind: str, name: str, config: Dict[str, object],
                  details: Optional[Dict[str, object]] = None,
                  timing: Optional[Dict[str, float]] = None
                  ) -> Dict[str, object]:
-    """Assemble one schema-versioned report document."""
+    """Assemble one schema-versioned report; a non-finite metric raises."""
+    for metric, value in metrics.items():
+        if not math.isfinite(value):
+            raise SpecError(f"metric {metric!r} is not a finite number "
+                            f"({value!r})")
     return {
         "schema": REPORT_SCHEMA,
         "herald_version": __version__,
@@ -136,9 +141,16 @@ def build_report(kind: str, name: str, config: Dict[str, object],
         "timing": dict(timing or {}),
         "environment": {
             "python": platform.python_version(),
-            "platform": platform.platform(),
+            "platform": _platform_name(),
         },
     }
+
+
+def _platform_name() -> str:
+    """``platform.platform()`` minus the processor (a ``uname -p`` spawn)."""
+    libc = "".join(platform.libc_ver())
+    return "-".join(filter(None, (platform.system(), platform.release(),
+                                  platform.machine(), libc and "with", libc)))
 
 
 def canonical_report(report: Dict[str, object]) -> Dict[str, object]:
@@ -152,10 +164,16 @@ def canonical_report(report: Dict[str, object]) -> Dict[str, object]:
 
 
 def write_report(report: Dict[str, object], path: str) -> None:
-    """Write a report as stable, diff-friendly JSON."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=1, sort_keys=True)
-        handle.write("\n")
+    """Write a report as stable, diff-friendly, strict JSON (a value that
+    is not finite is a :class:`SpecError`, and the file is removed)."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(report, handle, indent=1, sort_keys=True,
+                      allow_nan=False)
+            handle.write("\n")
+    except ValueError as error:
+        os.remove(path)
+        raise SpecError(f"report {path!r}: {error}") from None
 
 
 def load_report(path: str) -> Dict[str, object]:

@@ -18,13 +18,18 @@ instance, and equal shapes across different models all share a single entry;
 estimating anything, and :meth:`CostModel.layer_costs` serves a list of
 distinct shapes on one configuration with the hardware key computed once.
 
-A cold entry is cheap because of two more choices.  Each model keeps one
-*activity record* per (shape, dataflow, PEs, buffer, reconfigurable): the
-compute steps, NoC/DRAM bytes, overhead cycles, energy terms and utilisation,
-none of which the bandwidth split or the clock touches, so every split of one
-array shares it and costs two divisions.  And :class:`LayerCost` is a tuple
-record whose roll-ups (latency, energy, seconds, EDP) are fields computed
-once when it is built.
+A cold entry is cheap because of three more choices.  Each model keeps one
+*activity record* per (shape, dataflow, ``min(PEs, saturation)``, buffer,
+reconfigurable): the compute steps, NoC/DRAM bytes, overhead cycles and
+energy terms, none of which the bandwidth split or the clock touches, so
+every split of one array shares it and costs two divisions.  Past its
+saturation (:func:`~repro.dataflow.mapping.saturating_pes`) a layer cannot
+use more PEs, so every larger array shares the record too and only the
+utilisation, computed per entry, sees the idle PEs.  One batch estimator,
+:meth:`CostModel._estimate`, builds every cost, reading the configuration's
+constants once per batch.  And :class:`LayerCost` is a tuple record whose
+roll-ups (latency, energy, seconds, EDP) are fields computed once when it
+is built.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
 
 from repro.exceptions import HardwareConfigError
 from repro.units import cycles_to_seconds, picojoules_to_millijoules
-from repro.dataflow.mapping import Mapping, build_mapping
+from repro.dataflow.mapping import Mapping, build_mapping, saturating_pes
 from repro.dataflow.styles import ALL_STYLES, DataflowStyle
 from repro.maestro.energy import DEFAULT_ENERGY_TABLE, EnergyTable
 from repro.maestro.hardware import SubAcceleratorConfig
@@ -175,12 +180,12 @@ def _activity(layer: Layer, style: DataflowStyle, num_pes: int,
               buffer_bytes: int, energy_table: EnergyTable,
               reconfigurable: bool) -> Tuple:
     """The activity record of one layer shape on one array: every part of
-    its cost that the NoC/DRAM bandwidth split and the clock do not touch.
+    its cost that the NoC/DRAM bandwidth split, the clock and the idle PEs
+    past :func:`~repro.dataflow.mapping.saturating_pes` do not touch.
 
     ``(compute cycles, NoC bytes, DRAM bytes, overhead cycles, then the
-    compute, rf, local, noc, sram, dram and overhead energies, utilisation)``
-    — the fields :meth:`CostModel._estimate_on` turns into a :class:`LayerCost`
-    with two divisions.
+    compute, rf, local, noc, sram, dram and overhead energies)`` — the
+    fields :meth:`CostModel._estimate` turns into a :class:`LayerCost`.
     """
     mapping: Mapping = build_mapping(layer, style, num_pes)
     reuse: ReuseAnalysis = analyse_reuse(mapping, buffer_bytes)
@@ -206,7 +211,6 @@ def _activity(layer: Layer, style: DataflowStyle, num_pes: int,
         reuse.noc_tile_elements * table.sram_access,
         reuse.dram_accesses * table.dram_access,
         energy_overhead,
-        mapping.utilisation,
     )
 
 
@@ -228,9 +232,12 @@ class CostModel:
         self.rda_styles: Tuple[DataflowStyle, ...] = tuple(rda_styles)
         self._cache: Dict[Tuple, LayerCost] = {}
         #: Activity records (:func:`_activity`) per ``(shape_key, style,
-        #: PEs, buffer, reconfigurable)``, shared by every bandwidth split
-        #: and clock of one array.
+        #: min(PEs, saturation), buffer, reconfigurable)``, shared by every
+        #: bandwidth split and clock of one array and by every array larger
+        #: than the saturation.
         self._activities: Dict[Tuple, Tuple] = {}
+        #: :func:`saturating_pes` per ``(shape_key, style)``.
+        self._saturations: Dict[Tuple, int] = {}
         self.hits = 0
         self.misses = 0
         #: Optional ``(key, cost)`` callback fired when a *computed* entry is
@@ -256,62 +263,57 @@ class CostModel:
         with that shape as its representative; every numeric field is a pure
         function of the shape.
         """
-        key = self._key(layer, sub_accelerator)
-        cached = self._cache.get(key)
-        if cached is not None:
-            self.hits += 1
-            return cached
-        return self._install_computed(key, layer, sub_accelerator)
-
-    def _compute_cost(self, layer: Layer,
-                      sub_accelerator: SubAcceleratorConfig) -> LayerCost:
-        """Scalar estimation of one (layer, sub-accelerator) pair."""
-        if sub_accelerator.is_reconfigurable:
-            return min(
-                (
-                    self._estimate_on(layer, style, sub_accelerator, reconfigurable=True)
-                    for style in self.rda_styles
-                ),
-                key=lambda c: c.edp,
-            )
-        return self._estimate_on(layer, sub_accelerator.dataflow, sub_accelerator,
-                                 reconfigurable=False)
+        return self.layer_costs((layer,), sub_accelerator)[0]
 
     def layer_cost_with_style(self, layer: Layer, style: DataflowStyle,
                               sub_accelerator: SubAcceleratorConfig) -> LayerCost:
         """Cost of ``layer`` on ``sub_accelerator`` forced to use ``style``."""
-        return self._estimate_on(layer, style, sub_accelerator,
-                                 reconfigurable=sub_accelerator.is_reconfigurable)
+        if style is None:
+            raise HardwareConfigError(
+                f"sub-accelerator {sub_accelerator.name!r} has no dataflow and "
+                "no style was supplied")
+        return self._estimate((layer,), sub_accelerator, (style,),
+                              sub_accelerator.is_reconfigurable)[0]
 
     def best_style(self, layer: Layer, sub_accelerator: SubAcceleratorConfig,
                    metric: str = "edp") -> Tuple[DataflowStyle, LayerCost]:
         """The preferred dataflow style for ``layer`` on the given array size."""
-        scored = []
-        for style in self.rda_styles:
-            cost = self._estimate_on(layer, style, sub_accelerator, reconfigurable=False)
-            scored.append((style, cost))
+        scored = [(style, self._estimate((layer,), sub_accelerator, (style,),
+                                         False)[0])
+                  for style in self.rda_styles]
         return min(scored, key=lambda pair: metric_value(pair[1], metric))
 
     def layer_costs(self, layers: Iterable[Layer],
                     sub_accelerator: SubAcceleratorConfig) -> List[LayerCost]:
         """:meth:`layer_cost` of each of ``layers`` on one configuration.
 
-        The batch form for per-configuration cost columns: the hardware key
-        is computed once, not per layer.  Counters and ``new_entry_hook``
-        firings are exactly those of the per-layer calls, in order.
+        The hardware key is computed once and the missing shapes are
+        estimated in one :meth:`_estimate` batch.  Counters and
+        ``new_entry_hook`` firings equal those of per-layer calls, in order.
         """
         hw_key = self.hardware_key(sub_accelerator)
         cache = self._cache
-        costs = []
+        keys = []
+        missing: Dict[Tuple, Layer] = {}
         for layer in layers:
             key = (layer.shape_key,) + hw_key
-            cost = cache.get(key)
-            if cost is None:
-                cost = self._install_computed(key, layer, sub_accelerator)
-            else:
-                self.hits += 1
-            costs.append(cost)
-        return costs
+            keys.append(key)
+            if key not in cache and key not in missing:
+                missing[key] = layer
+        if missing:
+            reconfigurable = sub_accelerator.is_reconfigurable
+            styles = (self.rda_styles if reconfigurable
+                      else (sub_accelerator.dataflow,))
+            hook = self.new_entry_hook
+            for key, cost in zip(missing, self._estimate(
+                    missing.values(), sub_accelerator, styles,
+                    reconfigurable)):
+                cache[key] = cost
+                if hook is not None:
+                    hook(key, cost)
+        self.misses += len(missing)
+        self.hits += len(keys) - len(missing)
+        return [cache[key] for key in keys]
 
     def prewarm(self, layers: Sequence[Layer],
                 sub_accelerators: Sequence[SubAcceleratorConfig]) -> int:
@@ -338,20 +340,6 @@ class CostModel:
         for acc in distinct.values():
             self.layer_costs(unique.values(), acc)
         return self.misses - misses
-
-    def _install_computed(self, key: Tuple, layer: Layer,
-                          sub_accelerator: SubAcceleratorConfig) -> LayerCost:
-        """Estimate, count and memoise the cost of one missing ``key``.
-
-        The miss path of :meth:`layer_cost` and :meth:`layer_costs`: one
-        counted miss and one ``new_entry_hook`` firing per computed cost.
-        """
-        self.misses += 1
-        cost = self._compute_cost(layer, sub_accelerator)
-        self._cache[key] = cost
-        if self.new_entry_hook is not None:
-            self.new_entry_hook(key, cost)
-        return cost
 
     def cache_size(self) -> int:
         """Number of memoised (layer, hardware) cost entries."""
@@ -388,47 +376,70 @@ class CostModel:
         state = dict(self.__dict__)
         state["new_entry_hook"] = None
         state["_activities"] = {}
+        state["_saturations"] = {}
         return state
 
     def clear_cache(self) -> None:
         """Drop all memoised results."""
         self._cache.clear()
         self._activities.clear()
+        self._saturations.clear()
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _estimate_on(self, layer: Layer, style: Optional[DataflowStyle],
-                     sub_accelerator: SubAcceleratorConfig,
-                     reconfigurable: bool) -> LayerCost:
-        """Estimate one layer on one concrete array configuration.
+    def _estimate(self, layers: Iterable[Layer],
+                  sub_accelerator: SubAcceleratorConfig,
+                  styles: Sequence[DataflowStyle],
+                  reconfigurable: bool) -> List[LayerCost]:
+        """The cost estimator: each of ``layers`` on ``sub_accelerator``
+        under the first of ``styles`` with the lowest EDP (one style for a
+        fixed array, :attr:`rda_styles` for an RDA's per-layer choice).
 
-        One probe of the activity memo; a bandwidth split then costs the
-        two roofline divisions and the record.
+        The configuration's constants are read once.  A (shape, style) pair
+        reads the activity record mapped on ``min(PEs, saturation)`` PEs;
+        its cost is then two roofline divisions, the utilisation of the
+        real array, and the :class:`LayerCost` roll-ups.
         """
-        if style is None:
-            raise HardwareConfigError(
-                f"sub-accelerator {sub_accelerator.name!r} has no dataflow and no "
-                "style was supplied"
-            )
         num_pes = sub_accelerator.num_pes
-        key = (layer.shape_key, style, num_pes, sub_accelerator.buffer_bytes,
-               reconfigurable)
-        activity = self._activities.get(key)
-        if activity is None:
-            activity = self._activities[key] = _activity(
-                layer, style, num_pes, sub_accelerator.buffer_bytes,
-                self.energy_table, reconfigurable)
-        (compute_cycles, noc_bytes, dram_bytes, overhead_cycles,
-         energy_compute, energy_rf, energy_local, energy_noc, energy_sram,
-         energy_dram, energy_overhead, utilisation) = activity
-        return LayerCost(
-            layer, style.name, num_pes, compute_cycles,
-            noc_bytes / sub_accelerator.bandwidth_bytes_per_cycle,
-            dram_bytes / sub_accelerator.dram_bandwidth_bytes_per_cycle,
-            overhead_cycles, energy_compute, energy_rf, energy_local,
-            energy_noc, energy_sram, energy_dram, energy_overhead,
-            utilisation, sub_accelerator.clock_hz)
+        buffer_bytes = sub_accelerator.buffer_bytes
+        noc_bytes_per_cycle = sub_accelerator.bandwidth_bytes_per_cycle
+        dram_bytes_per_cycle = sub_accelerator.dram_bandwidth_bytes_per_cycle
+        clock_hz = sub_accelerator.clock_hz
+        activities = self._activities
+        saturations = self._saturations
+        costs = []
+        for layer in layers:
+            shape_key = layer.shape_key
+            best = None
+            for style in styles:
+                saturation = saturations.get((shape_key, style))
+                if saturation is None:
+                    saturation = saturations[shape_key, style] = \
+                        saturating_pes(layer, style)
+                budget = min(num_pes, saturation)
+                key = (shape_key, style, budget, buffer_bytes, reconfigurable)
+                activity = activities.get(key)
+                if activity is None:
+                    activity = activities[key] = _activity(
+                        layer, style, budget, buffer_bytes, self.energy_table,
+                        reconfigurable)
+                (compute_cycles, noc_bytes, dram_bytes, overhead_cycles,
+                 energy_compute, energy_rf, energy_local, energy_noc,
+                 energy_sram, energy_dram, energy_overhead) = activity
+                # Mapping.utilisation on the real array: float(steps) and
+                # the PE count are exact, so one rounding, as for the ints.
+                cost = LayerCost(
+                    layer, style.name, num_pes, compute_cycles,
+                    noc_bytes / noc_bytes_per_cycle,
+                    dram_bytes / dram_bytes_per_cycle,
+                    overhead_cycles, energy_compute, energy_rf, energy_local,
+                    energy_noc, energy_sram, energy_dram, energy_overhead,
+                    layer.macs / (compute_cycles * num_pes), clock_hz)
+                if best is None or cost.edp < best.edp:
+                    best = cost
+            costs.append(best)
+        return costs
 
     def hardware_key(self, sub_accelerator: SubAcceleratorConfig) -> Tuple:
         """The cost-relevant identity of a sub-accelerator configuration.
@@ -452,9 +463,6 @@ class CostModel:
             sub_accelerator.buffer_bytes,
             sub_accelerator.clock_hz,
         )
-
-    def _key(self, layer: Layer, sub_accelerator: SubAcceleratorConfig) -> Tuple:
-        return (layer.shape_key,) + self.hardware_key(sub_accelerator)
 
 
 def metric_value(cost: LayerCost, metric: str) -> float:

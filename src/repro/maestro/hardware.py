@@ -11,12 +11,26 @@ Two levels are modelled, mirroring Fig. 3(c) of the paper:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.exceptions import HardwareConfigError
 from repro.units import BYTES_PER_ELEMENT, DEFAULT_CLOCK_HZ, bytes_per_cycle
 from repro.dataflow.styles import DataflowStyle
+
+
+def _check_numbers(kind: str, name: str, num_pes: int,
+                   values: Dict[str, Optional[float]]) -> None:
+    """Reject PEs below one and any set value not positive and finite."""
+    if not 1 <= num_pes < math.inf:
+        raise HardwareConfigError(f"{kind} {name!r}: num_pes must be a "
+                                  f"finite number >= 1 (got {num_pes!r})")
+    for label, value in values.items():
+        if value is not None and not 0 < value < math.inf:
+            raise HardwareConfigError(
+                f"{kind} {name!r}: {label} must be a positive finite number "
+                f"(got {value!r})")
 
 
 @dataclass(frozen=True)
@@ -54,24 +68,12 @@ class SubAcceleratorConfig:
     clock_hz: float = DEFAULT_CLOCK_HZ
 
     def __post_init__(self) -> None:
-        if self.num_pes < 1:
-            raise HardwareConfigError(
-                f"sub-accelerator {self.name!r}: num_pes must be >= 1 (got {self.num_pes})"
-            )
-        if self.bandwidth_bytes_per_s <= 0:
-            raise HardwareConfigError(
-                f"sub-accelerator {self.name!r}: bandwidth must be positive "
-                f"(got {self.bandwidth_bytes_per_s})"
-            )
-        if self.buffer_bytes <= 0:
-            raise HardwareConfigError(
-                f"sub-accelerator {self.name!r}: buffer size must be positive "
-                f"(got {self.buffer_bytes})"
-            )
-        if self.clock_hz <= 0:
-            raise HardwareConfigError(
-                f"sub-accelerator {self.name!r}: clock must be positive (got {self.clock_hz})"
-            )
+        _check_numbers("sub-accelerator", self.name, self.num_pes, {
+            "bandwidth": self.bandwidth_bytes_per_s,
+            "buffer size": self.buffer_bytes,
+            "DRAM bandwidth": self.dram_bandwidth_bytes_per_s,
+            "clock": self.clock_hz,
+        })
 
     # ------------------------------------------------------------------
     # Derived quantities
@@ -141,12 +143,12 @@ class ChipConfig:
     clock_hz: float = DEFAULT_CLOCK_HZ
 
     def __post_init__(self) -> None:
-        if self.num_pes < 1:
-            raise HardwareConfigError(f"chip {self.name!r}: num_pes must be >= 1")
-        if self.noc_bandwidth_bytes_per_s <= 0:
-            raise HardwareConfigError(f"chip {self.name!r}: NoC bandwidth must be positive")
-        if self.global_buffer_bytes <= 0:
-            raise HardwareConfigError(f"chip {self.name!r}: global buffer must be positive")
+        _check_numbers("chip", self.name, self.num_pes, {
+            "NoC bandwidth": self.noc_bandwidth_bytes_per_s,
+            "global buffer": self.global_buffer_bytes,
+            "DRAM bandwidth": self.dram_bandwidth_bytes_per_s,
+            "clock": self.clock_hz,
+        })
 
     @property
     def dram_bandwidth(self) -> float:

@@ -143,6 +143,25 @@ class TestDse:
                                 capture_output=True, text=True, check=True)
         assert result.stdout.splitlines()[-1] == "loaded: []"
 
+    def test_dse_report_spawns_no_child_process(self, tmp_path):
+        """Stamping the report's platform never resolves the processor
+        name, which spawns ``uname -p``: a ``herald dse --report`` run never
+        imports ``subprocess``."""
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        report = str(tmp_path / "report.json")
+        script = ("import sys\n"
+                  "from repro.cli import main\n"
+                  "assert main(['dse', '--workload', 'arvr-a', '--chip', "
+                  "'edge', '--pe-steps', '4', '--bw-steps', '1', "
+                  f"'--report', {report!r}]) == 0\n"
+                  "print('subprocess' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=src)
+        result = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.splitlines()[-1] == "False"
+        assert load_report(report)["environment"]["platform"]
+
 
 class TestNonFiniteNumbers:
     """NaN fails every comparison, so a bound check alone lets it (and the
@@ -208,6 +227,28 @@ class TestNonFiniteNumbers:
         assert main(["run", str(spec)]) == 2
         assert ("streaming.fps_scale: expected a finite number (got nan)"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("kind, extra, metric", [
+        ("schedule", {"design": {"kind": "fda", "style": "nvdla"}},
+         "latency_s"),
+        ("dse", {"search": {"pe_steps": 4, "bw_steps": 1}},
+         "fda_latency_s"),
+    ])
+    def test_non_finite_metric_is_exit_2_without_a_report(
+            self, tmp_path, capsys, kind, extra, metric):
+        """A near-zero bandwidth makes latency infinite; the run names the
+        metric and writes no report, instead of a file ``load_report``
+        rejects."""
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(dict({
+            "kind": kind, "workload": "arvr-a",
+            "chip": {"class": "edge", "noc_gbps": 1e-300,
+                     "dram_gbps": 1e-300}}, **extra)), encoding="utf-8")
+        report = tmp_path / "report.json"
+        assert main(["run", str(spec), "--report", str(report)]) == 2
+        assert (f"error: metric {metric!r} is not a finite number (inf)"
+                in capsys.readouterr().err)
+        assert not report.exists()
 
 
 class TestServe:

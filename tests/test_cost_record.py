@@ -2,10 +2,11 @@
 
 ``LayerCost`` is an immutable tuple record whose four roll-ups are fields
 computed once when it is built, and a cost model shares one activity record
-per (shape, dataflow, PEs, buffer, reconfigurable) across every bandwidth
-split.  Both are pinned here: the roll-ups and the roofline divisions equal
-the explicit expressions bit for bit, and the record keeps a frozen value's
-semantics.  That a pool hands back the parent's own records is pinned by
+per (shape, dataflow, min(PEs, saturation), buffer, reconfigurable) across
+every bandwidth split and every array past the saturation.  Both are pinned
+here: every field equals a reference mapped on the real array bit for bit,
+and the record keeps a frozen value's semantics.  That a pool hands back
+the parent's own records is pinned by
 ``tests/test_hot_paths.py::TestSharedPoolTable``.
 """
 
@@ -15,9 +16,13 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.dataflow.mapping import build_mapping
+from repro.dataflow.mapping import build_mapping, saturating_pes
 from repro.dataflow.styles import ALL_STYLES, NVDLA
-from repro.maestro.cost import CostModel, LayerCost
+from repro.maestro.cost import (LAYER_OVERHEAD_CYCLES,
+                                RDA_INTERCONNECT_OVERHEAD,
+                                RDA_RECONFIGURATION_CYCLES, CostModel,
+                                LayerCost)
+from repro.maestro.energy import DEFAULT_ENERGY_TABLE
 from repro.maestro.hardware import SubAcceleratorConfig
 from repro.maestro.reuse import analyse_reuse
 from repro.models.layer import conv2d, dwconv, fc
@@ -94,6 +99,93 @@ def test_roll_ups_equal_the_explicit_expressions(
     fresh = CostModel().layer_cost_with_style(layer, style, sub)
     assert [value.hex() for value in cost[3:]] \
         == [value.hex() for value in fresh[3:]]
+
+
+def _reference(layer, style, sub, reconfigurable):
+    """The cost of ``layer`` mapped straight onto ``sub``'s real PE count,
+    spelled out term by term."""
+    mapping = build_mapping(layer, style, sub.num_pes)
+    reuse = analyse_reuse(mapping, sub.buffer_bytes)
+    table = DEFAULT_ENERGY_TABLE
+    overhead_cycles = float(LAYER_OVERHEAD_CYCLES)
+    energy_overhead = 0.0
+    if reconfigurable:
+        table = table.with_interconnect_overhead(RDA_INTERCONNECT_OVERHEAD)
+        overhead_cycles += RDA_RECONFIGURATION_CYCLES
+        energy_overhead = (DEFAULT_ENERGY_TABLE.reconfiguration
+                           + layer.macs
+                           * DEFAULT_ENERGY_TABLE.rda_distribution_per_mac)
+    return LayerCost(
+        layer, style.name, sub.num_pes, float(mapping.compute_steps),
+        reuse.noc_tile_bytes / sub.bandwidth_bytes_per_cycle,
+        reuse.dram_bytes / sub.dram_bandwidth_bytes_per_cycle,
+        overhead_cycles, layer.macs * table.mac,
+        reuse.rf_accesses * table.rf_access,
+        reuse.local_fills * table.local_buffer_access,
+        reuse.noc_tile_elements * table.noc_hop,
+        reuse.noc_tile_elements * table.sram_access,
+        reuse.dram_accesses * table.dram_access,
+        energy_overhead, mapping.utilisation, sub.clock_hz)
+
+
+def _same(cost, reference):
+    assert cost[:3] == reference[:3]
+    assert [value.hex() for value in cost[3:]] \
+        == [value.hex() for value in reference[3:]]
+
+
+@given(layer=_layers, style=st.sampled_from(ALL_STYLES),
+       sides=st.lists(st.sampled_from(["half", "below", "at", "above",
+                                       "double", "chip"]),
+                      min_size=2, max_size=4),
+       noc_gbps=st.sampled_from([0.25, 64.0]),
+       buffer_bytes=st.sampled_from([4096, mib(8)]),
+       reconfigurable=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_costs_equal_a_reference_mapped_on_the_real_array(
+        layer, style, sides, noc_gbps, buffer_bytes, reconfigurable):
+    """One model costs a shape on PE counts on both sides of its
+    saturation, so the arrays past it share one activity record; every
+    field still equals the reference built at the real PE count.  An RDA
+    keeps the first style with the minimal EDP, in ``rda_styles`` order."""
+    saturation = saturating_pes(layer, style)
+    pes_of = {"half": max(1, saturation // 2),
+              "below": max(1, saturation - 1), "at": saturation,
+              "above": saturation + 1, "double": 2 * saturation,
+              "chip": 4096}
+    model = CostModel()
+    for side in sides:
+        sub = _sub(style, pes_of[side], noc_gbps, None, buffer_bytes,
+                   reconfigurable)
+        if reconfigurable:
+            references = [_reference(layer, candidate, sub, True)
+                          for candidate in ALL_STYLES]
+            best = references[0]
+            for reference in references[1:]:
+                if reference.edp < best.edp:
+                    best = reference
+            _same(model.layer_cost(layer, sub), best)
+            _same(model.layer_cost_with_style(layer, style, sub),
+                  references[ALL_STYLES.index(style)])
+        else:
+            _same(model.layer_cost(layer, sub),
+                  _reference(layer, style, sub, False))
+            chosen, cost = model.best_style(layer, sub)
+            _same(cost, _reference(layer, chosen, sub, False))
+
+
+@given(layer=_layers, style=st.sampled_from(ALL_STYLES),
+       extra=st.integers(0, 10_000))
+@settings(max_examples=150, deadline=None)
+def test_mapping_stops_changing_at_the_saturation(layer, style, extra):
+    """Past the saturation the factor search sees the same candidates, so
+    the factors, steps and active PEs equal those at the saturation."""
+    saturation = saturating_pes(layer, style)
+    at = build_mapping(layer, style, saturation)
+    past = build_mapping(layer, style, saturation + extra)
+    assert past.num_pes == saturation + extra
+    assert (past.spatial_factors, past.compute_steps, past.active_pes) \
+        == (at.spatial_factors, at.compute_steps, at.active_pes)
 
 
 class TestRecordSemantics:

@@ -36,8 +36,9 @@ import golden_scheduler
 import reference_scheduler
 from repro.accel.builders import enumerate_fdas, make_fda
 from repro.accel.classes import ACCELERATOR_CLASSES
+from repro.core.dse import HeraldDSE
 from repro.core.evaluator import evaluate_design
-from repro.core.partitioner import PartitionSearch
+from repro.core.partitioner import PartitionSearch, search_from_spec
 from repro.core.scheduler import HeraldScheduler
 from repro.dataflow.mapping import (build_mapping, clear_mapping_cache,
                                     mapping_cache_info)
@@ -682,6 +683,21 @@ class TestShapeKeyedMemoBugfix:
                 model.layer_cost(layer, acc)
         assert (model.hits, model.misses, model.cache_size()) \
             == (668, 156, 156)
+
+    def test_fig11_cell_activity_records_stop_at_the_saturation(self):
+        """A cold ``herald dse`` cell (AR/VR-A on cloud, the stock search)
+        keys activity records on ``min(PEs, saturation)``: 1,111 records
+        and 877 mapper misses for its 5,226 cost entries, where a record
+        per PE count took 2,106 and 1,872."""
+        clear_mapping_cache()
+        model = CostModel()
+        scheduler = HeraldScheduler(model)
+        search = search_from_spec({}, cost_model=model, scheduler=scheduler)
+        HeraldDSE(cost_model=model, scheduler=scheduler,
+                  partition_search=search).explore(
+                      arvr_a(), ACCELERATOR_CLASSES["cloud"])
+        assert (len(model._activities), mapping_cache_info().misses,
+                model.misses) == (1111, 877, 5226)
 
 
 # ---------------------------------------------------------------------------

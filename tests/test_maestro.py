@@ -81,6 +81,42 @@ class TestHardware:
             ChipConfig("bad", num_pes=0, noc_bandwidth_bytes_per_s=1e9,
                        global_buffer_bytes=1024)
 
+    @pytest.mark.parametrize("config, field, value", [
+        (SubAcceleratorConfig, "dram_bandwidth_bytes_per_s", 0.0),
+        (SubAcceleratorConfig, "dram_bandwidth_bytes_per_s", -1e9),
+        (SubAcceleratorConfig, "dram_bandwidth_bytes_per_s", float("nan")),
+        (SubAcceleratorConfig, "bandwidth_bytes_per_s", float("nan")),
+        (SubAcceleratorConfig, "bandwidth_bytes_per_s", float("inf")),
+        (SubAcceleratorConfig, "buffer_bytes", float("nan")),
+        (SubAcceleratorConfig, "clock_hz", float("nan")),
+        (SubAcceleratorConfig, "clock_hz", float("inf")),
+        (SubAcceleratorConfig, "num_pes", float("nan")),
+        (ChipConfig, "dram_bandwidth_bytes_per_s", 0.0),
+        (ChipConfig, "dram_bandwidth_bytes_per_s", -1e9),
+        (ChipConfig, "noc_bandwidth_bytes_per_s", float("nan")),
+        (ChipConfig, "noc_bandwidth_bytes_per_s", float("inf")),
+        (ChipConfig, "global_buffer_bytes", float("nan")),
+        (ChipConfig, "clock_hz", 0.0),
+        (ChipConfig, "clock_hz", float("nan")),
+        (ChipConfig, "clock_hz", float("inf")),
+        (ChipConfig, "num_pes", float("nan")),
+    ])
+    def test_rejects_non_positive_and_non_finite_numbers(self, config, field,
+                                                         value):
+        """A bound check alone lets NaN through and an infinite clock or a
+        zero DRAM bandwidth fail later as a ZeroDivisionError or NaN cost;
+        every number is rejected up front instead."""
+        if config is SubAcceleratorConfig:
+            fields = {"name": "bad", "dataflow": NVDLA, "num_pes": 16,
+                      "bandwidth_bytes_per_s": 1e9, "buffer_bytes": 1024}
+        else:
+            fields = {"name": "bad", "num_pes": 16,
+                      "noc_bandwidth_bytes_per_s": 1e9,
+                      "global_buffer_bytes": 1024}
+        fields[field] = value
+        with pytest.raises(HardwareConfigError, match="positive finite|>= 1"):
+            config(**fields)
+
     def test_chip_monolithic_uses_all_resources(self):
         chip = ChipConfig("c", num_pes=1024, noc_bandwidth_bytes_per_s=gbps(16),
                           global_buffer_bytes=mib(4))
@@ -228,7 +264,7 @@ class TestCostModel:
 
     def test_rda_without_style_raises_when_forced(self, cost_model):
         with pytest.raises(HardwareConfigError):
-            cost_model._estimate_on(self.LAYER, None, _sub(style=None), reconfigurable=True)
+            cost_model.layer_cost_with_style(self.LAYER, None, _sub(style=None))
 
     def test_best_style_prefers_nvdla_for_fc(self, cost_model):
         layer = fc("f", k=2048, c=1024)

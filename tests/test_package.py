@@ -8,7 +8,7 @@ from repro import exceptions
 
 class TestPublicApi:
     def test_version_string(self):
-        assert repro.__version__ == "1.19.0"
+        assert repro.__version__ == "1.20.0"
 
     def test_all_exports_resolve(self):
         for name in repro.__all__:
