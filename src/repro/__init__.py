@@ -9,8 +9,8 @@ The library implements the paper's full stack:
 * the Table II multi-DNN workloads (:mod:`repro.workloads`);
 * **Herald**: the scheduler, hardware partitioner, and co-DSE driver
   (:mod:`repro.core`);
-* a pluggable execution engine — serial / process-pool backends and a
-  persistent cost cache — for large sweeps (:mod:`repro.exec`);
+* a pluggable execution engine — serial / process-pool backends with
+  retries and resumable checkpoints — for large sweeps (:mod:`repro.exec`);
 * a streaming serving simulator — frame-arrival traces, online scheduling,
   SLA metrics, sustained FPS (:mod:`repro.serve`);
 * a declarative experiment layer — validated config specs, one runner for
@@ -28,7 +28,7 @@ Quickstart
 
 # Defined before the submodule imports below: submodules (e.g. the report
 # writer) import it back from the partially initialised package.
-__version__ = "1.20.0"
+__version__ = "1.21.0"
 
 from repro.models import Layer, LayerType, ModelGraph
 from repro.models.zoo import available_models, build_model
@@ -87,7 +87,6 @@ from repro.core import (
 from repro.exec import (
     EvaluationTask,
     ExecutionBackend,
-    PersistentCostCache,
     ProcessPoolBackend,
     SerialBackend,
 )
@@ -168,7 +167,6 @@ __all__ = [
     "ExecutionBackend",
     "SerialBackend",
     "ProcessPoolBackend",
-    "PersistentCostCache",
     # serving
     "StreamSpec",
     "StreamingWorkload",

@@ -186,9 +186,6 @@ def _build_parser() -> argparse.ArgumentParser:
     dse.add_argument("--jobs", type=_int_at_least(1), default=1,
                      help="up to N worker processes; in-process when the "
                           "sweep is too small to pay for them")
-    dse.add_argument("--cache-file", default=None, metavar="PATH",
-                     help="JSON file the cost-model cache is loaded from / saved to, "
-                          "so repeated sweeps start warm")
     _add_resilience_flags(dse)
     dse.add_argument("--report", default=None, metavar="PATH",
                      help="write the versioned JSON report here")
@@ -404,8 +401,6 @@ def _command_dse(args: argparse.Namespace) -> int:
         "search": {"pe_steps": args.pe_steps, "bw_steps": args.bw_steps},
         "exec": {"jobs": args.jobs},
     }
-    if args.cache_file is not None:
-        mapping["exec"]["cache_file"] = args.cache_file
     _compile_resilience(args, mapping["exec"])
     return _execute(mapping, report_path=args.report,
                     checkpoint_path=args.checkpoint, resume=args.resume)

@@ -264,7 +264,7 @@ def saturating_pes(layer: Layer, style: DataflowStyle) -> int:
     budget up its factors, steps and active PEs stop changing (Fig. 5)."""
     pes = 1
     for name, size in style.spatial_dims_for_layer(layer):
-        pes *= max(1, min(size, style.unroll_cap(name) or size))
+        pes *= min(size, style.unroll_cap(name) or size)
     return pes
 
 

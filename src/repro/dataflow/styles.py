@@ -76,6 +76,14 @@ class DataflowStyle:
             raise ValueError(
                 f"dataflow {self.name!r}: unknown max_unroll dims {sorted(unknown_caps)}"
             )
+        bad_caps = {dim: cap for dim, cap in self.max_unroll.items()
+                    if isinstance(cap, bool) or not isinstance(cap, int)
+                    or cap < 1}
+        if bad_caps:
+            raise ValueError(
+                f"dataflow {self.name!r}: max_unroll caps must be ints >= 1 "
+                f"(got {bad_caps})"
+            )
         # Freeze the cap mapping so the style stays hashable (cost-model cache key).
         object.__setattr__(self, "max_unroll", MappingProxyType(dict(self.max_unroll)))
         # Styles are immutable, so the hash — taken on every mapper/cost memo

@@ -13,10 +13,6 @@ Each backend has one dispatch loop, ``run_resilient``, which prewarms the
 cost model with every cost the tasks read before dispatching them; ``run``
 is that loop with every task required to complete.
 
-:class:`PersistentCostCache` spills the cost model's per-(layer, dataflow,
-hardware) memo to a JSON file so repeated sweeps across process lifetimes
-start warm.
-
 The resilience layer makes long sweeps survive their environment:
 :class:`RetryPolicy` gives both backends bounded retries, per-task timeout
 classification, and dead-worker recovery (terminal losses surface as
@@ -27,7 +23,6 @@ so a killed sweep resumes exactly where it died.
 """
 
 from repro.exec.tasks import EvaluationTask, run_evaluation_task
-from repro.exec.cache import PersistentCostCache
 from repro.exec.chaos import ChaosSpec
 from repro.exec.checkpoint import (
     DEFAULT_SCOPE,
@@ -45,7 +40,6 @@ from repro.exec.backends import ExecutionBackend, ProcessPoolBackend, SerialBack
 __all__ = [
     "EvaluationTask",
     "run_evaluation_task",
-    "PersistentCostCache",
     "ExecutionBackend",
     "SerialBackend",
     "ProcessPoolBackend",

@@ -67,7 +67,6 @@ from repro.exceptions import ReproError, SearchError, TaskExecutionError
 from repro.core.evaluator import EvaluationResult
 from repro.core.scheduler import HeraldScheduler
 from repro.maestro.cost import CostModel, LayerCost
-from repro.exec.cache import PersistentCostCache
 from repro.exec.chaos import ChaosSpec
 from repro.exec.checkpoint import DEFAULT_SCOPE, SweepCheckpoint
 from repro.exec.resilience import (
@@ -216,10 +215,6 @@ class _Backend:
     scheduler:
         Scheduler used for every task; defaults to Herald's scheduler on the
         shared cost model.
-    cache:
-        Optional persistent cost cache.  It is loaded into the cost model
-        before the first run and re-saved (with any new entries) after every
-        run.
     retry_policy:
         Optional fault-tolerance budget (``None``: no retries, so a failing
         task ends the run in :class:`~repro.exceptions.TaskExecutionError`).
@@ -228,21 +223,14 @@ class _Backend:
         attempt consults (``None``: an undisturbed run).
     """
 
-    #: Last cache-save failure, if any.  Results must never be lost to a
-    #: cache-persistence problem, so save errors are recorded, not raised.
-    cache_save_error: Optional[OSError] = None
-
     def __init__(self, cost_model: Optional[CostModel] = None,
                  scheduler: Optional[HeraldScheduler] = None,
-                 cache: Optional[PersistentCostCache] = None,
                  retry_policy: Optional[RetryPolicy] = None,
                  chaos: Optional[ChaosSpec] = None) -> None:
         self.cost_model = cost_model or CostModel()
         self.scheduler = scheduler or HeraldScheduler(self.cost_model)
-        self.cache = cache
         self.retry_policy = retry_policy
         self.chaos = chaos
-        self._cache_warmed = False
         self.last_cold_evaluations = 0
         self.last_cache_hits = 0
         self.total_cold_evaluations = 0
@@ -267,22 +255,6 @@ class _Backend:
         if self.chaos is not None:
             parts.append(self.chaos.describe())
         return ", ".join(parts)
-
-    def _warm_from_cache(self) -> None:
-        if self.cache is not None and not self._cache_warmed:
-            self.cache.warm(self.cost_model)
-            # Journal (when enabled) every entry computed from here on.
-            self.cache.attach(self.cost_model)
-            self._cache_warmed = True
-
-    def _spill_to_cache(self) -> None:
-        if self.cache is not None:
-            self.cache.capture(self.cost_model)
-            try:
-                self.cache.save_if_dirty()
-                self.cache_save_error = None
-            except OSError as error:
-                self.cache_save_error = error
 
     def _prewarm(self, tasks: Sequence[EvaluationTask]) -> None:
         """Estimate every cost ``tasks`` read, one workload at a time.
@@ -328,12 +300,10 @@ class _Backend:
         Terminal failures raise
         :class:`~repro.exceptions.TaskExecutionError` unless ``partial_ok``,
         in which case they are returned as structured records alongside the
-        surviving results.  Completed results are spilled to the persistent
-        cache and flushed to the checkpoint even when the run fails or is
-        interrupted.
+        surviving results.  Completed results are flushed to the checkpoint
+        even when the run fails or is interrupted.
         """
         _ensure_unique_task_ids(tasks)
-        self._warm_from_cache()
         policy = self._effective_policy()
         outcome = ExecutionOutcome()
         remaining: List[EvaluationTask] = []
@@ -355,10 +325,9 @@ class _Backend:
         finally:
             self.total_cold_evaluations += self.last_cold_evaluations
             self.total_cache_hits += self.last_cache_hits
-            # Preserve completed work even on KeyboardInterrupt / errors: the
-            # memo entries go to the persistent cache, the results to the
-            # checkpoint, so an interrupted sweep resumes where it died.
-            self._spill_to_cache()
+            # Preserve completed work even on KeyboardInterrupt / errors:
+            # the results go to the checkpoint, so an interrupted sweep
+            # resumes where it died.
             if checkpoint is not None:
                 checkpoint.flush()
         outcome.failures = tuple(failures)
@@ -556,9 +525,9 @@ class ProcessPoolBackend(_Backend):
 
     A fresh pool is created per :meth:`run` call and the parent's memo is
     shipped to every worker, so per-call overhead grows with the memo size;
-    this keeps worker lifetime trivially bounded, but for very large
-    persistent caches a long-lived pool with delta shipping would amortise
-    better (future work).
+    this keeps worker lifetime trivially bounded, but for very large memos
+    a long-lived pool with delta shipping would amortise better (future
+    work).
 
     Parameters
     ----------
@@ -571,12 +540,11 @@ class ProcessPoolBackend(_Backend):
 
     def __init__(self, jobs: int = 2, cost_model: Optional[CostModel] = None,
                  scheduler: Optional[HeraldScheduler] = None,
-                 cache: Optional[PersistentCostCache] = None,
                  retry_policy: Optional[RetryPolicy] = None,
                  chaos: Optional[ChaosSpec] = None) -> None:
         if jobs < 1:
             raise SearchError(f"jobs must be >= 1 (got {jobs})")
-        super().__init__(cost_model, scheduler, cache, retry_policy, chaos)
+        super().__init__(cost_model, scheduler, retry_policy, chaos)
         self.jobs = jobs
         #: Executor rebuilds forced by dead or hung workers (diagnostics).
         self.pool_rebuilds = 0

@@ -164,13 +164,18 @@ def canonical_report(report: Dict[str, object]) -> Dict[str, object]:
 
 
 def write_report(report: Dict[str, object], path: str) -> None:
-    """Write a report as stable, diff-friendly, strict JSON (a value that
-    is not finite is a :class:`SpecError`, and the file is removed)."""
+    """Write a report as stable, diff-friendly, strict JSON.
+
+    A path that cannot be written, or a value that is not finite, is a
+    :class:`SpecError`; after the latter the partial file is removed."""
     try:
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(report, handle, indent=1, sort_keys=True,
                       allow_nan=False)
             handle.write("\n")
+    except OSError as error:
+        raise SpecError(f"cannot write report {path!r}: "
+                        f"{error.strerror or error}") from None
     except ValueError as error:
         os.remove(path)
         raise SpecError(f"report {path!r}: {error}") from None

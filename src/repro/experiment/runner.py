@@ -32,7 +32,6 @@ from repro.exceptions import (
     WorkloadError,
 )
 from repro.exec import (
-    PersistentCostCache,
     ProcessPoolBackend,
     SerialBackend,
     SweepCheckpoint,
@@ -164,8 +163,6 @@ def _run_dse(spec: ExperimentSpec,
              checkpoint: Optional[SweepCheckpoint] = None) -> ExperimentOutcome:
     cost_model = CostModel()
     scheduler = HeraldScheduler(cost_model)
-    cache = (PersistentCostCache(spec.exec_settings.cache_file)
-             if spec.exec_settings.cache_file else None)
     policy = spec.exec_settings.retry_policy()
     search = search_from_spec(spec.search, cost_model=cost_model,
                               scheduler=scheduler)
@@ -185,11 +182,11 @@ def _run_dse(spec: ExperimentSpec,
                         f"{backends.POOL_PLACEMENTS_PER_WORKER})")
     if workers > 1:
         backend = ProcessPoolBackend(jobs=workers, cost_model=cost_model,
-                                     scheduler=scheduler, cache=cache,
+                                     scheduler=scheduler,
                                      retry_policy=policy)
     else:
         backend = SerialBackend(cost_model=cost_model, scheduler=scheduler,
-                                cache=cache, retry_policy=policy)
+                                retry_policy=policy)
     dse.backend = backend
     try:
         space = dse.explore(spec.workload, spec.chip,
@@ -204,11 +201,6 @@ def _run_dse(spec: ExperimentSpec,
           f"{backend.total_cache_hits} cache hits")
     if checkpoint is not None:
         print(checkpoint.describe())
-    if cache is not None:
-        print(cache.describe())
-        if backend.cache_save_error is not None:
-            print(f"warning: could not save cost cache: "
-                  f"{backend.cache_save_error}", file=sys.stderr)
 
     metrics: Dict[str, float] = {}
     best_designs: Dict[str, str] = {}

@@ -76,8 +76,7 @@ _STREAMING_KNOB_KEYS = ("frames", "fps_scale", "jitter_ms", "seed")
 _TRAFFIC_KEYS = ("kind",) + tuple(_SHAPE_DEFAULTS)
 _SUSTAINED_KEYS = ("enabled", "lo", "hi", "probes", "tolerance")
 _MIN_CHIPS_KEYS = ("enabled", "max_chips")
-_EXEC_KEYS = ("jobs", "cache_file", "max_retries", "task_timeout_s",
-              "partial_ok")
+_EXEC_KEYS = ("jobs", "max_retries", "task_timeout_s", "partial_ok")
 
 
 @dataclass(frozen=True)
@@ -119,8 +118,8 @@ class MinChipsSettings:
 
 @dataclass(frozen=True)
 class ExecSettings:
-    """Execution-backend settings (worker processes, persistent cache,
-    fault-tolerance knobs).
+    """Execution-backend settings (worker processes, fault-tolerance
+    knobs).
 
     ``max_retries`` / ``task_timeout_s`` build a
     :class:`~repro.exec.RetryPolicy` for the backend when either is set;
@@ -129,7 +128,6 @@ class ExecSettings:
     """
 
     jobs: int = 1
-    cache_file: Optional[str] = None
     max_retries: Optional[int] = None
     task_timeout_s: Optional[float] = None
     partial_ok: bool = False
@@ -275,12 +273,6 @@ def _min_chips_settings(value: object, path: str) -> MinChipsSettings:
 def _exec_settings(mapping: Dict[str, object], path: str,
                    kind: str) -> ExecSettings:
     check_keys(mapping, _EXEC_KEYS, path)
-    cache_file = mapping.get("cache_file")
-    if cache_file is not None:
-        if kind != "dse":
-            raise SpecError(f"{spec_path(path, 'cache_file')}: only a 'dse' "
-                            f"experiment takes a persistent cost cache")
-        cache_file = expect_str(cache_file, spec_path(path, "cache_file"))
     jobs = expect_pos_int(mapping.get("jobs", 1), spec_path(path, "jobs"))
     if jobs > 1 and kind in ("schedule", "serve"):
         raise SpecError(f"{spec_path(path, 'jobs')}: a {kind!r} experiment "
@@ -306,8 +298,7 @@ def _exec_settings(mapping: Dict[str, object], path: str,
                                        minimum=0.0, exclusive=True)
     partial_ok = expect_bool(mapping.get("partial_ok", False),
                              spec_path(path, "partial_ok"))
-    return ExecSettings(jobs=jobs, cache_file=cache_file,
-                        max_retries=max_retries,
+    return ExecSettings(jobs=jobs, max_retries=max_retries,
                         task_timeout_s=task_timeout_s, partial_ok=partial_ok)
 
 

@@ -34,8 +34,7 @@ is built.
 
 from __future__ import annotations
 
-from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
-                    Sequence, Tuple)
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 from repro.exceptions import HardwareConfigError
 from repro.units import cycles_to_seconds, picojoules_to_millijoules
@@ -240,12 +239,6 @@ class CostModel:
         self._saturations: Dict[Tuple, int] = {}
         self.hits = 0
         self.misses = 0
-        #: Optional ``(key, cost)`` callback fired when a *computed* entry is
-        #: memoised (not on :meth:`install_cached` warm starts).  The
-        #: persistent cache uses it for its append-only journal.  Never
-        #: pickled: a hook bound to a parent-process journal must not follow
-        #: the model into pool workers (see :meth:`__getstate__`).
-        self.new_entry_hook: Optional[Callable[[Tuple, LayerCost], None]] = None
 
     # ------------------------------------------------------------------
     # Public API
@@ -288,8 +281,8 @@ class CostModel:
         """:meth:`layer_cost` of each of ``layers`` on one configuration.
 
         The hardware key is computed once and the missing shapes are
-        estimated in one :meth:`_estimate` batch.  Counters and
-        ``new_entry_hook`` firings equal those of per-layer calls, in order.
+        estimated in one :meth:`_estimate` batch.  Counters equal those of
+        per-layer calls.
         """
         hw_key = self.hardware_key(sub_accelerator)
         cache = self._cache
@@ -304,13 +297,8 @@ class CostModel:
             reconfigurable = sub_accelerator.is_reconfigurable
             styles = (self.rda_styles if reconfigurable
                       else (sub_accelerator.dataflow,))
-            hook = self.new_entry_hook
-            for key, cost in zip(missing, self._estimate(
-                    missing.values(), sub_accelerator, styles,
-                    reconfigurable)):
-                cache[key] = cost
-                if hook is not None:
-                    hook(key, cost)
+            cache.update(zip(missing, self._estimate(
+                missing.values(), sub_accelerator, styles, reconfigurable)))
         self.misses += len(missing)
         self.hits += len(keys) - len(missing)
         return [cache[key] for key in keys]
@@ -346,17 +334,9 @@ class CostModel:
         return len(self._cache)
 
     def cache_items(self) -> List[Tuple[Tuple, LayerCost]]:
-        """All memoised entries as ``(key, cost)`` pairs (for cache spilling)."""
+        """All memoised entries as ``(key, cost)`` pairs (the snapshot a
+        shared-table process pool ships to its workers)."""
         return list(self._cache.items())
-
-    def install_cached(self, key: Tuple, cost: LayerCost) -> bool:
-        """Pre-populate one memo entry (warm start from a persistent cache).
-
-        Returns ``True`` when the key was not memoised yet.
-        """
-        new = key not in self._cache
-        self._cache[key] = cost
-        return new
 
     def cache_stats(self) -> Dict[str, int]:
         """Hit/miss counters and current entry count of the memo."""
@@ -368,13 +348,9 @@ class CostModel:
         self.misses = 0
 
     def __getstate__(self) -> Dict[str, object]:
-        # The new-entry hook is parent-process state (it appends to the
-        # persistent cache's journal file); shipping it into pool workers
-        # would journal every entry twice from processes that share the file.
         # The activity records only speed up cold estimates; a worker
         # rebuilds any it needs instead of receiving them.
         state = dict(self.__dict__)
-        state["new_entry_hook"] = None
         state["_activities"] = {}
         state["_saturations"] = {}
         return state

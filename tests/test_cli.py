@@ -39,24 +39,6 @@ class TestSchedule:
 
 
 class TestDse:
-    def test_dse_serial_with_cache_file(self, tmp_path, capsys):
-        cache_file = str(tmp_path / "cache.json")
-        args = ["dse", "--workload", "arvr-a", "--chip", "edge",
-                "--pe-steps", "4", "--bw-steps", "1", "--cache-file", cache_file]
-        assert main(args) == 0
-        cold_output = capsys.readouterr().out
-        assert "best fda" in cold_output
-        assert "cold evaluations" in cold_output
-
-        # Second run starts warm from the cache file: zero cold evaluations,
-        # identical best-design lines.
-        assert main(args) == 0
-        warm_output = capsys.readouterr().out
-        assert "cost model: 0 cold evaluations" in warm_output
-        cold_best = [line for line in cold_output.splitlines() if "best" in line]
-        warm_best = [line for line in warm_output.splitlines() if "best" in line]
-        assert cold_best == warm_best
-
     _SMOKE = ["dse", "--workload", "arvr-a", "--chip", "edge",
               "--pe-steps", "4", "--bw-steps", "1"]
 
@@ -249,6 +231,21 @@ class TestNonFiniteNumbers:
         assert (f"error: metric {metric!r} is not a finite number (inf)"
                 in capsys.readouterr().err)
         assert not report.exists()
+
+
+class TestUnwritableReport:
+    @pytest.mark.parametrize("argv", [
+        ["schedule", "--design", "rda"],
+        ["dse", "--workload", "arvr-a", "--chip", "edge", "--pe-steps", "4",
+         "--bw-steps", "1"],
+    ], ids=["schedule", "dse"])
+    def test_unwritable_report_path_is_one_error_line_and_exit_2(
+            self, tmp_path, capsys, argv):
+        path = str(tmp_path / "missing" / "report.json")
+        assert main(argv + ["--report", path]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: cannot write report {path!r}: "
+                       f"No such file or directory\n")
 
 
 class TestServe:

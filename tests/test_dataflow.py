@@ -4,7 +4,8 @@ import pytest
 
 from repro.dataflow.loopnest import DIMENSIONS, Loop, LoopNest, same_inner_loop_order
 from repro.dataflow.mapping import build_mapping, clear_mapping_cache, mapping_cache_info
-from repro.dataflow.styles import ALL_STYLES, EYERISS, NVDLA, SHIDIANNAO, style_by_name
+from repro.dataflow.styles import (ALL_STYLES, EYERISS, NVDLA, SHIDIANNAO,
+                                   DataflowStyle, style_by_name)
 from repro.exceptions import MappingError
 from repro.models.layer import conv2d, dwconv, fc, pwconv
 
@@ -85,6 +86,15 @@ class TestStyles:
         layer = dwconv("d", c=128, y=16, x=16, r=3, s=3)
         dims = dict(NVDLA.spatial_dims_for_layer(layer))
         assert "K" not in dims and dims["C"] == 128
+
+    @pytest.mark.parametrize("cap", [0, -5, 1.5, True])
+    def test_max_unroll_cap_below_one_or_not_an_int_is_rejected(self, cap):
+        # The mapper's ``unroll_cap(name) or num_pes`` would read a 0 cap as
+        # "uncapped", so only ints >= 1 are caps.
+        with pytest.raises(ValueError, match="max_unroll caps"):
+            DataflowStyle(NVDLA.name, NVDLA.spatial_dims, NVDLA.stationary,
+                          NVDLA.spatial_reduction, NVDLA.loop_nest,
+                          {"C": cap})
 
     def test_describe_mentions_stationarity(self):
         assert "weight" in NVDLA.describe()

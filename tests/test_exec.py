@@ -1,8 +1,7 @@
-"""Tests for the execution engine: tasks, backends, and the persistent cache."""
+"""Tests for the execution engine: tasks and backends."""
 
 from __future__ import annotations
 
-import json
 import pickle
 
 import pytest
@@ -13,11 +12,10 @@ from repro.core.dse import HeraldDSE
 from repro.core.evaluator import evaluate_design, evaluate_designs
 from repro.core.partitioner import PartitionSearch
 from repro.core.scheduler import HeraldScheduler
-from repro.dataflow.styles import EYERISS, NVDLA, SHIDIANNAO
+from repro.dataflow.styles import NVDLA, SHIDIANNAO
 from repro.exceptions import SearchError
 from repro.exec import (
     EvaluationTask,
-    PersistentCostCache,
     ProcessPoolBackend,
     SerialBackend,
     run_evaluation_task,
@@ -136,7 +134,7 @@ class TestProcessPoolBackend:
             ProcessPoolBackend(jobs=0)
 
     @pytest.mark.parametrize("knob", ["chunk_size", "start_method",
-                                      "shared_table"])
+                                      "shared_table", "cache"])
     def test_removed_knobs_are_unknown_arguments(self, knob):
         with pytest.raises(TypeError, match=knob):
             ProcessPoolBackend(jobs=2, **{knob: None})
@@ -196,173 +194,6 @@ class TestProcessPoolBackend:
         backend = ProcessPoolBackend(jobs=2)
         with pytest.raises(SearchError, match="duplicate task_id"):
             backend.run(tasks)
-
-
-class TestPersistentCostCache:
-    def test_cold_write_then_warm_read_identical_costs(self, tmp_path, tiny_chip,
-                                                       small_workload):
-        path = str(tmp_path / "cache.json")
-        design = make_fda(tiny_chip, EYERISS)
-
-        cold_model = CostModel()
-        cold = evaluate_design(design, small_workload, cost_model=cold_model,
-                               scheduler=HeraldScheduler(cold_model))
-        cache = PersistentCostCache(path)
-        assert cache.capture(cold_model) == cold_model.cache_size()
-        cache.save()
-
-        warm_model = CostModel()
-        reloaded = PersistentCostCache(path)
-        assert len(reloaded) == cold_model.cache_size()
-        reloaded.warm(warm_model)
-        warm = evaluate_design(design, small_workload, cost_model=warm_model,
-                               scheduler=HeraldScheduler(warm_model))
-        assert warm_model.misses == 0, "warm run must perform zero cold evaluations"
-        assert warm.latency_s == cold.latency_s
-        assert warm.energy_mj == cold.energy_mj
-        for ours, theirs in zip(warm.schedule.entries, cold.schedule.entries):
-            assert ours.cost == theirs.cost
-
-    def test_missing_file_is_empty(self, tmp_path):
-        cache = PersistentCostCache(str(tmp_path / "does-not-exist.json"))
-        assert len(cache) == 0
-        assert not cache.corrupted
-
-    def test_corrupted_file_falls_back_to_cold_start(self, tmp_path, tiny_chip,
-                                                     small_workload):
-        path = tmp_path / "cache.json"
-        path.write_text("{this is not json")
-        cache = PersistentCostCache(str(path))
-        assert cache.corrupted
-        assert len(cache) == 0
-        # The corrupted cache must not break an exploration, and saving
-        # afterwards repairs the file.
-        backend = SerialBackend(cache=cache)
-        backend.run([EvaluationTask(0, make_fda(tiny_chip, NVDLA), small_workload)])
-        assert len(cache) > 0
-        from repro.exec.cache import CACHE_FORMAT_VERSION
-        assert json.loads(path.read_text())["version"] == CACHE_FORMAT_VERSION
-
-    def test_unwritable_cache_path_does_not_lose_results(self, tiny_chip,
-                                                         small_workload):
-        backend = SerialBackend(
-            cache=PersistentCostCache("/proc/does-not-exist/cache.json"))
-        results = backend.run(
-            [EvaluationTask(0, make_fda(tiny_chip, NVDLA), small_workload)])
-        assert len(results) == 1
-        assert isinstance(backend.cache_save_error, OSError)
-
-    def test_wrong_version_is_treated_as_corrupted(self, tmp_path):
-        path = tmp_path / "cache.json"
-        path.write_text(json.dumps({"version": 999, "entries": []}))
-        cache = PersistentCostCache(str(path))
-        assert cache.corrupted
-
-    @pytest.mark.parametrize("payload", ["[]", "3", "null", '"x"'])
-    def test_non_object_json_falls_back_to_cold_start(self, tmp_path, payload):
-        path = tmp_path / "cache.json"
-        path.write_text(payload)
-        cache = PersistentCostCache(str(path))
-        assert cache.corrupted
-        assert cache.fallback_count == 1
-        assert len(cache) == 0
-
-    @pytest.mark.parametrize("field, value", [
-        ("compute_cycles", float("nan")),
-        ("noc_cycles", float("inf")),
-        ("energy_dram_pj", -1.0),
-        ("utilisation", True),
-        ("num_pes", 0),
-        ("clock_hz", 0.0),
-    ])
-    def test_unphysical_cost_fields_fall_back_to_cold_start(
-            self, tmp_path, tiny_chip, small_workload, field, value):
-        path = str(tmp_path / "cache.json")
-        tasks = [EvaluationTask(i, design, small_workload)
-                 for i, design in enumerate(enumerate_fdas(tiny_chip))]
-        SerialBackend(cache=PersistentCostCache(path)).run(tasks)
-        payload = json.loads(open(path).read())
-        for entry in payload["entries"]:
-            entry["cost"][field] = value
-        with open(path, "w") as handle:
-            json.dump(payload, handle)
-        cache = PersistentCostCache(path)
-        assert cache.corrupted
-        assert cache.fallback_count == 1
-        assert len(cache) == 0
-        backend = SerialBackend(cache=cache)
-        assert ([r.schedule for r in backend.run(tasks)]
-                == [r.schedule for r in SerialBackend().run(tasks)])
-        assert backend.last_cold_evaluations == backend.cost_model.cache_size()
-
-    def test_every_entry_a_sweep_writes_passes_the_load_check(
-            self, tmp_path, tiny_chip, small_workload):
-        path = str(tmp_path / "cache.json")
-        cache = PersistentCostCache(path)
-        backend = SerialBackend(cache=cache)
-        _make_dse(backend, backend.cost_model).explore(
-            small_workload, tiny_chip, include_three_way=False)
-        reloaded = PersistentCostCache(path)
-        assert not reloaded.corrupted
-        assert len(reloaded) == backend.cost_model.cache_size() > 0
-
-    def test_semantically_invalid_entry_is_treated_as_corrupted(
-            self, tmp_path, tiny_chip, small_workload):
-        # Valid JSON whose layer violates Layer.__post_init__ (k=0) must
-        # degrade to a cold start, not crash the exploration.
-        path = str(tmp_path / "cache.json")
-        backend = SerialBackend(cache=PersistentCostCache(path))
-        backend.run([EvaluationTask(0, make_fda(tiny_chip, NVDLA), small_workload)])
-        payload = json.loads(open(path).read())
-        payload["entries"][0]["cost"]["layer"]["k"] = 0
-        with open(path, "w") as handle:
-            json.dump(payload, handle)
-        cache = PersistentCostCache(path)
-        assert cache.corrupted
-        assert len(cache) == 0
-
-    def test_different_cost_model_config_is_not_served_stale(
-            self, tmp_path, tiny_chip, small_workload):
-        from dataclasses import replace
-        from repro.maestro.energy import DEFAULT_ENERGY_TABLE
-
-        path = str(tmp_path / "cache.json")
-        first = SerialBackend(cache=PersistentCostCache(path))
-        first.run([EvaluationTask(0, make_fda(tiny_chip, NVDLA), small_workload)])
-
-        other_model = CostModel(
-            energy_table=replace(DEFAULT_ENERGY_TABLE, mac=123.0))
-        cache = PersistentCostCache(path)
-        assert cache.warm(other_model) == 0, \
-            "entries from a differently-configured model must not be installed"
-        assert other_model.cache_size() == 0
-
-        same_model = CostModel()
-        assert PersistentCostCache(path).warm(same_model) > 0
-
-    def test_warm_run_does_not_rewrite_the_cache_file(self, tmp_path, tiny_chip,
-                                                      small_workload):
-        import os
-        path = str(tmp_path / "cache.json")
-        tasks = [EvaluationTask(0, make_fda(tiny_chip, NVDLA), small_workload)]
-        SerialBackend(cache=PersistentCostCache(path)).run(tasks)
-        mtime = os.stat(path).st_mtime_ns
-        SerialBackend(cache=PersistentCostCache(path)).run(tasks)
-        assert os.stat(path).st_mtime_ns == mtime
-
-    def test_backend_round_trip_via_cache_file(self, tmp_path, tiny_chip,
-                                               small_workload):
-        path = str(tmp_path / "cache.json")
-        tasks = [EvaluationTask(i, design, small_workload)
-                 for i, design in enumerate(enumerate_fdas(tiny_chip))]
-
-        first = SerialBackend(cache=PersistentCostCache(path))
-        first.run(tasks)
-        assert first.last_cold_evaluations > 0
-
-        second = SerialBackend(cache=PersistentCostCache(path))
-        second.run(tasks)
-        assert second.last_cold_evaluations == 0
 
 
 class TestEvaluateDesignsSchedulerReuse:

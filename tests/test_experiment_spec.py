@@ -162,9 +162,11 @@ _ERROR_CASES = [
      "search.pe_steps: expected an int >= 2 (got 1)"),
     ({"kind": "serve", "exec": {"jobs": 4}},
      "exec.jobs: a 'serve' experiment runs in-process (jobs must be 1)"),
+    # An old spec naming the removed persistent cost cache gets the
+    # closed-world unknown-key error (the 'dse' case is the last row).
     ({"kind": "schedule", "exec": {"cache_file": "x.json"}},
-     "exec.cache_file: only a 'dse' experiment takes a persistent cost "
-     "cache"),
+     "exec.cache_file: unknown key (allowed: ['jobs', 'max_retries', "
+     "'partial_ok', 'task_timeout_s'])"),
     ({"kind": "fleet", "design": "rda",
       "fleet": {"chips": ["rda", {"kind": "fda", "style": "nvdla",
                                   "chip": {"num_pes": -3, "noc_gbps": 4,
@@ -202,8 +204,8 @@ _ERROR_CASES = [
      "(got 'random')"),
     # The cost model has a single (pure-Python) estimator: no knob picks one.
     ({"kind": "dse", "exec": {"vectorized": True}},
-     "exec.vectorized: unknown key (allowed: ['cache_file', 'jobs', "
-     "'max_retries', 'partial_ok', 'task_timeout_s'])"),
+     "exec.vectorized: unknown key (allowed: ['jobs', 'max_retries', "
+     "'partial_ok', 'task_timeout_s'])"),
     # A PE step the chip's PEs do not divide into is a spec error, not a
     # SearchError traceback from the partition enumeration.
     ({"kind": "dse", "chip": "mobile", "search": {"pe_steps": 3}},
@@ -219,6 +221,9 @@ _ERROR_CASES = [
      "streaming.jitter_ms: expected a finite number (got inf)"),
     ({"kind": "serve", "streaming": {"fps_scale": 10 ** 400}},
      "streaming.fps_scale: expected a finite number (got inf)"),
+    ({"kind": "dse", "exec": {"cache_file": "x.json"}},
+     "exec.cache_file: unknown key (allowed: ['jobs', 'max_retries', "
+     "'partial_ok', 'task_timeout_s'])"),
 ]
 
 

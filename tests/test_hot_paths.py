@@ -16,17 +16,13 @@ Four contracts are pinned here:
    ``LayerCost`` on every dataflow style, and layers that differ only in
    ``stride`` / ``upscale`` / operator semantics must produce distinct keys.
 
-3. **Cache migration.**  Old full-``Layer``-keyed persistent cache files are
-   discarded transparently (never mixed, never fatal).
-
-4. **Accounting from the model.**  A schedule's cached totals equal the sums
+3. **Accounting from the model.**  A schedule's cached totals equal the sums
    over its entries bit for bit, total energy is per-layer energy plus idle
    energy, and the makespan respects the critical-path and work lower bounds.
 """
 
 from __future__ import annotations
 
-import json
 import pickle
 
 import pytest
@@ -34,7 +30,7 @@ from hypothesis import given, settings, strategies as st
 
 import golden_scheduler
 import reference_scheduler
-from repro.accel.builders import enumerate_fdas, make_fda
+from repro.accel.builders import enumerate_fdas
 from repro.accel.classes import ACCELERATOR_CLASSES
 from repro.core.dse import HeraldDSE
 from repro.core.evaluator import evaluate_design
@@ -43,10 +39,9 @@ from repro.core.scheduler import HeraldScheduler
 from repro.dataflow.mapping import (build_mapping, clear_mapping_cache,
                                     mapping_cache_info)
 from repro.dataflow.styles import ALL_STYLES, EYERISS, NVDLA, SHIDIANNAO
-from repro.exec import (EvaluationTask, PersistentCostCache,
-                        ProcessPoolBackend, SerialBackend, backends)
+from repro.exec import (EvaluationTask, ProcessPoolBackend, SerialBackend,
+                        backends)
 from repro.exec.backends import pool_workers
-from repro.exec.cache import CACHE_FORMAT_VERSION
 from repro.exceptions import HardwareConfigError, SchedulingError
 from repro.maestro.cost import CostModel
 from repro.maestro.hardware import SubAcceleratorConfig
@@ -330,72 +325,6 @@ class TestWorkloadShapeDedup:
         assert clone._shapes_memo is None
         assert [i.instance_id for i in clone.instances()] == \
             [i.instance_id for i in small_workload.instances()]
-
-
-# ---------------------------------------------------------------------------
-# Persistent-cache migration
-# ---------------------------------------------------------------------------
-
-class TestCacheMigration:
-    def _legacy_v2_payload(self):
-        return {
-            "version": 2,
-            "fingerprint": "whatever",
-            "entries": [{
-                "layer": {"name": "l", "k": 1, "c": 1, "y": 1, "x": 1, "r": 1,
-                          "s": 1, "stride": 1, "upscale": 1, "model_name": "",
-                          "layer_type": "FC"},
-                "dataflow": "nvdla", "num_pes": 64,
-                "bandwidth_bytes_per_s": 1, "buffer_bytes": 1,
-                "clock_hz": 1e9, "cost": {},
-            }],
-        }
-
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_legacy_file_is_a_counted_cold_start(self, tmp_path, version):
-        path = tmp_path / "cache.json"
-        payload = dict(self._legacy_v2_payload(), version=version)
-        path.write_text(json.dumps(payload))
-        cache = PersistentCostCache(str(path))
-        assert len(cache) == 0
-        assert cache.corrupted
-        assert cache.fallback_count == 1
-        assert "corrupted, starting cold" in cache.describe()
-
-    def test_legacy_file_is_rewritten_in_current_format(self, tmp_path,
-                                                        tiny_chip,
-                                                        small_workload):
-        path = tmp_path / "cache.json"
-        path.write_text(json.dumps(self._legacy_v2_payload()))
-        backend = SerialBackend(cache=PersistentCostCache(str(path)))
-        backend.run([EvaluationTask(0, make_fda(tiny_chip, NVDLA),
-                                    small_workload)])
-        payload = json.loads(path.read_text())
-        assert payload["version"] == CACHE_FORMAT_VERSION
-        assert payload["entries"], "migrated file must carry fresh entries"
-        reloaded = PersistentCostCache(str(path))
-        assert not reloaded.corrupted
-        assert len(reloaded) > 0
-
-    def test_future_version_is_corrupted_not_discarded(self, tmp_path):
-        path = tmp_path / "cache.json"
-        path.write_text(json.dumps({"version": 999, "entries": []}))
-        cache = PersistentCostCache(str(path))
-        assert cache.corrupted
-        assert cache.fallback_count == 1
-
-    def test_entries_are_shape_shared_across_models(self, tmp_path):
-        """The on-disk cache stores one entry per shape, not per layer name."""
-        path = str(tmp_path / "cache.json")
-        model = CostModel()
-        sub = _sub()
-        for index in range(5):
-            model.layer_cost(conv2d(f"block{index}", k=8, c=4, y=16, x=16,
-                                    r=3, s=3, model_name=f"net{index}"), sub)
-        cache = PersistentCostCache(path)
-        cache.capture(model)
-        cache.save()
-        assert len(PersistentCostCache(path)) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,17 @@ from repro import exceptions
 
 class TestPublicApi:
     def test_version_string(self):
-        assert repro.__version__ == "1.20.0"
+        assert repro.__version__ == "1.21.0"
 
     def test_all_exports_resolve(self):
         for name in repro.__all__:
             if name == "__version__":
                 continue
             assert hasattr(repro, name), f"missing export {name}"
+
+    def test_persistent_cost_cache_is_not_exported(self):
+        assert "PersistentCostCache" not in repro.__all__
+        assert not hasattr(repro, "PersistentCostCache")
 
     def test_headline_entry_points_importable(self):
         assert callable(repro.evaluate_design)

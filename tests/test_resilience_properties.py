@@ -15,15 +15,14 @@ layer), each checked over randomized inputs:
   tasks ranks exactly the surviving subset: every survivor's metrics match
   the full run and their relative order is preserved.
 
-Plus exact units for retry exhaustion, failure-kind classification, the
-cache journal replay path, checkpoint key/version safety, and the real
-process-pool recovery paths (broken pool rebuild, stall watchdog).
+Plus exact units for retry exhaustion, failure-kind classification,
+checkpoint key/version safety, and the real process-pool recovery paths
+(broken pool rebuild, stall watchdog).
 """
 
 from __future__ import annotations
 
 import json
-import os
 import pickle
 
 import pytest
@@ -45,7 +44,6 @@ from repro.exceptions import (
 from repro.exec import (
     ChaosSpec,
     EvaluationTask,
-    PersistentCostCache,
     ProcessPoolBackend,
     RetryPolicy,
     SerialBackend,
@@ -501,92 +499,6 @@ class TestRealPoolRecovery:
         pool_out = pool.run_resilient(task_bag, partial_ok=True)
         assert sorted(f.summary().items() for f in pool_out.failures) == \
             sorted(f.summary().items() for f in serial_out.failures)
-
-
-# ---------------------------------------------------------------------------
-# Exact units: crash-safe cache journal
-# ---------------------------------------------------------------------------
-class TestCacheJournal:
-    def _run_once(self, path, task_bag, journal_every=1):
-        cache = PersistentCostCache(path, journal_every=journal_every)
-        backend = SerialBackend(cost_model=CostModel(), cache=cache)
-        backend.run(task_bag[:1])
-        return cache
-
-    def test_journal_lines_appended_per_entry(self, tmp_path, task_bag):
-        path = str(tmp_path / "cache.json")
-        cache = self._run_once(path, task_bag)
-        lines = open(cache.journal_path).read().splitlines()
-        assert not lines, "save() must fold and truncate the journal"
-        # Re-run against a cold model but without saving: entries journal.
-        cache2 = PersistentCostCache(str(tmp_path / "other.json"),
-                                     journal_every=1)
-        model = CostModel()
-        cache2.attach(model)
-        backend = SerialBackend(cost_model=model)
-        backend.run(task_bag[:1])
-        journalled = open(cache2.journal_path).read().splitlines()
-        assert len(journalled) == model.cache_size()
-
-    def test_journal_replay_after_simulated_kill(self, tmp_path, task_bag):
-        # A run that journalled entries but was killed before save():
-        # the next load replays the journal into the cache.
-        path = str(tmp_path / "cache.json")
-        cache = PersistentCostCache(path, journal_every=1)
-        model = CostModel()
-        cache.attach(model)
-        SerialBackend(cost_model=model).run(task_bag[:1])
-        entries = model.cache_size()
-        assert entries > 0
-
-        reloaded = PersistentCostCache(path, journal_every=1)
-        assert reloaded.journal_replayed == entries
-        assert len(reloaded) == entries
-        warm = CostModel()
-        assert reloaded.warm(warm) == entries
-
-    def test_torn_final_journal_line_is_skipped(self, tmp_path, task_bag):
-        path = str(tmp_path / "cache.json")
-        cache = PersistentCostCache(path, journal_every=1)
-        model = CostModel()
-        cache.attach(model)
-        SerialBackend(cost_model=model).run(task_bag[:1])
-        entries = model.cache_size()
-        with open(cache.journal_path, "a") as handle:
-            handle.write('{"torn": ')  # the write the crash interrupted
-        reloaded = PersistentCostCache(path, journal_every=1)
-        assert reloaded.journal_replayed == entries
-
-    def test_save_truncates_journal_and_keeps_entries(self, tmp_path,
-                                                      task_bag):
-        path = str(tmp_path / "cache.json")
-        cache = PersistentCostCache(path, journal_every=1)
-        model = CostModel()
-        cache.attach(model)
-        SerialBackend(cost_model=model).run(task_bag[:1])
-        cache.capture(model)
-        cache.save()
-        assert os.path.getsize(cache.journal_path) == 0
-        assert PersistentCostCache(path).warm(CostModel()) == model.cache_size()
-
-    def test_corrupted_cache_increments_fallback_counter(self, tmp_path):
-        path = tmp_path / "cache.json"
-        path.write_text("{not json")
-        cache = PersistentCostCache(str(path))
-        assert cache.corrupted
-        assert cache.fallback_count == 1
-        assert "fallback" in cache.describe()
-
-    def test_hook_not_shipped_to_workers(self, tmp_path, task_bag):
-        # The journal hook is parent-process state: a pickled cost model
-        # must not carry it, or pool workers would double-journal.
-        cache = PersistentCostCache(str(tmp_path / "cache.json"),
-                                    journal_every=1)
-        model = CostModel()
-        cache.attach(model)
-        assert model.new_entry_hook is not None
-        clone = pickle.loads(pickle.dumps(model))
-        assert clone.new_entry_hook is None
 
 
 # ---------------------------------------------------------------------------
