@@ -1,12 +1,11 @@
 """Builders for the four accelerator styles evaluated in the paper (Table III).
 
 Besides the imperative constructors (:func:`make_fda` and friends) this module
-carries the declarative half of the accelerator layer:
-:func:`chip_from_spec` / :func:`chip_to_spec` resolve chip envelopes against
-the Table IV accelerator classes (with per-knob overrides), and
-:func:`design_from_spec` / :func:`design_to_spec` serialise complete designs —
-including explicit HDA partitions, so a searched maelstrom design reloads
-bit-for-bit without re-running the partition search.
+carries the declarative half of the accelerator layer: :func:`chip_from_spec`
+resolves chip envelopes against the Table IV accelerator classes (with
+per-knob overrides), and :func:`design_from_spec` builds complete designs from
+their specs — including explicit HDA partitions, so a spec can pin a searched
+maelstrom design without re-running the partition search.
 """
 
 from __future__ import annotations
@@ -75,8 +74,9 @@ def _build_partitioned(chip: ChipConfig, styles: Sequence[Optional[DataflowStyle
     """Construct a multi-sub-accelerator design from explicit partitions.
 
     ``bw_partition_bytes`` overrides the GB/s partition with exact raw
-    byte-per-second shares — the spec round-trip path uses it so reloading a
-    serialised design never re-rounds through the GB/s representation.
+    byte-per-second shares — a spec's ``bw_partition_bytes_per_s`` uses it so
+    a design given in raw units never re-rounds through the GB/s
+    representation.
     """
     if not (len(styles) == len(pe_partition) == len(bw_partition_gbps)):
         raise PartitionError(
@@ -223,9 +223,8 @@ def chip_from_spec(spec: Union[str, Dict[str, object]],
     Accepts a bare class name (``"edge"``) or a mapping: an optional
     ``class`` base plus per-knob overrides, in human units (``noc_gbps``,
     ``buffer_mib``, ``clock_mhz``) or exact raw units
-    (``noc_bandwidth_bytes_per_s``, ``global_buffer_bytes``, ``clock_hz``) —
-    :func:`chip_to_spec` always emits the raw-unit form, so serialising and
-    reloading a chip never re-rounds a bandwidth through GB/s.
+    (``noc_bandwidth_bytes_per_s``, ``global_buffer_bytes``, ``clock_hz``),
+    which carry a value exactly instead of re-rounding it through GB/s.
     """
     from repro.accel.classes import ACCELERATOR_CLASSES
 
@@ -313,29 +312,6 @@ def chip_from_spec(spec: Union[str, Dict[str, object]],
         dram_bandwidth_bytes_per_s=dram,
         clock_hz=clock,
     )
-
-
-def chip_to_spec(chip: ChipConfig) -> Union[str, Dict[str, object]]:
-    """Serialise a chip envelope; registered classes collapse to their name.
-
-    Custom chips are emitted with raw-unit fields only, so
-    ``chip_from_spec(chip_to_spec(chip)) == chip`` holds exactly.
-    """
-    from repro.accel.classes import ACCELERATOR_CLASSES
-
-    if ACCELERATOR_CLASSES.get(chip.name) == chip:
-        return chip.name
-    spec: Dict[str, object] = {
-        "name": chip.name,
-        "num_pes": chip.num_pes,
-        "noc_bandwidth_bytes_per_s": chip.noc_bandwidth_bytes_per_s,
-        "global_buffer_bytes": chip.global_buffer_bytes,
-    }
-    if chip.dram_bandwidth_bytes_per_s is not None:
-        spec["dram_bandwidth_bytes_per_s"] = chip.dram_bandwidth_bytes_per_s
-    if chip.clock_hz != DEFAULT_CLOCK_HZ:
-        spec["clock_hz"] = chip.clock_hz
-    return spec
 
 
 def design_from_spec(spec: Dict[str, object], path: str = "design",
@@ -444,28 +420,3 @@ def design_from_spec(spec: Dict[str, object], path: str = "design",
                                   bw_partition_bytes=bw_bytes)
     except PartitionError as error:
         raise SpecError(f"{path}: {error}") from None
-
-
-def design_to_spec(design: AcceleratorDesign) -> Dict[str, object]:
-    """Serialise a design so :func:`design_from_spec` reloads it exactly.
-
-    Multi-array designs always carry their explicit PE and raw-unit bandwidth
-    partitions, so a searched (maelstrom) HDA round-trips bit-for-bit without
-    re-running the partition search.
-    """
-    spec: Dict[str, object] = {
-        "kind": design.kind.value,
-        "name": design.name,
-        "chip": chip_to_spec(design.chip),
-    }
-    if design.kind == AcceleratorKind.FDA:
-        spec["style"] = design.sub_accelerators[0].dataflow.name
-    elif design.kind == AcceleratorKind.SM_FDA:
-        spec["style"] = design.sub_accelerators[0].dataflow.name
-        spec["count"] = design.num_sub_accelerators
-    elif design.kind == AcceleratorKind.HDA:
-        spec["styles"] = design.dataflow_names
-        spec["pe_partition"] = list(design.pe_partition)
-        spec["bw_partition_bytes_per_s"] = [
-            sub.bandwidth_bytes_per_s for sub in design.sub_accelerators]
-    return spec

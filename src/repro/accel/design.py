@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.exceptions import HardwareConfigError, PartitionError
 from repro.maestro.hardware import ChipConfig, SubAcceleratorConfig

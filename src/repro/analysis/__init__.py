@@ -6,8 +6,6 @@ from repro.analysis.metrics import (
     imbalance,
     percent_improvement,
     percentile,
-    geometric_mean,
-    gain_table,
 )
 from repro.analysis.pareto import pareto_front, is_pareto_optimal
 from repro.analysis.sweeps import (
@@ -22,8 +20,6 @@ __all__ = [
     "imbalance",
     "percent_improvement",
     "percentile",
-    "geometric_mean",
-    "gain_table",
     "pareto_front",
     "is_pareto_optimal",
     "batch_size_study",

@@ -1,4 +1,4 @@
-"""Metric helpers used by the evaluation: EDP, improvements, gain tables.
+"""Metric helpers used by the evaluation: EDP, improvements, tail latency.
 
 The paper reports results as percentage improvements ("65.3 % lower latency",
 "5.0 % lower energy") of one design over another; the helpers here compute
@@ -12,7 +12,7 @@ makespan aggregates.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Mapping, Sequence, Union
+from typing import Iterable, List, Union
 
 
 def edp(energy_j: float, latency_s: float) -> float:
@@ -31,23 +31,6 @@ def percent_improvement(baseline: float, candidate: float) -> float:
     if baseline <= 0:
         raise ValueError("baseline must be positive")
     return (baseline - candidate) / baseline * 100.0
-
-
-def percent_overhead(baseline: float, candidate: float) -> float:
-    """Percentage by which ``candidate`` exceeds ``baseline`` (the inverse view)."""
-    if baseline <= 0:
-        raise ValueError("baseline must be positive")
-    return (candidate - baseline) / baseline * 100.0
-
-
-def geometric_mean(values: Iterable[float]) -> float:
-    """Geometric mean of positive values (used to average ratios across workloads)."""
-    values = list(values)
-    if not values:
-        raise ValueError("cannot take the geometric mean of an empty sequence")
-    if any(value <= 0 for value in values):
-        raise ValueError("geometric mean requires strictly positive values")
-    return math.exp(sum(math.log(value) for value in values) / len(values))
 
 
 def percentile(values: Iterable[float], q: float) -> float:
@@ -109,56 +92,6 @@ def deadline_miss_rate(latencies: Iterable[float],
     return missed / len(observed)
 
 
-def coefficient_of_variation(values: Iterable[float]) -> float:
-    """Standard deviation over mean (population form) of positive samples.
-
-    The standard burstiness statistic of an arrival process: the
-    inter-arrival gaps of a Poisson process have CV ~= 1, a strictly
-    periodic trace has CV 0, and Markov-modulated (bursty) traffic pushes
-    the CV above 1.  The traffic generators' tests pin those regimes.
-
-    Raises
-    ------
-    ValueError
-        If ``values`` is empty or its mean is not positive.
-    """
-    samples: List[float] = list(values)
-    if not samples:
-        raise ValueError("cannot take the CV of an empty sequence")
-    mean = sum(samples) / len(samples)
-    if mean <= 0.0:
-        raise ValueError("coefficient of variation requires a positive mean")
-    variance = sum((sample - mean) ** 2 for sample in samples) / len(samples)
-    return math.sqrt(variance) / mean
-
-
-def interval_counts(times: Iterable[float], interval_s: float,
-                    horizon_s: float) -> List[int]:
-    """Events per ``interval_s`` bucket over ``[0, horizon_s)``.
-
-    The per-interval load view the autoscaling controller reports against:
-    bucket ``k`` counts the events with ``k * interval_s <= t <
-    (k + 1) * interval_s``.  Events at or past ``horizon_s`` land in the last
-    bucket (the horizon is a reporting boundary, not a filter).
-
-    Raises
-    ------
-    ValueError
-        If ``interval_s`` or ``horizon_s`` is not positive, or an event time
-        is negative.
-    """
-    if interval_s <= 0.0:
-        raise ValueError(f"interval_s must be positive (got {interval_s})")
-    if horizon_s <= 0.0:
-        raise ValueError(f"horizon_s must be positive (got {horizon_s})")
-    buckets = [0] * max(1, math.ceil(horizon_s / interval_s))
-    for time in times:
-        if time < 0.0:
-            raise ValueError(f"event times must be >= 0 (got {time})")
-        buckets[min(int(time / interval_s), len(buckets) - 1)] += 1
-    return buckets
-
-
 def imbalance(values: Iterable[float]) -> float:
     """Largest value divided by the smallest (a load-unbalancing factor).
 
@@ -184,35 +117,3 @@ def imbalance(values: Iterable[float]) -> float:
     if smallest <= 0.0:
         return float("inf") if largest > 0 else 1.0
     return largest / smallest
-
-
-def gain_table(baselines: Mapping[str, Mapping[str, float]],
-               candidate: Mapping[str, float],
-               metrics: Sequence[str] = ("latency_s", "energy_mj", "edp_js")
-               ) -> Dict[str, Dict[str, float]]:
-    """Percentage improvement of ``candidate`` over each baseline per metric.
-
-    ``baselines`` maps baseline name to its metric dictionary (as produced by
-    ``EvaluationResult.summary()``); the return value maps baseline name to
-    ``{metric: improvement_percent}``.  This is the shape of Table VI and of
-    the headline comparisons in Sec. V-B.
-    """
-    table: Dict[str, Dict[str, float]] = {}
-    for name, baseline in baselines.items():
-        row: Dict[str, float] = {}
-        for metric in metrics:
-            row[metric] = percent_improvement(baseline[metric], candidate[metric])
-        table[name] = row
-    return table
-
-
-def summarise_improvements(improvements: Iterable[float]) -> Dict[str, float]:
-    """Mean / min / max of a set of percentage improvements."""
-    values: List[float] = list(improvements)
-    if not values:
-        raise ValueError("cannot summarise an empty sequence")
-    return {
-        "mean": sum(values) / len(values),
-        "min": min(values),
-        "max": max(values),
-    }

@@ -58,7 +58,6 @@ from repro.experiment.spec import (
     EXPERIMENT_KINDS,
     NAMED_DESIGNS,
     experiment_from_spec,
-    load_experiment,
 )
 from repro.experiment.yamlish import load_config
 from repro.serve import (

@@ -28,7 +28,7 @@ from repro.accel.builders import (
     make_hda,
     make_rda,
 )
-from repro.accel.design import AcceleratorDesign, AcceleratorKind
+from repro.accel.design import AcceleratorDesign
 from repro.dataflow.styles import ALL_STYLES, NVDLA, SHIDIANNAO, DataflowStyle
 from repro.maestro.cost import CostModel
 from repro.maestro.hardware import ChipConfig

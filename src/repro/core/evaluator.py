@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.accel.design import AcceleratorDesign
 from repro.maestro.cost import CostModel
@@ -183,39 +183,3 @@ def evaluate_design(design: AcceleratorDesign, workload: WorkloadSpec,
         schedule=schedule,
         scheduling_time_s=elapsed,
     )
-
-
-def evaluate_designs(designs: Sequence[AcceleratorDesign], workload: WorkloadSpec,
-                     cost_model: Optional[CostModel] = None,
-                     scheduler: Optional[HeraldScheduler] = None,
-                     backend: Optional["ExecutionBackend"] = None
-                     ) -> Dict[str, EvaluationResult]:
-    """Evaluate several designs on the same workload, keyed by design name.
-
-    Without a ``backend`` the designs are evaluated in-process; a single
-    scheduler (and cost model) is built once and reused across every design so
-    the cost-model cache stays warm within the call.  With a ``backend`` the
-    designs are submitted to it as evaluation tasks (e.g. a process pool for
-    large batches); the backend carries its own cost model and scheduler, so
-    combining it with explicit ``cost_model``/``scheduler`` arguments is
-    rejected rather than silently ignoring them.
-    """
-    if backend is not None:
-        if cost_model is not None or scheduler is not None:
-            raise ValueError(
-                "pass cost_model/scheduler to the backend, not to evaluate_designs, "
-                "when a backend is supplied"
-            )
-        from repro.exec.tasks import EvaluationTask
-        tasks = [EvaluationTask(index, design, workload)
-                 for index, design in enumerate(designs)]
-        results = backend.run(tasks)
-        return {design.name: result for design, result in zip(designs, results)}
-
-    model = cost_model or CostModel()
-    active_scheduler = scheduler or HeraldScheduler(model)
-    return {
-        design.name: evaluate_design(design, workload, cost_model=model,
-                                     scheduler=active_scheduler)
-        for design in designs
-    }

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import SearchError
 from repro.accel.builders import make_hda, make_smfda
@@ -362,21 +362,3 @@ def search_from_spec(spec: object, path: str = "search",
                            strategy=strategy, pe_steps=pe_steps,
                            bw_steps=bw_steps, metric=metric,
                            samples=samples, seed=seed)
-
-
-def search_to_spec(search: PartitionSearch) -> Dict[str, object]:
-    """Serialise a partition search's knobs; defaults are omitted."""
-    mapping: Dict[str, object] = {}
-    if search.strategy != "exhaustive":
-        mapping["strategy"] = search.strategy
-    if search.pe_steps != 8:
-        mapping["pe_steps"] = search.pe_steps
-    if search.bw_steps != 4:
-        mapping["bw_steps"] = search.bw_steps
-    if search.metric != "edp":
-        mapping["metric"] = search.metric
-    if search.samples != 16:
-        mapping["samples"] = search.samples
-    if search.seed != 0:
-        mapping["seed"] = search.seed
-    return mapping

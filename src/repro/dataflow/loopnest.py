@@ -6,13 +6,13 @@ spatial (``pfor``), possibly split across tile levels.  The loop nest is purely
 descriptive — the cost model works from the derived properties (which
 dimensions are spatially unrolled, which tensor is stationary) — but it lets
 users inspect and pretty-print the dataflows exactly as the paper presents
-them, and it is the natural place to express loop transformations.
+them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Tuple
 
 #: The convolution loop dimensions in the order used throughout the paper.
 DIMENSIONS: Tuple[str, ...] = ("K", "C", "Y", "X", "R", "S")
@@ -70,47 +70,6 @@ class LoopNest:
         """Dimensions that are spatially unrolled, outermost first."""
         return [loop.dimension for loop in self.loops if loop.spatial]
 
-    @property
-    def temporal_dimensions(self) -> List[str]:
-        """Dimensions that only appear as temporal loops."""
-        spatial = set(self.spatial_dimensions)
-        seen: List[str] = []
-        for loop in self.loops:
-            if not loop.spatial and loop.dimension not in spatial and loop.dimension not in seen:
-                seen.append(loop.dimension)
-        return seen
-
-    def innermost_temporal(self) -> str:
-        """The innermost temporal dimension (what stays stationary longest)."""
-        for loop in reversed(self.loops):
-            if not loop.spatial:
-                return loop.dimension
-        raise ValueError(f"loop nest {self.name!r} has no temporal loop")
-
-    def loop_order(self) -> List[str]:
-        """Dimension order from outermost to innermost (duplicates kept)."""
-        return [loop.dimension for loop in self.loops]
-
-    # ------------------------------------------------------------------
-    # Transformations
-    # ------------------------------------------------------------------
-    def interchange(self, outer_index: int, inner_index: int) -> "LoopNest":
-        """Return a new loop nest with the two loops swapped."""
-        loops = list(self.loops)
-        loops[outer_index], loops[inner_index] = loops[inner_index], loops[outer_index]
-        return LoopNest(name=f"{self.name}-interchanged", loops=tuple(loops))
-
-    def parallelise(self, dimension: str, level: int = 0) -> "LoopNest":
-        """Return a new loop nest with the given loop turned into a ``pfor``."""
-        loops = [
-            Loop(loop.dimension, spatial=True, level=loop.level)
-            if (loop.dimension == dimension and loop.level == level)
-            else loop
-            for loop in self.loops
-        ]
-        return LoopNest(name=f"{self.name}-parallel-{dimension.lower()}{level}",
-                        loops=tuple(loops))
-
     # ------------------------------------------------------------------
     # Rendering
     # ------------------------------------------------------------------
@@ -127,15 +86,3 @@ class LoopNest:
     def from_spec(cls, name: str, spec: Iterable[Tuple[str, bool, int]]) -> "LoopNest":
         """Build a loop nest from (dimension, spatial, level) triples."""
         return cls(name=name, loops=tuple(Loop(d, s, lv) for d, s, lv in spec))
-
-
-def same_inner_loop_order(a: LoopNest, b: LoopNest, depth: int = 2) -> bool:
-    """Whether two loop nests share the same innermost temporal loop order.
-
-    The paper selects dataflows with the same inner-loop order so that
-    sub-accelerators can exchange tiles without data-layout conversion
-    (Sec. IV-A); this helper lets Herald check that property.
-    """
-    a_inner = [d for d in reversed(a.loop_order()) if d][:depth]
-    b_inner = [d for d in reversed(b.loop_order()) if d][:depth]
-    return a_inner == b_inner

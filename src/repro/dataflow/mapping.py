@@ -100,13 +100,6 @@ class Mapping:
             return 0.0
         return self.layer.macs / float(self.compute_steps * self.num_pes)
 
-    @property
-    def spatial_utilisation(self) -> float:
-        """Fraction of PEs that receive any work at all."""
-        if self.num_pes == 0:
-            return 0.0
-        return self.active_pes / float(self.num_pes)
-
     def factor(self, dimension: str) -> int:
         """Unrolling factor of ``dimension`` (1 when it is not unrolled)."""
         return self.spatial_factors.get(dimension, 1)

@@ -73,15 +73,6 @@ class WorkerHang(ReproError):
     """
 
 
-class TransientEvaluationError(ReproError):
-    """A task evaluation failed in a way expected to succeed on retry.
-
-    The canonical retryable error (chaos injection raises it; user-supplied
-    evaluation code may too).  Classified as an ``"error"``
-    :class:`~repro.exec.resilience.TaskFailure` once retries are exhausted.
-    """
-
-
 class TaskExecutionError(ReproError):
     """One or more evaluation tasks failed after exhausting their retries.
 

@@ -22,11 +22,11 @@ consults it on every attempt, so chaos composes with caches, checkpoints,
 and both execution strategies, and a backend built without one runs
 undisturbed.
 
-By default faults are *simulated* at the dispatch layer (the backend raises
-:class:`~repro.exceptions.WorkerCrash` / :class:`~repro.exceptions.WorkerHang`
-/ :class:`~repro.exceptions.TransientEvaluationError` instead of running the
-attempt), which exercises the classification/retry/charge machinery without
-sleeping or killing processes.  ``real_faults=True`` makes process-pool
+By default faults are *simulated* at the dispatch layer (instead of running
+the attempt, the backend charges it a ``"crash"`` / ``"timeout"`` /
+``"error"`` :class:`~repro.exec.resilience.TaskFailure` with the message a
+real fault would carry), which exercises the classification/retry/charge
+machinery without sleeping or killing processes.  ``real_faults=True`` makes process-pool
 workers misbehave for real — ``os._exit`` for crashes (the parent sees a
 broken pool and rebuilds it), an over-budget sleep for hangs (the parent's
 stall watchdog fires) — for integration tests of the genuine recovery paths.
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import FrozenSet, List, Optional
+from typing import FrozenSet, Optional
 
 from repro.exceptions import SearchError
 
@@ -136,10 +136,6 @@ class ChaosSpec:
         if value < self.crash_rate + self.hang_rate + self.error_rate:
             return "error"
         return None if not doomed else "error"
-
-    def fault_schedule(self, task_id: int, attempts: int) -> List[Optional[str]]:
-        """The first ``attempts`` decisions for one task (test introspection)."""
-        return [self.fault_for(task_id, attempt) for attempt in range(attempts)]
 
     def describe(self) -> str:
         """One-line summary used by backend descriptions."""

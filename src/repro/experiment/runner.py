@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from typing import Dict, Optional, Union
 
 from repro.accel.builders import design_from_spec, make_fda, make_rda
 from repro.accel.design import AcceleratorDesign
@@ -42,7 +42,6 @@ from repro.experiment.report import build_report
 from repro.experiment.spec import ExperimentSpec
 from repro.maestro import CostModel
 from repro.serve import (
-    Fleet,
     FleetSimulator,
     ServingSimulator,
     min_chips_for_sla,
@@ -84,9 +83,15 @@ def _streaming_workload(spec: ExperimentSpec) -> StreamingWorkload:
         return spec.streams
     knobs = spec.streaming
     if spec.traffic is not None:
-        return traffic_suite(spec.workload.name, spec.traffic.kind,
-                             frames=knobs.frames, fps_scale=knobs.fps_scale,
-                             seed=knobs.seed, **spec.traffic.shape)
+        # The spec fixes each knob's domain; what is left depends on the
+        # frame count (a bursty dwell too short for it).
+        try:
+            return traffic_suite(spec.workload.name, spec.traffic.kind,
+                                 frames=knobs.frames,
+                                 fps_scale=knobs.fps_scale, seed=knobs.seed,
+                                 **spec.traffic.shape)
+        except WorkloadError as error:
+            raise SpecError(f"traffic: {error}") from None
     return streaming_suite(spec.workload.name, frames=knobs.frames,
                            fps_scale=knobs.fps_scale,
                            jitter_s=knobs.jitter_ms / 1e3, seed=knobs.seed)

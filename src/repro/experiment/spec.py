@@ -5,8 +5,8 @@ An *experiment* is everything one ``herald`` invocation does — a kind
 knobs that kind takes — written as a plain mapping (JSON or the YAML subset
 of :mod:`repro.experiment.yamlish`).  :func:`experiment_from_spec` validates
 the mapping into an :class:`ExperimentSpec` using the per-layer ``from_spec``
-constructors (chips, designs, workloads, streams, traffic, faults, fleets,
-policies, searches), so a malformed file fails fast with the dotted path of
+constructors (chips, designs, workloads, streams, faults, fleets, autoscaling,
+searches), so a malformed file fails fast with the dotted path of
 the offending value (``fleet.chips[2].num_pes: expected a positive int``)
 instead of a traceback from deep inside a search.
 
@@ -24,7 +24,7 @@ time) or an explicit design mapping (built eagerly against the chip).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, Optional, Union
 
 from repro.accel.builders import chip_from_spec, design_from_spec
 from repro.accel.design import AcceleratorDesign
@@ -223,6 +223,8 @@ def _traffic_settings(value: object, path: str) -> TrafficSettings:
     check_keys(mapping, _TRAFFIC_KEYS, path)
     kind = expect_choice(mapping.get("kind"), TRAFFIC_KINDS,
                          spec_path(path, "kind"))
+    # The knobs' domain is TrafficSpec's: amplitude in [0, 1), every other
+    # knob positive, and calm_factor below burst_factor.
     shape: Dict[str, float] = {}
     for knob in _SHAPE_DEFAULTS:
         if knob not in mapping:
@@ -231,7 +233,17 @@ def _traffic_settings(value: object, path: str) -> TrafficSettings:
             shape[knob] = expect_pos_int(mapping[knob], spec_path(path, knob))
         else:
             shape[knob] = expect_number(mapping[knob], spec_path(path, knob),
-                                        minimum=0.0, exclusive=True)
+                                        minimum=0.0,
+                                        exclusive=knob != "amplitude")
+    if shape.get("amplitude", 0.0) >= 1.0:
+        raise SpecError(f"{spec_path(path, 'amplitude')}: expected a number "
+                        f"< 1 (got {shape['amplitude']:g})")
+    calm = shape.get("calm_factor", _SHAPE_DEFAULTS["calm_factor"])
+    burst = shape.get("burst_factor", _SHAPE_DEFAULTS["burst_factor"])
+    if calm >= burst:
+        knob = "burst_factor" if "burst_factor" in shape else "calm_factor"
+        raise SpecError(f"{spec_path(path, knob)}: calm_factor must be below "
+                        f"burst_factor (got {calm:g} / {burst:g})")
     return TrafficSettings(kind=kind, shape=shape)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, Optional
 
 from repro.exceptions import HardwareConfigError
-from repro.units import BYTES_PER_ELEMENT, DEFAULT_CLOCK_HZ, bytes_per_cycle
+from repro.units import DEFAULT_CLOCK_HZ, bytes_per_cycle
 from repro.dataflow.styles import DataflowStyle
 
 
@@ -95,11 +95,6 @@ class SubAcceleratorConfig:
         if dram is None:
             dram = self.bandwidth_bytes_per_s
         return bytes_per_cycle(dram, self.clock_hz)
-
-    @property
-    def buffer_elements(self) -> int:
-        """Buffer capacity in tensor elements."""
-        return self.buffer_bytes // BYTES_PER_ELEMENT
 
     def with_dataflow(self, dataflow: Optional[DataflowStyle]) -> "SubAcceleratorConfig":
         """Return a copy running a different dataflow style."""

@@ -70,7 +70,6 @@ from repro.serve.traffic import (
     TRAFFIC_KINDS,
     TrafficSpec,
     traffic_suite,
-    traffic_workload,
 )
 from repro.serve.faults import (
     ChipFailure,
@@ -119,7 +118,6 @@ __all__ = [
     "min_chips_for_sla",
     "TrafficSpec",
     "traffic_suite",
-    "traffic_workload",
     "TRAFFIC_KINDS",
     "ChipFailure",
     "SlowdownWindow",

@@ -18,7 +18,7 @@ CLI builds them from compact clauses parsed by :func:`parse_fault_clause`:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import SpecError, WorkloadError
@@ -230,16 +230,3 @@ def faults_from_spec(spec: object, path: str = "faults") -> FaultSpec:
         return merge_fault_specs(parsed)
     except WorkloadError as error:
         raise SpecError(f"{path}: {error}") from None
-
-
-def faults_to_spec(spec: FaultSpec) -> List[str]:
-    """Serialise a fault script back into clause strings.
-
-    Floats are rendered with ``repr`` so the round trip through
-    :func:`faults_from_spec` is exact.
-    """
-    clauses = [f"die:{f.chip_index}@{f.at_s!r}" for f in spec.failures]
-    clauses.extend(
-        f"slow:{w.chip_index}@{w.start_s!r}-{w.end_s!r}x{w.factor!r}"
-        for w in spec.slowdowns)
-    return clauses

@@ -382,8 +382,7 @@ class FleetSimulator:
         Shared cost model and (configured) online scheduler, exactly as the
         single-chip :class:`~repro.serve.simulator.ServingSimulator` takes
         them.  When a ``backend`` is supplied these must be left unset — the
-        backend carries its own pair (mirroring
-        :func:`~repro.core.evaluator.evaluate_designs`).
+        backend carries its own pair.
     backend:
         Execution backend the per-chip evaluations run on.
     """
@@ -694,23 +693,3 @@ def fleet_from_spec(spec: object, build_design, path: str = "fleet") -> Fleet:
                      chips=tuple(designs))
     except WorkloadError as error:
         raise SpecError(f"{path}: {error}") from None
-
-
-def fleet_to_spec(fleet: Fleet, design_to_spec) -> Dict[str, object]:
-    """Serialise a fleet; homogeneous replicas collapse back to a count.
-
-    ``design_to_spec`` serialises one chip design (injected for the same
-    layering reason as in :func:`fleet_from_spec`).
-    """
-    mapping: Dict[str, object] = {"name": fleet.name}
-    base = fleet.chips[0]
-    stem = base.name[:-3] if base.name.endswith("[0]") else None
-    if stem is not None and all(
-            chip == dataclasses.replace(base, name=f"{stem}[{index}]")
-            for index, chip in enumerate(fleet.chips)):
-        mapping["chips"] = len(fleet.chips)
-        mapping["design"] = design_to_spec(
-            dataclasses.replace(base, name=stem))
-    else:
-        mapping["chips"] = [design_to_spec(chip) for chip in fleet.chips]
-    return mapping

@@ -151,18 +151,6 @@ def autoscale_from_spec(spec: object,
         raise SpecError(f"{path}: {error}") from None
 
 
-def autoscale_to_spec(policy: AutoscalePolicy) -> Dict[str, object]:
-    """Serialise an autoscaling policy; defaults are omitted."""
-    mapping: Dict[str, object] = {"interval_s": policy.interval_s}
-    if policy.min_chips != 1:
-        mapping["min_chips"] = policy.min_chips
-    if policy.max_chips is not None:
-        mapping["max_chips"] = policy.max_chips
-    if policy.target_queue_per_chip != 2.0:
-        mapping["target_queue_per_chip"] = policy.target_queue_per_chip
-    return mapping
-
-
 @dataclass(frozen=True)
 class AutoscaleInterval:
     """One controller observation: backlog seen, sizing decision taken."""

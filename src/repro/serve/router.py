@@ -49,7 +49,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro.accel.design import AcceleratorDesign
 from repro.exceptions import SearchError, WorkloadError
 from repro.maestro.cost import CostModel
-from repro.validation import expect_choice
 from repro.serve.trace import FrameTrace
 from repro.serve.workload import StreamingWorkload
 
@@ -367,16 +366,6 @@ def policy_by_name(name: str) -> DispatchPolicy:
         raise WorkloadError(
             f"unknown dispatch policy {name!r}; "
             f"available: {sorted(ROUTER_POLICIES)}") from None
-
-
-def policy_from_spec(spec: object, path: str = "policy") -> DispatchPolicy:
-    """Instantiate a dispatch policy from its declarative spec (its name)."""
-    return policy_by_name(expect_choice(spec, ROUTER_POLICIES, path))
-
-
-def policy_to_spec(policy: DispatchPolicy) -> str:
-    """Serialise a dispatch policy back to its registered name."""
-    return policy.name
 
 
 # ---------------------------------------------------------------------------

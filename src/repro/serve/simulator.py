@@ -23,7 +23,7 @@ paper's throughput question.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.metrics import deadline_miss_rate, percentile
 from repro.core.schedule import Schedule

@@ -32,31 +32,29 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Tuple
 
-from repro.exceptions import SpecError, WorkloadError
+from repro.exceptions import WorkloadError
 from repro.serve.trace import FrameTrace
 from repro.serve.workload import (
     DEFAULT_TARGET_FPS,
     MODEL_TARGET_FPS,
     StreamingWorkload,
 )
-from repro.validation import (
-    check_keys,
-    expect_choice,
-    expect_int,
-    expect_mapping,
-    expect_number,
-    expect_pos_int,
-    expect_str,
-    spec_path,
-    take,
-)
 from repro.workloads.suites import workload_by_name
 
 #: The registered arrival-process kinds, in CLI-facing order.
 TRAFFIC_KINDS: Tuple[str, ...] = ("poisson", "bursty", "diurnal", "churn")
+
+# A bursty stream flips state about 2 / ((calm_factor + burst_factor) *
+# burst_dwell_frames) times per frame, so a tiny dwell (say 1e-300 periods)
+# would flip for longer than any run can wait before its frames are drawn.
+# The default shape flips about once per two frames, so 1,000,000 expected
+# flips allows about 2,000,000 frames per stream -- far beyond every golden
+# and benchmark stream -- and turns a dwell that short into a typed error.
+_MAX_BURSTY_FLIPS = 1_000_000
 
 
 def _traffic_rng(seed: int, kind: str, model_name: str) -> random.Random:
@@ -149,6 +147,18 @@ class TrafficSpec:
             raise WorkloadError(
                 f"traffic {self.model_name!r}: burst_dwell_frames must be "
                 f"positive (got {self.burst_dwell_frames})")
+        # A mean dwell whose inverse overflows draws dwells of 0 s: the
+        # stream would flip forever.
+        if self.kind == "bursty" and not (
+                2.0 * self.frames <= _MAX_BURSTY_FLIPS * self.burst_dwell_frames
+                * (self.calm_factor + self.burst_factor)
+                and self.burst_dwell_frames * self.period_s
+                * sys.float_info.max > 1.0):
+            raise WorkloadError(
+                f"traffic {self.model_name!r}: burst_dwell_frames "
+                f"{self.burst_dwell_frames:g} is too short: {self.frames} "
+                f"frames would take more than {_MAX_BURSTY_FLIPS:,} expected "
+                f"state flips or dwells of 0 s; use a longer dwell")
         if not 0.0 <= self.amplitude < 1.0:
             raise WorkloadError(
                 f"traffic {self.model_name!r}: amplitude must be in [0, 1) "
@@ -302,94 +312,13 @@ def traffic_suite(suite_name: str, kind: str, frames: int = 8,
                              models=dict(spec.models))
 
 
-def traffic_workload(name: str, specs: List[TrafficSpec],
-                     models: Dict[str, object]) -> StreamingWorkload:
-    """Compile explicit :class:`TrafficSpec` streams into a workload."""
-    return StreamingWorkload(name=name,
-                             streams=[spec.to_trace() for spec in specs],
-                             models=dict(models))
-
-
 # ---------------------------------------------------------------------------
 # Declarative specs
 # ---------------------------------------------------------------------------
-#: TrafficSpec shape knobs with their defaults, shared by the spec round-trip
-#: (``to_spec`` omits a knob at its default, ``from_spec`` restores it).
+#: TrafficSpec shape knobs with their defaults, read off the dataclass: the
+#: knobs a spec's ``traffic`` mapping may set (:mod:`repro.experiment.spec`
+#: checks each one against the defaults of the others).
 _SHAPE_DEFAULTS: Dict[str, float] = {
-    "burst_factor": 4.0,
-    "calm_factor": 0.25,
-    "burst_dwell_frames": 4.0,
-    "amplitude": 0.8,
-    "period_frames": 16.0,
-    "session_frames": 4,
-}
-
-_TRAFFIC_SPEC_KEYS = ("kind", "model", "rate_fps", "frames", "phase_s",
-                      "seed", "deadline_s") + tuple(_SHAPE_DEFAULTS)
-
-
-def traffic_from_spec(spec: Dict[str, object],
-                      path: str = "traffic") -> TrafficSpec:
-    """Build one stochastic arrival stream from its declarative spec."""
-    mapping = expect_mapping(spec, path)
-    check_keys(mapping, _TRAFFIC_SPEC_KEYS, path)
-    kind = expect_choice(mapping.get("kind"), TRAFFIC_KINDS,
-                         spec_path(path, "kind"))
-    deadline = mapping.get("deadline_s")
-    if deadline is not None:
-        deadline = expect_number(deadline, spec_path(path, "deadline_s"),
-                                 minimum=0.0, exclusive=True)
-    shape: Dict[str, object] = {}
-    for knob, default in _SHAPE_DEFAULTS.items():
-        if knob not in mapping:
-            continue
-        if knob == "session_frames":
-            shape[knob] = expect_pos_int(mapping[knob], spec_path(path, knob))
-        else:
-            shape[knob] = expect_number(mapping[knob], spec_path(path, knob),
-                                        minimum=0.0)
-    model = expect_str(take(mapping, "model", path), spec_path(path, "model"))
-    rate = expect_number(take(mapping, "rate_fps", path),
-                         spec_path(path, "rate_fps"),
-                         minimum=0.0, exclusive=True)
-    frames = expect_pos_int(take(mapping, "frames", path),
-                            spec_path(path, "frames"))
-    try:
-        return TrafficSpec(
-            kind=kind,
-            model_name=model,
-            rate_fps=rate,
-            frames=frames,
-            phase_s=expect_number(mapping.get("phase_s", 0.0),
-                                  spec_path(path, "phase_s"), minimum=0.0),
-            seed=expect_int(mapping.get("seed", 0), spec_path(path, "seed")),
-            deadline_s=deadline,
-            **shape,
-        )
-    except WorkloadError as error:
-        raise SpecError(f"{path}: {error}") from None
-
-
-def traffic_to_spec(spec: TrafficSpec) -> Dict[str, object]:
-    """Serialise one arrival stream; shape knobs at their default are omitted.
-
-    ``traffic_from_spec(traffic_to_spec(s)) == s`` holds exactly (all floats
-    are carried raw).
-    """
-    mapping: Dict[str, object] = {
-        "kind": spec.kind,
-        "model": spec.model_name,
-        "rate_fps": spec.rate_fps,
-        "frames": spec.frames,
-    }
-    if spec.phase_s:
-        mapping["phase_s"] = spec.phase_s
-    if spec.seed:
-        mapping["seed"] = spec.seed
-    if spec.deadline_s is not None:
-        mapping["deadline_s"] = spec.deadline_s
-    for knob, default in _SHAPE_DEFAULTS.items():
-        value = getattr(spec, knob)
-        if value != default:
-            mapping[knob] = value
-    return mapping
+    spec_field.name: spec_field.default for spec_field in fields(TrafficSpec)
+    if spec_field.name in ("burst_factor", "calm_factor", "burst_dwell_frames",
+                           "amplitude", "period_frames", "session_frames")}

@@ -327,31 +327,6 @@ def stream_from_spec(spec: Dict[str, object],
         raise SpecError(f"{path}: {error}") from None
 
 
-def stream_to_spec(stream: Union[StreamSpec, FrameTrace]) -> Dict[str, object]:
-    """Serialise one stream so :func:`stream_from_spec` reloads it exactly."""
-    if isinstance(stream, FrameTrace):
-        return {
-            "model": stream.model_name,
-            "releases_s": list(stream.releases_s),
-            "deadline_s": stream.deadline_s,
-            "fps": stream.fps,
-        }
-    spec: Dict[str, object] = {
-        "model": stream.model_name,
-        "fps": stream.fps,
-        "frames": stream.frames,
-    }
-    if stream.phase_s:
-        spec["phase_s"] = stream.phase_s
-    if stream.jitter_s:
-        spec["jitter_s"] = stream.jitter_s
-    if stream.seed:
-        spec["seed"] = stream.seed
-    if stream.deadline_s is not None:
-        spec["deadline_s"] = stream.deadline_s
-    return spec
-
-
 def streaming_from_spec(spec: Dict[str, object],
                         path: str = "streaming") -> StreamingWorkload:
     """Build a streaming workload from its declarative spec.
@@ -392,19 +367,3 @@ def streaming_from_spec(spec: Dict[str, object],
         return StreamingWorkload(name=name, streams=streams)
     except WorkloadError as error:
         raise SpecError(f"{path}: {error}") from None
-
-
-def streaming_to_spec(workload: StreamingWorkload) -> Dict[str, object]:
-    """Serialise a streaming workload into its explicit-streams spec form.
-
-    ``streaming_from_spec(streaming_to_spec(w)) == w`` holds exactly for
-    workloads without custom model graphs (all floats are carried raw).
-    """
-    if workload.models:
-        raise SpecError(
-            f"streaming: {workload.name!r} carries custom model graphs, "
-            f"which cannot be serialised into a spec")
-    return {
-        "name": workload.name,
-        "streams": [stream_to_spec(stream) for stream in workload.streams],
-    }

@@ -71,28 +71,3 @@ MJ_PER_J = 1.0e3
 def picojoules_to_millijoules(pj: float) -> float:
     """Convert picojoules to millijoules (the unit used in the paper's figures)."""
     return pj * 1.0e-9
-
-
-def format_si(value: float, unit: str, precision: int = 3) -> str:
-    """Format ``value`` with an SI prefix, e.g. ``format_si(2.5e-3, 's') == '2.5 ms'``.
-
-    Only the prefixes that actually occur in reports are supported.
-    """
-    prefixes = [
-        (1e9, "G"),
-        (1e6, "M"),
-        (1e3, "k"),
-        (1.0, ""),
-        (1e-3, "m"),
-        (1e-6, "u"),
-        (1e-9, "n"),
-        (1e-12, "p"),
-    ]
-    if value == 0:
-        return f"0 {unit}"
-    magnitude = abs(value)
-    for scale, prefix in prefixes:
-        if magnitude >= scale:
-            return f"{value / scale:.{precision}g} {prefix}{unit}"
-    scale, prefix = prefixes[-1]
-    return f"{value / scale:.{precision}g} {prefix}{unit}"

@@ -1,8 +1,9 @@
 """Path-tracked validation primitives for declarative spec parsing.
 
 Every layer that exposes a ``from_spec`` constructor (accelerator builders,
-workload suites, streaming/traffic workloads, fault scripts, fleets, router
-policies, search settings) validates its plain-dict input with these helpers.
+workload suites, streaming workloads, fault scripts, fleets, autoscaling,
+search settings), and the experiment schema's own settings parsers, validate
+plain-dict input with these helpers.
 They all take the *spec path* of the value being checked — a dotted/indexed
 string such as ``fleet.chips[2].num_pes`` — and raise
 :class:`~repro.exceptions.SpecError` with that exact path as the message

@@ -146,30 +146,3 @@ def workload_from_spec(spec: Union[str, Dict[str, object]],
         return WorkloadSpec(name=name, entries=entries)
     raise SpecError(f"{path}: expected a suite name, a 'suite' mapping, a "
                     f"'model' mapping, or explicit 'entries'")
-
-
-def workload_to_spec(workload: WorkloadSpec) -> Union[str, Dict[str, object]]:
-    """Serialise a workload; known suites collapse to their compact form.
-
-    ``workload_from_spec(workload_to_spec(w)) == w`` holds for every workload
-    without custom (non-zoo) model graphs; custom graphs cannot be
-    serialised and raise :class:`~repro.exceptions.SpecError`.
-    """
-    if workload.models:
-        raise SpecError(
-            f"workload: {workload.name!r} carries custom model graphs, which "
-            f"cannot be serialised into a spec")
-    for suite_name, factory in WORKLOAD_SUITES.items():
-        if workload == factory():
-            return suite_name
-    batch_text = workload.name[len("mlperf-b"):]
-    if (workload.name.startswith("mlperf-b") and batch_text.isdigit()
-            and workload == mlperf(int(batch_text))):
-        return {"suite": "mlperf", "batch_size": int(batch_text)}
-    if len(workload.entries) == 1:
-        model, batches = workload.entries[0]
-        if workload.name == f"{model}-x{batches}":
-            return {"model": model, "batches": batches}
-    return {"name": workload.name,
-            "entries": [[model, batches]
-                        for model, batches in workload.entries]}

@@ -6,13 +6,9 @@ from repro.accel.classes import accelerator_class
 from repro.analysis.metrics import (
     deadline_miss_rate,
     edp,
-    gain_table,
-    geometric_mean,
     imbalance,
     percent_improvement,
-    percent_overhead,
     percentile,
-    summarise_improvements,
 )
 from repro.analysis.pareto import dominates, is_pareto_optimal, pareto_front
 from repro.analysis.sweeps import pe_partition_sweep
@@ -37,37 +33,6 @@ class TestMetrics:
     def test_percent_improvement_rejects_zero_baseline(self):
         with pytest.raises(ValueError):
             percent_improvement(0.0, 1.0)
-
-    def test_percent_overhead(self):
-        assert percent_overhead(10.0, 12.0) == pytest.approx(20.0)
-
-    def test_geometric_mean(self):
-        assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-
-    def test_geometric_mean_rejects_empty_and_nonpositive(self):
-        with pytest.raises(ValueError):
-            geometric_mean([])
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, 0.0])
-
-    def test_gain_table_shape(self):
-        baselines = {
-            "fda": {"latency_s": 2.0, "energy_mj": 100.0, "edp_js": 200.0},
-            "rda": {"latency_s": 1.0, "energy_mj": 150.0, "edp_js": 150.0},
-        }
-        candidate = {"latency_s": 1.0, "energy_mj": 90.0, "edp_js": 90.0}
-        table = gain_table(baselines, candidate)
-        assert table["fda"]["latency_s"] == pytest.approx(50.0)
-        assert table["rda"]["energy_mj"] == pytest.approx(40.0)
-
-    def test_summarise_improvements(self):
-        stats = summarise_improvements([10.0, 20.0, 30.0])
-        assert stats["mean"] == pytest.approx(20.0)
-        assert stats["min"] == 10.0 and stats["max"] == 30.0
-
-    def test_summarise_improvements_empty(self):
-        with pytest.raises(ValueError):
-            summarise_improvements([])
 
 
 class TestPercentile:

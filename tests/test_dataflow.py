@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dataflow.loopnest import DIMENSIONS, Loop, LoopNest, same_inner_loop_order
+from repro.dataflow.loopnest import DIMENSIONS, Loop
 from repro.dataflow.mapping import build_mapping, clear_mapping_cache, mapping_cache_info
 from repro.dataflow.styles import (ALL_STYLES, EYERISS, NVDLA, SHIDIANNAO,
                                    DataflowStyle, style_by_name)
@@ -30,30 +30,8 @@ class TestLoopNest:
         nest = NVDLA.loop_nest
         assert set(nest.spatial_dimensions) == {"K", "C"}
 
-    def test_temporal_dimensions_exclude_spatial(self):
-        nest = NVDLA.loop_nest
-        assert "K" not in nest.temporal_dimensions
-
-    def test_innermost_temporal(self):
-        nest = SHIDIANNAO.loop_nest
-        assert nest.innermost_temporal() == "S"
-
-    def test_interchange_swaps_loops(self):
-        nest = NVDLA.loop_nest
-        swapped = nest.interchange(0, 1)
-        assert swapped.loops[0] == nest.loops[1]
-        assert swapped.loops[1] == nest.loops[0]
-
-    def test_parallelise_marks_loop_spatial(self):
-        nest = LoopNest.from_spec("t", [("K", False, 0), ("C", False, 0)])
-        parallel = nest.parallelise("K")
-        assert parallel.spatial_dimensions == ["K"]
-
     def test_render_contains_mac_statement(self):
         assert "Output[k][y][x]" in NVDLA.loop_nest.render()
-
-    def test_same_inner_loop_order(self):
-        assert same_inner_loop_order(NVDLA.loop_nest, NVDLA.loop_nest)
 
 
 class TestStyles:

@@ -5,7 +5,7 @@ import pytest
 from repro.accel.builders import make_fda, make_hda, make_rda, make_smfda
 from repro.accel.classes import accelerator_class
 from repro.core.dse import HeraldDSE
-from repro.core.evaluator import evaluate_design, evaluate_designs
+from repro.core.evaluator import evaluate_design
 from repro.core.greedy import GreedyScheduler
 from repro.core.partitioner import PartitionSearch, compositions
 from repro.core.scheduler import HeraldScheduler
@@ -42,11 +42,6 @@ class TestEvaluator:
                                  scheduler=GreedyScheduler(cost_model))
         herald = evaluate_design(design, small_workload, cost_model=cost_model)
         assert herald.edp <= greedy.edp * 1.05
-
-    def test_evaluate_designs_keys_by_name(self, cost_model, small_workload, tiny_chip):
-        designs = [make_fda(tiny_chip, NVDLA), make_fda(tiny_chip, SHIDIANNAO)]
-        results = evaluate_designs(designs, small_workload, cost_model=cost_model)
-        assert set(results) == {design.name for design in designs}
 
     def test_scheduling_time_recorded(self, cost_model, small_workload, tiny_chip):
         result = evaluate_design(make_fda(tiny_chip, NVDLA), small_workload,

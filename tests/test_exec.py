@@ -6,10 +6,9 @@ import pickle
 
 import pytest
 
-import repro.core.evaluator
 from repro.accel.builders import enumerate_fdas, make_fda, make_rda
 from repro.core.dse import HeraldDSE
-from repro.core.evaluator import evaluate_design, evaluate_designs
+from repro.core.evaluator import evaluate_design
 from repro.core.partitioner import PartitionSearch
 from repro.core.scheduler import HeraldScheduler
 from repro.dataflow.styles import NVDLA, SHIDIANNAO
@@ -194,37 +193,6 @@ class TestProcessPoolBackend:
         backend = ProcessPoolBackend(jobs=2)
         with pytest.raises(SearchError, match="duplicate task_id"):
             backend.run(tasks)
-
-
-class TestEvaluateDesignsSchedulerReuse:
-    def test_builds_exactly_one_scheduler_when_none_supplied(
-            self, tiny_chip, small_workload, monkeypatch):
-        created = []
-
-        class CountingScheduler(HeraldScheduler):
-            def __init__(self, *args, **kwargs):
-                created.append(self)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(repro.core.evaluator, "HeraldScheduler", CountingScheduler)
-        designs = enumerate_fdas(tiny_chip)
-        results = evaluate_designs(designs, small_workload)
-        assert len(results) == len(designs)
-        assert len(created) == 1, "evaluate_designs must reuse one scheduler"
-
-    def test_routes_through_backend_when_given(self, tiny_chip, small_workload):
-        backend = SerialBackend()
-        designs = enumerate_fdas(tiny_chip)
-        via_backend = evaluate_designs(designs, small_workload, backend=backend)
-        direct = evaluate_designs(designs, small_workload)
-        assert set(via_backend) == set(direct)
-        for name in direct:
-            assert via_backend[name].latency_s == direct[name].latency_s
-
-    def test_rejects_cost_model_alongside_backend(self, tiny_chip, small_workload):
-        with pytest.raises(ValueError):
-            evaluate_designs(enumerate_fdas(tiny_chip), small_workload,
-                             cost_model=CostModel(), backend=SerialBackend())
 
 
 class TestDSETaskEnumeration:

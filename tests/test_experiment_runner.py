@@ -249,6 +249,27 @@ class TestRunCommand:
         assert main(["run", spec_file]) == 2
         assert "1,000,000 intervals" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("traffic,fragment", [
+        ({"kind": "diurnal", "amplitude": 1.5},
+         "error: traffic.amplitude: expected a number < 1"),
+        ({"kind": "bursty", "burst_factor": 0.1},
+         "error: traffic.burst_factor: calm_factor must be below"),
+        # Parsed fine, but the frames would need ~1e300 state flips: the run
+        # stops up front instead of hanging in the generator.
+        ({"kind": "bursty", "burst_dwell_frames": 1e-300},
+         "1,000,000 expected state flips"),
+    ])
+    def test_out_of_domain_traffic_is_exit_2(self, tmp_path, capsys,
+                                             traffic, fragment):
+        spec_file = _write_spec(tmp_path, {
+            "kind": "closed-loop", "design": "fda-nvdla",
+            "streaming": {"frames": 1}, "fleet": {"chips": 2},
+            "traffic": traffic})
+        assert main(["run", spec_file]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: traffic")
+        assert fragment in lines[0]
+
     def test_yaml_experiment_end_to_end(self, tmp_path, capsys):
         path = tmp_path / "exp.yaml"
         path.write_text("kind: schedule\ndesign: rda\nworkload: mlperf\n",

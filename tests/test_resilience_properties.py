@@ -36,7 +36,6 @@ from repro.dataflow.styles import NVDLA, SHIDIANNAO
 from repro.exceptions import (
     CheckpointError,
     TaskExecutionError,
-    TransientEvaluationError,
     WorkerCrash,
     WorkerHang,
     WorkloadError,
@@ -330,7 +329,6 @@ class TestFailureClassification:
     def test_exception_to_kind_mapping(self):
         assert classify_failure(WorkerCrash("x")) == "crash"
         assert classify_failure(WorkerHang("x")) == "timeout"
-        assert classify_failure(TransientEvaluationError("x")) == "error"
         assert classify_failure(ValueError("x")) == "error"
 
     def test_chaos_hang_is_recorded_as_timeout(self, task_bag):

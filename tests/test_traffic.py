@@ -10,16 +10,18 @@ building blocks directly:
 * :class:`TrafficSpec` validation, deadlines, and workload compilation;
 * :class:`FaultSpec` time-indexing semantics (death, overlapping slowdown
   windows, transition instants) and the CLI clause grammar;
-* the metrics helpers (:func:`coefficient_of_variation`,
-  :func:`interval_counts`) and :meth:`FrameTrace.merged` the generators
-  lean on.
+* the burstiness oracles (:func:`coefficient_of_variation`,
+  :func:`interval_counts`, kept here because only these tests read them)
+  and :meth:`FrameTrace.merged`, the churn compiler's folding primitive.
 """
 
 from __future__ import annotations
 
+import math
+from typing import Iterable, List
+
 import pytest
 
-from repro.analysis.metrics import coefficient_of_variation, interval_counts
 from repro.exceptions import WorkloadError
 from repro.serve import (
     TRAFFIC_KINDS,
@@ -32,8 +34,57 @@ from repro.serve import (
     merge_fault_specs,
     parse_fault_clause,
     traffic_suite,
-    traffic_workload,
 )
+
+
+def coefficient_of_variation(values: Iterable[float]) -> float:
+    """Standard deviation over mean (population form) of positive samples.
+
+    The standard burstiness statistic of an arrival process: the
+    inter-arrival gaps of a Poisson process have CV ~= 1, a strictly
+    periodic trace has CV 0, and Markov-modulated (bursty) traffic pushes
+    the CV above 1.  :class:`TestTrafficRegimes` pins those regimes.
+
+    Raises
+    ------
+    ValueError
+        If ``values`` is empty or its mean is not positive.
+    """
+    samples: List[float] = list(values)
+    if not samples:
+        raise ValueError("cannot take the CV of an empty sequence")
+    mean = sum(samples) / len(samples)
+    if mean <= 0.0:
+        raise ValueError("coefficient of variation requires a positive mean")
+    variance = sum((sample - mean) ** 2 for sample in samples) / len(samples)
+    return math.sqrt(variance) / mean
+
+
+def interval_counts(times: Iterable[float], interval_s: float,
+                    horizon_s: float) -> List[int]:
+    """Events per ``interval_s`` bucket over ``[0, horizon_s)``.
+
+    The per-interval load view the diurnal regime test reads: bucket ``k``
+    counts the events with ``k * interval_s <= t <
+    (k + 1) * interval_s``.  Events at or past ``horizon_s`` land in the last
+    bucket (the horizon is a reporting boundary, not a filter).
+
+    Raises
+    ------
+    ValueError
+        If ``interval_s`` or ``horizon_s`` is not positive, or an event time
+        is negative.
+    """
+    if interval_s <= 0.0:
+        raise ValueError(f"interval_s must be positive (got {interval_s})")
+    if horizon_s <= 0.0:
+        raise ValueError(f"horizon_s must be positive (got {horizon_s})")
+    buckets = [0] * max(1, math.ceil(horizon_s / interval_s))
+    for time in times:
+        if time < 0.0:
+            raise ValueError(f"event times must be >= 0 (got {time})")
+        buckets[min(int(time / interval_s), len(buckets) - 1)] += 1
+    return buckets
 
 
 def _gaps(releases):
@@ -123,6 +174,13 @@ class TestTrafficSpec:
         dict(amplitude=-0.1),
         dict(period_frames=0.0),
         dict(session_frames=0),
+        # A dwell this short would flip state ~1e300 times before the
+        # bursty stream emits its frames: a typed error, not a hang.
+        dict(kind="bursty", burst_dwell_frames=1e-300),
+        dict(kind="bursty", burst_dwell_frames=5e-324),
+        # Few flips, but a mean dwell of ~1e-310 s draws dwells of 0 s.
+        dict(kind="bursty", rate_fps=1e300, burst_factor=1e10,
+             burst_dwell_frames=1e-10),
     ])
     def test_invalid_specs_rejected(self, kwargs):
         base = dict(kind="poisson", model_name="m", rate_fps=30.0, frames=4)
@@ -182,16 +240,6 @@ class TestTrafficWorkloads:
         with pytest.raises(WorkloadError):
             traffic_suite("arvr-a", "poisson", **kwargs)
 
-    def test_traffic_workload_compiles_explicit_specs(self):
-        from repro.models.graph import ModelGraph
-        from repro.models.layer import fc
-        graph = ModelGraph.from_layers("tiny", [fc("l0", k=8, c=8)])
-        spec = TrafficSpec(kind="poisson", model_name="tiny", rate_fps=100.0,
-                           frames=3, seed=2)
-        workload = traffic_workload("mixed", [spec], {"tiny": graph})
-        assert workload.name == "mixed"
-        assert workload.streams[0].releases_s == spec.release_times_s()
-        assert workload.total_frames == 3
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +367,7 @@ class TestFaultClauses:
 
 
 # ---------------------------------------------------------------------------
-# Metrics helpers
+# Burstiness oracles
 # ---------------------------------------------------------------------------
 class TestMetricsHelpers:
     def test_cv_known_values(self):

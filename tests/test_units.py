@@ -39,20 +39,3 @@ class TestEnergyConversions:
 
     def test_picojoules_to_millijoules_zero(self):
         assert units.picojoules_to_millijoules(0.0) == 0.0
-
-
-class TestFormatSi:
-    def test_zero(self):
-        assert units.format_si(0, "s") == "0 s"
-
-    def test_milli(self):
-        assert units.format_si(2.5e-3, "s") == "2.5 ms"
-
-    def test_giga(self):
-        assert units.format_si(3.2e9, "B") == "3.2 GB"
-
-    def test_unit_scale(self):
-        assert units.format_si(7.0, "J") == "7 J"
-
-    def test_tiny_values_use_pico(self):
-        assert "p" in units.format_si(3e-13, "J")
