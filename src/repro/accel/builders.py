@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.exceptions import PartitionError, SpecError
+from repro.exceptions import HardwareConfigError, PartitionError, SpecError
 from repro.accel.design import AcceleratorDesign, AcceleratorKind
 from repro.dataflow.styles import ALL_STYLES, DataflowStyle, style_by_name
 from repro.maestro.hardware import ChipConfig, SubAcceleratorConfig
@@ -304,14 +304,20 @@ def chip_from_spec(spec: Union[str, Dict[str, object]],
     else:
         clock = base.clock_hz if base is not None else DEFAULT_CLOCK_HZ
 
-    return ChipConfig(
-        name=name or (base.name if base is not None else "custom"),
-        num_pes=num_pes,
-        noc_bandwidth_bytes_per_s=noc,
-        global_buffer_bytes=buffer_bytes,
-        dram_bandwidth_bytes_per_s=dram,
-        clock_hz=clock,
-    )
+    # A value the spec layer accepted can still leave the chip's domain once
+    # converted (1e300 GB/s overflows to inf bytes/s, 1e-300 MiB rounds to
+    # 0 bytes), so the chip's own check is reported as a spec error.
+    try:
+        return ChipConfig(
+            name=name or (base.name if base is not None else "custom"),
+            num_pes=num_pes,
+            noc_bandwidth_bytes_per_s=noc,
+            global_buffer_bytes=buffer_bytes,
+            dram_bandwidth_bytes_per_s=dram,
+            clock_hz=clock,
+        )
+    except HardwareConfigError as error:
+        raise SpecError(f"{path}: {error}") from None
 
 
 def design_from_spec(spec: Dict[str, object], path: str = "design",
@@ -418,5 +424,5 @@ def design_from_spec(spec: Dict[str, object], path: str = "design",
                                   name=design_name,
                                   kind=AcceleratorKind.HDA,
                                   bw_partition_bytes=bw_bytes)
-    except PartitionError as error:
+    except (HardwareConfigError, PartitionError) as error:
         raise SpecError(f"{path}: {error}") from None

@@ -222,12 +222,17 @@ class HeraldScheduler:
         #: configuration share its column, whatever they name it.
         self._columns: Dict[Tuple, Dict[Tuple, Tuple[float, LayerCost,
                                                      float]]] = {}
+        #: The last Fig. 8 assignment: ``(visit order, key, (slot_acc,
+        #: slot_cost, slot_latency))``, see :meth:`_assignment`.
+        self._last_assignment: Optional[Tuple[_VisitOrder, Tuple, Tuple]] = None
 
     def __getstate__(self) -> Dict[str, object]:
         # Schedulers ship to pool workers alongside their cost model; the
-        # cost columns are cheap to rebuild there and would bloat the pickle.
+        # cost columns and the last assignment are cheap to rebuild there and
+        # would bloat the pickle.
         state = dict(self.__dict__)
         state["_columns"] = {}
+        state["_last_assignment"] = None
         return state
 
     def __setstate__(self, state: Dict[str, object]) -> None:
@@ -259,10 +264,8 @@ class HeraldScheduler:
         releases = checked_release_cycles(release_cycles, instances)
         order = self._static_visit_order(workload)
         self.last_memory_violations = order.violations
-        slot_acc, slot_cost, slot_latency = self._assign(
-            order, self._preference_rows(workload, order.shapes,
-                                         sub_accelerators),
-            len(sub_accelerators))
+        slot_acc, slot_cost, slot_latency = self._assignment(
+            workload, order, sub_accelerators)
         schedule = self._timeline(order, slot_acc, slot_cost, slot_latency,
                                   sub_accelerators, releases,
                                   workload.instance_dependences(),
@@ -385,6 +388,36 @@ class HeraldScheduler:
     # ------------------------------------------------------------------
     # Step 1: load-balanced sub-accelerator choice (Fig. 8)
     # ------------------------------------------------------------------
+    def _assignment(self, workload: WorkloadSpec, order: _VisitOrder,
+                    sub_accelerators: Sequence[SubAcceleratorConfig]
+                    ) -> Tuple[Tuple[int, ...], Tuple[LayerCost, ...],
+                               List[float]]:
+        """The Fig. 8 assignment of ``order``, reused while its inputs repeat.
+
+        The assignment never reads release times: it is a pure function of
+        the visit order (the workload's layers and shapes, the ordering and
+        the memory limit), the metric, the load-balance factor, and each
+        sub-accelerator's name (names break preference ties) and hardware
+        key (which fixes its costs).  The last assignment is kept under
+        exactly that content — the memoised visit order compared by
+        identity, the rest by value — so the probes of a sustained-FPS
+        search, which change only the releases, assign once.  One entry,
+        not a table: a design-space sweep never repeats an assignment.
+        """
+        hardware = tuple((acc.name, self.cost_model.hardware_key(acc))
+                         for acc in sub_accelerators)
+        key = (self.metric, self.load_balance_factor, hardware)
+        last = self._last_assignment
+        if last is not None and last[0] is order and last[1] == key:
+            return last[2]
+        slot_acc, slot_cost, slot_latency = self._assign(
+            order, self._preference_rows(workload, order.shapes,
+                                         sub_accelerators, hardware),
+            len(sub_accelerators))
+        assignment = (tuple(slot_acc), tuple(slot_cost), slot_latency)
+        self._last_assignment = (order, key, assignment)
+        return assignment
+
     def _assign(self, order: _VisitOrder,
                 rows: List[List[Tuple[float, str, LayerCost, float, int]]],
                 n_accs: int) -> Tuple[List[int], List[LayerCost], List[float]]:
@@ -433,8 +466,9 @@ class HeraldScheduler:
     # ------------------------------------------------------------------
     # Step 2: timeline construction (Fig. 9)
     # ------------------------------------------------------------------
-    def _timeline(self, order: _VisitOrder, slot_acc: List[int],
-                  slot_cost: List[LayerCost], slot_latency: List[float],
+    def _timeline(self, order: _VisitOrder, slot_acc: Tuple[int, ...],
+                  slot_cost: Tuple[LayerCost, ...],
+                  slot_latency: Sequence[float],
                   sub_accelerators: Sequence[SubAcceleratorConfig],
                   release_cycles: Optional[Mapping[str, float]],
                   predecessors: Mapping[str, Tuple[FrozenSet[int], ...]],
@@ -586,8 +620,8 @@ class HeraldScheduler:
 
         return Schedule(
             [acc.name for acc in sub_accelerators], order.layers,
-            order.instance_ids, order.layer_indices, tuple(slot_acc),
-            tuple(starts), tuple(finishes), tuple(slot_cost), commit,
+            order.instance_ids, order.layer_indices, slot_acc,
+            tuple(starts), tuple(finishes), slot_cost, commit,
             max(avail), energy, busy,
             clock_hz=sub_accelerators[0].clock_hz,
             idle_energy_pj_per_cycle_per_pe=(
@@ -599,7 +633,8 @@ class HeraldScheduler:
             instance_deadline_cycles=deadline_cycles)
 
     def _preference_rows(self, workload: WorkloadSpec, shapes: List[Tuple],
-                         sub_accelerators: Sequence[SubAcceleratorConfig]
+                         sub_accelerators: Sequence[SubAcceleratorConfig],
+                         hardware: Sequence[Tuple[str, Tuple]]
                          ) -> List[List[Tuple[float, str, LayerCost, float,
                                               int]]]:
         """Sub-accelerator preference row of each of ``shapes`` (Fig. 8).
@@ -614,10 +649,12 @@ class HeraldScheduler:
         names, share columns and query the cost model once per (shape,
         configuration).  Metric values and latencies are the cost's roll-up
         fields, computed once when the ``LayerCost`` was built.
+        ``hardware`` holds each sub-accelerator's ``(name, hardware key)``.
         """
-        columns = [self._column(workload, shapes, acc)
-                   for acc in sub_accelerators]
-        names = [acc.name for acc in sub_accelerators]
+        columns = [self._column(workload, shapes, acc, hardware_key)
+                   for acc, (_, hardware_key) in zip(sub_accelerators,
+                                                     hardware)]
+        names = [name for name, _ in hardware]
         indices = range(len(names))
         rows = []
         for cells in zip(*columns):
@@ -629,13 +666,12 @@ class HeraldScheduler:
         return rows
 
     def _column(self, workload: WorkloadSpec, shapes: List[Tuple],
-                sub_accelerator: SubAcceleratorConfig
+                sub_accelerator: SubAcceleratorConfig, hardware_key: Tuple
                 ) -> List[Tuple[float, LayerCost, float]]:
         """``(metric value, cost, latency)`` of each of ``shapes`` on one
-        configuration, filled from the workload's shape representatives the
-        first time the column meets them."""
-        column = self._columns.setdefault(
-            (self.metric,) + self.cost_model.hardware_key(sub_accelerator), {})
+        configuration (of ``hardware_key``), filled from the workload's shape
+        representatives the first time the column meets them."""
+        column = self._columns.setdefault((self.metric,) + hardware_key, {})
         try:
             return list(map(column.__getitem__, shapes))
         except KeyError:

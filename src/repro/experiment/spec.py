@@ -23,12 +23,13 @@ time) or an explicit design mapping (built eagerly against the chip).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Union
 
 from repro.accel.builders import chip_from_spec, design_from_spec
 from repro.accel.design import AcceleratorDesign
-from repro.core.partitioner import search_from_spec
+from repro.core.partitioner import PartitionSearch, search_from_spec
 from repro.dataflow import ALL_STYLES
 from repro.exceptions import SpecError
 from repro.maestro.hardware import ChipConfig
@@ -66,6 +67,14 @@ NAMED_DESIGNS = ("maelstrom", "rda", "fda-nvdla", "fda-shidiannao",
 
 #: The experiment-spec schema version this build reads and writes.
 SPEC_SCHEMA = 1
+
+# The most partitions of the widest HDA a DSE spec may ask for.  A sweep
+# evaluates each one (milliseconds apiece), so a step count past this
+# (say ``pe_steps`` 1024 on the edge chip: 522,753 PE splits times 3
+# bandwidth splits) would run for hours.  100,000 keeps every sweep that
+# finishes in minutes -- the Fig. 11 cells enumerate 63, ``pe_steps`` 256
+# on cloud 97,155 -- and turns the rest into a spec error.
+_MAX_SEARCH_PARTITIONS = 100_000
 
 _EXPERIMENT_KEYS = ("schema", "kind", "name", "workload", "chip", "design",
                     "metric", "exec", "search", "streaming", "traffic",
@@ -336,6 +345,39 @@ def _validate_fleet(mapping: Dict[str, object], path: str,
     return mapping
 
 
+def _check_partition_steps(search: PartitionSearch, chip: ChipConfig,
+                           path: str) -> None:
+    """Reject step counts a sweep of ``chip`` cannot enumerate as asked.
+
+    The search splits the chip's PEs into equal steps, at least one per
+    style of the widest HDA, and builds every partition of that HDA (PE
+    compositions times bandwidth compositions), so both are checked here,
+    before any partition is built.
+    """
+    pes, parts = chip.num_pes, len(ALL_STYLES)
+    pe_steps, bw_steps = search.pe_steps, search.bw_steps
+    # More steps than PEs would be a step below one PE.
+    step = pes // pe_steps
+    if not step or pes % step or pes // step < parts:
+        # Divisors pair up around the square root, so the list costs
+        # sqrt(pes) steps, not pes (seconds on a 10^8-PE custom chip).
+        divisors = {d for n in range(1, math.isqrt(pes) + 1) if not pes % n
+                    for d in (n, pes // n)}
+        valid = [str(n) for n in sorted(divisors) if n >= parts]
+        raise SpecError(
+            f"{path}.pe_steps: {pe_steps} does not divide the {pes} PEs of "
+            f"chip {chip.name!r} into equal steps, at least one per "
+            f"sub-accelerator of a {parts}-way HDA; valid step counts: "
+            f"{', '.join(valid)}")
+    partitions = math.comb(pes // step - 1, parts - 1) * (
+        math.comb(bw_steps - 1, parts - 1) if bw_steps >= parts else 1)
+    if partitions > _MAX_SEARCH_PARTITIONS:
+        raise SpecError(
+            f"{path}: pe_steps {pe_steps} and bw_steps {bw_steps} give "
+            f"{partitions:,} partitions of a {parts}-way HDA, more than the "
+            f"{_MAX_SEARCH_PARTITIONS:,} a sweep enumerates; use fewer steps")
+
+
 def experiment_from_spec(spec: object,
                          path: str = "") -> ExperimentSpec:
     """Validate a plain experiment mapping into an :class:`ExperimentSpec`."""
@@ -374,18 +416,10 @@ def experiment_from_spec(spec: object,
         search = expect_mapping(mapping.get("search", {}),
                                 spec_path(path, "search"))
         # Validate eagerly (and discard): the runner rebuilds against the
-        # run's shared cost model.  The search splits the chip's PEs into
-        # equal steps, at least one per style of the widest HDA.
-        pe_steps = search_from_spec(search, spec_path(path, "search")).pe_steps
-        pes, parts = chip.num_pes, len(ALL_STYLES)
-        step = max(1, pes // pe_steps)
-        if pes % step or pes // step < parts:
-            valid = [str(n) for n in range(parts, pes + 1) if pes % n == 0]
-            raise SpecError(
-                f"{spec_path(path, 'search')}.pe_steps: {pe_steps} does not "
-                f"divide the {pes} PEs of chip {chip.name!r} into equal "
-                f"steps, at least one per sub-accelerator of a {parts}-way "
-                f"HDA; valid step counts: {', '.join(valid)}")
+        # run's shared cost model.
+        _check_partition_steps(
+            search_from_spec(search, spec_path(path, "search")), chip,
+            spec_path(path, "search"))
     else:
         _forbid(mapping, kind, path, "search")
 

@@ -378,9 +378,6 @@ class ObservedView:
         """Dispatchable chips: the live members of the active prefix."""
         return self._engine.dispatchable_chips()
 
-    def service_s(self, chip_index: int, model_name: str) -> float:
-        return self._engine.service_tables[chip_index][model_name]
-
     def outstanding_s(self, chip_index: int, now_s: float) -> float:
         """Observed wall-seconds of unfinished work queued on the chip."""
         return self._engine.chip_outstanding_s(chip_index, now_s)

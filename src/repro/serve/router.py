@@ -132,7 +132,6 @@ class EstimateView:
       now would queue behind on a chip;
     * :meth:`completion_s` — the instant that chip would finish one frame of
       a model dispatched now (backlog drain plus the frame's own service);
-    * :meth:`service_s` — the per-frame service time of a model on a chip;
     * :meth:`commit` — record a dispatch decision into the view's state.
 
     Here every chip is permanently alive and ``available_at[c]`` is the
@@ -151,10 +150,6 @@ class EstimateView:
     def alive_chips(self) -> List[int]:
         """Chips a frame may be dispatched to (all of them, a-priori)."""
         return list(range(self.num_chips))
-
-    def service_s(self, chip_index: int, model_name: str) -> float:
-        """Per-frame service seconds of ``model_name`` on chip ``chip_index``."""
-        return self.service_tables[chip_index][model_name]
 
     def outstanding_s(self, chip_index: int, now_s: float) -> float:
         """Unfinished work (seconds) queued on a chip as seen at ``now_s``."""

@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
 from repro.exceptions import WorkloadError
@@ -100,8 +101,14 @@ class StreamSpec:
         jitter enabled each arrival is perturbed independently.  The result is
         deterministic in ``(seed, model_name)`` and is *not* forced to be
         monotonic: a strongly jittered stream may deliver frame 3 before
-        frame 2, exactly like a congested camera pipeline.
+        frame 2, exactly like a congested camera pipeline.  The spec is
+        frozen, so the trace is drawn once per object and then reused by the
+        release map, the deadline map and the SLA accounting alike.
         """
+        return self._releases
+
+    @cached_property
+    def _releases(self) -> Tuple[float, ...]:
         rng = _stream_rng(self.seed, self.model_name) if self.jitter_s > 0.0 else None
         times = []
         for index in range(self.frames):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -75,6 +76,34 @@ class TestDse:
         assert declined["timing"]["workers"] == serial["timing"]["workers"] == 1
         for section in ("metrics", "details"):
             assert declined[section] == serial[section]
+
+    @pytest.mark.parametrize("steps", [["--pe-steps", "1000000"],
+                                       ["--pe-steps", "1024"],
+                                       ["--bw-steps", "1000000"]])
+    def test_unbounded_design_space_is_refused_up_front(self, capsys, steps):
+        """A step count whose sweep would run for hours (or more steps than
+        PEs, once silently 1-PE steps) is exit 2 before any point is built."""
+        start = time.perf_counter()
+        code = main(["dse", "--workload", "arvr-a", "--chip", "edge"] + steps)
+        elapsed = time.perf_counter() - start
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: search")
+        assert elapsed < 1.0
+
+    def test_valid_step_counts_of_a_huge_chip_come_fast(self, tmp_path,
+                                                        capsys):
+        """The error's divisor list costs sqrt(PEs) steps, not PEs."""
+        spec_file = tmp_path / "dse.json"
+        spec_file.write_text(json.dumps({
+            "kind": "dse", "workload": "arvr-a", "search": {"pe_steps": 3},
+            "chip": {"num_pes": 10 ** 8, "noc_gbps": 64, "buffer_mib": 8}}))
+        start = time.perf_counter()
+        assert main(["run", str(spec_file)]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert ("valid step counts: 4, 5, 8, 10, 16, 20, 25, 32, 40, 50, 64, "
+                "80, 100, 125, 128, 160, 200, 250, 256, 320"
+                in capsys.readouterr().err)
 
     def test_dse_jobs_capped_by_sweep_size(self, capsys, monkeypatch):
         monkeypatch.setattr(backends, "POOL_PLACEMENTS_PER_WORKER", 7828 // 2)

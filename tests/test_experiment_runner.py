@@ -270,6 +270,27 @@ class TestRunCommand:
         assert len(lines) == 1 and lines[0].startswith("error: traffic")
         assert fragment in lines[0]
 
+    @pytest.mark.parametrize("chip, fragment", [
+        ({"num_pes": 1024, "noc_gbps": 1e300, "buffer_mib": 1},
+         "NoC bandwidth must be a positive finite number (got inf)"),
+        ({"num_pes": 1024, "noc_gbps": 64, "buffer_mib": 1e-300},
+         "global buffer must be a positive finite number (got 0)"),
+    ])
+    def test_converted_unit_out_of_range_is_exit_2(self, tmp_path, capsys,
+                                                   chip, fragment):
+        """A value that passes its own check but overflows or underflows
+        once converted to raw units is a spec error: one line, exit 2, no
+        report."""
+        spec_file = _write_spec(tmp_path, {
+            "kind": "schedule", "workload": "arvr-a", "chip": chip,
+            "design": "rda"})
+        report = tmp_path / "report.json"
+        assert main(["run", spec_file, "--report", str(report)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: chip: ")
+        assert fragment in lines[0]
+        assert not report.exists()
+
     def test_yaml_experiment_end_to_end(self, tmp_path, capsys):
         path = tmp_path / "exp.yaml"
         path.write_text("kind: schedule\ndesign: rda\nworkload: mlperf\n",

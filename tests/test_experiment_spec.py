@@ -223,6 +223,29 @@ _ERROR_CASES = [
      "(got 5 / 4)"),
     ({"kind": "fleet", "traffic": {"kind": "churn", "period_frames": 0}},
      "traffic.period_frames: expected a number > 0 (got 0)"),
+    # More steps than PEs used to collapse silently into 1-PE steps.
+    ({"kind": "dse", "chip": "edge", "search": {"pe_steps": 1000000}},
+     "search.pe_steps: 1000000 does not divide the 1024 PEs of chip 'edge' "
+     "into equal steps, at least one per sub-accelerator of a 3-way HDA; "
+     "valid step counts: 4, 8, 16, 32, 64, 128, 256, 512, 1024"),
+    # Valid steps, but a sweep that would run for hours.
+    ({"kind": "dse", "chip": "edge", "search": {"pe_steps": 1024}},
+     "search: pe_steps 1024 and bw_steps 4 give 1,568,259 partitions of a "
+     "3-way HDA, more than the 100,000 a sweep enumerates; use fewer steps"),
+    ({"kind": "dse", "chip": "edge", "search": {"bw_steps": 1000000}},
+     "search: pe_steps 8 and bw_steps 1000000 give 10,499,968,500,021 "
+     "partitions of a 3-way HDA, more than the 100,000 a sweep enumerates; "
+     "use fewer steps"),
+    # A value converted to raw units must still be in the hardware's domain.
+    ({"kind": "schedule", "chip": "edge",
+      "design": {"kind": "hda", "styles": ["nvdla", "shidiannao"],
+                 "bw_partition_gbps": [1e300, 1e300]}},
+     "design: sub-accelerator 'hda-nvdla-shidiannao-edge/acc0-nvdla': "
+     "bandwidth must be a positive finite number (got inf)"),
+    ({"kind": "schedule", "design": "rda",
+      "chip": {"num_pes": 64, "noc_gbps": 1, "buffer_mib": 1,
+               "clock_mhz": 1e305}},
+     "chip: chip 'custom': clock must be a positive finite number (got inf)"),
 ]
 
 

@@ -23,6 +23,7 @@ Four contracts are pinned here:
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 
 import pytest
@@ -466,6 +467,146 @@ class TestHeapSchedulerMatchesReference:
                             workload, accs, cost_model, ordering=ordering,
                             memory_limit_bytes=memory_limit,
                             enable_post_processing=post)
+
+
+def _hex(value):
+    return value.hex() if isinstance(value, float) else value
+
+
+def _exact_fields(schedule):
+    """Every field of a schedule, each float as ``float.hex``."""
+    entries = [(entry.layer, entry.instance_id, entry.layer_index,
+                entry.sub_accelerator, _hex(entry.start_cycle),
+                _hex(entry.finish_cycle), tuple(map(_hex, entry.cost)))
+               for entry in schedule.entries]
+    busy = [_hex(schedule.busy_cycles(name))
+            for name in schedule.sub_accelerator_names]
+    frames = [{key: _hex(value) for key, value in mapping.items()}
+              for mapping in (schedule.instance_release_cycles,
+                              schedule.instance_deadline_cycles)]
+    return (entries, _hex(schedule.makespan_cycles),
+            _hex(schedule.dynamic_energy_pj), busy,
+            schedule.sub_accelerator_names, schedule.pes_per_sub_accelerator,
+            _hex(schedule.clock_hz), schedule.instance_predecessors, frames)
+
+
+def _renamed(acc, name):
+    return dataclasses.replace(acc, name=name)
+
+
+#: Two identical arrays: only their names order the preference rows.
+_TWINS = (_renamed(golden_scheduler.build_sub_accelerators()[0], "x"),
+          _renamed(golden_scheduler.build_sub_accelerators()[0], "y"))
+
+
+def _mutated(name):
+    """``(scheduler settings, design)`` before and after one change of a
+    Fig. 8 input; each change moves the mixed4 golden schedule."""
+    accs = golden_scheduler.build_sub_accelerators()
+    slower = dataclasses.replace(accs[1], bandwidth_bytes_per_s=gbps(1))
+    return {
+        "load_balance_factor": ({}, accs, {"load_balance_factor": None},
+                                accs),
+        "metric": ({}, accs, {"metric": "latency"}, accs),
+        "name": ({}, _TWINS, {}, (_renamed(_TWINS[0], "z"), _TWINS[1])),
+        "bandwidth": ({}, accs, {}, (accs[0], slower)),
+        "ordering": ({}, accs, {"ordering": "depth"}, accs),
+        "memory_limit": ({}, accs,
+                         {"memory_limit_bytes":
+                          golden_scheduler.MEMORY_LIMITS["mixed4"][1]}, accs),
+    }[name]
+
+
+class TestLastAssignment:
+    """The scheduler keeps its last Fig. 8 assignment under its exact
+    inputs, so a release-only change reuses it and any other change
+    recomputes."""
+
+    @pytest.mark.parametrize("change", ["load_balance_factor", "metric",
+                                        "name", "bandwidth", "ordering",
+                                        "memory_limit"])
+    def test_a_changed_input_recomputes(self, cost_model, change):
+        workload = golden_scheduler.build_workloads()["mixed4"]
+        settings_before, before, settings_after, after = _mutated(change)
+        scheduler = HeraldScheduler(cost_model, **settings_before)
+        first = scheduler.schedule(workload, before)
+        for attribute, value in settings_after.items():
+            setattr(scheduler, attribute, value)
+        again = scheduler.schedule(workload, after)
+        fresh = HeraldScheduler(cost_model, **settings_after).schedule(
+            workload, after)
+        assert _exact_fields(again) == _exact_fields(fresh)
+        assert _timeline_tuples(fresh) != _timeline_tuples(first), \
+            "the change must move the schedule for this test to bite"
+
+    def test_a_release_only_change_reuses_the_assignment(self, cost_model):
+        workload = golden_scheduler.build_workloads()["mixed4"]
+        accs = golden_scheduler.build_sub_accelerators()
+        scheduler = HeraldScheduler(cost_model)
+        batch = scheduler.schedule(workload, accs)
+        entry = scheduler._last_assignment
+        releases = {instance.instance_id: 1e5 * index for index, instance
+                    in enumerate(workload.instances())}
+        online = scheduler.schedule(workload, accs, release_cycles=releases)
+        assert scheduler._last_assignment is entry
+        assert _exact_fields(online) == _exact_fields(
+            HeraldScheduler(cost_model).schedule(workload, accs,
+                                                 release_cycles=releases))
+        assert _timeline_tuples(online) != _timeline_tuples(batch)
+
+    def test_pickled_scheduler_carries_no_entry(self, cost_model):
+        workload = golden_scheduler.build_workloads()["chain"]
+        accs = golden_scheduler.build_sub_accelerators()
+        scheduler = HeraldScheduler(cost_model)
+        before = scheduler.schedule(workload, accs)
+        assert scheduler._last_assignment is not None
+        clone = pickle.loads(pickle.dumps(scheduler))
+        assert clone._last_assignment is None
+        assert scheduler._last_assignment is not None, \
+            "pickling must not clear the original"
+        assert _exact_fields(clone.schedule(workload, accs)) \
+            == _exact_fields(before)
+
+    @given(cases=st.lists(_dag_scenarios(), min_size=1, max_size=2),
+           steps=st.lists(st.tuples(
+               st.integers(min_value=0, max_value=1),
+               st.sampled_from(["prefix", "reversed", "twins",
+                                "twins-renamed"]),
+               st.sampled_from([None, 1e3, 1e5]),
+               st.sampled_from(["edp", "latency"]),
+               st.sampled_from([None, 1.25])), min_size=2, max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_one_scheduler_equals_fresh_ones(self, cases, steps):
+        """One scheduler driven through a random sequence of (workload,
+        design, release map, metric, load balance) equals a fresh
+        scheduler at every step, field by field."""
+        config = cases[0][3]
+        scheduler = HeraldScheduler(
+            _REFERENCE_MODEL, ordering=config["ordering"],
+            memory_limit_bytes=config["memory_limit_bytes"],
+            enable_post_processing=config["enable_post_processing"])
+        for case, variant, release, metric, lb in steps:
+            workload, accs, _, _ = cases[case % len(cases)]
+            if variant == "reversed":
+                accs = tuple(reversed(accs))
+            elif variant.startswith("twins"):
+                # Equal hardware: only the names order the preferences.
+                names = ("t1", "t0") if variant == "twins" else ("t1", "t2")
+                accs = tuple(_renamed(accs[0], name) for name in names)
+            releases = None if release is None else {
+                instance.instance_id: release * index
+                for index, instance in enumerate(workload.instances())}
+            scheduler.metric = metric
+            scheduler.load_balance_factor = lb
+            schedule = scheduler.schedule(workload, accs,
+                                          release_cycles=releases)
+            fresh = HeraldScheduler(
+                _REFERENCE_MODEL, metric=metric, ordering=config["ordering"],
+                load_balance_factor=lb,
+                memory_limit_bytes=config["memory_limit_bytes"],
+                enable_post_processing=config["enable_post_processing"],
+            ).schedule(workload, accs, release_cycles=releases)
+            assert _exact_fields(schedule) == _exact_fields(fresh)
 
 
 class TestScheduleAccountingProperties:

@@ -16,10 +16,9 @@ _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: The code that may reference a ``src/`` definition.
 _SCANNED = ("src", "tests", "benchmarks", "examples", "scripts", "perfbench")
 
-#: Methods that the stdlib or a protocol calls by name, never this code:
-#: pickle's ``reducer_override`` / ``find_class`` hooks, and the
-#: ``service_s`` member of the fleet-view protocol the dispatch policies see.
-_HOOKS = frozenset({"reducer_override", "find_class", "service_s"})
+#: Methods that the stdlib calls by name, never this code: pickle's
+#: ``reducer_override`` / ``find_class`` hooks.
+_HOOKS = frozenset({"reducer_override", "find_class"})
 
 #: A string naming code, such as ``"CostModel.prewarm"`` or
 #: ``"repro.cli:main"`` (perfbench and monkeypatch name callables this way).
@@ -28,7 +27,7 @@ _DOTTED = re.compile(r"[A-Za-z_]\w*(?:[.:][A-Za-z_]\w*)*\Z")
 
 class TestPublicApi:
     def test_version_string(self):
-        assert repro.__version__ == "1.22.0"
+        assert repro.__version__ == "1.23.0"
 
     def test_all_exports_resolve(self):
         for name in repro.__all__:

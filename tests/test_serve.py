@@ -517,6 +517,27 @@ class TestSustainedFps:
             evaluations=12)
         assert len(built) == 1
 
+    def test_bisection_assigns_once(self, cost_model, accs, monkeypatch):
+        """The probes change only release times, which the Fig. 8
+        assignment never reads, so the search assigns layers once and every
+        probe reuses it; the result is the one each probe assigning anew
+        gave."""
+        assigned = []
+        original = HeraldScheduler._assign
+
+        def counting(self, *args):
+            assigned.append(args)
+            return original(self, *args)
+
+        monkeypatch.setattr(HeraldScheduler, "_assign", counting)
+        result = sustained_fps(ServingSimulator(HeraldScheduler(cost_model)),
+                               _mini_streaming(jitter_s=0.0002), accs)
+        assert result == SustainedFpsResult(
+            factor=5.00146484375,
+            fps_per_stream={"neta": 10002.9296875, "netb": 20005.859375},
+            evaluations=12)
+        assert len(assigned) == 1
+
     def test_already_sustained_skips_the_bisection(self, cost_model, accs):
         """Edge: feasible at the upper bracket — exactly two probes run."""
         neta, _ = _mini_models()
