@@ -35,6 +35,7 @@ from repro.core.scheduler import HeraldScheduler
 from repro.dataflow.styles import NVDLA, SHIDIANNAO
 from repro.exceptions import (
     CheckpointError,
+    ReproError,
     TaskExecutionError,
     WorkerCrash,
     WorkerHang,
@@ -48,6 +49,7 @@ from repro.exec import (
     SerialBackend,
     SweepCheckpoint,
     classify_failure,
+    run_evaluation_task,
     sweep_key_from,
 )
 from repro.maestro.cost import CostModel
@@ -450,6 +452,30 @@ class TestLibraryErrors:
         assert [(f.task_id, f.kind, f.attempts) for f in outcome.failures] \
             == [(len(task_bag), "error", 1)]
         assert "unexpandable workload" in outcome.failures[0].message
+
+    def test_retried_library_error_fails_identically_every_attempt(
+            self, task_bag, monkeypatch):
+        import repro.exec.backends as backends
+
+        messages = []
+
+        def recording(task, cost_model, scheduler):
+            try:
+                return run_evaluation_task(task, cost_model, scheduler)
+            except ReproError as error:
+                messages.append(str(error))
+                raise
+
+        monkeypatch.setattr(backends, "run_evaluation_task", recording)
+        tasks = _with_rejected_task(task_bag)
+        outcome = _backend("serial", RetryPolicy(max_retries=2)) \
+            .run_resilient(tasks, partial_ok=True)
+        (failure,) = outcome.failures
+        assert failure.attempts == 3
+        assert messages == [failure.message] * 3
+        pool = _backend("pool", RetryPolicy(max_retries=2)) \
+            .run_resilient(tasks, partial_ok=True)
+        assert [f.summary() for f in pool.failures] == [failure.summary()]
 
     @pytest.mark.parametrize("name", ["serial", "pool"])
     def test_programming_error_in_a_task_propagates_raw(self, task_bag, name):
