@@ -10,7 +10,8 @@ The library implements the paper's full stack:
 * **Herald**: the scheduler, hardware partitioner, and co-DSE driver
   (:mod:`repro.core`);
 * a pluggable execution engine — serial / process-pool backends with
-  retries and resumable checkpoints — for large sweeps (:mod:`repro.exec`);
+  typed failure records and resumable checkpoints — for large sweeps
+  (:mod:`repro.exec`);
 * a streaming serving simulator — frame-arrival traces, online scheduling,
   SLA metrics, sustained FPS (:mod:`repro.serve`);
 * a declarative experiment layer — validated config specs, one runner for
@@ -28,7 +29,7 @@ Quickstart
 
 # Defined before the submodule imports below: submodules (e.g. the report
 # writer) import it back from the partially initialised package.
-__version__ = "1.23.0"
+__version__ = "1.24.0"
 
 from repro.models import Layer, LayerType, ModelGraph
 from repro.models.zoo import available_models, build_model

@@ -124,23 +124,11 @@ def _fault_clause(text: str) -> str:
 
 
 def _add_resilience_flags(parser: argparse.ArgumentParser) -> None:
-    """Fault-tolerance flags shared by the sweep commands (dse / fleet)."""
-    parser.add_argument("--max-retries", type=_int_at_least(0), default=None,
-                        metavar="N",
-                        help="re-run a crashed / hung / transiently failing "
-                             "task up to N times before recording a failure "
-                             "(default: no retries; a task failure ends "
-                             "the run with exit 3 after its round)")
-    parser.add_argument("--task-timeout",
-                        type=_float_at_least(0.0, exclusive=True),
-                        default=None, metavar="SECONDS",
-                        help="per-task execution budget; a task exceeding it "
-                             "counts as hung and is retried or recorded as a "
-                             "timeout failure")
+    """Failure-handling flags shared by the sweep commands (dse / fleet)."""
     parser.add_argument("--partial-ok", action="store_true",
                         help="rank whatever completed and report failed "
                              "tasks as casualties instead of aborting the "
-                             "sweep")
+                             "sweep with exit 3")
     _add_checkpoint_flags(parser)
 
 
@@ -371,7 +359,7 @@ def _command_schedule(args: argparse.Namespace) -> int:
 
 
 def _resilience_error(args: argparse.Namespace) -> Optional[str]:
-    """Cross-argument validation of the shared fault-tolerance flags."""
+    """Cross-argument validation of the shared failure-handling flags."""
     if args.resume and args.checkpoint is None:
         return "--resume requires --checkpoint (nothing to resume from)"
     return None
@@ -379,11 +367,7 @@ def _resilience_error(args: argparse.Namespace) -> Optional[str]:
 
 def _compile_resilience(args: argparse.Namespace,
                         exec_mapping: Dict[str, object]) -> None:
-    """Fold the fault-tolerance flags into an experiment exec mapping."""
-    if args.max_retries is not None:
-        exec_mapping["max_retries"] = args.max_retries
-    if args.task_timeout is not None:
-        exec_mapping["task_timeout_s"] = args.task_timeout
+    """Fold the failure-handling flags into an experiment exec mapping."""
     if args.partial_ok:
         exec_mapping["partial_ok"] = True
 

@@ -75,10 +75,10 @@ class DSEResult:
     """Full outcome of one Herald DSE run (one workload on one chip class).
 
     ``failures`` is non-empty only for ``partial_ok`` explorations that lost
-    tasks to exhausted retry budgets: the surviving points are ranked as
-    usual and the casualties stay visible as structured records.
-    ``resumed_tasks`` / ``executed_tasks`` / ``retried_attempts`` carry the
-    checkpoint/retry bookkeeping of resilient runs (zero on the plain path).
+    tasks to failed evaluations: the surviving points are ranked as usual and
+    the casualties stay visible as structured records.  ``resumed_tasks`` /
+    ``executed_tasks`` carry the checkpoint bookkeeping of resilient runs
+    (zero on the plain path).
     """
 
     workload_name: str
@@ -88,7 +88,6 @@ class DSEResult:
     failures: Tuple["TaskFailure", ...] = ()
     resumed_tasks: int = 0
     executed_tasks: int = 0
-    retried_attempts: int = 0
 
     def by_category(self, category: str) -> List[DesignSpacePoint]:
         """All evaluated points of one category (``fda``, ``sm-fda``, ``rda``, ``hda``)."""
@@ -156,7 +155,7 @@ class DSEResult:
             )
         if self.failures:
             lines.append(f"  WARNING: {len(self.failures)} task(s) failed "
-                         f"after retries (ranked surviving points only):")
+                         f"(ranked surviving points only):")
             for failure in self.failures:
                 lines.append(f"    {failure.describe()}")
         return "\n".join(lines)
@@ -254,8 +253,8 @@ class HeraldDSE:
         strategy a second, refinement round is submitted around the best coarse
         partition of each HDA combination.
 
-        With ``partial_ok``, tasks that exhaust the backend's retry budget are
-        dropped from the ranking and surfaced as :attr:`DSEResult.failures`
+        With ``partial_ok``, tasks whose evaluation fails are dropped from
+        the ranking and surfaced as :attr:`DSEResult.failures`
         instead of aborting the sweep.  ``checkpoint`` threads a
         :class:`~repro.exec.checkpoint.SweepCheckpoint` through both rounds
         (scopes ``"dse"`` and ``"dse-refine"``): completed evaluations are
@@ -308,7 +307,6 @@ class HeraldDSE:
         result.failures = result.failures + outcome.failures
         result.resumed_tasks += outcome.resumed_tasks
         result.executed_tasks += outcome.executed_tasks
-        result.retried_attempts += outcome.retried_attempts
         return outcome.completed(tasks)
 
     def _refine_hdas(self, result: DSEResult, workload: WorkloadSpec,

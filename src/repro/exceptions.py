@@ -53,34 +53,14 @@ class SpecError(ReproError):
     """
 
 
-class WorkerCrash(ReproError):
-    """A worker process died (or a chaos backend simulated its death).
-
-    Classified as a ``"crash"`` :class:`~repro.exec.resilience.TaskFailure`:
-    the task did not misbehave by itself — the process executing it went away
-    — so retrying on a fresh worker is always legitimate.
-    """
-
-
-class WorkerHang(ReproError):
-    """A task exceeded its execution-time budget (or a chaos backend
-    simulated the hang).
-
-    Classified as a ``"timeout"`` :class:`~repro.exec.resilience.TaskFailure`.
-    In a process pool the real mechanism is the stall watchdog killing the
-    hung worker; serial and chaos backends raise this exception directly so
-    the classification path is identical (and testable without sleeping).
-    """
-
-
 class TaskExecutionError(ReproError):
-    """One or more evaluation tasks failed after exhausting their retries.
+    """One or more evaluation tasks failed.
 
-    Raised by ``ExecutionBackend.run`` when a retry policy is configured and
-    failures remain; carries the structured
+    Raised by ``ExecutionBackend.run`` (and ``run_resilient`` without
+    ``partial_ok``) when a task fails; carries the structured
     :class:`~repro.exec.resilience.TaskFailure` records so callers can log or
-    surface exactly which tasks were lost.  Backends running in
-    ``run_partial`` mode return the failures instead of raising.
+    surface exactly which tasks were lost.  ``run_resilient`` with
+    ``partial_ok=True`` returns the failures instead of raising.
     """
 
     def __init__(self, failures) -> None:
@@ -88,8 +68,7 @@ class TaskExecutionError(ReproError):
         preview = "; ".join(failure.describe() for failure in self.failures[:3])
         suffix = " ..." if len(self.failures) > 3 else ""
         super().__init__(
-            f"{len(self.failures)} task(s) failed after retries: "
-            f"{preview}{suffix}")
+            f"{len(self.failures)} task(s) failed: {preview}{suffix}")
 
 
 class CheckpointError(ReproError):

@@ -4,15 +4,22 @@ A design-space sweep is a bag of pure, independently-evaluated tasks, which
 makes it trivially checkpointable: persist each completed ``(task id,
 result)`` pair and a resumed run only has to execute the tasks that are
 missing.  :class:`SweepCheckpoint` is that persistence, laid out as an
-append-only pickle stream so recording stays O(1) per task instead of
+append-only stream of frames so recording stays O(1) per task instead of
 re-serializing the whole sweep on every flush:
 
 * **Atomic header** — the file starts with a header frame (format version +
   sweep key) written via temp file + fsync + ``os.replace``, so creating or
   overwriting a checkpoint can never leave a torn header behind.
 * **Frame-granular appends** — each completed result is appended as its own
-  pickle frame.  A SIGKILL mid-append leaves at most one torn frame at the
-  tail, which resume detects and skips; every earlier frame survives.
+  frame: the key and payload lengths and a CRC-32 of both (``_FRAME``), the
+  ``scope:task_id`` key, and the payload, the result pickled on its own.  A
+  SIGKILL mid-append leaves at most one torn frame at the tail, which resume
+  detects and skips; every earlier frame survives.
+* **Self-checking** — resume unpickles a payload only after its frame's
+  lengths fit the file and its CRC holds.  A frame that fails either (a
+  flipped bit, a mangled length) is treated like a torn tail: it and
+  whatever follows it are dropped and their tasks re-run, so a damaged file
+  never loads a different result.
 * **Bounded loss** — frames are pushed to the OS on every record (so a
   killed *process* loses nothing already recorded) and fsynced every
   ``flush_every`` records (bounding what a machine crash can lose).
@@ -33,26 +40,34 @@ uninterrupted one.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import pickle
+import struct
 import tempfile
+import zlib
 from typing import Dict, Optional
 
 from repro.core.evaluator import EvaluationResult
 from repro.exceptions import CheckpointError
 
 #: Format version written to (and required from) checkpoint files.
-CHECKPOINT_FORMAT_VERSION = 2
+CHECKPOINT_FORMAT_VERSION = 3
 
 #: Scope used when the caller does not namespace its tasks.
 DEFAULT_SCOPE = "sweep"
 
 _PROTOCOL = pickle.HIGHEST_PROTOCOL
 
-#: Errors that mark the torn tail a mid-append kill can leave behind.
-_TORN_FRAME_ERRORS = (pickle.UnpicklingError, AttributeError, ImportError,
-                      IndexError, ValueError, EOFError, OSError)
+#: Errors reading a checkpoint or unpickling a damaged or foreign pickle
+#: from it raise (a damaged length can ask for more memory than there is).
+_UNPICKLE_ERRORS = (pickle.UnpicklingError, AttributeError, ImportError,
+                    IndexError, KeyError, TypeError, ValueError, EOFError,
+                    OverflowError, MemoryError, OSError)
+
+#: A record frame's head: key length, payload length, CRC-32 of key+payload.
+_FRAME = struct.Struct("<III")
 
 
 def sweep_key_from(config: object) -> str:
@@ -144,50 +159,47 @@ class SweepCheckpoint:
         if not os.path.exists(self.path):
             return  # Nothing to resume from: behave like a fresh run.
         try:
-            handle = open(self.path, "rb")
-        except OSError as error:
+            with open(self.path, "rb") as handle:
+                data = handle.read()
+            stream = io.BytesIO(data)
+            header = pickle.load(stream)
+        except _UNPICKLE_ERRORS as error:
             raise CheckpointError(
                 f"checkpoint {self.path} is unreadable: {error}") from error
-        with handle:
+        if not isinstance(header, dict):
+            raise CheckpointError(
+                f"checkpoint {self.path} has an unexpected layout")
+        version = header.get("version")
+        if version != CHECKPOINT_FORMAT_VERSION:
+            raise CheckpointError(
+                f"checkpoint {self.path} has unsupported version "
+                f"{version!r} (this build writes "
+                f"{CHECKPOINT_FORMAT_VERSION})")
+        recorded_key = header.get("sweep_key")
+        if recorded_key != self.sweep_key:
+            raise CheckpointError(
+                f"checkpoint {self.path} was recorded for a different "
+                f"sweep configuration (key {recorded_key!r}, expected "
+                f"{self.sweep_key!r}); refusing to splice results "
+                f"across configurations")
+        good = stream.tell()
+        while good + _FRAME.size <= len(data):
+            key_size, payload_size, crc = _FRAME.unpack_from(data, good)
+            start = good + _FRAME.size
+            end = start + key_size + payload_size
+            body = data[start:end]
+            if end > len(data) or zlib.crc32(body) != crc:
+                break  # A torn tail or a damaged frame: bounded loss.
             try:
-                header = pickle.load(handle)
-            except (OSError, pickle.UnpicklingError, EOFError,
-                    AttributeError, ImportError, IndexError) as error:
-                raise CheckpointError(
-                    f"checkpoint {self.path} is unreadable: "
-                    f"{error}") from error
-            if not isinstance(header, dict):
-                raise CheckpointError(
-                    f"checkpoint {self.path} has an unexpected layout")
-            version = header.get("version")
-            if version != CHECKPOINT_FORMAT_VERSION:
-                raise CheckpointError(
-                    f"checkpoint {self.path} has unsupported version "
-                    f"{version!r} (this build writes "
-                    f"{CHECKPOINT_FORMAT_VERSION})")
-            recorded_key = header.get("sweep_key")
-            if recorded_key != self.sweep_key:
-                raise CheckpointError(
-                    f"checkpoint {self.path} was recorded for a different "
-                    f"sweep configuration (key {recorded_key!r}, expected "
-                    f"{self.sweep_key!r}); refusing to splice results "
-                    f"across configurations")
-            # Snapshot-style headers carry their records inline.
-            inline = header.get("completed")
-            if inline is not None:
-                if not isinstance(inline, dict):
-                    raise CheckpointError(
-                        f"checkpoint {self.path} has an unexpected layout")
-                self._completed.update(inline)
-            while True:
-                try:
-                    frame = pickle.load(handle)
-                except EOFError:
-                    break
-                except _TORN_FRAME_ERRORS:
-                    break  # Torn tail from a mid-append kill: bounded loss.
-                if isinstance(frame, tuple) and len(frame) == 2:
-                    self._completed[frame[0]] = frame[1]
+                result = pickle.loads(body[key_size:])
+            except _UNPICKLE_ERRORS:
+                break  # Written by a build whose classes differ.
+            self._completed[body[:key_size].decode("utf-8")] = result
+            good = end
+        if good < len(data):
+            # New frames go right after the last good one, not after bytes
+            # every later resume would stop at.
+            os.truncate(self.path, good)
         self.loaded_records = len(self._completed)
 
     def flush(self) -> int:
@@ -226,7 +238,11 @@ class SweepCheckpoint:
         if key not in self._completed:
             self._pending += 1
         self._completed[key] = result
-        pickle.dump((key, result), self._handle, _PROTOCOL)
+        key_bytes = key.encode("utf-8")
+        payload = pickle.dumps(result, _PROTOCOL)
+        body = key_bytes + payload
+        self._handle.write(
+            _FRAME.pack(len(key_bytes), len(payload), zlib.crc32(body)) + body)
         self._handle.flush()
         if self._pending >= self.flush_every:
             self.flush()

@@ -108,7 +108,7 @@ def run_experiment(spec: ExperimentSpec,
     is identical between a clean run and a resumed one.  The checkpoint is
     keyed by a hash of the spec mapping *minus its exec section* — the key
     covers what the sweep computes, not how it executes, so a crashy run
-    may legitimately be resumed with more workers or retries, while
+    may legitimately be resumed with more workers, while
     resuming against a different experiment fails fast instead of splicing
     results.
     """
@@ -168,7 +168,6 @@ def _run_dse(spec: ExperimentSpec,
              checkpoint: Optional[SweepCheckpoint] = None) -> ExperimentOutcome:
     cost_model = CostModel()
     scheduler = HeraldScheduler(cost_model)
-    policy = spec.exec_settings.retry_policy()
     search = search_from_spec(spec.search, cost_model=cost_model,
                               scheduler=scheduler)
     dse = HeraldDSE(cost_model=cost_model, scheduler=scheduler,
@@ -187,11 +186,9 @@ def _run_dse(spec: ExperimentSpec,
                         f"{backends.POOL_PLACEMENTS_PER_WORKER})")
     if workers > 1:
         backend = ProcessPoolBackend(jobs=workers, cost_model=cost_model,
-                                     scheduler=scheduler,
-                                     retry_policy=policy)
+                                     scheduler=scheduler)
     else:
-        backend = SerialBackend(cost_model=cost_model, scheduler=scheduler,
-                                retry_policy=policy)
+        backend = SerialBackend(cost_model=cost_model, scheduler=scheduler)
     dse.backend = backend
     try:
         space = dse.explore(spec.workload, spec.chip,
@@ -230,7 +227,6 @@ def _run_dse(spec: ExperimentSpec,
         "cache_hits": float(backend.total_cache_hits),
         "executed_tasks": float(space.executed_tasks),
         "resumed_tasks": float(space.resumed_tasks),
-        "retried_attempts": float(space.retried_attempts),
         "workers": float(workers),
     }
     return _finish(spec, metrics, details, timing)
@@ -322,15 +318,12 @@ def _run_fleet(spec: ExperimentSpec,
 
     fleet = fleet_from_spec(spec.fleet, build_design)
     streaming = _streaming_workload(spec)
-    retries = spec.exec_settings.retry_policy()
     if spec.exec_settings.jobs > 1:
         backend = ProcessPoolBackend(jobs=spec.exec_settings.jobs,
                                      cost_model=cost_model,
-                                     scheduler=scheduler,
-                                     retry_policy=retries)
+                                     scheduler=scheduler)
     else:
-        backend = SerialBackend(cost_model=cost_model, scheduler=scheduler,
-                                retry_policy=retries)
+        backend = SerialBackend(cost_model=cost_model, scheduler=scheduler)
     simulator = FleetSimulator(backend=backend)
 
     print(fleet.describe())

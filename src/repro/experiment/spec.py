@@ -85,7 +85,7 @@ _STREAMING_KNOB_KEYS = ("frames", "fps_scale", "jitter_ms", "seed")
 _TRAFFIC_KEYS = ("kind",) + tuple(_SHAPE_DEFAULTS)
 _SUSTAINED_KEYS = ("enabled", "lo", "hi", "probes", "tolerance")
 _MIN_CHIPS_KEYS = ("enabled", "max_chips")
-_EXEC_KEYS = ("jobs", "max_retries", "task_timeout_s", "partial_ok")
+_EXEC_KEYS = ("jobs", "partial_ok")
 
 
 @dataclass(frozen=True)
@@ -127,30 +127,14 @@ class MinChipsSettings:
 
 @dataclass(frozen=True)
 class ExecSettings:
-    """Execution-backend settings (worker processes, fault-tolerance
-    knobs).
+    """Execution-backend settings.
 
-    ``max_retries`` / ``task_timeout_s`` build a
-    :class:`~repro.exec.RetryPolicy` for the backend when either is set;
     ``partial_ok`` lets a sweep rank whatever completed and report the
     casualties instead of aborting once a round leaves a task failed.
     """
 
     jobs: int = 1
-    max_retries: Optional[int] = None
-    task_timeout_s: Optional[float] = None
     partial_ok: bool = False
-
-    def retry_policy(self) -> Optional["RetryPolicy"]:
-        """The retry policy these settings imply, or None for no retries
-        (a failing task then ends the run once its round is over)."""
-        if self.max_retries is None and self.task_timeout_s is None:
-            return None
-        from repro.exec import RetryPolicy
-
-        return RetryPolicy(
-            max_retries=2 if self.max_retries is None else self.max_retries,
-            task_timeout_s=self.task_timeout_s)
 
 
 @dataclass(frozen=True)
@@ -298,29 +282,12 @@ def _exec_settings(mapping: Dict[str, object], path: str,
     if jobs > 1 and kind in ("schedule", "serve"):
         raise SpecError(f"{spec_path(path, 'jobs')}: a {kind!r} experiment "
                         f"runs in-process (jobs must be 1)")
-    for knob in ("max_retries", "task_timeout_s"):
-        if knob in mapping and kind in ("schedule", "serve"):
-            raise SpecError(f"{spec_path(path, knob)}: a {kind!r} experiment "
-                            f"runs in-process (no execution backend to make "
-                            f"resilient)")
     if "partial_ok" in mapping and kind not in ("dse", "fleet"):
         raise SpecError(f"{spec_path(path, 'partial_ok')}: only 'dse' and "
                         f"'fleet' experiments rank partial sweeps")
-    max_retries = mapping.get("max_retries")
-    if max_retries is not None:
-        max_retries = expect_int(max_retries, spec_path(path, "max_retries"))
-        if max_retries < 0:
-            raise SpecError(f"{spec_path(path, 'max_retries')}: expected a "
-                            f"non-negative int (got {max_retries})")
-    task_timeout_s = mapping.get("task_timeout_s")
-    if task_timeout_s is not None:
-        task_timeout_s = expect_number(task_timeout_s,
-                                       spec_path(path, "task_timeout_s"),
-                                       minimum=0.0, exclusive=True)
     partial_ok = expect_bool(mapping.get("partial_ok", False),
                              spec_path(path, "partial_ok"))
-    return ExecSettings(jobs=jobs, max_retries=max_retries,
-                        task_timeout_s=task_timeout_s, partial_ok=partial_ok)
+    return ExecSettings(jobs=jobs, partial_ok=partial_ok)
 
 
 def _validate_fleet(mapping: Dict[str, object], path: str,
@@ -356,9 +323,9 @@ def _check_partition_steps(search: PartitionSearch, chip: ChipConfig,
     """
     pes, parts = chip.num_pes, len(ALL_STYLES)
     pe_steps, bw_steps = search.pe_steps, search.bw_steps
-    # More steps than PEs would be a step below one PE.
-    step = pes // pe_steps
-    if not step or pes % step or pes // step < parts:
+    # A count that does not divide the PEs, more steps than PEs included,
+    # would give unequal steps.
+    if pes % pe_steps or pe_steps < parts:
         # Divisors pair up around the square root, so the list costs
         # sqrt(pes) steps, not pes (seconds on a 10^8-PE custom chip).
         divisors = {d for n in range(1, math.isqrt(pes) + 1) if not pes % n
@@ -369,7 +336,7 @@ def _check_partition_steps(search: PartitionSearch, chip: ChipConfig,
             f"chip {chip.name!r} into equal steps, at least one per "
             f"sub-accelerator of a {parts}-way HDA; valid step counts: "
             f"{', '.join(valid)}")
-    partitions = math.comb(pes // step - 1, parts - 1) * (
+    partitions = math.comb(pe_steps - 1, parts - 1) * (
         math.comb(bw_steps - 1, parts - 1) if bw_steps >= parts else 1)
     if partitions > _MAX_SEARCH_PARTITIONS:
         raise SpecError(

@@ -168,8 +168,8 @@ class FleetReport:
     #: Closed-loop bookkeeping (:class:`repro.serve.online.OnlineStats`);
     #: ``None`` on a-priori reports, whose summaries are unchanged.
     online: Optional["OnlineStats"] = None  # noqa: F821
-    #: Chips whose simulation exhausted the execution backend's retry budget
-    #: in a ``partial_ok`` run.  Their frames are absent from the pooled
+    #: Chips whose simulation failed in the execution backend in a
+    #: ``partial_ok`` run.  Their frames are absent from the pooled
     #: statistics; a fleet with casualties never :attr:`meets_sla`.
     failed_chips: Tuple[str, ...] = ()
 
@@ -301,7 +301,7 @@ class FleetReport:
         if self.failed_chips:
             lines.append(
                 f"  WARNING: {len(self.failed_chips)} chip simulation(s) "
-                f"failed after retries: {', '.join(self.failed_chips)}")
+                f"failed: {', '.join(self.failed_chips)}")
         return "\n".join(lines)
 
 
@@ -410,8 +410,8 @@ class FleetSimulator:
                  scope: str = "fleet") -> FleetResult:
         """Route the workload over the fleet and aggregate the SLA report.
 
-        With ``partial_ok``, a chip whose simulation exhausts the backend's
-        retry budget becomes a casualty (reported through
+        With ``partial_ok``, a chip whose simulation fails in the backend
+        becomes a casualty (reported through
         :attr:`FleetReport.failed_chips`) instead of aborting the fleet.
         ``checkpoint`` records completed per-chip simulations under ``scope``
         so an interrupted fleet sweep resumes only the missing chips.
@@ -600,7 +600,7 @@ def min_chips_for_sla(simulator: FleetSimulator,
     ``checkpoint`` records each probe's per-chip simulations under a
     ``chips<count>`` scope, so an interrupted bisection resumes without
     re-simulating completed probes.  With ``partial_ok``, a probe that loses
-    a chip to exhausted retries counts as not meeting the SLA (see
+    a chip to a failed simulation counts as not meeting the SLA (see
     :attr:`FleetReport.meets_sla`) instead of aborting the search.
     """
     if max_chips < 1:

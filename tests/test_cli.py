@@ -115,6 +115,7 @@ class TestDse:
     @pytest.mark.parametrize("chip, pe_steps, valid", [
         ("edge", "3", "4, 8, 16, 32, 64, 128, 256, 512, 1024"),
         ("edge", "2", "4, 8, 16, 32, 64, 128, 256, 512, 1024"),
+        ("edge", "61", "4, 8, 16, 32, 64, 128, 256, 512, 1024"),
         ("cloud", "24", "4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, "
                         "8192, 16384"),
     ])

@@ -133,7 +133,8 @@ class TestProcessPoolBackend:
             ProcessPoolBackend(jobs=0)
 
     @pytest.mark.parametrize("knob", ["chunk_size", "start_method",
-                                      "shared_table", "cache"])
+                                      "shared_table", "cache",
+                                      "retry_policy", "chaos"])
     def test_removed_knobs_are_unknown_arguments(self, knob):
         with pytest.raises(TypeError, match=knob):
             ProcessPoolBackend(jobs=2, **{knob: None})

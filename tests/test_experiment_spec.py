@@ -149,10 +149,9 @@ _ERROR_CASES = [
     ({"kind": "serve", "exec": {"jobs": 4}},
      "exec.jobs: a 'serve' experiment runs in-process (jobs must be 1)"),
     # An old spec naming the removed persistent cost cache gets the
-    # closed-world unknown-key error (the 'dse' case is the last row).
+    # closed-world unknown-key error (a 'dse' case comes further down).
     ({"kind": "schedule", "exec": {"cache_file": "x.json"}},
-     "exec.cache_file: unknown key (allowed: ['jobs', 'max_retries', "
-     "'partial_ok', 'task_timeout_s'])"),
+     "exec.cache_file: unknown key (allowed: ['jobs', 'partial_ok'])"),
     ({"kind": "fleet", "design": "rda",
       "fleet": {"chips": ["rda", {"kind": "fda", "style": "nvdla",
                                   "chip": {"num_pes": -3, "noc_gbps": 4,
@@ -190,8 +189,7 @@ _ERROR_CASES = [
      "(got 'random')"),
     # The cost model has a single (pure-Python) estimator: no knob picks one.
     ({"kind": "dse", "exec": {"vectorized": True}},
-     "exec.vectorized: unknown key (allowed: ['jobs', 'max_retries', "
-     "'partial_ok', 'task_timeout_s'])"),
+     "exec.vectorized: unknown key (allowed: ['jobs', 'partial_ok'])"),
     # A PE step the chip's PEs do not divide into is a spec error, not a
     # SearchError traceback from the partition enumeration.
     ({"kind": "dse", "chip": "mobile", "search": {"pe_steps": 3}},
@@ -208,8 +206,7 @@ _ERROR_CASES = [
     ({"kind": "serve", "streaming": {"fps_scale": 10 ** 400}},
      "streaming.fps_scale: expected a finite number (got inf)"),
     ({"kind": "dse", "exec": {"cache_file": "x.json"}},
-     "exec.cache_file: unknown key (allowed: ['jobs', 'max_retries', "
-     "'partial_ok', 'task_timeout_s'])"),
+     "exec.cache_file: unknown key (allowed: ['jobs', 'partial_ok'])"),
     # The traffic knobs take exactly TrafficSpec's domain.
     ({"kind": "fleet", "traffic": {"kind": "diurnal", "amplitude": 1.5}},
      "traffic.amplitude: expected a number < 1 (got 1.5)"),
@@ -246,6 +243,17 @@ _ERROR_CASES = [
       "chip": {"num_pes": 64, "noc_gbps": 1, "buffer_mib": 1,
                "clock_mhz": 1e305}},
      "chip: chip 'custom': clock must be a positive finite number (got inf)"),
+    # 1024 // 61 == 16 divides 1024, which once let 61 through as 64 steps.
+    ({"kind": "dse", "chip": "edge", "search": {"pe_steps": 61}},
+     "search.pe_steps: 61 does not divide the 1024 PEs of chip 'edge' into "
+     "equal steps, at least one per sub-accelerator of a 3-way HDA; valid "
+     "step counts: 4, 8, 16, 32, 64, 128, 256, 512, 1024"),
+    # An old spec naming a retired retry knob gets the closed-world
+    # unknown-key error.
+    ({"kind": "dse", "exec": {"max_retries": 1}},
+     "exec.max_retries: unknown key (allowed: ['jobs', 'partial_ok'])"),
+    ({"kind": "fleet", "exec": {"task_timeout_s": 30}},
+     "exec.task_timeout_s: unknown key (allowed: ['jobs', 'partial_ok'])"),
 ]
 
 

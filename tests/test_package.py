@@ -27,7 +27,7 @@ _DOTTED = re.compile(r"[A-Za-z_]\w*(?:[.:][A-Za-z_]\w*)*\Z")
 
 class TestPublicApi:
     def test_version_string(self):
-        assert repro.__version__ == "1.23.0"
+        assert repro.__version__ == "1.24.0"
 
     def test_all_exports_resolve(self):
         for name in repro.__all__:

@@ -1,29 +1,29 @@
-"""Property-based and exact tests of the resilient execution engine.
+"""Property-based and exact tests of the execution engine's failure paths.
 
-Three pinned invariants (the acceptance criteria of the fault-tolerance
-layer), each checked over randomized inputs:
+Every task runs exactly once: evaluations are pure functions of ``(design,
+workload)``, so a task that fails would fail the same way again.  Pinned
+here, with genuine library errors and a genuine worker death:
 
-* **chaos transparency** — a seeded chaos run (crashes, hangs, transient
-  errors) with a retry budget covering ``max_faults_per_task`` produces
-  *bit-identical* design metrics to an undisturbed :class:`SerialBackend`
-  run, because evaluations are pure functions of ``(design, workload)`` and
-  the fault schedule is a pure function of ``(seed, task_id, attempt)``;
 * **resume transparency** — a sweep interrupted at an arbitrary point and
   resumed from its :class:`SweepCheckpoint` produces results bit-identical
-  to an uninterrupted run, and only re-executes the missing tasks;
-* **degraded-mode honesty** — a ``partial_ok`` run with permanently doomed
-  tasks ranks exactly the surviving subset: every survivor's metrics match
-  the full run and their relative order is preserved.
-
-Plus exact units for retry exhaustion, failure-kind classification,
-checkpoint key/version safety, and the real process-pool recovery paths
-(broken pool rebuild, stall watchdog).
+  to an uninterrupted run, and only re-executes the missing tasks; a damaged
+  checkpoint frame re-runs its task instead of loading a different result;
+* **degraded-mode honesty** — a ``partial_ok`` run whose failing tasks the
+  scheduler rejects ranks exactly the surviving subset: every survivor's
+  metrics match the full run and their relative order is preserved;
+* **failure records** — a library error becomes one ``"error"`` record for
+  its own task on both backends, a broken pool becomes ``"crash"`` records
+  for every unfinished task, and a programming error propagates raw.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import io
 import json
+import os
 import pickle
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,22 +33,12 @@ from repro.core.dse import HeraldDSE
 from repro.core.partitioner import PartitionSearch
 from repro.core.scheduler import HeraldScheduler
 from repro.dataflow.styles import NVDLA, SHIDIANNAO
-from repro.exceptions import (
-    CheckpointError,
-    ReproError,
-    TaskExecutionError,
-    WorkerCrash,
-    WorkerHang,
-    WorkloadError,
-)
+from repro.exceptions import CheckpointError, TaskExecutionError, WorkloadError
 from repro.exec import (
-    ChaosSpec,
     EvaluationTask,
     ProcessPoolBackend,
-    RetryPolicy,
     SerialBackend,
     SweepCheckpoint,
-    classify_failure,
     run_evaluation_task,
     sweep_key_from,
 )
@@ -80,53 +70,6 @@ def baseline(task_bag):
     """Undisturbed serial results for the bag (the bit-identity reference)."""
     backend = SerialBackend(cost_model=_COST_MODEL)
     return _metrics(backend.run(task_bag))
-
-
-# ---------------------------------------------------------------------------
-# Property: chaos + retries == undisturbed serial, bit for bit
-# ---------------------------------------------------------------------------
-class TestChaosTransparency:
-    @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 10_000),
-           crash=st.floats(0.0, 0.4),
-           hang=st.floats(0.0, 0.3),
-           error=st.floats(0.0, 0.3),
-           max_faults=st.integers(0, 2))
-    def test_serial_chaos_matches_baseline(self, task_bag, baseline, seed,
-                                           crash, hang, error, max_faults):
-        spec = ChaosSpec(seed=seed, crash_rate=crash, hang_rate=hang,
-                         error_rate=error, max_faults_per_task=max_faults)
-        chaotic = SerialBackend(cost_model=_COST_MODEL,
-                                retry_policy=RetryPolicy(max_retries=max_faults),
-                                chaos=spec)
-        assert _metrics(chaotic.run(task_bag)) == baseline
-
-    @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 10_000))
-    def test_fault_schedule_is_order_independent(self, seed):
-        spec = ChaosSpec(seed=seed, crash_rate=0.3, hang_rate=0.2,
-                         error_rate=0.2)
-        # Each (task, attempt) decision is hashed independently, so querying
-        # in any order (or twice) yields the same schedule.
-        forward = [spec.fault_for(t, a) for t in range(8) for a in range(3)]
-        backward = [spec.fault_for(t, a)
-                    for t in reversed(range(8)) for a in reversed(range(3))]
-        assert forward == list(reversed(backward))
-
-    def test_pool_simulated_chaos_matches_baseline(self, task_bag, baseline):
-        spec = ChaosSpec(seed=7, crash_rate=0.35, hang_rate=0.2,
-                         error_rate=0.2, max_faults_per_task=2)
-        chaotic = ProcessPoolBackend(jobs=2, cost_model=CostModel(),
-                                     retry_policy=RetryPolicy(max_retries=2),
-                                     chaos=spec)
-        assert _metrics(chaotic.run(task_bag)) == baseline
-
-    def test_zero_rate_chaos_changes_nothing(self, task_bag, baseline):
-        chaotic = SerialBackend(cost_model=_COST_MODEL, chaos=ChaosSpec(seed=3))
-        outcome = chaotic.run_resilient(task_bag)
-        assert _metrics(outcome.ordered_results(task_bag)) == baseline
-        assert outcome.retried_attempts == 0
-        assert outcome.failures == ()
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +172,63 @@ class TestResumeTransparency:
         reread = SweepCheckpoint(path, "new-key", resume=True)
         assert reread.loaded_records == 1
 
+    def _damaged_resume(self, path, task_bag, damage):
+        """Checkpoint every task, ``damage(file bytes, outcome)`` the file,
+        resume the full bag; returns ``(clean outcome, resumed outcome)``."""
+        clean = SerialBackend(cost_model=_COST_MODEL).run_resilient(
+            task_bag, checkpoint=SweepCheckpoint(str(path), "k"))
+        path.write_bytes(bytes(damage(bytearray(path.read_bytes()), clean)))
+        resumed = SerialBackend(cost_model=_COST_MODEL).run_resilient(
+            task_bag, checkpoint=SweepCheckpoint(str(path), "k", resume=True))
+        return clean, resumed
+
+    def test_flipped_float_bit_reruns_its_task(self, tmp_path, task_bag,
+                                               baseline):
+        def flip(data, clean):
+            # The low mantissa byte of task 1's pickled makespan.
+            makespan = clean.results[1].schedule.makespan_cycles
+            at = data.index(b"G" + struct.pack(">d", makespan)) + 8
+            data[at] ^= 1
+            return data
+
+        _, resumed = self._damaged_resume(tmp_path / "sweep.ckpt", task_bag,
+                                          flip)
+        assert resumed.executed_tasks >= 1
+        assert _metrics(resumed.ordered_results(task_bag)) == baseline
+
+    @pytest.mark.parametrize("frame", [
+        ({"sweep": 0}, 0, b""),          # a key that is not a string
+        ({"sweep": 0}, "result"),        # the version-2 shape, mangled
+        ("sweep:0", 0, b"\x80\x05N."),  # a CRC that does not match
+        "sweep:0",                       # not a frame at all
+    ])
+    def test_mangled_frame_reruns_the_rest(self, tmp_path, task_bag,
+                                           baseline, frame):
+        def splice(data, clean):
+            header = io.BytesIO(bytes(data))
+            pickle.load(header)
+            at = header.tell()
+            return data[:at] + pickle.dumps(frame) + data[at:]
+
+        _, resumed = self._damaged_resume(tmp_path / "sweep.ckpt", task_bag,
+                                          splice)
+        assert resumed.resumed_tasks == 0
+        assert _metrics(resumed.ordered_results(task_bag)) == baseline
+        # The re-run frames follow the last good one, so they load again.
+        again = SweepCheckpoint(str(tmp_path / "sweep.ckpt"), "k", resume=True)
+        assert again.loaded_records == len(task_bag)
+
+    def test_flipped_key_bit_never_loads_another_task(self, tmp_path,
+                                                      task_bag, baseline):
+        def flip(data, clean):
+            # "sweep:1" -> "sweep:0": task 1's result under task 0's key.
+            data[data.index(b"sweep:1") + 6] ^= 1
+            return data
+
+        _, resumed = self._damaged_resume(tmp_path / "sweep.ckpt", task_bag,
+                                          flip)
+        assert _metrics(resumed.ordered_results(task_bag)) == baseline
+
     def test_flush_leaves_no_temp_files(self, tmp_path, task_bag):
         path = str(tmp_path / "sweep.ckpt")
         checkpoint = SweepCheckpoint(path, "k", flush_every=1)
@@ -239,128 +239,7 @@ class TestResumeTransparency:
 
 
 # ---------------------------------------------------------------------------
-# Property: partial_ok ranks exactly the surviving subset
-# ---------------------------------------------------------------------------
-class TestPartialRankings:
-    @settings(max_examples=20, deadline=None)
-    @given(doomed=st.sets(st.integers(0, 5), max_size=4))
-    def test_survivors_are_a_rank_consistent_subset(self, task_bag, baseline,
-                                                    doomed):
-        doomed = {i for i in doomed if i < len(task_bag)}
-        spec = ChaosSpec(seed=1, doomed_task_ids=frozenset(doomed))
-        backend = SerialBackend(cost_model=_COST_MODEL,
-                                retry_policy=RetryPolicy(max_retries=1),
-                                chaos=spec)
-        outcome = backend.run_resilient(task_bag, partial_ok=True)
-
-        assert set(outcome.failed_task_ids) == doomed
-        survivors = outcome.completed(task_bag)
-        expected = [row for task, row in zip(task_bag, baseline)
-                    if task.task_id not in doomed]
-        assert _metrics([r for _, r in survivors]) == expected
-        # Ranking consistency: ordering survivors by EDP gives the full
-        # run's EDP order restricted to the survivors.
-        by_edp = sorted((r.edp, t.task_id) for t, r in survivors)
-        full_by_edp = [(edp, tid) for edp, tid in
-                       sorted((row[3], task.task_id)
-                              for task, row in zip(task_bag, baseline))
-                       if tid not in doomed]
-        assert by_edp == full_by_edp
-
-    def test_all_tasks_doomed_yields_empty_results(self, task_bag):
-        spec = ChaosSpec(seed=5, doomed_task_ids=frozenset(
-            task.task_id for task in task_bag))
-        backend = SerialBackend(cost_model=_COST_MODEL, chaos=spec)
-        outcome = backend.run_resilient(task_bag, partial_ok=True)
-        assert outcome.results == {}
-        assert len(outcome.failures) == len(task_bag)
-
-
-# ---------------------------------------------------------------------------
-# Exact units: retry exhaustion and failure classification
-# ---------------------------------------------------------------------------
-class TestRetryExhaustion:
-    def test_doomed_task_exhausts_exact_attempt_budget(self, task_bag):
-        spec = ChaosSpec(seed=2, doomed_task_ids=frozenset({1}))
-        backend = SerialBackend(cost_model=_COST_MODEL,
-                                retry_policy=RetryPolicy(max_retries=2),
-                                chaos=spec)
-        with pytest.raises(TaskExecutionError) as excinfo:
-            backend.run(task_bag)
-        failures = excinfo.value.failures
-        assert len(failures) == 1
-        failure = failures[0]
-        assert failure.task_id == 1
-        assert failure.attempts == 3  # max_retries + 1, exactly
-        assert failure.kind == "error"  # doomed with all-zero rates
-        assert "chaos-injected transient error" in failure.message
-        assert failure.category == task_bag[1].category
-
-    def test_partial_ok_returns_instead_of_raising(self, task_bag):
-        spec = ChaosSpec(seed=2, doomed_task_ids=frozenset({1}))
-        backend = SerialBackend(cost_model=_COST_MODEL,
-                                retry_policy=RetryPolicy(max_retries=0),
-                                chaos=spec)
-        outcome = backend.run_resilient(task_bag, partial_ok=True)
-        assert outcome.failed_task_ids == (1,)
-        assert outcome.failures[0].attempts == 1
-
-    def test_failure_summary_is_json_serializable(self, task_bag):
-        spec = ChaosSpec(seed=2, doomed_task_ids=frozenset({0}))
-        backend = SerialBackend(cost_model=_COST_MODEL, chaos=spec)
-        outcome = backend.run_resilient(task_bag[:1], partial_ok=True)
-        row = outcome.failures[0].summary()
-        assert json.loads(json.dumps(row)) == row
-
-    def test_retry_policy_validation(self):
-        from repro.exceptions import SearchError
-        with pytest.raises(SearchError):
-            RetryPolicy(max_retries=-1)
-        with pytest.raises(SearchError):
-            RetryPolicy(task_timeout_s=0.0)
-        with pytest.raises(SearchError):
-            RetryPolicy(backoff_base_s=-0.1)
-
-    def test_backoff_schedule_is_deterministic_exponential(self):
-        policy = RetryPolicy(max_retries=3, backoff_base_s=0.5)
-        assert [policy.backoff_s(k) for k in range(1, 4)] == [0.5, 1.0, 2.0]
-        assert policy.backoff_s(0) == 0.0
-
-
-class TestFailureClassification:
-    def test_exception_to_kind_mapping(self):
-        assert classify_failure(WorkerCrash("x")) == "crash"
-        assert classify_failure(WorkerHang("x")) == "timeout"
-        assert classify_failure(ValueError("x")) == "error"
-
-    def test_chaos_hang_is_recorded_as_timeout(self, task_bag):
-        # The simulated hang must classify like the real stall watchdog.
-        spec = ChaosSpec(seed=0, hang_rate=1.0, doomed_task_ids=frozenset({0}))
-        backend = SerialBackend(cost_model=_COST_MODEL, chaos=spec)
-        outcome = backend.run_resilient(task_bag[:1], partial_ok=True)
-        assert outcome.failures[0].kind == "timeout"
-        assert "chaos-injected hang" in outcome.failures[0].message
-
-    def test_chaos_crash_is_recorded_as_crash(self, task_bag):
-        spec = ChaosSpec(seed=0, crash_rate=1.0,
-                         doomed_task_ids=frozenset({0}))
-        backend = SerialBackend(cost_model=_COST_MODEL, chaos=spec)
-        outcome = backend.run_resilient(task_bag[:1], partial_ok=True)
-        assert outcome.failures[0].kind == "crash"
-
-    def test_programming_errors_are_not_retried(self, small_workload):
-        # A TypeError from a broken design must surface as a traceback, not
-        # burn the retry budget.
-        backend = SerialBackend(cost_model=_COST_MODEL,
-                                retry_policy=RetryPolicy(max_retries=2))
-        bad = EvaluationTask(0, object(), small_workload)  # type: ignore[arg-type]
-        with pytest.raises(Exception) as excinfo:
-            backend.run([bad])
-        assert not isinstance(excinfo.value, TaskExecutionError)
-
-
-# ---------------------------------------------------------------------------
-# Exact units: genuine library errors (not chaos) inside pool chunks
+# Genuinely failing workloads (the scheduler, or the process, rejects them)
 # ---------------------------------------------------------------------------
 class _UnknownReleaseWorkload:
     """A streaming-shaped workload whose trace names an instance its spec
@@ -392,12 +271,32 @@ class _BrokenWorkload(_UnknownReleaseWorkload):
 
 class _UnexpandableWorkload(_UnknownReleaseWorkload):
     """A workload whose expansion raises a library error, which the
-    backend's prewarm meets before the task's own attempt does."""
+    backend's prewarm meets before the task's own run does."""
 
     def to_workload_spec(self):
         raise WorkloadError("unexpandable workload")
 
     unique_shape_layers = to_workload_spec
+
+
+class _WorkerKillingWorkload(_UnknownReleaseWorkload):
+    """A workload whose expansion kills any process but the one that built
+    it: a pool worker running its task dies, breaking the pool."""
+
+    def __init__(self, spec):
+        super().__init__(spec)
+        self.parent_pid = os.getpid()
+
+    def to_workload_spec(self):
+        if os.getpid() != self.parent_pid:
+            os._exit(3)
+        return self.spec
+
+
+def _rejected(task, workload_cls=_UnknownReleaseWorkload):
+    """``task`` on a copy of its workload that ``workload_cls`` spoils."""
+    spec = getattr(task.workload, "to_workload_spec", lambda: task.workload)()
+    return dataclasses.replace(task, workload=workload_cls(spec))
 
 
 def _with_rejected_task(task_bag, workload_cls=_UnknownReleaseWorkload):
@@ -406,20 +305,107 @@ def _with_rejected_task(task_bag, workload_cls=_UnknownReleaseWorkload):
     Six tasks on two jobs are cut into chunks of two, so the failing task
     shares its chunk with ``task_bag[2]``.
     """
-    template = task_bag[2]
-    rejected = EvaluationTask(len(task_bag), template.design,
-                              workload_cls(template.workload),
-                              category=template.category)
+    rejected = dataclasses.replace(_rejected(task_bag[2], workload_cls),
+                                   task_id=len(task_bag))
     return list(task_bag[:2]) + [rejected] + list(task_bag[2:])
 
 
-def _backend(name, retry_policy=None):
+def _with_failing(task_bag, failing):
+    """The bag with the tasks whose ids are in ``failing`` rejected."""
+    return [_rejected(task) if task.task_id in failing else task
+            for task in task_bag]
+
+
+def _backend(name):
     if name == "serial":
-        return SerialBackend(cost_model=CostModel(), retry_policy=retry_policy)
-    return ProcessPoolBackend(jobs=2, cost_model=CostModel(),
-                              retry_policy=retry_policy)
+        return SerialBackend(cost_model=CostModel())
+    return ProcessPoolBackend(jobs=2, cost_model=CostModel())
 
 
+class _RejectingBackend(SerialBackend):
+    """A serial backend that runs the tasks whose ids are in ``failing`` on
+    a workload the scheduler rejects, wherever the tasks come from."""
+
+    def __init__(self, failing, **kwargs):
+        super().__init__(**kwargs)
+        self.failing = frozenset(failing)
+
+    def run_resilient(self, tasks, *args, **kwargs):
+        return super().run_resilient(_with_failing(tasks, self.failing),
+                                     *args, **kwargs)
+
+
+# ---------------------------------------------------------------------------
+# Property: partial_ok ranks exactly the surviving subset
+# ---------------------------------------------------------------------------
+class TestPartialRankings:
+    @settings(max_examples=20, deadline=None)
+    @given(doomed=st.sets(st.integers(0, 5), max_size=4))
+    def test_survivors_are_a_rank_consistent_subset(self, task_bag, baseline,
+                                                    doomed):
+        doomed = {i for i in doomed if i < len(task_bag)}
+        backend = SerialBackend(cost_model=_COST_MODEL)
+        outcome = backend.run_resilient(_with_failing(task_bag, doomed),
+                                        partial_ok=True)
+
+        assert set(outcome.failed_task_ids) == doomed
+        survivors = outcome.completed(task_bag)
+        expected = [row for task, row in zip(task_bag, baseline)
+                    if task.task_id not in doomed]
+        assert _metrics([r for _, r in survivors]) == expected
+        # Ranking consistency: ordering survivors by EDP gives the full
+        # run's EDP order restricted to the survivors.
+        by_edp = sorted((r.edp, t.task_id) for t, r in survivors)
+        full_by_edp = [(edp, tid) for edp, tid in
+                       sorted((row[3], task.task_id)
+                              for task, row in zip(task_bag, baseline))
+                       if tid not in doomed]
+        assert by_edp == full_by_edp
+
+    def test_all_tasks_doomed_yields_empty_results(self, task_bag):
+        tasks = _with_failing(task_bag, {task.task_id for task in task_bag})
+        backend = SerialBackend(cost_model=_COST_MODEL)
+        outcome = backend.run_resilient(tasks, partial_ok=True)
+        assert outcome.results == {}
+        assert len(outcome.failures) == len(task_bag)
+
+
+# ---------------------------------------------------------------------------
+# Exact units: a failed task's record
+# ---------------------------------------------------------------------------
+class TestRetryExhaustion:
+    """A failing task exhausts its one run: nothing is retried."""
+
+    def test_partial_ok_returns_instead_of_raising(self, task_bag):
+        backend = SerialBackend(cost_model=_COST_MODEL)
+        outcome = backend.run_resilient(_with_failing(task_bag, {1}),
+                                        partial_ok=True)
+        assert outcome.failed_task_ids == (1,)
+        assert outcome.failures[0].category == task_bag[1].category
+
+    def test_failure_summary_is_json_serializable(self, task_bag):
+        backend = SerialBackend(cost_model=_COST_MODEL)
+        outcome = backend.run_resilient(_with_failing(task_bag[:1], {0}),
+                                        partial_ok=True)
+        row = outcome.failures[0].summary()
+        assert json.loads(json.dumps(row)) == row
+        assert sorted(row) == ["category", "kind", "message", "task_id"]
+
+
+class TestFailureClassification:
+    def test_programming_errors_are_not_retried(self, small_workload):
+        # A TypeError from a broken design must surface as a traceback, not
+        # as a failure record.
+        backend = SerialBackend(cost_model=_COST_MODEL)
+        bad = EvaluationTask(0, object(), small_workload)  # type: ignore[arg-type]
+        with pytest.raises(Exception) as excinfo:
+            backend.run([bad])
+        assert not isinstance(excinfo.value, TaskExecutionError)
+
+
+# ---------------------------------------------------------------------------
+# Exact units: genuine library errors inside pool chunks
+# ---------------------------------------------------------------------------
 class TestLibraryErrors:
     def test_library_error_costs_only_its_own_task_in_a_chunk(
             self, task_bag, baseline):
@@ -433,7 +419,6 @@ class TestLibraryErrors:
             [f.summary() for f in serial.failures]
         failure = pool.failures[0]
         assert failure.kind == "error"
-        assert failure.attempts == 1
         assert "no-such-instance#0" in failure.message
 
     @pytest.mark.parametrize("name", ["serial", "pool"])
@@ -442,6 +427,7 @@ class TestLibraryErrors:
         with pytest.raises(TaskExecutionError) as excinfo:
             _backend(name).run(_with_rejected_task(task_bag))
         assert [f.task_id for f in excinfo.value.failures] == [len(task_bag)]
+        assert "after retries" not in str(excinfo.value)
 
     @pytest.mark.parametrize("name", ["serial", "pool"])
     def test_prewarm_library_error_costs_only_its_own_task(
@@ -449,80 +435,80 @@ class TestLibraryErrors:
         tasks = _with_rejected_task(task_bag, _UnexpandableWorkload)
         outcome = _backend(name).run_resilient(tasks, partial_ok=True)
         assert _metrics(outcome.ordered_results(task_bag)) == baseline
-        assert [(f.task_id, f.kind, f.attempts) for f in outcome.failures] \
-            == [(len(task_bag), "error", 1)]
+        assert [(f.task_id, f.kind) for f in outcome.failures] \
+            == [(len(task_bag), "error")]
         assert "unexpandable workload" in outcome.failures[0].message
 
-    def test_retried_library_error_fails_identically_every_attempt(
-            self, task_bag, monkeypatch):
+    @pytest.mark.parametrize("name", ["serial", "pool"])
+    def test_failing_task_runs_once_and_leaves_one_error(
+            self, task_bag, name, monkeypatch):
         import repro.exec.backends as backends
 
-        messages = []
+        runs = []
 
-        def recording(task, cost_model, scheduler):
-            try:
-                return run_evaluation_task(task, cost_model, scheduler)
-            except ReproError as error:
-                messages.append(str(error))
-                raise
+        def counting(task, cost_model, scheduler):
+            runs.append(task.task_id)
+            return run_evaluation_task(task, cost_model, scheduler)
 
-        monkeypatch.setattr(backends, "run_evaluation_task", recording)
+        # Counted in this process; pool workers count in their own copies.
+        monkeypatch.setattr(backends, "run_evaluation_task", counting)
         tasks = _with_rejected_task(task_bag)
-        outcome = _backend("serial", RetryPolicy(max_retries=2)) \
-            .run_resilient(tasks, partial_ok=True)
+        outcome = _backend(name).run_resilient(tasks, partial_ok=True)
+        if name == "serial":
+            assert runs == [task.task_id for task in tasks]
         (failure,) = outcome.failures
-        assert failure.attempts == 3
-        assert messages == [failure.message] * 3
-        pool = _backend("pool", RetryPolicy(max_retries=2)) \
-            .run_resilient(tasks, partial_ok=True)
-        assert [f.summary() for f in pool.failures] == [failure.summary()]
+        assert (failure.task_id, failure.kind) == (len(task_bag), "error")
+        serial = _backend("serial").run_resilient(tasks, partial_ok=True)
+        assert failure.summary() == serial.failures[0].summary()
 
     @pytest.mark.parametrize("name", ["serial", "pool"])
     def test_programming_error_in_a_task_propagates_raw(self, task_bag, name):
-        backend = _backend(name, RetryPolicy(max_retries=2))
         with pytest.raises(TypeError, match="broken workload"):
-            backend.run(_with_rejected_task(task_bag, _BrokenWorkload))
+            _backend(name).run(_with_rejected_task(task_bag, _BrokenWorkload))
 
 
 # ---------------------------------------------------------------------------
-# Real process-pool recovery (integration: crashes, hangs, broken pools)
+# Real process-pool failures (a worker that dies for real)
 # ---------------------------------------------------------------------------
 class TestRealPoolRecovery:
-    def test_real_crashes_are_survived_bit_identically(self, task_bag,
-                                                       baseline):
-        spec = ChaosSpec(seed=11, crash_rate=0.5, max_faults_per_task=1,
-                         real_faults=True)
-        # The schedule must actually contain a crash for the test to bite.
-        assert any(spec.fault_for(task.task_id, 0) == "crash"
-                   for task in task_bag)
-        pool = ProcessPoolBackend(jobs=2, cost_model=CostModel(),
-                                  retry_policy=RetryPolicy(max_retries=1),
-                                  chaos=spec)
-        assert _metrics(pool.run(task_bag)) == baseline
-        assert pool.pool_rebuilds >= 1
+    def test_worker_death_without_partial_ok_raises(self, task_bag):
+        tasks = _with_rejected_task(task_bag, _WorkerKillingWorkload)
+        with pytest.raises(TaskExecutionError) as excinfo:
+            _backend("pool").run(tasks)
+        failures = excinfo.value.failures
+        assert len(task_bag) in {failure.task_id for failure in failures}
+        assert {failure.kind for failure in failures} == {"crash"}
 
-    def test_stall_watchdog_recovers_real_hang(self, task_bag, baseline):
-        spec = ChaosSpec(seed=4, hang_rate=0.45, max_faults_per_task=1,
-                         real_faults=True, hang_sleep_s=20.0)
-        assert any(spec.fault_for(task.task_id, 0) == "hang"
-                   for task in task_bag)
-        pool = ProcessPoolBackend(
-            jobs=2, cost_model=CostModel(),
-            retry_policy=RetryPolicy(max_retries=1, task_timeout_s=1.0),
-            chaos=spec)
-        assert _metrics(pool.run(task_bag)) == baseline
-        assert pool.pool_rebuilds >= 1
+    def test_real_crashes_are_survived_bit_identically(self, task_bag,
+                                                       baseline, tmp_path):
+        # A dead worker costs the unfinished tasks "crash" rows; what
+        # completed is in the checkpoint, and resuming re-runs only the rest.
+        tasks = _with_rejected_task(task_bag, _WorkerKillingWorkload)
+        path, key = str(tmp_path / "sweep.ckpt"), sweep_key_from("bag")
+        crashed = _backend("pool").run_resilient(
+            tasks, partial_ok=True, checkpoint=SweepCheckpoint(path, key))
+        assert {failure.kind for failure in crashed.failures} == {"crash"}
+        assert len(task_bag) in crashed.failed_task_ids
+        assert not set(crashed.results) & set(crashed.failed_task_ids)
+        assert set(crashed.results) | set(crashed.failed_task_ids) == \
+            {task.task_id for task in tasks}
+        resumed = _backend("serial").run_resilient(
+            task_bag, checkpoint=SweepCheckpoint(path, key, resume=True))
+        assert resumed.resumed_tasks == len(crashed.results)
+        assert _metrics(resumed.ordered_results(task_bag)) == baseline
 
     def test_pool_failure_records_match_serial_records(self, task_bag):
-        # Terminal failures must be identical no matter which backend lost
-        # the task (same kind, same attempts, same message).
-        spec = ChaosSpec(seed=2, doomed_task_ids=frozenset({0, 3}))
-        serial = SerialBackend(cost_model=_COST_MODEL, chaos=spec)
-        serial_out = serial.run_resilient(task_bag, partial_ok=True)
-        pool = ProcessPoolBackend(jobs=2, cost_model=CostModel(), chaos=spec)
-        pool_out = pool.run_resilient(task_bag, partial_ok=True)
-        assert sorted(f.summary().items() for f in pool_out.failures) == \
-            sorted(f.summary().items() for f in serial_out.failures)
+        # Failures must be identical no matter which backend lost the task
+        # (same kind, same message).
+        tasks = _with_failing(task_bag, {0, 3})
+        serial_out = _backend("serial").run_resilient(tasks, partial_ok=True)
+        pool_out = _backend("pool").run_resilient(tasks, partial_ok=True)
+        def rows(outcome):
+            return sorted((f.summary() for f in outcome.failures),
+                          key=lambda row: row["task_id"])
+
+        assert rows(pool_out) == rows(serial_out)
+        assert [row["task_id"] for row in rows(pool_out)] == [0, 3]
 
 
 # ---------------------------------------------------------------------------
@@ -538,13 +524,13 @@ class TestUpperLayers:
                          partition_search=search, backend=backend)
 
     def test_partial_dse_reports_failures(self, small_workload, tiny_chip):
-        spec = ChaosSpec(seed=6, doomed_task_ids=frozenset({0}))
-        backend = SerialBackend(cost_model=CostModel(), chaos=spec)
+        backend = _RejectingBackend({0}, cost_model=CostModel())
         space = self._dse(backend).explore(small_workload, tiny_chip,
                                            include_three_way=False,
                                            partial_ok=True)
         assert len(space.failures) == 1
         assert space.failure_rows()[0]["task_id"] == 0
+        assert space.failure_rows()[0]["kind"] == "error"
         assert "WARNING" in space.describe()
 
     def test_checkpointed_dse_resumes_bit_identically(self, small_workload,
@@ -581,8 +567,7 @@ class TestUpperLayers:
         streaming = StreamingWorkload(
             "mini", streams=[StreamSpec(model_name, fps=100.0, frames=2)],
             models={model_name: small_workload.model_graph(model_name)})
-        spec = ChaosSpec(seed=0, doomed_task_ids=frozenset({1}))
-        backend = SerialBackend(cost_model=CostModel(), chaos=spec)
+        backend = _RejectingBackend({1}, cost_model=CostModel())
         simulator = FleetSimulator(backend=backend)
         result = simulator.simulate(streaming, fleet, partial_ok=True)
         assert len(result.report.failed_chips) == 1
@@ -592,7 +577,7 @@ class TestUpperLayers:
 
 
 # ---------------------------------------------------------------------------
-# CLI: checkpoint/resume and retry flags end to end
+# CLI: checkpoint/resume end to end; the retired retry flags are refused
 # ---------------------------------------------------------------------------
 class TestResilienceCLI:
     def test_resume_requires_checkpoint(self, capsys):
@@ -615,17 +600,25 @@ class TestResilienceCLI:
             experiment_from_spec({"kind": "serve",
                                   "exec": {"partial_ok": True}})
 
-    def test_exec_settings_compile_to_retry_policy(self):
+    def test_retired_exec_knobs_are_unknown_keys(self, tmp_path, capsys):
+        from repro.cli import main
         from repro.experiment.spec import experiment_from_spec
-        spec = experiment_from_spec(
-            {"kind": "dse",
-             "exec": {"max_retries": 1, "task_timeout_s": 2.0,
-                      "partial_ok": True}})
-        policy = spec.exec_settings.retry_policy()
-        assert policy == RetryPolicy(max_retries=1, task_timeout_s=2.0)
-        assert spec.exec_settings.partial_ok
+
         assert experiment_from_spec(
-            {"kind": "dse"}).exec_settings.retry_policy() is None
+            {"kind": "dse",
+             "exec": {"partial_ok": True}}).exec_settings.partial_ok
+        for flag in ("--max-retries", "--task-timeout"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["dse", flag, "1"])
+            assert excinfo.value.code == 2
+        capsys.readouterr()
+        spec = tmp_path / "dse.yaml"
+        for knob in ("max_retries", "task_timeout_s"):
+            spec.write_text(f"kind: dse\nexec:\n  {knob}: 1\n")
+            assert main(["run", str(spec)]) == 2
+            assert capsys.readouterr().err.splitlines() == [
+                f"error: exec.{knob}: unknown key (allowed: ['jobs', "
+                f"'partial_ok'])"]
 
     def test_dse_checkpoint_resume_round_trip(self, tmp_path, capsys):
         from repro.cli import main
@@ -634,8 +627,7 @@ class TestResilienceCLI:
         ckpt = str(tmp_path / "dse.ckpt")
         argv = ["dse", "--workload", "arvr-a", "--chip", "edge",
                 "--pe-steps", "4", "--bw-steps", "2", "--checkpoint", ckpt]
-        assert main(argv + ["--max-retries", "1",
-                            "--report", str(tmp_path / "a.json")]) == 0
+        assert main(argv + ["--report", str(tmp_path / "a.json")]) == 0
         assert main(argv + ["--resume",
                             "--report", str(tmp_path / "b.json")]) == 0
         out = capsys.readouterr().out
