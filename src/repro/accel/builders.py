@@ -210,6 +210,20 @@ _DESIGN_KEYS = ("kind", "name", "chip", "style", "styles", "count",
                 "pe_partition", "bw_partition_gbps",
                 "bw_partition_bytes_per_s")
 
+#: Physical floors of a spec's rates once converted to raw units.  No link
+#: moves less than a byte per second and no clock ticks less than once per
+#: second; below them (``noc_gbps: 1e-300``) the cost model's latencies
+#: overflow to infinity, so such a spec is refused before anything runs.
+MIN_BANDWIDTH_BYTES_PER_S = 1.0
+MIN_CLOCK_HZ = 1.0
+
+
+def _check_floor(value: float, floor: float, unit: str, path: str) -> None:
+    """Refuse a rate ``value`` (raw units) below its physical ``floor``."""
+    if value < floor:
+        raise SpecError(f"{path}: {value:g} {unit} is below the physical "
+                        f"floor of {floor:g} {unit}")
+
 
 def _style_from_spec(value: object, path: str) -> DataflowStyle:
     name = expect_choice(value, [style.name for style in ALL_STYLES], path)
@@ -269,10 +283,14 @@ def chip_from_spec(spec: Union[str, Dict[str, object]],
         noc = expect_number(mapping["noc_bandwidth_bytes_per_s"],
                             spec_path(path, "noc_bandwidth_bytes_per_s"),
                             minimum=0.0, exclusive=True)
+        _check_floor(noc, MIN_BANDWIDTH_BYTES_PER_S, "B/s",
+                     spec_path(path, "noc_bandwidth_bytes_per_s"))
     elif "noc_gbps" in mapping:
         noc = gbps(expect_number(mapping["noc_gbps"],
                                  spec_path(path, "noc_gbps"),
                                  minimum=0.0, exclusive=True))
+        _check_floor(noc, MIN_BANDWIDTH_BYTES_PER_S, "B/s",
+                     spec_path(path, "noc_gbps"))
     else:
         noc = base.noc_bandwidth_bytes_per_s
     if "global_buffer_bytes" in mapping:
@@ -288,19 +306,25 @@ def chip_from_spec(spec: Union[str, Dict[str, object]],
         dram = expect_number(mapping["dram_bandwidth_bytes_per_s"],
                              spec_path(path, "dram_bandwidth_bytes_per_s"),
                              minimum=0.0, exclusive=True)
+        _check_floor(dram, MIN_BANDWIDTH_BYTES_PER_S, "B/s",
+                     spec_path(path, "dram_bandwidth_bytes_per_s"))
     elif "dram_gbps" in mapping:
         dram = gbps(expect_number(mapping["dram_gbps"],
                                   spec_path(path, "dram_gbps"),
                                   minimum=0.0, exclusive=True))
+        _check_floor(dram, MIN_BANDWIDTH_BYTES_PER_S, "B/s",
+                     spec_path(path, "dram_gbps"))
     else:
         dram = base.dram_bandwidth_bytes_per_s if base is not None else None
     if "clock_hz" in mapping:
         clock = expect_number(mapping["clock_hz"], spec_path(path, "clock_hz"),
                               minimum=0.0, exclusive=True)
+        _check_floor(clock, MIN_CLOCK_HZ, "Hz", spec_path(path, "clock_hz"))
     elif "clock_mhz" in mapping:
         clock = expect_number(mapping["clock_mhz"],
                               spec_path(path, "clock_mhz"),
                               minimum=0.0, exclusive=True) * 1e6
+        _check_floor(clock, MIN_CLOCK_HZ, "Hz", spec_path(path, "clock_mhz"))
     else:
         clock = base.clock_hz if base is not None else DEFAULT_CLOCK_HZ
 
@@ -397,6 +421,9 @@ def design_from_spec(spec: Dict[str, object], path: str = "design",
         bw_bytes = [expect_number(value, spec_path(bw_path, index),
                                   minimum=0.0, exclusive=True)
                     for index, value in enumerate(entries)]
+        for index, value in enumerate(bw_bytes):
+            _check_floor(value, MIN_BANDWIDTH_BYTES_PER_S, "B/s",
+                         spec_path(bw_path, index))
         bw_gbps = [value / 1e9 for value in bw_bytes]
     elif "bw_partition_gbps" in mapping:
         bw_path = spec_path(path, "bw_partition_gbps")
@@ -404,6 +431,9 @@ def design_from_spec(spec: Dict[str, object], path: str = "design",
         bw_gbps = [expect_number(value, spec_path(bw_path, index),
                                  minimum=0.0, exclusive=True)
                    for index, value in enumerate(entries)]
+        for index, value in enumerate(bw_gbps):
+            _check_floor(gbps(value), MIN_BANDWIDTH_BYTES_PER_S, "B/s",
+                         spec_path(bw_path, index))
 
     try:
         if pe_partition is None and bw_gbps is None:

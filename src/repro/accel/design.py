@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from repro.exceptions import HardwareConfigError, PartitionError
 from repro.maestro.hardware import ChipConfig, SubAcceleratorConfig
@@ -19,8 +18,14 @@ class AcceleratorKind(enum.Enum):
     HDA = "hda"
 
 
-@dataclass(frozen=True)
-class AcceleratorDesign:
+class _AcceleratorDesignFields(NamedTuple):
+    name: str
+    kind: AcceleratorKind
+    chip: ChipConfig
+    sub_accelerators: Tuple[SubAcceleratorConfig, ...]
+
+
+class AcceleratorDesign(_AcceleratorDesignFields):
     """A complete accelerator design: chip envelope plus sub-accelerators.
 
     For FDAs and RDAs there is exactly one sub-accelerator owning all chip
@@ -29,12 +34,10 @@ class AcceleratorDesign:
     sub-accelerators must add up to the chip totals.
     """
 
-    name: str
-    kind: AcceleratorKind
-    chip: ChipConfig
-    sub_accelerators: Tuple[SubAcceleratorConfig, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> "AcceleratorDesign":
+        self = super().__new__(cls, *args, **kwargs)
         if not self.sub_accelerators:
             raise HardwareConfigError(f"design {self.name!r} has no sub-accelerators")
         names = [sub.name for sub in self.sub_accelerators]
@@ -61,6 +64,10 @@ class AcceleratorDesign:
             raise HardwareConfigError(
                 f"design {self.name!r}: {self.kind.value} must have exactly one sub-accelerator"
             )
+        return self
+
+    def _replace(self, **changes) -> "AcceleratorDesign":
+        return AcceleratorDesign(**{**self._asdict(), **changes})
 
     # ------------------------------------------------------------------
     # Properties

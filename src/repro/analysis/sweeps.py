@@ -14,8 +14,7 @@ and the CLI share one implementation:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.accel.builders import make_hda
 from repro.accel.design import AcceleratorDesign
@@ -34,8 +33,7 @@ from repro.workloads.spec import WorkloadSpec
 # Fig. 6: PE partitioning sweep
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PartitionSweepPoint:
+class PartitionSweepPoint(NamedTuple):
     """One point of the Fig. 6 sweep: a PE split and its EDP."""
 
     pe_partition: Tuple[int, int]
@@ -90,8 +88,7 @@ def pe_partition_sweep(workload: WorkloadSpec, chip: ChipConfig,
 # Table VI: batch-size study
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BatchSizeRow:
+class BatchSizeRow(NamedTuple):
     """One row of Table VI: gains of the HDA at a given batch size."""
 
     chip_name: str
@@ -129,12 +126,12 @@ def batch_size_study(base_workload: WorkloadSpec, chip: ChipConfig,
 # Fig. 13: workload-change robustness
 # ---------------------------------------------------------------------------
 
-@dataclass
 class WorkloadChangeStudy:
     """Result of running HDAs optimised for one workload on every workload."""
 
-    #: results[optimised_for][run_on] -> evaluation of that combination.
-    results: Dict[str, Dict[str, EvaluationResult]] = field(default_factory=dict)
+    def __init__(self) -> None:
+        #: results[optimised_for][run_on] -> evaluation of that combination.
+        self.results: Dict[str, Dict[str, EvaluationResult]] = {}
 
     def penalty(self, optimised_for: str, run_on: str, metric: str = "latency_s") -> float:
         """Percentage cost of running ``run_on`` on an HDA tuned for ``optimised_for``.

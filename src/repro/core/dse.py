@@ -17,8 +17,7 @@ exposed through :meth:`HeraldDSE.maelstrom`.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.exceptions import SearchError
 from repro.accel.builders import (
@@ -38,8 +37,7 @@ from repro.core.scheduler import HeraldScheduler
 from repro.workloads.spec import WorkloadSpec
 
 
-@dataclass(frozen=True)
-class DesignSpacePoint:
+class DesignSpacePoint(NamedTuple):
     """One evaluated design in the latency-energy plane (a dot in Fig. 11)."""
 
     category: str
@@ -70,7 +68,6 @@ class DesignSpacePoint:
         )
 
 
-@dataclass
 class DSEResult:
     """Full outcome of one Herald DSE run (one workload on one chip class).
 
@@ -81,13 +78,14 @@ class DSEResult:
     (zero on the plain path).
     """
 
-    workload_name: str
-    chip_name: str
-    points: List[DesignSpacePoint] = field(default_factory=list)
-    elapsed_s: float = 0.0
-    failures: Tuple["TaskFailure", ...] = ()
-    resumed_tasks: int = 0
-    executed_tasks: int = 0
+    def __init__(self, workload_name: str, chip_name: str) -> None:
+        self.workload_name = workload_name
+        self.chip_name = chip_name
+        self.points: List[DesignSpacePoint] = []
+        self.elapsed_s = 0.0
+        self.failures: Tuple["TaskFailure", ...] = ()
+        self.resumed_tasks = 0
+        self.executed_tasks = 0
 
     def by_category(self, category: str) -> List[DesignSpacePoint]:
         """All evaluated points of one category (``fda``, ``sm-fda``, ``rda``, ``hda``)."""

@@ -27,8 +27,7 @@ fleet bit-for-bit the single-chip serving simulator.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from repro.accel.design import AcceleratorDesign
 from repro.maestro.cost import CostModel
@@ -37,8 +36,7 @@ from repro.core.scheduler import HeraldScheduler
 from repro.workloads.spec import WorkloadSpec
 
 
-@dataclass(frozen=True)
-class EvaluationResult:
+class EvaluationResult(NamedTuple):
     """Outcome of evaluating one accelerator design on one workload.
 
     Attributes

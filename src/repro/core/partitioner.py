@@ -18,8 +18,7 @@ Three search strategies are provided, matching the paper's description:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.exceptions import SearchError
 from repro.accel.builders import make_hda, make_smfda
@@ -46,8 +45,7 @@ STRATEGIES = ("exhaustive", "binary", "random")
 SEARCH_METRICS = ("edp", "latency", "energy", "sla")
 
 
-@dataclass(frozen=True)
-class PartitionPoint:
+class PartitionPoint(NamedTuple):
     """One explored partition and its evaluation.
 
     Attributes

@@ -11,15 +11,19 @@ them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, NamedTuple, Tuple
 
 #: The convolution loop dimensions in the order used throughout the paper.
 DIMENSIONS: Tuple[str, ...] = ("K", "C", "Y", "X", "R", "S")
 
 
-@dataclass(frozen=True)
-class Loop:
+class _LoopFields(NamedTuple):
+    dimension: str
+    spatial: bool = False
+    level: int = 0
+
+
+class Loop(_LoopFields):
     """One loop of a loop nest.
 
     Parameters
@@ -34,17 +38,20 @@ class Loop:
         ``k0`` / ``k1`` split in Fig. 4.
     """
 
-    dimension: str
-    spatial: bool = False
-    level: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> "Loop":
+        self = super().__new__(cls, *args, **kwargs)
         if self.dimension not in DIMENSIONS:
             raise ValueError(
                 f"unknown loop dimension {self.dimension!r}; expected one of {DIMENSIONS}"
             )
         if self.level < 0:
             raise ValueError("tile level must be non-negative")
+        return self
+
+    def _replace(self, **changes) -> "Loop":
+        return Loop(**{**self._asdict(), **changes})
 
     def render(self) -> str:
         """Render the loop the way Fig. 4 writes it, e.g. ``pfor(k0)``."""
@@ -52,15 +59,21 @@ class Loop:
         return f"{keyword}({self.dimension.lower()}{self.level})"
 
 
-@dataclass(frozen=True)
-class LoopNest:
+class _LoopNestFields(NamedTuple):
+    name: str
+    loops: Tuple[Loop, ...] = ()
+
+
+class LoopNest(_LoopNestFields):
     """An ordered loop nest describing a dataflow."""
 
-    name: str
-    loops: Tuple[Loop, ...] = field(default_factory=tuple)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "loops", tuple(self.loops))
+    def __new__(cls, name: str, loops: Iterable[Loop] = ()) -> "LoopNest":
+        return super().__new__(cls, name, tuple(loops))
+
+    def _replace(self, **changes) -> "LoopNest":
+        return LoopNest(**{**self._asdict(), **changes})
 
     # ------------------------------------------------------------------
     # Derived properties

@@ -13,7 +13,6 @@ mapper performs for a fixed dataflow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -61,8 +60,7 @@ def _candidate_factors(dim: int, budget: int) -> Tuple[int, ...]:
     return tuple(sorted(candidates))
 
 
-@dataclass(frozen=True)
-class Mapping:
+class Mapping(NamedTuple):
     """The result of mapping one layer onto one sub-accelerator.
 
     Attributes

@@ -21,15 +21,22 @@ utilisation and reuse without any per-style special cases elsewhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro.dataflow.loopnest import LoopNest
 
 
-@dataclass(frozen=True)
-class DataflowStyle:
+class _DataflowStyleFields(NamedTuple):
+    name: str
+    spatial_dims: Tuple[str, ...]
+    stationary: str
+    spatial_reduction: bool
+    loop_nest: LoopNest
+    max_unroll: Mapping[str, int] = MappingProxyType({})
+
+
+class DataflowStyle(_DataflowStyleFields):
     """A fixed dataflow style (the δ of Definition 1 in the paper).
 
     Parameters
@@ -57,14 +64,14 @@ class DataflowStyle:
         layout-compatibility checks.
     """
 
-    name: str
-    spatial_dims: Tuple[str, ...]
-    stationary: str
-    spatial_reduction: bool
-    loop_nest: LoopNest
-    max_unroll: Mapping[str, int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
+    def __new__(cls, name: str, spatial_dims: Tuple[str, ...], stationary: str,
+                spatial_reduction: bool, loop_nest: LoopNest,
+                max_unroll: Mapping[str, int] = MappingProxyType({})
+                ) -> "DataflowStyle":
+        # Freeze the cap mapping so the style stays hashable (cost-model cache key).
+        self = super().__new__(cls, name, spatial_dims, stationary,
+                               spatial_reduction, loop_nest,
+                               MappingProxyType(dict(max_unroll)))
         valid_dims = {"K", "C", "OY", "OX", "R", "S"}
         unknown = set(self.spatial_dims) - valid_dims
         if unknown:
@@ -84,15 +91,15 @@ class DataflowStyle:
                 f"dataflow {self.name!r}: max_unroll caps must be ints >= 1 "
                 f"(got {bad_caps})"
             )
-        # Freeze the cap mapping so the style stays hashable (cost-model cache key).
-        object.__setattr__(self, "max_unroll", MappingProxyType(dict(self.max_unroll)))
         # Styles are immutable, so the hash — taken on every mapper/cost memo
         # probe — is computed once here rather than per lookup.
-        object.__setattr__(
-            self, "_hash",
-            hash((self.name, self.spatial_dims, self.stationary,
-                  self.spatial_reduction,
-                  tuple(sorted(self.max_unroll.items())))))
+        self._hash = hash((self.name, self.spatial_dims, self.stationary,
+                           self.spatial_reduction,
+                           tuple(sorted(self.max_unroll.items()))))
+        return self
+
+    def _replace(self, **changes) -> "DataflowStyle":
+        return DataflowStyle(**{**self._asdict(), **changes})
 
     def __hash__(self) -> int:
         return self._hash

@@ -7,9 +7,12 @@ missing.  :class:`SweepCheckpoint` is that persistence, laid out as an
 append-only stream of frames so recording stays O(1) per task instead of
 re-serializing the whole sweep on every flush:
 
-* **Atomic header** — the file starts with a header frame (format version +
-  sweep key) written via temp file + fsync + ``os.replace``, so creating or
-  overwriting a checkpoint can never leave a torn header behind.
+* **Atomic header** — the file starts with a header (``_MAGIC``, the format
+  version, then the sweep key framed by its length and a CRC-32 of version
+  and key, ``_HEADER``) written via temp file + fsync + ``os.replace``, so
+  creating or overwriting a checkpoint can never leave a torn header behind.
+  The header is never unpickled: a damaged one is a
+  :class:`~repro.exceptions.CheckpointError` before any record is read.
 * **Frame-granular appends** — each completed result is appended as its own
   frame: the key and payload lengths and a CRC-32 of both (``_FRAME``), the
   ``scope:task_id`` key, and the payload, the result pickled on its own.  A
@@ -53,7 +56,7 @@ from repro.core.evaluator import EvaluationResult
 from repro.exceptions import CheckpointError
 
 #: Format version written to (and required from) checkpoint files.
-CHECKPOINT_FORMAT_VERSION = 3
+CHECKPOINT_FORMAT_VERSION = 4
 
 #: Scope used when the caller does not namespace its tasks.
 DEFAULT_SCOPE = "sweep"
@@ -68,6 +71,15 @@ _UNPICKLE_ERRORS = (pickle.UnpicklingError, AttributeError, ImportError,
 
 #: A record frame's head: key length, payload length, CRC-32 of key+payload.
 _FRAME = struct.Struct("<III")
+
+#: First bytes of a format-4 (or later) file.  Formats 1-3 began with a
+#: pickled header instead, whose first byte is pickle's PROTO opcode.
+_MAGIC = b"HERALDCK"
+_PICKLE_PROTO = b"\x80"
+
+#: The header after the magic: format version, sweep-key length, CRC-32 of
+#: the version and key bytes.
+_HEADER = struct.Struct("<III")
 
 
 def sweep_key_from(config: object) -> str:
@@ -150,10 +162,55 @@ class SweepCheckpoint:
     # ------------------------------------------------------------------
     def _open_journal(self, truncate: bool) -> None:
         if truncate or not os.path.exists(self.path):
-            header = {"version": CHECKPOINT_FORMAT_VERSION,
-                      "sweep_key": self.sweep_key}
-            _atomic_write(self.path, pickle.dumps(header, _PROTOCOL))
+            key = self.sweep_key.encode("utf-8")
+            version = CHECKPOINT_FORMAT_VERSION.to_bytes(4, "little")
+            _atomic_write(self.path, _MAGIC + _HEADER.pack(
+                CHECKPOINT_FORMAT_VERSION, len(key),
+                zlib.crc32(version + key)) + key)
         self._handle = open(self.path, "ab")
+
+    def _legacy_version(self, data: bytes) -> object:
+        """The version a format 1-3 file's pickled header names."""
+        try:
+            header = pickle.load(io.BytesIO(data))
+        except _UNPICKLE_ERRORS as error:
+            raise CheckpointError(
+                f"checkpoint {self.path} is unreadable: {error}") from error
+        if not isinstance(header, dict):
+            raise CheckpointError(
+                f"checkpoint {self.path} has an unexpected layout")
+        return header.get("version")
+
+    def _read_header(self, data: bytes) -> int:
+        """Check the header; returns the offset of the first record frame."""
+        if data.startswith(_PICKLE_PROTO):
+            raise CheckpointError(
+                f"checkpoint {self.path} has unsupported version "
+                f"{self._legacy_version(data)!r} (this build writes "
+                f"{CHECKPOINT_FORMAT_VERSION})")
+        start = len(_MAGIC) + _HEADER.size
+        if not data.startswith(_MAGIC) or len(data) < start:
+            raise CheckpointError(
+                f"checkpoint {self.path} is unreadable: no checkpoint header")
+        version, key_size, crc = _HEADER.unpack_from(data, len(_MAGIC))
+        key = data[start:start + key_size]
+        if (len(key) != key_size
+                or zlib.crc32(data[len(_MAGIC):len(_MAGIC) + 4] + key) != crc):
+            raise CheckpointError(
+                f"checkpoint {self.path} is unreadable: damaged header")
+        if version != CHECKPOINT_FORMAT_VERSION:
+            raise CheckpointError(
+                f"checkpoint {self.path} has unsupported version "
+                f"{version!r} (this build writes "
+                f"{CHECKPOINT_FORMAT_VERSION})")
+        recorded_key = key.decode("utf-8", "replace")
+        if recorded_key != self.sweep_key:
+            raise CheckpointError(
+                f"checkpoint {self.path} was recorded for a different "
+                f"sweep configuration (key {recorded_key!r}, expected "
+                f"{self.sweep_key!r}); refusing to splice results "
+                f"across configurations")
+        return start + key_size
 
     def _load(self) -> None:
         if not os.path.exists(self.path):
@@ -161,28 +218,10 @@ class SweepCheckpoint:
         try:
             with open(self.path, "rb") as handle:
                 data = handle.read()
-            stream = io.BytesIO(data)
-            header = pickle.load(stream)
-        except _UNPICKLE_ERRORS as error:
+        except OSError as error:
             raise CheckpointError(
                 f"checkpoint {self.path} is unreadable: {error}") from error
-        if not isinstance(header, dict):
-            raise CheckpointError(
-                f"checkpoint {self.path} has an unexpected layout")
-        version = header.get("version")
-        if version != CHECKPOINT_FORMAT_VERSION:
-            raise CheckpointError(
-                f"checkpoint {self.path} has unsupported version "
-                f"{version!r} (this build writes "
-                f"{CHECKPOINT_FORMAT_VERSION})")
-        recorded_key = header.get("sweep_key")
-        if recorded_key != self.sweep_key:
-            raise CheckpointError(
-                f"checkpoint {self.path} was recorded for a different "
-                f"sweep configuration (key {recorded_key!r}, expected "
-                f"{self.sweep_key!r}); refusing to splice results "
-                f"across configurations")
-        good = stream.tell()
+        good = self._read_header(data)
         while good + _FRAME.size <= len(data):
             key_size, payload_size, crc = _FRAME.unpack_from(data, good)
             start = good + _FRAME.size

@@ -16,14 +16,12 @@ This module defines the vocabulary both backends share:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from repro.core.evaluator import EvaluationResult
 
 
-@dataclass(frozen=True)
-class TaskFailure:
+class TaskFailure(NamedTuple):
     """One task's failure.
 
     Attributes
@@ -60,7 +58,6 @@ class TaskFailure:
         return f"task {self.task_id}{tag}: {self.kind} ({self.message})"
 
 
-@dataclass
 class ExecutionOutcome:
     """What one backend run produced.
 
@@ -70,10 +67,11 @@ class ExecutionOutcome:
     counters reports surface in their (non-canonical) timing section.
     """
 
-    results: Dict[int, EvaluationResult] = field(default_factory=dict)
-    failures: Tuple[TaskFailure, ...] = ()
-    resumed_tasks: int = 0
-    executed_tasks: int = 0
+    def __init__(self) -> None:
+        self.results: Dict[int, EvaluationResult] = {}
+        self.failures: Tuple[TaskFailure, ...] = ()
+        self.resumed_tasks = 0
+        self.executed_tasks = 0
 
     @property
     def failed_task_ids(self) -> Tuple[int, ...]:

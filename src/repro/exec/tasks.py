@@ -4,7 +4,7 @@ A design-space exploration is, at its core, a large bag of independent
 "evaluate this design on this workload" jobs.  :class:`EvaluationTask` captures
 one such job declaratively — design, workload, and bookkeeping metadata — so a
 backend can execute it anywhere: in-process, in a worker process, or (later) on
-a remote machine.  Tasks are plain picklable dataclasses; everything they embed
+a remote machine.  Tasks are plain picklable tuple records; everything they embed
 (designs, workloads, dataflow styles) pickles cleanly — including the
 per-layer predecessor/successor index sets of DAG-shaped models, so pool
 workers schedule skip connections and parallel branches exactly as the serial
@@ -16,8 +16,7 @@ shipped with the worker's cost model carries the expensive part of the warmth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from repro.accel.design import AcceleratorDesign
 from repro.core.evaluator import EvaluationResult, evaluate_design
@@ -26,8 +25,7 @@ from repro.maestro.cost import CostModel
 from repro.workloads.spec import WorkloadSpec
 
 
-@dataclass(frozen=True)
-class EvaluationTask:
+class EvaluationTask(NamedTuple):
     """One declarative design-evaluation job.
 
     Attributes

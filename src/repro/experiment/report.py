@@ -21,8 +21,7 @@ import json
 import math
 import os
 import platform
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from repro import __version__
 from repro.exceptions import SpecError
@@ -45,8 +44,7 @@ def metric_direction(name: str) -> str:
     return "lower"
 
 
-@dataclass(frozen=True)
-class BaselineDelta:
+class BaselineDelta(NamedTuple):
     """One metric compared against its baseline value."""
 
     metric: str
@@ -83,13 +81,12 @@ class BaselineDelta:
                 f"higher is {arrow})")
 
 
-@dataclass(frozen=True)
-class ComparisonResult:
+class ComparisonResult(NamedTuple):
     """Outcome of diffing a report against a baseline report."""
 
-    deltas: List[BaselineDelta] = field(default_factory=list)
-    missing: List[str] = field(default_factory=list)
-    added: List[str] = field(default_factory=list)
+    deltas: List[BaselineDelta]
+    missing: List[str]
+    added: List[str]
     tolerance: float = 0.0
 
     @property

@@ -17,8 +17,7 @@ the same program by construction.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
-from typing import Dict, Optional, Union
+from typing import Dict, NamedTuple, Optional, Union
 
 from repro.accel.builders import design_from_spec, make_fda, make_rda
 from repro.accel.design import AcceleratorDesign
@@ -53,8 +52,7 @@ from repro.serve.fleet import fleet_from_spec
 from repro.serve.workload import StreamingWorkload
 
 
-@dataclass(frozen=True)
-class ExperimentOutcome:
+class ExperimentOutcome(NamedTuple):
     """What one experiment run produced: an exit code and (on success) the
     report document."""
 

@@ -1,4 +1,4 @@
-"""The declarative experiment schema: one validated dataclass per run.
+"""The declarative experiment schema: one validated record per run.
 
 An *experiment* is everything one ``herald`` invocation does — a kind
 (``schedule`` / ``dse`` / ``serve`` / ``fleet`` / ``closed-loop``) plus the
@@ -24,8 +24,7 @@ time) or an explicit design mapping (built eagerly against the chip).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Union
+from typing import Dict, NamedTuple, Optional, Union
 
 from repro.accel.builders import chip_from_spec, design_from_spec
 from repro.accel.design import AcceleratorDesign
@@ -88,8 +87,7 @@ _MIN_CHIPS_KEYS = ("enabled", "max_chips")
 _EXEC_KEYS = ("jobs", "partial_ok")
 
 
-@dataclass(frozen=True)
-class StreamingSettings:
+class StreamingSettings(NamedTuple):
     """Suite-derived trace knobs (the CLI's serve/fleet arrival flags)."""
 
     frames: int = 4
@@ -98,16 +96,14 @@ class StreamingSettings:
     seed: int = 0
 
 
-@dataclass(frozen=True)
-class TrafficSettings:
+class TrafficSettings(NamedTuple):
     """Stochastic-arrival settings replacing the periodic trace."""
 
     kind: str
-    shape: Dict[str, float] = field(default_factory=dict)
+    shape: Dict[str, float]
 
 
-@dataclass(frozen=True)
-class SustainedSettings:
+class SustainedSettings(NamedTuple):
     """The sustained-FPS binary-search bracket (``herald serve``)."""
 
     enabled: bool = True
@@ -117,16 +113,14 @@ class SustainedSettings:
     tolerance: float = 0.0
 
 
-@dataclass(frozen=True)
-class MinChipsSettings:
+class MinChipsSettings(NamedTuple):
     """The minimum-fleet-size bisection (``herald fleet --min-chips``)."""
 
     enabled: bool = False
     max_chips: int = 8
 
 
-@dataclass(frozen=True)
-class ExecSettings:
+class ExecSettings(NamedTuple):
     """Execution-backend settings.
 
     ``partial_ok`` lets a sweep rank whatever completed and report the
@@ -137,8 +131,29 @@ class ExecSettings:
     partial_ok: bool = False
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
+class _ExperimentSpecFields(NamedTuple):
+    kind: str
+    name: str
+    workload: WorkloadSpec
+    chip: ChipConfig
+    design: Union[str, AcceleratorDesign, None]
+    metric: str
+    exec_settings: ExecSettings
+    search: Dict[str, object]
+    streaming: StreamingSettings
+    streams: Optional[StreamingWorkload]
+    traffic: Optional[TrafficSettings]
+    sustained: SustainedSettings
+    optimize_sla: bool
+    fleet: Optional[Dict[str, object]]
+    policy: str
+    min_chips: MinChipsSettings
+    faults: Optional[FaultSpec]
+    autoscale: Optional[AutoscalePolicy]
+    raw: Dict[str, object]
+
+
+class ExperimentSpec(_ExperimentSpecFields):
     """One fully validated experiment, ready for the runner.
 
     ``design`` is either a :data:`NAMED_DESIGNS` string (resolved at run
@@ -150,25 +165,15 @@ class ExperimentSpec:
     normalised input mapping verbatim for report provenance.
     """
 
-    kind: str
-    name: str
-    workload: WorkloadSpec
-    chip: ChipConfig
-    design: Union[str, AcceleratorDesign, None]
-    metric: str = "edp"
-    exec_settings: ExecSettings = field(default_factory=ExecSettings)
-    search: Dict[str, object] = field(default_factory=dict)
-    streaming: StreamingSettings = field(default_factory=StreamingSettings)
-    streams: Optional[StreamingWorkload] = None
-    traffic: Optional[TrafficSettings] = None
-    sustained: SustainedSettings = field(default_factory=SustainedSettings)
-    optimize_sla: bool = False
-    fleet: Optional[Dict[str, object]] = None
-    policy: str = "earliest-completion"
-    min_chips: MinChipsSettings = field(default_factory=MinChipsSettings)
-    faults: Optional[FaultSpec] = None
-    autoscale: Optional[AutoscalePolicy] = None
-    raw: Dict[str, object] = field(default_factory=dict, compare=False)
+    __slots__ = ()
+
+    # ``raw`` is provenance, not configuration: it takes no part in equality.
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, ExperimentSpec)
+                and self[:-1] == other[:-1])
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
 
     @property
     def online(self) -> bool:
@@ -211,7 +216,7 @@ def _streaming_settings(mapping: Dict[str, object],
 def _traffic_settings(value: object, path: str) -> TrafficSettings:
     if isinstance(value, str):
         return TrafficSettings(
-            kind=expect_choice(value, TRAFFIC_KINDS, path))
+            kind=expect_choice(value, TRAFFIC_KINDS, path), shape={})
     mapping = expect_mapping(value, path)
     check_keys(mapping, _TRAFFIC_KEYS, path)
     kind = expect_choice(mapping.get("kind"), TRAFFIC_KINDS,

@@ -9,11 +9,10 @@ hierarchy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class EnergyTable:
+class EnergyTable(NamedTuple):
     """Energy per event, in picojoules.
 
     Attributes
@@ -57,8 +56,7 @@ class EnergyTable:
 
         Useful for modelling different technology nodes in sensitivity studies.
         """
-        return replace(
-            self,
+        return self._replace(
             mac=self.mac * factor,
             rf_access=self.rf_access * factor,
             local_buffer_access=self.local_buffer_access * factor,
@@ -77,8 +75,7 @@ class EnergyTable:
         distribution network (MAERI-style RDAs): the paper attributes the
         RDA's ~11-22 % energy overhead to exactly these structures.
         """
-        return replace(
-            self,
+        return self._replace(
             local_buffer_access=self.local_buffer_access * factor,
             noc_hop=self.noc_hop * factor,
         )

@@ -12,8 +12,7 @@ Two levels are modelled, mirroring Fig. 3(c) of the paper:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional
 
 from repro.exceptions import HardwareConfigError
 from repro.units import DEFAULT_CLOCK_HZ, bytes_per_cycle
@@ -33,8 +32,17 @@ def _check_numbers(kind: str, name: str, num_pes: int,
                 f"(got {value!r})")
 
 
-@dataclass(frozen=True)
-class SubAcceleratorConfig:
+class _SubAcceleratorFields(NamedTuple):
+    name: str
+    dataflow: Optional[DataflowStyle]
+    num_pes: int
+    bandwidth_bytes_per_s: float
+    buffer_bytes: int
+    dram_bandwidth_bytes_per_s: Optional[float] = None
+    clock_hz: float = DEFAULT_CLOCK_HZ
+
+
+class SubAcceleratorConfig(_SubAcceleratorFields):
     """One sub-accelerator: a PE array running a single dataflow style.
 
     Attributes
@@ -59,21 +67,20 @@ class SubAcceleratorConfig:
         Operating frequency.
     """
 
-    name: str
-    dataflow: Optional[DataflowStyle]
-    num_pes: int
-    bandwidth_bytes_per_s: float
-    buffer_bytes: int
-    dram_bandwidth_bytes_per_s: Optional[float] = None
-    clock_hz: float = DEFAULT_CLOCK_HZ
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> "SubAcceleratorConfig":
+        self = super().__new__(cls, *args, **kwargs)
         _check_numbers("sub-accelerator", self.name, self.num_pes, {
             "bandwidth": self.bandwidth_bytes_per_s,
             "buffer size": self.buffer_bytes,
             "DRAM bandwidth": self.dram_bandwidth_bytes_per_s,
             "clock": self.clock_hz,
         })
+        return self
+
+    def _replace(self, **changes) -> "SubAcceleratorConfig":
+        return SubAcceleratorConfig(**{**self._asdict(), **changes})
 
     # ------------------------------------------------------------------
     # Derived quantities
@@ -98,7 +105,7 @@ class SubAcceleratorConfig:
 
     def with_dataflow(self, dataflow: Optional[DataflowStyle]) -> "SubAcceleratorConfig":
         """Return a copy running a different dataflow style."""
-        return replace(self, dataflow=dataflow)
+        return self._replace(dataflow=dataflow)
 
     def describe(self) -> str:
         """One-line description used by reports."""
@@ -110,8 +117,16 @@ class SubAcceleratorConfig:
         )
 
 
-@dataclass(frozen=True)
-class ChipConfig:
+class _ChipFields(NamedTuple):
+    name: str
+    num_pes: int
+    noc_bandwidth_bytes_per_s: float
+    global_buffer_bytes: int
+    dram_bandwidth_bytes_per_s: Optional[float] = None
+    clock_hz: float = DEFAULT_CLOCK_HZ
+
+
+class ChipConfig(_ChipFields):
     """Chip-level resource envelope (Table IV accelerator classes).
 
     Attributes
@@ -130,20 +145,20 @@ class ChipConfig:
         Operating frequency.
     """
 
-    name: str
-    num_pes: int
-    noc_bandwidth_bytes_per_s: float
-    global_buffer_bytes: int
-    dram_bandwidth_bytes_per_s: Optional[float] = None
-    clock_hz: float = DEFAULT_CLOCK_HZ
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> "ChipConfig":
+        self = super().__new__(cls, *args, **kwargs)
         _check_numbers("chip", self.name, self.num_pes, {
             "NoC bandwidth": self.noc_bandwidth_bytes_per_s,
             "global buffer": self.global_buffer_bytes,
             "DRAM bandwidth": self.dram_bandwidth_bytes_per_s,
             "clock": self.clock_hz,
         })
+        return self
+
+    def _replace(self, **changes) -> "ChipConfig":
+        return ChipConfig(**{**self._asdict(), **changes})
 
     @property
     def dram_bandwidth(self) -> float:

@@ -26,7 +26,7 @@ global-NoC tile traffic also bounds latency through the partitioned bandwidth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.units import BYTES_PER_ELEMENT
 from repro.dataflow.mapping import Mapping
@@ -36,8 +36,7 @@ from repro.models.layer import Layer
 MAX_REFETCH = 64
 
 
-@dataclass(frozen=True)
-class ReuseAnalysis:
+class ReuseAnalysis(NamedTuple):
     """Access counts (in tensor elements) derived from a mapping's reuse.
 
     Attributes

@@ -13,14 +13,12 @@ the scheduling stack uses so a layer only ever waits for its actual producers
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Sequence, Set, Tuple
 
 from repro.exceptions import GraphError
 from repro.models.layer import Layer, layer_heterogeneity
 
 
-@dataclass
 class ModelGraph:
     """A DNN model: an ordered collection of layers plus dependence edges.
 
@@ -30,14 +28,15 @@ class ModelGraph:
     model-zoo builders describe sequential networks.
     """
 
-    name: str
-    _layers: Dict[str, Layer] = field(default_factory=dict)
-    _order: List[str] = field(default_factory=list)
-    _successors: Dict[str, Set[str]] = field(default_factory=dict)
-    _predecessors: Dict[str, Set[str]] = field(default_factory=dict)
-    #: Memoised derived structures (dependence order, index sets); cleared on
-    #: every mutation so the graph stays freely editable.
-    _derived: Dict[str, object] = field(default_factory=dict, repr=False, compare=False)
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self._layers: Dict[str, Layer] = {}
+        self._order: List[str] = []
+        self._successors: Dict[str, Set[str]] = {}
+        self._predecessors: Dict[str, Set[str]] = {}
+        #: Memoised derived structures (dependence order, index sets);
+        #: cleared on every mutation so the graph stays freely editable.
+        self._derived: Dict[str, object] = {}
 
     # ------------------------------------------------------------------
     # Construction

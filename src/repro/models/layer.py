@@ -25,8 +25,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.exceptions import LayerDefinitionError
 
@@ -61,30 +60,61 @@ class LayerType(enum.Enum):
         return self is LayerType.UPCONV
 
 
-@dataclass(frozen=True)
 class Layer:
     """A single DNN operator with fully-specified tensor dimensions.
 
     Instances are immutable and hashable so they can be used as cache keys by
     the cost model, which is essential for fast design-space exploration.
+    ``extra`` is free-form metadata: it takes no part in equality or hashing.
+    A ``__slots__`` class rather than a tuple record, because the cost model
+    and the scheduler read its fields far more often than layers are built.
     """
 
-    name: str
-    layer_type: LayerType
-    k: int
-    c: int
-    y: int
-    x: int
-    r: int = 1
-    s: int = 1
-    stride: int = 1
-    upscale: int = 1
-    model_name: str = ""
-    extra: Dict[str, float] = field(default_factory=dict, compare=False, hash=False)
+    #: The constructor's fields, in order.
+    _fields = ("name", "layer_type", "k", "c", "y", "x", "r", "s", "stride",
+               "upscale", "model_name", "extra")
+    __slots__ = _fields + ("_out_y", "_out_x", "_macs", "_input_elements",
+                           "_output_elements", "_filter_elements",
+                           "_total_elements", "_shape_key")
 
-    def __post_init__(self) -> None:
+    def __init__(self, name: str, layer_type: LayerType, k: int, c: int,
+                 y: int, x: int, r: int = 1, s: int = 1, stride: int = 1,
+                 upscale: int = 1, model_name: str = "",
+                 extra: Optional[Dict[str, float]] = None) -> None:
+        init = object.__setattr__
+        for field_name, value in zip(self._fields, (
+                name, layer_type, k, c, y, x, r, s, stride, upscale,
+                model_name, {} if extra is None else extra)):
+            init(self, field_name, value)
         self._validate()
         self._precompute()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign {name!r}: layers are immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: layers are immutable")
+
+    def _identity(self) -> Tuple:
+        return (self.name, self.layer_type, self.k, self.c, self.y, self.x,
+                self.r, self.s, self.stride, self.upscale, self.model_name)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Layer:
+            return NotImplemented
+        return self._identity() == other._identity()
+
+    def __hash__(self) -> int:
+        return hash(self._identity())
+
+    def __reduce__(self):
+        return Layer, tuple(getattr(self, name) for name in self._fields)
+
+    def _replace(self, **changes) -> "Layer":
+        """A copy with ``changes`` applied, checked like a new layer."""
+        values = {name: getattr(self, name) for name in self._fields}
+        values.update(changes)
+        return Layer(**values)
 
     # ------------------------------------------------------------------
     # Validation
@@ -137,8 +167,8 @@ class Layer:
             filter_elements = self.k * self.c * self.r * self.s
         input_elements = self.c * self.y * self.x
         output_elements = self.k * out_y * out_x
-        # The dataclass is frozen, so the memoised derived values bypass the
-        # generated __setattr__ exactly like the generated __init__ does.
+        # The layer is immutable, so the memoised derived values bypass
+        # __setattr__ exactly like __init__ does.
         cache = object.__setattr__
         cache(self, "_out_y", out_y)
         cache(self, "_out_x", out_x)
@@ -225,8 +255,7 @@ class Layer:
     # ------------------------------------------------------------------
     def renamed(self, name: str, model_name: str | None = None) -> "Layer":
         """Return a copy with a different name (and optionally model name)."""
-        return replace(
-            self,
+        return self._replace(
             name=name,
             model_name=self.model_name if model_name is None else model_name,
         )

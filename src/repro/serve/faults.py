@@ -9,7 +9,7 @@ the online event loop in :mod:`repro.serve.online` consults: frames queued
 or in flight on a dead chip are re-dispatched onto the survivors, and work
 executed inside a slowdown window progresses at the reduced speed.
 
-Fault specs are pure data (frozen dataclasses), so a scenario is exactly
+Fault specs are pure data (immutable tuple records), so a scenario is exactly
 reproducible and serialisable into the golden corpus.  The `herald fleet`
 CLI builds them from compact clauses parsed by :func:`parse_fault_clause`:
 ``die:CHIP@T`` and ``slow:CHIP@T0-T1xF``.
@@ -18,35 +18,48 @@ CLI builds them from compact clauses parsed by :func:`parse_fault_clause`:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.exceptions import SpecError, WorkloadError
 from repro.validation import expect_list, expect_str, spec_path
 
 
-@dataclass(frozen=True)
-class ChipFailure:
+class _ChipFailureFields(NamedTuple):
+    chip_index: int
+    at_s: float
+
+
+class ChipFailure(_ChipFailureFields):
     """Chip ``chip_index`` dies at ``at_s`` seconds and never recovers.
 
     Death is instantaneous: the in-flight frame (if any) is lost along with
     the queue and both are re-dispatched from scratch onto surviving chips.
     """
 
-    chip_index: int
-    at_s: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> "ChipFailure":
+        self = super().__new__(cls, *args, **kwargs)
         if self.chip_index < 0:
             raise WorkloadError(
                 f"chip_index must be >= 0 (got {self.chip_index})")
         if self.at_s < 0.0 or not math.isfinite(self.at_s):
             raise WorkloadError(
                 f"failure time must be finite and >= 0 (got {self.at_s})")
+        return self
+
+    def _replace(self, **changes) -> "ChipFailure":
+        return ChipFailure(**{**self._asdict(), **changes})
 
 
-@dataclass(frozen=True)
-class SlowdownWindow:
+class _SlowdownWindowFields(NamedTuple):
+    chip_index: int
+    start_s: float
+    end_s: float
+    factor: float
+
+
+class SlowdownWindow(_SlowdownWindowFields):
     """Chip ``chip_index`` runs ``factor``x slower during ``[start_s, end_s)``.
 
     ``factor`` must exceed 1 (a factor of 2 means work takes twice as long
@@ -54,12 +67,10 @@ class SlowdownWindow:
     wins while they do.
     """
 
-    chip_index: int
-    start_s: float
-    end_s: float
-    factor: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> "SlowdownWindow":
+        self = super().__new__(cls, *args, **kwargs)
         if self.chip_index < 0:
             raise WorkloadError(
                 f"chip_index must be >= 0 (got {self.chip_index})")
@@ -75,10 +86,18 @@ class SlowdownWindow:
         if self.factor <= 1.0 or not math.isfinite(self.factor):
             raise WorkloadError(
                 f"slowdown factor must be finite and > 1 (got {self.factor})")
+        return self
+
+    def _replace(self, **changes) -> "SlowdownWindow":
+        return SlowdownWindow(**{**self._asdict(), **changes})
 
 
-@dataclass(frozen=True)
-class FaultSpec:
+class _FaultSpecFields(NamedTuple):
+    failures: Tuple[ChipFailure, ...] = ()
+    slowdowns: Tuple[SlowdownWindow, ...] = ()
+
+
+class FaultSpec(_FaultSpecFields):
     """The full fault script for one fleet run.
 
     At most one :class:`ChipFailure` per chip (a chip only dies once); any
@@ -87,18 +106,21 @@ class FaultSpec:
     :meth:`speed_factor` and :meth:`transition_times`.
     """
 
-    failures: Tuple[ChipFailure, ...] = ()
-    slowdowns: Tuple[SlowdownWindow, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "failures", tuple(self.failures))
-        object.__setattr__(self, "slowdowns", tuple(self.slowdowns))
+    def __new__(cls, failures: Sequence[ChipFailure] = (),
+                slowdowns: Sequence[SlowdownWindow] = ()) -> "FaultSpec":
+        self = super().__new__(cls, tuple(failures), tuple(slowdowns))
         seen: Dict[int, float] = {}
         for failure in self.failures:
             if failure.chip_index in seen:
                 raise WorkloadError(
                     f"chip {failure.chip_index} has more than one failure")
             seen[failure.chip_index] = failure.at_s
+        return self
+
+    def _replace(self, **changes) -> "FaultSpec":
+        return FaultSpec(**{**self._asdict(), **changes})
 
     def __bool__(self) -> bool:
         return bool(self.failures or self.slowdowns)

@@ -29,9 +29,7 @@ chip can go, it bisects how many chips the SLA needs.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.accel.design import AcceleratorDesign
 from repro.analysis.metrics import imbalance, percentile
@@ -66,18 +64,22 @@ from repro.validation import (
 )
 
 
-@dataclass(frozen=True)
-class Fleet:
+class _FleetFields(NamedTuple):
+    name: str
+    chips: Tuple[AcceleratorDesign, ...]
+
+
+class Fleet(_FleetFields):
     """An ordered set of accelerator chips served by one router.
 
     Chips may be heterogeneous (different PE counts, partitions, or dataflow
     mixes); chip names must be unique because reports key on them.
     """
 
-    name: str
-    chips: Tuple[AcceleratorDesign, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> "Fleet":
+        self = super().__new__(cls, *args, **kwargs)
         if not self.chips:
             raise WorkloadError(f"fleet {self.name!r} has no chips")
         names = [chip.name for chip in self.chips]
@@ -85,6 +87,10 @@ class Fleet:
             raise WorkloadError(
                 f"fleet {self.name!r} has duplicate chip names; rename the "
                 f"replicas (Fleet.homogeneous does this automatically)")
+        return self
+
+    def _replace(self, **changes) -> "Fleet":
+        return Fleet(**{**self._asdict(), **changes})
 
     @classmethod
     def homogeneous(cls, design: AcceleratorDesign, count: int,
@@ -93,7 +99,7 @@ class Fleet:
         if count < 1:
             raise WorkloadError(f"fleet size must be >= 1 (got {count})")
         chips = tuple(
-            dataclasses.replace(design, name=f"{design.name}[{index}]")
+            design._replace(name=f"{design.name}[{index}]")
             for index in range(count))
         return cls(name=name or f"{design.name}-x{count}", chips=chips)
 
@@ -110,8 +116,7 @@ class Fleet:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class ChipStats:
+class ChipStats(NamedTuple):
     """Fleet-level statistics of one chip over the simulated window."""
 
     chip_name: str
@@ -146,7 +151,6 @@ class ChipStats:
                 f"drop {self.dropped_frames:>3}")
 
 
-@dataclass
 class FleetReport:
     """Aggregate SLA statistics of one fleet simulation.
 
@@ -158,20 +162,24 @@ class FleetReport:
     stream's next arrival *on the same chip* lands while it is in flight).
     """
 
-    fleet_name: str
-    workload_name: str
-    policy: str
-    chips: List[ChipStats] = field(default_factory=list)
-    frame_latencies_s: Dict[str, float] = field(default_factory=dict)
-    missed_frame_ids: Tuple[str, ...] = ()
-    horizon_s: float = 0.0
-    #: Closed-loop bookkeeping (:class:`repro.serve.online.OnlineStats`);
-    #: ``None`` on a-priori reports, whose summaries are unchanged.
-    online: Optional["OnlineStats"] = None  # noqa: F821
-    #: Chips whose simulation failed in the execution backend in a
-    #: ``partial_ok`` run.  Their frames are absent from the pooled
-    #: statistics; a fleet with casualties never :attr:`meets_sla`.
-    failed_chips: Tuple[str, ...] = ()
+    def __init__(self, fleet_name: str, workload_name: str, policy: str,
+                 chips: List[ChipStats], frame_latencies_s: Dict[str, float],
+                 missed_frame_ids: Tuple[str, ...], horizon_s: float,
+                 online: Optional["OnlineStats"] = None) -> None:  # noqa: F821
+        self.fleet_name = fleet_name
+        self.workload_name = workload_name
+        self.policy = policy
+        self.chips = chips
+        self.frame_latencies_s = frame_latencies_s
+        self.missed_frame_ids = missed_frame_ids
+        self.horizon_s = horizon_s
+        #: Closed-loop bookkeeping (:class:`repro.serve.online.OnlineStats`);
+        #: ``None`` on a-priori reports, whose summaries are unchanged.
+        self.online = online
+        #: Chips whose simulation failed in the execution backend in a
+        #: ``partial_ok`` run.  Their frames are absent from the pooled
+        #: statistics; a fleet with casualties never :attr:`meets_sla`.
+        self.failed_chips: Tuple[str, ...] = ()
 
     @property
     def total_frames(self) -> int:
@@ -305,8 +313,7 @@ class FleetReport:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class ChipServingResult:
+class ChipServingResult(NamedTuple):
     """One chip's slice of a fleet simulation: report, schedule, frame map."""
 
     chip: AcceleratorDesign
@@ -324,8 +331,7 @@ class ChipServingResult:
     missed_frame_ids: Tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class FleetResult:
+class FleetResult(NamedTuple):
     """A fleet simulation outcome: aggregate report plus per-chip details."""
 
     report: FleetReport
@@ -558,8 +564,7 @@ class FleetSimulator:
         )
 
 
-@dataclass(frozen=True)
-class MinChipsResult:
+class MinChipsResult(NamedTuple):
     """Outcome of the minimum-fleet-size bisection.
 
     ``chips`` is the smallest explored fleet size meeting the SLA (``0`` when
@@ -685,9 +690,9 @@ def fleet_from_spec(spec: object, build_design, path: str = "fleet") -> Fleet:
             entry = {key: value for key, value in entry.items()
                      if key != "name"}
         design = build_design(entry, entry_path)
-        designs.append(dataclasses.replace(
-            design, name=(explicit_name if explicit_name is not None
-                          else f"{design.name}[{index}]")))
+        designs.append(design._replace(
+            name=(explicit_name if explicit_name is not None
+                  else f"{design.name}[{index}]")))
     try:
         return Fleet(name=name or f"{designs[0].name}-fleet",
                      chips=tuple(designs))

@@ -34,9 +34,8 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.analysis.metrics import percentile
 from repro.exceptions import SearchError, SpecError, WorkloadError
@@ -70,8 +69,14 @@ _MAX_AUTOSCALE_INTERVALS = 1_000_000
 # ---------------------------------------------------------------------------
 # Autoscaling
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class AutoscalePolicy:
+class _AutoscalePolicyFields(NamedTuple):
+    interval_s: float
+    min_chips: int = 1
+    max_chips: Optional[int] = None
+    target_queue_per_chip: float = 2.0
+
+
+class AutoscalePolicy(_AutoscalePolicyFields):
     """A periodic backlog-tracking autoscaler over a homogeneous chip pool.
 
     Every ``interval_s`` the controller observes the fleet-wide pending
@@ -83,12 +88,10 @@ class AutoscalePolicy:
     evaluated against time-varying load, reported per interval.
     """
 
-    interval_s: float
-    min_chips: int = 1
-    max_chips: Optional[int] = None
-    target_queue_per_chip: float = 2.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> "AutoscalePolicy":
+        self = super().__new__(cls, *args, **kwargs)
         if self.interval_s <= 0.0 or not math.isfinite(self.interval_s):
             raise WorkloadError(
                 f"autoscale interval_s must be finite and positive "
@@ -104,6 +107,10 @@ class AutoscalePolicy:
             raise WorkloadError(
                 f"autoscale target_queue_per_chip must be positive "
                 f"(got {self.target_queue_per_chip})")
+        return self
+
+    def _replace(self, **changes) -> "AutoscalePolicy":
+        return AutoscalePolicy(**{**self._asdict(), **changes})
 
     def desired_chips(self, pending_frames: int, fleet_size: int) -> int:
         """Active-prefix size for the observed backlog."""
@@ -151,8 +158,7 @@ def autoscale_from_spec(spec: object,
         raise SpecError(f"{path}: {error}") from None
 
 
-@dataclass(frozen=True)
-class AutoscaleInterval:
+class AutoscaleInterval(NamedTuple):
     """One controller observation: backlog seen, sizing decision taken."""
 
     index: int
@@ -177,8 +183,7 @@ class AutoscaleInterval:
 # ---------------------------------------------------------------------------
 # Outcome records
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class OnlineFrameRecord:
+class OnlineFrameRecord(NamedTuple):
     """One frame's closed-loop life: every chip it touched, when it ran.
 
     ``chip_history`` lists each chip the frame was dispatched to in order
@@ -207,8 +212,7 @@ class OnlineFrameRecord:
         return self.finish_s - self.release_s
 
 
-@dataclass(frozen=True)
-class OnlineStats:
+class OnlineStats(NamedTuple):
     """Closed-loop bookkeeping attached to a :class:`FleetReport`.
 
     Present (non-``None``) on a report only when the online engine produced
@@ -237,8 +241,13 @@ class OnlineStats:
         }
 
 
-@dataclass(frozen=True)
-class OnlineFleetResult:
+class _OnlineFleetResultFields(NamedTuple):
+    report: FleetReport
+    stats: OnlineStats
+    outcome: OnlineOutcome
+
+
+class OnlineFleetResult(_OnlineFleetResultFields):
     """Outcome of one closed-loop fleet simulation.
 
     ``outcome`` is the engine's bookkeeping, indexed by arrival position;
@@ -246,9 +255,7 @@ class OnlineFleetResult:
     dispatched frame's last chip) are built from it on first read.
     """
 
-    report: FleetReport
-    stats: OnlineStats
-    outcome: OnlineOutcome = field(repr=False)
+    # No ``__slots__``: the per-frame views are cached in the instance dict.
 
     @cached_property
     def frames(self) -> Tuple[OnlineFrameRecord, ...]:
@@ -393,22 +400,25 @@ class ObservedView:
         """No-op: the engine's enqueue is the observable state change."""
 
 
-@dataclass
 class OnlineOutcome:
     """Raw engine bookkeeping, turned into a report by the caller.
 
     Per-frame lists are indexed by arrival position; ``None`` means unset.
     """
 
-    frames: List[FrameRef]
-    start_s: List[Optional[float]]
-    finish_s: List[Optional[float]]
-    chip_history: List[Optional[List[int]]]
-    lost_frame_ids: List[str] = field(default_factory=list)
-    busy_s: List[float] = field(default_factory=list)
-    redispatched_frames: int = 0
-    stolen_frames: int = 0
-    intervals: List[AutoscaleInterval] = field(default_factory=list)
+    def __init__(self, frames: List[FrameRef],
+                 start_s: List[Optional[float]],
+                 finish_s: List[Optional[float]],
+                 chip_history: List[Optional[List[int]]]) -> None:
+        self.frames = frames
+        self.start_s = start_s
+        self.finish_s = finish_s
+        self.chip_history = chip_history
+        self.lost_frame_ids: List[str] = []
+        self.busy_s: List[float] = []
+        self.redispatched_frames = 0
+        self.stolen_frames = 0
+        self.intervals: List[AutoscaleInterval] = []
 
 
 def _frame_id(frame: FrameRef) -> str:

@@ -43,8 +43,7 @@ pure function of ``(workload, fleet, policy)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.accel.design import AcceleratorDesign
 from repro.exceptions import SearchError, WorkloadError
@@ -53,8 +52,7 @@ from repro.serve.trace import FrameTrace
 from repro.serve.workload import StreamingWorkload
 
 
-@dataclass(frozen=True)
-class FrameRef:
+class FrameRef(NamedTuple):
     """One frame as the router sees it: which stream, which frame, when."""
 
     stream_index: int
@@ -366,7 +364,6 @@ def policy_by_name(name: str) -> DispatchPolicy:
 # ---------------------------------------------------------------------------
 # The router
 # ---------------------------------------------------------------------------
-@dataclass
 class DispatchPlan:
     """Outcome of routing one workload over one fleet.
 
@@ -380,10 +377,13 @@ class DispatchPlan:
     frames carry ``None`` workloads.
     """
 
-    policy: str
-    assignments: Dict[Tuple[str, int], int]
-    chip_workloads: List[Optional[StreamingWorkload]]
-    frame_maps: List[Dict[str, Tuple[str, int]]] = field(default_factory=list)
+    def __init__(self, policy: str, assignments: Dict[Tuple[str, int], int],
+                 chip_workloads: List[Optional[StreamingWorkload]],
+                 frame_maps: List[Dict[str, Tuple[str, int]]]) -> None:
+        self.policy = policy
+        self.assignments = assignments
+        self.chip_workloads = chip_workloads
+        self.frame_maps = frame_maps
 
     @property
     def frames_per_chip(self) -> List[int]:

@@ -22,8 +22,7 @@ paper's throughput question.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from repro.analysis.metrics import deadline_miss_rate, percentile
 from repro.core.schedule import Schedule
@@ -36,8 +35,7 @@ from repro.serve.workload import StreamingWorkload
 DEFAULT_DROP_DEADLINE_FACTOR = 4.0
 
 
-@dataclass(frozen=True)
-class StreamStats:
+class StreamStats(NamedTuple):
     """SLA statistics of one stream over the simulated window."""
 
     model_name: str
@@ -82,13 +80,19 @@ class StreamStats:
         )
 
 
-@dataclass
 class ServingReport:
     """Per-stream and aggregate SLA statistics of one serving simulation."""
 
-    workload_name: str
-    clock_hz: float
-    streams: List[StreamStats] = field(default_factory=list)
+    def __init__(self, workload_name: str, clock_hz: float) -> None:
+        self.workload_name = workload_name
+        self.clock_hz = clock_hz
+        self.streams: List[StreamStats] = []
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not ServingReport:
+            return NotImplemented
+        return ((self.workload_name, self.clock_hz, self.streams)
+                == (other.workload_name, other.clock_hz, other.streams))
 
     @property
     def total_frames(self) -> int:
@@ -159,8 +163,7 @@ class ServingReport:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class ServingResult:
+class ServingResult(NamedTuple):
     """A serving simulation outcome: the SLA report plus the raw schedule."""
 
     report: ServingReport
@@ -295,8 +298,7 @@ def _build_report_from_records(streaming: StreamingWorkload,
     return report
 
 
-@dataclass(frozen=True)
-class SustainedFpsResult:
+class SustainedFpsResult(NamedTuple):
     """Outcome of the sustained-FPS binary search.
 
     ``factor`` is the largest explored uniform rate multiplier with zero

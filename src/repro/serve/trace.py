@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from repro.exceptions import WorkloadError
 
@@ -31,8 +30,17 @@ def _stream_rng(seed: int, model_name: str) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-@dataclass(frozen=True)
-class StreamSpec:
+class _StreamSpecFields(NamedTuple):
+    model_name: str
+    fps: float
+    frames: int
+    phase_s: float = 0.0
+    jitter_s: float = 0.0
+    seed: int = 0
+    deadline_s: Optional[float] = None
+
+
+class StreamSpec(_StreamSpecFields):
     """One periodic frame stream of one model.
 
     Attributes
@@ -58,15 +66,10 @@ class StreamSpec:
         the next one nominally arrives, the usual sustained-FPS criterion.
     """
 
-    model_name: str
-    fps: float
-    frames: int
-    phase_s: float = 0.0
-    jitter_s: float = 0.0
-    seed: int = 0
-    deadline_s: Optional[float] = None
+    # No ``__slots__``: the drawn releases are cached in the instance dict.
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> "StreamSpec":
+        self = super().__new__(cls, *args, **kwargs)
         if self.fps <= 0.0:
             raise WorkloadError(
                 f"stream {self.model_name!r}: fps must be positive (got {self.fps})")
@@ -83,6 +86,10 @@ class StreamSpec:
             raise WorkloadError(
                 f"stream {self.model_name!r}: deadline_s must be positive "
                 f"(got {self.deadline_s})")
+        return self
+
+    def _replace(self, **changes) -> "StreamSpec":
+        return StreamSpec(**{**self._asdict(), **changes})
 
     @property
     def period_s(self) -> float:
@@ -146,8 +153,14 @@ class StreamSpec:
                 f"{jitter}, deadline {self.effective_deadline_s * 1e3:.1f} ms")
 
 
-@dataclass(frozen=True)
-class FrameTrace:
+class _FrameTraceFields(NamedTuple):
+    model_name: str
+    releases_s: Tuple[float, ...]
+    deadline_s: float
+    fps: float
+
+
+class FrameTrace(_FrameTraceFields):
     """One stream given by *explicit* release times instead of a rate law.
 
     Exposes the same surface a :class:`StreamSpec` does (``model_name`` /
@@ -173,12 +186,10 @@ class FrameTrace:
         rate, so the router forwards the parent stream's target).
     """
 
-    model_name: str
-    releases_s: Tuple[float, ...]
-    deadline_s: float
-    fps: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> "FrameTrace":
+        self = super().__new__(cls, *args, **kwargs)
         if not self.releases_s:
             raise WorkloadError(
                 f"trace {self.model_name!r}: needs at least one release time")
@@ -192,6 +203,10 @@ class FrameTrace:
         if self.fps <= 0.0:
             raise WorkloadError(
                 f"trace {self.model_name!r}: fps must be positive (got {self.fps})")
+        return self
+
+    def _replace(self, **changes) -> "FrameTrace":
+        return FrameTrace(**{**self._asdict(), **changes})
 
     @classmethod
     def merged(cls, traces: Sequence["FrameTrace"]) -> "FrameTrace":

@@ -33,8 +33,7 @@ import hashlib
 import math
 import random
 import sys
-from dataclasses import dataclass, fields
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.exceptions import WorkloadError
 from repro.serve.trace import FrameTrace
@@ -69,8 +68,23 @@ def _traffic_rng(seed: int, kind: str, model_name: str) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-@dataclass(frozen=True)
-class TrafficSpec:
+class _TrafficSpecFields(NamedTuple):
+    kind: str
+    model_name: str
+    rate_fps: float
+    frames: int
+    phase_s: float = 0.0
+    seed: int = 0
+    deadline_s: Optional[float] = None
+    burst_factor: float = 4.0
+    calm_factor: float = 0.25
+    burst_dwell_frames: float = 4.0
+    amplitude: float = 0.8
+    period_frames: float = 16.0
+    session_frames: int = 4
+
+
+class TrafficSpec(_TrafficSpecFields):
     """One stochastic arrival stream of one model, fully seeded.
 
     ``release_times_s()`` draws exactly ``frames`` arrivals from the process
@@ -104,21 +118,10 @@ class TrafficSpec:
         apart.
     """
 
-    kind: str
-    model_name: str
-    rate_fps: float
-    frames: int
-    phase_s: float = 0.0
-    seed: int = 0
-    deadline_s: Optional[float] = None
-    burst_factor: float = 4.0
-    calm_factor: float = 0.25
-    burst_dwell_frames: float = 4.0
-    amplitude: float = 0.8
-    period_frames: float = 16.0
-    session_frames: int = 4
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> "TrafficSpec":
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in TRAFFIC_KINDS:
             raise WorkloadError(
                 f"unknown traffic kind {self.kind!r}; "
@@ -171,6 +174,10 @@ class TrafficSpec:
             raise WorkloadError(
                 f"traffic {self.model_name!r}: session_frames must be >= 1 "
                 f"(got {self.session_frames})")
+        return self
+
+    def _replace(self, **changes) -> "TrafficSpec":
+        return TrafficSpec(**{**self._asdict(), **changes})
 
     @property
     def period_s(self) -> float:
@@ -315,10 +322,10 @@ def traffic_suite(suite_name: str, kind: str, frames: int = 8,
 # ---------------------------------------------------------------------------
 # Declarative specs
 # ---------------------------------------------------------------------------
-#: TrafficSpec shape knobs with their defaults, read off the dataclass: the
+#: TrafficSpec shape knobs with their defaults, read off the record: the
 #: knobs a spec's ``traffic`` mapping may set (:mod:`repro.experiment.spec`
 #: checks each one against the defaults of the others).
 _SHAPE_DEFAULTS: Dict[str, float] = {
-    spec_field.name: spec_field.default for spec_field in fields(TrafficSpec)
-    if spec_field.name in ("burst_factor", "calm_factor", "burst_dwell_frames",
-                           "amplitude", "period_frames", "session_frames")}
+    name: TrafficSpec._field_defaults[name]
+    for name in ("burst_factor", "calm_factor", "burst_dwell_frames",
+                 "amplitude", "period_frames", "session_frames")}

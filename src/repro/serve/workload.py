@@ -20,7 +20,6 @@ stays the single-stream period.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.exceptions import SpecError, WorkloadError
@@ -61,7 +60,6 @@ MODEL_TARGET_FPS: Dict[str, float] = {
 DEFAULT_TARGET_FPS = 30.0
 
 
-@dataclass
 class StreamingWorkload:
     """A multi-DNN serving scenario: one frame stream per model.
 
@@ -79,19 +77,21 @@ class StreamingWorkload:
         expanded :class:`WorkloadSpec` (overrides the zoo for custom models).
     """
 
-    name: str
-    streams: List[StreamSpec] = field(default_factory=list)
-    models: Dict[str, ModelGraph] = field(default_factory=dict)
-    #: Expansion memo keyed by a snapshot of the frame set (each stream's
-    #: ``(model_name, frames)``), like WorkloadSpec's memos are keyed by its
-    #: ``entries``: mutated streams never get a stale expansion, and rate
-    #: scaling, which keeps the frame set, shares one.  Excluded from
-    #: pickles, so evaluation tasks shipping streaming workloads to pool
-    #: workers stay small; the expansion is cheap to rebuild there.
-    _spec_memo: Optional[Tuple[Tuple[Tuple[str, int], ...], WorkloadSpec]] = \
-        field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
+    def __init__(self, name: str,
+                 streams: Optional[List[StreamSpec]] = None,
+                 models: Optional[Dict[str, ModelGraph]] = None) -> None:
+        self.name = name
+        self.streams = [] if streams is None else streams
+        self.models = {} if models is None else models
+        #: Expansion memo keyed by a snapshot of the frame set (each
+        #: stream's ``(model_name, frames)``), like WorkloadSpec's memos are
+        #: keyed by its ``entries``: mutated streams never get a stale
+        #: expansion, and rate scaling, which keeps the frame set, shares
+        #: one.  Excluded from pickles, so evaluation tasks shipping
+        #: streaming workloads to pool workers stay small; the expansion is
+        #: cheap to rebuild there.
+        self._spec_memo: Optional[Tuple[Tuple[Tuple[str, int], ...],
+                                        WorkloadSpec]] = None
         if not self.streams:
             raise WorkloadError(f"streaming workload {self.name!r} has no streams")
         names = [stream.model_name for stream in self.streams]

@@ -12,8 +12,8 @@ scheduler only serializes true producer→consumer pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import (Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from repro.exceptions import WorkloadError
 from repro.models.graph import ModelGraph
@@ -21,8 +21,7 @@ from repro.models.layer import Layer, layer_heterogeneity
 from repro.models.zoo import build_model
 
 
-@dataclass(frozen=True)
-class ModelInstance:
+class ModelInstance(NamedTuple):
     """One independent inference request of one model.
 
     Attributes
@@ -65,7 +64,6 @@ class ModelInstance:
         return self.model.successor_indices()
 
 
-@dataclass
 class WorkloadSpec:
     """A heterogeneous multi-DNN workload (Table II row).
 
@@ -81,24 +79,39 @@ class WorkloadSpec:
         for custom models.
     """
 
-    name: str
-    entries: List[Tuple[str, int]] = field(default_factory=list)
-    models: Dict[str, ModelGraph] = field(default_factory=dict)
-    #: Derived-state memos keyed by a snapshot of ``entries`` so a mutated
-    #: spec never serves stale expansions.  Excluded from equality and from
-    #: pickles (evaluation tasks ship workloads to pool workers; the memos
-    #: are cheap to rebuild there and would only bloat the pickle).
-    _instances_memo: Optional[Tuple[Tuple[Tuple[str, int], ...],
-                                    List["ModelInstance"]]] = \
-        field(default=None, init=False, repr=False, compare=False)
-    _shapes_memo: Optional[Tuple[Tuple[Tuple[str, int], ...], List[Layer]]] = \
-        field(default=None, init=False, repr=False, compare=False)
-    #: Scheduler-owned memo of the design-independent visiting order (see
-    #: ``HeraldScheduler._static_visit_order``), keyed by ordering policy and
-    #: memory limit.  Lives here because its lifetime is the workload's, like
-    #: the expansions.
-    _static_order_memo: Optional[Dict[Tuple, Tuple]] = \
-        field(default=None, init=False, repr=False, compare=False)
+    def __init__(self, name: str,
+                 entries: Optional[List[Tuple[str, int]]] = None,
+                 models: Optional[Dict[str, ModelGraph]] = None) -> None:
+        self.name = name
+        self.entries = [] if entries is None else entries
+        self.models = {} if models is None else models
+        #: Derived-state memos keyed by a snapshot of ``entries`` so a
+        #: mutated spec never serves stale expansions.  Excluded from pickles
+        #: (evaluation tasks ship workloads to pool workers; the memos are
+        #: cheap to rebuild there and would only bloat the pickle).
+        self._instances_memo: Optional[Tuple[Tuple[Tuple[str, int], ...],
+                                             List[ModelInstance]]] = None
+        self._shapes_memo: Optional[Tuple[Tuple[Tuple[str, int], ...],
+                                          List[Layer]]] = None
+        #: Scheduler-owned memo of the design-independent visiting order (see
+        #: ``HeraldScheduler._static_visit_order``), keyed by ordering policy
+        #: and memory limit.  Lives here because its lifetime is the
+        #: workload's, like the expansions.
+        self._static_order_memo: Optional[Dict[Tuple, Tuple]] = None
+        if not self.entries:
+            raise WorkloadError(f"workload {self.name!r} has no model entries")
+        for model_name, batches in self.entries:
+            if batches < 1:
+                raise WorkloadError(
+                    f"workload {self.name!r}: model {model_name!r} has batches={batches}; "
+                    "must be >= 1"
+                )
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not WorkloadSpec:
+            return NotImplemented
+        return ((self.name, self.entries, self.models)
+                == (other.name, other.entries, other.models))
 
     def __getstate__(self) -> Dict[str, object]:
         state = dict(self.__dict__)
@@ -109,16 +122,6 @@ class WorkloadSpec:
 
     def __setstate__(self, state: Dict[str, object]) -> None:
         self.__dict__.update(state)
-
-    def __post_init__(self) -> None:
-        if not self.entries:
-            raise WorkloadError(f"workload {self.name!r} has no model entries")
-        for model_name, batches in self.entries:
-            if batches < 1:
-                raise WorkloadError(
-                    f"workload {self.name!r}: model {model_name!r} has batches={batches}; "
-                    "must be >= 1"
-                )
 
     # ------------------------------------------------------------------
     # Expansion

@@ -154,9 +154,8 @@ class TestDesignValidation:
             AcceleratorDesign("bad", AcceleratorKind.FDA, wrong_chip, (sub,))
 
     def test_duplicate_sub_accelerator_names_rejected(self):
-        import dataclasses
         first, second = make_hda(EDGE, [NVDLA, SHIDIANNAO]).sub_accelerators
-        twin = dataclasses.replace(second, name=first.name)
+        twin = second._replace(name=first.name)
         with pytest.raises(HardwareConfigError, match="distinct"):
             AcceleratorDesign("twins", AcceleratorKind.HDA, EDGE, (first, twin))
 

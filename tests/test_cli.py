@@ -248,18 +248,48 @@ class TestNonFiniteNumbers:
     ])
     def test_non_finite_metric_is_exit_2_without_a_report(
             self, tmp_path, capsys, kind, extra, metric):
-        """A near-zero bandwidth makes latency infinite; the run names the
-        metric and writes no report, instead of a file ``load_report``
-        rejects."""
+        """Links at the 1 byte/s floor under a 1e300 Hz clock overflow the
+        cycle counts, so latency is infinite; the run names the metric and
+        writes no report, instead of a file ``load_report`` rejects."""
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(dict({
             "kind": kind, "workload": "arvr-a",
-            "chip": {"class": "edge", "noc_gbps": 1e-300,
-                     "dram_gbps": 1e-300}}, **extra)), encoding="utf-8")
+            "chip": {"class": "edge", "noc_bandwidth_bytes_per_s": 1,
+                     "dram_bandwidth_bytes_per_s": 1, "clock_hz": 1e300}},
+            **extra)), encoding="utf-8")
         report = tmp_path / "report.json"
         assert main(["run", str(spec), "--report", str(report)]) == 2
         assert (f"error: metric {metric!r} is not a finite number (inf)"
                 in capsys.readouterr().err)
+        assert not report.exists()
+
+
+    @pytest.mark.parametrize("chip, message", [
+        ({"class": "edge", "noc_gbps": 1e-300},
+         "chip.noc_gbps: 1e-291 B/s is below the physical floor of 1 B/s"),
+        ({"class": "edge", "dram_gbps": 1e-300},
+         "chip.dram_gbps: 1e-291 B/s is below the physical floor of 1 B/s"),
+        ({"class": "edge", "clock_hz": 1e-300},
+         "chip.clock_hz: 1e-300 Hz is below the physical floor of 1 Hz"),
+    ], ids=["noc", "dram", "clock"])
+    def test_underflowing_rate_is_exit_2_before_scheduling(
+            self, tmp_path, capsys, monkeypatch, chip, message):
+        """A rate below its physical floor is refused at load: one error
+        line naming the key, no schedule built, no report written."""
+        from repro.core.scheduler import HeraldScheduler
+
+        def no_scheduling(*args, **kwargs):
+            raise AssertionError("scheduled a refused chip")
+
+        monkeypatch.setattr(HeraldScheduler, "schedule", no_scheduling)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "kind": "schedule", "workload": "arvr-a",
+            "design": {"kind": "fda", "style": "nvdla"}, "chip": chip}),
+            encoding="utf-8")
+        report = tmp_path / "report.json"
+        assert main(["run", str(spec), "--report", str(report)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not report.exists()
 
 

@@ -254,6 +254,21 @@ _ERROR_CASES = [
      "exec.max_retries: unknown key (allowed: ['jobs', 'partial_ok'])"),
     ({"kind": "fleet", "exec": {"task_timeout_s": 30}},
      "exec.task_timeout_s: unknown key (allowed: ['jobs', 'partial_ok'])"),
+    # A rate that underflows once converted is below its physical floor
+    # (1 B/s, 1 Hz); it used to schedule and report an infinite latency.
+    ({"kind": "schedule", "chip": {"class": "edge", "noc_gbps": 1e-300}},
+     "chip.noc_gbps: 1e-291 B/s is below the physical floor of 1 B/s"),
+    ({"kind": "schedule",
+      "chip": {"class": "edge", "dram_bandwidth_bytes_per_s": 0.5}},
+     "chip.dram_bandwidth_bytes_per_s: 0.5 B/s is below the physical "
+     "floor of 1 B/s"),
+    ({"kind": "schedule", "chip": {"class": "edge", "clock_mhz": 1e-300}},
+     "chip.clock_mhz: 1e-294 Hz is below the physical floor of 1 Hz"),
+    ({"kind": "schedule", "chip": "edge",
+      "design": {"kind": "hda", "styles": ["nvdla", "shidiannao"],
+                 "bw_partition_gbps": [1e-300, 16]}},
+     "design.bw_partition_gbps[0]: 1e-291 B/s is below the physical floor "
+     "of 1 B/s"),
 ]
 
 

@@ -23,7 +23,6 @@ Four contracts are pinned here:
 
 from __future__ import annotations
 
-import dataclasses
 import pickle
 
 import pytest
@@ -159,12 +158,11 @@ class TestShapeKey:
         assert (model.hits, model.misses) == (1, 1)
 
     def test_precomputed_derivations_survive_pickle_and_replace(self):
-        from dataclasses import replace
         layer = upconv("up", k=8, c=4, y=16, x=16, r=3, s=3, upscale=2)
         clone = pickle.loads(pickle.dumps(layer))
         assert clone.shape_key == layer.shape_key
         assert clone.macs == layer.macs
-        wider = replace(layer, k=16)
+        wider = layer._replace(k=16)
         assert wider.output_elements == 2 * layer.output_elements
         assert wider.shape_key != layer.shape_key
 
@@ -491,7 +489,7 @@ def _exact_fields(schedule):
 
 
 def _renamed(acc, name):
-    return dataclasses.replace(acc, name=name)
+    return acc._replace(name=name)
 
 
 #: Two identical arrays: only their names order the preference rows.
@@ -503,7 +501,7 @@ def _mutated(name):
     """``(scheduler settings, design)`` before and after one change of a
     Fig. 8 input; each change moves the mixed4 golden schedule."""
     accs = golden_scheduler.build_sub_accelerators()
-    slower = dataclasses.replace(accs[1], bandwidth_bytes_per_s=gbps(1))
+    slower = accs[1]._replace(bandwidth_bytes_per_s=gbps(1))
     return {
         "load_balance_factor": ({}, accs, {"load_balance_factor": None},
                                 accs),

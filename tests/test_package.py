@@ -5,6 +5,8 @@ import ast
 import functools
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -27,7 +29,7 @@ _DOTTED = re.compile(r"[A-Za-z_]\w*(?:[.:][A-Za-z_]\w*)*\Z")
 
 class TestPublicApi:
     def test_version_string(self):
-        assert repro.__version__ == "1.24.0"
+        assert repro.__version__ == "1.25.0"
 
     def test_all_exports_resolve(self):
         for name in repro.__all__:
@@ -159,3 +161,34 @@ class TestNoDeadCode:
                     unreferenced.append(f"{os.path.relpath(path, _ROOT)}:"
                                         f"{node.lineno}: {name}")
         assert unreferenced == []
+
+
+class TestImportCost:
+    """``import repro.cli`` generates no code at run time: records are
+    tuples or plain classes, never ``@dataclass`` (whose class creation
+    costs more than a third of the import and loads ``inspect``)."""
+
+    def test_no_module_imports_dataclasses(self):
+        offenders = []
+        for path in _python_files("src"):
+            for node in ast.walk(_parse(path)):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    modules = [node.module]
+                else:
+                    continue
+                if "dataclasses" in modules:
+                    offenders.append(f"{os.path.relpath(path, _ROOT)}:"
+                                     f"{node.lineno}")
+        assert offenders == []
+
+    def test_cli_import_loads_neither_dataclasses_nor_inspect(self):
+        script = ("import sys\n"
+                  "import repro.cli\n"
+                  "print('loaded:', sorted(name for name in ('dataclasses', "
+                  "'inspect') if name in sys.modules))\n")
+        env = dict(os.environ, PYTHONPATH=os.path.join(_ROOT, "src"))
+        result = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.splitlines()[-1] == "loaded: []"

@@ -18,8 +18,6 @@ here, with genuine library errors and a genuine worker death:
 
 from __future__ import annotations
 
-import dataclasses
-import io
 import json
 import os
 import pickle
@@ -148,6 +146,41 @@ class TestResumeTransparency:
         with pytest.raises(CheckpointError, match="unsupported version 1"):
             SweepCheckpoint(str(path), "k", resume=True)
 
+    def test_format_3_checkpoint_gets_the_version_error(self, tmp_path,
+                                                          task_bag):
+        """Format 3 began with a pickled header; it is refused by version,
+        before any of its record frames is read."""
+        path = tmp_path / "sweep.ckpt"
+        SerialBackend(cost_model=_COST_MODEL).run_resilient(
+            task_bag[:1], checkpoint=SweepCheckpoint(str(path), "k"))
+        data = path.read_bytes()
+        frames = data[data.index(b"sweep:") - 12:]
+        path.write_bytes(pickle.dumps({"version": 3, "sweep_key": "k"})
+                         + frames)
+        with pytest.raises(CheckpointError,
+                           match="unsupported version 3 .this build writes 4"):
+            SweepCheckpoint(str(path), "k", resume=True)
+
+    def test_every_flipped_header_bit_is_a_checkpoint_error(self, tmp_path,
+                                                            capfd):
+        """The header is length-prefixed and CRC-checked like the record
+        frames, never unpickled: each single-bit flip anywhere in it ends in
+        a ``CheckpointError`` and prints nothing (an unpickled header once
+        printed CPython's "exported buffers" ``SystemError``)."""
+        path = tmp_path / "sweep.ckpt"
+        key = sweep_key_from("bag")
+        SweepCheckpoint(str(path), key).close()
+        header = path.read_bytes()
+        assert len(header) == 8 + 12 + len(key)
+        for at in range(len(header)):
+            for bit in range(8):
+                damaged = bytearray(header)
+                damaged[at] ^= 1 << bit
+                path.write_bytes(bytes(damaged))
+                with pytest.raises(CheckpointError):
+                    SweepCheckpoint(str(path), key, resume=True)
+        assert capfd.readouterr() == ("", "")
+
     def test_corrupted_checkpoint_is_an_error_not_a_wrong_report(self, tmp_path):
         path = tmp_path / "sweep.ckpt"
         path.write_bytes(b"\x80\x04 definitely not a checkpoint")
@@ -205,9 +238,7 @@ class TestResumeTransparency:
     def test_mangled_frame_reruns_the_rest(self, tmp_path, task_bag,
                                            baseline, frame):
         def splice(data, clean):
-            header = io.BytesIO(bytes(data))
-            pickle.load(header)
-            at = header.tell()
+            at = data.index(b"sweep:") - 12  # the first record frame's head
             return data[:at] + pickle.dumps(frame) + data[at:]
 
         _, resumed = self._damaged_resume(tmp_path / "sweep.ckpt", task_bag,
@@ -296,7 +327,7 @@ class _WorkerKillingWorkload(_UnknownReleaseWorkload):
 def _rejected(task, workload_cls=_UnknownReleaseWorkload):
     """``task`` on a copy of its workload that ``workload_cls`` spoils."""
     spec = getattr(task.workload, "to_workload_spec", lambda: task.workload)()
-    return dataclasses.replace(task, workload=workload_cls(spec))
+    return task._replace(workload=workload_cls(spec))
 
 
 def _with_rejected_task(task_bag, workload_cls=_UnknownReleaseWorkload):
@@ -305,8 +336,8 @@ def _with_rejected_task(task_bag, workload_cls=_UnknownReleaseWorkload):
     Six tasks on two jobs are cut into chunks of two, so the failing task
     shares its chunk with ``task_bag[2]``.
     """
-    rejected = dataclasses.replace(_rejected(task_bag[2], workload_cls),
-                                   task_id=len(task_bag))
+    rejected = _rejected(task_bag[2], workload_cls)._replace(
+        task_id=len(task_bag))
     return list(task_bag[:2]) + [rejected] + list(task_bag[2:])
 
 

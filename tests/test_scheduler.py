@@ -158,11 +158,10 @@ class TestDuplicateSubAcceleratorNames:
     @pytest.mark.parametrize("scheduler_class", [HeraldScheduler,
                                                  GreedyScheduler])
     def test_rejected_by_both_schedulers(self, cost_model, scheduler_class):
-        import dataclasses
         from repro.accel.builders import chip_from_spec, make_hda
         first, second = make_hda(chip_from_spec("edge"),
                                  [NVDLA, SHIDIANNAO]).sub_accelerators
-        twin = dataclasses.replace(second, name=first.name)
+        twin = second._replace(name=first.name)
         with pytest.raises(SchedulingError, match="distinct"):
             scheduler_class(cost_model).schedule(arvr_a(), [first, twin])
 
