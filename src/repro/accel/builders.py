@@ -11,6 +11,7 @@ maelstrom design without re-running the partition search.
 from __future__ import annotations
 
 import itertools
+import sys
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import HardwareConfigError, PartitionError, SpecError
@@ -217,12 +218,36 @@ _DESIGN_KEYS = ("kind", "name", "chip", "style", "styles", "count",
 MIN_BANDWIDTH_BYTES_PER_S = 1.0
 MIN_CLOCK_HZ = 1.0
 
+#: The most cycles a byte may take to cross a link (clock over bandwidth).
+#: Cycle counts are bytes x clock / bandwidth, and metrics multiply two
+#: quantities that grow with them (EDP: idle energy times latency), so the
+#: ratio stays below the square root of the largest float (~1.3e154); past
+#: it (``clock_hz: 1e300`` over 1 B/s links) latencies overflowed to inf.
+MAX_CYCLES_PER_BYTE = sys.float_info.max ** 0.5
+
 
 def _check_floor(value: float, floor: float, unit: str, path: str) -> None:
     """Refuse a rate ``value`` (raw units) below its physical ``floor``."""
     if value < floor:
         raise SpecError(f"{path}: {value:g} {unit} is below the physical "
                         f"floor of {floor:g} {unit}")
+
+
+def _check_cycles_per_byte(clock_hz: float, bandwidth: float,
+                           path: str) -> None:
+    """Refuse a clock whose cycle counts over ``bandwidth`` can overflow."""
+    if clock_hz / bandwidth > MAX_CYCLES_PER_BYTE:
+        raise SpecError(
+            f"{path}: a {clock_hz:g} Hz clock over {bandwidth:g} B/s takes "
+            f"{clock_hz / bandwidth:g} cycles per byte, above the "
+            f"{MAX_CYCLES_PER_BYTE:.4g} at which cycle counts can overflow")
+
+
+def check_pe_split(chip: ChipConfig, parts: int, path: str) -> None:
+    """Refuse splitting ``chip`` into more sub-accelerators than PEs."""
+    if parts > chip.num_pes:
+        raise SpecError(f"{path}: {parts} sub-accelerators need at least one "
+                        f"PE each, but chip {chip.name!r} has {chip.num_pes}")
 
 
 def _style_from_spec(value: object, path: str) -> DataflowStyle:
@@ -332,7 +357,7 @@ def chip_from_spec(spec: Union[str, Dict[str, object]],
     # converted (1e300 GB/s overflows to inf bytes/s, 1e-300 MiB rounds to
     # 0 bytes), so the chip's own check is reported as a spec error.
     try:
-        return ChipConfig(
+        chip = ChipConfig(
             name=name or (base.name if base is not None else "custom"),
             num_pes=num_pes,
             noc_bandwidth_bytes_per_s=noc,
@@ -342,6 +367,8 @@ def chip_from_spec(spec: Union[str, Dict[str, object]],
         )
     except HardwareConfigError as error:
         raise SpecError(f"{path}: {error}") from None
+    _check_cycles_per_byte(clock, min(noc, chip.dram_bandwidth), path)
+    return chip
 
 
 def design_from_spec(spec: Dict[str, object], path: str = "design",
@@ -386,10 +413,10 @@ def design_from_spec(spec: Dict[str, object], path: str = "design",
         forbid("styles", "pe_partition", "bw_partition_gbps",
                "bw_partition_bytes_per_s")
         style = _style_from_spec(mapping.get("style"), spec_path(path, "style"))
-        count = mapping.get("count", 2)
-        return make_smfda(chip, style,
-                          expect_pos_int(count, spec_path(path, "count")),
-                          name=name)
+        count = expect_pos_int(mapping.get("count", 2), spec_path(path, "count"))
+        # Checked before the even split builds one share per copy.
+        check_pe_split(chip, count, spec_path(path, "count"))
+        return make_smfda(chip, style, count, name=name)
 
     # HDA: two or more distinct styles, optionally with explicit partitions.
     forbid("style", "count")
@@ -421,9 +448,6 @@ def design_from_spec(spec: Dict[str, object], path: str = "design",
         bw_bytes = [expect_number(value, spec_path(bw_path, index),
                                   minimum=0.0, exclusive=True)
                     for index, value in enumerate(entries)]
-        for index, value in enumerate(bw_bytes):
-            _check_floor(value, MIN_BANDWIDTH_BYTES_PER_S, "B/s",
-                         spec_path(bw_path, index))
         bw_gbps = [value / 1e9 for value in bw_bytes]
     elif "bw_partition_gbps" in mapping:
         bw_path = spec_path(path, "bw_partition_gbps")
@@ -431,9 +455,12 @@ def design_from_spec(spec: Dict[str, object], path: str = "design",
         bw_gbps = [expect_number(value, spec_path(bw_path, index),
                                  minimum=0.0, exclusive=True)
                    for index, value in enumerate(entries)]
-        for index, value in enumerate(bw_gbps):
-            _check_floor(gbps(value), MIN_BANDWIDTH_BYTES_PER_S, "B/s",
+    if bw_gbps is not None:
+        for index, value in enumerate(bw_bytes or map(gbps, bw_gbps)):
+            _check_floor(value, MIN_BANDWIDTH_BYTES_PER_S, "B/s",
                          spec_path(bw_path, index))
+            _check_cycles_per_byte(chip.clock_hz, value,
+                                   spec_path(bw_path, index))
 
     try:
         if pe_partition is None and bw_gbps is None:

@@ -2,11 +2,11 @@
 
 This package is the paper's primary contribution (Sec. IV):
 
-* :mod:`repro.core.schedule` — layer-execution schedule data structures and
-  validation (dependence, overlap, accounting).
-* :mod:`repro.core.scheduler` — Herald's layer scheduler: dataflow-preference
-  assignment, depth/breadth-first ordering, load-balancing feedback, and
-  idle-time post-processing (Fig. 7-9).
+* :mod:`repro.core.schedule` — layer-execution schedule data structures,
+  accounting, and the independent validator (dependence, overlap).
+* :mod:`repro.core.scheduler` — Herald's layer scheduler (Fig. 7-9), valid by
+  construction: dataflow-preference assignment, depth/breadth-first ordering,
+  load-balancing feedback, and idle-time post-processing.
 * :mod:`repro.core.greedy` — the per-layer greedy baseline scheduler the paper
   compares against.
 * :mod:`repro.core.evaluator` — evaluates a complete accelerator design on a

@@ -3,9 +3,11 @@
 A schedule is the output of Herald's scheduler (Fig. 7): for every layer of
 every model instance in the workload, which sub-accelerator runs it and when.
 The class provides the accounting the evaluation needs (makespan, energy,
-per-sub-accelerator utilisation, idle time) as well as validation of the two
-hard constraints from Sec. III-A — layer dependence and no overlapping
-execution on one sub-accelerator.
+per-sub-accelerator utilisation, idle time) and :meth:`Schedule.validate`,
+an independent check of the two hard constraints from Sec. III-A — layer
+dependence and no overlapping execution on one sub-accelerator.  Herald's
+scheduler meets them by construction and does not run the check; the greedy
+baseline and the test suite (on every Herald schedule) do.
 
 A :class:`Schedule` is built once and is then immutable.  It stores one slot
 per layer execution as parallel arrays (layer, instance, layer index,
@@ -16,14 +18,6 @@ order by whoever filled the arrays.  :attr:`Schedule.entries` is a read-only
 view that builds :class:`ScheduledLayer` records only when it is iterated or
 indexed, so a design-space sweep ranking thousands of candidates never
 materialises one.
-
-Dependence validation is DAG-aware: when a schedule carries the true
-per-instance predecessor index sets (:attr:`Schedule.instance_predecessors`,
-supplied by the scheduler), a layer only has to start after its *actual*
-producers finish, so independent branches of one model may legally overlap on
-different sub-accelerators.  Without that information the historical linear
-chain (layer ``i`` waits on layer ``i-1``) is validated as the degenerate
-case.
 """
 
 from __future__ import annotations
@@ -539,11 +533,7 @@ class Schedule:
         chains: Dict[str, List[int]] = {}
         for slot in self._commit:
             by_acc[acc[slot]].append(slot)
-            chain = chains.get(instance_ids[slot])
-            if chain is None:
-                chains[instance_ids[slot]] = [slot]
-            else:
-                chain.append(slot)
+            chains.setdefault(instance_ids[slot], []).append(slot)
         self._check_no_overlap(by_acc)
         self._check_dependences(chains)
         if self.instance_release_cycles:
@@ -560,13 +550,7 @@ class Schedule:
         starts = self._starts
         finishes = self._finishes
         for name, timeline in zip(self.sub_accelerator_names, by_acc):
-            # A timeline whose starts rise at every commit (as the
-            # scheduler's do) is already in (start, finish) order; any other
-            # is sorted first.
-            for previous, current in zip(timeline, islice(timeline, 1, None)):
-                if starts[current] <= starts[previous]:
-                    self._sort_by_window(timeline)
-                    break
+            self._sort_by_window(timeline)
             for previous, current in zip(timeline, islice(timeline, 1, None)):
                 if starts[current] < finishes[previous] - 1e-6:
                     raise SchedulingError(
@@ -594,33 +578,12 @@ class Schedule:
             else:
                 self._check_chain_dependences(instance_id, chain, indices)
 
-    def _producer_error(self, instance_id: str, slot: int,
-                        producer: int) -> SchedulingError:
-        return SchedulingError(
-            f"instance {instance_id!r}: layer {self._layers[slot].name!r} "
-            f"starts at {self._starts[slot]:.0f} before its producer "
-            f"{self._layers[producer].name!r} finishes at "
-            f"{self._finishes[producer]:.0f}")
-
     def _check_dag_dependences(self, instance_id: str, chain: List[int],
                                indices: List[int],
                                predecessors: Sequence[FrozenSet[int]]) -> None:
         """Every layer starts only after each of its true producers finishes."""
         starts = self._starts
         finishes = self._finishes
-        # ``chain`` arrives sorted by layer index with duplicates rejected, so
-        # when it is exactly the full 0..n-1 range (the fully-scheduled common
-        # case) position == layer index and producers resolve by list
-        # indexing, skipping the by-index dict entirely.
-        if (len(chain) == len(predecessors) and chain
-                and indices[0] == 0 and indices[-1] == len(chain) - 1):
-            for slot, producers in zip(chain, predecessors):
-                start = starts[slot]
-                for producer_index in producers:
-                    producer = chain[producer_index]
-                    if start < finishes[producer] - 1e-6:
-                        raise self._producer_error(instance_id, slot, producer)
-            return
         by_index = dict(zip(indices, chain))
         for slot, layer_index in zip(chain, indices):
             if not 0 <= layer_index < len(predecessors):
@@ -637,7 +600,12 @@ class Schedule:
                         f"producer (layer index {producer_index}) is not"
                     )
                 if starts[slot] < finishes[producer] - 1e-6:
-                    raise self._producer_error(instance_id, slot, producer)
+                    raise SchedulingError(
+                        f"instance {instance_id!r}: layer "
+                        f"{self._layers[slot].name!r} starts at "
+                        f"{starts[slot]:.0f} before its producer "
+                        f"{self._layers[producer].name!r} finishes at "
+                        f"{finishes[producer]:.0f}")
 
     def _check_chain_dependences(self, instance_id: str, chain: List[int],
                                  indices: List[int]) -> None:

@@ -246,7 +246,7 @@ class HeraldScheduler:
                  release_cycles: Optional[Mapping[str, float]] = None,
                  deadline_cycles: Optional[Mapping[str, float]] = None
                  ) -> Schedule:
-        """Produce a validated schedule of ``workload`` on ``sub_accelerators``.
+        """Schedule ``workload`` on ``sub_accelerators``.
 
         ``release_cycles`` optionally maps instance ids to the cycle at which
         the instance (frame) arrives; its layers become schedulable only from
@@ -260,19 +260,14 @@ class HeraldScheduler:
         """
         if not sub_accelerators:
             raise SchedulingError("cannot schedule onto an empty sub-accelerator list")
-        instances = workload.instances()
-        releases = checked_release_cycles(release_cycles, instances)
+        releases = checked_release_cycles(release_cycles, workload.instances())
         order = self._static_visit_order(workload)
         self.last_memory_violations = order.violations
         slot_acc, slot_cost, slot_latency = self._assignment(
             workload, order, sub_accelerators)
-        schedule = self._timeline(order, slot_acc, slot_cost, slot_latency,
-                                  sub_accelerators, releases,
-                                  workload.instance_dependences(),
-                                  deadline_cycles)
-        expected = {instance.instance_id: instance.num_layers for instance in instances}
-        schedule.validate(expected_layers=expected)
-        return schedule
+        return self._timeline(order, slot_acc, slot_cost, slot_latency,
+                              sub_accelerators, releases,
+                              workload.instance_dependences(), deadline_cycles)
 
     # ------------------------------------------------------------------
     # Visiting order (Fig. 8's instance walk and memory check)

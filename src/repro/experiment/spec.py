@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from typing import Dict, NamedTuple, Optional, Union
 
-from repro.accel.builders import chip_from_spec, design_from_spec
+from repro.accel.builders import check_pe_split, chip_from_spec, design_from_spec
 from repro.accel.design import AcceleratorDesign
 from repro.core.partitioner import PartitionSearch, search_from_spec
 from repro.dataflow import ALL_STYLES
@@ -185,7 +185,10 @@ def _design_from_value(value: object, path: str,
                        chip: ChipConfig) -> Union[str, AcceleratorDesign]:
     """A design reference: a named CLI design or an explicit mapping."""
     if isinstance(value, str):
-        return expect_choice(value, NAMED_DESIGNS, path)
+        design = expect_choice(value, NAMED_DESIGNS, path)
+        if design == "maelstrom":  # a two-way NVDLA + Shi-diannao HDA
+            check_pe_split(chip, 2, path)
+        return design
     return design_from_spec(expect_mapping(value, path), path=path, chip=chip)
 
 
@@ -444,6 +447,8 @@ def experiment_from_spec(spec: object,
             _forbid(mapping, kind, path, "optimize_sla")
         optimize_sla = expect_bool(mapping["optimize_sla"],
                                    spec_path(path, "optimize_sla"))
+        if optimize_sla:  # searches the same two-way HDA
+            check_pe_split(chip, 2, spec_path(path, "optimize_sla"))
 
     fleet: Optional[Dict[str, object]] = None
     policy = "earliest-completion"

@@ -2,12 +2,19 @@
 
 Most tests run on small synthetic workloads and chips so the whole suite stays
 fast; the integration tests use the real Table II / Table IV configurations.
+
+Herald's scheduler builds its schedules valid by construction and does not
+check them itself; :func:`pytest_configure` makes the suite check every
+schedule it returns instead.
 """
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
+from repro.core.scheduler import HeraldScheduler
 from repro.dataflow.styles import EYERISS, NVDLA, SHIDIANNAO
 from repro.maestro.cost import CostModel
 from repro.maestro.hardware import ChipConfig, SubAcceleratorConfig
@@ -15,6 +22,31 @@ from repro.models.graph import ModelGraph
 from repro.models.layer import conv2d, dwconv, fc, pwconv
 from repro.units import gbps, mib
 from repro.workloads.spec import WorkloadSpec
+
+
+@functools.wraps(HeraldScheduler.schedule)
+def _validated_schedule(self, workload, *args, **kwargs):
+    schedule = _validated_schedule.__wrapped__(self, workload, *args, **kwargs)
+    schedule.validate({instance.instance_id: instance.num_layers
+                       for instance in workload.instances()})
+    return schedule
+
+
+def pytest_configure(config):
+    """Check every schedule ``HeraldScheduler.schedule`` returns against the
+    hard constraints of Sec. III-A (:meth:`Schedule.validate`, completeness
+    included): goldens, hypothesis runs and forked pool workers alike.
+
+    Installed when the suite is configured rather than by a fixture, so the
+    schedules test modules build at import (``tests/test_records.py``) are
+    checked too.  A test that needs the unchecked method reads it from
+    ``HeraldScheduler.schedule.__wrapped__``.
+    """
+    HeraldScheduler.schedule = _validated_schedule
+
+
+def pytest_unconfigure(config):
+    HeraldScheduler.schedule = _validated_schedule.__wrapped__
 
 
 @pytest.fixture(scope="session")

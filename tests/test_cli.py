@@ -38,6 +38,18 @@ class TestSchedule:
         with pytest.raises(SystemExit):
             main(["schedule", "--design", "tpu"])
 
+    def test_maelstrom_on_a_one_pe_chip_is_exit_2(self, tmp_path, capsys):
+        """The default design's two-way partition search cannot split one
+        PE: one error line naming the key, not a SearchError traceback."""
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "kind": "schedule", "workload": "arvr-a", "design": "maelstrom",
+            "chip": {"class": "edge", "num_pes": 1}}), encoding="utf-8")
+        assert main(["run", str(spec)]) == 2
+        assert capsys.readouterr().err == (
+            "error: design: 2 sub-accelerators need at least one PE each, "
+            "but chip 'edge' has 1\n")
+
 
 class TestDse:
     _SMOKE = ["dse", "--workload", "arvr-a", "--chip", "edge",
@@ -247,22 +259,57 @@ class TestNonFiniteNumbers:
          "fda_latency_s"),
     ])
     def test_non_finite_metric_is_exit_2_without_a_report(
-            self, tmp_path, capsys, kind, extra, metric):
-        """Links at the 1 byte/s floor under a 1e300 Hz clock overflow the
-        cycle counts, so latency is infinite; the run names the metric and
-        writes no report, instead of a file ``load_report`` rejects."""
+            self, tmp_path, capsys, monkeypatch, kind, extra, metric):
+        """A metric that is not finite (here every latency, patched to
+        infinity: no valid spec reaches one since the load checks refuse
+        overflowing clocks) names the metric and writes no report, instead
+        of a file ``load_report`` rejects."""
+        from repro.core.schedule import Schedule
+
+        monkeypatch.setattr(Schedule, "makespan_seconds",
+                            property(lambda schedule: float("inf")))
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(dict({
-            "kind": kind, "workload": "arvr-a",
-            "chip": {"class": "edge", "noc_bandwidth_bytes_per_s": 1,
-                     "dram_bandwidth_bytes_per_s": 1, "clock_hz": 1e300}},
-            **extra)), encoding="utf-8")
+            "kind": kind, "workload": "arvr-a", "chip": "edge"}, **extra)),
+            encoding="utf-8")
         report = tmp_path / "report.json"
         assert main(["run", str(spec), "--report", str(report)]) == 2
         assert (f"error: metric {metric!r} is not a finite number (inf)"
                 in capsys.readouterr().err)
         assert not report.exists()
 
+    @pytest.mark.parametrize("chip, design, message", [
+        ({"class": "edge", "noc_bandwidth_bytes_per_s": 1,
+          "dram_bandwidth_bytes_per_s": 1, "clock_hz": 1e300},
+         {"kind": "fda", "style": "nvdla"},
+         "chip: a 1e+300 Hz clock over 1 B/s takes 1e+300 cycles per byte, "
+         "above the 1.341e+154 at which cycle counts can overflow"),
+        ({"class": "edge", "clock_hz": 1e160},
+         {"kind": "hda", "styles": ["nvdla", "shidiannao"],
+          "bw_partition_bytes_per_s": [1, 1e9]},
+         "design.bw_partition_bytes_per_s[0]: a 1e+160 Hz clock over 1 B/s "
+         "takes 1e+160 cycles per byte, above the 1.341e+154 at which cycle "
+         "counts can overflow"),
+    ], ids=["chip", "partition"])
+    def test_overflowing_clock_is_exit_2_before_scheduling(
+            self, tmp_path, capsys, monkeypatch, chip, design, message):
+        """A clock so fast over its links that cycle counts can overflow is
+        refused at load, before anything is scheduled: it used to schedule
+        the whole workload and end at the finite-metric check."""
+        from repro.core.scheduler import HeraldScheduler
+
+        def no_scheduling(*args, **kwargs):
+            raise AssertionError("scheduled a refused chip")
+
+        monkeypatch.setattr(HeraldScheduler, "schedule", no_scheduling)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "kind": "schedule", "workload": "arvr-a", "design": design,
+            "chip": chip}), encoding="utf-8")
+        report = tmp_path / "report.json"
+        assert main(["run", str(spec), "--report", str(report)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not report.exists()
 
     @pytest.mark.parametrize("chip, message", [
         ({"class": "edge", "noc_gbps": 1e-300},

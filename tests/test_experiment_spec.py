@@ -9,8 +9,13 @@ Three contracts:
   interface of ``herald run``;
 * every form a layer's ``from_spec`` accepts builds exactly the object it
   names: the valid-spec cases below and the golden experiment specs under
-  ``tests/golden/experiments`` between them parse each form.
+  ``tests/golden/experiments`` between them parse each form;
+* a seeded fuzz of one valid spec per kind ends every call in an
+  ``ExperimentSpec`` or a ``SpecError``, never another exception.
 """
+
+import copy
+import random
 
 import pytest
 
@@ -269,6 +274,33 @@ _ERROR_CASES = [
                  "bw_partition_gbps": [1e-300, 16]}},
      "design.bw_partition_gbps[0]: 1e-291 B/s is below the physical floor "
      "of 1 B/s"),
+    # Maelstrom and the SLA search split the chip two ways; a 1-PE chip
+    # used to end in a SearchError traceback from the partition search.
+    ({"kind": "schedule", "design": "maelstrom",
+      "chip": {"class": "edge", "num_pes": 1}},
+     "design: 2 sub-accelerators need at least one PE each, but chip "
+     "'edge' has 1"),
+    ({"kind": "serve", "chip": {"class": "edge", "num_pes": 1}},
+     "design: 2 sub-accelerators need at least one PE each, but chip "
+     "'edge' has 1"),
+    ({"kind": "fleet", "chip": {"class": "edge", "num_pes": 1}},
+     "design: 2 sub-accelerators need at least one PE each, but chip "
+     "'edge' has 1"),
+    ({"kind": "closed-loop", "design": "rda",
+      "chip": {"class": "edge", "num_pes": 1},
+      "fleet": {"chips": ["rda", "maelstrom"]}},
+     "fleet.chips[1]: 2 sub-accelerators need at least one PE each, but "
+     "chip 'edge' has 1"),
+    ({"kind": "serve", "design": "rda", "optimize_sla": True,
+      "chip": {"class": "edge", "num_pes": 1}},
+     "optimize_sla: 2 sub-accelerators need at least one PE each, but chip "
+     "'edge' has 1"),
+    # Found by the fuzz below: a huge count built one PE share per copy
+    # first (10**400 raised OverflowError, 10**9 would allocate gigabytes).
+    ({"kind": "schedule",
+      "design": {"kind": "sm-fda", "style": "nvdla", "count": 2000}},
+     "design.count: 2000 sub-accelerators need at least one PE each, but "
+     "chip 'edge' has 1024"),
 ]
 
 
@@ -394,3 +426,98 @@ class TestValidSpecs:
             "traffic": {"kind": "diurnal", "amplitude": 0},
         })
         assert spec.traffic.shape == {"amplitude": 0.0}
+
+
+# ---------------------------------------------------------------------------
+# Seeded fuzz
+# ---------------------------------------------------------------------------
+#: One valid spec per experiment kind, between them using every top-level
+#: key and the chip, design, search, streaming, traffic, sustained, fleet,
+#: min_chips, faults and autoscale sub-mappings.
+_FUZZ_BASES = [
+    {"kind": "schedule", "name": "s", "workload": "arvr-a", "metric": "edp",
+     "chip": {"class": "edge", "num_pes": 64, "noc_gbps": 8,
+              "clock_mhz": 500},
+     "design": {"kind": "hda", "styles": ["nvdla", "shidiannao"],
+                "pe_partition": [32, 32], "bw_partition_gbps": [4, 4]}},
+    {"kind": "dse", "workload": {"name": "mix", "entries": [["unet", 1]]},
+     "chip": "edge", "search": {"pe_steps": 4, "bw_steps": 1},
+     "exec": {"jobs": 1, "partial_ok": False}},
+    {"kind": "serve", "design": "fda-nvdla", "metric": "latency",
+     "streaming": {"frames": 2, "fps_scale": 1.0, "jitter_ms": 0.5,
+                   "seed": 1},
+     "sustained": {"enabled": True, "lo": 0.1, "hi": 2.0, "probes": 3},
+     "optimize_sla": False},
+    {"kind": "fleet", "design": "rda", "chip": "mobile",
+     "fleet": {"chips": 2, "policy": "round-robin"},
+     "traffic": {"kind": "bursty", "burst_factor": 5},
+     "min_chips": {"enabled": True, "max_chips": 3}},
+    {"kind": "closed-loop", "design": "fda-nvdla",
+     "fleet": {"chips": ["rda", {"kind": "sm-fda", "style": "nvdla",
+                                 "count": 2}]},
+     "traffic": {"kind": "diurnal", "amplitude": 0.5},
+     "faults": ["die:1@0.001", "slow:0@0.001-0.002x2"],
+     "autoscale": {"interval_ms": 2}},
+]
+
+#: Replacement values: wrong types, out-of-domain numbers, unknown names.
+_FUZZ_VALUES = [None, True, False, -1, 0, 1, 3, 0.5, -2.0, 1e300, 1e-300,
+                float("nan"), float("inf"), 10 ** 400, "", "x", "edge",
+                "maelstrom", "nvdla", [], [1], ["x", None], {}, {"kind": "x"}]
+
+
+def _fuzz_paths(node, prefix=()):
+    """Every (container, key) path below ``node``, depth first."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _fuzz_paths(value, prefix + (key,))
+
+
+def _mutate(spec, rng):
+    """Apply one random value swap, deletion or wrong-typed replacement."""
+    paths = list(_fuzz_paths(spec))
+    path = rng.choice(paths)
+    parent = spec
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    operation = rng.randrange(3)
+    if operation == 0:
+        del parent[key]
+    elif operation == 1:
+        parent[key] = copy.deepcopy(rng.choice(_FUZZ_VALUES))
+    else:
+        other = spec
+        for step in rng.choice(paths):
+            if not isinstance(other, (dict, list)) or (
+                    isinstance(other, list) and step >= len(other)) or (
+                    isinstance(other, dict) and step not in other):
+                return
+            other = other[step]
+        parent[key] = copy.deepcopy(other)
+
+
+class TestSpecFuzz:
+    @pytest.mark.parametrize("base", _FUZZ_BASES,
+                             ids=[base["kind"] for base in _FUZZ_BASES])
+    def test_mutated_specs_load_or_raise_spec_error(self, base):
+        """600 seeded mutants per kind (1-3 mutations each): the loader
+        returns a spec or raises ``SpecError``, nothing else."""
+        experiment_from_spec(base)
+        rng = random.Random(f"spec-fuzz-{base['kind']}")
+        for case in range(600):
+            spec = copy.deepcopy(base)
+            for _ in range(rng.randint(1, 3)):
+                if not list(_fuzz_paths(spec)):
+                    break
+                _mutate(spec, rng)
+            try:
+                loaded = experiment_from_spec(spec)
+            except SpecError:
+                continue
+            except Exception as error:  # noqa: BLE001 - the property itself
+                pytest.fail(f"case {case}: {spec!r} raised "
+                            f"{type(error).__name__}: {error}")
+            assert isinstance(loaded, ExperimentSpec)

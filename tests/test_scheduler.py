@@ -4,6 +4,7 @@ import pytest
 
 import reference_scheduler
 from repro.core.greedy import GreedyScheduler
+from repro.core.schedule import Schedule, ScheduledLayer
 from repro.core.scheduler import HeraldScheduler
 from repro.dataflow.styles import EYERISS, NVDLA, SHIDIANNAO
 from repro.exceptions import SchedulingError
@@ -37,7 +38,7 @@ class TestHeraldSchedulerBehaviour:
         scheduler = HeraldScheduler(cost_model)
         schedule = scheduler.schedule(small_workload, tiny_sub_accelerators)
         assert len(schedule) == small_workload.total_layers
-        # validate() already ran inside schedule(); run it again explicitly.
+        # The conftest hook already validated it; run it again explicitly.
         schedule.validate({i.instance_id: i.num_layers for i in small_workload.instances()})
 
     def test_every_sub_accelerator_is_used_on_heterogeneous_mix(
@@ -196,3 +197,67 @@ class TestGreedyScheduler:
         greedy = GreedyScheduler(cost_model).schedule(small_workload,
                                                       tiny_sub_accelerators)
         assert herald.makespan_cycles <= greedy.makespan_cycles * 1.05
+
+
+class _DependenceBreakingScheduler(HeraldScheduler):
+    """Herald with one planted fault: the first layer that waits on a
+    producer running on another sub-accelerator starts as soon as its own
+    sub-accelerator is free, before that producer finishes."""
+
+    def _timeline(self, *args):
+        schedule = super()._timeline(*args)
+        entries = list(schedule.entries)
+        by_index = {(e.instance_id, e.layer_index): e for e in entries}
+        for position, entry in enumerate(entries):
+            idle_from = max((other.finish_cycle for other in entries
+                             if other.sub_accelerator == entry.sub_accelerator
+                             and other.finish_cycle <= entry.start_cycle),
+                            default=0.0)
+            producers = schedule.instance_predecessors[
+                entry.instance_id][entry.layer_index]
+            if any(by_index[entry.instance_id, producer].finish_cycle
+                   > idle_from + 1.0 for producer in producers):
+                entries[position] = ScheduledLayer(
+                    entry.layer, entry.instance_id, entry.layer_index,
+                    entry.sub_accelerator, idle_from, entry.finish_cycle,
+                    entry.cost)
+                return Schedule.from_entries(
+                    schedule.sub_accelerator_names, entries,
+                    clock_hz=schedule.clock_hz,
+                    instance_predecessors=schedule.instance_predecessors)
+        raise AssertionError("no layer waits on another sub-accelerator")
+
+
+class TestValidationLivesInTheSuite:
+    """Herald's scheduler does not check its own output; the
+    ``pytest_configure`` hook in ``conftest.py`` checks every schedule it
+    returns.  The greedy baseline still validates in production."""
+
+    def test_suite_hook_fails_a_schedule_that_breaks_a_dependence(
+            self, cost_model):
+        from repro.accel.builders import chip_from_spec, make_hda
+        workload = arvr_a()
+        accs = make_hda(chip_from_spec("edge"),
+                        [NVDLA, SHIDIANNAO]).sub_accelerators
+        scheduler = _DependenceBreakingScheduler(cost_model)
+        unchecked = HeraldScheduler.schedule.__wrapped__(scheduler, workload,
+                                                         accs)
+        assert len(unchecked) == workload.total_layers
+        with pytest.raises(SchedulingError, match="before its producer"):
+            scheduler.schedule(workload, accs)
+
+    def test_herald_schedule_makes_no_validate_call_greedy_does(
+            self, monkeypatch, cost_model, small_workload,
+            tiny_sub_accelerators):
+        def refuse(self, expected_layers=None):
+            raise AssertionError("Schedule.validate was called")
+
+        monkeypatch.setattr(HeraldScheduler, "schedule",
+                            HeraldScheduler.schedule.__wrapped__)
+        monkeypatch.setattr(Schedule, "validate", refuse)
+        schedule = HeraldScheduler(cost_model).schedule(small_workload,
+                                                        tiny_sub_accelerators)
+        assert len(schedule) == small_workload.total_layers
+        with pytest.raises(AssertionError, match="validate was called"):
+            GreedyScheduler(cost_model).schedule(small_workload,
+                                                 tiny_sub_accelerators)

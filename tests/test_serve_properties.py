@@ -102,10 +102,10 @@ class TestOnlineInvariants:
         scheduler = HeraldScheduler(_COST_MODEL, metric=metric,
                                     ordering=ordering, load_balance_factor=lb)
         accs = _subs()
-        # scheduler.schedule() runs Schedule.validate() internally (producer
-        # edges, non-overlap, completeness, release respect); the explicit
-        # checks below re-verify the serving invariants independently of the
-        # validator's implementation.
+        # The conftest hook runs Schedule.validate() on every Herald schedule
+        # (producer edges, non-overlap, completeness, release respect); the
+        # explicit checks below re-verify the serving invariants independently
+        # of the validator's implementation.
         schedule = scheduler.schedule(workload, accs, release_cycles=releases)
 
         for entry in schedule.entries:
