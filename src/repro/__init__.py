@@ -29,7 +29,7 @@ Quickstart
 
 # Defined before the submodule imports below: submodules (e.g. the report
 # writer) import it back from the partially initialised package.
-__version__ = "1.26.0"
+__version__ = "1.27.0"
 
 from repro.models import Layer, LayerType, ModelGraph
 from repro.models.zoo import available_models, build_model

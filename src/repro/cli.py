@@ -491,7 +491,11 @@ def _command_report_diff(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point (returns a process exit code)."""
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "report-diff" and [] in (args.current, args.baseline):
+        # argparse (Python 3.9-3.13) binds [] to a positional after "-- X --".
+        parser.error("report-diff: needs a CURRENT and a BASELINE report")
     if args.command == "describe":
         return _command_describe()
     if args.command == "schedule":

@@ -199,7 +199,7 @@ class PartitionSearch:
         coarse round and the binary refinement round estimate them up front,
         so every evaluation is pure memo lookups.
         """
-        designs = [self._build_design(chip, styles, pes, bws)
+        designs = [self.build_design(chip, styles, pes, bws)
                    for pes, bws in candidates]
         self.cost_model.prewarm(
             workload.unique_shape_layers(),
@@ -278,7 +278,11 @@ class PartitionSearch:
                      bw_partition_gbps: Sequence[float]) -> AcceleratorDesign:
         """The design a candidate partition denotes (HDA, or SM-FDA when
         all styles coincide)."""
-        return self._build_design(chip, styles, pe_partition, bw_partition_gbps)
+        distinct_styles = {style.name for style in styles}
+        if len(distinct_styles) == 1:
+            return make_smfda(chip, styles[0], num_sub_accelerators=len(styles))
+        return make_hda(chip, styles, pe_partition=pe_partition,
+                        bw_partition_gbps=bw_partition_gbps)
 
     # ------------------------------------------------------------------
     # Internals
@@ -314,16 +318,6 @@ class PartitionSearch:
             bw_options = [tuple(total_bw_gbps / parts for _ in range(parts))]
 
         return [(pes, bws) for pes in pe_options for bws in bw_options]
-
-    def _build_design(self, chip: ChipConfig, styles: Sequence[DataflowStyle],
-                      pe_partition: Sequence[int],
-                      bw_partition_gbps: Sequence[float]) -> AcceleratorDesign:
-        distinct_styles = {style.name for style in styles}
-        if len(distinct_styles) == 1:
-            return make_smfda(chip, styles[0], num_sub_accelerators=len(styles))
-        return make_hda(chip, styles, pe_partition=pe_partition,
-                        bw_partition_gbps=bw_partition_gbps)
-
 
 
 # ---------------------------------------------------------------------------

@@ -289,14 +289,10 @@ class HeraldScheduler:
 
         Slot == ``order_index`` throughout the returned :class:`_VisitOrder`.
         """
-        snapshot = tuple(workload.entries)
         key = (self.ordering, self.memory_limit_bytes)
-        memo = workload._static_order_memo
-        if memo is None:
-            memo = workload._static_order_memo = {}
-        cached = memo.get(key)
-        if cached is not None and cached[0] == snapshot:
-            return cached[1]
+        cached = workload._visit_orders.get(key)
+        if cached is not None:
+            return cached
 
         instances = workload.instances()
         per_instance = [(instance.instance_id,
@@ -359,7 +355,7 @@ class HeraldScheduler:
         payload = _VisitOrder(slot_layers, instance_ids, layer_indices,
                               list(shape_index), slot_shapes, unmet0,
                               consumer_slots, violations)
-        memo[key] = (snapshot, payload)
+        workload._visit_orders[key] = payload
         return payload
 
     def _memory_allows(self, states: Sequence[_InstanceState],

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from repro.exceptions import MappingError
 from repro.dataflow.styles import DataflowStyle
@@ -259,7 +259,21 @@ def saturating_pes(layer: Layer, style: DataflowStyle) -> int:
     return pes
 
 
-def _build_mapping_uncached(layer: Layer, style: DataflowStyle, num_pes: int) -> Mapping:
+def build_mapping(layer: Layer, style: DataflowStyle, num_pes: int) -> Mapping:
+    """Map ``layer`` onto ``num_pes`` PEs using dataflow ``style``.
+
+    A pure function of the layer *shape*, the style and the PE budget.  It
+    keeps no memo of its own: the cost model's activity record is the one
+    memo of a mapping, and the factor search underneath is ``lru_cache``d.
+
+    Raises
+    ------
+    MappingError
+        If the PE budget is not a positive integer.
+    """
+    if not isinstance(num_pes, int) or num_pes < 1:
+        raise MappingError(f"cannot map layer {layer.name!r}: num_pes={num_pes!r} "
+                           "must be a positive integer")
     dims = [
         (name, size, style.unroll_cap(name) or num_pes)
         for name, size in style.spatial_dims_for_layer(layer)
@@ -280,78 +294,3 @@ def _build_mapping_uncached(layer: Layer, style: DataflowStyle, num_pes: int) ->
         compute_steps=compute_steps,
         active_pes=active,
     )
-
-
-#: Entry cap of the mapping memo (matches the historical ``lru_cache`` bound).
-_MAPPING_MEMO_MAX = 200_000
-
-_mapping_memo: Dict[Tuple, Mapping] = {}
-_mapping_memo_hits = 0
-_mapping_memo_misses = 0
-
-
-def _mapping_memo_key(layer: Layer, style: DataflowStyle, num_pes: int) -> Tuple:
-    """Memo key of :func:`build_mapping` — shape identity, not layer identity.
-
-    The mapper's output is a pure function of the layer *shape* (every loop
-    dimension plus stride/upscale/operator type), the dataflow, and the PE
-    budget.  Keying on the full frozen ``Layer`` — whose ``__eq__``/``__hash__``
-    include the identity fields ``name``/``model_name`` — fragmented same-shape
-    layers across blocks, batches, and models into separate entries and pinned
-    every distinct ``Layer`` object in a process-global cache.
-    """
-    return (layer.shape_key, style, num_pes)
-
-
-class MappingCacheInfo(NamedTuple):
-    """Mapping-memo statistics, shaped like ``functools.lru_cache``'s."""
-
-    hits: int
-    misses: int
-    maxsize: Optional[int]
-    currsize: int
-
-
-def build_mapping(layer: Layer, style: DataflowStyle, num_pes: int) -> Mapping:
-    """Map ``layer`` onto ``num_pes`` PEs using dataflow ``style``.
-
-    Results are memoised per :func:`_mapping_memo_key` (layer *shape*, style,
-    PE budget); a hit for a renamed same-shape layer returns the mapping built
-    for the first layer seen with that shape, whose numeric fields are
-    identical by construction.
-
-    Raises
-    ------
-    MappingError
-        If the PE budget is not a positive integer.
-    """
-    if not isinstance(num_pes, int) or num_pes < 1:
-        raise MappingError(f"cannot map layer {layer.name!r}: num_pes={num_pes!r} "
-                           "must be a positive integer")
-    global _mapping_memo_hits, _mapping_memo_misses
-    key = _mapping_memo_key(layer, style, num_pes)
-    cached = _mapping_memo.get(key)
-    if cached is not None:
-        _mapping_memo_hits += 1
-        return cached
-    _mapping_memo_misses += 1
-    mapping = _build_mapping_uncached(layer, style, num_pes)
-    if len(_mapping_memo) < _MAPPING_MEMO_MAX:
-        _mapping_memo[key] = mapping
-    return mapping
-
-
-def mapping_cache_info() -> MappingCacheInfo:
-    """Expose the mapper cache statistics (useful when profiling DSE runs)."""
-    return MappingCacheInfo(hits=_mapping_memo_hits, misses=_mapping_memo_misses,
-                            maxsize=_MAPPING_MEMO_MAX, currsize=len(_mapping_memo))
-
-
-def clear_mapping_cache() -> None:
-    """Drop all memoised mappings (used by tests to measure cold behaviour)."""
-    global _mapping_memo_hits, _mapping_memo_misses
-    _mapping_memo.clear()
-    _mapping_memo_hits = 0
-    _mapping_memo_misses = 0
-    for func in (_candidate_factors, _divisors, _search_factors_cached):
-        func.cache_clear()

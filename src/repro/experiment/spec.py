@@ -33,7 +33,7 @@ from repro.dataflow import ALL_STYLES
 from repro.exceptions import SpecError
 from repro.maestro.hardware import ChipConfig
 from repro.serve.faults import FaultSpec, faults_from_spec
-from repro.serve.fleet import fleet_from_spec
+from repro.serve.fleet import expect_fleet_size, fleet_from_spec
 from repro.serve.online import AutoscalePolicy, autoscale_from_spec
 from repro.serve.router import ROUTER_POLICIES
 from repro.serve.traffic import TRAFFIC_KINDS, _SHAPE_DEFAULTS
@@ -278,8 +278,8 @@ def _min_chips_settings(value: object, path: str) -> MinChipsSettings:
     return MinChipsSettings(
         enabled=expect_bool(mapping.get("enabled", True),
                             spec_path(path, "enabled")),
-        max_chips=expect_pos_int(mapping.get("max_chips", 8),
-                                 spec_path(path, "max_chips")),
+        max_chips=expect_fleet_size(mapping.get("max_chips", 8),
+                                    spec_path(path, "max_chips")),
     )
 
 

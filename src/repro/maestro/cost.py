@@ -233,7 +233,8 @@ class CostModel:
         #: Activity records (:func:`_activity`) per ``(shape_key, style,
         #: min(PEs, saturation), buffer, reconfigurable)``, shared by every
         #: bandwidth split and clock of one array and by every array larger
-        #: than the saturation.
+        #: than the saturation.  The one memo of a mapping: each record is
+        #: built from one ``build_mapping`` call, which keeps no memo.
         self._activities: Dict[Tuple, Tuple] = {}
         #: :func:`saturating_pes` per ``(shape_key, style)``.
         self._saturations: Dict[Tuple, int] = {}
@@ -342,11 +343,6 @@ class CostModel:
         """Hit/miss counters and current entry count of the memo."""
         return {"hits": self.hits, "misses": self.misses, "entries": len(self._cache)}
 
-    def reset_stats(self) -> None:
-        """Zero the hit/miss counters (the memo itself is kept)."""
-        self.hits = 0
-        self.misses = 0
-
     def __getstate__(self) -> Dict[str, object]:
         # The activity records only speed up cold estimates; a worker
         # rebuilds any it needs instead of receiving them.
@@ -354,12 +350,6 @@ class CostModel:
         state["_activities"] = {}
         state["_saturations"] = {}
         return state
-
-    def clear_cache(self) -> None:
-        """Drop all memoised results."""
-        self._cache.clear()
-        self._activities.clear()
-        self._saturations.clear()
 
     # ------------------------------------------------------------------
     # Internals

@@ -646,6 +646,19 @@ def min_chips_for_sla(simulator: FleetSimulator,
 # ---------------------------------------------------------------------------
 _FLEET_KEYS = ("name", "chips", "design")
 
+#: Most chips a spec may ask a fleet for: every replica is built up front,
+#: so a count like 10**400 would never finish building.
+MAX_FLEET_CHIPS = 10_000
+
+
+def expect_fleet_size(value: object, path: str) -> int:
+    """``value`` must be a chip count from 1 to :data:`MAX_FLEET_CHIPS`."""
+    count = expect_pos_int(value, path)
+    if count > MAX_FLEET_CHIPS:
+        raise SpecError(f"{path}: {count} chips is more than the "
+                        f"{MAX_FLEET_CHIPS:,} a fleet simulates")
+    return count
+
 
 def fleet_from_spec(spec: object, build_design, path: str = "fleet") -> Fleet:
     """Build a fleet from its declarative spec.
@@ -667,7 +680,7 @@ def fleet_from_spec(spec: object, build_design, path: str = "fleet") -> Fleet:
     chips_value = take(mapping, "chips", path)
     chips_path = spec_path(path, "chips")
     if isinstance(chips_value, int) and not isinstance(chips_value, bool):
-        count = expect_pos_int(chips_value, chips_path)
+        count = expect_fleet_size(chips_value, chips_path)
         base = build_design(mapping.get("design"), spec_path(path, "design"))
         return Fleet.homogeneous(base, count, name=name)
     if "design" in mapping:

@@ -316,7 +316,7 @@ def traffic_suite(suite_name: str, kind: str, frames: int = 8,
             **shape,
         ).to_trace())
     return StreamingWorkload(name=f"{suite_name}-{kind}", streams=streams,
-                             models=dict(spec.models))
+                             models=spec.models)
 
 
 # ---------------------------------------------------------------------------

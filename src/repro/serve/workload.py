@@ -20,7 +20,8 @@ stays the single-stream period.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+from functools import cached_property
+from typing import Dict, Iterable, List, Optional, Union
 
 from repro.exceptions import SpecError, WorkloadError
 from repro.models.graph import ModelGraph
@@ -78,36 +79,33 @@ class StreamingWorkload:
     """
 
     def __init__(self, name: str,
-                 streams: Optional[List[StreamSpec]] = None,
+                 streams: Optional[Iterable[StreamSpec]] = None,
                  models: Optional[Dict[str, ModelGraph]] = None) -> None:
-        self.name = name
-        self.streams = [] if streams is None else streams
-        self.models = {} if models is None else models
-        #: Expansion memo keyed by a snapshot of the frame set (each
-        #: stream's ``(model_name, frames)``), like WorkloadSpec's memos are
-        #: keyed by its ``entries``: mutated streams never get a stale
-        #: expansion, and rate scaling, which keeps the frame set, shares
-        #: one.  Excluded from pickles, so evaluation tasks shipping
-        #: streaming workloads to pool workers stay small; the expansion is
-        #: cheap to rebuild there.
-        self._spec_memo: Optional[Tuple[Tuple[Tuple[str, int], ...],
-                                        WorkloadSpec]] = None
-        if not self.streams:
-            raise WorkloadError(f"streaming workload {self.name!r} has no streams")
-        names = [stream.model_name for stream in self.streams]
+        streams = tuple(streams or ())
+        if not streams:
+            raise WorkloadError(f"streaming workload {name!r} has no streams")
+        names = [stream.model_name for stream in streams]
         if len(set(names)) != len(names):
             raise WorkloadError(
-                f"streaming workload {self.name!r} has duplicate model streams; "
+                f"streaming workload {name!r} has duplicate model streams; "
                 "fold repeated models into one stream at the aggregate FPS"
             )
+        self.__dict__.update(name=name, streams=streams,
+                             models=dict(models or {}))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(
+            f"StreamingWorkload is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(
+            f"StreamingWorkload is immutable; cannot delete {name!r}")
 
     def __getstate__(self) -> Dict[str, object]:
-        state = dict(self.__dict__)
-        state["_spec_memo"] = None
-        return state
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self.__dict__.update(state)
+        # Evaluation tasks ship streaming workloads to pool workers; the
+        # expansion is cheap to rebuild there and would bloat the pickle.
+        return {key: self.__dict__[key]
+                for key in ("name", "streams", "models")}
 
     # ------------------------------------------------------------------
     # Expansion
@@ -118,16 +116,17 @@ class StreamingWorkload:
         Frame ``i`` of stream ``m`` is instance ``"m#i"`` — the id scheme
         :meth:`WorkloadSpec.instances` produces natively, so release and
         deadline maps line up with the expanded instances by construction.
-        Memoised against the frame set, which :meth:`scaled` copies share:
-        their spec keeps the root workload's ``name``.
+        Built once, and shared by :meth:`scaled` copies, which keep the frame
+        set: their spec keeps the root workload's ``name``.
         """
-        snapshot = tuple((stream.model_name, stream.frames)
-                         for stream in self.streams)
-        if self._spec_memo is None or self._spec_memo[0] != snapshot:
-            self._spec_memo = (snapshot, WorkloadSpec(
-                name=self.name, entries=list(snapshot),
-                models=dict(self.models)))
-        return self._spec_memo[1]
+        return self._spec
+
+    @cached_property
+    def _spec(self) -> WorkloadSpec:
+        return WorkloadSpec(
+            name=self.name, models=self.models,
+            entries=[(stream.model_name, stream.frames)
+                     for stream in self.streams])
 
     def release_times_s(self) -> Dict[str, float]:
         """Release time of every frame instance, in seconds, keyed by instance id."""
@@ -172,10 +171,9 @@ class StreamingWorkload:
         copy = StreamingWorkload(
             name=name or f"{self.name}-x{factor:g}",
             streams=[stream.scaled(factor) for stream in self.streams],
-            models=dict(self.models),
+            models=self.models,
         )
-        self.to_workload_spec()
-        copy._spec_memo = self._spec_memo
+        copy.__dict__["_spec"] = self._spec
         return copy
 
     # ------------------------------------------------------------------
@@ -241,7 +239,7 @@ def streaming_suite(suite_name: str, frames: int = 8, fps_scale: float = 1.0,
             deadline_s=1.0 / base_fps,
         ))
     return StreamingWorkload(name=f"{suite_name}-stream", streams=streams,
-                             models=dict(spec.models))
+                             models=spec.models)
 
 
 # ---------------------------------------------------------------------------

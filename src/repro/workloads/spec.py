@@ -12,6 +12,7 @@ scheduler only serializes true producer→consumer pairs.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import (Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
@@ -67,45 +68,49 @@ class ModelInstance(NamedTuple):
 class WorkloadSpec:
     """A heterogeneous multi-DNN workload (Table II row).
 
+    An immutable value: ``entries`` is a tuple fixed at construction, the
+    ``models`` given are copied and never written, and assigning to any
+    attribute raises.  So every derived view (the instance expansion, the
+    deduped shapes, the dependence sets, the scheduler's visit orders) is
+    built at most once per object and never needs invalidating.
+
     Parameters
     ----------
     name:
         Workload name, e.g. ``"arvr-a"``.
     entries:
         ``(model_name, batches)`` pairs.  Models are built lazily through the
-        zoo registry the first time :meth:`instances` is called.
+        zoo registry the first time a graph is needed.
     models:
         Optional pre-built model graphs keyed by model name; overrides the zoo
         for custom models.
     """
 
     def __init__(self, name: str,
-                 entries: Optional[List[Tuple[str, int]]] = None,
+                 entries: Optional[Iterable[Tuple[str, int]]] = None,
                  models: Optional[Dict[str, ModelGraph]] = None) -> None:
-        self.name = name
-        self.entries = [] if entries is None else entries
-        self.models = {} if models is None else models
-        #: Derived-state memos keyed by a snapshot of ``entries`` so a
-        #: mutated spec never serves stale expansions.  Excluded from pickles
-        #: (evaluation tasks ship workloads to pool workers; the memos are
-        #: cheap to rebuild there and would only bloat the pickle).
-        self._instances_memo: Optional[Tuple[Tuple[Tuple[str, int], ...],
-                                             List[ModelInstance]]] = None
-        self._shapes_memo: Optional[Tuple[Tuple[Tuple[str, int], ...],
-                                          List[Layer]]] = None
-        #: Scheduler-owned memo of the design-independent visiting order (see
-        #: ``HeraldScheduler._static_visit_order``), keyed by ordering policy
-        #: and memory limit.  Lives here because its lifetime is the
-        #: workload's, like the expansions.
-        self._static_order_memo: Optional[Dict[Tuple, Tuple]] = None
-        if not self.entries:
-            raise WorkloadError(f"workload {self.name!r} has no model entries")
-        for model_name, batches in self.entries:
+        entries = tuple((model_name, batches)
+                        for model_name, batches in entries or ())
+        if not entries:
+            raise WorkloadError(f"workload {name!r} has no model entries")
+        for model_name, batches in entries:
             if batches < 1:
                 raise WorkloadError(
-                    f"workload {self.name!r}: model {model_name!r} has batches={batches}; "
+                    f"workload {name!r}: model {model_name!r} has batches={batches}; "
                     "must be >= 1"
                 )
+        models = dict(models or {})
+        #: ``_graphs`` resolves model names: the given ``models``, then zoo
+        #: graphs as they are built.  It pickles with the workload, so pool
+        #: workers receive the built graphs instead of rebuilding them.
+        self.__dict__.update(name=name, entries=entries, models=models,
+                             _graphs=dict(models))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"WorkloadSpec is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"WorkloadSpec is immutable; cannot delete {name!r}")
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not WorkloadSpec:
@@ -114,41 +119,36 @@ class WorkloadSpec:
                 == (other.name, other.entries, other.models))
 
     def __getstate__(self) -> Dict[str, object]:
-        state = dict(self.__dict__)
-        state["_instances_memo"] = None
-        state["_shapes_memo"] = None
-        state["_static_order_memo"] = None
-        return state
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self.__dict__.update(state)
+        # The derived views are cheap to rebuild in a pool worker and would
+        # only bloat the pickle.
+        return {key: self.__dict__[key]
+                for key in ("name", "entries", "models", "_graphs")}
 
     # ------------------------------------------------------------------
     # Expansion
     # ------------------------------------------------------------------
     def model_graph(self, model_name: str) -> ModelGraph:
         """Return (building and caching if needed) the graph for ``model_name``."""
-        if model_name not in self.models:
-            self.models[model_name] = build_model(model_name)
-        return self.models[model_name]
+        graph = self._graphs.get(model_name)
+        if graph is None:
+            graph = self._graphs[model_name] = build_model(model_name)
+        return graph
 
     def instances(self) -> List[ModelInstance]:
         """Expand the workload into independent model instances (one per batch).
 
-        The expansion is memoised against a snapshot of ``entries``: the
-        scheduler asks for the instances of the same workload once per design
-        candidate, thousands of times across a DSE sweep.
+        Built once per workload: the scheduler asks for the instances of the
+        same workload once per design candidate, thousands of times across a
+        DSE sweep.
         """
-        snapshot = tuple(self.entries)
-        if self._instances_memo is not None and self._instances_memo[0] == snapshot:
-            return list(self._instances_memo[1])
-        result: List[ModelInstance] = []
-        for model_name, batches in self.entries:
-            graph = self.model_graph(model_name)
-            for batch in range(batches):
-                result.append(ModelInstance(instance_id=f"{model_name}#{batch}", model=graph))
-        self._instances_memo = (snapshot, result)
-        return list(result)
+        return list(self._instances)
+
+    @cached_property
+    def _instances(self) -> Tuple[ModelInstance, ...]:
+        return tuple(ModelInstance(instance_id=f"{model_name}#{batch}",
+                                   model=self.model_graph(model_name))
+                     for model_name, batches in self.entries
+                     for batch in range(batches))
 
     def unique_shape_layers(self) -> List[Layer]:
         """One representative layer per distinct shape in the workload.
@@ -157,28 +157,36 @@ class WorkloadSpec:
         whole models and models repeat block shapes internally, so the list is
         typically several times shorter than :meth:`all_layers`.  The first
         layer seen with each :attr:`~repro.models.layer.Layer.shape_key` (in
-        entry order, then dependence order) is the representative.  Memoised
-        like :meth:`instances`, so every design candidate of a partition
-        search / DSE sweep shares one dedupe pass.
+        entry order, then dependence order) is the representative.  Built
+        once, like :meth:`instances`, so every design candidate of a
+        partition search / DSE sweep shares one dedupe pass.
         """
-        snapshot = tuple(self.entries)
-        if self._shapes_memo is not None and self._shapes_memo[0] == snapshot:
-            return list(self._shapes_memo[1])
+        return list(self._shape_layers)
+
+    @cached_property
+    def _shape_layers(self) -> Tuple[Layer, ...]:
         representatives: Dict[Tuple, Layer] = {}
         for model_name, _ in self.entries:
             for layer in self.model_graph(model_name).dependence_order():
                 representatives.setdefault(layer.shape_key, layer)
-        result = list(representatives.values())
-        self._shapes_memo = (snapshot, result)
-        return list(result)
+        return tuple(representatives.values())
+
+    @cached_property
+    def _visit_orders(self) -> Dict[Tuple, object]:
+        """Scheduler-owned memo of the design-independent visiting order (see
+        ``HeraldScheduler._static_visit_order``), keyed by ordering policy and
+        memory limit: its lifetime is the workload's, like the expansions."""
+        return {}
 
     def with_batches(self, batches: int, name: str | None = None) -> "WorkloadSpec":
         """Return a copy where every model runs ``batches`` batches (Table VI study)."""
-        return WorkloadSpec(
+        copy = WorkloadSpec(
             name=name or f"{self.name}-b{batches}",
             entries=[(model_name, batches) for model_name, _ in self.entries],
-            models=dict(self.models),
+            models=self.models,
         )
+        copy._graphs.update(self._graphs)
+        return copy
 
     # ------------------------------------------------------------------
     # Statistics
@@ -220,12 +228,15 @@ class WorkloadSpec:
 
         This is the true dependence structure (one entry per layer, aligned
         with the dependence order) the scheduler threads through schedule
-        construction and validation.
+        construction and validation.  Built once and shared: treat it as
+        read-only.
         """
-        return {
-            instance.instance_id: instance.predecessor_indices()
-            for instance in self.instances()
-        }
+        return self._dependences
+
+    @cached_property
+    def _dependences(self) -> Dict[str, Tuple[FrozenSet[int], ...]]:
+        return {instance.instance_id: instance.predecessor_indices()
+                for instance in self._instances}
 
     def all_layers(self) -> List[Layer]:
         """Every layer execution in the workload (duplicated across batches)."""

@@ -6,6 +6,10 @@ fast; the integration tests use the real Table II / Table IV configurations.
 Herald's scheduler builds its schedules valid by construction and does not
 check them itself; :func:`pytest_configure` makes the suite check every
 schedule it returns instead.
+
+Hypothesis runs derandomised: each property draws the same examples on
+every run, so a failure reproduces and the suite checks the same schedules
+each time.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import functools
 
 import pytest
+from hypothesis import settings
 
 from repro.core.scheduler import HeraldScheduler
 from repro.dataflow.styles import EYERISS, NVDLA, SHIDIANNAO
@@ -22,6 +27,9 @@ from repro.models.graph import ModelGraph
 from repro.models.layer import conv2d, dwconv, fc, pwconv
 from repro.units import gbps, mib
 from repro.workloads.spec import WorkloadSpec
+
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 @functools.wraps(HeraldScheduler.schedule)

@@ -562,3 +562,143 @@ class TestParser:
             main(argv)
         assert excinfo.value.code == 2
         assert message in capsys.readouterr().err
+
+
+class TestArgvFuzz:
+    """Seeded fuzz of every sub-command's argv: swapped flag values,
+    dropped, duplicated and reordered flags.  ``run_experiment`` is
+    patched, so an argv that validates exits 0 without running; every
+    other mutant must end in exit 2 with one ``error:`` line."""
+
+    _GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "experiments")
+    _VALUES = ["0", "-1", "nan", "inf", "-inf", "1e400", str(10 ** 400), "x",
+               "", "1e", "edge", "--", "0.5"]
+
+    @staticmethod
+    def _bases(tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"kind": "schedule", "workload": "arvr-a",
+                                    "design": "rda"}), encoding="utf-8")
+        report = os.path.join(TestArgvFuzz._GOLDEN, "schedule_rda.report.json")
+        out = str(tmp_path / "out.json")
+        return [
+            ["describe"],
+            ["schedule", "--workload", "arvr-a", "--chip", "edge", "--design",
+             "rda", "--metric", "latency", "--report", out],
+            ["dse", "--workload", "arvr-a", "--chip", "edge", "--pe-steps",
+             "4", "--bw-steps", "1", "--jobs", "1", "--partial-ok",
+             "--checkpoint", str(tmp_path / "ck"), "--resume", "--report", out],
+            ["serve", "--workload", "arvr-a", "--chip", "edge", "--design",
+             "fda-nvdla", "--metric", "edp", "--frames", "1", "--fps-scale",
+             "1.5", "--jitter-ms", "0.5", "--seed", "3", "--sustained-lo",
+             "0.5", "--sustained-hi", "2", "--sustained-probes", "3",
+             "--sustained-tolerance", "0.1", "--optimize-sla", "--report", out],
+            ["serve", "--design", "fda-nvdla", "--frames", "1",
+             "--skip-sustained"],
+            ["fleet", "--workload", "arvr-a", "--chip", "edge", "--design",
+             "fda-nvdla", "--metric", "edp", "--chips", "2", "--policy",
+             "least-outstanding", "--frames", "1", "--fps-scale", "1",
+             "--jitter-ms", "0.5", "--seed", "0", "--jobs", "1",
+             "--min-chips", "--max-chips", "3", "--partial-ok",
+             "--checkpoint", str(tmp_path / "fk"), "--report", out],
+            ["fleet", "--design", "fda-nvdla", "--chips", "2", "--frames", "1",
+             "--online", "--traffic", "poisson", "--fault", "die:1@0.05",
+             "--fault", "slow:0@0.001-0.005x2.5", "--autoscale", "5"],
+            ["run", str(spec), "--report", out, "--baseline", report,
+             "--tolerance", "0.1"],
+            ["report-diff", report, report, "--tolerance", "0"],
+        ]
+
+    @staticmethod
+    def _units(argv):
+        """The sub-command, then each flag with its value (if any), then
+        each positional, as units the mutations move around."""
+        units, index = [], 1
+        while index < len(argv):
+            if (argv[index].startswith("--") and index + 1 < len(argv)
+                    and not argv[index + 1].startswith("--")):
+                units.append([argv[index], argv[index + 1]])
+                index += 2
+            else:
+                units.append([argv[index]])
+                index += 1
+        return units
+
+    def _mutant(self, base, rng):
+        units = self._units(base)
+        for _ in range(rng.randint(1, 3)):
+            operation = rng.randrange(5)
+            if operation == 4 or not units:  # a stray value
+                units.insert(rng.randint(0, len(units)),
+                             [rng.choice(self._VALUES)])
+            elif operation == 0:
+                rng.choice(units)[-1] = rng.choice(self._VALUES)
+            elif operation == 1:
+                units.pop(rng.randrange(len(units)))
+            elif operation == 2:
+                units.insert(rng.randint(0, len(units)),
+                             list(rng.choice(units)))
+            else:
+                rng.shuffle(units)
+        return base[:1] + [token for unit in units for token in unit]
+
+    def test_mutated_argv_exit_0_or_2_with_one_error_line(
+            self, tmp_path, capsys, monkeypatch):
+        import functools
+        import random
+
+        from repro import cli
+        from repro.experiment.runner import ExperimentOutcome
+
+        monkeypatch.setattr(cli, "run_experiment",
+                            lambda spec, **_: ExperimentOutcome(exit_code=0))
+        # One parser serves every mutant (building it is most of a call).
+        monkeypatch.setattr(cli, "_build_parser",
+                            functools.lru_cache(cli._build_parser))
+        rng = random.Random("argv-fuzz")
+        exits = {0: 0, 2: 0}
+        for base in self._bases(tmp_path):
+            assert main(base) == 0, base
+            capsys.readouterr()
+            for _ in range(10 if base == ["describe"] else 400):
+                argv = self._mutant(base, rng)
+                try:
+                    code = main(argv)
+                except SystemExit as exit_:
+                    code = exit_.code
+                err = capsys.readouterr().err
+                assert code in exits, (argv, code, err)
+                assert "Traceback" not in err, (argv, err)
+                assert sum("error:" in line
+                           for line in err.splitlines()) == (code == 2), \
+                    (argv, err)
+                exits[code] += 1
+        assert min(exits.values()) > 300, exits
+        assert not os.path.exists(tmp_path / "out.json")
+
+    def test_a_huge_fleet_is_exit_2_at_once(self, capsys):
+        """Every replica is built up front, so a fleet of 10**400 chips
+        never finished; above ``MAX_FLEET_CHIPS`` it is refused at load."""
+        for flag in ("--chips", "--max-chips"):
+            argv = ["fleet", "--design", "fda-nvdla", "--min-chips", flag,
+                    str(10 ** 400)]
+            started = time.perf_counter()
+            assert main(argv) == 2
+            assert time.perf_counter() - started < 5
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "more than the 10,000" in err
+            assert err.count("\n") == 1
+
+    def test_an_empty_positional_after_double_dash_is_exit_2(self, capsys):
+        """argparse (Python 3.9-3.13) binds ``[]`` to BASELINE in
+        ``report-diff -- REPORT --``; that once ended in a TypeError."""
+        report = os.path.join(self._GOLDEN, "schedule_rda.report.json")
+        for argv in (["report-diff", "--", report, "--"],
+                     ["report-diff", report, "--", "--"]):
+            try:
+                code = main(argv)
+            except SystemExit as exit_:
+                code = exit_.code
+            err = capsys.readouterr().err
+            assert code == 2, (argv, err)
+            assert sum("error:" in line for line in err.splitlines()) == 1

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.dataflow.loopnest import DIMENSIONS, Loop
-from repro.dataflow.mapping import build_mapping, clear_mapping_cache, mapping_cache_info
+from repro.dataflow.mapping import _search_factors_cached, build_mapping
 from repro.dataflow.styles import (ALL_STYLES, EYERISS, NVDLA, SHIDIANNAO,
                                    DataflowStyle, style_by_name)
 from repro.exceptions import MappingError
@@ -152,12 +152,15 @@ class TestMapping:
         assert "nvdla" in text
 
     def test_mapping_results_are_cached(self):
-        clear_mapping_cache()
+        """``build_mapping`` is pure and keeps no memo of its own (the cost
+        model's activity record is the one memo of a mapping); its factor
+        search is ``lru_cache``d, so a repeated mapping skips the search."""
         layer = conv2d("c", k=32, c=32, y=18, x=18, r=3, s=3)
-        build_mapping(layer, NVDLA, 128)
-        build_mapping(layer, NVDLA, 128)
-        info = mapping_cache_info()
-        assert info.hits >= 1
+        first = build_mapping(layer, NVDLA, 128)
+        hits = _search_factors_cached.cache_info().hits
+        second = build_mapping(layer, NVDLA, 128)
+        assert _search_factors_cached.cache_info().hits == hits + 1
+        assert second == first and second is not first
 
     def test_more_pes_never_slower(self):
         layer = conv2d("c", k=128, c=64, y=30, x=30, r=3, s=3)

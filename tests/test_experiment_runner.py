@@ -21,6 +21,8 @@ import pytest
 import repro
 from repro.cli import main
 from repro.exceptions import SpecError
+from repro.experiment.runner import run_experiment
+from repro.experiment.spec import experiment_from_spec
 from repro.experiment import (
     BaselineDelta,
     canonical_report,
@@ -59,6 +61,19 @@ def _canonical(path: str):
     report = load_report(path)
     assert report["herald_version"] == repro.__version__
     return canonical_report(report)
+
+
+class TestStableSpecEquality:
+    def test_spec_equals_a_fresh_parse_after_running(self, capsys):
+        """Running an experiment expands its workload; the spec must still
+        equal a fresh parse of the mapping it came from."""
+        mapping = {"kind": "schedule", "workload": "arvr-a", "chip": "edge",
+                   "design": "fda-nvdla"}
+        spec = experiment_from_spec(mapping)
+        assert spec == experiment_from_spec(mapping)
+        assert run_experiment(spec).exit_code == 0
+        capsys.readouterr()
+        assert spec == experiment_from_spec(mapping)
 
 
 class TestCliSpecEquivalence:

@@ -36,8 +36,7 @@ from repro.core.dse import HeraldDSE
 from repro.core.evaluator import evaluate_design
 from repro.core.partitioner import PartitionSearch, search_from_spec
 from repro.core.scheduler import HeraldScheduler
-from repro.dataflow.mapping import (build_mapping, clear_mapping_cache,
-                                    mapping_cache_info)
+from repro.dataflow.mapping import build_mapping
 from repro.dataflow.styles import ALL_STYLES, EYERISS, NVDLA, SHIDIANNAO
 from repro.exec import (EvaluationTask, ProcessPoolBackend, SerialBackend,
                         backends)
@@ -50,6 +49,19 @@ from repro.models.layer import Layer, LayerType, conv2d, fc, pwconv, upconv
 from repro.units import gbps, mib
 from repro.workloads.spec import WorkloadSpec
 from repro.workloads.suites import arvr_a
+
+
+def _count_mappings(monkeypatch):
+    """Count the cost model's ``build_mapping`` calls, by layer shape."""
+    from repro.maestro import cost as cost_module
+    built = []
+
+    def counting(layer, style, num_pes):
+        built.append(layer.shape_key)
+        return build_mapping(layer, style, num_pes)
+
+    monkeypatch.setattr(cost_module, "build_mapping", counting)
+    return built
 
 
 def _sub(style=NVDLA, pes=128, name="sub0"):
@@ -258,7 +270,7 @@ class TestCostColumns:
         model.prewarm(small_workload.unique_shape_layers(),
                       [acc for design in designs
                        for acc in design.sub_accelerators])
-        model.reset_stats()
+        hits, misses = model.hits, model.misses
         hardware_keys = set()
         placements = 0
         for design in designs:
@@ -269,8 +281,9 @@ class TestCostColumns:
                             scheduler=scheduler)
         assert len(hardware_keys) < placements, \
             "the candidates must share hardware for this test to bite"
-        assert model.misses == 0
-        assert model.hits == len(hardware_keys) * small_workload.unique_shapes
+        assert model.misses == misses
+        assert model.hits - hits \
+            == len(hardware_keys) * small_workload.unique_shapes
         assert len(scheduler._columns) == len(hardware_keys)
 
     def test_pickled_scheduler_carries_no_columns(self, cost_model):
@@ -309,21 +322,70 @@ class TestWorkloadShapeDedup:
         names = [layer.name for layer in workload.unique_shape_layers()]
         assert names == ["c1", "c2"]
 
-    def test_memos_track_entry_mutation(self):
+    def test_entries_cannot_be_mutated(self):
+        """The expansions are built once per workload, so nothing may change
+        the entries they were built from: the caller's list is copied into
+        a tuple and the attributes cannot be rebound."""
         graph = ModelGraph.from_layers("rep", [fc("a", k=4, c=4)])
-        workload = WorkloadSpec.from_models("w", [graph], batches=1)
+        entries = [("rep", 1)]
+        workload = WorkloadSpec("w", entries, models={"rep": graph})
         assert len(workload.instances()) == 1
-        workload.entries.append(("rep", 2))
-        assert len(workload.instances()) == 3
+        entries.append(("rep", 2))
+        assert workload.entries == (("rep", 1),)
+        with pytest.raises(AttributeError):
+            workload.entries.append(("rep", 2))
+        with pytest.raises(TypeError):
+            workload.entries[0] = ("rep", 3)
+        for name in ("entries", "models", "name"):
+            with pytest.raises(AttributeError):
+                setattr(workload, name, None)
+            with pytest.raises(AttributeError):
+                delattr(workload, name)
+        assert len(workload.instances()) == 1
+
+    def test_expansions_are_built_once(self, monkeypatch):
+        """Instances, shapes, dependences and the visit order are each built
+        at most once per workload, however often a sweep asks for them."""
+        workload = WorkloadSpec("w", [("mobilenet_v1", 2)])
+        built = []
+        real = ModelGraph.predecessor_indices
+
+        def counting(graph):
+            built.append(graph.name)
+            return real(graph)
+
+        monkeypatch.setattr(ModelGraph, "predecessor_indices", counting)
+        scheduler = HeraldScheduler(CostModel())
+        accs = [_sub(NVDLA, name="a0"), _sub(SHIDIANNAO, name="a1")]
+        for _ in range(3):
+            scheduler.schedule(workload, accs)
+            workload.unique_shape_layers()
+        assert workload.instances() is not workload.instances()
+        assert workload.instances() == list(workload._instances)
+        assert workload.instance_dependences() is \
+            workload.instance_dependences()
+        assert list(workload._visit_orders) \
+            == [(scheduler.ordering, scheduler.memory_limit_bytes)]
+        # One call per instance for the dependences, one per instance for
+        # the visit order: never once per schedule.
+        assert len(built) == 2 * workload.total_instances
 
     def test_pickle_strips_derived_memos(self, small_workload):
-        small_workload.instances()
-        small_workload.unique_shape_layers()
-        clone = pickle.loads(pickle.dumps(small_workload))
-        assert clone._instances_memo is None
-        assert clone._shapes_memo is None
-        assert [i.instance_id for i in clone.instances()] == \
-            [i.instance_id for i in small_workload.instances()]
+        """Pickles carry the resolved graphs (a pool worker needs no zoo
+        build) but none of the expansions, which are rebuilt there."""
+        workload = WorkloadSpec("w", [("mobilenet_v1", 1)])
+        for spec in (small_workload, workload):
+            spec.instances()
+            spec.unique_shape_layers()
+            clone = pickle.loads(pickle.dumps(spec))
+            assert "_instances" not in clone.__dict__
+            assert "_shape_layers" not in clone.__dict__
+            assert clone._graphs.keys() == spec._graphs.keys()
+            assert (clone.name, clone.entries) == (spec.name, spec.entries)
+            assert [i.instance_id for i in clone.instances()] == \
+                [i.instance_id for i in spec.instances()]
+        assert workload.models == {}
+        assert list(workload._graphs) == ["mobilenet_v1"]
 
 
 # ---------------------------------------------------------------------------
@@ -670,37 +732,44 @@ class TestScheduleAccountingProperties:
 # ---------------------------------------------------------------------------
 
 class TestShapeKeyedMemoBugfix:
-    """The mapping and reuse memos key on shape, not layer identity.
+    """The activity record, the one memo of a mapping and its reuse
+    analysis, keys on shape, not layer identity.
 
-    Both memos were historically keyed on the full frozen ``Layer`` — whose
-    ``__eq__``/``__hash__`` include ``name`` and ``model_name`` — so renamed
-    same-shape layers (batches, repeated blocks, per-model clones) each paid a
-    fresh mapper search and reuse analysis and each occupied a memo slot.
+    The mapping and reuse memos were historically keyed on the full frozen
+    ``Layer`` — whose ``__eq__``/``__hash__`` include ``name`` and
+    ``model_name`` — so renamed same-shape layers (batches, repeated blocks,
+    per-model clones) each paid a fresh mapper search and reuse analysis and
+    each occupied a memo slot.  ``build_mapping`` calls are counted by
+    monkeypatch: one per activity record.
     """
 
     _SHAPE = dict(k=8, c=4, y=16, x=16, r=3, s=3)
 
-    def test_renamed_layer_hits_same_mapping_entry(self):
-        clear_mapping_cache()
+    def test_renamed_layer_hits_same_mapping_entry(self, monkeypatch):
+        built = _count_mappings(monkeypatch)
+        model = CostModel()
         layer = conv2d("block1", model_name="net-a", **self._SHAPE)
-        first = build_mapping(layer, NVDLA, 128)
-        before = mapping_cache_info()
-        second = build_mapping(layer.renamed("block9", model_name="net-b"),
-                               NVDLA, 128)
-        after = mapping_cache_info()
+        first = model.layer_cost(layer, _sub())
+        second = model.layer_cost(
+            layer.renamed("block9", model_name="net-b"), _sub())
         assert second is first
-        assert after.hits == before.hits + 1
-        assert after.currsize == before.currsize == 1
+        assert (model.hits, model.misses) == (1, 1)
+        assert len(built) == len(model._activities) == 1
 
-    def test_mapping_cache_size_is_per_shape_not_per_name(self):
-        clear_mapping_cache()
+    def test_mapping_cache_size_is_per_shape_not_per_name(self, monkeypatch):
+        """Renamed clones on arrays that differ only in bandwidth miss the
+        cost memo but share one activity record: one mapping is built."""
+        built = _count_mappings(monkeypatch)
+        model = CostModel()
         layer = conv2d("base", **self._SHAPE)
         for index in range(6):
-            build_mapping(layer.renamed(f"clone{index}",
-                                        model_name=f"model{index}"),
-                          NVDLA, 128)
-        assert mapping_cache_info().currsize == 1
-        assert mapping_cache_info().misses == 1
+            acc = SubAcceleratorConfig(
+                name=f"acc{index}", dataflow=NVDLA, num_pes=128,
+                bandwidth_bytes_per_s=gbps(index + 1), buffer_bytes=mib(1))
+            model.layer_cost(layer.renamed(f"clone{index}",
+                                           model_name=f"model{index}"), acc)
+        assert model.misses == 6
+        assert len(built) == len(model._activities) == 1
 
     def test_bandwidth_splits_share_one_activity_record_per_shape(
             self, monkeypatch):
@@ -752,20 +821,21 @@ class TestShapeKeyedMemoBugfix:
         assert (model.hits, model.misses, model.cache_size()) \
             == (668, 156, 156)
 
-    def test_fig11_cell_activity_records_stop_at_the_saturation(self):
+    def test_fig11_cell_activity_records_stop_at_the_saturation(
+            self, monkeypatch):
         """A cold ``herald dse`` cell (AR/VR-A on cloud, the stock search)
-        keys activity records on ``min(PEs, saturation)``: 1,111 records
-        and 877 mapper misses for its 5,226 cost entries, where a record
-        per PE count took 2,106 and 1,872."""
-        clear_mapping_cache()
+        keys activity records on ``min(PEs, saturation)``: 1,111 records,
+        one mapping built for each, for its 5,226 cost entries, where a
+        record per PE count took 2,106."""
+        built = _count_mappings(monkeypatch)
         model = CostModel()
         scheduler = HeraldScheduler(model)
         search = search_from_spec({}, cost_model=model, scheduler=scheduler)
         HeraldDSE(cost_model=model, scheduler=scheduler,
                   partition_search=search).explore(
                       arvr_a(), ACCELERATOR_CLASSES["cloud"])
-        assert (len(model._activities), mapping_cache_info().misses,
-                model.misses) == (1111, 877, 5226)
+        assert (len(model._activities), len(built),
+                model.misses) == (1111, 1111, 5226)
 
 
 # ---------------------------------------------------------------------------

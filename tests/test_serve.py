@@ -169,7 +169,7 @@ class TestStreamingWorkload:
         clone = pickle.loads(pickle.dumps(streaming))
         assert clone.release_times_s() == streaming.release_times_s()
         assert clone.deadlines_s() == streaming.deadlines_s()
-        assert clone._spec_memo is None
+        assert "_spec" not in clone.__dict__
 
     def test_streaming_parts_duck_typing(self):
         streaming = _mini_streaming()
@@ -190,34 +190,40 @@ class TestStreamingWorkload:
         for instance_id, deadline_s in streaming.deadlines_s().items():
             assert deadlines[instance_id] == pytest.approx(deadline_s * clock)
 
-    def _mutated_suite(self, resnet_frames):
-        """arvr-a whose resnet50 stream changes frame count after expansion."""
+    def test_streams_cannot_be_mutated(self):
+        """The expansion is built once per workload, so its streams are a
+        tuple fixed at construction and no attribute can be rebound."""
         streaming = streaming_suite("arvr-a", frames=2)
-        streaming.to_workload_spec()
-        streaming.streams[0] = StreamSpec(
-            "resnet50", fps=streaming.streams[0].fps, frames=resnet_frames)
-        return streaming
+        spec = streaming.to_workload_spec()
+        replacement = StreamSpec("resnet50", fps=streaming.streams[0].fps,
+                                 frames=3)
+        with pytest.raises(TypeError):
+            streaming.streams[0] = replacement
+        with pytest.raises(AttributeError):
+            streaming.streams.append(replacement)
+        for name in ("streams", "models", "name"):
+            with pytest.raises(AttributeError):
+                setattr(streaming, name, None)
+            with pytest.raises(AttributeError):
+                delattr(streaming, name)
+        assert streaming.to_workload_spec() is spec
+        assert streaming.total_frames == len(spec.instances()) == 20
 
-    def test_fewer_frames_after_expansion_are_not_served_stale(
-            self, cost_model):
-        """Dropping a frame after the first expansion must drop its
-        instance: the schedule and the report count the same 19 frames."""
-        streaming = self._mutated_suite(resnet_frames=3)
+    def test_caller_lists_do_not_reach_the_workload(self, cost_model):
+        """Changing the list or the graph mapping a workload was built from
+        changes neither the workload nor what it schedules."""
+        neta, netb = _mini_models()
+        streams = [StreamSpec("neta", fps=100.0, frames=2)]
+        models = {"neta": neta}
+        streaming = StreamingWorkload("w", streams=streams, models=models)
+        streams.append(StreamSpec("netb", fps=100.0, frames=2))
+        models["netb"] = netb
+        assert [s.model_name for s in streaming.streams] == ["neta"]
+        assert streaming.models == {"neta": neta}
         result = ServingSimulator(HeraldScheduler(cost_model)).simulate(
             streaming, golden_scheduler.build_sub_accelerators())
-        assert streaming.total_frames == 19
-        assert len(result.schedule.frame_records()) == 19
-        assert result.report.total_frames == 19
-
-    def test_more_frames_after_expansion_are_scheduled(self, cost_model):
-        """Adding frames after the first expansion must schedule them, not
-        reject their releases as unknown instances."""
-        streaming = self._mutated_suite(resnet_frames=5)
-        result = ServingSimulator(HeraldScheduler(cost_model)).simulate(
-            streaming, golden_scheduler.build_sub_accelerators())
-        assert "resnet50#4" in result.schedule.frame_records()
-        assert len(result.schedule.frame_records()) == 21
-        assert result.report.total_frames == 21
+        assert sorted(result.schedule.frame_records()) == ["neta#0", "neta#1"]
+        assert result.report.total_frames == 2
 
     def test_streaming_suite_uses_fps_targets_and_folds_batches(self):
         streaming = streaming_suite("arvr-a", frames=2)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.scheduler import HeraldScheduler
 from repro.exceptions import WorkloadError
 from repro.models.graph import ModelGraph
 from repro.models.layer import fc
@@ -15,6 +16,42 @@ from repro.workloads.suites import (
     single_model,
     workload_by_name,
 )
+
+
+class TestStableEquality:
+    """A workload is a value: expanding it changes nothing it compares on."""
+
+    def test_equal_workloads_stay_equal_after_expansion(self, cost_model,
+                                                        tiny_sub_accelerators):
+        first = WorkloadSpec("w", [("mobilenet_v1", 1)])
+        second = WorkloadSpec("w", [("mobilenet_v1", 1)])
+        assert first == second
+        first.instances()
+        assert first == second and second == first
+        assert second.total_layers == first.total_layers
+        assert first == second
+        HeraldScheduler(cost_model).schedule(first, tiny_sub_accelerators)
+        assert first == second
+        assert first.models == second.models == {}
+
+    def test_expansion_never_writes_models(self):
+        graph = ModelGraph.from_layers("custom", [fc("a", k=8, c=8)])
+        models = {"custom": graph}
+        spec = WorkloadSpec("w", [("custom", 2), ("mobilenet_v1", 1)],
+                            models=models)
+        spec.instances()
+        spec.unique_shape_layers()
+        spec.describe()
+        assert models == {"custom": graph}
+        assert spec.models == {"custom": graph}
+        assert spec.with_batches(3).models == {"custom": graph}
+
+    def test_with_batches_shares_the_built_graphs(self):
+        spec = WorkloadSpec("w", [("mobilenet_v1", 1)])
+        graph = spec.model_graph("mobilenet_v1")
+        scaled = spec.with_batches(2)
+        assert scaled.model_graph("mobilenet_v1") is graph
+        assert scaled == WorkloadSpec("w-b2", [("mobilenet_v1", 2)])
 
 
 class TestWorkloadSpec:
@@ -109,7 +146,7 @@ class TestSuites:
 
     def test_single_model_workload(self):
         spec = single_model("unet", batches=4)
-        assert spec.entries == [("unet", 4)]
+        assert spec.entries == (("unet", 4),)
 
     def test_workload_by_name(self):
         assert workload_by_name("arvr-a").name == "arvr-a"
