@@ -27,161 +27,39 @@ Quickstart
 >>> print(maelstrom.describe())  # doctest: +SKIP
 """
 
-# Defined before the submodule imports below: submodules (e.g. the report
-# writer) import it back from the partially initialised package.
-__version__ = "1.27.0"
+# Defined before the re-export table: submodules (e.g. the report writer)
+# import it back from the package.
+__version__ = "1.28.0"
 
-from repro.models import Layer, LayerType, ModelGraph
-from repro.models.zoo import available_models, build_model
-from repro.dataflow import (
-    ALL_STYLES,
-    EYERISS,
-    NVDLA,
-    SHIDIANNAO,
-    DataflowStyle,
-    Mapping,
-    build_mapping,
-    style_by_name,
-)
-from repro.maestro import (
-    ChipConfig,
-    CostModel,
-    EnergyTable,
-    LayerCost,
-    SubAcceleratorConfig,
-)
-from repro.accel import (
-    ACCELERATOR_CLASSES,
-    CLOUD,
-    EDGE,
-    MOBILE,
-    AcceleratorDesign,
-    AcceleratorKind,
-    accelerator_class,
-    make_fda,
-    make_hda,
-    make_rda,
-    make_smfda,
-)
-from repro.workloads import (
-    ModelInstance,
-    WorkloadSpec,
-    arvr_a,
-    arvr_b,
-    mlperf,
-    single_model,
-    workload_by_name,
-)
-from repro.core import (
-    DSEResult,
-    DesignSpacePoint,
-    EvaluationResult,
-    GreedyScheduler,
-    HeraldDSE,
-    HeraldScheduler,
-    PartitionPoint,
-    PartitionSearch,
-    Schedule,
-    ScheduledLayer,
-    evaluate_design,
-)
-from repro.exec import (
-    EvaluationTask,
-    ExecutionBackend,
-    ProcessPoolBackend,
-    SerialBackend,
-)
-from repro.serve import (
-    ServingReport,
-    ServingSimulator,
-    StreamSpec,
-    StreamingWorkload,
-    streaming_suite,
-    sustained_fps,
-)
-from repro.experiment import (
-    ExperimentSpec,
-    compare_reports,
-    experiment_from_spec,
-    load_experiment,
-    run_experiment,
-)
-from repro.analysis import pareto_front, percent_improvement
+from repro.exports import reexport
 
-__all__ = [
-    "__version__",
-    # models
-    "Layer",
-    "LayerType",
-    "ModelGraph",
-    "available_models",
-    "build_model",
-    # dataflow
-    "DataflowStyle",
-    "NVDLA",
-    "SHIDIANNAO",
-    "EYERISS",
-    "ALL_STYLES",
-    "style_by_name",
-    "Mapping",
-    "build_mapping",
-    # cost model
-    "CostModel",
-    "LayerCost",
-    "EnergyTable",
-    "ChipConfig",
-    "SubAcceleratorConfig",
-    # accelerators
-    "AcceleratorDesign",
-    "AcceleratorKind",
-    "ACCELERATOR_CLASSES",
-    "EDGE",
-    "MOBILE",
-    "CLOUD",
-    "accelerator_class",
-    "make_fda",
-    "make_rda",
-    "make_smfda",
-    "make_hda",
-    # workloads
-    "WorkloadSpec",
-    "ModelInstance",
-    "arvr_a",
-    "arvr_b",
-    "mlperf",
-    "single_model",
-    "workload_by_name",
-    # Herald
-    "HeraldScheduler",
-    "GreedyScheduler",
-    "Schedule",
-    "ScheduledLayer",
-    "EvaluationResult",
-    "evaluate_design",
-    "PartitionSearch",
-    "PartitionPoint",
-    "HeraldDSE",
-    "DSEResult",
-    "DesignSpacePoint",
-    # execution engine
-    "EvaluationTask",
-    "ExecutionBackend",
-    "SerialBackend",
-    "ProcessPoolBackend",
-    # serving
-    "StreamSpec",
-    "StreamingWorkload",
-    "streaming_suite",
-    "ServingSimulator",
-    "ServingReport",
-    "sustained_fps",
-    # experiments
-    "ExperimentSpec",
-    "experiment_from_spec",
-    "load_experiment",
-    "run_experiment",
-    "compare_reports",
-    # analysis
-    "pareto_front",
-    "percent_improvement",
-]
+# Each name loads its subpackage on first use, so ``import repro.cli`` (or
+# any one submodule) does not load the serving stack with the rest.
+__all__, __getattr__, __dir__ = reexport(__name__, {
+    "repro.models": ("Layer", "LayerType", "ModelGraph"),
+    "repro.models.zoo": ("available_models", "build_model"),
+    "repro.dataflow": ("DataflowStyle", "NVDLA", "SHIDIANNAO", "EYERISS",
+                       "ALL_STYLES", "style_by_name", "Mapping",
+                       "build_mapping"),
+    "repro.maestro": ("CostModel", "LayerCost", "EnergyTable", "ChipConfig",
+                      "SubAcceleratorConfig"),
+    "repro.accel": ("AcceleratorDesign", "AcceleratorKind",
+                    "ACCELERATOR_CLASSES", "EDGE", "MOBILE", "CLOUD",
+                    "accelerator_class", "make_fda", "make_rda", "make_smfda",
+                    "make_hda"),
+    "repro.workloads": ("WorkloadSpec", "ModelInstance", "arvr_a", "arvr_b",
+                        "mlperf", "single_model", "workload_by_name"),
+    "repro.core": ("HeraldScheduler", "GreedyScheduler", "Schedule",
+                   "ScheduledLayer", "EvaluationResult", "evaluate_design",
+                   "PartitionSearch", "PartitionPoint", "HeraldDSE",
+                   "DSEResult", "DesignSpacePoint"),
+    "repro.exec": ("EvaluationTask", "ExecutionBackend", "SerialBackend",
+                   "ProcessPoolBackend"),
+    "repro.serve": ("StreamSpec", "StreamingWorkload", "streaming_suite",
+                    "ServingSimulator", "ServingReport", "sustained_fps"),
+    "repro.experiment": ("ExperimentSpec", "experiment_from_spec",
+                         "load_experiment", "run_experiment",
+                         "compare_reports"),
+    "repro.analysis": ("pareto_front", "percent_improvement"),
+})
+__all__.insert(0, "__version__")

@@ -1,28 +1,13 @@
 """Analysis utilities: EDP metrics, Pareto fronts, and experiment sweeps."""
 
-from repro.analysis.metrics import (
-    deadline_miss_rate,
-    edp,
-    imbalance,
-    percent_improvement,
-    percentile,
-)
-from repro.analysis.pareto import pareto_front, is_pareto_optimal
-from repro.analysis.sweeps import (
-    batch_size_study,
-    workload_change_study,
-    pe_partition_sweep,
-)
+from repro.exports import reexport
 
-__all__ = [
-    "deadline_miss_rate",
-    "edp",
-    "imbalance",
-    "percent_improvement",
-    "percentile",
-    "pareto_front",
-    "is_pareto_optimal",
-    "batch_size_study",
-    "workload_change_study",
-    "pe_partition_sweep",
-]
+# ``repro.analysis.metrics`` is light and shared by the scheduler and the
+# serving stack; the sweeps load the DSE driver, so they load on first use.
+__all__, __getattr__, __dir__ = reexport(__name__, {
+    "repro.analysis.metrics": ("deadline_miss_rate", "edp", "imbalance",
+                               "percent_improvement", "percentile"),
+    "repro.analysis.pareto": ("pareto_front", "is_pareto_optimal"),
+    "repro.analysis.sweeps": ("batch_size_study", "workload_change_study",
+                              "pe_partition_sweep"),
+})

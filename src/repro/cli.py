@@ -47,6 +47,7 @@ from typing import Callable, Dict, Optional, Sequence
 
 from repro import __version__
 from repro.accel.classes import ACCELERATOR_CLASSES
+from repro.choices import ROUTER_POLICY_NAMES, TRAFFIC_KINDS
 from repro.exceptions import CheckpointError, SpecError, WorkloadError
 from repro.experiment.report import (
     compare_reports,
@@ -60,12 +61,6 @@ from repro.experiment.spec import (
     experiment_from_spec,
 )
 from repro.experiment.yamlish import load_config
-from repro.serve import (
-    DISPATCH_POLICY_NAMES,
-    TRAFFIC_KINDS,
-    parse_fault_clause,
-)
-from repro.serve.router import ROUTER_POLICIES
 from repro.workloads import workload_by_name
 from repro.workloads.suites import WORKLOAD_SUITES
 
@@ -116,6 +111,8 @@ def _fault_clause(text: str) -> str:
     Returns the clause *string* (the experiment schema carries clauses as
     text); parsing here surfaces malformed clauses as argparse errors.
     """
+    from repro.serve.faults import parse_fault_clause
+
     try:
         parse_fault_clause(text)
     except WorkloadError as error:
@@ -226,7 +223,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--chips", type=_int_at_least(1), default=2,
                        help="number of identical chips in the fleet")
     fleet.add_argument("--policy", default="earliest-completion",
-                       choices=sorted(("passthrough",) + DISPATCH_POLICY_NAMES),
+                       choices=sorted(ROUTER_POLICY_NAMES),
                        help="frame dispatch policy of the fleet router")
     fleet.add_argument("--frames", type=_int_at_least(1), default=4,
                        help="frames simulated per stream source")
@@ -299,7 +296,7 @@ def _command_describe() -> int:
     for chip in ACCELERATOR_CLASSES.values():
         print(f"  {chip.describe()}")
     print("\nDispatch policies (herald fleet --policy):")
-    for name in sorted(ROUTER_POLICIES):
+    for name in sorted(ROUTER_POLICY_NAMES):
         print(f"  {name}")
     print("\nTraffic kinds (herald fleet --traffic):")
     for name in TRAFFIC_KINDS:

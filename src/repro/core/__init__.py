@@ -17,28 +17,14 @@ This package is the paper's primary contribution (Sec. IV):
   reproduces the paper's design-space studies.
 """
 
-from repro.core.schedule import (
-    LOAD_IMBALANCE_UNUSED_SENTINEL,
-    Schedule,
-    ScheduledLayer,
-)
-from repro.core.scheduler import HeraldScheduler
-from repro.core.greedy import GreedyScheduler
-from repro.core.evaluator import EvaluationResult, evaluate_design
-from repro.core.partitioner import PartitionPoint, PartitionSearch
-from repro.core.dse import DesignSpacePoint, HeraldDSE, DSEResult
+from repro.exports import reexport
 
-__all__ = [
-    "LOAD_IMBALANCE_UNUSED_SENTINEL",
-    "Schedule",
-    "ScheduledLayer",
-    "HeraldScheduler",
-    "GreedyScheduler",
-    "EvaluationResult",
-    "evaluate_design",
-    "PartitionPoint",
-    "PartitionSearch",
-    "DesignSpacePoint",
-    "HeraldDSE",
-    "DSEResult",
-]
+__all__, __getattr__, __dir__ = reexport(__name__, {
+    "repro.core.schedule": ("LOAD_IMBALANCE_UNUSED_SENTINEL", "Schedule",
+                            "ScheduledLayer"),
+    "repro.core.scheduler": ("HeraldScheduler",),
+    "repro.core.greedy": ("GreedyScheduler",),
+    "repro.core.evaluator": ("EvaluationResult", "evaluate_design"),
+    "repro.core.partitioner": ("PartitionPoint", "PartitionSearch"),
+    "repro.core.dse": ("DesignSpacePoint", "HeraldDSE", "DSEResult"),
+})

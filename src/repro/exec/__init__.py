@@ -18,24 +18,14 @@ and :class:`SweepCheckpoint` persists completed results atomically so a
 killed or failed sweep resumes exactly where it stopped.
 """
 
-from repro.exec.tasks import EvaluationTask, run_evaluation_task
-from repro.exec.checkpoint import (
-    DEFAULT_SCOPE,
-    SweepCheckpoint,
-    sweep_key_from,
-)
-from repro.exec.resilience import ExecutionOutcome, TaskFailure
-from repro.exec.backends import ExecutionBackend, ProcessPoolBackend, SerialBackend
+from repro.exports import reexport
 
-__all__ = [
-    "EvaluationTask",
-    "run_evaluation_task",
-    "ExecutionBackend",
-    "SerialBackend",
-    "ProcessPoolBackend",
-    "SweepCheckpoint",
-    "sweep_key_from",
-    "DEFAULT_SCOPE",
-    "ExecutionOutcome",
-    "TaskFailure",
-]
+# The checkpoint (and the stdlib it writes with) loads only for a run that
+# records or resumes one.
+__all__, __getattr__, __dir__ = reexport(__name__, {
+    "repro.exec.tasks": ("EvaluationTask", "run_evaluation_task"),
+    "repro.exec.backends": ("ExecutionBackend", "SerialBackend",
+                            "ProcessPoolBackend", "DEFAULT_SCOPE"),
+    "repro.exec.checkpoint": ("SweepCheckpoint", "sweep_key_from"),
+    "repro.exec.resilience": ("ExecutionOutcome", "TaskFailure"),
+})

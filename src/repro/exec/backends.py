@@ -54,9 +54,11 @@ from repro.exceptions import ReproError, SearchError, TaskExecutionError
 from repro.core.evaluator import EvaluationResult
 from repro.core.scheduler import HeraldScheduler
 from repro.maestro.cost import CostModel, LayerCost
-from repro.exec.checkpoint import DEFAULT_SCOPE, SweepCheckpoint
 from repro.exec.resilience import ExecutionOutcome, TaskFailure
 from repro.exec.tasks import EvaluationTask, run_evaluation_task
+
+#: Checkpoint scope of the tasks of a caller that does not namespace them.
+DEFAULT_SCOPE = "sweep"
 
 #: What one run of a task leaves: its result, or its failure record.
 _Done = Union[EvaluationResult, TaskFailure]
@@ -81,7 +83,7 @@ class ExecutionBackend(Protocol):
 
     def run_resilient(self, tasks: Sequence[EvaluationTask],
                       partial_ok: bool = False,
-                      checkpoint: Optional[SweepCheckpoint] = None,
+                      checkpoint: Optional["SweepCheckpoint"] = None,
                       scope: str = DEFAULT_SCOPE) -> ExecutionOutcome:
         """Execute ``tasks``; return results, failures and bookkeeping."""
         ...
@@ -190,7 +192,7 @@ class _Backend:
 
     def run_resilient(self, tasks: Sequence[EvaluationTask],
                       partial_ok: bool = False,
-                      checkpoint: Optional[SweepCheckpoint] = None,
+                      checkpoint: Optional["SweepCheckpoint"] = None,
                       scope: str = DEFAULT_SCOPE) -> ExecutionOutcome:
         """Execute each task once; return the full outcome.
 
@@ -374,7 +376,8 @@ class ProcessPoolBackend(_Backend):
 
     Tasks are split into ``2 * jobs`` contiguous chunks (``ceil(len(tasks)
     / (2 * jobs))`` tasks each), all submitted at once to a
-    ``concurrent.futures`` process pool; each is booked as it completes.
+    ``concurrent.futures`` process pool of at most one worker per chunk;
+    each is booked as it completes.
     Each worker runs its chunk task by task and reports what each task's
     run left, so a library error costs only its own task.  The parent's
     cost model, prewarmed by :meth:`run_resilient` with every cost the tasks
@@ -426,12 +429,16 @@ class ProcessPoolBackend(_Backend):
 
         snapshot = _snapshot(self.cost_model)
         size = -(-len(tasks) // (2 * self.jobs))
+        starts = range(0, len(tasks), size)
+        # A worker without a chunk would only be forked and killed; under
+        # fork every worker starts at once, so the pool is capped here.
         executor = concurrent.futures.ProcessPoolExecutor(
-            max_workers=self.jobs, initializer=_init_worker,
+            max_workers=min(self.jobs, len(starts)),
+            initializer=_init_worker,
             initargs=(self.cost_model, self.scheduler))
         try:
             chunks = {}
-            for start in range(0, len(tasks), size):
+            for start in starts:
                 chunk = tasks[start:start + size]
                 chunks[executor.submit(_run_chunk, chunk)] = chunk
             for future in concurrent.futures.as_completed(chunks):

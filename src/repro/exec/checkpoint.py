@@ -58,9 +58,6 @@ from repro.exceptions import CheckpointError
 #: Format version written to (and required from) checkpoint files.
 CHECKPOINT_FORMAT_VERSION = 4
 
-#: Scope used when the caller does not namespace its tasks.
-DEFAULT_SCOPE = "sweep"
-
 _PROTOCOL = pickle.HIGHEST_PROTOCOL
 
 #: Errors reading a checkpoint or unpickling a damaged or foreign pickle

@@ -30,26 +30,11 @@ from repro.exceptions import (
     TaskExecutionError,
     WorkloadError,
 )
-from repro.exec import (
-    ProcessPoolBackend,
-    SerialBackend,
-    SweepCheckpoint,
-    backends,
-    sweep_key_from,
-)
+from repro.exec import backends
+from repro.exec.backends import ProcessPoolBackend, SerialBackend
 from repro.experiment.report import build_report
 from repro.experiment.spec import ExperimentSpec
 from repro.maestro import CostModel
-from repro.serve import (
-    FleetSimulator,
-    ServingSimulator,
-    min_chips_for_sla,
-    streaming_suite,
-    sustained_fps,
-    traffic_suite,
-)
-from repro.serve.fleet import fleet_from_spec
-from repro.serve.workload import StreamingWorkload
 
 
 class ExperimentOutcome(NamedTuple):
@@ -74,13 +59,15 @@ def _resolve_design(reference: Union[str, AcceleratorDesign], workload, chip,
     return make_fda(chip, style_by_name(reference.split("-", 1)[1]))
 
 
-def _streaming_workload(spec: ExperimentSpec) -> StreamingWorkload:
+def _streaming_workload(spec: ExperimentSpec) -> "StreamingWorkload":
     """The arrival trace: explicit streams, stochastic traffic, or the
     periodic suite trace at the spec's knobs."""
     if spec.streams is not None:
         return spec.streams
     knobs = spec.streaming
     if spec.traffic is not None:
+        from repro.serve.traffic import traffic_suite
+
         # The spec fixes each knob's domain; what is left depends on the
         # frame count (a bursty dwell too short for it).
         try:
@@ -90,6 +77,8 @@ def _streaming_workload(spec: ExperimentSpec) -> StreamingWorkload:
                                  **spec.traffic.shape)
         except WorkloadError as error:
             raise SpecError(f"traffic: {error}") from None
+    from repro.serve.workload import streaming_suite
+
     return streaming_suite(spec.workload.name, frames=knobs.frames,
                            fps_scale=knobs.fps_scale,
                            jitter_s=knobs.jitter_ms / 1e3, seed=knobs.seed)
@@ -117,6 +106,8 @@ def run_experiment(spec: ExperimentSpec,
         if spec.kind not in ("dse", "fleet"):
             raise SpecError(f"checkpoint: a {spec.kind!r} experiment has no "
                             f"task sweep to checkpoint")
+        from repro.exec.checkpoint import SweepCheckpoint, sweep_key_from
+
         keyed = {key: value for key, value in spec.raw.items()
                  if key != "exec"}
         checkpoint = SweepCheckpoint(checkpoint_path, sweep_key_from(keyed),
@@ -163,7 +154,7 @@ def _run_schedule(spec: ExperimentSpec) -> ExperimentOutcome:
 # dse
 # ---------------------------------------------------------------------------
 def _run_dse(spec: ExperimentSpec,
-             checkpoint: Optional[SweepCheckpoint] = None) -> ExperimentOutcome:
+             checkpoint: Optional["SweepCheckpoint"] = None) -> ExperimentOutcome:
     cost_model = CostModel()
     scheduler = HeraldScheduler(cost_model)
     search = search_from_spec(spec.search, cost_model=cost_model,
@@ -245,6 +236,8 @@ def _serving_metrics(summary: Dict[str, object],
 
 
 def _run_serve(spec: ExperimentSpec) -> ExperimentOutcome:
+    from repro.serve.simulator import ServingSimulator, sustained_fps
+
     cost_model = CostModel()
     scheduler = HeraldScheduler(cost_model, metric=spec.metric)
     design = _resolve_design(spec.design, spec.workload, spec.chip,
@@ -299,8 +292,14 @@ def _run_serve(spec: ExperimentSpec) -> ExperimentOutcome:
 # fleet / closed-loop
 # ---------------------------------------------------------------------------
 def _run_fleet(spec: ExperimentSpec,
-               checkpoint: Optional[SweepCheckpoint] = None
+               checkpoint: Optional["SweepCheckpoint"] = None
                ) -> ExperimentOutcome:
+    from repro.serve.fleet import (
+        FleetSimulator,
+        fleet_from_spec,
+        min_chips_for_sla,
+    )
+
     cost_model = CostModel()
     scheduler = HeraldScheduler(cost_model, metric=spec.metric)
     design = _resolve_design(spec.design, spec.workload, spec.chip,

@@ -28,20 +28,16 @@ from typing import Dict, NamedTuple, Optional, Union
 
 from repro.accel.builders import check_pe_split, chip_from_spec, design_from_spec
 from repro.accel.design import AcceleratorDesign
+from repro.choices import ROUTER_POLICY_NAMES, TRAFFIC_KINDS
 from repro.core.partitioner import PartitionSearch, search_from_spec
 from repro.dataflow import ALL_STYLES
 from repro.exceptions import SpecError
 from repro.maestro.hardware import ChipConfig
-from repro.serve.faults import FaultSpec, faults_from_spec
-from repro.serve.fleet import expect_fleet_size, fleet_from_spec
-from repro.serve.online import AutoscalePolicy, autoscale_from_spec
-from repro.serve.router import ROUTER_POLICIES
-from repro.serve.traffic import TRAFFIC_KINDS, _SHAPE_DEFAULTS
-from repro.serve.workload import StreamingWorkload, streaming_from_spec
 from repro.validation import (
     check_keys,
     expect_bool,
     expect_choice,
+    expect_count,
     expect_int,
     expect_mapping,
     expect_number,
@@ -75,13 +71,25 @@ SPEC_SCHEMA = 1
 # on cloud 97,155 -- and turns the rest into a spec error.
 _MAX_SEARCH_PARTITIONS = 100_000
 
+# The most frames a spec may ask one stream for.  Each frame is drawn,
+# scheduled and accounted for, so a count like 10**400 would never finish
+# drawing its releases.  1,000,000 is far beyond every golden and benchmark
+# stream (the closed-loop benchmark asks for 2,000 per source) and turns
+# the rest into a spec error.
+_MAX_STREAM_FRAMES = 1_000_000
+
+# The most sustained-FPS probes a spec may ask for.  A probe halves the
+# bracket, and a binary64 bracket stops narrowing after at most 2,098
+# halvings (2**1024 down to 2**-1074), so a larger budget with a zero
+# tolerance would only repeat full simulations of the same rate.
+_MAX_SUSTAINED_PROBES = 2_100
+
 _EXPERIMENT_KEYS = ("schema", "kind", "name", "workload", "chip", "design",
                     "metric", "exec", "search", "streaming", "traffic",
                     "sustained", "optimize_sla", "fleet", "min_chips",
                     "faults", "autoscale")
 
 _STREAMING_KNOB_KEYS = ("frames", "fps_scale", "jitter_ms", "seed")
-_TRAFFIC_KEYS = ("kind",) + tuple(_SHAPE_DEFAULTS)
 _SUSTAINED_KEYS = ("enabled", "lo", "hi", "probes", "tolerance")
 _MIN_CHIPS_KEYS = ("enabled", "max_chips")
 _EXEC_KEYS = ("jobs", "partial_ok")
@@ -141,15 +149,15 @@ class _ExperimentSpecFields(NamedTuple):
     exec_settings: ExecSettings
     search: Dict[str, object]
     streaming: StreamingSettings
-    streams: Optional[StreamingWorkload]
+    streams: Optional["StreamingWorkload"]
     traffic: Optional[TrafficSettings]
     sustained: SustainedSettings
     optimize_sla: bool
     fleet: Optional[Dict[str, object]]
     policy: str
     min_chips: MinChipsSettings
-    faults: Optional[FaultSpec]
-    autoscale: Optional[AutoscalePolicy]
+    faults: Optional["FaultSpec"]
+    autoscale: Optional["AutoscalePolicy"]
     raw: Dict[str, object]
 
 
@@ -201,12 +209,17 @@ def _forbid(mapping: Dict[str, object], kind: str, path: str,
                 f"{spec_path(path, key)}: not a setting of kind {kind!r}")
 
 
+def _expect_stream_frames(value: object, path: str) -> int:
+    return expect_count(value, path, _MAX_STREAM_FRAMES, "frames",
+                        "a stream simulates")
+
+
 def _streaming_settings(mapping: Dict[str, object],
                         path: str) -> StreamingSettings:
     check_keys(mapping, _STREAMING_KNOB_KEYS, path)
     return StreamingSettings(
-        frames=expect_pos_int(mapping.get("frames", 4),
-                              spec_path(path, "frames")),
+        frames=_expect_stream_frames(mapping.get("frames", 4),
+                                     spec_path(path, "frames")),
         fps_scale=expect_number(mapping.get("fps_scale", 1.0),
                                 spec_path(path, "fps_scale"),
                                 minimum=0.0, exclusive=True),
@@ -220,8 +233,10 @@ def _traffic_settings(value: object, path: str) -> TrafficSettings:
     if isinstance(value, str):
         return TrafficSettings(
             kind=expect_choice(value, TRAFFIC_KINDS, path), shape={})
+    from repro.serve.traffic import _SHAPE_DEFAULTS
+
     mapping = expect_mapping(value, path)
-    check_keys(mapping, _TRAFFIC_KEYS, path)
+    check_keys(mapping, ("kind",) + tuple(_SHAPE_DEFAULTS), path)
     kind = expect_choice(mapping.get("kind"), TRAFFIC_KINDS,
                          spec_path(path, "kind"))
     # The knobs' domain is TrafficSpec's: amplitude in [0, 1), every other
@@ -258,8 +273,9 @@ def _sustained_settings(mapping: Dict[str, object],
                          spec_path(path, "lo"), minimum=0.0, exclusive=True),
         hi=expect_number(mapping.get("hi", 8.0), spec_path(path, "hi"),
                          minimum=0.0, exclusive=True),
-        probes=expect_pos_int(mapping.get("probes", 10),
-                              spec_path(path, "probes")),
+        probes=expect_count(mapping.get("probes", 10),
+                            spec_path(path, "probes"), _MAX_SUSTAINED_PROBES,
+                            "probes", "a bisection of a float bracket can use"),
         tolerance=expect_number(mapping.get("tolerance", 0.0),
                                 spec_path(path, "tolerance"), minimum=0.0),
     )
@@ -271,6 +287,8 @@ def _sustained_settings(mapping: Dict[str, object],
 
 
 def _min_chips_settings(value: object, path: str) -> MinChipsSettings:
+    from repro.serve.fleet import expect_fleet_size
+
     if isinstance(value, bool):
         return MinChipsSettings(enabled=value)
     mapping = expect_mapping(value, path)
@@ -307,6 +325,7 @@ def _validate_fleet(mapping: Dict[str, object], path: str,
     through the same :func:`~repro.serve.fleet.fleet_from_spec` path.
     """
     from repro.accel.builders import make_rda
+    from repro.serve.fleet import fleet_from_spec
 
     placeholder = make_rda(chip)
 
@@ -399,13 +418,21 @@ def experiment_from_spec(spec: object,
         _forbid(mapping, kind, path, "search")
 
     streaming = StreamingSettings()
-    streams: Optional[StreamingWorkload] = None
+    streams: Optional["StreamingWorkload"] = None
     if serving:
         streaming_value = mapping.get("streaming", {})
         streaming_path = spec_path(path, "streaming")
         streaming_map = expect_mapping(streaming_value, streaming_path)
         if "suite" in streaming_map or "streams" in streaming_map:
+            from repro.serve.workload import streaming_from_spec
+
             streams = streaming_from_spec(streaming_map, path=streaming_path)
+            # Nothing is drawn yet: bound each stream before it is.
+            streams_path = spec_path(streaming_path, "streams")
+            for index, stream in enumerate(streams.streams):
+                _expect_stream_frames(stream.frames, spec_path(
+                    streaming_path if "suite" in streaming_map
+                    else spec_path(streams_path, index), "frames"))
         else:
             streaming = _streaming_settings(streaming_map, streaming_path)
             if workload.name not in WORKLOAD_SUITES:
@@ -458,7 +485,8 @@ def experiment_from_spec(spec: object,
         fleet_map = dict(expect_mapping(mapping.get("fleet", {}),
                                         fleet_path))
         if "policy" in fleet_map:
-            policy = expect_choice(fleet_map.pop("policy"), ROUTER_POLICIES,
+            policy = expect_choice(fleet_map.pop("policy"),
+                                   ROUTER_POLICY_NAMES,
                                    spec_path(fleet_path, "policy"))
         fleet_map.setdefault("chips", 2)
         fleet = _validate_fleet(fleet_map, fleet_path, chip)
@@ -468,9 +496,12 @@ def experiment_from_spec(spec: object,
     else:
         _forbid(mapping, kind, path, "fleet", "min_chips")
 
-    faults: Optional[FaultSpec] = None
-    autoscale: Optional[AutoscalePolicy] = None
+    faults: Optional["FaultSpec"] = None
+    autoscale: Optional["AutoscalePolicy"] = None
     if kind == "closed-loop":
+        from repro.serve.faults import faults_from_spec
+        from repro.serve.online import autoscale_from_spec
+
         if "faults" in mapping:
             faults = faults_from_spec(mapping["faults"],
                                       path=spec_path(path, "faults"))

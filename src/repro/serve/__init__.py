@@ -30,103 +30,30 @@ per-model FPS targets, Table II):
   :class:`AutoscalePolicy` per-interval controller.
 """
 
-from repro.serve.trace import FrameTrace, StreamSpec
-from repro.serve.workload import (
-    DEFAULT_TARGET_FPS,
-    MODEL_TARGET_FPS,
-    StreamingWorkload,
-    streaming_suite,
-)
-from repro.serve.simulator import (
-    DEFAULT_DROP_DEADLINE_FACTOR,
-    ServingReport,
-    ServingResult,
-    ServingSimulator,
-    StreamStats,
-    SustainedFpsResult,
-    build_serving_report,
-    sustained_fps,
-)
-from repro.serve.router import (
-    DISPATCH_POLICY_NAMES,
-    ROUTER_POLICIES,
-    DispatchPlan,
-    DispatchPolicy,
-    FrameCostEstimator,
-    Router,
-    policy_by_name,
-)
-from repro.serve.fleet import (
-    ChipServingResult,
-    ChipStats,
-    Fleet,
-    FleetReport,
-    FleetResult,
-    FleetSimulator,
-    MinChipsResult,
-    min_chips_for_sla,
-)
-from repro.serve.traffic import (
-    TRAFFIC_KINDS,
-    TrafficSpec,
-    traffic_suite,
-)
-from repro.serve.faults import (
-    ChipFailure,
-    FaultSpec,
-    SlowdownWindow,
-    merge_fault_specs,
-    parse_fault_clause,
-)
-from repro.serve.online import (
-    AutoscaleInterval,
-    AutoscalePolicy,
-    OnlineFleetResult,
-    OnlineFrameRecord,
-    OnlineStats,
-)
+from repro.exports import reexport
 
-__all__ = [
-    "StreamSpec",
-    "FrameTrace",
-    "StreamingWorkload",
-    "streaming_suite",
-    "MODEL_TARGET_FPS",
-    "DEFAULT_TARGET_FPS",
-    "ServingSimulator",
-    "ServingReport",
-    "ServingResult",
-    "StreamStats",
-    "SustainedFpsResult",
-    "sustained_fps",
-    "build_serving_report",
-    "DEFAULT_DROP_DEADLINE_FACTOR",
-    "Router",
-    "DispatchPolicy",
-    "DispatchPlan",
-    "FrameCostEstimator",
-    "policy_by_name",
-    "ROUTER_POLICIES",
-    "DISPATCH_POLICY_NAMES",
-    "Fleet",
-    "FleetSimulator",
-    "FleetReport",
-    "FleetResult",
-    "ChipStats",
-    "ChipServingResult",
-    "MinChipsResult",
-    "min_chips_for_sla",
-    "TrafficSpec",
-    "traffic_suite",
-    "TRAFFIC_KINDS",
-    "ChipFailure",
-    "SlowdownWindow",
-    "FaultSpec",
-    "parse_fault_clause",
-    "merge_fault_specs",
-    "AutoscalePolicy",
-    "AutoscaleInterval",
-    "OnlineStats",
-    "OnlineFrameRecord",
-    "OnlineFleetResult",
-]
+# Each command imports only the serving modules it runs (the closed-loop
+# engine, the router and the traffic generators load on first use).
+__all__, __getattr__, __dir__ = reexport(__name__, {
+    "repro.serve.trace": ("StreamSpec", "FrameTrace"),
+    "repro.serve.workload": ("StreamingWorkload", "streaming_suite",
+                             "MODEL_TARGET_FPS", "DEFAULT_TARGET_FPS"),
+    "repro.serve.simulator": ("ServingSimulator", "ServingReport",
+                              "ServingResult", "StreamStats",
+                              "SustainedFpsResult", "sustained_fps",
+                              "build_serving_report",
+                              "DEFAULT_DROP_DEADLINE_FACTOR"),
+    "repro.serve.router": ("Router", "DispatchPolicy", "DispatchPlan",
+                           "FrameCostEstimator", "policy_by_name",
+                           "ROUTER_POLICIES"),
+    "repro.choices": ("DISPATCH_POLICY_NAMES", "TRAFFIC_KINDS"),
+    "repro.serve.fleet": ("Fleet", "FleetSimulator", "FleetReport",
+                          "FleetResult", "ChipStats", "ChipServingResult",
+                          "MinChipsResult", "min_chips_for_sla"),
+    "repro.serve.traffic": ("TrafficSpec", "traffic_suite"),
+    "repro.serve.faults": ("ChipFailure", "SlowdownWindow", "FaultSpec",
+                           "parse_fault_clause", "merge_fault_specs"),
+    "repro.serve.online": ("AutoscalePolicy", "AutoscaleInterval",
+                           "OnlineStats", "OnlineFrameRecord",
+                           "OnlineFleetResult"),
+})

@@ -37,7 +37,6 @@ from repro.core.schedule import LOAD_IMBALANCE_UNUSED_SENTINEL, Schedule
 from repro.core.scheduler import HeraldScheduler
 from repro.exceptions import SpecError, WorkloadError
 from repro.exec.backends import ExecutionBackend, SerialBackend
-from repro.exec.checkpoint import SweepCheckpoint
 from repro.exec.tasks import EvaluationTask
 from repro.maestro.cost import CostModel
 from repro.serve.router import (
@@ -56,8 +55,8 @@ from repro.serve.workload import StreamingWorkload
 from repro.validation import (
     check_keys,
     expect_list,
+    expect_count,
     expect_mapping,
-    expect_pos_int,
     expect_str,
     spec_path,
     take,
@@ -653,11 +652,8 @@ MAX_FLEET_CHIPS = 10_000
 
 def expect_fleet_size(value: object, path: str) -> int:
     """``value`` must be a chip count from 1 to :data:`MAX_FLEET_CHIPS`."""
-    count = expect_pos_int(value, path)
-    if count > MAX_FLEET_CHIPS:
-        raise SpecError(f"{path}: {count} chips is more than the "
-                        f"{MAX_FLEET_CHIPS:,} a fleet simulates")
-    return count
+    return expect_count(value, path, MAX_FLEET_CHIPS, "chips",
+                        "a fleet simulates")
 
 
 def fleet_from_spec(spec: object, build_design, path: str = "fleet") -> Fleet:

@@ -46,6 +46,7 @@ from __future__ import annotations
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.accel.design import AcceleratorDesign
+from repro.choices import ROUTER_POLICY_NAMES
 from repro.exceptions import SearchError, WorkloadError
 from repro.maestro.cost import CostModel
 from repro.serve.trace import FrameTrace
@@ -338,17 +339,13 @@ class StickyPolicy(DispatchPolicy):
         return chip
 
 
-#: Registry of the shipped policies, keyed by CLI-facing name.
+#: Registry of the shipped policies, keyed by CLI-facing name (the
+#: :data:`~repro.choices.ROUTER_POLICY_NAMES`).
 ROUTER_POLICIES: Dict[str, type] = {
     policy.name: policy
     for policy in (PassthroughPolicy, RoundRobinPolicy, LeastOutstandingPolicy,
                    EarliestCompletionPolicy, StickyPolicy)
 }
-
-#: The policies a multi-chip fleet meaningfully chooses between (passthrough
-#: is the degenerate single-chip identity, listed separately).
-DISPATCH_POLICY_NAMES: Tuple[str, ...] = (
-    "round-robin", "least-outstanding", "earliest-completion", "sticky")
 
 
 def policy_by_name(name: str) -> DispatchPolicy:
@@ -358,7 +355,7 @@ def policy_by_name(name: str) -> DispatchPolicy:
     except KeyError:
         raise WorkloadError(
             f"unknown dispatch policy {name!r}; "
-            f"available: {sorted(ROUTER_POLICIES)}") from None
+            f"available: {sorted(ROUTER_POLICY_NAMES)}") from None
 
 
 # ---------------------------------------------------------------------------

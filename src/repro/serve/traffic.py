@@ -35,6 +35,7 @@ import random
 import sys
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
+from repro.choices import TRAFFIC_KINDS
 from repro.exceptions import WorkloadError
 from repro.serve.trace import FrameTrace
 from repro.serve.workload import (
@@ -43,9 +44,6 @@ from repro.serve.workload import (
     StreamingWorkload,
 )
 from repro.workloads.suites import workload_by_name
-
-#: The registered arrival-process kinds, in CLI-facing order.
-TRAFFIC_KINDS: Tuple[str, ...] = ("poisson", "bursty", "diurnal", "churn")
 
 # A bursty stream flips state about 2 / ((calm_factor + burst_factor) *
 # burst_dwell_frames) times per frame, so a tiny dwell (say 1e-300 periods)

@@ -104,6 +104,21 @@ def expect_pos_int(value: object, path: str) -> int:
     return value
 
 
+def expect_count(value: object, path: str, cap: int, noun: str,
+                 budget: str) -> int:
+    """``value`` must be a positive int within the work budget ``cap``.
+
+    A count the run would walk one by one (frames, probes, chips) is
+    refused at load above its cap, as ``"{path}: {count} {noun} is more
+    than the {cap} {budget}"``, instead of running until it is killed.
+    """
+    count = expect_pos_int(value, path)
+    if count > cap:
+        raise SpecError(f"{path}: {count} {noun} is more than the {cap:,} "
+                        f"{budget}")
+    return count
+
+
 def expect_number(value: object, path: str,
                   minimum: Optional[float] = None,
                   exclusive: bool = False) -> float:

@@ -1,5 +1,6 @@
 """Tests for the ``herald`` command-line interface."""
 
+import ast
 import json
 import os
 import subprocess
@@ -185,6 +186,99 @@ class TestDse:
                                 capture_output=True, text=True, check=True)
         assert result.stdout.splitlines()[-1] == "False"
         assert load_report(report)["environment"]["platform"]
+
+
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
+
+#: Every package under ``src/repro``: the re-export tables (``repro``,
+#: ``core``, ``exec``, ``serve``, ``analysis``) and the eager ones.
+_PACKAGES = ("repro", "repro.accel", "repro.analysis", "repro.core",
+             "repro.dataflow", "repro.exec", "repro.experiment",
+             "repro.maestro", "repro.models", "repro.serve", "repro.workloads")
+
+
+def _loaded_after(script, prefixes):
+    """Run ``script`` in a fresh interpreter; return the loaded modules
+    whose names start with one of ``prefixes``."""
+    script += ("\nimport sys\n"
+               f"print(sorted(name for name in sys.modules if name.startswith("
+               f"{tuple(prefixes)!r})))\n")
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True, check=True)
+    return ast.literal_eval(result.stdout.splitlines()[-1])
+
+
+class TestImportBoundary:
+    """Each command imports only what it runs: the DSE stack loads with
+    ``repro.cli``, and each serving command imports its serving modules
+    inside its own branch.  Every check runs in a fresh interpreter."""
+
+    def test_cli_import_loads_no_serving_module(self):
+        assert _loaded_after("import repro.cli", ["repro.serve"]) == []
+
+    @pytest.mark.parametrize("argv", [
+        TestDse._SMOKE,
+        ["schedule", "--workload", "arvr-a", "--chip", "edge", "--design",
+         "rda"],
+    ], ids=["dse", "schedule"])
+    def test_batch_commands_load_no_serving_checkpoint_or_pool(self, argv):
+        loaded = _loaded_after(
+            "import contextlib, io\n"
+            "from repro.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({argv!r}) == 0\n",
+            ["repro.serve", "repro.exec.checkpoint", "repro.analysis.sweeps",
+             "multiprocessing"])
+        assert loaded == []
+
+    def test_serve_spec_loads_only_the_serving_modules_it_runs(
+            self, tmp_path):
+        spec = tmp_path / "serve.json"
+        spec.write_text(json.dumps({
+            "kind": "serve", "workload": "arvr-a", "design": "fda-nvdla",
+            "streaming": {"frames": 1}, "sustained": {"enabled": False}}),
+            encoding="utf-8")
+        loaded = _loaded_after(
+            "import contextlib, io\n"
+            "from repro.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main(['run', {str(spec)!r}]) == 0\n",
+            ["repro.serve.", "repro.exec.checkpoint"])
+        assert loaded == ["repro.serve.simulator", "repro.serve.trace",
+                          "repro.serve.workload"]
+
+    @pytest.mark.parametrize("package", _PACKAGES)
+    def test_every_export_resolves_and_is_listed(self, package):
+        script = (f"import importlib\n"
+                  f"package = importlib.import_module({package!r})\n"
+                  f"listed = set(dir(package))\n"
+                  f"for name in package.__all__:\n"
+                  f"    assert name in listed, name\n"
+                  f"    exec(f'from {package} import {{name}}')\n"
+                  f"print('resolved', len(package.__all__))\n")
+        env = dict(os.environ, PYTHONPATH=_SRC)
+        result = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.startswith("resolved ")
+
+    def test_unknown_names_are_attribute_errors(self):
+        import repro.serve
+
+        with pytest.raises(AttributeError, match="no attribute 'Nope'"):
+            repro.serve.Nope  # noqa: B018
+        with pytest.raises(ImportError):
+            from repro.serve import Nope  # noqa: F401
+
+    def test_choice_tuples_name_the_registries(self):
+        from repro.choices import ROUTER_POLICY_NAMES, TRAFFIC_KINDS
+        from repro.serve.router import ROUTER_POLICIES
+        from repro.serve.traffic import TrafficSpec
+
+        assert tuple(ROUTER_POLICIES) == ROUTER_POLICY_NAMES
+        for kind in TRAFFIC_KINDS:
+            assert TrafficSpec(kind, "resnet50", 30.0, 1).kind == kind
 
 
 class TestNonFiniteNumbers:
@@ -688,6 +782,31 @@ class TestArgvFuzz:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and "more than the 10,000" in err
             assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--frames", str(10 ** 400), "--skip-sustained"],
+         "frames is more than the 1,000,000 a stream simulates"),
+        (["--sustained-probes", str(10 ** 400), "--sustained-tolerance", "0"],
+         "probes is more than the 2,100 a bisection of a float bracket can "
+         "use"),
+    ], ids=["frames", "probes"])
+    def test_unbounded_serving_work_is_exit_2_at_once(
+            self, flags, message, capsys, monkeypatch):
+        """A frame count or a probe budget like 10**400 never finished; it
+        is refused at load.  The run is patched to fail, so a spec that
+        slips through fails here instead of hanging."""
+        from repro import cli
+
+        def refuse(spec, **_):
+            raise AssertionError("the spec reached the runner")
+
+        monkeypatch.setattr(cli, "run_experiment", refuse)
+        started = time.perf_counter()
+        assert main(["serve", "--design", "fda-nvdla"] + flags) == 2
+        assert time.perf_counter() - started < 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
 
     def test_an_empty_positional_after_double_dash_is_exit_2(self, capsys):
         """argparse (Python 3.9-3.13) binds ``[]`` to BASELINE in

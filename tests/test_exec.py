@@ -185,6 +185,28 @@ class TestProcessPoolBackend:
     def test_empty_task_list(self):
         assert ProcessPoolBackend(jobs=2).run([]) == []
 
+    def test_pool_gets_at_most_one_worker_per_chunk(
+            self, monkeypatch, tiny_chip, small_workload):
+        """``herald fleet --jobs N`` has no break-even cap, and under fork
+        a pool starts all its workers at once: a huge ``jobs`` once asked
+        for that many.  The executor is patched, so no process starts."""
+        import concurrent.futures
+
+        class Recorded(Exception):
+            pass
+
+        def record(max_workers, **_):
+            raise Recorded(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", record)
+        tasks = [EvaluationTask(index, make_fda(tiny_chip, style),
+                                small_workload)
+                 for index, style in enumerate((NVDLA, SHIDIANNAO))]
+        for jobs, workers in ((100_000, 2), (2, 2), (1, 1)):
+            with pytest.raises(Recorded) as excinfo:
+                ProcessPoolBackend(jobs=jobs).run(tasks)
+            assert excinfo.value.args == (workers,)
+
     def test_duplicate_task_ids_rejected_before_dispatch(self, tiny_chip,
                                                          small_workload):
         # Results are restored through a task_id -> result map, so duplicate

@@ -301,6 +301,21 @@ _ERROR_CASES = [
       "design": {"kind": "sm-fda", "style": "nvdla", "count": 2000}},
      "design.count: 2000 sub-accelerators need at least one PE each, but "
      "chip 'edge' has 1024"),
+    # A frame count or probe budget no run could finish is refused at load.
+    ({"kind": "serve", "streaming": {"frames": 1_000_001}},
+     "streaming.frames: 1000001 frames is more than the 1,000,000 a stream "
+     "simulates"),
+    ({"kind": "fleet", "streaming": {"suite": "mlperf", "frames": 1_000_001}},
+     "streaming.frames: 1000001 frames is more than the 1,000,000 a stream "
+     "simulates"),
+    ({"kind": "closed-loop", "streaming": {"streams": [
+        {"model": "resnet50", "fps": 30, "frames": 1},
+        {"model": "unet", "fps": 30, "frames": 1_000_001}]}},
+     "streaming.streams[1].frames: 1000001 frames is more than the "
+     "1,000,000 a stream simulates"),
+    ({"kind": "serve", "sustained": {"probes": 2101}},
+     "sustained.probes: 2101 probes is more than the 2,100 a bisection of "
+     "a float bracket can use"),
 ]
 
 
