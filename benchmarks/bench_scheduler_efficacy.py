@@ -9,8 +9,7 @@ from repro.accel.builders import make_hda
 from repro.accel.classes import ACCELERATOR_CLASSES
 from repro.analysis.metrics import percent_improvement
 from repro.core.evaluator import evaluate_design
-from repro.core.greedy import GreedyScheduler
-from repro.core.scheduler import HeraldScheduler
+from repro.core.scheduler import GreedyScheduler, HeraldScheduler
 from repro.dataflow.styles import NVDLA, SHIDIANNAO
 from repro.workloads.suites import arvr_a, arvr_b, mlperf
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from typing import List, NamedTuple, Tuple
+from typing import NamedTuple, Tuple
 
 from repro.exceptions import HardwareConfigError, PartitionError
 from repro.maestro.hardware import ChipConfig, SubAcceleratorConfig
@@ -78,27 +78,9 @@ class AcceleratorDesign(_AcceleratorDesignFields):
         return len(self.sub_accelerators)
 
     @property
-    def is_monolithic(self) -> bool:
-        """Whether the design is a single-array accelerator (FDA or RDA)."""
-        return self.num_sub_accelerators == 1
-
-    @property
-    def dataflow_names(self) -> List[str]:
-        """Dataflow style name per sub-accelerator (``"reconfigurable"`` for RDAs)."""
-        return [
-            sub.dataflow.name if sub.dataflow is not None else "reconfigurable"
-            for sub in self.sub_accelerators
-        ]
-
-    @property
     def pe_partition(self) -> Tuple[int, ...]:
         """PE count per sub-accelerator."""
         return tuple(sub.num_pes for sub in self.sub_accelerators)
-
-    @property
-    def bandwidth_partition_gbps(self) -> Tuple[float, ...]:
-        """Bandwidth share per sub-accelerator in GB/s."""
-        return tuple(sub.bandwidth_bytes_per_s / 1e9 for sub in self.sub_accelerators)
 
     def sub_accelerator(self, name: str) -> SubAcceleratorConfig:
         """Look up a sub-accelerator by name."""

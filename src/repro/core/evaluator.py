@@ -154,10 +154,10 @@ def evaluate_design(design: AcceleratorDesign, workload: WorkloadSpec,
     """Evaluate ``design`` on ``workload`` and return latency / energy / EDP.
 
     A default :class:`~repro.core.scheduler.HeraldScheduler` is used unless a
-    configured scheduler (or a :class:`~repro.core.greedy.GreedyScheduler`,
-    which exposes the same ``schedule`` method) is supplied.  Monolithic
-    designs (FDA / RDA) have a single sub-accelerator, so the same scheduler
-    simply produces a sequential schedule for them.  A streaming workload is
+    configured scheduler (such as the
+    :class:`~repro.core.scheduler.GreedyScheduler` baseline) is supplied.
+    Monolithic designs (FDA / RDA) have a single sub-accelerator, so the
+    same scheduler simply produces a sequential schedule for them.  A streaming workload is
     scheduled in online mode against its arrival trace (releases/deadlines
     converted to cycles at the design's clock), and the returned result's
     schedule carries the per-frame accounting.

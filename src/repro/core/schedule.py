@@ -1,13 +1,13 @@
-"""Layer-execution schedules: data structures, accounting, and validation.
+"""Layer-execution schedules: data structures and accounting.
 
 A schedule is the output of Herald's scheduler (Fig. 7): for every layer of
 every model instance in the workload, which sub-accelerator runs it and when.
 The class provides the accounting the evaluation needs (makespan, energy,
-per-sub-accelerator utilisation, idle time) and :meth:`Schedule.validate`,
-an independent check of the two hard constraints from Sec. III-A — layer
-dependence and no overlapping execution on one sub-accelerator.  Herald's
-scheduler meets them by construction and does not run the check; the greedy
-baseline and the test suite (on every Herald schedule) do.
+per-sub-accelerator utilisation, idle energy).  The scheduler meets the two
+hard constraints of Sec. III-A — layer dependence and no overlapping
+execution on one sub-accelerator — by construction; the independent check
+of them lives with the test suite, which runs it on every schedule the
+suite builds.
 
 A :class:`Schedule` is built once and is then immutable.  It stores one slot
 per layer execution as parallel arrays (layer, instance, layer index,
@@ -25,9 +25,8 @@ from __future__ import annotations
 import math
 import pickle
 from collections.abc import Sequence as SequenceABC
-from itertools import islice
-from typing import (Dict, FrozenSet, Iterable, Iterator, List, Mapping,
-                    Optional, Sequence, Tuple)
+from typing import (Dict, FrozenSet, Iterator, Mapping, Optional, Sequence,
+                    Tuple)
 
 from repro.exceptions import SchedulingError
 from repro.maestro.cost import LayerCost
@@ -45,8 +44,7 @@ class ScheduledLayer:
     """One layer execution placed on one sub-accelerator.
 
     A ``__slots__`` value class: schedules store their executions as arrays
-    and build these records on demand (see :attr:`Schedule.entries`), and
-    hand-built schedules pass them to :meth:`Schedule.from_entries`.
+    and build these records on demand (see :attr:`Schedule.entries`).
     Instances compare by value and are immutable by convention.
 
     Attributes
@@ -101,11 +99,6 @@ class ScheduledLayer:
                 f"finish_cycle={self.finish_cycle!r}, cost={self.cost!r})")
 
     @property
-    def duration_cycles(self) -> float:
-        """Execution duration in cycles."""
-        return self.finish_cycle - self.start_cycle
-
-    @property
     def energy_pj(self) -> float:
         """Energy of this execution in picojoules."""
         return self.cost.energy_pj
@@ -147,8 +140,7 @@ class Schedule:
     """A complete layer-execution schedule for one workload on one design.
 
     Built once, then immutable: assigning to any attribute raises.  Herald's
-    scheduler constructs it directly from its slot arrays; hand-built
-    schedules go through :meth:`from_entries`, which fills the same arrays.
+    scheduler constructs it directly from its slot arrays.
 
     The arrays are tuples (or a ``range`` for an identity commit order).
     Slot ``i`` is one layer execution: ``layers[i]`` of ``instance_ids[i]``
@@ -163,11 +155,9 @@ class Schedule:
 
     ``instance_predecessors`` optionally maps an instance id to its per-layer
     predecessor index sets (element ``i`` holds the layer indices layer ``i``
-    consumes).  Instances present in the map are validated against their true
-    dependence DAG; instances absent from it fall back to the linear-chain
-    check.  ``instance_release_cycles`` holds online-serving frame releases
-    (instances absent from the map are released at cycle zero); validation
-    then also checks that no layer starts before its instance's release.
+    consumes): the true dependence DAG the schedule honours.
+    ``instance_release_cycles`` holds online-serving frame releases
+    (instances absent from the map are released at cycle zero).
     ``instance_deadline_cycles`` holds optional absolute per-instance
     deadlines (release + SLA bound), consumed by :meth:`frame_summary`.
     """
@@ -212,46 +202,6 @@ class Schedule:
             dict(instance_release_cycles or {}),
             dict(instance_deadline_cycles or {}),
             dict(instance_predecessors or {})))
-
-    @classmethod
-    def from_entries(cls, sub_accelerator_names: Sequence[str],
-                     entries: Iterable[ScheduledLayer] = (),
-                     **metadata) -> "Schedule":
-        """Build a schedule from execution records, committed in the given order.
-
-        The construction path of every hand-built schedule (baseline
-        schedulers, reference implementations, tests).  Each record must name
-        a known sub-accelerator and must not finish before it starts.
-        ``metadata`` takes the constructor's keyword arguments (clock,
-        leakage, PE counts, predecessors, releases, deadlines).
-        """
-        names = tuple(sub_accelerator_names)
-        acc_index = {name: aidx for aidx, name in enumerate(names)}
-        entries = list(entries)
-        slot_acc: List[int] = []
-        busy = [0.0] * len(names)
-        energy = 0.0
-        for entry in entries:
-            aidx = acc_index.get(entry.sub_accelerator)
-            if aidx is None:
-                raise SchedulingError(
-                    f"schedule entry references unknown sub-accelerator "
-                    f"{entry.sub_accelerator!r}")
-            if entry.finish_cycle < entry.start_cycle:
-                raise SchedulingError(
-                    f"schedule entry for {entry.layer.name!r} finishes before "
-                    f"it starts")
-            slot_acc.append(aidx)
-            busy[aidx] += entry.finish_cycle - entry.start_cycle
-            energy += entry.cost.energy_pj
-        finishes = tuple(entry.finish_cycle for entry in entries)
-        return cls(
-            names, tuple(entry.layer for entry in entries),
-            tuple(entry.instance_id for entry in entries),
-            tuple(entry.layer_index for entry in entries), tuple(slot_acc),
-            tuple(entry.start_cycle for entry in entries), finishes,
-            tuple(entry.cost for entry in entries), range(len(entries)),
-            max(finishes) if finishes else 0.0, energy, busy, **metadata)
 
     # ------------------------------------------------------------------
     # Immutability, pickling, equality
@@ -310,30 +260,6 @@ class Schedule:
             self.sub_accelerator_names[self._acc[slot]], self._starts[slot],
             self._finishes[slot], self._costs[slot])
 
-    def _sort_by_window(self, slots: List[int]) -> None:
-        """Sort slots in place by ``(start, finish)``; full ties keep their
-        order (two stable passes)."""
-        slots.sort(key=self._finishes.__getitem__)
-        slots.sort(key=self._starts.__getitem__)
-
-    def entries_for(self, sub_accelerator: str) -> List[ScheduledLayer]:
-        """Execution records of one sub-accelerator, ordered by start time."""
-        if sub_accelerator not in self.sub_accelerator_names:
-            return []
-        aidx = self.sub_accelerator_names.index(sub_accelerator)
-        acc = self._acc
-        slots = [slot for slot in self._commit if acc[slot] == aidx]
-        self._sort_by_window(slots)
-        return [self._entry(slot) for slot in slots]
-
-    def entries_for_instance(self, instance_id: str) -> List[ScheduledLayer]:
-        """Execution records of one model instance, ordered by layer index."""
-        instance_ids = self._instance_ids
-        slots = [slot for slot in self._commit
-                 if instance_ids[slot] == instance_id]
-        slots.sort(key=self._layer_indices.__getitem__)
-        return [self._entry(slot) for slot in slots]
-
     # ------------------------------------------------------------------
     # Accounting (O(sub-accelerators) off the cached totals)
     # ------------------------------------------------------------------
@@ -376,10 +302,6 @@ class Schedule:
         if sub_accelerator not in self.sub_accelerator_names:
             return 0.0
         return self._busy[self.sub_accelerator_names.index(sub_accelerator)]
-
-    def idle_cycles(self, sub_accelerator: str) -> float:
-        """Cycles the sub-accelerator is idle before the schedule completes."""
-        return max(0.0, self.makespan_cycles - self.busy_cycles(sub_accelerator))
 
     def utilisation(self, sub_accelerator: str) -> float:
         """Busy fraction of one sub-accelerator over the makespan."""
@@ -502,161 +424,6 @@ class Schedule:
             "deadline_miss_rate": miss_rate,
             "missed_frames": float(round(miss_rate * len(with_deadline))),
         }
-
-    # ------------------------------------------------------------------
-    # Validation
-    # ------------------------------------------------------------------
-    def validate(self, expected_layers: Optional[Dict[str, int]] = None) -> None:
-        """Check the schedule against the hard constraints of Sec. III-A.
-
-        * no two layers overlap on the same sub-accelerator;
-        * a layer never starts before its producers finish — against the true
-          dependence DAG for instances with an :attr:`instance_predecessors`
-          entry, and against the linear chain (layer ``i`` waits on layer
-          ``i-1``) as the degenerate case otherwise;
-        * no instance schedules one layer index twice;
-        * no layer starts before its instance's frame release, for instances
-          with an :attr:`instance_release_cycles` entry (online serving mode);
-        * if ``expected_layers`` (instance id -> layer count) is supplied, every
-          instance is fully scheduled exactly once.
-
-        Raises
-        ------
-        SchedulingError
-            If any constraint is violated.
-        """
-        # One grouping pass over the slots, in commit order, feeds the
-        # overlap, dependence, and completeness checks.
-        acc = self._acc
-        instance_ids = self._instance_ids
-        by_acc: List[List[int]] = [[] for _ in self.sub_accelerator_names]
-        chains: Dict[str, List[int]] = {}
-        for slot in self._commit:
-            by_acc[acc[slot]].append(slot)
-            chains.setdefault(instance_ids[slot], []).append(slot)
-        self._check_no_overlap(by_acc)
-        self._check_dependences(chains)
-        if self.instance_release_cycles:
-            self._check_release_times()
-        if expected_layers is not None:
-            self._check_completeness(expected_layers, chains)
-
-    def _label(self, slot: int) -> str:
-        return f"{self._instance_ids[slot]}/{self._layers[slot].name}"
-
-    def _check_no_overlap(self, by_acc: List[List[int]]) -> None:
-        """No two layers overlap on one sub-accelerator (slots grouped per
-        sub-accelerator)."""
-        starts = self._starts
-        finishes = self._finishes
-        for name, timeline in zip(self.sub_accelerator_names, by_acc):
-            self._sort_by_window(timeline)
-            for previous, current in zip(timeline, islice(timeline, 1, None)):
-                if starts[current] < finishes[previous] - 1e-6:
-                    raise SchedulingError(
-                        f"sub-accelerator {name!r}: {self._label(current)} "
-                        f"starts at {starts[current]:.0f} before "
-                        f"{self._label(previous)} finishes at "
-                        f"{finishes[previous]:.0f}"
-                    )
-
-    def _check_dependences(self, chains: Dict[str, List[int]]) -> None:
-        """Each layer runs once and after its producers (slots grouped per
-        instance)."""
-        index_of = self._layer_indices.__getitem__
-        for instance_id, chain in chains.items():
-            chain.sort(key=index_of)
-            indices = list(map(index_of, chain))
-            if len(set(indices)) != len(indices):
-                raise SchedulingError(
-                    f"instance {instance_id!r}: a layer index is scheduled more than once"
-                )
-            predecessors = self.instance_predecessors.get(instance_id)
-            if predecessors is not None:
-                self._check_dag_dependences(instance_id, chain, indices,
-                                            predecessors)
-            else:
-                self._check_chain_dependences(instance_id, chain, indices)
-
-    def _check_dag_dependences(self, instance_id: str, chain: List[int],
-                               indices: List[int],
-                               predecessors: Sequence[FrozenSet[int]]) -> None:
-        """Every layer starts only after each of its true producers finishes."""
-        starts = self._starts
-        finishes = self._finishes
-        by_index = dict(zip(indices, chain))
-        for slot, layer_index in zip(chain, indices):
-            if not 0 <= layer_index < len(predecessors):
-                raise SchedulingError(
-                    f"instance {instance_id!r}: layer index {layer_index} is "
-                    f"outside the instance's {len(predecessors)} layers"
-                )
-            for producer_index in predecessors[layer_index]:
-                producer = by_index.get(producer_index)
-                if producer is None:
-                    raise SchedulingError(
-                        f"instance {instance_id!r}: layer "
-                        f"{self._layers[slot].name!r} is scheduled but its "
-                        f"producer (layer index {producer_index}) is not"
-                    )
-                if starts[slot] < finishes[producer] - 1e-6:
-                    raise SchedulingError(
-                        f"instance {instance_id!r}: layer "
-                        f"{self._layers[slot].name!r} starts at "
-                        f"{starts[slot]:.0f} before its producer "
-                        f"{self._layers[producer].name!r} finishes at "
-                        f"{finishes[producer]:.0f}")
-
-    def _check_chain_dependences(self, instance_id: str, chain: List[int],
-                                 indices: List[int]) -> None:
-        """Degenerate case: no dependence info, require the linear chain."""
-        starts = self._starts
-        finishes = self._finishes
-        for position in range(1, len(chain)):
-            previous, current = chain[position - 1], chain[position]
-            if indices[position] != indices[position - 1] + 1:
-                raise SchedulingError(
-                    f"instance {instance_id!r}: layer indices are not contiguous "
-                    f"({indices[position - 1]} followed by {indices[position]})"
-                )
-            if starts[current] < finishes[previous] - 1e-6:
-                raise SchedulingError(
-                    f"instance {instance_id!r}: layer "
-                    f"{self._layers[current].name!r} starts before its "
-                    f"predecessor {self._layers[previous].name!r} finishes"
-                )
-
-    def _check_release_times(self) -> None:
-        """Online mode: no layer runs before its instance's frame has arrived."""
-        releases = self.instance_release_cycles
-        instance_ids = self._instance_ids
-        starts = self._starts
-        for slot in self._commit:
-            release = releases.get(instance_ids[slot])
-            if release is not None and starts[slot] < release - 1e-6:
-                raise SchedulingError(
-                    f"instance {instance_ids[slot]!r}: layer "
-                    f"{self._layers[slot].name!r} starts at "
-                    f"{starts[slot]:.0f} before the frame's release at "
-                    f"{release:.0f}"
-                )
-
-    def _check_completeness(self, expected_layers: Dict[str, int],
-                            chains: Dict[str, List[int]]) -> None:
-        """Every expected instance is fully scheduled, and nothing else."""
-        for instance_id, expected in expected_layers.items():
-            chain = chains.get(instance_id)
-            actual = len(chain) if chain is not None else 0
-            if actual != expected:
-                raise SchedulingError(
-                    f"instance {instance_id!r}: expected {expected} scheduled layers, "
-                    f"found {actual}"
-                )
-        unexpected = set(chains) - set(expected_layers)
-        if unexpected:
-            raise SchedulingError(
-                f"schedule contains unknown instances: {sorted(unexpected)!r}"
-            )
 
     # ------------------------------------------------------------------
     # Reporting

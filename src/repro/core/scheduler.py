@@ -31,6 +31,10 @@ Both phases use the MAESTRO-based cost model for per-layer latency/energy, so
 the same scheduler serves monolithic designs (FDA / RDA, one sub-accelerator)
 and multi-sub-accelerator designs (SM-FDA / HDA).
 
+The greedy baseline the paper compares against (Sec. V-B) is
+:class:`GreedyScheduler`: this scheduler with depth-first ordering, no
+load-balance factor and no post-processing.
+
 **Online (streaming) mode.**  :meth:`HeraldScheduler.schedule` optionally
 takes per-instance *release times* (``release_cycles``): an instance's layers
 only become schedulable once its frame has arrived.  The release constraint
@@ -68,32 +72,6 @@ _RANK_ORDER = operator.itemgetter(0, 1)
 #: Timeline candidate of a sub-accelerator with no ready layer; it sorts
 #: after every real ``(start, slot)`` candidate.
 _NO_CANDIDATE = (math.inf, math.inf)
-
-
-def checked_release_cycles(release_cycles: Optional[Mapping[str, float]],
-                           instances: Sequence[ModelInstance]
-                           ) -> Optional[Dict[str, float]]:
-    """Validate and normalise a release-time map (``None`` when absent/empty).
-
-    Shared by every scheduler that supports the online serving mode, so an
-    unknown instance id or a negative release is rejected identically
-    everywhere instead of one scheduler silently treating a typo'd id as
-    released-at-zero.
-    """
-    if not release_cycles:
-        return None
-    known = {instance.instance_id for instance in instances}
-    unknown = sorted(set(release_cycles) - known)
-    if unknown:
-        raise SchedulingError(
-            f"release_cycles references unknown instances: {unknown!r}")
-    releases = dict(release_cycles)
-    negative = sorted(instance_id for instance_id, release in releases.items()
-                      if release < 0.0)
-    if negative:
-        raise SchedulingError(
-            f"release_cycles must be >= 0; negative for: {negative!r}")
-    return releases
 
 
 class _VisitOrder(NamedTuple):
@@ -260,7 +238,20 @@ class HeraldScheduler:
         """
         if not sub_accelerators:
             raise SchedulingError("cannot schedule onto an empty sub-accelerator list")
-        releases = checked_release_cycles(release_cycles, workload.instances())
+        releases = None
+        if release_cycles:
+            # An unknown id is an error, not a silently released-at-zero typo.
+            known = {instance.instance_id for instance in workload.instances()}
+            unknown = sorted(set(release_cycles) - known)
+            if unknown:
+                raise SchedulingError(
+                    f"release_cycles references unknown instances: {unknown!r}")
+            releases = dict(release_cycles)
+            negative = sorted(instance_id for instance_id, release
+                              in releases.items() if release < 0.0)
+            if negative:
+                raise SchedulingError(
+                    f"release_cycles must be >= 0; negative for: {negative!r}")
         order = self._static_visit_order(workload)
         self.last_memory_violations = order.violations
         slot_acc, slot_cost, slot_latency = self._assignment(
@@ -675,3 +666,21 @@ class HeraldScheduler:
             column[layer.shape_key] = (metric_value(cost, metric), cost,
                                        cost.latency_cycles)
         return list(map(column.__getitem__, shapes))
+
+
+class GreedyScheduler(HeraldScheduler):
+    """The per-layer greedy baseline of Sec. V-B ("Efficacy of Scheduling
+    Algorithm") as a Herald configuration.
+
+    Every layer goes to the sub-accelerator with the best per-layer
+    ``metric`` (EDP in the paper), the models are walked one after another
+    (depth-first), with no load balancing and no idle-time post-processing.
+    It is locally optimal per layer but globally sub-optimal: the preferred
+    sub-accelerator becomes a serial bottleneck while the others sit idle.
+    Like Herald, a layer waits only for its true producers (Sec. III-A).
+    """
+
+    def __init__(self, cost_model: CostModel, metric: str = "edp") -> None:
+        super().__init__(cost_model, metric=metric, ordering="depth",
+                         load_balance_factor=None,
+                         enable_post_processing=False)

@@ -11,7 +11,7 @@ them.
 
 from __future__ import annotations
 
-from typing import Iterable, List, NamedTuple, Tuple
+from typing import Iterable, NamedTuple, Tuple
 
 #: The convolution loop dimensions in the order used throughout the paper.
 DIMENSIONS: Tuple[str, ...] = ("K", "C", "Y", "X", "R", "S")
@@ -53,10 +53,6 @@ class Loop(_LoopFields):
     def _replace(self, **changes) -> "Loop":
         return Loop(**{**self._asdict(), **changes})
 
-    def render(self) -> str:
-        """Render the loop the way Fig. 4 writes it, e.g. ``pfor(k0)``."""
-        keyword = "pfor" if self.spatial else "for"
-        return f"{keyword}({self.dimension.lower()}{self.level})"
 
 
 class _LoopNestFields(NamedTuple):
@@ -74,26 +70,6 @@ class LoopNest(_LoopNestFields):
 
     def _replace(self, **changes) -> "LoopNest":
         return LoopNest(**{**self._asdict(), **changes})
-
-    # ------------------------------------------------------------------
-    # Derived properties
-    # ------------------------------------------------------------------
-    @property
-    def spatial_dimensions(self) -> List[str]:
-        """Dimensions that are spatially unrolled, outermost first."""
-        return [loop.dimension for loop in self.loops if loop.spatial]
-
-    # ------------------------------------------------------------------
-    # Rendering
-    # ------------------------------------------------------------------
-    def render(self, indent: int = 1) -> str:
-        """Pretty-print the loop nest in the paper's Fig. 4 style."""
-        lines: List[str] = []
-        for depth, loop in enumerate(self.loops):
-            lines.append(" " * (indent * depth) + loop.render())
-        body_indent = " " * (indent * len(self.loops))
-        lines.append(body_indent + "Output[k][y][x] += Input[c][y+r][x+s] * Filter[k][c][r][s]")
-        return "\n".join(lines)
 
     @classmethod
     def from_spec(cls, name: str, spec: Iterable[Tuple[str, bool, int]]) -> "LoopNest":

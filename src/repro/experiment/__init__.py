@@ -17,7 +17,6 @@ from repro.experiment.report import (
     BaselineDelta,
     ComparisonResult,
     build_report,
-    canonical_report,
     compare_reports,
     load_report,
     metric_direction,
@@ -57,7 +56,6 @@ __all__ = [
     "TrafficSettings",
     "YamlishError",
     "build_report",
-    "canonical_report",
     "compare_reports",
     "experiment_from_spec",
     "load_config",

@@ -150,16 +150,6 @@ def _platform_name() -> str:
                                   platform.machine(), libc and "with", libc)))
 
 
-def canonical_report(report: Dict[str, object]) -> Dict[str, object]:
-    """The report minus its run-varying sections (for golden pinning).
-
-    ``timing`` and ``environment`` change run to run; everything else must
-    be bit-for-bit reproducible for a fixed experiment spec.
-    """
-    return {key: value for key, value in report.items()
-            if key not in ("timing", "environment")}
-
-
 def write_report(report: Dict[str, object], path: str) -> None:
     """Write a report as stable, diff-friendly, strict JSON.
 

@@ -209,8 +209,8 @@ def _run_dse(spec: ExperimentSpec,
         details["failures"] = space.failure_rows()
     # Evaluation/cache counters are run-site facts, not experiment results:
     # a resumed sweep re-runs fewer tasks, so they live in the timing
-    # section that canonical_report strips — resumed and clean runs diff
-    # clean against each other.
+    # section, outside the metrics a report diff compares — resumed and
+    # clean runs diff clean against each other.
     timing: Dict[str, float] = {
         "cold_evaluations": float(backend.total_cold_evaluations),
         "cache_hits": float(backend.total_cache_hits),

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
-from repro.exceptions import HardwareConfigError
 from repro.units import cycles_to_seconds, picojoules_to_millijoules
 from repro.dataflow.mapping import Mapping, build_mapping, saturating_pes
 from repro.dataflow.styles import ALL_STYLES, DataflowStyle
@@ -154,18 +153,6 @@ class LayerCost(_LayerCostFields):
         """Total energy in millijoules (the unit used in the paper's figures)."""
         return picojoules_to_millijoules(self.energy_pj)
 
-    def energy_breakdown(self) -> Dict[str, float]:
-        """Per-component energy in picojoules."""
-        return {
-            "compute": self.energy_compute_pj,
-            "rf": self.energy_rf_pj,
-            "local": self.energy_local_pj,
-            "noc": self.energy_noc_pj,
-            "sram": self.energy_sram_pj,
-            "dram": self.energy_dram_pj,
-            "overhead": self.energy_overhead_pj,
-        }
-
     def describe(self) -> str:
         """One-line description used by reports."""
         return (
@@ -259,24 +246,6 @@ class CostModel:
         """
         return self.layer_costs((layer,), sub_accelerator)[0]
 
-    def layer_cost_with_style(self, layer: Layer, style: DataflowStyle,
-                              sub_accelerator: SubAcceleratorConfig) -> LayerCost:
-        """Cost of ``layer`` on ``sub_accelerator`` forced to use ``style``."""
-        if style is None:
-            raise HardwareConfigError(
-                f"sub-accelerator {sub_accelerator.name!r} has no dataflow and "
-                "no style was supplied")
-        return self._estimate((layer,), sub_accelerator, (style,),
-                              sub_accelerator.is_reconfigurable)[0]
-
-    def best_style(self, layer: Layer, sub_accelerator: SubAcceleratorConfig,
-                   metric: str = "edp") -> Tuple[DataflowStyle, LayerCost]:
-        """The preferred dataflow style for ``layer`` on the given array size."""
-        scored = [(style, self._estimate((layer,), sub_accelerator, (style,),
-                                         False)[0])
-                  for style in self.rda_styles]
-        return min(scored, key=lambda pair: metric_value(pair[1], metric))
-
     def layer_costs(self, layers: Iterable[Layer],
                     sub_accelerator: SubAcceleratorConfig) -> List[LayerCost]:
         """:meth:`layer_cost` of each of ``layers`` on one configuration.
@@ -329,10 +298,6 @@ class CostModel:
         for acc in distinct.values():
             self.layer_costs(unique.values(), acc)
         return self.misses - misses
-
-    def cache_size(self) -> int:
-        """Number of memoised (layer, hardware) cost entries."""
-        return len(self._cache)
 
     def cache_items(self) -> List[Tuple[Tuple, LayerCost]]:
         """All memoised entries as ``(key, cost)`` pairs (the snapshot a

@@ -103,10 +103,6 @@ class SubAcceleratorConfig(_SubAcceleratorFields):
             dram = self.bandwidth_bytes_per_s
         return bytes_per_cycle(dram, self.clock_hz)
 
-    def with_dataflow(self, dataflow: Optional[DataflowStyle]) -> "SubAcceleratorConfig":
-        """Return a copy running a different dataflow style."""
-        return self._replace(dataflow=dataflow)
-
     def describe(self) -> str:
         """One-line description used by reports."""
         dataflow_name = self.dataflow.name if self.dataflow else "reconfigurable"

@@ -13,7 +13,7 @@ the scheduling stack uses so a layer only ever waits for its actual producers
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Sequence, Set, Tuple
 
 from repro.exceptions import GraphError
 from repro.models.layer import Layer, layer_heterogeneity
@@ -286,19 +286,4 @@ class ModelGraph:
             graph.add_layer(layer)
         if sequential:
             graph.chain()
-        return graph
-
-    def subgraph(self, layer_names: Iterable[str], name: str | None = None) -> "ModelGraph":
-        """Return the induced subgraph on ``layer_names`` (insertion order kept)."""
-        wanted = set(layer_names)
-        unknown = wanted - set(self._order)
-        if unknown:
-            raise GraphError(f"model {self.name!r}: unknown layers {sorted(unknown)!r}")
-        graph = ModelGraph(name=name or f"{self.name}-sub")
-        for layer_name in self._order:
-            if layer_name in wanted:
-                graph.add_layer(self._layers[layer_name])
-        for producer, consumer in self.edges():
-            if producer in wanted and consumer in wanted:
-                graph.add_edge(producer, consumer)
         return graph

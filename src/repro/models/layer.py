@@ -260,10 +260,6 @@ class Layer:
             model_name=self.model_name if model_name is None else model_name,
         )
 
-    def arithmetic_intensity(self) -> float:
-        """MACs per tensor element moved (an operational-intensity proxy)."""
-        return self.macs / float(self.total_elements)
-
     def describe(self) -> str:
         """One-line human-readable description used by reports and examples."""
         return (

@@ -382,10 +382,6 @@ class DispatchPlan:
         self.chip_workloads = chip_workloads
         self.frame_maps = frame_maps
 
-    @property
-    def frames_per_chip(self) -> List[int]:
-        """Number of frames routed to each chip."""
-        return [len(frame_map) for frame_map in self.frame_maps]
 
 
 class Router:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from typing import (Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
-                    Sequence, Tuple)
+                    Tuple)
 
 from repro.exceptions import WorkloadError
 from repro.models.graph import ModelGraph
@@ -155,7 +155,8 @@ class WorkloadSpec:
 
         This is the deduped working set of the cost model: batches repeat
         whole models and models repeat block shapes internally, so the list is
-        typically several times shorter than :meth:`all_layers`.  The first
+        typically several times shorter than the workload's layer
+        executions (:attr:`total_layers`).  The first
         layer seen with each :attr:`~repro.models.layer.Layer.shape_key` (in
         entry order, then dependence order) is the representative.  Built
         once, like :meth:`instances`, so every design candidate of a
@@ -192,11 +193,6 @@ class WorkloadSpec:
     # Statistics
     # ------------------------------------------------------------------
     @property
-    def model_names(self) -> List[str]:
-        """Distinct model names in the workload, in entry order."""
-        return [model_name for model_name, _ in self.entries]
-
-    @property
     def total_instances(self) -> int:
         """Total number of model instances (sum of batches)."""
         return sum(batches for _, batches in self.entries)
@@ -206,16 +202,6 @@ class WorkloadSpec:
         """Total number of layer executions across all instances."""
         return sum(len(self.model_graph(model_name)) * batches
                    for model_name, batches in self.entries)
-
-    @property
-    def unique_layers(self) -> int:
-        """Number of distinct layers (batch-independent layer count)."""
-        return sum(len(self.model_graph(model_name)) for model_name, _ in self.entries)
-
-    @property
-    def unique_shapes(self) -> int:
-        """Number of distinct layer shapes (cost-model working-set size)."""
-        return len(self.unique_shape_layers())
 
     @property
     def total_macs(self) -> int:
@@ -238,13 +224,6 @@ class WorkloadSpec:
         return {instance.instance_id: instance.predecessor_indices()
                 for instance in self._instances}
 
-    def all_layers(self) -> List[Layer]:
-        """Every layer execution in the workload (duplicated across batches)."""
-        layers: List[Layer] = []
-        for instance in self.instances():
-            layers.extend(instance.layers_in_dependence_order())
-        return layers
-
     def heterogeneity(self) -> Dict[str, float]:
         """Channel-activation ratio statistics over all layers (Table I style)."""
         distinct: List[Layer] = []
@@ -261,24 +240,3 @@ class WorkloadSpec:
             graph = self.model_graph(model_name)
             lines.append(f"  - {model_name}: {batches} batch(es) x {len(graph)} layers")
         return "\n".join(lines)
-
-    @classmethod
-    def from_models(cls, name: str, models: Iterable[ModelGraph],
-                    batches: Sequence[int] | int = 1) -> "WorkloadSpec":
-        """Build a workload from pre-built model graphs."""
-        model_list = list(models)
-        if isinstance(batches, int):
-            batch_list = [batches] * len(model_list)
-        else:
-            batch_list = list(batches)
-        if len(batch_list) != len(model_list):
-            raise WorkloadError(
-                f"workload {name!r}: got {len(model_list)} models but {len(batch_list)} "
-                "batch counts"
-            )
-        spec = cls(
-            name=name,
-            entries=[(graph.name, batch) for graph, batch in zip(model_list, batch_list)],
-            models={graph.name: graph for graph in model_list},
-        )
-        return spec

@@ -85,11 +85,6 @@ def workload_by_name(name: str) -> WorkloadSpec:
         ) from None
 
 
-def available_workloads() -> List[str]:
-    """Names accepted by :func:`workload_by_name`."""
-    return sorted(WORKLOAD_SUITES)
-
-
 # ---------------------------------------------------------------------------
 # Declarative specs
 # ---------------------------------------------------------------------------

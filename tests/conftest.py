@@ -27,6 +27,8 @@ from repro.models.graph import ModelGraph
 from repro.models.layer import conv2d, dwconv, fc, pwconv
 from repro.units import gbps, mib
 from repro.workloads.spec import WorkloadSpec
+from schedule_oracle import validate_schedule
+from support import workload_from_models
 
 settings.register_profile("derandomized", derandomize=True)
 settings.load_profile("derandomized")
@@ -35,15 +37,16 @@ settings.load_profile("derandomized")
 @functools.wraps(HeraldScheduler.schedule)
 def _validated_schedule(self, workload, *args, **kwargs):
     schedule = _validated_schedule.__wrapped__(self, workload, *args, **kwargs)
-    schedule.validate({instance.instance_id: instance.num_layers
-                       for instance in workload.instances()})
+    validate_schedule(schedule, {instance.instance_id: instance.num_layers
+                                 for instance in workload.instances()})
     return schedule
 
 
 def pytest_configure(config):
     """Check every schedule ``HeraldScheduler.schedule`` returns against the
-    hard constraints of Sec. III-A (:meth:`Schedule.validate`, completeness
-    included): goldens, hypothesis runs and forked pool workers alike.
+    hard constraints of Sec. III-A (:func:`schedule_oracle.validate_schedule`,
+    completeness included): goldens, hypothesis runs, forked pool workers
+    and the greedy baseline (a ``HeraldScheduler``) alike.
 
     Installed when the suite is configured rather than by a fixture, so the
     schedules test modules build at import (``tests/test_records.py``) are
@@ -114,7 +117,7 @@ def activation_heavy_model() -> ModelGraph:
 @pytest.fixture(scope="session")
 def small_workload(small_model, channel_heavy_model, activation_heavy_model) -> WorkloadSpec:
     """A heterogeneous three-model workload used by scheduler / DSE tests."""
-    return WorkloadSpec.from_models(
+    return workload_from_models(
         "small-mix",
         [small_model, channel_heavy_model, activation_heavy_model],
         batches=[2, 1, 1],

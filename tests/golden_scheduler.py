@@ -50,6 +50,7 @@ from repro.serve.traffic import TrafficSpec
 from repro.serve.workload import StreamingWorkload
 from repro.units import gbps, mib
 from repro.workloads.spec import WorkloadSpec
+from support import workload_from_models
 
 GOLDEN_DIR = os.path.join(_HERE, "golden")
 TIMELINES_FILE = os.path.join(GOLDEN_DIR, "scheduler_timelines.json")
@@ -99,8 +100,8 @@ def _diamond_model() -> ModelGraph:
 def build_workloads() -> Dict[str, WorkloadSpec]:
     """The four golden workload topologies, keyed by scenario name."""
     return {
-        "chain": WorkloadSpec.from_models("chain-wl", [_chain_model()], 2),
-        "diamond": WorkloadSpec.from_models("diamond-wl", [_diamond_model()], 1),
+        "chain": workload_from_models("chain-wl", [_chain_model()], 2),
+        "diamond": workload_from_models("diamond-wl", [_diamond_model()], 1),
         "unet": WorkloadSpec(name="unet-wl", entries=[("unet", 1)]),
         "mixed4": WorkloadSpec(
             name="mixed4-wl",
@@ -531,7 +532,8 @@ def serialize_fleet_result(workload_name: str, result) -> Dict[str, object]:
         "assignments": {f"{model}#{index}": chip
                         for (model, index), chip
                         in sorted(result.plan.assignments.items())},
-        "frames_per_chip": result.plan.frames_per_chip,
+        "frames_per_chip": [len(frame_map)
+                            for frame_map in result.plan.frame_maps],
         "chips": chips,
         "report": _repr_tree(result.report.summary()),
     }
@@ -668,6 +670,16 @@ def experiment_report_file(spec_path: str) -> str:
     return f"{stem}.report.json"
 
 
+def canonical_report(report: Dict[str, object]) -> Dict[str, object]:
+    """The report minus its run-varying sections (for golden pinning).
+
+    ``timing`` and ``environment`` change run to run; everything else must
+    be bit-for-bit reproducible for a fixed experiment spec.
+    """
+    return {key: value for key, value in report.items()
+            if key not in ("timing", "environment")}
+
+
 def run_experiment_report(spec_path: str) -> Dict[str, object]:
     """Execute one golden experiment and return its canonical report.
 
@@ -678,7 +690,7 @@ def run_experiment_report(spec_path: str) -> Dict[str, object]:
     import contextlib
     import io
 
-    from repro.experiment import canonical_report, load_experiment, run_experiment
+    from repro.experiment import load_experiment, run_experiment
 
     spec = load_experiment(spec_path)
     with contextlib.redirect_stdout(io.StringIO()):
@@ -713,7 +725,7 @@ def _dse_workload() -> WorkloadSpec:
         conv2d("conv2", k=16, c=16, y=128, x=128, r=3, s=3),
         conv2d("conv3", k=32, c=16, y=126, x=126, r=3, s=3),
     ])
-    return WorkloadSpec.from_models(
+    return workload_from_models(
         "dse-mix", [_chain_model(), channel_heavy, activation_heavy],
         batches=[2, 1, 1])
 

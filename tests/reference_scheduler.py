@@ -31,6 +31,7 @@ from repro.maestro.hardware import SubAcceleratorConfig
 from repro.models.layer import Layer
 from repro.units import BYTES_PER_ELEMENT
 from repro.workloads.spec import WorkloadSpec
+from schedule_oracle import schedule_from_entries
 
 
 @dataclass
@@ -176,7 +177,7 @@ def initial_assignment(workload: WorkloadSpec,
 def _build_schedule(sub_accelerators: Sequence[SubAcceleratorConfig],
                     cost_model: CostModel, entries: Sequence[ScheduledLayer]
                     ) -> Schedule:
-    return Schedule.from_entries(
+    return schedule_from_entries(
         [acc.name for acc in sub_accelerators], entries,
         clock_hz=sub_accelerators[0].clock_hz,
         idle_energy_pj_per_cycle_per_pe=(

@@ -41,26 +41,31 @@ class TestAcceleratorClasses:
         assert set(ACCELERATOR_CLASSES) == {"edge", "mobile", "cloud"}
 
 
+def _dataflow_names(design):
+    return [sub.dataflow.name if sub.dataflow is not None else "reconfigurable"
+            for sub in design.sub_accelerators]
+
+
 class TestFdaAndRda:
     def test_fda_is_monolithic(self):
         design = make_fda(EDGE, NVDLA)
         assert design.kind is AcceleratorKind.FDA
-        assert design.is_monolithic
+        assert design.num_sub_accelerators == 1
         assert design.sub_accelerators[0].num_pes == EDGE.num_pes
 
     def test_fda_dataflow_names(self):
-        assert make_fda(EDGE, SHIDIANNAO).dataflow_names == ["shidiannao"]
+        assert _dataflow_names(make_fda(EDGE, SHIDIANNAO)) == ["shidiannao"]
 
     def test_rda_is_reconfigurable(self):
         design = make_rda(EDGE)
         assert design.kind is AcceleratorKind.RDA
         assert design.sub_accelerators[0].is_reconfigurable
-        assert design.dataflow_names == ["reconfigurable"]
+        assert _dataflow_names(design) == ["reconfigurable"]
 
     def test_enumerate_fdas_one_per_style(self):
         designs = enumerate_fdas(MOBILE)
         assert len(designs) == len(ALL_STYLES)
-        assert {d.dataflow_names[0] for d in designs} == {s.name for s in ALL_STYLES}
+        assert {_dataflow_names(d)[0] for d in designs} == {s.name for s in ALL_STYLES}
 
 
 class TestSmFda:
@@ -68,12 +73,13 @@ class TestSmFda:
         design = make_smfda(EDGE, NVDLA, num_sub_accelerators=2)
         assert design.kind is AcceleratorKind.SM_FDA
         assert design.pe_partition == (512, 512)
-        assert design.dataflow_names == ["nvdla", "nvdla"]
+        assert _dataflow_names(design) == ["nvdla", "nvdla"]
 
     def test_bandwidth_split_evenly(self):
         design = make_smfda(MOBILE, SHIDIANNAO, num_sub_accelerators=2)
-        assert design.bandwidth_partition_gbps[0] == pytest.approx(
-            design.bandwidth_partition_gbps[1])
+        first, second = design.sub_accelerators
+        assert first.bandwidth_bytes_per_s == pytest.approx(
+            second.bandwidth_bytes_per_s)
 
     def test_enumerate_smfdas(self):
         assert len(enumerate_smfdas(EDGE)) == len(ALL_STYLES)
@@ -90,7 +96,8 @@ class TestHda:
                           pe_partition=[12032, 4352],
                           bw_partition_gbps=[128, 128])
         assert design.pe_partition == (12032, 4352)
-        assert design.bandwidth_partition_gbps == pytest.approx((128.0, 128.0))
+        assert [sub.bandwidth_bytes_per_s for sub in design.sub_accelerators] \
+            == pytest.approx([128e9, 128e9])
 
     def test_three_way_hda(self):
         design = make_hda(CLOUD, [NVDLA, SHIDIANNAO, EYERISS])

@@ -27,6 +27,7 @@ from repro.maestro.hardware import SubAcceleratorConfig
 from repro.maestro.reuse import analyse_reuse
 from repro.models.layer import conv2d, dwconv, fc
 from repro.units import cycles_to_seconds, gbps, mib
+from support import best_style, cost_with_style
 
 _layers = st.one_of(
     st.builds(lambda k, c, y, r, stride: conv2d(
@@ -75,9 +76,9 @@ def test_roll_ups_equal_the_explicit_expressions(
     activity record equal the explicit expressions, compared as float hex."""
     sub = _sub(style, pes, noc_gbps, dram_gbps, buffer_bytes, reconfigurable)
     model = CostModel()
-    model.layer_cost_with_style(layer, style, _sub(
+    cost_with_style(model, layer, style, _sub(
         style, pes, other_gbps, dram_gbps, buffer_bytes, reconfigurable))
-    cost = model.layer_cost_with_style(layer, style, sub)
+    cost = cost_with_style(model, layer, style, sub)
     assert len(model._activities) == 1
 
     reuse = analyse_reuse(build_mapping(layer, style, pes), buffer_bytes)
@@ -96,7 +97,7 @@ def test_roll_ups_equal_the_explicit_expressions(
     assert cost.energy_pj.hex() == energy_pj.hex()
     assert cost.latency_s.hex() == latency_s.hex()
     assert cost.edp.hex() == ((energy_pj * 1e-12) * latency_s).hex()
-    fresh = CostModel().layer_cost_with_style(layer, style, sub)
+    fresh = cost_with_style(CostModel(), layer, style, sub)
     assert [value.hex() for value in cost[3:]] \
         == [value.hex() for value in fresh[3:]]
 
@@ -165,12 +166,12 @@ def test_costs_equal_a_reference_mapped_on_the_real_array(
                 if reference.edp < best.edp:
                     best = reference
             _same(model.layer_cost(layer, sub), best)
-            _same(model.layer_cost_with_style(layer, style, sub),
+            _same(cost_with_style(model, layer, style, sub),
                   references[ALL_STYLES.index(style)])
         else:
             _same(model.layer_cost(layer, sub),
                   _reference(layer, style, sub, False))
-            chosen, cost = model.best_style(layer, sub)
+            chosen, cost = best_style(model, layer, sub)
             _same(cost, _reference(layer, chosen, sub, False))
 
 
@@ -235,8 +236,6 @@ class TestRecordSemantics:
     def test_accessors_unchanged(self):
         cost = _cost(noc_gbps=0.25)
         assert cost.bound_by == "noc"
-        assert sum(cost.energy_breakdown().values()) \
-            == pytest.approx(cost.energy_pj)
         assert cost.energy_mj == cost.energy_pj * 1e-9
         assert cost.describe().startswith("c on nvdla (256 PEs): ")
 
@@ -249,4 +248,4 @@ class TestActivitySharing:
         assert len(model._activities) == 1
         clone = pickle.loads(pickle.dumps(model))
         assert clone._activities == {}
-        assert clone.cache_size() == 1
+        assert clone.cache_stats()["entries"] == 1

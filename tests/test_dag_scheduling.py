@@ -10,12 +10,17 @@ falling back to the DRAM spill.
 
 from __future__ import annotations
 
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import reference_scheduler
 from repro.accel.builders import make_hda
-from repro.core.schedule import Schedule, ScheduledLayer
-from repro.core.scheduler import HeraldScheduler
-from repro.dataflow.styles import NVDLA, SHIDIANNAO
+from repro.accel.classes import EDGE
+from repro.core.schedule import ScheduledLayer
+from repro.core.scheduler import GreedyScheduler, HeraldScheduler
+from repro.dataflow.styles import EYERISS, NVDLA, SHIDIANNAO
 from repro.exceptions import SchedulingError
 from repro.maestro.cost import CostModel
 from repro.maestro.hardware import SubAcceleratorConfig
@@ -24,6 +29,9 @@ from repro.models.layer import conv2d, fc, pwconv
 from repro.models.zoo import build_model
 from repro.units import BYTES_PER_ELEMENT, gbps, mib
 from repro.workloads.spec import WorkloadSpec
+from schedule_oracle import (greedy_reference_schedule, schedule_from_entries,
+                             validate_schedule)
+from support import workload_from_models
 
 
 def _diamond_model() -> ModelGraph:
@@ -47,7 +55,7 @@ def _diamond_model() -> ModelGraph:
 
 @pytest.fixture(scope="module")
 def diamond_workload() -> WorkloadSpec:
-    return WorkloadSpec.from_models("diamond-wl", [_diamond_model()], 1)
+    return workload_from_models("diamond-wl", [_diamond_model()], 1)
 
 
 class TestGraphIndexSets:
@@ -105,7 +113,8 @@ class TestBranchOverlap:
         # The DAG makespan must beat executing the same assignment as a chain.
         schedule = HeraldScheduler(cost_model, load_balance_factor=None).schedule(
             diamond_workload, tiny_sub_accelerators)
-        serialized = sum(entry.duration_cycles for entry in schedule.entries)
+        serialized = sum(entry.finish_cycle - entry.start_cycle
+                         for entry in schedule.entries)
         assert schedule.makespan_cycles < serialized
 
     def test_replay_without_post_processing_is_dag_aware(self, cost_model,
@@ -125,13 +134,13 @@ class TestBranchOverlap:
         for level in range(1, 5):
             producers = [p.name for p in unet.predecessors(f"dec{level}_conv1")]
             assert f"enc{level}_conv2" in producers
-        workload = WorkloadSpec.from_models("unet-wl", [unet], 1)
+        workload = workload_from_models("unet-wl", [unet], 1)
         schedule = HeraldScheduler(cost_model).schedule(workload,
                                                         tiny_sub_accelerators)
-        # validate() ran inside schedule(); it must also pass explicitly with
+        # The conftest hook validated it; it must also pass explicitly with
         # the DAG dependence info attached.
         assert schedule.instance_predecessors["unet#0"]
-        schedule.validate({"unet#0": len(unet)})
+        validate_schedule(schedule, {"unet#0": len(unet)})
 
 
 def _make_cost(layer):
@@ -155,7 +164,7 @@ def _diamond_predecessors():
 class TestDagValidation:
     def _dag_schedule(self, merge_start=300.0,
                       predecessors=_diamond_predecessors()):
-        return Schedule.from_entries(
+        return schedule_from_entries(
             ("a0", "a1"),
             [_entry("stem", 0, "a0", 0, 100),
              _entry("b1", 1, "a0", 100, 300),
@@ -166,40 +175,40 @@ class TestDagValidation:
     def test_branch_parallel_schedule_accepted(self):
         # Layer index 2 starts before index 1 finishes — illegal for a chain,
         # legal for the diamond DAG.
-        self._dag_schedule().validate(expected_layers={"d#0": 4})
+        validate_schedule(self._dag_schedule(), expected_layers={"d#0": 4})
 
     def test_same_schedule_rejected_under_chain_semantics(self):
         schedule = self._dag_schedule(predecessors=None)
         with pytest.raises(SchedulingError):
-            schedule.validate()
+            validate_schedule(schedule)
 
     def test_true_producer_consumer_overlap_rejected(self):
         # merge starts at 260, before branch b1 (a true producer) ends at 300.
         with pytest.raises(SchedulingError):
-            self._dag_schedule(merge_start=260.0).validate()
+            validate_schedule(self._dag_schedule(merge_start=260.0))
 
     def test_missing_producer_rejected(self):
-        schedule = Schedule.from_entries(
+        schedule = schedule_from_entries(
             ("a0", "a1"),
             [_entry("stem", 0, "a0", 0, 100), _entry("merge", 3, "a1", 500, 550)],
             clock_hz=1e9, instance_predecessors=_diamond_predecessors())
         with pytest.raises(SchedulingError):
-            schedule.validate()
+            validate_schedule(schedule)
 
     def test_duplicate_layer_index_still_rejected(self):
-        schedule = Schedule.from_entries(
+        schedule = schedule_from_entries(
             ("a0", "a1"),
             [_entry("stem", 0, "a0", 0, 100), _entry("stem2", 0, "a1", 0, 100)],
             clock_hz=1e9, instance_predecessors=_diamond_predecessors())
         with pytest.raises(SchedulingError):
-            schedule.validate()
+            validate_schedule(schedule)
 
     def test_out_of_range_layer_index_rejected(self):
-        schedule = Schedule.from_entries(
+        schedule = schedule_from_entries(
             ("a0", "a1"), [_entry("ghost", 7, "a0", 0, 100)],
             clock_hz=1e9, instance_predecessors=_diamond_predecessors())
         with pytest.raises(SchedulingError):
-            schedule.validate()
+            validate_schedule(schedule)
 
 
 class TestSkipTensorLiveness:
@@ -211,7 +220,7 @@ class TestSkipTensorLiveness:
     """
 
     def _schedule(self, graph, budget_elements, cost_model, accs):
-        workload = WorkloadSpec.from_models(f"{graph.name}-wl", [graph], 2)
+        workload = workload_from_models(f"{graph.name}-wl", [graph], 2)
         scheduler = HeraldScheduler(
             cost_model, memory_limit_bytes=budget_elements * BYTES_PER_ELEMENT)
         schedule = scheduler.schedule(workload, accs)
@@ -254,7 +263,7 @@ class TestMemoryDeferral:
         tiny = ModelGraph.from_layers("tinynet", [
             fc(f"tiny{i}", k=16, c=16) for i in range(3)
         ])
-        return WorkloadSpec.from_models("two-speed", [big, tiny], 1)
+        return workload_from_models("two-speed", [big, tiny], 1)
 
     def test_deferral_runs_fitting_instance_first(self, cost_model,
                                                   tiny_sub_accelerators):
@@ -291,7 +300,7 @@ class TestSerialPoolParityOnDag:
     def test_backends_agree_on_dag_workload(self, tiny_chip):
         from repro.exec import EvaluationTask, ProcessPoolBackend, SerialBackend
 
-        workload = WorkloadSpec.from_models(
+        workload = workload_from_models(
             "dag-parity", [_diamond_model(), build_model("unet")], [2, 1])
         designs = [make_hda(tiny_chip, [NVDLA, SHIDIANNAO]),
                    make_hda(tiny_chip, [SHIDIANNAO, NVDLA])]
@@ -308,3 +317,118 @@ class TestSerialPoolParityOnDag:
                 assert mine.layer.name == other.layer.name
                 assert mine.sub_accelerator == other.sub_accelerator
                 assert mine.start_cycle == other.start_cycle
+
+
+# ---------------------------------------------------------------------------
+# The greedy baseline waits only on true producers (Sec. III-A)
+# ---------------------------------------------------------------------------
+_GREEDY_COST_MODEL = CostModel()
+
+_GREEDY_ARRAYS = (
+    SubAcceleratorConfig("g0-nvdla", NVDLA, num_pes=128,
+                         bandwidth_bytes_per_s=gbps(4), buffer_bytes=mib(1)),
+    SubAcceleratorConfig("g1-shidiannao", SHIDIANNAO, num_pes=64,
+                         bandwidth_bytes_per_s=gbps(4), buffer_bytes=mib(1)),
+    SubAcceleratorConfig("g2-eyeriss", EYERISS, num_pes=96,
+                         bandwidth_bytes_per_s=gbps(2), buffer_bytes=mib(1)),
+)
+
+#: Small layers of both kinds, so each array is somebody's preference.
+_small_layers = st.one_of(
+    st.builds(lambda k, c: ("fc", k, c),
+              st.sampled_from([4, 16, 64, 256]),
+              st.sampled_from([4, 16, 64, 256])),
+    st.builds(lambda k, c, y: ("conv", k, c, y),
+              st.sampled_from([4, 8, 32]), st.sampled_from([3, 8, 32]),
+              st.sampled_from([6, 10, 18])),
+)
+
+
+@st.composite
+def _dag_models(draw, name):
+    """A model of 1-12 small layers whose layer ``j`` consumes a random
+    subset of the earlier layers: a root, a chain link, a skip or a join.
+    Every edge points forward, so the dependence order is insertion order."""
+    graph = ModelGraph(name=name)
+    for index, spec in enumerate(draw(st.lists(_small_layers, min_size=1,
+                                               max_size=12))):
+        if spec[0] == "fc":
+            graph.add_layer(fc(f"l{index}", k=spec[1], c=spec[2]))
+        else:
+            _, k, c, y = spec
+            graph.add_layer(conv2d(f"l{index}", k=k, c=c, y=y, x=y, r=3, s=3))
+        for producer in draw(st.sets(st.integers(0, index - 1))
+                             if index else st.just(set())):
+            graph.add_edge(f"l{producer}", f"l{index}")
+    return graph
+
+
+def _finishes(schedule):
+    return {(entry.instance_id, entry.layer_index):
+            (entry.sub_accelerator, entry.finish_cycle)
+            for entry in schedule.entries}
+
+
+class TestGreedyBaselineOnDags:
+    def test_greedy_runs_independent_branches_concurrently(self):
+        workload = workload_from_models("diamond-wl", [_diamond_model()], 2)
+        accs = make_hda(EDGE, [NVDLA, SHIDIANNAO]).sub_accelerators
+        schedule = GreedyScheduler(_GREEDY_COST_MODEL).schedule(workload, accs)
+        for instance in ("diamond#0", "diamond#1"):
+            by_name = {entry.layer.name: entry for entry in schedule.entries
+                       if entry.instance_id == instance}
+            channel = by_name["branch_channel"]
+            act = by_name["branch_act"]
+            assert channel.sub_accelerator != act.sub_accelerator
+            assert act.start_cycle < channel.finish_cycle
+        # Waiting on the previous layer in dependence order instead of the
+        # true producers serialises the branches.
+        chained = greedy_reference_schedule(workload, accs, _GREEDY_COST_MODEL)
+        assert (schedule.makespan_cycles, chained.makespan_cycles) \
+            == (141460.5, 231122.5)
+
+    @given(models=st.lists(st.integers(1, 2), min_size=1, max_size=2).filter(
+               lambda batches: sum(batches) <= 3).flatmap(
+               lambda batches: st.tuples(
+                   st.tuples(*(_dag_models(f"m{index}")
+                               for index in range(len(batches)))),
+                   st.just(batches))),
+           arrays=st.sampled_from([_GREEDY_ARRAYS[:2], _GREEDY_ARRAYS[1:],
+                                   _GREEDY_ARRAYS]),
+           metric=st.sampled_from(["edp", "latency", "energy"]),
+           release_seed=st.one_of(st.none(), st.integers(0, 2**31)))
+    @settings(max_examples=60, deadline=None)
+    def test_configuration_matches_chain_waiting_reference(
+            self, models, arrays, metric, release_seed):
+        """Same assignment and replay order as the chain-waiting reference.
+        A layer's producers never finish after the layer before it there,
+        so no layer finishes later; on chain-like models (every layer
+        consumes the one before it) the timelines are identical."""
+        graphs, batches = models
+        workload = workload_from_models("dag-wl", graphs, list(batches))
+        releases = None
+        if release_seed is not None:
+            rng = random.Random(release_seed)
+            releases = {instance.instance_id: rng.uniform(0.0, 1e5)
+                        for instance in workload.instances()}
+        schedule = GreedyScheduler(_GREEDY_COST_MODEL, metric=metric).schedule(
+            workload, arrays, release_cycles=releases)
+        reference = greedy_reference_schedule(workload, arrays,
+                                              _GREEDY_COST_MODEL, metric,
+                                              releases)
+        validate_schedule(reference)
+        chain_like = all(
+            index - 1 in producers
+            for graph in graphs
+            for index, producers in enumerate(graph.predecessor_indices())
+            if index)
+        if chain_like:
+            assert reference_scheduler.timeline(schedule) \
+                == reference_scheduler.timeline(reference)
+        else:
+            ours = _finishes(schedule)
+            theirs = _finishes(reference)
+            assert ours.keys() == theirs.keys()
+            for key, (acc, finish) in ours.items():
+                assert acc == theirs[key][0]
+                assert finish <= theirs[key][1]

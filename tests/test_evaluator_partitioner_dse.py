@@ -6,9 +6,8 @@ from repro.accel.builders import make_fda, make_hda, make_rda, make_smfda
 from repro.accel.classes import accelerator_class
 from repro.core.dse import HeraldDSE
 from repro.core.evaluator import evaluate_design
-from repro.core.greedy import GreedyScheduler
 from repro.core.partitioner import PartitionSearch, compositions
-from repro.core.scheduler import HeraldScheduler
+from repro.core.scheduler import GreedyScheduler, HeraldScheduler
 from repro.dataflow.styles import EYERISS, NVDLA, SHIDIANNAO
 from repro.exceptions import SearchError
 
@@ -173,7 +172,8 @@ class TestHeraldDSE:
     def test_maelstrom_design_is_hda(self, dse, small_workload, tiny_chip):
         design = dse.maelstrom_design(small_workload, tiny_chip)
         assert design.kind.value == "hda"
-        assert set(design.dataflow_names) == {"nvdla", "shidiannao"}
+        assert {sub.dataflow.name for sub in design.sub_accelerators} \
+            == {"nvdla", "shidiannao"}
 
     def test_compare_with_baselines_keys(self, dse, small_workload, tiny_chip):
         comparison = dse.compare_with_baselines(small_workload, tiny_chip)

@@ -55,9 +55,9 @@ def _online_fleet_report(backend, workload, chip):
 
 def _streaming(workload):
     return StreamingWorkload("mix", streams=[
-        StreamSpec(name, fps=200.0, frames=2) for name in workload.model_names
+        StreamSpec(name, fps=200.0, frames=2) for name, _ in workload.entries
     ], models={name: workload.model_graph(name)
-               for name in workload.model_names})
+               for name, _ in workload.entries})
 
 
 #: Task bags a pool must run without computing a cost in its workers.
@@ -107,14 +107,14 @@ class TestSerialBackend:
         backend = SerialBackend()
         tasks = [EvaluationTask(0, make_fda(tiny_chip, NVDLA), small_workload)]
         first = backend.run(tasks)[0]
-        entries_after_first = backend.cost_model.cache_size()
+        entries_after_first = backend.cost_model.cache_stats()["entries"]
         second = backend.run(tasks)[0]
         # Shape dedupe queries each (shape, hardware) pair exactly once and
         # the scheduler's per-design ranking memo can satisfy the whole second
         # run without touching the cost model, so the warm proof is: zero cold
         # evaluations, no new memo entries, identical metrics.
         assert backend.last_cold_evaluations == 0
-        assert backend.cost_model.cache_size() == entries_after_first
+        assert backend.cost_model.cache_stats()["entries"] == entries_after_first
         assert (second.latency_s, second.energy_mj, second.edp) == \
             (first.latency_s, first.energy_mj, first.edp)
 
@@ -174,13 +174,13 @@ class TestProcessPoolBackend:
         pool_outputs, pool, model = runs[ProcessPoolBackend]
         assert pool_outputs == serial_outputs
         assert pool.total_cold_evaluations == serial.total_cold_evaluations
-        assert model.cache_size() == serial_model.cache_size() > 0
+        assert model.cache_stats()["entries"] == serial_model.cache_stats()["entries"] > 0
         if scenario == "fleet":
             # The a-priori router estimates every chip on the shared model
             # before dispatch, which leaves the backend nothing to compute.
             assert pool.last_cold_evaluations == 0
         else:
-            assert pool.last_cold_evaluations == model.cache_size()
+            assert pool.last_cold_evaluations == model.cache_stats()["entries"]
 
     def test_empty_task_list(self):
         assert ProcessPoolBackend(jobs=2).run([]) == []

@@ -25,7 +25,6 @@ from repro.experiment.runner import run_experiment
 from repro.experiment.spec import experiment_from_spec
 from repro.experiment import (
     BaselineDelta,
-    canonical_report,
     compare_reports,
     load_report,
     metric_direction,
@@ -33,6 +32,7 @@ from repro.experiment import (
 )
 
 from golden_scheduler import (
+    canonical_report,
     experiment_report_file,
     experiment_spec_files,
     run_experiment_report,

@@ -7,7 +7,7 @@ compositions, every dispatch policy must satisfy the fleet invariants:
   assignment map covers every frame, per-chip frame maps tile the global
   frame set without overlap);
 * **per-chip validity** — every chip's schedule passes
-  :meth:`Schedule.validate` (producer edges, non-overlap, completeness) and
+  :func:`schedule_oracle.validate_schedule` (producer edges, non-overlap, completeness) and
   no frame starts before its release;
 * **aggregation honesty** — fleet-level percentiles equal recomputing the
   percentile over the pooled per-frame latencies, and the fleet miss count
@@ -38,6 +38,7 @@ from repro.serve import (
 )
 from repro.accel.design import AcceleratorDesign, AcceleratorKind
 from repro.units import gbps, mib
+from schedule_oracle import validate_schedule
 
 #: One shared cost model: layer shapes repeat across examples, so the memo
 #: keeps the sweep fast without affecting decisions (costs are pure).
@@ -148,7 +149,7 @@ class TestFleetInvariants:
                 continue
             schedule = chip_result.schedule
             spec = workload.to_workload_spec()
-            schedule.validate(expected_layers={
+            validate_schedule(schedule, expected_layers={
                 instance.instance_id: instance.num_layers
                 for instance in spec.instances()})
             clock = chip_result.chip.sub_accelerators[0].clock_hz

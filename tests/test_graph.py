@@ -148,20 +148,3 @@ class TestStatistics:
 
     def test_describe_mentions_name(self):
         assert "toy" in _three_layer_graph().describe()
-
-
-class TestSubgraph:
-    def test_subgraph_keeps_induced_edges(self):
-        graph = _three_layer_graph()
-        sub = graph.subgraph(["a", "b"])
-        assert len(sub) == 2
-        assert ("a", "b") in sub.edges()
-
-    def test_subgraph_drops_external_edges(self):
-        graph = _three_layer_graph()
-        sub = graph.subgraph(["a", "c"])
-        assert sub.edges() == []
-
-    def test_subgraph_unknown_layer_rejected(self):
-        with pytest.raises(GraphError):
-            _three_layer_graph().subgraph(["a", "zzz"])

@@ -49,6 +49,7 @@ from repro.models.layer import Layer, LayerType, conv2d, fc, pwconv, upconv
 from repro.units import gbps, mib
 from repro.workloads.spec import WorkloadSpec
 from repro.workloads.suites import arvr_a
+from support import cost_with_style, workload_from_models
 
 
 def _count_mappings(monkeypatch):
@@ -149,14 +150,14 @@ class TestShapeKey:
         sub = _sub()
         if a.shape_key == b.shape_key:
             for style in ALL_STYLES:
-                cost_a = model.layer_cost_with_style(a, style, sub)
-                cost_b = model.layer_cost_with_style(b, style, sub)
+                cost_a = cost_with_style(model, a, style, sub)
+                cost_b = cost_with_style(model, b, style, sub)
                 assert _cost_fields(cost_a) == _cost_fields(cost_b)
         else:
             # Distinct keys: memo entries must be distinct too.
             model.layer_cost(a, sub)
             model.layer_cost(b, sub)
-            assert model.cache_size() == 2
+            assert model.cache_stats()["entries"] == 2
 
     def test_same_shape_layers_share_one_memo_entry(self):
         model = CostModel()
@@ -166,7 +167,7 @@ class TestShapeKey:
         second = model.layer_cost(
             conv2d("block7", k=8, c=4, y=16, x=16, r=3, s=3, model_name="m2"), sub)
         assert second is first
-        assert model.cache_size() == 1
+        assert model.cache_stats()["entries"] == 1
         assert (model.hits, model.misses) == (1, 1)
 
     def test_precomputed_derivations_survive_pickle_and_replace(self):
@@ -190,7 +191,7 @@ class TestShapeDedupedCosts:
         assert model.misses == 2 * 2  # 2 unique shapes x 2 sub-accelerators
         assert model.hits == 0
         graph = ModelGraph.from_layers("rep", layers)
-        workload = WorkloadSpec.from_models("w", [graph], batches=3)
+        workload = workload_from_models("w", [graph], batches=3)
         schedule = HeraldScheduler(model).schedule(workload, accs)
         # One column query per (shape, sub-accelerator), all warm.
         assert (model.hits, model.misses) == (2 * 2, 2 * 2)
@@ -243,8 +244,8 @@ class TestShapeDedupedCosts:
             for acc in search.build_design(
                 tiny_chip, [NVDLA, SHIDIANNAO], point.pe_partition,
                 point.bw_partition_gbps).sub_accelerators}
-        pairs = len(hardware_keys) * small_workload.unique_shapes
-        assert (model.misses, model.hits, model.cache_size()) \
+        pairs = len(hardware_keys) * len(small_workload.unique_shape_layers())
+        assert (model.misses, model.hits, model.cache_stats()["entries"]) \
             == (pairs, pairs, pairs)
 
 
@@ -283,7 +284,7 @@ class TestCostColumns:
             "the candidates must share hardware for this test to bite"
         assert model.misses == misses
         assert model.hits - hits \
-            == len(hardware_keys) * small_workload.unique_shapes
+            == len(hardware_keys) * len(small_workload.unique_shape_layers())
         assert len(scheduler._columns) == len(hardware_keys)
 
     def test_pickled_scheduler_carries_no_columns(self, cost_model):
@@ -315,10 +316,9 @@ class TestWorkloadShapeDedup:
             conv2d("c2", k=8, c=4, y=14, x=14, r=3, s=3),
             conv2d("c3", k=8, c=4, y=16, x=16, r=3, s=3),  # same shape as c1
         ])
-        workload = WorkloadSpec.from_models("w", [graph], batches=4)
+        workload = workload_from_models("w", [graph], batches=4)
         assert workload.total_layers == 12
-        assert workload.unique_layers == 3
-        assert workload.unique_shapes == 2
+        assert len(workload.unique_shape_layers()) == 2
         names = [layer.name for layer in workload.unique_shape_layers()]
         assert names == ["c1", "c2"]
 
@@ -483,7 +483,7 @@ def _dag_scenarios(draw):
         for j in range(i + 2, n):
             if rng.random() < 0.3:
                 graph.add_edge(f"l{i}", f"l{j}")
-    workload = WorkloadSpec.from_models("dag-wl", [graph], batches=batches)
+    workload = workload_from_models("dag-wl", [graph], batches=batches)
     release_cycles = None
     if releases is not None:
         release_cycles = {instance.instance_id: release
@@ -815,10 +815,11 @@ class TestShapeKeyedMemoBugfix:
                 clock_hz=chip.clock_hz)
             for index, style in enumerate((NVDLA, SHIDIANNAO)))
         model = CostModel()
-        for layer in arvr_a().all_layers():
-            for acc in accs:
-                model.layer_cost(layer, acc)
-        assert (model.hits, model.misses, model.cache_size()) \
+        for instance in arvr_a().instances():
+            for layer in instance.layers_in_dependence_order():
+                for acc in accs:
+                    model.layer_cost(layer, acc)
+        assert (model.hits, model.misses, model.cache_stats()["entries"]) \
             == (668, 156, 156)
 
     def test_fig11_cell_activity_records_stop_at_the_saturation(

@@ -14,16 +14,15 @@ paper's headline results rather than absolute numbers:
 import pytest
 
 from repro.accel.builders import make_fda, make_hda, make_rda, make_smfda
-from repro.accel.classes import EDGE, MOBILE
+from repro.accel.classes import ACCELERATOR_CLASSES, EDGE, MOBILE
 from repro.analysis.pareto import pareto_front
 from repro.core.dse import HeraldDSE
 from repro.core.evaluator import evaluate_design
-from repro.core.greedy import GreedyScheduler
 from repro.core.partitioner import PartitionSearch
-from repro.core.scheduler import HeraldScheduler
+from repro.core.scheduler import GreedyScheduler, HeraldScheduler
 from repro.dataflow.styles import ALL_STYLES, NVDLA, SHIDIANNAO
 from repro.maestro.cost import CostModel
-from repro.workloads.suites import arvr_a, mlperf
+from repro.workloads.suites import arvr_a, mlperf, workload_by_name
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +104,34 @@ class TestSchedulerEfficacy:
         assert herald.edp < greedy.edp
         improvement = (greedy.edp - herald.edp) / greedy.edp * 100.0
         assert improvement > 5.0
+
+    #: The greedy column of ``benchmarks/bench_scheduler_efficacy.py``: the
+    #: Sec. V-B baseline's EDP (J*s) on the NVDLA + Shi-diannao HDA of each
+    #: suite and class, pinned bit for bit.
+    GREEDY_EDP = {
+        ("arvr-a", "edge"): 6.120572800481187,
+        ("arvr-a", "mobile"): 1.1487768346654734,
+        ("arvr-a", "cloud"): 0.3069370574758037,
+        ("arvr-b", "edge"): 1.945276634906094,
+        ("arvr-b", "mobile"): 0.3765531653883971,
+        ("arvr-b", "cloud"): 0.09907315966282752,
+        ("mlperf", "edge"): 0.02443476791463358,
+        ("mlperf", "mobile"): 0.005629480603128771,
+        ("mlperf", "cloud"): 0.0013425843345374131,
+    }
+
+    def test_greedy_baseline_edps_are_pinned(self, cost_model_shared):
+        greedy = GreedyScheduler(cost_model_shared)
+        edps = {}
+        for workload_name in ("arvr-a", "arvr-b", "mlperf"):
+            workload = workload_by_name(workload_name)
+            for class_name in ("edge", "mobile", "cloud"):
+                design = make_hda(ACCELERATOR_CLASSES[class_name],
+                                  [NVDLA, SHIDIANNAO])
+                edps[(workload_name, class_name)] = evaluate_design(
+                    design, workload, cost_model=cost_model_shared,
+                    scheduler=greedy).edp
+        assert edps == self.GREEDY_EDP
 
     def test_scheduling_time_is_lightweight(self, cost_model_shared):
         # Table VII: a few seconds per workload on a laptop; our reimplementation

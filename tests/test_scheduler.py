@@ -3,14 +3,15 @@
 import pytest
 
 import reference_scheduler
-from repro.core.greedy import GreedyScheduler
 from repro.core.schedule import Schedule, ScheduledLayer
-from repro.core.scheduler import HeraldScheduler
+from repro.core.scheduler import GreedyScheduler, HeraldScheduler
 from repro.dataflow.styles import EYERISS, NVDLA, SHIDIANNAO
 from repro.exceptions import SchedulingError
 from repro.maestro.hardware import SubAcceleratorConfig
 from repro.units import gbps, mib
 from repro.workloads.suites import arvr_a
+from schedule_oracle import schedule_from_entries, validate_schedule
+from support import workload_from_models
 
 
 class TestHeraldSchedulerConfiguration:
@@ -39,7 +40,8 @@ class TestHeraldSchedulerBehaviour:
         schedule = scheduler.schedule(small_workload, tiny_sub_accelerators)
         assert len(schedule) == small_workload.total_layers
         # The conftest hook already validated it; run it again explicitly.
-        schedule.validate({i.instance_id: i.num_layers for i in small_workload.instances()})
+        validate_schedule(schedule, {i.instance_id: i.num_layers
+                                     for i in small_workload.instances()})
 
     def test_every_sub_accelerator_is_used_on_heterogeneous_mix(
             self, cost_model, small_workload, tiny_sub_accelerators):
@@ -52,9 +54,9 @@ class TestHeraldSchedulerBehaviour:
                                                   tiny_sub_accelerators):
         schedule = HeraldScheduler(cost_model).schedule(small_workload,
                                                         (tiny_sub_accelerators[0],))
-        timeline = schedule.entries_for(tiny_sub_accelerators[0].name)
         assert schedule.makespan_cycles == pytest.approx(
-            sum(entry.duration_cycles for entry in timeline))
+            sum(entry.finish_cycle - entry.start_cycle
+                for entry in schedule.entries))
 
     def test_post_processing_never_hurts_makespan(self, cost_model, small_workload,
                                                   tiny_sub_accelerators):
@@ -112,8 +114,7 @@ class TestHeraldSchedulerBehaviour:
             self, cost_model, tiny_sub_accelerators, channel_heavy_model):
         # A purely channel-heavy model should land (almost) entirely on the
         # NVDLA-style sub-accelerator when load balancing is disabled.
-        from repro.workloads.spec import WorkloadSpec
-        workload = WorkloadSpec.from_models("channel-only", [channel_heavy_model], 1)
+        workload = workload_from_models("channel-only", [channel_heavy_model], 1)
         schedule = HeraldScheduler(cost_model, load_balance_factor=None).schedule(
             workload, tiny_sub_accelerators)
         counts = schedule.layer_counts()
@@ -221,43 +222,50 @@ class _DependenceBreakingScheduler(HeraldScheduler):
                     entry.layer, entry.instance_id, entry.layer_index,
                     entry.sub_accelerator, idle_from, entry.finish_cycle,
                     entry.cost)
-                return Schedule.from_entries(
+                return schedule_from_entries(
                     schedule.sub_accelerator_names, entries,
                     clock_hz=schedule.clock_hz,
                     instance_predecessors=schedule.instance_predecessors)
         raise AssertionError("no layer waits on another sub-accelerator")
 
 
+class _DependenceBreakingGreedyScheduler(_DependenceBreakingScheduler,
+                                         GreedyScheduler):
+    """The greedy baseline with the same planted fault."""
+
+
 class TestValidationLivesInTheSuite:
     """Herald's scheduler does not check its own output; the
     ``pytest_configure`` hook in ``conftest.py`` checks every schedule it
-    returns.  The greedy baseline still validates in production."""
+    returns, the greedy baseline's included."""
 
-    def test_suite_hook_fails_a_schedule_that_breaks_a_dependence(
-            self, cost_model):
+    @staticmethod
+    def _assert_hook_catches(scheduler):
         from repro.accel.builders import chip_from_spec, make_hda
         workload = arvr_a()
         accs = make_hda(chip_from_spec("edge"),
                         [NVDLA, SHIDIANNAO]).sub_accelerators
-        scheduler = _DependenceBreakingScheduler(cost_model)
         unchecked = HeraldScheduler.schedule.__wrapped__(scheduler, workload,
                                                          accs)
         assert len(unchecked) == workload.total_layers
         with pytest.raises(SchedulingError, match="before its producer"):
             scheduler.schedule(workload, accs)
 
-    def test_herald_schedule_makes_no_validate_call_greedy_does(
-            self, monkeypatch, cost_model, small_workload,
-            tiny_sub_accelerators):
-        def refuse(self, expected_layers=None):
-            raise AssertionError("Schedule.validate was called")
+    def test_suite_hook_fails_a_schedule_that_breaks_a_dependence(
+            self, cost_model):
+        self._assert_hook_catches(_DependenceBreakingScheduler(cost_model))
 
-        monkeypatch.setattr(HeraldScheduler, "schedule",
-                            HeraldScheduler.schedule.__wrapped__)
-        monkeypatch.setattr(Schedule, "validate", refuse)
-        schedule = HeraldScheduler(cost_model).schedule(small_workload,
-                                                        tiny_sub_accelerators)
+    def test_suite_hook_fails_a_greedy_schedule_that_breaks_a_dependence(
+            self, cost_model):
+        self._assert_hook_catches(
+            _DependenceBreakingGreedyScheduler(cost_model))
+
+    def test_herald_schedule_makes_no_validate_call(
+            self, cost_model, small_workload, tiny_sub_accelerators):
+        # The checks live in tests/schedule_oracle.py: production code has
+        # nothing to call.
+        assert not hasattr(Schedule, "validate")
+        assert not hasattr(Schedule, "from_entries")
+        schedule = HeraldScheduler.schedule.__wrapped__(
+            HeraldScheduler(cost_model), small_workload, tiny_sub_accelerators)
         assert len(schedule) == small_workload.total_layers
-        with pytest.raises(AssertionError, match="validate was called"):
-            GreedyScheduler(cost_model).schedule(small_workload,
-                                                 tiny_sub_accelerators)

@@ -32,7 +32,6 @@ import golden_scheduler
 from repro.core import GreedyScheduler, HeraldScheduler, PartitionSearch
 from repro.core.dse import DesignSpacePoint, DSEResult
 from repro.core.evaluator import evaluate_design, streaming_parts
-from repro.core.schedule import Schedule
 from repro.dataflow.styles import NVDLA, SHIDIANNAO
 from repro.exceptions import SchedulingError, WorkloadError
 from repro.exec import EvaluationTask, ProcessPoolBackend, SerialBackend
@@ -50,6 +49,7 @@ from repro.serve import (
 )
 from repro.units import seconds_to_cycles
 from repro.workloads.spec import WorkloadSpec
+from schedule_oracle import schedule_from_entries, validate_schedule
 
 
 def _timeline(schedule):
@@ -288,7 +288,7 @@ class TestOnlineScheduling:
         layer = fc("f", k=4, c=4)
         cost = CostModel().layer_cost(layer, accs[0])
         from repro.core.schedule import ScheduledLayer
-        schedule = Schedule.from_entries(
+        schedule = schedule_from_entries(
             (accs[0].name,),
             [ScheduledLayer(
                 layer=layer, instance_id="m#0", layer_index=0,
@@ -297,12 +297,12 @@ class TestOnlineScheduling:
             instance_predecessors={"m#0": (frozenset(),)},
             instance_release_cycles={"m#0": 500.0})
         with pytest.raises(SchedulingError, match="release"):
-            schedule.validate()
+            validate_schedule(schedule)
 
     def test_greedy_scheduler_validates_release_map_like_herald(
             self, cost_model, accs):
         """Both schedulers reject the same invalid maps — a typo'd id must
-        not be silently treated as released-at-zero by one of them."""
+        not be silently treated as released-at-zero."""
         spec = _mini_streaming().to_workload_spec()
         for scheduler in (HeraldScheduler(cost_model),
                           GreedyScheduler(cost_model)):
@@ -326,7 +326,7 @@ class TestOnlineScheduling:
             assert entry.start_cycle >= releases[entry.instance_id] - 1e-6
 
     def test_frame_summary_of_empty_schedule_is_zeroed(self):
-        schedule = Schedule.from_entries(("a",))
+        schedule = schedule_from_entries(("a",))
         summary = schedule.frame_summary()
         assert summary["frames"] == 0.0
         assert summary["deadline_miss_rate"] == 0.0

@@ -34,6 +34,8 @@ from repro.models.layer import fc
 from repro.serve import FrameTrace, StreamSpec, StreamingWorkload
 from repro.units import gbps, mib
 from repro.workloads.spec import WorkloadSpec
+from schedule_oracle import entries_for
+from support import workload_from_models
 
 #: One shared cost model: layer shapes repeat across examples, so the memo
 #: keeps the sweep fast without affecting decisions (costs are pure).
@@ -58,7 +60,7 @@ def _random_workload(n: int, edge_seed: int, dims, batches: int) -> WorkloadSpec
         for j in range(i + 2, n):
             if rng.random() < 0.3:
                 graph.add_edge(f"l{i}", f"l{j}")
-    return WorkloadSpec.from_models("dag-wl", [graph], batches=batches)
+    return workload_from_models("dag-wl", [graph], batches=batches)
 
 
 def _random_releases(workload: WorkloadSpec, release_seed: int,
@@ -102,7 +104,7 @@ class TestOnlineInvariants:
         scheduler = HeraldScheduler(_COST_MODEL, metric=metric,
                                     ordering=ordering, load_balance_factor=lb)
         accs = _subs()
-        # The conftest hook runs Schedule.validate() on every Herald schedule
+        # The conftest hook validates every Herald schedule
         # (producer edges, non-overlap, completeness, release respect); the
         # explicit checks below re-verify the serving invariants independently
         # of the validator's implementation.
@@ -121,7 +123,7 @@ class TestOnlineInvariants:
                     finish[(entry.instance_id, producer)] - 1e-6
 
         for acc in accs:
-            timeline = schedule.entries_for(acc.name)
+            timeline = entries_for(schedule, acc.name)
             for previous, current in zip(timeline, timeline[1:]):
                 assert current.start_cycle >= previous.finish_cycle - 1e-6
 

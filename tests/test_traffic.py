@@ -11,8 +11,7 @@ building blocks directly:
 * :class:`FaultSpec` time-indexing semantics (death, overlapping slowdown
   windows, transition instants) and the CLI clause grammar;
 * the burstiness oracles (:func:`coefficient_of_variation`,
-  :func:`interval_counts`, kept here because only these tests read them)
-  and :meth:`FrameTrace.merged`, the churn compiler's folding primitive.
+  :func:`interval_counts`, kept here because only these tests read them).
 """
 
 from __future__ import annotations
@@ -240,33 +239,6 @@ class TestTrafficWorkloads:
         with pytest.raises(WorkloadError):
             traffic_suite("arvr-a", "poisson", **kwargs)
 
-
-
-# ---------------------------------------------------------------------------
-# FrameTrace.merged (the churn compiler's folding primitive)
-# ---------------------------------------------------------------------------
-class TestFrameTraceMerged:
-    def test_merges_sorted_and_sums_rates(self):
-        first = FrameTrace(model_name="m", releases_s=(0.0, 0.3),
-                           deadline_s=0.1, fps=10.0)
-        second = FrameTrace(model_name="m", releases_s=(0.1, 0.2),
-                            deadline_s=0.1, fps=5.0)
-        merged = FrameTrace.merged([first, second])
-        assert merged.releases_s == (0.0, 0.1, 0.2, 0.3)
-        assert merged.fps == 15.0 and merged.deadline_s == 0.1
-
-    def test_rejects_empty_mixed_models_and_mixed_deadlines(self):
-        trace = FrameTrace(model_name="m", releases_s=(0.0,), deadline_s=0.1,
-                           fps=1.0)
-        with pytest.raises(WorkloadError, match="empty"):
-            FrameTrace.merged([])
-        with pytest.raises(WorkloadError, match="one model"):
-            FrameTrace.merged([trace, FrameTrace(
-                model_name="other", releases_s=(0.0,), deadline_s=0.1,
-                fps=1.0)])
-        with pytest.raises(WorkloadError, match="one deadline"):
-            FrameTrace.merged([trace, FrameTrace(
-                model_name="m", releases_s=(0.0,), deadline_s=0.2, fps=1.0)])
 
 
 # ---------------------------------------------------------------------------

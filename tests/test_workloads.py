@@ -11,7 +11,6 @@ from repro.workloads.suites import (
     WORKLOAD_SUITES,
     arvr_a,
     arvr_b,
-    available_workloads,
     mlperf,
     single_model,
     workload_by_name,
@@ -80,8 +79,9 @@ class TestWorkloadSpec:
         assert spec.total_layers == 2 * len(spec.model_graph("mobilenet_v1"))
 
     def test_unique_layers_ignores_batches(self):
+        single = WorkloadSpec(name="w", entries=[("mobilenet_v1", 1)])
         spec = WorkloadSpec(name="w", entries=[("mobilenet_v1", 4)])
-        assert spec.unique_layers == len(spec.model_graph("mobilenet_v1"))
+        assert spec.unique_shape_layers() == single.unique_shape_layers()
 
     def test_total_macs_positive(self):
         assert WorkloadSpec(name="w", entries=[("mobilenet_v1", 1)]).total_macs > 0
@@ -92,7 +92,8 @@ class TestWorkloadSpec:
 
     def test_all_layers_matches_total(self):
         spec = WorkloadSpec(name="w", entries=[("mobilenet_v1", 2)])
-        assert len(spec.all_layers()) == spec.total_layers
+        assert sum(len(instance.layers_in_dependence_order())
+                   for instance in spec.instances()) == spec.total_layers
 
     def test_heterogeneity_statistics(self):
         stats = WorkloadSpec(name="w", entries=[("mobilenet_v1", 1)]).heterogeneity()
@@ -104,14 +105,10 @@ class TestWorkloadSpec:
 
     def test_from_models_with_custom_graphs(self):
         graph = ModelGraph.from_layers("custom", [fc("a", k=8, c=8), fc("b", k=8, c=8)])
-        spec = WorkloadSpec.from_models("custom-wl", [graph], batches=2)
+        spec = WorkloadSpec("custom-wl", [("custom", 2)],
+                            models={"custom": graph})
         assert spec.total_layers == 4
         assert spec.model_graph("custom") is graph
-
-    def test_from_models_batch_length_mismatch(self):
-        graph = ModelGraph.from_layers("custom", [fc("a", k=8, c=8)])
-        with pytest.raises(WorkloadError):
-            WorkloadSpec.from_models("bad", [graph], batches=[1, 2])
 
     def test_model_instance_properties(self):
         graph = ModelGraph.from_layers("custom", [fc("a", k=8, c=8), fc("b", k=8, c=8)])
@@ -135,7 +132,7 @@ class TestSuites:
 
     def test_mlperf_composition(self):
         spec = mlperf()
-        assert set(spec.model_names) == {
+        assert {name for name, _ in spec.entries} == {
             "resnet50", "mobilenet_v1", "ssd_resnet34", "ssd_mobilenet_v1", "gnmt"}
         assert all(batches == 1 for _, batches in spec.entries)
 
@@ -154,7 +151,8 @@ class TestSuites:
             workload_by_name("unknown")
 
     def test_available_workloads(self):
-        assert set(available_workloads()) == set(WORKLOAD_SUITES)
+        for name in WORKLOAD_SUITES:
+            assert workload_by_name(name).total_instances > 0
 
     def test_arvr_b_has_more_heterogeneity_than_arvr_a(self):
         # AR/VR-B adds hand-pose and depth models with extreme channel ratios.
