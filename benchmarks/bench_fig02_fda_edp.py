@@ -47,7 +47,7 @@ def test_fig02_fda_edp(benchmark):
     # Shape checks from the paper: the channel-parallel NVDLA style wins on
     # ResNet50, and its advantage over the activation-parallel styles shrinks
     # substantially on UNet (in the paper it reverses outright; see
-    # EXPERIMENTS.md for the deviation discussion).
+    # "Deviations from the paper" in docs/PAPER_MAPPING.md).
     best_resnet = min(("nvdla", "shidiannao", "eyeriss"),
                       key=lambda n: results[("resnet50", n)])
     assert best_resnet == "nvdla"

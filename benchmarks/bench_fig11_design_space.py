@@ -63,8 +63,8 @@ def test_fig11_design_space(benchmark):
     for (workload_name, class_name), space in spaces.items():
         # The paper's central claim: the best HDA improves EDP over the best
         # FDA.  A small tolerance covers the sub-plots where our re-derived
-        # cost model leaves the two within noise of each other (documented in
-        # EXPERIMENTS.md).
+        # cost model leaves the two within noise of each other (docs/
+        # PAPER_MAPPING.md, "Deviations from the paper").
         assert space.best("hda").edp <= space.best("fda").edp * 1.05, (
             f"best HDA should not lose to the best FDA on {workload_name}/{class_name}")
         # An HDA always sits on the latency-energy Pareto front.

@@ -236,6 +236,23 @@ class HeraldScheduler:
         (instance id -> absolute deadline cycle) only rides along on the
         schedule for its frame accounting.
         """
+        return self._schedule(workload, sub_accelerators, release_cycles,
+                              deadline_cycles)
+
+    def _schedule(self, workload: WorkloadSpec,
+                  sub_accelerators: Sequence[SubAcceleratorConfig],
+                  release_cycles: Optional[Mapping[str, float]],
+                  deadline_cycles: Optional[Mapping[str, float]],
+                  stop_margin: Optional[float] = None
+                  ) -> Optional[Schedule]:
+        """:meth:`schedule`, given up once a layer finishes past its stop.
+
+        With a ``stop_margin``, every slot of an instance gets the stop
+        threshold ``deadline_cycles[instance] * stop_margin``: the first
+        committed layer that finishes after its threshold ends the run,
+        which then returns ``None``.  Without one the run always completes.
+        The sustained-FPS probes of :mod:`repro.serve.simulator` set it.
+        """
         if not sub_accelerators:
             raise SchedulingError("cannot schedule onto an empty sub-accelerator list")
         releases = None
@@ -258,7 +275,8 @@ class HeraldScheduler:
             workload, order, sub_accelerators)
         return self._timeline(order, slot_acc, slot_cost, slot_latency,
                               sub_accelerators, releases,
-                              workload.instance_dependences(), deadline_cycles)
+                              workload.instance_dependences(), deadline_cycles,
+                              stop_margin)
 
     # ------------------------------------------------------------------
     # Visiting order (Fig. 8's instance walk and memory check)
@@ -454,7 +472,9 @@ class HeraldScheduler:
                   sub_accelerators: Sequence[SubAcceleratorConfig],
                   release_cycles: Optional[Mapping[str, float]],
                   predecessors: Mapping[str, Tuple[FrozenSet[int], ...]],
-                  deadline_cycles: Optional[Mapping[str, float]]) -> Schedule:
+                  deadline_cycles: Optional[Mapping[str, float]],
+                  stop_margin: Optional[float] = None
+                  ) -> Optional[Schedule]:
         """Build the timeline of the assigned slots as an immutable schedule.
 
         With post-processing (Fig. 9) the layer-to-sub-accelerator assignment
@@ -477,17 +497,25 @@ class HeraldScheduler:
         array; entries migrate future -> now as the availability front passes
         them, at most once each.  The heads of the two heaps give each
         sub-accelerator's candidate, and each commit takes the minimum over
-        the A cached candidates, re-evaluating only the sub-accelerators the
-        commit touched (the committing array, plus any array that received a
-        newly-ready consumer).  Release times only seed data readiness, which
-        producers can only raise, so the keys never decrease and a ``None`` /
-        all-zero map is bit-for-bit the batch behaviour.
+        the A cached candidates.  A commit moves only its own array's
+        availability, so only that array's future heap can have entries to
+        migrate; an array that receives a newly-ready consumer re-reads its
+        candidate from its heap heads.  Release times only seed data
+        readiness, which producers can only raise, so the keys never
+        decrease and a ``None`` / all-zero map is bit-for-bit the batch
+        behaviour.
 
         Each commit records its slot's start and finish and adds its energy
         and busy time to the running totals, in commit order, so the
         schedule's accounting never re-walks the slots.  Commits on one
         sub-accelerator never go back in time, so the makespan is the latest
         availability front.
+
+        ``stop_margin`` gives every slot of an instance the stop threshold
+        ``deadline_cycles[instance] * stop_margin``: the first commit that
+        finishes past its slot's threshold returns ``None`` instead of a
+        schedule.  A committed finish never changes, so the run stops as
+        soon as the outcome is known.
         """
         consumer_slots = order.consumer_slots
         n_accs = len(sub_accelerators)
@@ -498,6 +526,14 @@ class HeraldScheduler:
                           for instance_id in order.instance_ids]
         else:
             data_ready = [0.0] * n
+        stop = None
+        if stop_margin is not None:
+            # The slots of an instance share its threshold, which lives only
+            # as long as ``stop``.
+            thresholds = {instance_id: deadline * stop_margin
+                          for instance_id, deadline in deadline_cycles.items()}
+            stop = list(map(thresholds.__getitem__, order.instance_ids))
+            del thresholds
         avail = [0.0] * n_accs
         busy = [0.0] * n_accs
         energy = 0.0
@@ -513,6 +549,8 @@ class HeraldScheduler:
                 if data_ready[slot] > start:
                     start = data_ready[slot]
                 finish = start + slot_latency[slot]
+                if stop is not None and finish > stop[slot]:
+                    return None
                 starts[slot] = start
                 finishes[slot] = finish
                 busy[aidx] += finish - start
@@ -544,10 +582,7 @@ class HeraldScheduler:
                           for acc_now, acc_future in zip(now, future)]
 
             for _ in range(n):
-                best = _NO_CANDIDATE
-                for key in candidates:
-                    if key < best:
-                        best = key
+                best = min(candidates)
                 if best is _NO_CANDIDATE:
                     raise SchedulingError(
                         "post-processing dead-lock: no ready layer found; "
@@ -563,13 +598,14 @@ class HeraldScheduler:
                 else:
                     heappop(future[best_idx])
                 finish = start + slot_latency[slot]
+                if stop is not None and finish > stop[slot]:
+                    return None
                 starts[slot] = start
                 finishes[slot] = finish
                 commit_append(slot)
                 busy[best_idx] += finish - start
                 energy += slot_cost[slot].energy_pj
                 avail[best_idx] = finish
-                touched = [best_idx]
                 for consumer in consumer_slots[slot]:
                     unmet[consumer] -= 1
                     if finish > data_ready[consumer]:
@@ -577,28 +613,33 @@ class HeraldScheduler:
                     if unmet[consumer] == 0:
                         cidx = slot_acc[consumer]
                         ready = data_ready[consumer]
+                        acc_now = now[cidx]
                         if ready <= avail[cidx]:
-                            heappush(now[cidx], consumer)
+                            heappush(acc_now, consumer)
                         else:
                             heappush(future[cidx], (ready, consumer))
-                        if cidx not in touched:
-                            touched.append(cidx)
-                for idx in touched:
-                    # Migrate newly-startable layers future -> now; every
-                    # layer left in ``future`` then starts strictly after
-                    # ``avail``.
-                    avail_idx = avail[idx]
-                    acc_future = future[idx]
-                    acc_now = now[idx]
-                    while acc_future and acc_future[0][0] <= avail_idx:
-                        heappush(acc_now, heappop(acc_future)[1])
-                    if acc_now:
-                        candidates[idx] = (avail_idx, acc_now[0])
-                    elif acc_future:
-                        candidates[idx] = acc_future[0]
-                    else:
-                        candidates[idx] = _NO_CANDIDATE
+                        if cidx != best_idx:
+                            # Its availability did not move: nothing to
+                            # migrate, only a new head to read.
+                            candidates[cidx] = (
+                                (avail[cidx], acc_now[0]) if acc_now
+                                else future[cidx][0])
+                # Migrate the committing array's newly-startable layers
+                # future -> now; every layer left in ``future`` then starts
+                # strictly after ``avail``.
+                acc_future = future[best_idx]
+                acc_now = now[best_idx]
+                while acc_future and acc_future[0][0] <= finish:
+                    heappush(acc_now, heappop(acc_future)[1])
+                if acc_now:
+                    candidates[best_idx] = (finish, acc_now[0])
+                elif acc_future:
+                    candidates[best_idx] = acc_future[0]
+                else:
+                    candidates[best_idx] = _NO_CANDIDATE
             commit = tuple(commit)
+        # Free the thresholds before the schedule's tuples are built.
+        stop = None
 
         return Schedule(
             [acc.name for acc in sub_accelerators], order.layers,

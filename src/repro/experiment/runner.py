@@ -315,9 +315,14 @@ def _run_fleet(spec: ExperimentSpec,
 
     fleet = fleet_from_spec(spec.fleet, build_design)
     streaming = _streaming_workload(spec)
-    if spec.exec_settings.jobs > 1:
-        backend = ProcessPoolBackend(jobs=spec.exec_settings.jobs,
-                                     cost_model=cost_model,
+    # No simulation of this run has more chips than the larger of the
+    # fleet and the min-chips search's ceiling, so no more workers pay.
+    chips = len(fleet.chips)
+    if spec.min_chips.enabled:
+        chips = max(chips, spec.min_chips.max_chips)
+    jobs = min(spec.exec_settings.jobs, chips)
+    if jobs > 1:
+        backend = ProcessPoolBackend(jobs=jobs, cost_model=cost_model,
                                      scheduler=scheduler)
     else:
         backend = SerialBackend(cost_model=cost_model, scheduler=scheduler)

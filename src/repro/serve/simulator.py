@@ -17,7 +17,10 @@ the resulting schedule into per-stream SLA statistics:
 
 :func:`sustained_fps` binary-searches the largest uniform rate multiplier the
 design sustains with zero deadline misses — the serving analogue of the
-paper's throughput question.
+paper's throughput question.  Its probes need only a yes/no answer, so each
+one stops scheduling at the first layer that finishes past its frame's
+deadline (a certain miss); a probe that runs to the end is judged by the
+same accounting as :meth:`ServingSimulator.simulate`.
 """
 
 from __future__ import annotations
@@ -33,6 +36,13 @@ from repro.serve.workload import StreamingWorkload
 #: A frame later than this many deadlines is accounted as dropped (a real
 #: serving pipeline would have discarded it instead of displaying it late).
 DEFAULT_DROP_DEADLINE_FACTOR = 4.0
+
+#: A sustained-FPS probe stops at the first layer that finishes past this
+#: multiple of its frame's deadline cycle.  The accounting compares
+#: ``finish / clock - release`` with the deadline in seconds, whose
+#: rounding is some 1e-16 of the deadline; a 1e-9 margin is far above it,
+#: so a stopped probe is a miss the accounting would also count.
+_STOP_MARGIN = 1.0 + 1e-9
 
 
 class StreamStats(NamedTuple):
@@ -203,6 +213,26 @@ class ServingSimulator:
                                       self.drop_deadline_factor)
         return ServingResult(report=report, schedule=schedule)
 
+    def _probe(self, streaming: StreamingWorkload,
+               sub_accelerators: Sequence[SubAcceleratorConfig]
+               ) -> Optional[Schedule]:
+        """:meth:`simulate`'s schedule, or ``None`` once a frame is certain
+        to miss its deadline.
+
+        Every layer of a frame stops the run when it finishes past the
+        frame's deadline cycle times :data:`_STOP_MARGIN`.  A frame finishes
+        with its last layer and a committed finish never changes, so a stop
+        is a miss.  A frame within rounding of its deadline, which the
+        accounting may still judge on time, sits inside the margin: it never
+        stops the run, and the completed schedule is judged as
+        :meth:`simulate`'s would be.
+        """
+        clock = sub_accelerators[0].clock_hz
+        return self.scheduler._schedule(
+            streaming.to_workload_spec(), sub_accelerators,
+            streaming.release_cycles(clock), streaming.deadline_cycles(clock),
+            _STOP_MARGIN)
+
 
 def build_serving_report(streaming: StreamingWorkload, schedule: Schedule,
                          clock_hz: float,
@@ -337,8 +367,13 @@ def sustained_fps(simulator: ServingSimulator, streaming: StreamingWorkload,
     additionally stops the bisection once the bracket width
     ``infeasible - feasible`` falls to or below it, so callers can trade
     probes for precision explicitly instead of inheriting a fixed count.
-    The search is deterministic; every probe is a full simulation, and warm
-    cost-model/ranking memos make each one cheap after the first.
+    The search is deterministic.  A probe needs only a yes/no answer, so it
+    stops at the first layer that finishes past its frame's deadline
+    (a certain miss, see :meth:`ServingSimulator._probe`); a probe that
+    runs to the end is judged by :func:`build_serving_report`, exactly as
+    :meth:`ServingSimulator.simulate` reports it.  Warm cost-model memos
+    and the scheduler's reused Fig. 8 assignment make each probe cheap
+    after the first.
     """
     if not 0.0 < lo < hi:
         raise ValueError(f"need 0 < lo < hi (got lo={lo}, hi={hi})")
@@ -347,13 +382,17 @@ def sustained_fps(simulator: ServingSimulator, streaming: StreamingWorkload,
     if tolerance < 0.0:
         raise ValueError(f"tolerance must be >= 0 (got {tolerance})")
 
+    clock = sub_accelerators[0].clock_hz
     evaluations = 0
 
     def meets(factor: float) -> bool:
         nonlocal evaluations
         evaluations += 1
-        result = simulator.simulate(streaming.scaled(factor), sub_accelerators)
-        return result.report.meets_sla
+        scaled = streaming.scaled(factor)
+        schedule = simulator._probe(scaled, sub_accelerators)
+        return schedule is not None and build_serving_report(
+            scaled, schedule, clock,
+            simulator.drop_deadline_factor).meets_sla
 
     def finish(factor: float) -> SustainedFpsResult:
         fps = {stream.model_name: stream.fps * factor

@@ -5,7 +5,8 @@ fast; the integration tests use the real Table II / Table IV configurations.
 
 Herald's scheduler builds its schedules valid by construction and does not
 check them itself; :func:`pytest_configure` makes the suite check every
-schedule it returns instead.
+schedule it returns instead, the ones sustained-FPS probes complete
+included.
 
 Hypothesis runs derandomised: each property draws the same examples on
 every run, so a failure reproduces and the suite checks the same schedules
@@ -25,6 +26,7 @@ from repro.maestro.cost import CostModel
 from repro.maestro.hardware import ChipConfig, SubAcceleratorConfig
 from repro.models.graph import ModelGraph
 from repro.models.layer import conv2d, dwconv, fc, pwconv
+from repro.serve.simulator import ServingSimulator
 from repro.units import gbps, mib
 from repro.workloads.spec import WorkloadSpec
 from schedule_oracle import validate_schedule
@@ -37,27 +39,43 @@ settings.load_profile("derandomized")
 @functools.wraps(HeraldScheduler.schedule)
 def _validated_schedule(self, workload, *args, **kwargs):
     schedule = _validated_schedule.__wrapped__(self, workload, *args, **kwargs)
-    validate_schedule(schedule, {instance.instance_id: instance.num_layers
-                                 for instance in workload.instances()})
+    _validate(schedule, workload)
     return schedule
 
 
+@functools.wraps(ServingSimulator._probe)
+def _validated_probe(self, streaming, *args, **kwargs):
+    schedule = _validated_probe.__wrapped__(self, streaming, *args, **kwargs)
+    if schedule is not None:
+        _validate(schedule, streaming)
+    return schedule
+
+
+def _validate(schedule, workload):
+    validate_schedule(schedule, {instance.instance_id: instance.num_layers
+                                 for instance in workload.instances()})
+
+
 def pytest_configure(config):
-    """Check every schedule ``HeraldScheduler.schedule`` returns against the
-    hard constraints of Sec. III-A (:func:`schedule_oracle.validate_schedule`,
-    completeness included): goldens, hypothesis runs, forked pool workers
-    and the greedy baseline (a ``HeraldScheduler``) alike.
+    """Check every schedule ``HeraldScheduler.schedule`` returns, and every
+    one a sustained-FPS probe (``ServingSimulator._probe``) completes,
+    against the hard constraints of Sec. III-A
+    (:func:`schedule_oracle.validate_schedule`, completeness included):
+    goldens, hypothesis runs, forked pool workers and the greedy baseline
+    (a ``HeraldScheduler``) alike.
 
     Installed when the suite is configured rather than by a fixture, so the
     schedules test modules build at import (``tests/test_records.py``) are
-    checked too.  A test that needs the unchecked method reads it from
-    ``HeraldScheduler.schedule.__wrapped__``.
+    checked too.  A test that needs an unchecked method reads it from the
+    wrapper's ``__wrapped__``.
     """
     HeraldScheduler.schedule = _validated_schedule
+    ServingSimulator._probe = _validated_probe
 
 
 def pytest_unconfigure(config):
     HeraldScheduler.schedule = _validated_schedule.__wrapped__
+    ServingSimulator._probe = _validated_probe.__wrapped__
 
 
 @pytest.fixture(scope="session")

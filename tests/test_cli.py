@@ -523,6 +523,22 @@ class TestFleet:
                          if "Fleet report" in line or "util" in line]
         assert serial_rows == parallel_rows
 
+    @pytest.mark.parametrize("argv, jobs", [
+        (["--workload", "mlperf", "--chip", "mobile", "--chips", "3",
+          "--online"], 3),
+        (["--workload", "arvr-a", "--chip", "cloud", "--chips", "1",
+          "--frames", "1", "--min-chips", "--max-chips", "2"], 2),
+    ])
+    def test_fleet_pool_is_capped_at_the_chip_count(self, capsys, argv,
+                                                    jobs):
+        """A fleet run never has more tasks at once than its largest fleet
+        has chips, so ``--jobs 8`` starts (and names) at most that many
+        workers."""
+        assert main(["fleet", "--design", "fda-nvdla", "--jobs", "8"]
+                    + argv) == 0
+        assert (f"execution backend: process pool ({jobs} jobs)\n"
+                in capsys.readouterr().out)
+
     def test_fleet_min_chips_search(self, capsys):
         assert main(["fleet", "--workload", "arvr-a", "--chip", "cloud",
                      "--design", "fda-nvdla", "--chips", "1",

@@ -59,11 +59,12 @@ class TestDesignSpaceShape:
         assert mlperf_space.best("hda").edp < mlperf_space.best("sm-fda").edp
 
     def test_best_hda_close_to_or_better_than_smfda_for_arvr_a(self, arvr_a_space):
-        # Deviation from the paper (documented in EXPERIMENTS.md): at edge scale
-        # our cost model makes the NVDLA dataflow a good fit for almost every
-        # AR/VR-A layer, so a homogeneous NVDLA scale-out captures most of the
-        # layer-parallelism benefit; the heterogeneous design stays within a
-        # small margin rather than strictly winning.
+        # Deviation from the paper (docs/PAPER_MAPPING.md, "Deviations from
+        # the paper"): at edge scale our cost model makes the NVDLA dataflow
+        # a good fit for almost every AR/VR-A layer, so a homogeneous NVDLA
+        # scale-out captures most of the layer-parallelism benefit; the
+        # heterogeneous design stays within a small margin rather than
+        # strictly winning.
         assert arvr_a_space.best("hda").edp < 1.15 * arvr_a_space.best("sm-fda").edp
 
     @pytest.mark.parametrize("space_fixture", ["arvr_a_space", "mlperf_space"])

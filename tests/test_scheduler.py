@@ -260,6 +260,24 @@ class TestValidationLivesInTheSuite:
         self._assert_hook_catches(
             _DependenceBreakingGreedyScheduler(cost_model))
 
+    def test_suite_hook_fails_a_probe_schedule_that_breaks_a_dependence(
+            self, cost_model):
+        # Sustained-FPS probes schedule through ``ServingSimulator._probe``,
+        # not ``HeraldScheduler.schedule``; the hook checks what they
+        # complete as well.
+        from repro.accel.builders import chip_from_spec, make_hda
+        from repro.serve import ServingSimulator, streaming_suite
+
+        streaming = streaming_suite("arvr-a", frames=1, fps_scale=1e-3)
+        accs = make_hda(chip_from_spec("edge"),
+                        [NVDLA, SHIDIANNAO]).sub_accelerators
+        simulator = ServingSimulator(_DependenceBreakingScheduler(cost_model))
+        unchecked = ServingSimulator._probe.__wrapped__(simulator, streaming,
+                                                        accs)
+        assert len(unchecked) == streaming.to_workload_spec().total_layers
+        with pytest.raises(SchedulingError, match="before its producer"):
+            simulator._probe(streaming, accs)
+
     def test_herald_schedule_makes_no_validate_call(
             self, cost_model, small_workload, tiny_sub_accelerators):
         # The checks live in tests/schedule_oracle.py: production code has

@@ -44,6 +44,7 @@ from repro.serve import (
     StreamSpec,
     StreamingWorkload,
     SustainedFpsResult,
+    build_serving_report,
     streaming_suite,
     sustained_fps,
 )
@@ -477,28 +478,40 @@ class TestSustainedFps:
 
     def test_every_probe_equals_a_run_on_a_fresh_workload(self, cost_model,
                                                           accs):
-        """Probes share the root workload's expansion; each one's report and
-        timeline must equal a simulation of an independently built workload
-        (fresh graphs, expansion, visit order and cost model)."""
+        """Probes share the root workload's expansion and may stop at a
+        frame's first certain miss; each probe's verdict must equal a full
+        simulation of an independently built workload (fresh graphs,
+        expansion, visit order and cost model), and a probe that ran to the
+        end must have built that simulation's timeline."""
         probes = []
 
         class Recording(ServingSimulator):
-            def simulate(self, streaming, sub_accelerators):
-                result = super().simulate(streaming, sub_accelerators)
-                probes.append((streaming, result))
-                return result
+            def _probe(self, streaming, sub_accelerators):
+                schedule = super()._probe(streaming, sub_accelerators)
+                meets = schedule is not None and build_serving_report(
+                    streaming, schedule,
+                    sub_accelerators[0].clock_hz).meets_sla
+                probes.append((streaming, schedule, meets))
+                return schedule
 
-        sustained_fps(Recording(HeraldScheduler(cost_model)),
-                      _mini_streaming(jitter_s=0.0002), accs)
+        result = sustained_fps(Recording(HeraldScheduler(cost_model)),
+                               _mini_streaming(jitter_s=0.0002), accs)
+        assert result == SustainedFpsResult(
+            factor=5.00146484375,
+            fps_per_stream={"neta": 10002.9296875, "netb": 20005.859375},
+            evaluations=12)
         assert len(probes) == 12
         reference = ServingSimulator(HeraldScheduler(CostModel()))
-        for probe, result in probes:
+        for probe, schedule, meets in probes:
             neta, netb = _mini_models()
             fresh = StreamingWorkload(probe.name, streams=list(probe.streams),
                                       models={"neta": neta, "netb": netb})
             expected = reference.simulate(fresh, accs)
-            assert result.report == expected.report
-            assert _timeline(result.schedule) == _timeline(expected.schedule)
+            assert meets == expected.report.meets_sla
+            if schedule is not None:
+                assert _timeline(schedule) == _timeline(expected.schedule)
+        assert {meets for _, _, meets in probes} == {True, False}
+        assert any(schedule is None for _, schedule, _ in probes)
 
     def test_bisection_builds_one_visit_order(self, cost_model, accs,
                                               monkeypatch):
