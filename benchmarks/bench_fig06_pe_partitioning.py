@@ -10,6 +10,7 @@ so it completes quickly) and reports the even-vs-best gap.
 from repro.accel.classes import CLOUD
 from repro.analysis.sweeps import pe_partition_sweep
 from repro.dataflow.styles import NVDLA, SHIDIANNAO
+from repro.exec.backends import SerialBackend
 from repro.workloads.suites import arvr_a
 
 from common import SHARED_COST_MODEL, emit, run_once
@@ -17,7 +18,7 @@ from common import SHARED_COST_MODEL, emit, run_once
 
 def _figure6():
     points = pe_partition_sweep(arvr_a(), CLOUD, styles=(SHIDIANNAO, NVDLA), steps=8,
-                                cost_model=SHARED_COST_MODEL)
+                                backend=SerialBackend(cost_model=SHARED_COST_MODEL))
     rows = []
     for point in points:
         rows.append(

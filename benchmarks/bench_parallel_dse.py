@@ -52,22 +52,14 @@ def _sweep(arm, workload_name, pe_steps, bw_steps):
     from repro.accel.classes import ACCELERATOR_CLASSES
     from repro.core.dse import HeraldDSE
     from repro.core.partitioner import PartitionSearch
-    from repro.core.scheduler import HeraldScheduler
     from repro.exec import ProcessPoolBackend, SerialBackend
-    from repro.maestro.cost import CostModel
     from repro.workloads.suites import workload_by_name
 
-    model = CostModel()
-    scheduler = HeraldScheduler(model)
-    if arm == "serial":
-        backend = SerialBackend(cost_model=model, scheduler=scheduler)
-    else:
-        backend = ProcessPoolBackend(jobs=JOBS, cost_model=model,
-                                     scheduler=scheduler)
-    search = PartitionSearch(cost_model=model, scheduler=scheduler,
-                             pe_steps=pe_steps, bw_steps=bw_steps)
-    dse = HeraldDSE(cost_model=model, scheduler=scheduler,
-                    partition_search=search, backend=backend)
+    backend = (SerialBackend() if arm == "serial"
+               else ProcessPoolBackend(jobs=JOBS))
+    model = backend.cost_model
+    dse = HeraldDSE(backend=backend, partition_search=PartitionSearch(
+        pe_steps=pe_steps, bw_steps=bw_steps))
     workload = workload_by_name(workload_name)
     tasks = list(dse.enumerate_tasks(workload, ACCELERATOR_CLASSES[CHIP]))
     start = time.perf_counter()

@@ -14,7 +14,7 @@ from typing import Iterable
 
 from repro.core.dse import HeraldDSE
 from repro.core.partitioner import PartitionSearch
-from repro.core.scheduler import HeraldScheduler
+from repro.exec.backends import SerialBackend
 from repro.maestro.cost import CostModel
 
 RESULTS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "results")
@@ -25,11 +25,9 @@ SHARED_COST_MODEL = CostModel()
 
 def make_dse(pe_steps: int = 8, bw_steps: int = 4) -> HeraldDSE:
     """A Herald DSE driver with the shared cost model and default scheduler."""
-    scheduler = HeraldScheduler(SHARED_COST_MODEL)
-    search = PartitionSearch(cost_model=SHARED_COST_MODEL, scheduler=scheduler,
-                             pe_steps=pe_steps, bw_steps=bw_steps)
-    return HeraldDSE(cost_model=SHARED_COST_MODEL, scheduler=scheduler,
-                     partition_search=search)
+    return HeraldDSE(backend=SerialBackend(cost_model=SHARED_COST_MODEL),
+                     partition_search=PartitionSearch(pe_steps=pe_steps,
+                                                      bw_steps=bw_steps))
 
 
 def emit(name: str, lines: Iterable[str]) -> str:

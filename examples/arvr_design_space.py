@@ -14,10 +14,9 @@ import pathlib
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from repro import (  # noqa: E402
-    CostModel,
     HeraldDSE,
-    HeraldScheduler,
     PartitionSearch,
+    SerialBackend,
     accelerator_class,
     pareto_front,
     workload_by_name,
@@ -52,12 +51,8 @@ def main() -> None:
     workload = workload_by_name(workload_name)
     chip = accelerator_class(class_name)
 
-    cost_model = CostModel()
-    scheduler = HeraldScheduler(cost_model)
-    dse = HeraldDSE(cost_model=cost_model, scheduler=scheduler,
-                    partition_search=PartitionSearch(cost_model=cost_model,
-                                                     scheduler=scheduler,
-                                                     pe_steps=8, bw_steps=4))
+    dse = HeraldDSE(backend=SerialBackend(),
+                    partition_search=PartitionSearch(pe_steps=8, bw_steps=4))
     space = dse.explore(workload, chip)
 
     print(space.describe())

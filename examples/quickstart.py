@@ -19,10 +19,9 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from repro import (  # noqa: E402  (path bootstrap above)
     ALL_STYLES,
-    CostModel,
     HeraldDSE,
-    HeraldScheduler,
     PartitionSearch,
+    SerialBackend,
     accelerator_class,
     evaluate_design,
     make_fda,
@@ -39,8 +38,9 @@ def main() -> None:
     print(chip.describe())
     print()
 
-    cost_model = CostModel()
-    scheduler = HeraldScheduler(cost_model)
+    # The backend owns the cost model and scheduler every evaluation shares.
+    backend = SerialBackend()
+    cost_model, scheduler = backend.cost_model, backend.scheduler
 
     # Fixed dataflow accelerators (one per dataflow style) and the RDA.
     results = {}
@@ -52,10 +52,8 @@ def main() -> None:
         make_rda(chip), workload, cost_model=cost_model, scheduler=scheduler)
 
     # Maelstrom: Herald co-optimises the PE/bandwidth partition and the schedule.
-    dse = HeraldDSE(cost_model=cost_model, scheduler=scheduler,
-                    partition_search=PartitionSearch(cost_model=cost_model,
-                                                     scheduler=scheduler,
-                                                     pe_steps=8, bw_steps=4))
+    dse = HeraldDSE(backend=backend,
+                    partition_search=PartitionSearch(pe_steps=8, bw_steps=4))
     maelstrom_point = dse.maelstrom(workload, chip)
     results["Maelstrom (HDA)"] = maelstrom_point.result
 

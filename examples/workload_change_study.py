@@ -14,10 +14,9 @@ import pathlib
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from repro import (  # noqa: E402
-    CostModel,
     HeraldDSE,
-    HeraldScheduler,
     PartitionSearch,
+    SerialBackend,
     accelerator_class,
     workload_by_name,
 )
@@ -28,12 +27,8 @@ def main() -> None:
     chip = accelerator_class("edge")
     workloads = [workload_by_name(name) for name in ("arvr-a", "arvr-b", "mlperf")]
 
-    cost_model = CostModel()
-    scheduler = HeraldScheduler(cost_model)
-    dse = HeraldDSE(cost_model=cost_model, scheduler=scheduler,
-                    partition_search=PartitionSearch(cost_model=cost_model,
-                                                     scheduler=scheduler,
-                                                     pe_steps=8, bw_steps=4))
+    dse = HeraldDSE(backend=SerialBackend(),
+                    partition_search=PartitionSearch(pe_steps=8, bw_steps=4))
 
     study = workload_change_study(workloads, chip, dse=dse)
 

@@ -21,15 +21,15 @@ The library implements the paper's full stack:
 
 Quickstart
 ----------
->>> from repro import HeraldDSE, workload_by_name, accelerator_class
->>> dse = HeraldDSE()
+>>> from repro import HeraldDSE, SerialBackend, workload_by_name, accelerator_class
+>>> dse = HeraldDSE(backend=SerialBackend())  # owns cost model and scheduler
 >>> maelstrom = dse.maelstrom(workload_by_name("arvr-a"), accelerator_class("edge"))
 >>> print(maelstrom.describe())  # doctest: +SKIP
 """
 
 # Defined before the re-export table: submodules (e.g. the report writer)
 # import it back from the package.
-__version__ = "1.30.0"
+__version__ = "1.31.0"
 
 from repro.exports import reexport
 

@@ -19,7 +19,6 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from repro.accel.builders import make_hda
 from repro.accel.design import AcceleratorDesign
 from repro.dataflow.styles import NVDLA, SHIDIANNAO, DataflowStyle
-from repro.maestro.cost import CostModel
 from repro.maestro.hardware import ChipConfig
 from repro.core.dse import HeraldDSE
 from repro.core.evaluator import EvaluationResult
@@ -45,7 +44,6 @@ class PartitionSweepPoint(NamedTuple):
 def pe_partition_sweep(workload: WorkloadSpec, chip: ChipConfig,
                        styles: Sequence[DataflowStyle] = (SHIDIANNAO, NVDLA),
                        steps: int = 8,
-                       cost_model: Optional[CostModel] = None,
                        backend: Optional[ExecutionBackend] = None
                        ) -> List[PartitionSweepPoint]:
     """Sweep the PE split of a two-way HDA with even bandwidth partitioning.
@@ -53,16 +51,10 @@ def pe_partition_sweep(workload: WorkloadSpec, chip: ChipConfig,
     Returns one point per split, ordered from "(almost) everything on the first
     sub-accelerator" to the opposite extreme, which is exactly the x-axis of
     Fig. 6.  The splits are independent evaluations, so they are submitted as
-    tasks to the execution ``backend`` (in-process serial by default).  A
-    backend carries its own cost model, so supplying both is rejected.
+    tasks to the execution ``backend`` (in-process serial by default), which
+    owns the cost model they share.
     """
-    if backend is None:
-        backend = SerialBackend(cost_model=cost_model or CostModel())
-    elif cost_model is not None:
-        raise ValueError(
-            "pass cost_model to the backend, not to pe_partition_sweep, "
-            "when a backend is supplied"
-        )
+    backend = backend or SerialBackend()
     total_bw_gbps = chip.noc_bandwidth_bytes_per_s / 1e9
     even_bw = (total_bw_gbps / 2, total_bw_gbps / 2)
     step = chip.num_pes // steps

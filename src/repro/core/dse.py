@@ -29,11 +29,9 @@ from repro.accel.builders import (
 )
 from repro.accel.design import AcceleratorDesign
 from repro.dataflow.styles import ALL_STYLES, NVDLA, SHIDIANNAO, DataflowStyle
-from repro.maestro.cost import CostModel
 from repro.maestro.hardware import ChipConfig
 from repro.core.evaluator import EvaluationResult, sla_rank_key
 from repro.core.partitioner import PartitionPoint, PartitionSearch
-from repro.core.scheduler import HeraldScheduler
 from repro.workloads.spec import WorkloadSpec
 
 
@@ -73,9 +71,9 @@ class DSEResult:
 
     ``failures`` is non-empty only for ``partial_ok`` explorations that lost
     tasks to failed evaluations: the surviving points are ranked as usual and
-    the casualties stay visible as structured records.  ``resumed_tasks`` /
-    ``executed_tasks`` carry the checkpoint bookkeeping of resilient runs
-    (zero on the plain path).
+    the casualties stay visible as structured records.  ``executed_tasks``
+    counts the tasks the backend ran and ``resumed_tasks`` those a
+    checkpoint served (zero without one).
     """
 
     def __init__(self, workload_name: str, chip_name: str) -> None:
@@ -162,39 +160,36 @@ class DSEResult:
 class HeraldDSE:
     """Hardware/schedule co-design-space exploration driver.
 
+    The driver enumerates candidate designs and ranks what comes back; its
+    execution backend owns the cost model and scheduler, and prewarms and
+    evaluates every round of candidates, whether the round is a whole design
+    space (:meth:`explore`) or one dataflow combination's partition search
+    (:meth:`search_partitions`).
+
     Parameters
     ----------
-    cost_model:
-        Shared cost model; a single instance is reused so its cache carries
-        across every design evaluated in one DSE run.
-    scheduler:
-        Layer scheduler used for every design; defaults to Herald's scheduler.
+    backend:
+        Execution backend every round of evaluation tasks is submitted to.
+        Defaults to an in-process :class:`~repro.exec.backends.SerialBackend`
+        with a fresh cost model and Herald's scheduler; pass a
+        :class:`~repro.exec.backends.ProcessPoolBackend` to fan the design
+        space out across worker processes.  The backend's cost-model memo
+        carries across every design evaluated through this driver.
     partition_search:
         Partition-search configuration used for HDA (and SM-FDA) candidates.
     styles:
         Dataflow styles available for FDAs / sub-accelerators.
-    backend:
-        Execution backend the enumerated evaluation tasks are submitted to.
-        Defaults to an in-process :class:`~repro.exec.backends.SerialBackend`
-        sharing this driver's cost model and scheduler; pass a
-        :class:`~repro.exec.backends.ProcessPoolBackend` to fan the design
-        space out across worker processes.
     """
 
-    def __init__(self, cost_model: Optional[CostModel] = None,
-                 scheduler: Optional[HeraldScheduler] = None,
+    def __init__(self, backend: Optional["ExecutionBackend"] = None,
                  partition_search: Optional[PartitionSearch] = None,
-                 styles: Sequence[DataflowStyle] = ALL_STYLES,
-                 backend: Optional["ExecutionBackend"] = None) -> None:
-        self.cost_model = cost_model or CostModel()
-        self.scheduler = scheduler or HeraldScheduler(self.cost_model)
-        self.partition_search = partition_search or PartitionSearch(
-            cost_model=self.cost_model, scheduler=self.scheduler)
-        self.styles = tuple(styles)
+                 styles: Sequence[DataflowStyle] = ALL_STYLES) -> None:
         if backend is None:
             from repro.exec.backends import SerialBackend
-            backend = SerialBackend(cost_model=self.cost_model, scheduler=self.scheduler)
+            backend = SerialBackend()
         self.backend = backend
+        self.partition_search = partition_search or PartitionSearch()
+        self.styles = tuple(styles)
 
     # ------------------------------------------------------------------
     # Whole-design-space exploration (Fig. 11)
@@ -229,13 +224,12 @@ class HeraldDSE:
             task_id += 1
 
         for combo in self._hda_combos(hda_combinations, include_three_way):
-            group = self._combo_group(combo)
-            for pes, bws in self.partition_search.candidate_partitions(chip, len(combo)):
-                design = self.partition_search.build_design(chip, list(combo), pes, bws)
-                yield EvaluationTask(task_id, design, workload, category="hda",
-                                     group=group, pe_partition=tuple(pes),
-                                     bw_partition_gbps=tuple(bws))
-                task_id += 1
+            tasks = self._hda_tasks(
+                workload, chip, combo,
+                self.partition_search.candidate_partitions(chip, len(combo)),
+                task_id)
+            yield from tasks
+            task_id += len(tasks)
 
     def explore(self, workload: WorkloadSpec, chip: ChipConfig,
                 include_rda: bool = True, include_smfda: bool = True,
@@ -279,15 +273,22 @@ class HeraldDSE:
                 category=task.category, design=task.design, result=evaluation))
             if task.category == "hda":
                 hda_points.setdefault(task.group, []).append(PartitionPoint(
-                    pe_partition=task.pe_partition,
-                    bw_partition_gbps=task.bw_partition_gbps,
-                    result=evaluation,
-                ))
+                    task.pe_partition, task.bw_partition_gbps, evaluation))
 
         if self.partition_search.strategy == "binary" and hda_points:
-            self._refine_hdas(result, workload, chip, hda_points, combos,
-                              first_task_id=len(tasks), partial_ok=partial_ok,
-                              checkpoint=checkpoint)
+            styles_by_group = {self._combo_group(combo): combo
+                               for combo in combos}
+            refine_tasks: List["EvaluationTask"] = []
+            for group, coarse in hda_points.items():
+                refine_tasks += self._hda_tasks(
+                    workload, chip, styles_by_group[group],
+                    self.partition_search.refinement_candidates(chip, coarse),
+                    len(tasks) + len(refine_tasks))
+            for task, evaluation in self._run_round(
+                    refine_tasks, result, partial_ok, checkpoint,
+                    scope="dse-refine"):
+                result.points.append(DesignSpacePoint(
+                    category="hda", design=task.design, result=evaluation))
 
         result.elapsed_s = time.perf_counter() - start
         return result
@@ -298,7 +299,9 @@ class HeraldDSE:
         """Submit one round of tasks, via ``run_resilient`` when the round
         may come back partial or is checkpointed."""
         if not partial_ok and checkpoint is None:
-            return list(zip(tasks, self.backend.run(tasks)))
+            completed = list(zip(tasks, self.backend.run(tasks)))
+            result.executed_tasks += len(completed)
+            return completed
         outcome = self.backend.run_resilient(tasks, partial_ok=partial_ok,
                                              checkpoint=checkpoint,
                                              scope=scope)
@@ -307,30 +310,56 @@ class HeraldDSE:
         result.executed_tasks += outcome.executed_tasks
         return outcome.completed(tasks)
 
-    def _refine_hdas(self, result: DSEResult, workload: WorkloadSpec,
-                     chip: ChipConfig, hda_points: Dict[str, List[PartitionPoint]],
-                     combos: Sequence[Tuple[DataflowStyle, ...]],
-                     first_task_id: int, partial_ok: bool = False,
-                     checkpoint: Optional["SweepCheckpoint"] = None) -> None:
-        """Second (binary-refinement) round around each combo's best partition."""
+    # ------------------------------------------------------------------
+    # One combination's partition search (Sec. IV-C)
+    # ------------------------------------------------------------------
+    def search_partitions(self, workload: WorkloadSpec, chip: ChipConfig,
+                          styles: Sequence[DataflowStyle]
+                          ) -> List[PartitionPoint]:
+        """Explore partitions of ``chip`` across ``styles`` for ``workload``.
+
+        The same coarse and (binary strategy) refinement rounds
+        :meth:`explore` submits for each HDA combination, for one
+        combination alone.  Returns every evaluated point (so callers can
+        plot the Fig. 6 sweep); ``partition_search.best_point`` extracts the
+        optimum.  A library error inside an evaluation raises
+        :class:`~repro.exceptions.TaskExecutionError`.
+        """
+        if len(styles) < 2:
+            raise SearchError("partitioning requires at least two sub-accelerators")
+        search = self.partition_search
+        points = self._search_round(self._hda_tasks(
+            workload, chip, styles,
+            search.candidate_partitions(chip, len(styles)), 0))
+        if search.strategy == "binary":
+            points += self._search_round(self._hda_tasks(
+                workload, chip, styles,
+                search.refinement_candidates(chip, points), len(points)))
+        return points
+
+    def _search_round(self, tasks: List["EvaluationTask"]
+                      ) -> List[PartitionPoint]:
+        return [PartitionPoint(task.pe_partition, task.bw_partition_gbps,
+                               evaluation)
+                for task, evaluation in zip(tasks, self.backend.run(tasks))]
+
+    def _hda_tasks(self, workload: WorkloadSpec, chip: ChipConfig,
+                   styles: Sequence[DataflowStyle],
+                   candidates: Sequence[Tuple[Tuple[int, ...], Tuple[float, ...]]],
+                   first_task_id: int) -> List["EvaluationTask"]:
+        """One task per candidate partition of the ``styles`` combination,
+        numbered from ``first_task_id``."""
         from repro.exec.tasks import EvaluationTask
 
-        styles_by_group = {self._combo_group(combo): combo for combo in combos}
-        refine_tasks: List[EvaluationTask] = []
-        task_id = first_task_id
-        for group, coarse in hda_points.items():
-            combo = styles_by_group[group]
-            for pes, bws in self.partition_search.refinement_candidates(chip, coarse):
-                design = self.partition_search.build_design(chip, list(combo), pes, bws)
-                refine_tasks.append(EvaluationTask(
-                    task_id, design, workload, category="hda", group=group,
-                    pe_partition=tuple(pes), bw_partition_gbps=tuple(bws)))
-                task_id += 1
-        completed = self._run_round(refine_tasks, result, partial_ok,
-                                    checkpoint, scope="dse-refine")
-        for task, evaluation in completed:
-            result.points.append(DesignSpacePoint(
-                category="hda", design=task.design, result=evaluation))
+        group = self._combo_group(styles)
+        return [
+            EvaluationTask(task_id, self.partition_search.build_design(
+                               chip, list(styles), pes, bws),
+                           workload, category="hda", group=group,
+                           pe_partition=tuple(pes),
+                           bw_partition_gbps=tuple(bws))
+            for task_id, (pes, bws) in enumerate(candidates, first_task_id)
+        ]
 
     @staticmethod
     def _combo_group(combo: Sequence[DataflowStyle]) -> str:
@@ -347,7 +376,8 @@ class HeraldDSE:
     # ------------------------------------------------------------------
     def maelstrom(self, workload: WorkloadSpec, chip: ChipConfig) -> PartitionPoint:
         """Herald-optimised NVDLA + Shi-diannao HDA for the workload (Table V)."""
-        return self.partition_search.search_best(chip, [NVDLA, SHIDIANNAO], workload)
+        return self.partition_search.best_point(
+            self.search_partitions(workload, chip, [NVDLA, SHIDIANNAO]))
 
     def maelstrom_design(self, workload: WorkloadSpec, chip: ChipConfig
                          ) -> AcceleratorDesign:

@@ -1,11 +1,12 @@
 """Hardware resource partitioning search (Sec. IV-C).
 
-Given a chip-level resource envelope, a set of sub-accelerator dataflows, and
-a workload, the partitioner explores how to split the chip's PEs and global
-NoC bandwidth across the sub-accelerators.  Every candidate partition is
-evaluated by running the layer scheduler and computing latency / energy / EDP,
-which is exactly the co-design loop of Herald (the schedule depends on the
-partition and vice-versa).
+Given a chip-level resource envelope and a set of sub-accelerator dataflows,
+the partitioner enumerates how to split the chip's PEs and global NoC
+bandwidth across the sub-accelerators and ranks the evaluated candidates.
+Evaluating them runs the layer scheduler on every partition (Herald's
+co-design loop: the schedule depends on the partition and vice-versa) as
+execution-backend tasks, which
+:meth:`repro.core.dse.HeraldDSE.search_partitions` submits.
 
 Three search strategies are provided, matching the paper's description:
 
@@ -18,16 +19,14 @@ Three search strategies are provided, matching the paper's description:
 from __future__ import annotations
 
 import random
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
 from repro.exceptions import SearchError
 from repro.accel.builders import make_hda, make_smfda
 from repro.accel.design import AcceleratorDesign
 from repro.dataflow.styles import DataflowStyle
-from repro.maestro.cost import CostModel
 from repro.maestro.hardware import ChipConfig
-from repro.core.evaluator import EvaluationResult, evaluate_design, sla_rank_key
-from repro.core.scheduler import HeraldScheduler
+from repro.core.evaluator import EvaluationResult, sla_rank_key
 from repro.validation import (
     check_keys,
     expect_choice,
@@ -36,7 +35,6 @@ from repro.validation import (
     expect_pos_int,
     spec_path,
 )
-from repro.workloads.spec import WorkloadSpec
 
 #: Search strategies supported by :class:`PartitionSearch`.
 STRATEGIES = ("exhaustive", "binary", "random")
@@ -119,14 +117,16 @@ def compositions(total: int, parts: int, step: int) -> List[Tuple[int, ...]]:
 
 
 class PartitionSearch:
-    """Searches PE and bandwidth partitions for a fixed set of dataflows.
+    """How to search PE and bandwidth partitions for a fixed set of dataflows.
+
+    A search is pure configuration: it enumerates candidates
+    (:meth:`candidate_partitions`, :meth:`refinement_candidates`), builds the
+    design a candidate denotes (:meth:`build_design`) and ranks evaluated
+    points (:meth:`best_point`).  The driver that evaluates the rounds is
+    :meth:`repro.core.dse.HeraldDSE.search_partitions`.
 
     Parameters
     ----------
-    cost_model:
-        Shared cost model (its cache makes repeated evaluations cheap).
-    scheduler:
-        Scheduler used to evaluate each candidate; defaults to Herald's.
     strategy:
         ``"exhaustive"``, ``"binary"``, or ``"random"``.
     pe_steps:
@@ -146,74 +146,21 @@ class PartitionSearch:
         Random seed for the random strategy (deterministic by default).
     """
 
-    def __init__(self, cost_model: Optional[CostModel] = None,
-                 scheduler: Optional[HeraldScheduler] = None,
-                 strategy: str = "exhaustive", pe_steps: int = 8, bw_steps: int = 4,
-                 metric: str = "edp", samples: int = 16, seed: int = 0) -> None:
+    def __init__(self, strategy: str = "exhaustive", pe_steps: int = 8,
+                 bw_steps: int = 4, metric: str = "edp", samples: int = 16,
+                 seed: int = 0) -> None:
         if strategy not in STRATEGIES:
             raise SearchError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
         if pe_steps < 2 or bw_steps < 1:
             raise SearchError("pe_steps must be >= 2 and bw_steps >= 1")
         if metric not in SEARCH_METRICS:
             raise SearchError(f"unknown metric {metric!r}")
-        self.cost_model = cost_model or CostModel()
-        self.scheduler = scheduler or HeraldScheduler(self.cost_model)
         self.strategy = strategy
         self.pe_steps = pe_steps
         self.bw_steps = bw_steps
         self.metric = metric
         self.samples = samples
         self.seed = seed
-
-    # ------------------------------------------------------------------
-    # Public API
-    # ------------------------------------------------------------------
-    def search(self, chip: ChipConfig, styles: Sequence[DataflowStyle],
-               workload: WorkloadSpec) -> List[PartitionPoint]:
-        """Explore partitions of ``chip`` across ``styles`` for ``workload``.
-
-        Returns every evaluated point (so callers can plot the Fig. 6 sweep);
-        use :func:`best_point` to extract the optimum.
-        """
-        if len(styles) < 2:
-            raise SearchError("partitioning requires at least two sub-accelerators")
-        points = self._evaluate_round(chip, styles, workload,
-                                      self.candidate_partitions(chip, len(styles)))
-        if self.strategy == "binary":
-            points.extend(self._evaluate_round(
-                chip, styles, workload,
-                self.refinement_candidates(chip, points)))
-        return points
-
-    def _evaluate_round(self, chip: ChipConfig, styles: Sequence[DataflowStyle],
-                        workload: WorkloadSpec,
-                        candidates: Sequence[Tuple[Tuple[int, ...],
-                                                   Tuple[float, ...]]]
-                        ) -> List[PartitionPoint]:
-        """Build, prewarm, and evaluate one round of candidate partitions.
-
-        Each candidate's design is constructed exactly once and shared by the
-        prewarm pass and the evaluation.  The candidates re-create the same
-        arrays under different splits, so the round's costs are the
-        workload's deduped shapes times its distinct configurations; both the
-        coarse round and the binary refinement round estimate them up front,
-        so every evaluation is pure memo lookups.
-        """
-        designs = [self.build_design(chip, styles, pes, bws)
-                   for pes, bws in candidates]
-        self.cost_model.prewarm(
-            workload.unique_shape_layers(),
-            [acc for design in designs for acc in design.sub_accelerators])
-        return [
-            PartitionPoint(
-                pe_partition=tuple(pes),
-                bw_partition_gbps=tuple(bws),
-                result=evaluate_design(design, workload,
-                                       cost_model=self.cost_model,
-                                       scheduler=self.scheduler),
-            )
-            for (pes, bws), design in zip(candidates, designs)
-        ]
 
     def best_point(self, points: Iterable[PartitionPoint]) -> PartitionPoint:
         """The explored point with the best (lowest) objective value."""
@@ -222,22 +169,16 @@ class PartitionSearch:
             raise SearchError("no partition points to choose from")
         return min(points, key=self._objective)
 
-    def search_best(self, chip: ChipConfig, styles: Sequence[DataflowStyle],
-                    workload: WorkloadSpec) -> PartitionPoint:
-        """Convenience wrapper returning only the best partition."""
-        return self.best_point(self.search(chip, styles, workload))
-
     # ------------------------------------------------------------------
-    # Declarative candidate enumeration (consumed by the execution engine)
+    # Declarative candidate enumeration (evaluated by the DSE driver)
     # ------------------------------------------------------------------
     def candidate_partitions(self, chip: ChipConfig, parts: int
                              ) -> List[Tuple[Tuple[int, ...], Tuple[float, ...]]]:
         """The first-round ``(pe_partition, bw_partition_gbps)`` candidates.
 
         For the ``"random"`` strategy the configured sampling is already
-        applied, so the returned list is exactly what :meth:`search` would
-        evaluate in its first round.  This lets callers (notably the DSE
-        execution engine) turn the search into independent evaluation tasks.
+        applied, so the returned list is exactly the search's first round,
+        which the DSE driver turns into independent evaluation tasks.
         """
         candidates = self._candidate_partitions(chip, parts)
         if self.strategy == "random":
@@ -327,10 +268,7 @@ _SEARCH_KEYS = ("strategy", "pe_steps", "bw_steps", "metric", "samples",
                 "seed")
 
 
-def search_from_spec(spec: object, path: str = "search",
-                     cost_model: Optional[CostModel] = None,
-                     scheduler: Optional[HeraldScheduler] = None
-                     ) -> PartitionSearch:
+def search_from_spec(spec: object, path: str = "search") -> PartitionSearch:
     """Build a partition search from its declarative spec.
 
     Every knob is optional and defaults to the :class:`PartitionSearch`
@@ -350,7 +288,6 @@ def search_from_spec(spec: object, path: str = "search",
                              spec_path(path, "samples"))
     seed = expect_int(mapping.get("seed", 0), spec_path(path, "seed"),
                       minimum=0)
-    return PartitionSearch(cost_model=cost_model, scheduler=scheduler,
-                           strategy=strategy, pe_steps=pe_steps,
+    return PartitionSearch(strategy=strategy, pe_steps=pe_steps,
                            bw_steps=bw_steps, metric=metric,
                            samples=samples, seed=seed)

@@ -23,7 +23,7 @@ from repro.exports import reexport
 # The checkpoint (and the stdlib it writes with) loads only for a run that
 # records or resumes one.
 __all__, __getattr__, __dir__ = reexport(__name__, {
-    "repro.exec.tasks": ("EvaluationTask", "run_evaluation_task"),
+    "repro.exec.tasks": ("EvaluationTask",),
     "repro.exec.backends": ("ExecutionBackend", "SerialBackend",
                             "ProcessPoolBackend", "DEFAULT_SCOPE"),
     "repro.exec.checkpoint": ("SweepCheckpoint", "sweep_key_from"),

@@ -51,11 +51,11 @@ import pickle
 from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple, Union
 
 from repro.exceptions import ReproError, SearchError, TaskExecutionError
-from repro.core.evaluator import EvaluationResult
+from repro.core.evaluator import EvaluationResult, evaluate_design
 from repro.core.scheduler import HeraldScheduler
 from repro.maestro.cost import CostModel, LayerCost
 from repro.exec.resilience import ExecutionOutcome, TaskFailure
-from repro.exec.tasks import EvaluationTask, run_evaluation_task
+from repro.exec.tasks import EvaluationTask
 
 #: Checkpoint scope of the tasks of a caller that does not namespace them.
 DEFAULT_SCOPE = "sweep"
@@ -119,7 +119,8 @@ def _attempt(task: EvaluationTask, cost_model: CostModel,
     a traceback.
     """
     try:
-        return run_evaluation_task(task, cost_model, scheduler)
+        return evaluate_design(task.design, task.workload,
+                               cost_model=cost_model, scheduler=scheduler)
     except ReproError as error:
         return TaskFailure(task_id=task.task_id, kind="error",
                            message=str(error), category=task.category)
@@ -412,11 +413,14 @@ class ProcessPoolBackend(_Backend):
             raise SearchError(f"jobs must be >= 1 (got {jobs})")
         super().__init__(cost_model, scheduler)
         self.jobs = jobs
+        #: The most workers one dispatch has started (0 before the first).
+        self.most_workers = 0
 
     run = _Backend.run  # see SerialBackend.run
 
     def _label(self) -> str:
-        return f"process pool ({self.jobs} jobs)"
+        # The workers started (the jobs asked for until a dispatch starts any).
+        return f"process pool ({self.most_workers or self.jobs} jobs)"
 
     def _execute_remaining(self, tasks: Sequence[EvaluationTask],
                            book: Callable[[EvaluationTask, _Done], None]
@@ -432,8 +436,10 @@ class ProcessPoolBackend(_Backend):
         starts = range(0, len(tasks), size)
         # A worker without a chunk would only be forked and killed; under
         # fork every worker starts at once, so the pool is capped here.
+        workers = min(self.jobs, len(starts))
+        self.most_workers = max(self.most_workers, workers)
         executor = concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(self.jobs, len(starts)),
+            max_workers=workers,
             initializer=_init_worker,
             initargs=(self.cost_model, self.scheduler))
         try:

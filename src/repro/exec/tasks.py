@@ -19,9 +19,6 @@ from __future__ import annotations
 from typing import NamedTuple, Optional, Tuple
 
 from repro.accel.design import AcceleratorDesign
-from repro.core.evaluator import EvaluationResult, evaluate_design
-from repro.core.scheduler import HeraldScheduler
-from repro.maestro.cost import CostModel
 from repro.workloads.spec import WorkloadSpec
 
 
@@ -66,9 +63,3 @@ class EvaluationTask(NamedTuple):
         """One-line description used by verbose backends."""
         return f"task {self.task_id}: {self.design.name} on {self.workload.name}"
 
-
-def run_evaluation_task(task: EvaluationTask, cost_model: CostModel,
-                        scheduler: HeraldScheduler) -> EvaluationResult:
-    """Execute one task against the given cost model and scheduler."""
-    return evaluate_design(task.design, task.workload, cost_model=cost_model,
-                           scheduler=scheduler)

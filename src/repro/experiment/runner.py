@@ -46,14 +46,14 @@ class ExperimentOutcome(NamedTuple):
 
 
 def _resolve_design(reference: Union[str, AcceleratorDesign], workload, chip,
-                    cost_model, scheduler) -> AcceleratorDesign:
+                    backend: SerialBackend) -> AcceleratorDesign:
     """Materialise a design reference (named designs resolve here because
-    ``maelstrom`` runs the paper's partition search for the workload)."""
+    ``maelstrom`` runs the paper's partition search for the workload on
+    ``backend``)."""
     if isinstance(reference, AcceleratorDesign):
         return reference
     if reference == "maelstrom":
-        dse = HeraldDSE(cost_model=cost_model, scheduler=scheduler)
-        return dse.maelstrom_design(workload, chip)
+        return HeraldDSE(backend=backend).maelstrom_design(workload, chip)
     if reference == "rda":
         return make_rda(chip)
     return make_fda(chip, style_by_name(reference.split("-", 1)[1]))
@@ -135,13 +135,19 @@ def _finish(spec: ExperimentSpec, metrics: Dict[str, float],
 # ---------------------------------------------------------------------------
 # schedule
 # ---------------------------------------------------------------------------
-def _run_schedule(spec: ExperimentSpec) -> ExperimentOutcome:
+def _serial_backend(spec: ExperimentSpec) -> SerialBackend:
+    """An in-process backend whose scheduler ranks by the spec's metric."""
     cost_model = CostModel()
-    scheduler = HeraldScheduler(cost_model, metric=spec.metric)
-    design = _resolve_design(spec.design, spec.workload, spec.chip,
-                             cost_model, scheduler)
-    result = evaluate_design(design, spec.workload, cost_model=cost_model,
-                             scheduler=scheduler)
+    return SerialBackend(cost_model=cost_model, scheduler=HeraldScheduler(
+        cost_model, metric=spec.metric))
+
+
+def _run_schedule(spec: ExperimentSpec) -> ExperimentOutcome:
+    backend = _serial_backend(spec)
+    design = _resolve_design(spec.design, spec.workload, spec.chip, backend)
+    result = evaluate_design(design, spec.workload,
+                             cost_model=backend.cost_model,
+                             scheduler=backend.scheduler)
     print(design.describe())
     print(result.describe())
     print(f"scheduling time: {result.scheduling_time_s:.2f} s")
@@ -155,30 +161,22 @@ def _run_schedule(spec: ExperimentSpec) -> ExperimentOutcome:
 # ---------------------------------------------------------------------------
 def _run_dse(spec: ExperimentSpec,
              checkpoint: Optional["SweepCheckpoint"] = None) -> ExperimentOutcome:
-    cost_model = CostModel()
-    scheduler = HeraldScheduler(cost_model)
-    search = search_from_spec(spec.search, cost_model=cost_model,
-                              scheduler=scheduler)
-    dse = HeraldDSE(cost_model=cost_model, scheduler=scheduler,
-                    partition_search=search)
+    search = search_from_spec(spec.search)
     jobs = workers = spec.exec_settings.jobs
     declined = ""
     if jobs > 1:
         # A pool pays only for a sweep big enough to amortise its start-up.
         placements = spec.workload.total_layers * sum(
-            1 for _ in dse.enumerate_tasks(spec.workload, spec.chip))
+            1 for _ in HeraldDSE(partition_search=search).enumerate_tasks(
+                spec.workload, spec.chip))
         workers = backends.pool_workers(jobs, placements)
         if workers < jobs:
             verdict = "declined" if workers == 1 else f"capped at {workers}"
             declined = (f" (--jobs {jobs} {verdict}: {placements} layer "
                         f"placements, a pool worker needs "
                         f"{backends.POOL_PLACEMENTS_PER_WORKER})")
-    if workers > 1:
-        backend = ProcessPoolBackend(jobs=workers, cost_model=cost_model,
-                                     scheduler=scheduler)
-    else:
-        backend = SerialBackend(cost_model=cost_model, scheduler=scheduler)
-    dse.backend = backend
+    backend = ProcessPoolBackend(jobs=workers) if workers > 1 else SerialBackend()
+    dse = HeraldDSE(backend=backend, partition_search=search)
     try:
         space = dse.explore(spec.workload, spec.chip,
                             partial_ok=spec.exec_settings.partial_ok,
@@ -238,12 +236,10 @@ def _serving_metrics(summary: Dict[str, object],
 def _run_serve(spec: ExperimentSpec) -> ExperimentOutcome:
     from repro.serve.simulator import ServingSimulator, sustained_fps
 
-    cost_model = CostModel()
-    scheduler = HeraldScheduler(cost_model, metric=spec.metric)
-    design = _resolve_design(spec.design, spec.workload, spec.chip,
-                             cost_model, scheduler)
+    backend = _serial_backend(spec)
+    design = _resolve_design(spec.design, spec.workload, spec.chip, backend)
     streaming = _streaming_workload(spec)
-    simulator = ServingSimulator(scheduler)
+    simulator = ServingSimulator(backend.scheduler)
     result = simulator.simulate(streaming, design.sub_accelerators)
 
     print(design.describe())
@@ -267,9 +263,10 @@ def _run_serve(spec: ExperimentSpec) -> ExperimentOutcome:
         details["sustained_evaluations"] = sustained.evaluations
 
     if spec.optimize_sla:
-        search = PartitionSearch(cost_model=cost_model, scheduler=scheduler,
-                                 metric="sla")
-        best = search.search_best(spec.chip, [NVDLA, SHIDIANNAO], streaming)
+        search = PartitionSearch(metric="sla")
+        best = search.best_point(
+            HeraldDSE(backend=backend, partition_search=search)
+            .search_partitions(streaming, spec.chip, [NVDLA, SHIDIANNAO]))
         frames = best.result.frame_summary()
         if frames["missed_frames"]:
             print("SLA search: no partition serves this scenario without "
@@ -300,17 +297,14 @@ def _run_fleet(spec: ExperimentSpec,
         min_chips_for_sla,
     )
 
-    cost_model = CostModel()
-    scheduler = HeraldScheduler(cost_model, metric=spec.metric)
-    design = _resolve_design(spec.design, spec.workload, spec.chip,
-                             cost_model, scheduler)
+    backend = _serial_backend(spec)
+    design = _resolve_design(spec.design, spec.workload, spec.chip, backend)
 
     def build_design(sub: object, sub_path: str) -> AcceleratorDesign:
         if sub is None:
             return design
         if isinstance(sub, str):
-            return _resolve_design(sub, spec.workload, spec.chip,
-                                   cost_model, scheduler)
+            return _resolve_design(sub, spec.workload, spec.chip, backend)
         return design_from_spec(sub, path=sub_path, chip=spec.chip)
 
     fleet = fleet_from_spec(spec.fleet, build_design)
@@ -322,10 +316,8 @@ def _run_fleet(spec: ExperimentSpec,
         chips = max(chips, spec.min_chips.max_chips)
     jobs = min(spec.exec_settings.jobs, chips)
     if jobs > 1:
-        backend = ProcessPoolBackend(jobs=jobs, cost_model=cost_model,
-                                     scheduler=scheduler)
-    else:
-        backend = SerialBackend(cost_model=cost_model, scheduler=scheduler)
+        backend = ProcessPoolBackend(jobs=jobs, cost_model=backend.cost_model,
+                                     scheduler=backend.scheduler)
     simulator = FleetSimulator(backend=backend)
 
     print(fleet.describe())
@@ -360,7 +352,6 @@ def _run_fleet(spec: ExperimentSpec,
                   f"{interval.end_s * 1e3:8.3f}) ms: "
                   f"{interval.pending_frames} pending, active "
                   f"{interval.active_before} -> {interval.active_after}")
-    print(f"execution backend: {backend.describe()}")
 
     summary = result_report.summary()
     metrics = _serving_metrics(summary)
@@ -389,6 +380,8 @@ def _run_fleet(spec: ExperimentSpec,
         print(search.describe())
         metrics["min_chips_for_sla"] = float(search.chips)
         details["min_chips_evaluations"] = search.evaluations
+    # After the last dispatch: a pool's label names the workers it started.
+    print(f"execution backend: {backend.describe()}")
     if checkpoint is not None:
         print(checkpoint.describe())
     failed = getattr(result_report, "failed_chips", ())

@@ -409,8 +409,8 @@ def experiment_from_spec(spec: object,
     if kind == "dse":
         search = expect_mapping(mapping.get("search", {}),
                                 spec_path(path, "search"))
-        # Validate eagerly (and discard): the runner rebuilds against the
-        # run's shared cost model.
+        # Validate eagerly (and discard): the search is plain
+        # configuration, which the runner rebuilds from the mapping.
         _check_partition_steps(
             search_from_spec(search, spec_path(path, "search")), chip,
             spec_path(path, "search"))

@@ -34,11 +34,9 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 from repro.accel.design import AcceleratorDesign
 from repro.analysis.metrics import imbalance, percentile
 from repro.core.schedule import LOAD_IMBALANCE_UNUSED_SENTINEL, Schedule
-from repro.core.scheduler import HeraldScheduler
 from repro.exceptions import SpecError, WorkloadError
 from repro.exec.backends import ExecutionBackend, SerialBackend
 from repro.exec.tasks import EvaluationTask
-from repro.maestro.cost import CostModel
 from repro.serve.router import (
     DispatchPlan,
     DispatchPolicy,
@@ -383,29 +381,15 @@ class FleetSimulator:
 
     Parameters
     ----------
-    cost_model / scheduler:
-        Shared cost model and (configured) online scheduler, exactly as the
-        single-chip :class:`~repro.serve.simulator.ServingSimulator` takes
-        them.  When a ``backend`` is supplied these must be left unset — the
-        backend carries its own pair.
     backend:
-        Execution backend the per-chip evaluations run on.
+        Execution backend the per-chip evaluations run on; it owns the cost
+        model and the (configured) online scheduler.  Defaults to a
+        :class:`~repro.exec.backends.SerialBackend` with a fresh cost model
+        and Herald's scheduler.
     """
 
-    def __init__(self, cost_model: Optional[CostModel] = None,
-                 scheduler: Optional[HeraldScheduler] = None,
-                 backend: Optional[ExecutionBackend] = None) -> None:
-        if backend is not None:
-            if cost_model is not None or scheduler is not None:
-                raise ValueError(
-                    "pass cost_model/scheduler to the backend, not to "
-                    "FleetSimulator, when a backend is supplied")
-            self.backend = backend
-        else:
-            cost_model = cost_model or CostModel()
-            scheduler = scheduler or HeraldScheduler(cost_model)
-            self.backend = SerialBackend(cost_model=cost_model,
-                                         scheduler=scheduler)
+    def __init__(self, backend: Optional[ExecutionBackend] = None) -> None:
+        self.backend = backend or SerialBackend()
         self.estimator = FrameCostEstimator(self.backend.cost_model)
 
     def simulate(self, streaming: StreamingWorkload, fleet: Fleet,

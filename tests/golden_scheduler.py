@@ -38,6 +38,7 @@ from repro.core.dse import HeraldDSE
 from repro.core.partitioner import PartitionSearch
 from repro.core.scheduler import HeraldScheduler
 from repro.dataflow.styles import NVDLA, SHIDIANNAO
+from repro.exec.backends import SerialBackend
 from repro.maestro.cost import CostModel
 from repro.maestro.hardware import ChipConfig, SubAcceleratorConfig
 from repro.models.graph import ModelGraph
@@ -497,8 +498,8 @@ def run_fleet_scenario(key: str, cost_model: CostModel) -> Dict[str, object]:
     config = parse_fleet_key(key)
     streaming = build_fleet_streaming_workload(config["workload"])
     fleet = build_fleet(config["fleet"])
-    simulator = FleetSimulator(cost_model=cost_model,
-                               scheduler=HeraldScheduler(cost_model))
+    simulator = FleetSimulator(backend=SerialBackend(
+        cost_model=cost_model, scheduler=HeraldScheduler(cost_model)))
     result = simulator.simulate(streaming, fleet, policy=config["policy"])
     return serialize_fleet_result(config["workload"], result)
 
@@ -620,8 +621,8 @@ def run_online_scenario(key: str, cost_model: CostModel) -> Dict[str, object]:
     else:
         streaming = build_fleet_streaming_workload(config["workload"])
     fleet = build_fleet(config["fleet"])
-    simulator = FleetSimulator(cost_model=cost_model,
-                               scheduler=HeraldScheduler(cost_model))
+    simulator = FleetSimulator(backend=SerialBackend(
+        cost_model=cost_model, scheduler=HeraldScheduler(cost_model)))
     result = simulator.simulate_online(
         streaming, fleet, policy=config["policy"],
         faults=_ONLINE_FAULTS.get(variant),
@@ -737,12 +738,9 @@ def run_dse(backend=None) -> List[List[str]]:
     chip = ChipConfig(name="tiny", num_pes=256,
                       noc_bandwidth_bytes_per_s=gbps(8),
                       global_buffer_bytes=mib(2))
-    cost_model = CostModel()
-    scheduler = HeraldScheduler(cost_model)
-    search = PartitionSearch(cost_model=cost_model, scheduler=scheduler,
-                             strategy="binary", pe_steps=4, bw_steps=2)
-    dse = HeraldDSE(cost_model=cost_model, scheduler=scheduler,
-                    partition_search=search, backend=backend)
+    search = PartitionSearch(strategy="binary", pe_steps=4, bw_steps=2)
+    dse = HeraldDSE(backend=backend or SerialBackend(),
+                    partition_search=search)
     space = dse.explore(_dse_workload(), chip, include_three_way=False)
     return [
         [point.category, point.design.name, repr(point.latency_s),

@@ -12,6 +12,7 @@ from repro.analysis.metrics import (
 )
 from repro.analysis.pareto import dominates, is_pareto_optimal, pareto_front
 from repro.analysis.sweeps import pe_partition_sweep
+from repro.exec.backends import SerialBackend
 from repro.maestro.hardware import ChipConfig
 from repro.units import gbps, mib
 
@@ -181,7 +182,7 @@ class TestPareto:
 class TestPartitionSweep:
     def test_sweep_points_cover_the_chip(self, cost_model, small_workload, tiny_chip):
         points = pe_partition_sweep(small_workload, tiny_chip, steps=4,
-                                    cost_model=cost_model)
+                                    backend=SerialBackend(cost_model=cost_model))
         assert len(points) == 3
         for point in points:
             assert sum(point.pe_partition) == tiny_chip.num_pes
@@ -191,6 +192,6 @@ class TestPartitionSweep:
                                                     tiny_chip):
         # The Fig. 6 curve is U-shaped: extreme partitions should not be the best.
         points = pe_partition_sweep(small_workload, tiny_chip, steps=8,
-                                    cost_model=cost_model)
+                                    backend=SerialBackend(cost_model=cost_model))
         best = min(points, key=lambda p: p.edp)
         assert best.pe_partition[0] not in (0, tiny_chip.num_pes)

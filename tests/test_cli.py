@@ -71,6 +71,19 @@ class TestDse:
         parallel_best = [line for line in parallel_output.splitlines() if "best" in line]
         assert serial_best == parallel_best
 
+    def test_plain_dse_report_counts_its_executed_tasks(self, tmp_path,
+                                                        capsys):
+        """A run without a checkpoint still counts every task it ran."""
+        report = str(tmp_path / "dse.json")
+        assert main(["dse", "--workload", "arvr-a", "--chip", "edge",
+                     "--pe-steps", "4", "--bw-steps", "2",
+                     "--report", report]) == 0
+        capsys.readouterr()
+        loaded = load_report(report)
+        assert loaded["details"]["points"] == 19
+        assert loaded["timing"]["executed_tasks"] == 19.0
+        assert loaded["timing"]["resumed_tasks"] == 0.0
+
     def test_dse_jobs_declined_below_pool_break_even(self, tmp_path, capsys):
         serial_report = str(tmp_path / "serial.json")
         pool_report = str(tmp_path / "pool.json")

@@ -27,6 +27,7 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.core.scheduler import HeraldScheduler
+from repro.exec.backends import SerialBackend
 from repro.maestro.cost import CostModel
 from repro.serve import (
     TRAFFIC_KINDS,
@@ -51,8 +52,8 @@ _ONLINE_POLICIES = ("round-robin",) + _GREEDY_POLICIES + ("sticky",)
 
 
 def _simulator():
-    return FleetSimulator(cost_model=_COST_MODEL,
-                          scheduler=HeraldScheduler(_COST_MODEL))
+    return FleetSimulator(backend=SerialBackend(
+        cost_model=_COST_MODEL, scheduler=HeraldScheduler(_COST_MODEL)))
 
 
 def _traffic_streaming(n, edge_seed, dims, num_streams, frames, kind,

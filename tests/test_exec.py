@@ -17,20 +17,15 @@ from repro.exec import (
     EvaluationTask,
     ProcessPoolBackend,
     SerialBackend,
-    run_evaluation_task,
 )
 from repro.maestro.cost import CostModel
 from repro.serve.fleet import Fleet, FleetSimulator
 from repro.serve.workload import StreamingWorkload, StreamSpec
 
 
-def _make_dse(backend=None, cost_model=None):
-    model = cost_model or CostModel()
-    scheduler = HeraldScheduler(model)
-    search = PartitionSearch(cost_model=model, scheduler=scheduler,
-                             pe_steps=2, bw_steps=1)
-    return HeraldDSE(cost_model=model, scheduler=scheduler,
-                     partition_search=search, backend=backend)
+def _make_dse(backend=None):
+    return HeraldDSE(backend=backend,
+                     partition_search=PartitionSearch(pe_steps=2, bw_steps=1))
 
 
 def _dse_bag_schedules(backend, workload, chip):
@@ -74,13 +69,14 @@ class TestEvaluationTask:
         assert clone.workload.name == task.workload.name
         assert clone.category == "fda"
 
-    def test_run_evaluation_task_matches_direct_evaluation(self, tiny_chip,
-                                                           small_workload):
+    def test_task_run_matches_direct_evaluation(self, tiny_chip,
+                                                small_workload):
         model = CostModel()
         scheduler = HeraldScheduler(model)
         design = make_fda(tiny_chip, SHIDIANNAO)
         task = EvaluationTask(7, design, small_workload)
-        via_task = run_evaluation_task(task, model, scheduler)
+        (via_task,) = SerialBackend(cost_model=model,
+                                    scheduler=scheduler).run([task])
         direct = evaluate_design(design, small_workload, cost_model=model,
                                  scheduler=scheduler)
         assert via_task.latency_s == direct.latency_s
@@ -189,7 +185,8 @@ class TestProcessPoolBackend:
             self, monkeypatch, tiny_chip, small_workload):
         """``herald fleet --jobs N`` has no break-even cap, and under fork
         a pool starts all its workers at once: a huge ``jobs`` once asked
-        for that many.  The executor is patched, so no process starts."""
+        for that many.  The label names the workers, not the ``jobs`` asked
+        for.  The executor is patched, so no process starts."""
         import concurrent.futures
 
         class Recorded(Exception):
@@ -203,9 +200,11 @@ class TestProcessPoolBackend:
                                 small_workload)
                  for index, style in enumerate((NVDLA, SHIDIANNAO))]
         for jobs, workers in ((100_000, 2), (2, 2), (1, 1)):
+            backend = ProcessPoolBackend(jobs=jobs)
             with pytest.raises(Recorded) as excinfo:
-                ProcessPoolBackend(jobs=jobs).run(tasks)
+                backend.run(tasks)
             assert excinfo.value.args == (workers,)
+            assert backend.describe() == f"process pool ({workers} jobs)"
 
     def test_duplicate_task_ids_rejected_before_dispatch(self, tiny_chip,
                                                          small_workload):
@@ -239,17 +238,14 @@ class TestDSETaskEnumeration:
             assert sum(task.pe_partition) == tiny_chip.num_pes
 
     def test_binary_strategy_adds_refinement_round(self, small_workload, tiny_chip):
-        model = CostModel()
-        scheduler = HeraldScheduler(model)
-        coarse = PartitionSearch(cost_model=model, scheduler=scheduler,
-                                 pe_steps=4, bw_steps=1)
-        binary = PartitionSearch(cost_model=model, scheduler=scheduler,
-                                 pe_steps=4, bw_steps=1, strategy="binary")
+        backend = SerialBackend()
+        coarse = PartitionSearch(pe_steps=4, bw_steps=1)
+        binary = PartitionSearch(pe_steps=4, bw_steps=1, strategy="binary")
         combo = [(NVDLA, SHIDIANNAO)]
-        space_coarse = HeraldDSE(cost_model=model, scheduler=scheduler,
+        space_coarse = HeraldDSE(backend=backend,
                                  partition_search=coarse).explore(
             small_workload, tiny_chip, hda_combinations=combo)
-        space_binary = HeraldDSE(cost_model=model, scheduler=scheduler,
+        space_binary = HeraldDSE(backend=backend,
                                  partition_search=binary).explore(
             small_workload, tiny_chip, hda_combinations=combo)
         assert len(space_binary.by_category("hda")) > len(space_coarse.by_category("hda"))

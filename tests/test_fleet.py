@@ -72,8 +72,8 @@ def fleet_cost_model():
 
 
 def _simulator(cost_model):
-    return FleetSimulator(cost_model=cost_model,
-                          scheduler=HeraldScheduler(cost_model))
+    return FleetSimulator(backend=SerialBackend(
+        cost_model=cost_model, scheduler=HeraldScheduler(cost_model)))
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +133,8 @@ class TestSingleChipIdentity:
             scheduler = HeraldScheduler(
                 fleet_cost_model, metric=config["metric"],
                 load_balance_factor=config["load_balance_factor"])
-            simulator = FleetSimulator(cost_model=fleet_cost_model,
-                                       scheduler=scheduler)
+            simulator = FleetSimulator(backend=SerialBackend(
+                cost_model=fleet_cost_model, scheduler=scheduler))
             result = simulator.simulate(streaming, Fleet.homogeneous(chip, 1),
                                         policy="passthrough")
             schedule = result.chip_results[0].schedule
@@ -361,12 +361,6 @@ class TestRouter:
 
 
 class TestFleetSimulator:
-    def test_backend_and_explicit_model_are_mutually_exclusive(self):
-        model = CostModel()
-        backend = SerialBackend(cost_model=model)
-        with pytest.raises(ValueError, match="backend"):
-            FleetSimulator(cost_model=model, backend=backend)
-
     def test_empty_chips_get_empty_reports(self, fleet_cost_model):
         streaming = _mini_streaming()
         fleet = Fleet.homogeneous(golden_scheduler.build_fleet_chip(), 4)

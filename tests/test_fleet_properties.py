@@ -25,6 +25,7 @@ from hypothesis import given, settings, strategies as st
 from repro.analysis.metrics import percentile
 from repro.core.scheduler import HeraldScheduler
 from repro.dataflow.styles import NVDLA, SHIDIANNAO
+from repro.exec.backends import SerialBackend
 from repro.maestro.cost import CostModel
 from repro.maestro.hardware import ChipConfig, SubAcceleratorConfig
 from repro.models.graph import ModelGraph
@@ -124,8 +125,8 @@ class TestFleetInvariants:
         streaming = _random_streaming(n, edge_seed, dims, num_streams, frames,
                                       fps, jitter_scale)
         fleet = _fleet(num_chips, heterogeneous)
-        simulator = FleetSimulator(cost_model=_COST_MODEL,
-                                   scheduler=HeraldScheduler(_COST_MODEL))
+        simulator = FleetSimulator(backend=SerialBackend(
+            cost_model=_COST_MODEL, scheduler=HeraldScheduler(_COST_MODEL)))
         result = simulator.simulate(streaming, fleet, policy=policy)
         plan, report = result.plan, result.report
 
@@ -202,8 +203,8 @@ class TestFleetInvariants:
         scheduler = HeraldScheduler(_COST_MODEL)
         bare = ServingSimulator(scheduler).simulate(streaming,
                                                     chip.sub_accelerators)
-        simulator = FleetSimulator(cost_model=_COST_MODEL,
-                                   scheduler=HeraldScheduler(_COST_MODEL))
+        simulator = FleetSimulator(backend=SerialBackend(
+            cost_model=_COST_MODEL, scheduler=HeraldScheduler(_COST_MODEL)))
         result = simulator.simulate(streaming, Fleet.homogeneous(chip, 1),
                                     policy=policy)
         chip_result = result.chip_results[0]

@@ -49,7 +49,7 @@ from repro.models.layer import Layer, LayerType, conv2d, fc, pwconv, upconv
 from repro.units import gbps, mib
 from repro.workloads.spec import WorkloadSpec
 from repro.workloads.suites import arvr_a
-from support import cost_with_style, workload_from_models
+from support import cost_with_style, partition_driver, workload_from_models
 
 
 def _count_mappings(monkeypatch):
@@ -211,8 +211,7 @@ class TestShapeDedupedCosts:
             self, tiny_chip, small_workload):
         model = CostModel()
         scheduler = HeraldScheduler(model)
-        search = PartitionSearch(cost_model=model, scheduler=scheduler,
-                                 pe_steps=4, bw_steps=2)
+        search = PartitionSearch(pe_steps=4, bw_steps=2)
         styles = [NVDLA, SHIDIANNAO]
         designs = [search.build_design(tiny_chip, styles, pes, bws)
                    for pes, bws in search.candidate_partitions(
@@ -234,10 +233,9 @@ class TestShapeDedupedCosts:
         binary search computes each (shape, array) pair once, up front, and
         the scheduler's cost-column fill then finds it warm."""
         model = CostModel()
-        search = PartitionSearch(cost_model=model,
-                                 scheduler=HeraldScheduler(model),
-                                 pe_steps=4, bw_steps=2, strategy="binary")
-        points = search.search(tiny_chip, [NVDLA, SHIDIANNAO], small_workload)
+        search = PartitionSearch(pe_steps=4, bw_steps=2, strategy="binary")
+        points = partition_driver(search, model).search_partitions(
+            small_workload, tiny_chip, [NVDLA, SHIDIANNAO])
         hardware_keys = {
             model.hardware_key(acc)
             for point in points
@@ -257,8 +255,7 @@ class TestCostColumns:
             self, tiny_chip, small_workload):
         model = CostModel()
         scheduler = HeraldScheduler(model)
-        search = PartitionSearch(cost_model=model, scheduler=scheduler,
-                                 pe_steps=4, bw_steps=2)
+        search = PartitionSearch(pe_steps=4, bw_steps=2)
         # A two-way split fixes the whole design by its first array, so the
         # sharing comes from a common NVDLA across style combinations and
         # from three-way splits that keep one array while moving the others.
@@ -830,9 +827,8 @@ class TestShapeKeyedMemoBugfix:
         record per PE count took 2,106."""
         built = _count_mappings(monkeypatch)
         model = CostModel()
-        scheduler = HeraldScheduler(model)
-        search = search_from_spec({}, cost_model=model, scheduler=scheduler)
-        HeraldDSE(cost_model=model, scheduler=scheduler,
+        search = search_from_spec({})
+        HeraldDSE(backend=SerialBackend(cost_model=model),
                   partition_search=search).explore(
                       arvr_a(), ACCELERATOR_CLASSES["cloud"])
         assert (len(model._activities), len(built),

@@ -21,8 +21,10 @@ from repro.core.evaluator import evaluate_design
 from repro.core.partitioner import PartitionSearch
 from repro.core.scheduler import GreedyScheduler, HeraldScheduler
 from repro.dataflow.styles import ALL_STYLES, NVDLA, SHIDIANNAO
+from repro.exec.backends import SerialBackend
 from repro.maestro.cost import CostModel
 from repro.workloads.suites import arvr_a, mlperf, workload_by_name
+from support import partition_driver
 
 
 @pytest.fixture(scope="module")
@@ -32,10 +34,8 @@ def cost_model_shared():
 
 @pytest.fixture(scope="module")
 def dse(cost_model_shared):
-    scheduler = HeraldScheduler(cost_model_shared)
-    search = PartitionSearch(cost_model=cost_model_shared, scheduler=scheduler,
-                             pe_steps=8, bw_steps=4)
-    return HeraldDSE(cost_model=cost_model_shared, scheduler=scheduler,
+    search = PartitionSearch(pe_steps=8, bw_steps=4)
+    return HeraldDSE(backend=SerialBackend(cost_model=cost_model_shared),
                      partition_search=search)
 
 
@@ -150,17 +150,19 @@ class TestHardwarePartitioning:
         # noticeably more EDP than the best one.
         from repro.analysis.sweeps import pe_partition_sweep
 
-        points = pe_partition_sweep(arvr_a(), EDGE, steps=8,
-                                    cost_model=cost_model_shared)
+        points = pe_partition_sweep(
+            arvr_a(), EDGE, steps=8,
+            backend=SerialBackend(cost_model=cost_model_shared))
         edps = [point.edp for point in points]
         assert max(edps) > 1.10 * min(edps)
 
     def test_optimised_partition_never_worse_than_even(self, cost_model_shared):
         workload = mlperf()
         scheduler = HeraldScheduler(cost_model_shared)
-        search = PartitionSearch(cost_model=cost_model_shared, scheduler=scheduler,
-                                 pe_steps=8, bw_steps=4)
-        best = search.search_best(EDGE, [NVDLA, SHIDIANNAO], workload)
+        search = PartitionSearch(pe_steps=8, bw_steps=4)
+        best = search.best_point(
+            partition_driver(search, cost_model_shared, scheduler)
+            .search_partitions(workload, EDGE, [NVDLA, SHIDIANNAO]))
         even = evaluate_design(make_hda(EDGE, [NVDLA, SHIDIANNAO]), workload,
                                cost_model=cost_model_shared, scheduler=scheduler)
         assert best.edp <= even.edp + 1e-12

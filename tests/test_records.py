@@ -202,7 +202,7 @@ def _records():
     sustained = sustained_fps(ServingSimulator(HeraldScheduler(cost_model)),
                               streaming, chip.sub_accelerators,
                               iterations=2)
-    simulator = FleetSimulator(cost_model=cost_model)
+    simulator = FleetSimulator(backend=SerialBackend(cost_model=cost_model))
     fleet = Fleet.homogeneous(chip, 2)
     fleet_result = simulator.simulate(streaming, fleet, policy="round-robin")
     min_chips = min_chips_for_sla(simulator, streaming, chip, max_chips=2)

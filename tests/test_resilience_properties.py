@@ -29,7 +29,6 @@ from hypothesis import given, settings, strategies as st
 from repro.accel.builders import enumerate_fdas, make_hda, make_rda
 from repro.core.dse import HeraldDSE
 from repro.core.partitioner import PartitionSearch
-from repro.core.scheduler import HeraldScheduler
 from repro.dataflow.styles import NVDLA, SHIDIANNAO
 from repro.exceptions import CheckpointError, TaskExecutionError, WorkloadError
 from repro.exec import (
@@ -37,7 +36,6 @@ from repro.exec import (
     ProcessPoolBackend,
     SerialBackend,
     SweepCheckpoint,
-    run_evaluation_task,
     sweep_key_from,
 )
 from repro.maestro.cost import CostModel
@@ -476,13 +474,17 @@ class TestLibraryErrors:
         import repro.exec.backends as backends
 
         runs = []
+        evaluate = backends.evaluate_design
 
-        def counting(task, cost_model, scheduler):
-            runs.append(task.task_id)
-            return run_evaluation_task(task, cost_model, scheduler)
+        def counting(design, workload, **models):
+            runs.append(next((task.task_id for task in tasks
+                              if task.design is design
+                              and task.workload is workload), None))
+            return evaluate(design, workload, **models)
 
-        # Counted in this process; pool workers count in their own copies.
-        monkeypatch.setattr(backends, "run_evaluation_task", counting)
+        # Counted in this process; pool workers count in their own copies
+        # (of the tasks too, so they match none of these).
+        monkeypatch.setattr(backends, "evaluate_design", counting)
         tasks = _with_rejected_task(task_bag)
         outcome = _backend(name).run_resilient(tasks, partial_ok=True)
         if name == "serial":
@@ -547,12 +549,9 @@ class TestRealPoolRecovery:
 # ---------------------------------------------------------------------------
 class TestUpperLayers:
     def _dse(self, backend):
-        model = backend.cost_model
-        scheduler = HeraldScheduler(model)
-        search = PartitionSearch(cost_model=model, scheduler=scheduler,
-                                 pe_steps=2, bw_steps=1)
-        return HeraldDSE(cost_model=model, scheduler=scheduler,
-                         partition_search=search, backend=backend)
+        return HeraldDSE(backend=backend,
+                         partition_search=PartitionSearch(pe_steps=2,
+                                                          bw_steps=1))
 
     def test_partial_dse_reports_failures(self, small_workload, tiny_chip):
         backend = _RejectingBackend({0}, cost_model=CostModel())

@@ -51,6 +51,7 @@ from repro.serve import (
 from repro.units import seconds_to_cycles
 from repro.workloads.spec import WorkloadSpec
 from schedule_oracle import schedule_from_entries, validate_schedule
+from support import partition_driver
 
 
 def _timeline(schedule):
@@ -629,13 +630,13 @@ class TestSlaObjective:
 
     def test_partition_objective_prefers_zero_miss_over_lower_p99(self,
                                                                   cost_model):
-        search = PartitionSearch(cost_model=cost_model, metric="sla")
+        search = PartitionSearch(metric="sla")
         meets = search._objective(self._point(missed=0.0, p99=0.9, edp=5.0))
         misses = search._objective(self._point(missed=3.0, p99=0.1, edp=1.0))
         assert meets < misses
 
     def test_partition_objective_breaks_ties_on_p99_then_edp(self, cost_model):
-        search = PartitionSearch(cost_model=cost_model, metric="sla")
+        search = PartitionSearch(metric="sla")
         fast = search._objective(self._point(missed=0.0, p99=0.1, edp=9.0))
         slow = search._objective(self._point(missed=0.0, p99=0.2, edp=1.0))
         assert fast < slow
@@ -645,14 +646,14 @@ class TestSlaObjective:
     def test_unknown_metric_still_rejected(self, cost_model):
         from repro.exceptions import SearchError
         with pytest.raises(SearchError):
-            PartitionSearch(cost_model=cost_model, metric="bogus")
+            PartitionSearch(metric="bogus")
 
     def test_sla_search_on_streaming_workload(self, tiny_chip, cost_model):
         scheduler = HeraldScheduler(cost_model)
-        search = PartitionSearch(cost_model=cost_model, scheduler=scheduler,
-                                 pe_steps=4, bw_steps=1, metric="sla")
-        best = search.search_best(tiny_chip, [NVDLA, SHIDIANNAO],
-                                  _mini_streaming())
+        search = PartitionSearch(pe_steps=4, bw_steps=1, metric="sla")
+        best = search.best_point(
+            partition_driver(search, cost_model, scheduler).search_partitions(
+                _mini_streaming(), tiny_chip, [NVDLA, SHIDIANNAO]))
         frames = best.result.frame_summary()
         assert frames["frames"] == 7.0
         # The mini workload is easily served: the best point must meet SLA.
@@ -661,10 +662,8 @@ class TestSlaObjective:
     def test_evaluation_result_exposes_sla_properties(self, tiny_chip,
                                                       cost_model):
         scheduler = HeraldScheduler(cost_model)
-        design = PartitionSearch(
-            cost_model=cost_model, scheduler=scheduler, pe_steps=4,
-            bw_steps=1).build_design(tiny_chip, [NVDLA, SHIDIANNAO],
-                                     (128, 128), (4.0, 4.0))
+        design = PartitionSearch(pe_steps=4, bw_steps=1).build_design(
+            tiny_chip, [NVDLA, SHIDIANNAO], (128, 128), (4.0, 4.0))
         result = evaluate_design(design, _mini_streaming(),
                                  cost_model=cost_model, scheduler=scheduler)
         summary = result.frame_summary()
@@ -674,10 +673,8 @@ class TestSlaObjective:
     def test_dse_best_supports_sla(self, tiny_chip, cost_model):
         scheduler = HeraldScheduler(cost_model)
         streaming = _mini_streaming()
-        design = PartitionSearch(
-            cost_model=cost_model, scheduler=scheduler, pe_steps=4,
-            bw_steps=1).build_design(tiny_chip, [NVDLA, SHIDIANNAO],
-                                     (128, 128), (4.0, 4.0))
+        design = PartitionSearch(pe_steps=4, bw_steps=1).build_design(
+            tiny_chip, [NVDLA, SHIDIANNAO], (128, 128), (4.0, 4.0))
         meets = evaluate_design(design, streaming, cost_model=cost_model,
                                 scheduler=scheduler)
         result = DSEResult(workload_name=streaming.name, chip_name="tiny")
@@ -738,7 +735,7 @@ class TestBatchCorpusEquivalence:
 class TestPoolParity:
     def test_jobs4_reproduces_serial_streaming_results(self, tiny_chip):
         streaming = _mini_streaming(jitter_s=0.0002)
-        search = PartitionSearch(cost_model=CostModel(), pe_steps=4, bw_steps=1)
+        search = PartitionSearch(pe_steps=4, bw_steps=1)
         candidates = search.candidate_partitions(tiny_chip, 2)
         designs = [search.build_design(tiny_chip, [NVDLA, SHIDIANNAO], pes, bws)
                    for pes, bws in candidates]
