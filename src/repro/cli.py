@@ -33,9 +33,12 @@ schema ``herald run`` reads and executes it through the shared runner, so a
 flag invocation and the equivalent experiment file produce identical output
 and identical reports.
 
-Numeric arguments are validated in the parser (``type=`` callables raising
-``ArgumentTypeError``), so a bad ``--jobs 0`` or negative ``--pe-steps`` fails
-immediately with a clear message instead of deep inside the search.
+The experiment schema is the one validator of herald input: a flag value
+it (or the runner's run-site check) refuses -- ``--jobs 0``, ``--fault``
+without ``--online``, ``--resume`` without ``--checkpoint`` -- exits 2 with
+the one ``error:`` line, naming the dotted spec path, that the same value
+in an experiment file gives.  The parser only converts types; it checks
+nothing but ``--tolerance``, which has no spec key.
 """
 
 from __future__ import annotations
@@ -43,12 +46,12 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import Callable, Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro import __version__
 from repro.accel.classes import ACCELERATOR_CLASSES
 from repro.choices import ROUTER_POLICY_NAMES, TRAFFIC_KINDS
-from repro.exceptions import CheckpointError, SpecError, WorkloadError
+from repro.exceptions import CheckpointError, SpecError
 from repro.experiment.report import (
     compare_reports,
     load_report,
@@ -58,70 +61,68 @@ from repro.experiment.runner import run_experiment
 from repro.experiment.spec import (
     EXPERIMENT_KINDS,
     NAMED_DESIGNS,
+    SCHEDULER_METRICS,
     experiment_from_spec,
 )
 from repro.experiment.yamlish import load_config
 from repro.workloads import workload_by_name
 from repro.workloads.suites import WORKLOAD_SUITES
 
-#: Design names accepted by ``herald schedule`` / ``herald serve``.
-DESIGN_CHOICES = list(NAMED_DESIGNS)
-
-
-def _int_at_least(minimum: int) -> Callable[[str], int]:
-    """Parser type: an integer ``>= minimum``, rejected with a clear message."""
-
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"expected an integer, got {text!r}") from None
-        if value < minimum:
-            raise argparse.ArgumentTypeError(
-                f"must be an integer >= {minimum} (got {value})")
-        return value
-
-    return parse
-
-
-def _float_at_least(minimum: float, exclusive: bool = False) -> Callable[[str], float]:
-    """Parser type: a finite float ``>= minimum`` (``>`` when ``exclusive``)."""
-
-    def parse(text: str) -> float:
-        try:
-            value = float(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"expected a number, got {text!r}") from None
-        if not math.isfinite(value):
-            raise argparse.ArgumentTypeError(
-                f"must be a finite number (got {value})")
-        if value < minimum or (exclusive and value == minimum):
-            bound = f"> {minimum}" if exclusive else f">= {minimum}"
-            raise argparse.ArgumentTypeError(f"must be {bound} (got {value})")
-        return value
-
-    return parse
-
-
-def _fault_clause(text: str) -> str:
-    """Parser type: a ``die:CHIP@T`` / ``slow:CHIP@T0-T1xF`` fault clause.
-
-    Returns the clause *string* (the experiment schema carries clauses as
-    text); parsing here surfaces malformed clauses as argparse errors.
-    """
-    from repro.serve.faults import parse_fault_clause
-
+def _tolerance(text: str) -> float:
+    """Parser type of ``--tolerance``: a finite float ``>= 0``."""
     try:
-        parse_fault_clause(text)
-    except WorkloadError as error:
-        raise argparse.ArgumentTypeError(str(error)) from None
-    return text
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number (got {value})")
+    if value < 0.0:
+        raise argparse.ArgumentTypeError(f"must be >= 0.0 (got {value})")
+    return value
+
+
+def _add_target_flags(parser: argparse.ArgumentParser,
+                      design: bool = True) -> None:
+    """What runs where: the workload and chip (plus design and metric)."""
+    parser.add_argument("--workload", default="arvr-a",
+                        choices=sorted(WORKLOAD_SUITES))
+    parser.add_argument("--chip", default="edge",
+                        choices=sorted(ACCELERATOR_CLASSES))
+    if design:
+        parser.add_argument("--design", default="maelstrom",
+                            choices=NAMED_DESIGNS)
+        parser.add_argument("--metric", default="edp",
+                            choices=SCHEDULER_METRICS,
+                            help="layer-assignment objective of the "
+                                 "scheduler")
+
+
+def _add_report_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--report", default=None, metavar="PATH",
+                        help="write the versioned JSON report here")
+
+
+def _add_streaming_flags(parser: argparse.ArgumentParser) -> None:
+    """The periodic arrival trace of the serving commands (serve / fleet)."""
+    parser.add_argument("--frames", type=int, default=4,
+                        help="frames simulated per stream source")
+    parser.add_argument("--fps-scale", type=float, default=1.0,
+                        help="multiplier on the per-model Table II FPS "
+                             "targets")
+    parser.add_argument("--jitter-ms", type=float, default=0.0,
+                        help="uniform arrival jitter half-width in "
+                             "milliseconds")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="arrival-jitter seed")
 
 
 def _add_resilience_flags(parser: argparse.ArgumentParser) -> None:
-    """Failure-handling flags shared by the sweep commands (dse / fleet)."""
+    """Worker and failure-handling flags of the sweep commands (dse / fleet)."""
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="up to N worker processes (1 = in-process); a "
+                             "DSE too small to pay for them runs in-process")
     parser.add_argument("--partial-ok", action="store_true",
                         help="rank whatever completed and report failed "
                              "tasks as casualties instead of aborting the "
@@ -153,93 +154,51 @@ def _build_parser() -> argparse.ArgumentParser:
                                     "kinds")
 
     schedule = sub.add_parser("schedule", help="schedule a workload on one design")
-    schedule.add_argument("--workload", default="arvr-a", choices=sorted(WORKLOAD_SUITES))
-    schedule.add_argument("--chip", default="edge", choices=sorted(ACCELERATOR_CLASSES))
-    schedule.add_argument("--design", default="maelstrom", choices=DESIGN_CHOICES)
-    schedule.add_argument("--metric", default="edp", choices=["edp", "latency", "energy"])
-    schedule.add_argument("--report", default=None, metavar="PATH",
-                          help="write the versioned JSON report here")
+    _add_target_flags(schedule)
+    _add_report_flag(schedule)
 
     dse = sub.add_parser("dse", help="run the co-design-space exploration")
-    dse.add_argument("--workload", default="arvr-a", choices=sorted(WORKLOAD_SUITES))
-    dse.add_argument("--chip", default="edge", choices=sorted(ACCELERATOR_CLASSES))
-    dse.add_argument("--pe-steps", type=_int_at_least(2), default=8,
-                     help="granularity of the PE partition search (>= 2)")
-    dse.add_argument("--bw-steps", type=_int_at_least(1), default=4,
-                     help="granularity of the bandwidth partition search (>= 1)")
-    dse.add_argument("--jobs", type=_int_at_least(1), default=1,
-                     help="up to N worker processes; in-process when the "
-                          "sweep is too small to pay for them")
+    _add_target_flags(dse, design=False)
+    dse.add_argument("--pe-steps", type=int, default=8,
+                     help="granularity of the PE partition search")
+    dse.add_argument("--bw-steps", type=int, default=4,
+                     help="granularity of the bandwidth partition search")
     _add_resilience_flags(dse)
-    dse.add_argument("--report", default=None, metavar="PATH",
-                     help="write the versioned JSON report here")
+    _add_report_flag(dse)
 
     serve = sub.add_parser(
         "serve", help="simulate streaming frame arrivals on one design")
-    serve.add_argument("--workload", default="arvr-a", choices=sorted(WORKLOAD_SUITES))
-    serve.add_argument("--chip", default="edge", choices=sorted(ACCELERATOR_CLASSES))
-    serve.add_argument("--design", default="maelstrom", choices=DESIGN_CHOICES)
-    serve.add_argument("--metric", default="edp", choices=["edp", "latency", "energy"],
-                       help="layer-assignment objective of the online scheduler")
-    serve.add_argument("--frames", type=_int_at_least(1), default=4,
-                       help="frames simulated per stream source")
-    serve.add_argument("--fps-scale", type=_float_at_least(0.0, exclusive=True),
-                       default=1.0,
-                       help="multiplier on the per-model Table II FPS targets")
-    serve.add_argument("--jitter-ms", type=_float_at_least(0.0), default=0.0,
-                       help="uniform arrival jitter half-width in milliseconds")
-    serve.add_argument("--seed", type=int, default=0, help="arrival-jitter seed")
+    _add_target_flags(serve)
+    _add_streaming_flags(serve)
     serve.add_argument("--skip-sustained", action="store_true",
                        help="skip the sustained-FPS binary search")
-    serve.add_argument("--sustained-lo", type=_float_at_least(0.0, exclusive=True),
-                       default=1.0 / 256.0,
+    serve.add_argument("--sustained-lo", type=float, default=1.0 / 256.0,
                        help="lower bracket of the sustained-FPS rate search")
-    serve.add_argument("--sustained-hi", type=_float_at_least(0.0, exclusive=True),
-                       default=8.0,
+    serve.add_argument("--sustained-hi", type=float, default=8.0,
                        help="upper bracket of the sustained-FPS rate search")
-    serve.add_argument("--sustained-probes", type=_int_at_least(1), default=10,
+    serve.add_argument("--sustained-probes", type=int, default=10,
                        help="bisection probe budget of the sustained-FPS search")
-    serve.add_argument("--sustained-tolerance", type=_float_at_least(0.0),
-                       default=0.0,
+    serve.add_argument("--sustained-tolerance", type=float, default=0.0,
                        help="stop the sustained-FPS bisection once the rate "
                             "bracket is at most this wide (0 = exhaust probes)")
     serve.add_argument("--optimize-sla", action="store_true",
                        help="additionally search the maelstrom PE/BW partition "
                             "under the SLA objective (zero misses, min p99)")
-    serve.add_argument("--report", default=None, metavar="PATH",
-                       help="write the versioned JSON report here")
+    _add_report_flag(serve)
 
     fleet = sub.add_parser(
         "fleet", help="simulate streaming arrivals on a multi-chip fleet")
-    fleet.add_argument("--workload", default="arvr-a",
-                       choices=sorted(WORKLOAD_SUITES))
-    fleet.add_argument("--chip", default="edge",
-                       choices=sorted(ACCELERATOR_CLASSES))
-    fleet.add_argument("--design", default="maelstrom", choices=DESIGN_CHOICES)
-    fleet.add_argument("--metric", default="edp",
-                       choices=["edp", "latency", "energy"],
-                       help="layer-assignment objective of each chip's "
-                            "online scheduler")
-    fleet.add_argument("--chips", type=_int_at_least(1), default=2,
+    _add_target_flags(fleet)
+    fleet.add_argument("--chips", type=int, default=2,
                        help="number of identical chips in the fleet")
     fleet.add_argument("--policy", default="earliest-completion",
                        choices=sorted(ROUTER_POLICY_NAMES),
                        help="frame dispatch policy of the fleet router")
-    fleet.add_argument("--frames", type=_int_at_least(1), default=4,
-                       help="frames simulated per stream source")
-    fleet.add_argument("--fps-scale", type=_float_at_least(0.0, exclusive=True),
-                       default=1.0,
-                       help="multiplier on the per-model Table II FPS targets")
-    fleet.add_argument("--jitter-ms", type=_float_at_least(0.0), default=0.0,
-                       help="uniform arrival jitter half-width in milliseconds")
-    fleet.add_argument("--seed", type=int, default=0, help="arrival-jitter seed")
-    fleet.add_argument("--jobs", type=_int_at_least(1), default=1,
-                       help="worker processes simulating chips in parallel "
-                            "(1 = in-process)")
+    _add_streaming_flags(fleet)
     fleet.add_argument("--min-chips", action="store_true",
                        help="additionally bisect the smallest fleet size "
                             "serving with zero deadline misses")
-    fleet.add_argument("--max-chips", type=_int_at_least(1), default=8,
+    fleet.add_argument("--max-chips", type=int, default=8,
                        help="upper bracket of the --min-chips bisection")
     fleet.add_argument("--online", action="store_true",
                        help="serve through the closed-loop event engine "
@@ -250,29 +209,27 @@ def _build_parser() -> argparse.ArgumentParser:
                             "seeded stochastic process at the same mean "
                             "rates")
     fleet.add_argument("--fault", action="append", default=None,
-                       type=_fault_clause, metavar="CLAUSE",
+                       metavar="CLAUSE",
                        help="inject a fault (repeatable): 'die:CHIP@T' kills "
                             "a chip at T seconds, 'slow:CHIP@T0-T1xF' runs "
                             "it Fx slower during [T0, T1); needs --online")
-    fleet.add_argument("--autoscale", default=None, metavar="INTERVAL_MS",
-                       type=_float_at_least(0.0, exclusive=True),
+    fleet.add_argument("--autoscale", type=float, default=None,
+                       metavar="INTERVAL_MS",
                        help="resize the active fleet against observed "
                             "backlog every INTERVAL_MS milliseconds; needs "
                             "--online")
     _add_resilience_flags(fleet)
-    fleet.add_argument("--report", default=None, metavar="PATH",
-                       help="write the versioned JSON report here")
+    _add_report_flag(fleet)
 
     run = sub.add_parser(
         "run", help="execute a declarative experiment file (JSON / YAML)")
     run.add_argument("experiment", metavar="FILE",
                      help="experiment spec file (.json / .yaml / .yml)")
-    run.add_argument("--report", default=None, metavar="PATH",
-                     help="write the versioned JSON report here")
+    _add_report_flag(run)
     run.add_argument("--baseline", default=None, metavar="PATH",
                      help="compare the run's metrics against this stored "
                           "report; exit 1 on regression")
-    run.add_argument("--tolerance", type=_float_at_least(0.0), default=0.0,
+    run.add_argument("--tolerance", type=_tolerance, default=0.0,
                      help="relative tolerance of the baseline comparison")
     _add_checkpoint_flags(run)
 
@@ -281,13 +238,13 @@ def _build_parser() -> argparse.ArgumentParser:
     diff.add_argument("current", metavar="CURRENT", help="report to check")
     diff.add_argument("baseline", metavar="BASELINE",
                       help="stored baseline report")
-    diff.add_argument("--tolerance", type=_float_at_least(0.0), default=0.0,
+    diff.add_argument("--tolerance", type=_tolerance, default=0.0,
                       help="relative tolerance before a change counts as a "
                            "regression")
     return parser
 
 
-def _command_describe() -> int:
+def _command_describe(args: argparse.Namespace) -> int:
     print("Workloads (Table II):")
     for name in sorted(WORKLOAD_SUITES):
         workload = workload_by_name(name)
@@ -345,112 +302,66 @@ def _execute(mapping: Dict[str, object], report_path: Optional[str] = None,
     return 0
 
 
-def _command_schedule(args: argparse.Namespace) -> int:
-    return _execute({
-        "kind": "schedule",
-        "workload": args.workload,
-        "chip": args.chip,
-        "design": args.design,
-        "metric": args.metric,
-    }, report_path=args.report)
+def _experiment(args: argparse.Namespace, kind: str,
+                **sections: object) -> Dict[str, object]:
+    """The mapping a flag-driven command compiles to: kind, workload, chip
+    (plus design and metric), then the command's own ``sections``."""
+    mapping: Dict[str, object] = {"kind": kind, "workload": args.workload,
+                                  "chip": args.chip}
+    if kind != "dse":
+        mapping.update(design=args.design, metric=args.metric)
+    mapping.update(sections)
+    return mapping
 
 
-def _resilience_error(args: argparse.Namespace) -> Optional[str]:
-    """Cross-argument validation of the shared failure-handling flags."""
-    if args.resume and args.checkpoint is None:
-        return "--resume requires --checkpoint (nothing to resume from)"
-    return None
+def _streaming(args: argparse.Namespace) -> Dict[str, object]:
+    return {"frames": args.frames, "fps_scale": args.fps_scale,
+            "jitter_ms": args.jitter_ms, "seed": args.seed}
 
 
-def _compile_resilience(args: argparse.Namespace,
-                        exec_mapping: Dict[str, object]) -> None:
-    """Fold the failure-handling flags into an experiment exec mapping."""
+def _exec(args: argparse.Namespace) -> Dict[str, object]:
+    settings: Dict[str, object] = {"jobs": args.jobs}
     if args.partial_ok:
-        exec_mapping["partial_ok"] = True
+        settings["partial_ok"] = True
+    return settings
+
+
+def _command_schedule(args: argparse.Namespace) -> int:
+    return _execute(_experiment(args, "schedule"), report_path=args.report)
 
 
 def _command_dse(args: argparse.Namespace) -> int:
-    error = _resilience_error(args)
-    if error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    mapping: Dict[str, object] = {
-        "kind": "dse",
-        "workload": args.workload,
-        "chip": args.chip,
-        "search": {"pe_steps": args.pe_steps, "bw_steps": args.bw_steps},
-        "exec": {"jobs": args.jobs},
-    }
-    _compile_resilience(args, mapping["exec"])
+    mapping = _experiment(
+        args, "dse",
+        search={"pe_steps": args.pe_steps, "bw_steps": args.bw_steps},
+        exec=_exec(args))
     return _execute(mapping, report_path=args.report,
                     checkpoint_path=args.checkpoint, resume=args.resume)
 
 
 def _command_serve(args: argparse.Namespace) -> int:
-    # Cross-argument validation up front: the bracket error must not cost the
-    # user a full simulation first.
-    if not args.skip_sustained and not args.sustained_lo < args.sustained_hi:
-        print(f"error: --sustained-lo ({args.sustained_lo}) must be below "
-              f"--sustained-hi ({args.sustained_hi})", file=sys.stderr)
-        return 2
-    mapping: Dict[str, object] = {
-        "kind": "serve",
-        "workload": args.workload,
-        "chip": args.chip,
-        "design": args.design,
-        "metric": args.metric,
-        "streaming": {"frames": args.frames, "fps_scale": args.fps_scale,
-                      "jitter_ms": args.jitter_ms, "seed": args.seed},
-        "sustained": {"enabled": not args.skip_sustained,
-                      "lo": args.sustained_lo, "hi": args.sustained_hi,
-                      "probes": args.sustained_probes,
-                      "tolerance": args.sustained_tolerance},
-        "optimize_sla": args.optimize_sla,
-    }
+    mapping = _experiment(
+        args, "serve",
+        streaming=_streaming(args),
+        sustained={"enabled": not args.skip_sustained,
+                   "lo": args.sustained_lo, "hi": args.sustained_hi,
+                   "probes": args.sustained_probes,
+                   "tolerance": args.sustained_tolerance},
+        optimize_sla=args.optimize_sla)
     return _execute(mapping, report_path=args.report)
 
 
 def _command_fleet(args: argparse.Namespace) -> int:
-    # Cross-argument validation up front, before any simulation runs.
-    if args.fault and not args.online:
-        print("error: --fault requires --online (fault injection reacts to "
-              "observed state)", file=sys.stderr)
-        return 2
-    if args.autoscale is not None and not args.online:
-        print("error: --autoscale requires --online (the controller reacts "
-              "to observed backlog)", file=sys.stderr)
-        return 2
-    if args.traffic and args.jitter_ms:
-        print("error: --jitter-ms applies to the periodic trace only; "
-              "--traffic arrivals are already stochastic", file=sys.stderr)
-        return 2
-    error = _resilience_error(args)
-    if error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    if args.online and (args.checkpoint or args.partial_ok):
-        print("error: --checkpoint/--partial-ok apply to the a-priori task "
-              "sweep; the --online event engine has no task bag to "
-              "checkpoint", file=sys.stderr)
-        return 2
-    mapping: Dict[str, object] = {
-        "kind": "closed-loop" if args.online else "fleet",
-        "workload": args.workload,
-        "chip": args.chip,
-        "design": args.design,
-        "metric": args.metric,
-        "streaming": {"frames": args.frames, "fps_scale": args.fps_scale,
-                      "jitter_ms": args.jitter_ms, "seed": args.seed},
-        "fleet": {"chips": args.chips, "policy": args.policy},
-        "min_chips": {"enabled": args.min_chips,
-                      "max_chips": args.max_chips},
-        "exec": {"jobs": args.jobs},
-    }
-    _compile_resilience(args, mapping["exec"])
+    mapping = _experiment(
+        args, "closed-loop" if args.online else "fleet",
+        streaming=_streaming(args),
+        fleet={"chips": args.chips, "policy": args.policy},
+        min_chips={"enabled": args.min_chips, "max_chips": args.max_chips},
+        exec=_exec(args))
     if args.traffic:
         mapping["traffic"] = args.traffic
     if args.fault:
-        mapping["faults"] = list(args.fault)
+        mapping["faults"] = args.fault
     if args.autoscale is not None:
         mapping["autoscale"] = {"interval_ms": args.autoscale,
                                 "max_chips": args.chips}
@@ -459,10 +370,6 @@ def _command_fleet(args: argparse.Namespace) -> int:
 
 
 def _command_run(args: argparse.Namespace) -> int:
-    error = _resilience_error(args)
-    if error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
     try:
         mapping = load_config(args.experiment)
     except SpecError as error:
@@ -486,6 +393,12 @@ def _command_report_diff(args: argparse.Namespace) -> int:
     return 0 if comparison.ok else 1
 
 
+_COMMANDS = {"describe": _command_describe, "schedule": _command_schedule,
+             "dse": _command_dse, "serve": _command_serve,
+             "fleet": _command_fleet, "run": _command_run,
+             "report-diff": _command_report_diff}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point (returns a process exit code)."""
     parser = _build_parser()
@@ -493,21 +406,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "report-diff" and [] in (args.current, args.baseline):
         # argparse (Python 3.9-3.13) binds [] to a positional after "-- X --".
         parser.error("report-diff: needs a CURRENT and a BASELINE report")
-    if args.command == "describe":
-        return _command_describe()
-    if args.command == "schedule":
-        return _command_schedule(args)
-    if args.command == "dse":
-        return _command_dse(args)
-    if args.command == "serve":
-        return _command_serve(args)
-    if args.command == "fleet":
-        return _command_fleet(args)
-    if args.command == "run":
-        return _command_run(args)
-    if args.command == "report-diff":
-        return _command_report_diff(args)
-    raise AssertionError(f"unhandled command {args.command!r}")
+    return _COMMANDS[args.command](args)
 
 
 if __name__ == "__main__":

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import io
 import pickle
-from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import ReproError, SearchError, TaskExecutionError
 from repro.core.evaluator import EvaluationResult, evaluate_design
@@ -62,35 +62,6 @@ DEFAULT_SCOPE = "sweep"
 
 #: What one run of a task leaves: its result, or its failure record.
 _Done = Union[EvaluationResult, TaskFailure]
-
-
-class ExecutionBackend(Protocol):
-    """Protocol every execution backend implements."""
-
-    #: The backend's shared cost model.  Part of the contract because
-    #: consumers co-locate derived estimation with execution — e.g. the fleet
-    #: router warms its dispatch estimates on the same memo the backend's
-    #: workers are shipped — so a backend must expose which model that is.
-    cost_model: CostModel
-
-    def run(self, tasks: Sequence[EvaluationTask]) -> List[EvaluationResult]:
-        """Execute ``tasks`` and return results in submission order.
-
-        Raises :class:`~repro.exceptions.TaskExecutionError` if any task
-        fails.
-        """
-        ...
-
-    def run_resilient(self, tasks: Sequence[EvaluationTask],
-                      partial_ok: bool = False,
-                      checkpoint: Optional["SweepCheckpoint"] = None,
-                      scope: str = DEFAULT_SCOPE) -> ExecutionOutcome:
-        """Execute ``tasks``; return results, failures and bookkeeping."""
-        ...
-
-    def describe(self) -> str:
-        """One-line human-readable description."""
-        ...
 
 
 def _ensure_unique_task_ids(tasks: Sequence[EvaluationTask]) -> None:
@@ -126,8 +97,13 @@ def _attempt(task: EvaluationTask, cost_model: CostModel,
                            message=str(error), category=task.category)
 
 
-class _Backend:
-    """The state, counters and dispatch loop both backends share.
+class ExecutionBackend:
+    """The base class of every execution backend: the state, counters and
+    dispatch loop both backends share.
+
+    ``cost_model`` is part of the contract because consumers co-locate
+    derived estimation with execution: the fleet router warms its dispatch
+    estimates on the same memo the backend's workers are shipped.
 
     Subclasses provide ``_execute_remaining(tasks, book)`` — the backend's
     one dispatch loop, which hands each task and what its one run left to
@@ -251,15 +227,15 @@ class _Backend:
         raise NotImplementedError
 
 
-class SerialBackend(_Backend):
+class SerialBackend(ExecutionBackend):
     """Evaluate every task in-process, sharing one cost model and scheduler.
 
-    Takes the :class:`_Backend` parameters.
+    Takes the :class:`ExecutionBackend` parameters.
     """
 
     #: Named on each backend class, not only inherited, so a per-class
     #: wrapper (``perfbench/tracer.py``) times each backend's runs.
-    run = _Backend.run
+    run = ExecutionBackend.run
 
     def _label(self) -> str:
         return "serial (in-process)"
@@ -372,7 +348,7 @@ def _run_chunk(chunk: Sequence[EvaluationTask]) -> bytes:
     return buffer.getvalue()
 
 
-class ProcessPoolBackend(_Backend):
+class ProcessPoolBackend(ExecutionBackend):
     """Evaluate tasks on a pool of worker processes.
 
     Tasks are split into ``2 * jobs`` contiguous chunks (``ceil(len(tasks)
@@ -403,8 +379,8 @@ class ProcessPoolBackend(_Backend):
     jobs:
         Number of worker processes (>= 1).
 
-    The other parameters are :class:`_Backend`'s; the scheduler is shipped
-    to the workers so custom metrics/orderings are honoured.
+    The other parameters are :class:`ExecutionBackend`'s; the scheduler is
+    shipped to the workers so custom metrics/orderings are honoured.
     """
 
     def __init__(self, jobs: int = 2, cost_model: Optional[CostModel] = None,
@@ -416,7 +392,7 @@ class ProcessPoolBackend(_Backend):
         #: The most workers one dispatch has started (0 before the first).
         self.most_workers = 0
 
-    run = _Backend.run  # see SerialBackend.run
+    run = ExecutionBackend.run  # see SerialBackend.run
 
     def _label(self) -> str:
         # The workers started (the jobs asked for until a dispatch starts any).

@@ -59,7 +59,29 @@ def _resolve_design(reference: Union[str, AcceleratorDesign], workload, chip,
     return make_fda(chip, style_by_name(reference.split("-", 1)[1]))
 
 
-def _streaming_workload(spec: ExperimentSpec) -> "StreamingWorkload":
+# The latest cycle a trace may release a frame or set a deadline at.  Every
+# cycle count up to 2**53 is an exact float (about 104 days at 1 GHz); past
+# it a release absorbs the frame's latency, so a 1 s frame released at 4e306
+# cycles reports 0 ms, and an overflowed release reads inf cycles.
+_MAX_TRACE_CYCLES = 2.0 ** 53
+
+
+def _check_trace_cycles(streaming: "StreamingWorkload", chip,
+                        setting: str) -> None:
+    """Refuse a trace whose cycle counts the chip's clock cannot hold
+    (every design of a spec, each fleet chip's included, runs at the spec
+    chip's clock)."""
+    latest = max(max(stream.release_times_s()) + stream.effective_deadline_s
+                 for stream in streaming.streams)
+    cycles = latest * chip.clock_hz
+    if not cycles <= _MAX_TRACE_CYCLES:
+        raise SpecError(
+            f"{setting}: the trace's latest deadline, {latest:g} s, is "
+            f"{cycles:g} cycles at the {chip.clock_hz:g} Hz clock of chip "
+            f"{chip.name!r}, past the 2**53 cycles a float counts exactly")
+
+
+def _trace(spec: ExperimentSpec) -> "StreamingWorkload":
     """The arrival trace: explicit streams, stochastic traffic, or the
     periodic suite trace at the spec's knobs."""
     if spec.streams is not None:
@@ -82,6 +104,20 @@ def _streaming_workload(spec: ExperimentSpec) -> "StreamingWorkload":
     return streaming_suite(spec.workload.name, frames=knobs.frames,
                            fps_scale=knobs.fps_scale,
                            jitter_s=knobs.jitter_ms / 1e3, seed=knobs.seed)
+
+
+def _streaming_workload(spec: ExperimentSpec) -> "StreamingWorkload":
+    """The arrival trace, checked against the chip's clock (at the
+    sustained-FPS search's slowest rate too)."""
+    streaming = _trace(spec)
+    _check_trace_cycles(streaming, spec.chip, "streaming")
+    if spec.sustained.enabled:
+        try:  # a rate that underflows to 0 FPS
+            slowest = streaming.scaled(spec.sustained.lo)
+        except WorkloadError as error:
+            raise SpecError(f"sustained.lo: {error}") from None
+        _check_trace_cycles(slowest, spec.chip, "sustained.lo")
+    return streaming
 
 
 def run_experiment(spec: ExperimentSpec,
@@ -237,8 +273,8 @@ def _run_serve(spec: ExperimentSpec) -> ExperimentOutcome:
     from repro.serve.simulator import ServingSimulator, sustained_fps
 
     backend = _serial_backend(spec)
-    design = _resolve_design(spec.design, spec.workload, spec.chip, backend)
     streaming = _streaming_workload(spec)
+    design = _resolve_design(spec.design, spec.workload, spec.chip, backend)
     simulator = ServingSimulator(backend.scheduler)
     result = simulator.simulate(streaming, design.sub_accelerators)
 
@@ -298,6 +334,7 @@ def _run_fleet(spec: ExperimentSpec,
     )
 
     backend = _serial_backend(spec)
+    streaming = _streaming_workload(spec)
     design = _resolve_design(spec.design, spec.workload, spec.chip, backend)
 
     def build_design(sub: object, sub_path: str) -> AcceleratorDesign:
@@ -308,7 +345,6 @@ def _run_fleet(spec: ExperimentSpec,
         return design_from_spec(sub, path=sub_path, chip=spec.chip)
 
     fleet = fleet_from_spec(spec.fleet, build_design)
-    streaming = _streaming_workload(spec)
     # No simulation of this run has more chips than the larger of the
     # fleet and the min-chips search's ceiling, so no more workers pay.
     chips = len(fleet.chips)

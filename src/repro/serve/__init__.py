@@ -42,7 +42,7 @@ __all__, __getattr__, __dir__ = reexport(__name__, {
                               "ServingResult", "StreamStats",
                               "SustainedFpsResult", "sustained_fps",
                               "build_serving_report",
-                              "DEFAULT_DROP_DEADLINE_FACTOR"),
+                              "DROP_DEADLINE_FACTOR"),
     "repro.serve.router": ("Router", "DispatchPolicy", "DispatchPlan",
                            "FrameCostEstimator", "policy_by_name",
                            "ROUTER_POLICIES"),

@@ -44,7 +44,6 @@ from repro.serve.router import (
     Router,
 )
 from repro.serve.simulator import (
-    DEFAULT_DROP_DEADLINE_FACTOR,
     ServingReport,
     build_serving_report,
     stream_frame_latencies,
@@ -376,8 +375,8 @@ class FleetSimulator:
     parallel worker processes — results are identical, only wall-clock
     differs).  The router's load estimates and the chips' schedules share one
     cost model, so estimation warms exactly the memo scheduling consumes.
-    Frames later than ``DEFAULT_DROP_DEADLINE_FACTOR`` deadlines count as
-    late drops, as in the single-chip simulator's default.
+    Frames later than ``DROP_DEADLINE_FACTOR`` deadlines count as late
+    drops, as in the single-chip simulator.
 
     Parameters
     ----------
@@ -439,7 +438,6 @@ class FleetSimulator:
             schedule = evaluations[index].schedule
             records = schedule.frame_records()
             report = build_serving_report(workload, schedule, clock,
-                                          DEFAULT_DROP_DEADLINE_FACTOR,
                                           records=records)
             latencies, missed = _frame_accounting(
                 workload, records, clock, plan.frame_maps[index])
@@ -492,8 +490,7 @@ class FleetSimulator:
             intervals=tuple(outcome.intervals),
         )
         return build_online_result(streaming, fleet, policy_obj.name,
-                                   outcome, stats,
-                                   DEFAULT_DROP_DEADLINE_FACTOR)
+                                   outcome, stats)
 
     # ------------------------------------------------------------------
     # Aggregation

@@ -43,6 +43,7 @@ from repro.exec.tasks import EvaluationTask
 from repro.serve.faults import FaultSpec
 from repro.serve.fleet import ChipStats, Fleet, FleetReport
 from repro.serve.router import DispatchPolicy, FrameCostEstimator, FrameRef
+from repro.serve.simulator import DROP_DEADLINE_FACTOR
 from repro.serve.trace import FrameTrace
 from repro.serve.workload import StreamingWorkload
 from repro.validation import (
@@ -677,13 +678,12 @@ class OnlineEngine:
 # ---------------------------------------------------------------------------
 def build_online_result(streaming: StreamingWorkload, fleet: Fleet,
                         policy_name: str, outcome: OnlineOutcome,
-                        stats: OnlineStats,
-                        drop_deadline_factor: float) -> OnlineFleetResult:
+                        stats: OnlineStats) -> OnlineFleetResult:
     """Fold raw engine bookkeeping into a :class:`FleetReport`.
 
     The accounting mirrors the a-priori aggregation: a miss is the same
     strict ``latency > deadline``, a drop the same
-    ``latency > drop_deadline_factor * deadline``, percentiles pool the
+    ``latency > DROP_DEADLINE_FACTOR * deadline``, percentiles pool the
     completed frames' latencies.  Closed-loop chips are single queue
     servers, so utilisation is ``busy_s / horizon_s`` per chip (not divided
     across sub-accelerator arrays).  Lost frames appear only in
@@ -714,7 +714,7 @@ def build_online_result(streaming: StreamingWorkload, fleet: Fleet,
         if latency > bound:
             missed.append(frame_id)
             counters["missed"] += 1
-        if latency > drop_deadline_factor * bound:
+        if latency > DROP_DEADLINE_FACTOR * bound:
             counters["dropped"] += 1
         if outcome.start_s[position] > frame.release_s:
             counters["backlogged"] += 1

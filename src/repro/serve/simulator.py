@@ -12,7 +12,7 @@ the resulting schedule into per-stream SLA statistics:
 * **backlogged frames** — frames that finish after the next frame of the same
   stream has already been released, i.e. the stream is falling behind;
 * **dropped frames** — late-drop accounting: frames later than
-  ``drop_deadline_factor`` deadlines would have been discarded by a real
+  :data:`DROP_DEADLINE_FACTOR` deadlines would have been discarded by a real
   serving pipeline, so they are reported separately from ordinary misses.
 
 :func:`sustained_fps` binary-searches the largest uniform rate multiplier the
@@ -35,7 +35,7 @@ from repro.serve.workload import StreamingWorkload
 
 #: A frame later than this many deadlines is accounted as dropped (a real
 #: serving pipeline would have discarded it instead of displaying it late).
-DEFAULT_DROP_DEADLINE_FACTOR = 4.0
+DROP_DEADLINE_FACTOR = 4.0
 
 #: A sustained-FPS probe stops at the first layer that finishes past this
 #: multiple of its frame's deadline cycle.  The accounting compares
@@ -187,18 +187,10 @@ class ServingSimulator:
     ----------
     scheduler:
         The (configured) Herald scheduler to run in online mode.
-    drop_deadline_factor:
-        Late-drop threshold in units of the per-frame deadline (see module
-        docstring); must be >= 1.
     """
 
-    def __init__(self, scheduler: HeraldScheduler,
-                 drop_deadline_factor: float = DEFAULT_DROP_DEADLINE_FACTOR) -> None:
-        if drop_deadline_factor < 1.0:
-            raise ValueError(
-                f"drop_deadline_factor must be >= 1 (got {drop_deadline_factor})")
+    def __init__(self, scheduler: HeraldScheduler) -> None:
         self.scheduler = scheduler
-        self.drop_deadline_factor = drop_deadline_factor
 
     def simulate(self, streaming: StreamingWorkload,
                  sub_accelerators: Sequence[SubAcceleratorConfig]) -> ServingResult:
@@ -209,8 +201,7 @@ class ServingSimulator:
             spec, sub_accelerators,
             release_cycles=streaming.release_cycles(clock),
             deadline_cycles=streaming.deadline_cycles(clock))
-        report = build_serving_report(streaming, schedule, clock,
-                                      self.drop_deadline_factor)
+        report = build_serving_report(streaming, schedule, clock)
         return ServingResult(report=report, schedule=schedule)
 
     def _probe(self, streaming: StreamingWorkload,
@@ -236,7 +227,6 @@ class ServingSimulator:
 
 def build_serving_report(streaming: StreamingWorkload, schedule: Schedule,
                          clock_hz: float,
-                         drop_deadline_factor: float = DEFAULT_DROP_DEADLINE_FACTOR,
                          records: Optional[Dict[str, Dict[str, float]]] = None
                          ) -> ServingReport:
     """SLA accounting of one (streaming workload, schedule) pair.
@@ -250,13 +240,9 @@ def build_serving_report(streaming: StreamingWorkload, schedule: Schedule,
     optionally supplies a precomputed ``schedule.frame_records()`` so callers
     running several accounting passes over one schedule walk it only once.
     """
-    if drop_deadline_factor < 1.0:
-        raise ValueError(
-            f"drop_deadline_factor must be >= 1 (got {drop_deadline_factor})")
     if records is None:
         records = schedule.frame_records()
-    return _build_report_from_records(streaming, records, clock_hz,
-                                      drop_deadline_factor)
+    return _build_report_from_records(streaming, records, clock_hz)
 
 
 def stream_frame_latencies(stream, records: Dict[str, Dict[str, float]],
@@ -279,8 +265,7 @@ def stream_frame_latencies(stream, records: Dict[str, Dict[str, float]],
 
 def _build_report_from_records(streaming: StreamingWorkload,
                                records: Dict[str, Dict[str, float]],
-                               clock_hz: float,
-                               drop_deadline_factor: float) -> ServingReport:
+                               clock_hz: float) -> ServingReport:
     report = ServingReport(workload_name=streaming.name, clock_hz=clock_hz)
     for stream in streaming.streams:
         releases = stream.release_times_s()
@@ -310,7 +295,7 @@ def _build_report_from_records(streaming: StreamingWorkload,
         # apart.  rate * n is k/n * n for integer k, so round() is exact.
         miss_rate = deadline_miss_rate(latencies, bound)
         drop_rate = deadline_miss_rate(
-            latencies, bound * drop_deadline_factor)
+            latencies, bound * DROP_DEADLINE_FACTOR)
         report.streams.append(StreamStats(
             model_name=stream.model_name,
             fps=stream.fps,
@@ -391,8 +376,7 @@ def sustained_fps(simulator: ServingSimulator, streaming: StreamingWorkload,
         scaled = streaming.scaled(factor)
         schedule = simulator._probe(scaled, sub_accelerators)
         return schedule is not None and build_serving_report(
-            scaled, schedule, clock,
-            simulator.drop_deadline_factor).meets_sla
+            scaled, schedule, clock).meets_sla
 
     def finish(factor: float) -> SustainedFpsResult:
         fps = {stream.model_name: stream.fps * factor

@@ -336,18 +336,16 @@ class TestNonFiniteNumbers:
                 in capsys.readouterr().err)
 
     def test_serve_nan_fps_scale_is_exit_2(self, capsys):
-        assert self._exit_code(["serve", "--design", "fda-nvdla", "--frames",
-                                "1", "--fps-scale", "nan",
-                                "--skip-sustained"]) == 2
-        assert ("--fps-scale: must be a finite number (got nan)"
-                in capsys.readouterr().err)
+        assert main(["serve", "--design", "fda-nvdla", "--frames", "1",
+                     "--fps-scale", "nan", "--skip-sustained"]) == 2
+        assert ("error: streaming.fps_scale: expected a finite number "
+                "(got nan)" in capsys.readouterr().err)
 
     def test_infinite_jitter_is_exit_2(self, capsys):
-        assert self._exit_code(["serve", "--design", "fda-nvdla", "--frames",
-                                "1", "--jitter-ms", "inf",
-                                "--skip-sustained"]) == 2
-        assert ("--jitter-ms: must be a finite number (got inf)"
-                in capsys.readouterr().err)
+        assert main(["serve", "--design", "fda-nvdla", "--frames", "1",
+                     "--jitter-ms", "inf", "--skip-sustained"]) == 2
+        assert ("error: streaming.jitter_ms: expected a finite number "
+                "(got inf)" in capsys.readouterr().err)
 
     def test_spec_nan_fps_scale_is_exit_2(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
@@ -503,7 +501,8 @@ class TestServe:
                      "--design", "fda-nvdla", "--frames", "1",
                      "--sustained-lo", "4", "--sustained-hi", "2"]) == 2
         captured = capsys.readouterr()
-        assert "--sustained-lo" in captured.err
+        assert captured.err == ("error: sustained.lo: must be below "
+                                "sustained.hi (got lo=4, hi=2)\n")
         # The bracket error must fire before any simulation work (no report
         # output precedes it).
         assert captured.out == ""
@@ -596,17 +595,19 @@ class TestFleetOnline:
 
     def test_fault_requires_online(self, capsys):
         assert main(self._BASE + ["--fault", "die:0@0.01"]) == 2
-        assert "--fault requires --online" in capsys.readouterr().err
+        assert (capsys.readouterr().err
+                == "error: faults: not a setting of kind 'fleet'\n")
 
     def test_autoscale_requires_online(self, capsys):
         assert main(self._BASE + ["--autoscale", "5"]) == 2
-        assert "--autoscale requires --online" in capsys.readouterr().err
+        assert (capsys.readouterr().err
+                == "error: autoscale: not a setting of kind 'fleet'\n")
 
     def test_traffic_conflicts_with_jitter(self, capsys):
         assert main(self._BASE + ["--online", "--traffic", "poisson",
                                   "--jitter-ms", "1"]) == 2
-        assert "--jitter-ms applies to the periodic trace only" \
-            in capsys.readouterr().err
+        assert ("error: traffic: arrival jitter applies to the periodic "
+                "trace only" in capsys.readouterr().err)
 
     def test_all_chips_dead_is_a_clean_error(self, capsys):
         assert main(self._BASE + ["--online", "--fault", "die:0@0",
@@ -640,51 +641,63 @@ class TestParser:
             main(["schedule", "--workload", "bogus"])
 
     @pytest.mark.parametrize("argv, message", [
-        (["dse", "--jobs", "0"], "--jobs: must be an integer >= 1 (got 0)"),
-        (["dse", "--jobs", "-2"], "--jobs: must be an integer >= 1 (got -2)"),
+        (["dse", "--jobs", "0"],
+         "exec.jobs: expected a positive int (got 0)"),
+        (["dse", "--jobs", "-2"],
+         "exec.jobs: expected a positive int (got -2)"),
         (["dse", "--pe-steps", "-4"],
-         "--pe-steps: must be an integer >= 2 (got -4)"),
+         "search.pe_steps: expected an int >= 2 (got -4)"),
         (["dse", "--pe-steps", "1"],
-         "--pe-steps: must be an integer >= 2 (got 1)"),
+         "search.pe_steps: expected an int >= 2 (got 1)"),
         (["dse", "--bw-steps", "0"],
-         "--bw-steps: must be an integer >= 1 (got 0)"),
+         "search.bw_steps: expected a positive int (got 0)"),
         (["dse", "--bw-steps", "-1"],
-         "--bw-steps: must be an integer >= 1 (got -1)"),
+         "search.bw_steps: expected a positive int (got -1)"),
         (["serve", "--frames", "0"],
-         "--frames: must be an integer >= 1 (got 0)"),
-        (["serve", "--fps-scale", "0"], "--fps-scale: must be > 0.0 (got 0.0)"),
+         "streaming.frames: expected a positive int (got 0)"),
+        (["serve", "--fps-scale", "0"],
+         "streaming.fps_scale: expected a number > 0 (got 0)"),
         (["serve", "--jitter-ms", "-1"],
-         "--jitter-ms: must be >= 0.0 (got -1.0)"),
+         "streaming.jitter_ms: expected a number >= 0 (got -1)"),
         (["serve", "--sustained-lo", "0"],
-         "--sustained-lo: must be > 0.0 (got 0.0)"),
+         "sustained.lo: expected a number > 0 (got 0)"),
         (["serve", "--sustained-probes", "0"],
-         "--sustained-probes: must be an integer >= 1 (got 0)"),
+         "sustained.probes: expected a positive int (got 0)"),
         (["serve", "--sustained-tolerance", "-0.5"],
-         "--sustained-tolerance: must be >= 0.0 (got -0.5)"),
+         "sustained.tolerance: expected a number >= 0 (got -0.5)"),
         (["fleet", "--chips", "0"],
-         "--chips: must be an integer >= 1 (got 0)"),
-        (["fleet", "--jobs", "0"], "--jobs: must be an integer >= 1 (got 0)"),
+         "fleet.chips: expected a positive int (got 0)"),
+        (["fleet", "--jobs", "0"],
+         "exec.jobs: expected a positive int (got 0)"),
         (["fleet", "--max-chips", "0"],
-         "--max-chips: must be an integer >= 1 (got 0)"),
+         "min_chips.max_chips: expected a positive int (got 0)"),
         (["fleet", "--fps-scale", "-1"],
-         "--fps-scale: must be > 0.0 (got -1.0)"),
+         "streaming.fps_scale: expected a number > 0 (got -1)"),
         (["fleet", "--autoscale", "0"],
-         "--autoscale: must be > 0.0 (got 0.0)"),
+         "autoscale: not a setting of kind 'fleet'"),
         (["fleet", "--autoscale", "-2"],
-         "--autoscale: must be > 0.0 (got -2.0)"),
+         "autoscale: not a setting of kind 'fleet'"),
         (["fleet", "--fault", "nonsense"],
-         "malformed fault clause 'nonsense'"),
+         "faults: not a setting of kind 'fleet'"),
         (["fleet", "--fault", "slow:0@0.1x2"],
-         "malformed fault clause"),
-        (["dse", "--jobs", "two"], "--jobs: expected an integer, got 'two'"),
+         "faults: not a setting of kind 'fleet'"),
+        (["dse", "--jobs", "two"],
+         "argument --jobs: invalid int value: 'two'"),
     ])
-    def test_bad_numeric_arguments_rejected_in_parser(self, argv, message,
-                                                      capsys):
-        """Invalid counts/steps fail fast at parse time with a clear error."""
-        with pytest.raises(SystemExit) as excinfo:
-            main(argv)
-        assert excinfo.value.code == 2
-        assert message in capsys.readouterr().err
+    def test_bad_numeric_arguments_rejected_before_running(self, argv,
+                                                           message, capsys):
+        """Invalid counts/steps fail fast, before anything runs, with one
+        error line: the parser's for a non-number, else the schema's."""
+        try:
+            code = main(argv)
+        except SystemExit as exit_:
+            code = exit_.code
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines()
+                  if "error: " in line]
+        assert len(errors) == 1 and errors[0].endswith("error: " + message)
 
 
 class TestArgvFuzz:
@@ -850,3 +863,142 @@ class TestArgvFuzz:
             err = capsys.readouterr().err
             assert code == 2, (argv, err)
             assert sum("error:" in line for line in err.splitlines()) == 1
+
+
+def _exit_code(argv):
+    """``main(argv)``'s exit code, an argparse refusal's included."""
+    try:
+        return main(argv)
+    except SystemExit as exit_:
+        return exit_.code
+
+
+class TestFlagAndFileRejectAlike:
+    """The schema is the one validator of herald input: each argv the CLI
+    refuses, and the file holding the mapping that argv compiles to, end in
+    the same single ``error:`` line, exit 2 and no output."""
+
+    _STREAMING = {"frames": 4, "fps_scale": 1.0, "jitter_ms": 0.0, "seed": 0}
+    _BASE = {
+        "dse": {"kind": "dse", "workload": "arvr-a", "chip": "edge",
+                "search": {"pe_steps": 8, "bw_steps": 4},
+                "exec": {"jobs": 1}},
+        "serve": {"kind": "serve", "workload": "arvr-a", "chip": "edge",
+                  "design": "maelstrom", "metric": "edp",
+                  "streaming": _STREAMING,
+                  "sustained": {"enabled": True, "lo": 1.0 / 256.0,
+                                "hi": 8.0, "probes": 10, "tolerance": 0.0},
+                  "optimize_sla": False},
+        "fleet": {"kind": "fleet", "workload": "arvr-a", "chip": "edge",
+                  "design": "maelstrom", "metric": "edp",
+                  "streaming": _STREAMING,
+                  "fleet": {"chips": 2, "policy": "earliest-completion"},
+                  "min_chips": {"enabled": False, "max_chips": 8},
+                  "exec": {"jobs": 1}},
+    }
+
+    @pytest.mark.parametrize("argv, changes, run_flags", [
+        # The six cross-flag rules.
+        (["serve", "--sustained-lo", "4", "--sustained-hi", "2"],
+         {"sustained.lo": 4.0, "sustained.hi": 2.0}, []),
+        (["fleet", "--fault", "die:0@0.01"], {"faults": ["die:0@0.01"]}, []),
+        (["fleet", "--autoscale", "5"],
+         {"autoscale": {"interval_ms": 5.0, "max_chips": 2}}, []),
+        (["fleet", "--online", "--traffic", "poisson", "--jitter-ms", "1"],
+         {"kind": "closed-loop", "traffic": "poisson",
+          "streaming.jitter_ms": 1.0}, []),
+        (["dse", "--resume"], {}, ["--resume"]),
+        (["fleet", "--resume"], {}, ["--resume"]),
+        (["fleet", "--online", "--checkpoint", "sweep.ckpt"],
+         {"kind": "closed-loop"}, ["--checkpoint", "sweep.ckpt"]),
+        (["fleet", "--online", "--partial-ok"],
+         {"kind": "closed-loop", "exec.partial_ok": True}, []),
+        # Each numeric flag out of its range.
+        (["dse", "--pe-steps", "1"], {"search.pe_steps": 1}, []),
+        (["dse", "--bw-steps", "0"], {"search.bw_steps": 0}, []),
+        (["dse", "--jobs", "0"], {"exec.jobs": 0}, []),
+        (["serve", "--frames", "0"], {"streaming.frames": 0}, []),
+        (["serve", "--fps-scale", "nan"],
+         {"streaming.fps_scale": float("nan")}, []),
+        (["serve", "--jitter-ms", "-1"], {"streaming.jitter_ms": -1.0}, []),
+        (["serve", "--sustained-lo", "0"], {"sustained.lo": 0.0}, []),
+        (["serve", "--sustained-hi", "-8"], {"sustained.hi": -8.0}, []),
+        (["serve", "--sustained-probes", "0"], {"sustained.probes": 0}, []),
+        (["serve", "--sustained-tolerance", "-0.5"],
+         {"sustained.tolerance": -0.5}, []),
+        (["fleet", "--chips", "0"], {"fleet.chips": 0}, []),
+        (["fleet", "--frames", "-3"], {"streaming.frames": -3}, []),
+        (["fleet", "--fps-scale", "-1"], {"streaming.fps_scale": -1.0}, []),
+        (["fleet", "--jitter-ms", "inf"],
+         {"streaming.jitter_ms": float("inf")}, []),
+        (["fleet", "--jobs", "0"], {"exec.jobs": 0}, []),
+        (["fleet", "--max-chips", "0"], {"min_chips.max_chips": 0}, []),
+        (["fleet", "--online", "--autoscale", "0"],
+         {"kind": "closed-loop",
+          "autoscale": {"interval_ms": 0.0, "max_chips": 2}}, []),
+        # A malformed fault clause where faults apply.
+        (["fleet", "--online", "--fault", "slow:0@0.1x2"],
+         {"kind": "closed-loop", "faults": ["slow:0@0.1x2"]}, []),
+    ])
+    def test_the_flag_and_the_file_give_one_error_line(
+            self, argv, changes, run_flags, tmp_path, capsys, monkeypatch):
+        from repro import cli
+
+        mapping = json.loads(json.dumps(self._BASE[argv[0]]))
+        for dotted, value in changes.items():
+            *parents, key = dotted.split(".")
+            section = mapping
+            for parent in parents:
+                section = section[parent]
+            section[key] = value
+        validate, compiled = cli.experiment_from_spec, []
+
+        def recording(spec, *args, **kwargs):
+            compiled.append(json.dumps(spec))  # NaN-safe, order-sensitive
+            return validate(spec, *args, **kwargs)
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "experiment_from_spec", recording)
+        flag_code = _exit_code(argv)
+        flag = capsys.readouterr()
+        assert compiled == [json.dumps(mapping)]
+
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(mapping), encoding="utf-8")
+        file_code = _exit_code(["run", str(spec_file)] + run_flags)
+        file = capsys.readouterr()
+        assert (flag_code, flag.out) == (file_code, file.out) == (2, "")
+        assert flag.err == file.err
+        assert len(flag.err.splitlines()) == 1
+        assert flag.err.startswith("error: ")
+        assert not (tmp_path / "sweep.ckpt").exists()
+
+
+class TestTraceCycleResolution:
+    """A serving trace whose latest deadline is past 2**53 cycles at the
+    chip's clock, where a float stops counting cycles exactly, is refused
+    before anything runs; it once printed wrong SLA numbers."""
+
+    @pytest.mark.parametrize("argv, setting", [
+        # A ~1 s unet frame released at ~4e306 cycles reported p50 0.000 ms.
+        (["serve", "--design", "fda-nvdla", "--frames", "1",
+          "--fps-scale", "1e-300", "--skip-sustained"], "streaming"),
+        # Releases at the 1e-308 lower bracket overflowed to inf cycles, so
+        # the search printed "sustained FPS: none" though 1/256 sustains.
+        (["serve", "--design", "fda-nvdla", "--frames", "1",
+          "--sustained-lo", "1e-308", "--sustained-probes", "3"],
+         "sustained.lo"),
+        # The online fleet reported a p99 of 6.279 ms.
+        (["fleet", "--online", "--design", "fda-nvdla", "--chips", "2",
+          "--frames", "1", "--fps-scale", "1e-300"], "streaming"),
+    ], ids=["serve", "sustained", "closed-loop"])
+    def test_a_trace_past_2_53_cycles_is_exit_2(self, argv, setting, capsys):
+        started = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - started < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {setting}: the trace's "
+                                       f"latest deadline")
+        assert "past the 2**53 cycles" in captured.err
+        assert captured.err.count("\n") == 1

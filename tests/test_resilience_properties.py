@@ -613,12 +613,15 @@ class TestResilienceCLI:
     def test_resume_requires_checkpoint(self, capsys):
         from repro.cli import main
         assert main(["dse", "--resume"]) == 2
-        assert "--resume requires --checkpoint" in capsys.readouterr().err
+        assert (capsys.readouterr().err
+                == "error: resume: requires a checkpoint file\n")
 
     def test_online_rejects_checkpoint(self, capsys):
         from repro.cli import main
         assert main(["fleet", "--online", "--checkpoint", "x.ckpt"]) == 2
-        assert "no task bag" in capsys.readouterr().err
+        assert (capsys.readouterr().err
+                == "error: checkpoint: a 'closed-loop' experiment has no "
+                   "task sweep to checkpoint\n")
 
     def test_schedule_spec_rejects_retry_knobs(self):
         from repro.exceptions import SpecError

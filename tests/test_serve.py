@@ -39,6 +39,7 @@ from repro.maestro.cost import CostModel
 from repro.models.graph import ModelGraph
 from repro.models.layer import conv2d, fc, pwconv
 from repro.serve import (
+    DROP_DEADLINE_FACTOR,
     MODEL_TARGET_FPS,
     ServingSimulator,
     StreamSpec,
@@ -379,14 +380,21 @@ class TestServingSimulator:
         assert first.report.summary() == second.report.summary()
 
     def test_overloaded_stream_backlogs_and_drops(self, cost_model, accs):
-        streaming = _mini_streaming(fps_a=5e6, fps_b=5e6)  # 200-cycle periods
-        simulator = ServingSimulator(HeraldScheduler(cost_model),
-                                     drop_deadline_factor=1.0)
-        report = simulator.simulate(streaming, accs).report
+        """200-cycle periods: frames finish far past DROP_DEADLINE_FACTOR
+        deadlines, so they drop as well as miss."""
+        streaming = _mini_streaming(fps_a=5e6, fps_b=5e6)
+        simulator = ServingSimulator(HeraldScheduler(cost_model))
+        result = simulator.simulate(streaming, accs)
+        report = result.report
         assert report.missed_frames > 0
         assert report.backlogged_frames > 0
-        assert report.dropped_frames == report.missed_frames
+        assert 0 < report.dropped_frames <= report.missed_frames
         assert not report.meets_sla
+        latencies = result.schedule.frame_latencies_s()
+        assert report.dropped_frames == sum(
+            latencies[f"{stream.model_name}#{index}"]
+            > DROP_DEADLINE_FACTOR * stream.effective_deadline_s
+            for stream in streaming.streams for index in range(stream.frames))
 
     def test_reordered_arrivals_do_not_fabricate_backlog(self, cost_model,
                                                          accs):
