@@ -29,7 +29,7 @@ Quickstart
 
 # Defined before the re-export table: submodules (e.g. the report writer)
 # import it back from the package.
-__version__ = "1.32.0"
+__version__ = "1.33.0"
 
 from repro.exports import reexport
 

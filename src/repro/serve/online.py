@@ -32,10 +32,12 @@ progress rate; chip death orphans its queue.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from collections import deque
 from functools import cached_property
-from typing import Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (Callable, Deque, Dict, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from repro.analysis.metrics import percentile
 from repro.exceptions import SearchError, SpecError, WorkloadError
@@ -336,69 +338,33 @@ def measured_service_tables(streaming: StreamingWorkload,
 # ---------------------------------------------------------------------------
 # The event engine
 # ---------------------------------------------------------------------------
-class _InFlight:
-    """The frame a chip is currently serving, with lazy progress tracking."""
-
-    __slots__ = ("frame", "remaining_s", "last_update_s", "serving_since_s")
-
-    def __init__(self, frame: int, remaining_s: float,
-                 now_s: float) -> None:
-        self.frame = frame  # arrival position
-        self.remaining_s = remaining_s  # unit-speed seconds of work left
-        self.last_update_s = now_s
-        self.serving_since_s = now_s
-
-
 class _ChipState:
-    """One chip as a frame-serial queue server."""
+    """One chip as a frame-serial queue server.
 
-    __slots__ = ("alive", "factor", "queue", "current", "busy_s", "generation")
+    ``current`` is the arrival position of the frame in service, with
+    ``remaining_s`` unit-speed seconds left as of ``last_update_s``."""
+
+    __slots__ = ("alive", "factor", "queue", "current", "remaining_s",
+                 "last_update_s", "serving_since_s", "busy_s", "generation")
 
     def __init__(self) -> None:
         self.alive = True
         self.factor = 1.0  # wall seconds per unit-speed second (>= 1)
         self.queue: Deque[int] = deque()  # arrival positions
-        self.current: Optional[_InFlight] = None
+        self.current: Optional[int] = None
+        self.remaining_s = self.last_update_s = self.serving_since_s = 0.0
         self.busy_s = 0.0
         self.generation = 0  # bumped to invalidate scheduled completions
 
-    def pending_frames(self) -> int:
-        return len(self.queue) + (1 if self.current is not None else 0)
 
+class ObservedView(NamedTuple):
+    """The closed-loop fleet view: the engine's bound methods answer the
+    policy queries of :class:`~repro.serve.router.EstimateView` on live queue
+    state, one call each.  No ``commit``: the enqueue is the state change."""
 
-class ObservedView:
-    """The closed-loop fleet view: live queue state, not estimates.
-
-    Implements the same protocol as
-    :class:`~repro.serve.router.EstimateView`, so dispatch policies run
-    unmodified; ``commit`` is a no-op because the engine's enqueue *is* the
-    state change the estimate ledger only approximates.
-    """
-
-    def __init__(self, engine: "OnlineEngine") -> None:
-        self._engine = engine
-
-    @property
-    def num_chips(self) -> int:
-        return len(self._engine.chips)
-
-    def alive_chips(self) -> List[int]:
-        """Dispatchable chips: the live members of the active prefix."""
-        return self._engine.dispatchable_chips()
-
-    def outstanding_s(self, chip_index: int, now_s: float) -> float:
-        """Observed wall-seconds of unfinished work queued on the chip."""
-        return self._engine.chip_outstanding_s(chip_index, now_s)
-
-    def completion_s(self, chip_index: int, model_name: str,
-                     now_s: float) -> float:
-        state = self._engine.chips[chip_index]
-        return (now_s + self._engine.chip_outstanding_s(chip_index, now_s)
-                + self._engine.service_tables[chip_index][model_name]
-                * state.factor)
-
-    def commit(self, frame: FrameRef, chip_index: int) -> None:
-        """No-op: the engine's enqueue is the observable state change."""
+    alive_chips: Callable[[], Tuple[int, ...]]
+    outstanding_s: Callable[[int, float], float]
+    completion_s: Callable[[int, str, float], float]
 
 
 class OnlineOutcome:
@@ -407,14 +373,11 @@ class OnlineOutcome:
     Per-frame lists are indexed by arrival position; ``None`` means unset.
     """
 
-    def __init__(self, frames: List[FrameRef],
-                 start_s: List[Optional[float]],
-                 finish_s: List[Optional[float]],
-                 chip_history: List[Optional[List[int]]]) -> None:
+    def __init__(self, frames: List[FrameRef]) -> None:
         self.frames = frames
-        self.start_s = start_s
-        self.finish_s = finish_s
-        self.chip_history = chip_history
+        self.start_s: List[Optional[float]] = [None] * len(frames)
+        self.finish_s: List[Optional[float]] = [None] * len(frames)
+        self.chip_history: List[Optional[List[int]]] = [None] * len(frames)
         self.lost_frame_ids: List[str] = []
         self.busy_s: List[float] = []
         self.redispatched_frames = 0
@@ -451,7 +414,9 @@ class OnlineEngine:
         self.autoscale = autoscale
         self.work_stealing = work_stealing
         self.chips = [_ChipState() for _ in self.service_tables]
-        self.view = ObservedView(self)
+        self.view = ObservedView(self.dispatchable_chips,
+                                 self.chip_outstanding_s,
+                                 self.chip_completion_s)
         self.faults.validate_for_fleet(len(self.chips))
         if autoscale is not None and autoscale.min_chips > len(self.chips):
             raise WorkloadError(
@@ -471,53 +436,53 @@ class OnlineEngine:
             raise self._too_many_intervals()
         self.active_count = (len(self.chips) if autoscale is None
                              else min(autoscale.min_chips, len(self.chips)))
+        self._rebuild_dispatchable()
         self._heap: List[Tuple[float, int, int, object]] = []
-        self._sequence = 0
+        self._sequence = itertools.count()
         self._arrivals_pending = len(self.frames)
-        unset = [None] * len(self.frames)  # start_s, finish_s, chip_history
-        self.outcome = OnlineOutcome(self.frames, unset, unset[:], unset[:])
+        self.outcome = OnlineOutcome(self.frames)
 
-    # -- event plumbing -------------------------------------------------
-    def _push(self, time_s: float, priority: int, payload: object) -> None:
-        heapq.heappush(self._heap, (time_s, priority, self._sequence, payload))
-        self._sequence += 1
+    # -- fleet state queries (the view's methods) -----------------------
+    def _rebuild_dispatchable(self) -> None:
+        """Cache the live chips of the active prefix (nothing but a death or
+        a resize changes them) or, when the whole prefix is dead, any live
+        chip, so frames are not lost while a chip survives."""
+        chips = self.chips
+        self._dispatchable = (
+            tuple(chip for chip in range(self.active_count)
+                  if chips[chip].alive)
+            or tuple(chip for chip in range(len(chips)) if chips[chip].alive))
 
-    # -- fleet state queries (the view delegates here) ------------------
-    def dispatchable_chips(self) -> List[int]:
-        """Live chips in the active prefix; any live chip as a fallback.
-
-        The fallback preserves liveness under autoscaling: if every chip
-        the controller kept active has died, frames go to whatever is
-        still alive rather than being lost.
-        """
-        candidates = [chip for chip in range(self.active_count)
-                      if self.chips[chip].alive]
-        if candidates:
-            return candidates
-        return [chip for chip in range(len(self.chips))
-                if self.chips[chip].alive]
+    def dispatchable_chips(self) -> Tuple[int, ...]:
+        """Chips a frame may be dispatched to now, ascending."""
+        return self._dispatchable
 
     def chip_outstanding_s(self, chip_index: int, now_s: float) -> float:
+        """Observed wall-seconds of unfinished work queued on the chip."""
         # Left to right, remaining*f + s1*f + s2*f + ...: the goldens pin this
-        # order, which sum() (compensated since 3.12) would not keep.
+        # order; sum() (compensated since 3.12) or a running total would not.
         state = self.chips[chip_index]
+        factor = state.factor
         total = 0.0
         if state.current is not None:
-            elapsed = now_s - state.current.last_update_s
-            remaining = max(0.0,
-                            state.current.remaining_s - elapsed / state.factor)
-            total += remaining * state.factor
+            remaining = (state.remaining_s
+                         - (now_s - state.last_update_s) / factor)
+            total += (remaining if remaining > 0.0 else 0.0) * factor
         table, frames = self.service_tables[chip_index], self.frames
         for position in state.queue:
-            total += table[frames[position].model_name] * state.factor
+            total += table[frames[position].model_name] * factor
         return total
 
-    def _pending_frames(self) -> int:
-        return sum(state.pending_frames() for state in self.chips)
+    def chip_completion_s(self, chip_index: int, model_name: str,
+                          now_s: float) -> float:
+        """When one ``model_name`` frame dispatched now would finish."""
+        return (now_s + self.chip_outstanding_s(chip_index, now_s)
+                + self.service_tables[chip_index][model_name]
+                * self.chips[chip_index].factor)
 
     # -- serving --------------------------------------------------------
     def _dispatch(self, position: int, now_s: float) -> None:
-        candidates = self.dispatchable_chips()
+        candidates = self._dispatchable
         frame = self.frames[position]
         if not candidates:
             self.outcome.lost_frame_ids.append(_frame_id(frame))
@@ -528,39 +493,44 @@ class OnlineEngine:
                 f"policy {self.policy.name!r} routed frame {_frame_id(frame)} "
                 f"to chip {chip}, which is not dispatchable")
         history = self.outcome.chip_history
-        history[position] = (history[position] or []) + [chip]
-        self.chips[chip].queue.append(position)
-        self._maybe_start(chip, now_s)
+        if history[position] is None:
+            history[position] = [chip]
+        else:
+            history[position].append(chip)
+        state = self.chips[chip]
+        state.queue.append(position)
+        if state.current is None:
+            self._start(chip, state, now_s)
 
-    def _maybe_start(self, chip_index: int, now_s: float) -> None:
-        state = self.chips[chip_index]
-        if state.current is not None or not state.queue:
-            return
+    def _start(self, chip_index: int, state: _ChipState, now_s: float) -> None:
+        """Serve the head of an idle chip's non-empty queue."""
         position = state.queue.popleft()
-        state.factor = self.faults.speed_factor(chip_index, now_s)
+        state.factor = factor = self.faults.speed_factor(chip_index, now_s)
         work = self.service_tables[chip_index][
             self.frames[position].model_name]
-        state.current = _InFlight(position, remaining_s=work, now_s=now_s)
+        state.current, state.remaining_s = position, work
+        state.last_update_s = state.serving_since_s = now_s
         state.generation += 1
         self.outcome.start_s[position] = now_s
-        self._push(now_s + work * state.factor, _COMPLETION,
-                   (chip_index, state.generation))
+        heapq.heappush(self._heap, (
+            now_s + work * factor, _COMPLETION, next(self._sequence),
+            (chip_index, state.generation)))
 
-    def _steal(self, thief_index: int, now_s: float) -> None:
-        candidates = [chip for chip in self.dispatchable_chips()
-                      if chip != thief_index and self.chips[chip].queue]
+    def _steal(self, thief_index: int, thief: _ChipState,
+               now_s: float) -> None:
+        chips = self.chips
+        candidates = [chip for chip in self._dispatchable
+                      if chip != thief_index and chips[chip].queue]
         if not candidates:
             return
-        # Most-backlogged victim, lowest index on ties; take its newest
-        # (tail) frame so the victim's FIFO head keeps its position.
-        victim_index = min(candidates,
-                           key=lambda chip: (-len(self.chips[chip].queue),
-                                             chip))
-        position = self.chips[victim_index].queue.pop()
+        # Most-backlogged victim, lowest index on ties (max keeps the first);
+        # take its newest (tail) frame so the victim's FIFO head stays put.
+        victim_index = max(candidates, key=lambda chip: len(chips[chip].queue))
+        position = chips[victim_index].queue.pop()
         self.outcome.stolen_frames += 1
         self.outcome.chip_history[position].append(thief_index)
-        self.chips[thief_index].queue.append(position)
-        self._maybe_start(thief_index, now_s)
+        thief.queue.append(position)
+        self._start(thief_index, thief, now_s)
 
     # -- event handlers -------------------------------------------------
     def _on_completion(self, now_s: float, chip_index: int,
@@ -569,12 +539,13 @@ class OnlineEngine:
         if (not state.alive or state.current is None
                 or generation != state.generation):
             return  # superseded by a death or a slowdown reschedule
-        state.busy_s += now_s - state.current.serving_since_s
-        self.outcome.finish_s[state.current.frame] = now_s
+        state.busy_s += now_s - state.serving_since_s
+        self.outcome.finish_s[state.current] = now_s
         state.current = None
-        self._maybe_start(chip_index, now_s)
-        if state.current is None and self.work_stealing:
-            self._steal(chip_index, now_s)
+        if state.queue:
+            self._start(chip_index, state, now_s)
+        elif self.work_stealing:
+            self._steal(chip_index, state, now_s)
 
     def _on_death(self, now_s: float, chip_index: int) -> None:
         state = self.chips[chip_index]
@@ -582,10 +553,11 @@ class OnlineEngine:
             return
         state.alive = False
         state.generation += 1  # invalidate any scheduled completion
+        self._rebuild_dispatchable()
         orphans: List[int] = []
         if state.current is not None:
-            state.busy_s += now_s - state.current.serving_since_s  # wasted
-            orphans.append(state.current.frame)
+            state.busy_s += now_s - state.serving_since_s  # wasted
+            orphans.append(state.current)
             state.current = None
         orphans.extend(state.queue)
         state.queue.clear()
@@ -603,14 +575,15 @@ class OnlineEngine:
             return
         new_factor = self.faults.speed_factor(chip_index, now_s)
         if state.current is not None:
-            elapsed = now_s - state.current.last_update_s
-            state.current.remaining_s = max(
-                0.0, state.current.remaining_s - elapsed / state.factor)
-            state.current.last_update_s = now_s
+            elapsed = now_s - state.last_update_s
+            state.remaining_s = max(
+                0.0, state.remaining_s - elapsed / state.factor)
+            state.last_update_s = now_s
             state.factor = new_factor
             state.generation += 1
-            self._push(now_s + state.current.remaining_s * new_factor,
-                       _COMPLETION, (chip_index, state.generation))
+            heapq.heappush(self._heap, (
+                now_s + state.remaining_s * new_factor, _COMPLETION,
+                next(self._sequence), (chip_index, state.generation)))
         else:
             state.factor = new_factor
 
@@ -624,10 +597,12 @@ class OnlineEngine:
         assert self.autoscale is not None
         if index > _MAX_AUTOSCALE_INTERVALS:
             raise self._too_many_intervals()
-        pending = self._pending_frames()
+        pending = sum(len(state.queue) + (state.current is not None)
+                      for state in self.chips)
         before = self.active_count
         self.active_count = self.autoscale.desired_chips(
             pending, len(self.chips))
+        self._rebuild_dispatchable()
         self.outcome.intervals.append(AutoscaleInterval(
             index=index,
             start_s=now_s - self.autoscale.interval_s,
@@ -637,35 +612,50 @@ class OnlineEngine:
             active_after=self.active_count,
         ))
         if self._arrivals_pending > 0 or pending > 0:
-            self._push(now_s + self.autoscale.interval_s, _AUTOSCALE,
-                       index + 1)
+            heapq.heappush(self._heap, (
+                now_s + self.autoscale.interval_s, _AUTOSCALE,
+                next(self._sequence), index + 1))
 
     # -- the loop -------------------------------------------------------
     def run(self) -> OnlineOutcome:
         """Play the whole event script to quiescence."""
         self.policy.begin(self.frames, self.service_tables)
-        for position, frame in enumerate(self.frames):
-            self._push(frame.release_s, _ARRIVAL, position)
-        for failure in self.faults.failures:
-            self._push(failure.at_s, _DEATH, failure.chip_index)
-        for chip_index in range(len(self.chips)):
-            for transition_s in self.faults.transition_times(chip_index):
-                self._push(transition_s, _SLOWDOWN, chip_index)
+        # Arrivals merge in from a sorted list, not the heap; no other event
+        # has their priority, so (time, priority) orders them against it.
+        arrivals = [(frame.release_s, _ARRIVAL, position)
+                    for position, frame in enumerate(self.frames)]
+        arrivals.sort()
+        sequence, heap = self._sequence, self._heap
+        heap.extend((failure.at_s, _DEATH, next(sequence), failure.chip_index)
+                    for failure in self.faults.failures)
+        heap.extend((transition_s, _SLOWDOWN, next(sequence), chip_index)
+                    for chip_index in range(len(self.chips))
+                    for transition_s in self.faults.transition_times(chip_index))
         if self.autoscale is not None:
-            self._push(self.autoscale.interval_s, _AUTOSCALE, 1)
+            heap.append((self.autoscale.interval_s, _AUTOSCALE,
+                         next(sequence), 1))
+        heapq.heapify(heap)
 
-        while self._heap:
-            now_s, priority, _, payload = heapq.heappop(self._heap)
+        pop, dispatch = heapq.heappop, self._dispatch
+        on_completion = self._on_completion
+        next_arrival, total = 0, len(arrivals)
+        while True:
+            if next_arrival < total and (not heap
+                                         or arrivals[next_arrival] < heap[0]):
+                now_s, _, position = arrivals[next_arrival]
+                next_arrival += 1
+                self._arrivals_pending -= 1
+                dispatch(position, now_s)
+                continue
+            if not heap:
+                break
+            now_s, priority, _, payload = pop(heap)
             if priority == _COMPLETION:
-                chip_index, generation = payload
-                self._on_completion(now_s, chip_index, generation)
+                on_completion(now_s, *payload)
             elif priority == _DEATH:
                 self._on_death(now_s, payload)
             elif priority == _SLOWDOWN:
                 self._on_slowdown(now_s, payload)
-            elif priority == _ARRIVAL:
-                self._arrivals_pending -= 1
-                self._dispatch(payload, now_s)
             else:
                 self._on_autoscale(now_s, payload)
 

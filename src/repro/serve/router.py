@@ -123,15 +123,19 @@ class EstimateView:
     """The a-priori router's fleet state: estimated drain instants per chip.
 
     Policies never touch router state directly; they query a *view* — this
-    one for offline planning, :class:`repro.serve.online.ObservedView` for
-    the closed loop — through a fixed protocol:
+    one for offline planning, for the closed loop an
+    :class:`repro.serve.online.ObservedView` of the engine's bound methods —
+    through a fixed protocol:
 
-    * :meth:`alive_chips` — dispatchable chip indices, ascending;
+    * :meth:`alive_chips` — dispatchable chip indices, ascending (``min``
+      keeps the first of equal keys, so policies break ties to the lowest);
     * :meth:`outstanding_s` — seconds of unfinished work a frame arriving
       now would queue behind on a chip;
     * :meth:`completion_s` — the instant that chip would finish one frame of
-      a model dispatched now (backlog drain plus the frame's own service);
-    * :meth:`commit` — record a dispatch decision into the view's state.
+      a model dispatched now (backlog drain plus the frame's own service).
+
+    :meth:`commit` records a dispatch into the estimates; only the a-priori
+    driver calls it.
 
     Here every chip is permanently alive and ``available_at[c]`` is the
     estimated instant chip ``c``'s dispatched-but-unfinished work drains,
@@ -142,13 +146,9 @@ class EstimateView:
         self.service_tables = list(service_tables)
         self.available_at = [0.0] * len(self.service_tables)
 
-    @property
-    def num_chips(self) -> int:
-        return len(self.service_tables)
-
     def alive_chips(self) -> List[int]:
         """Chips a frame may be dispatched to (all of them, a-priori)."""
-        return list(range(self.num_chips))
+        return list(range(len(self.service_tables)))
 
     def outstanding_s(self, chip_index: int, now_s: float) -> float:
         """Unfinished work (seconds) queued on a chip as seen at ``now_s``."""
@@ -254,7 +254,7 @@ class LeastOutstandingPolicy(DispatchPolicy):
 
     def choose(self, frame, now_s, view):
         return min(view.alive_chips(),
-                   key=lambda index: (view.outstanding_s(index, now_s), index))
+                   key=lambda index: view.outstanding_s(index, now_s))
 
 
 class EarliestCompletionPolicy(DispatchPolicy):
@@ -273,8 +273,8 @@ class EarliestCompletionPolicy(DispatchPolicy):
     def choose(self, frame, now_s, view):
         return min(
             view.alive_chips(),
-            key=lambda index: (
-                view.completion_s(index, frame.model_name, now_s), index))
+            key=lambda index: view.completion_s(index, frame.model_name,
+                                                now_s))
 
 
 class StickyPolicy(DispatchPolicy):
@@ -333,8 +333,7 @@ class StickyPolicy(DispatchPolicy):
         alive = view.alive_chips()
         if chip not in alive:
             chip = min(alive,
-                       key=lambda index: (view.outstanding_s(index, now_s),
-                                          index))
+                       key=lambda index: view.outstanding_s(index, now_s))
             self._placement[frame.stream_index] = chip
         return chip
 
@@ -440,16 +439,13 @@ def arrival_order(streaming: StreamingWorkload) -> List[FrameRef]:
     front-end would observe, with deterministic tie-breaking so dispatch
     plans are reproducible across platforms.
     """
-    frames: List[FrameRef] = []
-    for stream_index, stream in enumerate(streaming.streams):
-        for frame_index, release in enumerate(stream.release_times_s()):
-            frames.append(FrameRef(stream_index=stream_index,
-                                   model_name=stream.model_name,
-                                   frame_index=frame_index,
-                                   release_s=release))
-    frames.sort(key=lambda frame: (frame.release_s, frame.stream_index,
-                                   frame.frame_index))
-    return frames
+    keys = [(release, stream_index, frame_index)
+            for stream_index, stream in enumerate(streaming.streams)
+            for frame_index, release in enumerate(stream.release_times_s())]
+    keys.sort()
+    names = [stream.model_name for stream in streaming.streams]
+    return [FrameRef(stream_index, names[stream_index], frame_index, release)
+            for release, stream_index, frame_index in keys]
 
 
 def _build_chip_workloads(streaming: StreamingWorkload,

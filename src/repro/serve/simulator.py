@@ -31,6 +31,7 @@ from repro.analysis.metrics import deadline_miss_rate, percentile
 from repro.core.schedule import Schedule
 from repro.core.scheduler import HeraldScheduler
 from repro.maestro.hardware import SubAcceleratorConfig
+from repro.serve.trace import report_number
 from repro.serve.workload import StreamingWorkload
 
 #: A frame later than this many deadlines is accounted as dropped (a real
@@ -81,7 +82,8 @@ class StreamStats(NamedTuple):
     def describe(self) -> str:
         """One report line (the CLI's per-model row)."""
         return (
-            f"{self.model_name:<18} {self.fps:7.1f} FPS x {self.frames:>3}  "
+            f"{self.model_name:<18} {report_number(self.fps, 7, 1)} FPS x "
+            f"{self.frames:>3}  "
             f"p50 {self.p50_latency_s * 1e3:8.3f} ms  "
             f"p95 {self.p95_latency_s * 1e3:8.3f} ms  "
             f"p99 {self.p99_latency_s * 1e3:8.3f} ms  "

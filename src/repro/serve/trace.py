@@ -24,6 +24,14 @@ from typing import NamedTuple, Optional, Tuple
 from repro.exceptions import WorkloadError
 
 
+def report_number(value: float, width: int, precision: int) -> str:
+    """``value`` fixed-point below 1e6 in magnitude, in ``g`` notation past it
+    (where an extreme accepted rate would print hundreds of digits)."""
+    if abs(value) < 1e6:
+        return f"{value:{width}.{precision}f}"
+    return f"{value:{width}g}"
+
+
 def _stream_rng(seed: int, model_name: str) -> random.Random:
     """A deterministic, platform-independent RNG for one stream's jitter."""
     digest = hashlib.sha256(f"{seed}:{model_name}".encode("utf-8")).digest()
@@ -150,7 +158,8 @@ class StreamSpec(_StreamSpecFields):
         """One-line description used by reports and the CLI."""
         jitter = f" ±{self.jitter_s * 1e3:.1f} ms jitter" if self.jitter_s else ""
         return (f"{self.model_name}: {self.fps:g} FPS x {self.frames} frames"
-                f"{jitter}, deadline {self.effective_deadline_s * 1e3:.1f} ms")
+                f"{jitter}, deadline "
+                f"{report_number(self.effective_deadline_s * 1e3, 0, 1)} ms")
 
 
 class _FrameTraceFields(NamedTuple):
@@ -237,4 +246,4 @@ class FrameTrace(_FrameTraceFields):
         """One-line description used by reports and the CLI."""
         return (f"{self.model_name}: {self.frames} traced frames "
                 f"(nominal {self.fps:g} FPS), deadline "
-                f"{self.deadline_s * 1e3:.1f} ms")
+                f"{report_number(self.deadline_s * 1e3, 0, 1)} ms")

@@ -507,6 +507,16 @@ class TestServe:
         # output precedes it).
         assert captured.out == ""
 
+    @pytest.mark.parametrize("scale", ["1e300", "1e-6"])
+    def test_extreme_accepted_rates_keep_one_row_per_line(self, capsys,
+                                                          scale):
+        # Fixed-point rates and deadlines grow to hundreds of digits here.
+        assert main(["serve", "--design", "fda-nvdla", "--frames", "1",
+                     "--fps-scale", scale, "--skip-sustained"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert sum("FPS x" in line for line in lines) == 6
+        assert max(len(line) for line in lines) <= 160
+
 
 class TestFleet:
     def test_fleet_reports_per_chip_rows(self, capsys):

@@ -19,12 +19,15 @@ reduced-regime equivalence test; this module covers the behaviours only the
   arithmetic over the live set, for which the claim is simply false;
 * **traffic determinism** — the same :class:`TrafficSpec` always compiles
   to the identical release tuple (seeded SHA-256 RNG, no platform or
-  process dependence), sorted, with exactly the requested frame count.
+  process dependence), sorted, with exactly the requested frame count;
+* **the reference engine** — on random scenarios the engine's outcome
+  equals, float for float, that of the direct restatement in
+  ``tests/reference_online.py``.
 """
 
 from __future__ import annotations
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.core.scheduler import HeraldScheduler
 from repro.exec.backends import SerialBackend
@@ -39,6 +42,9 @@ from repro.serve import (
     StreamingWorkload,
     TrafficSpec,
 )
+from repro.serve.online import AutoscalePolicy, OnlineEngine
+from repro.serve.router import ROUTER_POLICIES, arrival_order
+import reference_online
 from test_fleet_properties import _chip, _fleet, _random_graph
 
 #: Shared, memoising cost model (costs are pure; decisions are unaffected).
@@ -293,3 +299,93 @@ class TestTrafficDeterminism:
         # so co-scheduled streams never share an arrival sequence.
         other = TrafficSpec(model_name="b", seed=seed, **base)
         assert one.release_times_s() != other.release_times_s()
+
+
+@st.composite
+def _engine_scenarios(draw):
+    """Engine inputs: traffic, service tables, faults, autoscaling.
+
+    Service times come from a short list so chips tie often; deaths, slowdown
+    edges and autoscale ticks fall on release instants or between them, and
+    deaths may take the whole active prefix.
+    """
+    streams = [
+        TrafficSpec(kind=draw(st.sampled_from(TRAFFIC_KINDS)),
+                    model_name=f"m{index}",
+                    rate_fps=draw(st.sampled_from([50.0, 200.0, 1000.0])),
+                    frames=draw(st.integers(min_value=1, max_value=40)),
+                    seed=draw(st.integers(min_value=0, max_value=2**16)),
+                    ).to_trace()
+        for index in range(draw(st.integers(min_value=1, max_value=3)))]
+    streaming = StreamingWorkload("differential", streams=streams)
+    num_chips = draw(st.integers(min_value=1, max_value=4))
+    service = st.sampled_from([1e-3, 2e-3, 4e-3, 8e-3])
+    tables = [{stream.model_name: draw(service) for stream in streams}
+              for _ in range(num_chips)]
+    releases = sorted(release for stream in streams
+                      for release in stream.release_times_s())
+    horizon_s = releases[-1] + 1e-2
+    instant = st.one_of(
+        st.sampled_from(releases),
+        st.sampled_from([0.0, 0.1, 0.3, 0.6, 0.9]).map(
+            lambda fraction: fraction * horizon_s))
+    failures = tuple(ChipFailure(chip, draw(instant))
+                     for chip in range(num_chips) if draw(st.booleans()))
+    assume(len(failures) < num_chips
+           or any(failure.at_s > 0.0 for failure in failures))
+    slowdowns = []
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        start_s = draw(instant)
+        slowdowns.append(SlowdownWindow(
+            draw(st.integers(min_value=0, max_value=num_chips - 1)),
+            start_s, start_s + draw(st.sampled_from([0.1, 0.4])) * horizon_s,
+            draw(st.sampled_from([1.5, 2.0, 4.0]))))
+    autoscale = None
+    if draw(st.booleans()):
+        autoscale = AutoscalePolicy(
+            interval_s=draw(st.sampled_from(
+                [0.05 * horizon_s, 0.2 * horizon_s]
+                + [release for release in releases if release > 0.0])),
+            min_chips=draw(st.integers(min_value=1, max_value=num_chips)),
+            max_chips=draw(st.sampled_from([None, num_chips])),
+            target_queue_per_chip=draw(st.sampled_from([0.5, 1.0, 2.0])))
+    return dict(streaming=streaming, tables=tables,
+                faults=FaultSpec(failures=failures, slowdowns=slowdowns),
+                autoscale=autoscale, work_stealing=draw(st.booleans()),
+                policy=draw(st.sampled_from(sorted(ROUTER_POLICIES))))
+
+
+def _outcome_fields(outcome):
+    def hexed(values):
+        return [None if value is None else value.hex() for value in values]
+
+    return {
+        "start_s": hexed(outcome.start_s),
+        "finish_s": hexed(outcome.finish_s),
+        "chip_history": outcome.chip_history,
+        "busy_s": hexed(outcome.busy_s),
+        "intervals": [interval._replace(start_s=interval.start_s.hex(),
+                                        end_s=interval.end_s.hex())
+                      for interval in outcome.intervals],
+        "lost_frame_ids": outcome.lost_frame_ids,
+        "redispatched_frames": outcome.redispatched_frames,
+        "stolen_frames": outcome.stolen_frames,
+    }
+
+
+class TestAgainstTheReferenceEngine:
+    @given(scenario=_engine_scenarios())
+    @settings(max_examples=300, deadline=None)
+    def test_outcome_equals_the_reference(self, scenario):
+        streaming = scenario["streaming"]
+        frames = arrival_order(streaming)
+        assert frames == reference_online.arrival_order(streaming)
+        options = dict(faults=scenario["faults"],
+                       autoscale=scenario["autoscale"],
+                       work_stealing=scenario["work_stealing"])
+        outcome = OnlineEngine(ROUTER_POLICIES[scenario["policy"]](), frames,
+                               scenario["tables"], **options).run()
+        expected = reference_online.ReferenceEngine(
+            reference_online.POLICIES[scenario["policy"]](), frames,
+            scenario["tables"], **options).run()
+        assert _outcome_fields(outcome) == _outcome_fields(expected)

@@ -624,7 +624,7 @@ class TestOnlineBookkeeping:
                               [{"m": tiny}])
         state = engine.chips[0]
         state.factor = factor
-        state.current = online._InFlight(0, remaining_s=1.0, now_s=0.0)
+        state.current, state.remaining_s, state.last_update_s = 0, 1.0, 0.0
         state.queue.extend([1, 2])
         expected = 1.0 * factor
         expected += tiny * factor
@@ -679,3 +679,38 @@ class TestOnlineBookkeeping:
                                         key=outcome.start_s.__getitem__)]
         assert names == ["a0", "b0", "a2"]
         assert outcome.chip_history[0] == [0, 1, 2]
+
+
+class TestDispatchableChips:
+    """The engine caches the dispatchable chips; a death or an autoscale
+    tick must rebuild the cache before the next dispatch reads it."""
+
+    @staticmethod
+    def _engine(releases, faults=None, interval_s=10.0):
+        frames = [FrameRef(0, "m", index, release)
+                  for index, release in enumerate(releases)]
+        return OnlineEngine(
+            policy_by_name("least-outstanding"), frames, [{"m": 1.0}] * 3,
+            faults=faults, work_stealing=False,
+            autoscale=AutoscalePolicy(interval_s=interval_s, min_chips=1,
+                                      target_queue_per_chip=1.0))
+
+    def test_a_dead_active_prefix_falls_back_to_live_chips(self):
+        # The active prefix is chip 0 alone.  It dies at 0.5 serving f0;
+        # the orphan, f1 (released exactly at the death) and f2 must all
+        # land on chips outside the prefix and finish.
+        engine = self._engine([0.0, 0.5, 2.0],
+                              faults=FaultSpec(failures=(ChipFailure(0, 0.5),)))
+        outcome = engine.run()
+        assert outcome.chip_history == [[0, 1], [2], [1]]
+        assert None not in outcome.finish_s
+        assert outcome.lost_frame_ids == []
+        assert outcome.redispatched_frames == 1
+
+    def test_a_frame_after_an_autoscale_grow_sees_the_grown_prefix(self):
+        # Three frames pending at the 0.5 s tick grow the prefix to 3
+        # chips, so f3 finds chip 1 idle instead of queueing on chip 0.
+        engine = self._engine([0.0, 0.1, 0.2, 0.6], interval_s=0.5)
+        outcome = engine.run()
+        assert outcome.intervals[0].active_after == 3
+        assert outcome.chip_history == [[0], [0], [0], [1]]

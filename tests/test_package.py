@@ -31,7 +31,7 @@ _DOTTED = re.compile(r"[A-Za-z_]\w*(?:[.:][A-Za-z_]\w*)*\Z")
 
 class TestPublicApi:
     def test_version_string(self):
-        assert repro.__version__ == "1.32.0"
+        assert repro.__version__ == "1.33.0"
 
     def test_all_exports_resolve(self):
         for name in repro.__all__:
